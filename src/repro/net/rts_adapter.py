@@ -11,8 +11,8 @@ Three small adapters make them run unchanged across real processes:
   simulator's runtimes do, so id-hash shard placement matches.
 * :class:`RealRtsFacade` (node side) replays the same ``setup`` to *bind*
   handles by name against the locally installed replicas, then serves
-  ``invoke`` from client OS threads by scheduling the operation onto the
-  node's event loop.
+  ``invoke`` from client OS threads: a read runs right there against the
+  local replica, a write is handed to the node's event loop once.
 * :class:`ClientProc` stands in for the simulator's per-client process
   token: it identifies the client and numbers its writes (the ``cseq`` the
   exactly-once machinery and the convergence checker key on).
@@ -27,6 +27,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 import threading
+from concurrent.futures import Future
 from dataclasses import asdict
 from typing import Any, Dict, List, Optional, Tuple, Type
 
@@ -122,8 +123,9 @@ class RealRtsFacade:
     """Node-side ``RuntimeSystem`` facade over a :class:`RealRuntime`.
 
     ``create_object`` binds handles by name against the installed replicas
-    (setup replay); ``invoke`` is thread-safe and blocks the calling client
-    thread until the operation completes on the protocol's event loop.
+    (setup replay); ``invoke`` is thread-safe.  A read never leaves the
+    calling client thread; a write blocks it until the protocol has applied
+    the operation on this node.
     """
 
     name = "real-sockets"
@@ -157,11 +159,12 @@ class RealRtsFacade:
     def invoke(self, proc: ClientProc, handle: ObjectHandle, op_name: str,
                args: Tuple[Any, ...] = (),
                kwargs: Optional[Dict[str, Any]] = None) -> Any:
-        op = handle.spec_class.operation_def(op_name)
-        cseq = proc.next_cseq() if op.is_write else 0
-        future = asyncio.run_coroutine_threadsafe(
-            self.runtime.submit(handle.obj_id, op_name, tuple(args), kwargs,
-                                client=(proc.node_id, proc.client_id),
-                                cseq=cseq),
-            self.loop)
+        obj = self.runtime.objects[handle.obj_id]
+        op = obj.spec_class.operation_def(op_name)
+        if not op.is_write:
+            return self.runtime.read(obj, op, tuple(args), kwargs)
+        future: Future = Future()
+        self.loop.call_soon_threadsafe(
+            self.runtime.start_write, obj, op_name, args, kwargs,
+            (proc.node_id, proc.client_id), proc.next_cseq(), future)
         return future.result(self.op_timeout)

@@ -29,20 +29,33 @@ The engine reuses the simulator's object model verbatim
 (:class:`~repro.rts.object_model.ObjectSpec`, ``execute_operation``), so an
 operation applied in the same order on both backends produces the same
 state.
+
+**Threads.**  Everything here runs on the node's event loop except
+:meth:`RealRuntime.read`, which client threads call directly: a read of a
+replicated object is local, so it takes the object's ``state_lock`` and
+touches nothing else.  Every path that mutates a replica on the loop takes
+the same lock around the mutation (never across an ``await``).  A write
+enters the loop once (:meth:`RealRuntime.start_write`, via
+``loop.call_soon_threadsafe`` from a client thread) and lives in one
+:class:`_PendingWrite` record until it is applied here.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import importlib
 import itertools
+import threading
 import time
+from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Type
+from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple, Type
 
 from ..amoeba.message import Message
 from ..errors import NetworkError, RtsError, UnknownObjectError
-from ..rts.object_model import RETRY, ObjectSpec, execute_operation
+from ..rts.object_model import (RETRY, ObjectSpec, OperationDef,
+                                execute_operation)
 from .udp import UdpTransport
 from .wire import jsonify
 
@@ -125,7 +138,12 @@ class RealObject:
     #: Primary-side acknowledgement debts: version -> nodes yet to ack.
     pending_acks: Dict[int, set] = field(default_factory=dict)
     ack_events: Dict[int, asyncio.Event] = field(default_factory=dict)
+    #: Serialises primary-path writes (held across the ack wait, loop only).
     lock: asyncio.Lock = field(default_factory=asyncio.Lock)
+    #: Guards ``instance`` between client-thread reads and loop-side applies.
+    state_lock: threading.Lock = field(default_factory=threading.Lock)
+    #: Reads served from this replica; counted under ``state_lock``.
+    local_reads: int = 0
 
 
 @dataclass
@@ -145,11 +163,35 @@ class _MemberState:
     holdback: Dict[int, Dict[str, Any]] = field(default_factory=dict)
 
 
+class _PendingWrite:
+    """One write this node issued and has not yet seen applied.
+
+    The record is the whole writer-side state of the write: the ordered body
+    or primary request to (re-)send, until when, the handle to cancel when it
+    ends, and the thread-safe future its issuer waits on — a client thread
+    directly, in-loop callers through ``asyncio.wrap_future``.
+    """
+
+    __slots__ = ("issue", "obj", "body", "future", "key", "deadline", "handle")
+
+    def __init__(self, issue: Callable[["_PendingWrite"], None], obj: RealObject,
+                 body: Dict[str, Any], future: Optional[Future]) -> None:
+        #: (Re-)issues the write: at the start, and after a guard ``RETRY``.
+        self.issue = issue
+        self.obj = obj
+        self.body = body
+        self.future = future if future is not None else Future()
+        #: Key in ``RealRuntime._pending``: the ordered uid or the primary wid.
+        self.key: Optional[str] = None
+        self.deadline = 0.0
+        #: The re-send (or re-issue) timer, or the local primary-apply task.
+        self.handle: Any = None
+
+
 @dataclass
 class RealRuntimeStats:
     ordered_writes: int = 0
     primary_writes: int = 0
-    local_reads: int = 0
     guard_retries: int = 0
     deduplicated_requests: int = 0
     deduplicated_writes: int = 0
@@ -172,7 +214,8 @@ class RealRuntime:
         self.seats: Dict[int, int] = {}
         self._seat_state: Dict[int, _SeatState] = {}
         self._member_state: Dict[int, _MemberState] = {}
-        self._waiters: Dict[str, asyncio.Future] = {}
+        self._pending: Dict[str, _PendingWrite] = {}
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._uid_counter = itertools.count(1)
         self._last_heard: Dict[int, float] = {}
         self._tasks: List[asyncio.Task] = []
@@ -223,6 +266,7 @@ class RealRuntime:
             self.objects[obj.obj_id] = obj
 
     async def start(self) -> None:
+        self._loop = asyncio.get_running_loop()
         self.transport.on_message = self._dispatch
         now = time.monotonic()
         for node_id in self.transport.node_ids:
@@ -245,9 +289,12 @@ class RealRuntime:
             except asyncio.CancelledError:
                 pass
         self._tasks = []
+        for write in list(self._pending.values()):
+            self._finish(write, error=NetworkError(
+                f"node {self.node_id} stopped with write {write.key} pending"))
 
     # ------------------------------------------------------------------ #
-    # Public operation API (called from the event loop)
+    # Public operation API
     # ------------------------------------------------------------------ #
 
     def object_by_name(self, name: str) -> RealObject:
@@ -256,31 +303,118 @@ class RealRuntime:
                 return obj
         raise UnknownObjectError(f"no object named {name!r} on node {self.node_id}")
 
+    def read(self, obj: RealObject, op: OperationDef, args: Tuple[Any, ...],
+             kwargs: Optional[Dict[str, Any]]) -> Any:
+        """Serve a read from the local replica; callable from any thread."""
+        with obj.state_lock:
+            obj.local_reads += 1
+            return execute_operation(obj.instance, op, args, kwargs)
+
+    def start_write(self, obj: RealObject, op_name: str, args: Tuple[Any, ...],
+                    kwargs: Optional[Dict[str, Any]], client: Tuple[int, int],
+                    cseq: int, future: Optional[Future] = None) -> _PendingWrite:
+        """Issue one write (loop only); its result arrives on the future.
+
+        Client threads get here through ``loop.call_soon_threadsafe`` with
+        the future they then block on, so a failure to issue must land on
+        the future too.
+        """
+        body = {
+            "obj_id": obj.obj_id,
+            "op": op_name,
+            "client": [int(client[0]), int(client[1])],
+            "cseq": int(cseq),
+        }
+        if obj.policy == "broadcast":
+            body["type"] = "op"
+            body["origin"] = self.node_id
+            write = _PendingWrite(self._issue_ordered_op, obj, body, future)
+        else:
+            body["wid"] = f"{int(client[0])}.{int(client[1])}.{int(cseq)}"
+            write = _PendingWrite(self._issue_primary, obj, body, future)
+        try:
+            # The arguments alone are put in wire form, before any protocol
+            # state moves: a local seat or primary applies this body as it
+            # is, so it must be the value (and a copy, not the caller's
+            # objects) that the other replicas decode — and an argument the
+            # wire cannot carry must fail this call, not take a seqno.
+            body["args"] = jsonify(list(args))
+            body["kwargs"] = jsonify(dict(kwargs or {}))
+            write.issue(write)
+        except Exception as exc:
+            self._finish(write, error=exc)
+        return write
+
     async def submit(self, obj_id: int, op_name: str, args: Tuple[Any, ...] = (),
                      kwargs: Optional[Dict[str, Any]] = None,
                      client: Tuple[int, int] = (0, 0), cseq: int = 0) -> Any:
-        """Invoke one operation; returns its result (reads run locally)."""
+        """Invoke one operation from inside the loop; returns its result."""
         obj = self.objects.get(obj_id)
         if obj is None:
             raise UnknownObjectError(f"no object {obj_id} on node {self.node_id}")
         op = obj.spec_class.operation_def(op_name)
         if not op.is_write:
-            self.stats.local_reads += 1
-            return execute_operation(obj.instance, op, tuple(args), kwargs)
-        while True:
-            if obj.policy == "broadcast":
-                result = await self._submit_ordered_op(obj, op_name, args,
-                                                       kwargs, client, cseq)
-            else:
-                result = await self._submit_primary(obj, op_name, args,
-                                                    kwargs, client, cseq)
-            if result == RETRY_MARKER:
-                # Guard not satisfied when the write reached the front of the
-                # total order; state was untouched, so re-issue after a beat.
-                self.stats.guard_retries += 1
-                await asyncio.sleep(self.timings.gap_delay)
-                continue
-            return result
+            return self.read(obj, op, tuple(args), kwargs)
+        return await self._in_loop(
+            self.start_write(obj, op_name, args, kwargs, client, cseq))
+
+    # ------------------------------------------------------------------ #
+    # Pending writes: one record, one timer
+    # ------------------------------------------------------------------ #
+
+    def _track(self, write: _PendingWrite, key: str) -> None:
+        """(Re-)register ``write`` under ``key`` with a fresh deadline."""
+        self._pending.pop(write.key, None)
+        write.key = key
+        write.deadline = time.monotonic() + self.timings.submit_deadline
+        self._pending[key] = write
+
+    def _expired(self, write: _PendingWrite) -> bool:
+        if time.monotonic() <= write.deadline:
+            return False
+        self._finish(write, error=NetworkError(
+            f"write {write.key} on {write.obj.name!r} did not complete "
+            f"within {self.timings.submit_deadline}s"))
+        return True
+
+    def _complete(self, write: _PendingWrite, result: Any) -> None:
+        """The write reached the head of its order with ``result``."""
+        if result == RETRY_MARKER:
+            # Guard not satisfied; state was untouched, so re-issue after a
+            # beat (the record stays pending, its handle now this timer).
+            self.stats.guard_retries += 1
+            write.handle.cancel()
+            write.handle = self._loop.call_later(self.timings.gap_delay,
+                                                 write.issue, write)
+            return
+        self._finish(write, result)
+
+    def _finish(self, write: _PendingWrite, result: Any = None,
+                error: Optional[BaseException] = None) -> None:
+        """End the write: forget it, cancel its handle, wake its issuer."""
+        self._pending.pop(write.key, None)
+        if write.handle is not None:
+            write.handle.cancel()
+        if write.future.done():
+            return  # the issuer gave up waiting (an in-loop await cancelled)
+        if error is not None:
+            write.future.set_exception(error)
+        else:
+            write.future.set_result(result)
+
+    def _in_loop(self, write: _PendingWrite) -> Awaitable[Any]:
+        """The write as an awaitable; cancelling the await ends the write."""
+        write.future.add_done_callback(functools.partial(self._abandoned, write))
+        return asyncio.wrap_future(write.future)
+
+    def _abandoned(self, write: _PendingWrite, future: Future) -> None:
+        if future.cancelled():
+            self._finish(write)
+
+    def _send(self, dst: Optional[int], kind: str, payload: Any) -> None:
+        # size=1: any positive size stops Message estimating the payload.
+        self.transport.send(Message(src=self.node_id, dst=dst, kind=kind,
+                                    payload=payload, size=1))
 
     # ------------------------------------------------------------------ #
     # Ordered-broadcast write path
@@ -289,53 +423,36 @@ class RealRuntime:
     def _new_uid(self) -> str:
         return f"{self.node_id}:{next(self._uid_counter)}"
 
-    async def _submit_ordered_op(self, obj: RealObject, op_name: str, args,
-                                 kwargs, client, cseq) -> Any:
+    def _submit_ordered(self, obj: RealObject, body: Dict[str, Any]) -> Awaitable[Any]:
+        """Put ``body`` through ``obj``'s shard's total order (in-loop callers)."""
+        write = _PendingWrite(self._issue_ordered, obj, body, None)
+        self._issue_ordered(write)
+        return self._in_loop(write)
+
+    def _issue_ordered_op(self, write: _PendingWrite) -> None:
         self.stats.ordered_writes += 1
-        body = {
-            "type": "op",
-            "obj_id": obj.obj_id,
-            "op": op_name,
-            "args": jsonify(list(args)),
-            "kwargs": jsonify(dict(kwargs or {})),
-            "client": [int(client[0]), int(client[1])],
-            "cseq": int(cseq),
-            "origin": self.node_id,
-        }
-        return await self._submit_ordered(obj.shard, body)
+        self._issue_ordered(write)
 
-    async def _submit_ordered(self, shard: int, body: Dict[str, Any]) -> Any:
+    def _issue_ordered(self, write: _PendingWrite) -> None:
+        # A fresh uid per issue: the seat remembers the old one as sequenced.
         uid = self._new_uid()
-        body = dict(body, uid=uid)
-        loop = asyncio.get_running_loop()
-        fut: asyncio.Future = loop.create_future()
-        self._waiters[uid] = fut
-        seat = self.seats[shard]
-        payload = {"shard": shard, "uid": uid, "body": body}
-        deadline = time.monotonic() + self.timings.submit_deadline
-        try:
-            while not fut.done():
-                if time.monotonic() > deadline:
-                    raise NetworkError(
-                        f"ordered write {uid} on shard {shard} did not "
-                        f"complete within {self.timings.submit_deadline}s")
-                if seat == self.node_id:
-                    self._sequence(shard, uid, body, requester=self.node_id)
-                else:
-                    self.transport.send(Message(
-                        src=self.node_id, dst=seat, kind="net.req",
-                        payload=payload))
-                await self._wait(fut, self.timings.retry_interval)
-            return fut.result()
-        finally:
-            self._waiters.pop(uid, None)
+        write.body = dict(write.body, uid=uid)
+        self._track(write, uid)
+        self._attempt_ordered(write)
 
-    @staticmethod
-    async def _wait(fut: asyncio.Future, timeout: float) -> None:
-        try:
-            await asyncio.wait_for(asyncio.shield(fut), timeout)
-        except asyncio.TimeoutError:
-            pass
+    def _attempt_ordered(self, write: _PendingWrite) -> None:
+        if self._expired(write):
+            return
+        # Armed before sending: a local seat applies (and finishes) inline.
+        write.handle = self._loop.call_later(self.timings.retry_interval,
+                                             self._attempt_ordered, write)
+        shard = write.obj.shard
+        seat = self.seats[shard]
+        if seat == self.node_id:
+            self._sequence(shard, write.key, write.body, requester=self.node_id)
+        else:
+            self._send(seat, "net.req",
+                       {"shard": shard, "uid": write.key, "body": write.body})
 
     def _handle_req(self, msg: Message) -> None:
         payload = msg.payload
@@ -356,18 +473,18 @@ class RealRuntime:
             self.stats.deduplicated_requests += 1
             if requester != self.node_id:
                 self.stats.retransmissions += 1
-                self.transport.send(Message(
-                    src=self.node_id, dst=requester, kind="net.data",
-                    payload={"shard": shard, "seqno": known,
-                             "body": seat.history[known]}))
+                self._send(requester, "net.data",
+                           {"shard": shard, "seqno": known,
+                            "body": seat.history[known]})
             return
         seqno = seat.next_seqno
+        # Sent before it is recorded: a body the wire rejects (too large)
+        # must not take a seqno nobody could ever be sent.
+        self._send(None, "net.data",
+                   {"shard": shard, "seqno": seqno, "body": body})
         seat.next_seqno += 1
         seat.history[seqno] = body
         seat.uid_to_seqno[uid] = seqno
-        self.transport.send(Message(
-            src=self.node_id, dst=None, kind="net.data",
-            payload={"shard": shard, "seqno": seqno, "body": body}))
         self._accept_data(shard, seqno, body)
 
     def _handle_data(self, msg: Message) -> None:
@@ -405,10 +522,8 @@ class RealRuntime:
             return
         upto = max(member.holdback) if member.holdback else member.next_expected
         self.stats.gap_requests += 1
-        self.transport.send(Message(
-            src=self.node_id, dst=seat, kind="net.gapreq",
-            payload={"shard": shard, "from": member.next_expected,
-                     "to": upto}))
+        self._send(seat, "net.gapreq",
+                   {"shard": shard, "from": member.next_expected, "to": upto})
 
     def _handle_gapreq(self, msg: Message) -> None:
         payload = msg.payload
@@ -421,9 +536,8 @@ class RealRuntime:
             if body is None:
                 continue
             self.stats.retransmissions += 1
-            self.transport.send(Message(
-                src=self.node_id, dst=msg.src, kind="net.data",
-                payload={"shard": shard, "seqno": seqno, "body": body}))
+            self._send(msg.src, "net.data",
+                       {"shard": shard, "seqno": seqno, "body": body})
 
     async def _sync_loop(self) -> None:
         """Seats periodically announce their next seqno so a lost *final*
@@ -431,9 +545,8 @@ class RealRuntime:
         while self._running:
             await asyncio.sleep(self.timings.sync_interval)
             for shard, seat in self._seat_state.items():
-                self.transport.send(Message(
-                    src=self.node_id, dst=None, kind="net.sync",
-                    payload={"shard": shard, "next_seqno": seat.next_seqno}))
+                self._send(None, "net.sync",
+                           {"shard": shard, "next_seqno": seat.next_seqno})
 
     def _handle_sync(self, msg: Message) -> None:
         payload = msg.payload
@@ -458,8 +571,9 @@ class RealRuntime:
     def _apply_ordered_op(self, body: Dict[str, Any]) -> None:
         obj = self.objects[int(body["obj_id"])]
         op = obj.spec_class.operation_def(body["op"])
-        result = execute_operation(obj.instance, op, tuple(body["args"]),
-                                   dict(body["kwargs"]))
+        with obj.state_lock:
+            result = execute_operation(obj.instance, op, tuple(body["args"]),
+                                       dict(body["kwargs"]))
         if result is RETRY:
             self._resolve(body, RETRY_MARKER)
             return
@@ -469,52 +583,50 @@ class RealRuntime:
         self._resolve(body, result)
 
     def _resolve(self, body: Dict[str, Any], result: Any) -> None:
-        """Wake the local writer if this node originated the write."""
+        """Complete the pending write if this node originated ``body``."""
         if body.get("origin") != self.node_id:
             return
-        fut = self._waiters.get(body["uid"])
-        if fut is not None and not fut.done():
-            fut.set_result(result)
+        write = self._pending.get(body["uid"])
+        if write is not None:
+            self._complete(write, result)
 
     # ------------------------------------------------------------------ #
     # Primary-copy write path
     # ------------------------------------------------------------------ #
 
-    async def _submit_primary(self, obj: RealObject, op_name: str, args,
-                              kwargs, client, cseq) -> Any:
+    def _issue_primary(self, write: _PendingWrite) -> None:
+        # The wid is stable across re-issues: a guard RETRY is not recorded
+        # in the primary's applied-wid table, so the same wid applies later.
         self.stats.primary_writes += 1
-        wid = f"{int(client[0])}.{int(client[1])}.{int(cseq)}"
-        payload = {
-            "obj_id": obj.obj_id,
-            "op": op_name,
-            "args": jsonify(list(args)),
-            "kwargs": jsonify(dict(kwargs or {})),
-            "client": [int(client[0]), int(client[1])],
-            "cseq": int(cseq),
-            "wid": wid,
-        }
-        deadline = time.monotonic() + self.timings.submit_deadline
-        loop = asyncio.get_running_loop()
-        while True:
-            if time.monotonic() > deadline:
-                raise NetworkError(
-                    f"primary write {wid} on {obj.name!r} did not complete "
-                    f"within {self.timings.submit_deadline}s")
-            if obj.primary == self.node_id:
-                return await self._primary_apply(obj, payload)
-            fut: asyncio.Future = loop.create_future()
-            self._waiters[wid] = fut
-            try:
-                # The primary may change under us (takeover); re-read it on
-                # every retry so re-issues chase the current seat.
-                self.transport.send(Message(
-                    src=self.node_id, dst=obj.primary, kind="net.pwrite",
-                    payload=payload))
-                await self._wait(fut, self.timings.retry_interval)
-                if fut.done():
-                    return fut.result()
-            finally:
-                self._waiters.pop(wid, None)
+        self._track(write, write.body["wid"])
+        self._attempt_primary(write)
+
+    def _attempt_primary(self, write: _PendingWrite) -> None:
+        if self._expired(write):
+            return
+        obj = write.obj
+        if obj.primary == self.node_id:
+            # The apply coroutine owns the write from here: it re-sends the
+            # update itself until every live peer has acknowledged.
+            write.handle = asyncio.ensure_future(
+                self._primary_apply(obj, write.body))
+            write.handle.add_done_callback(
+                functools.partial(self._applied_locally, write))
+            return
+        # The primary may change under us (takeover); it is re-read on every
+        # attempt so re-sends chase the current one.
+        write.handle = self._loop.call_later(self.timings.retry_interval,
+                                             self._attempt_primary, write)
+        self._send(obj.primary, "net.pwrite", write.body)
+
+    def _applied_locally(self, write: _PendingWrite, task: asyncio.Task) -> None:
+        if task.cancelled():
+            return  # _finish cancelled it: the write is already over
+        error = task.exception()
+        if error is not None:
+            self._finish(write, error=error)
+        else:
+            self._complete(write, task.result())
 
     def _handle_pwrite(self, msg: Message) -> None:
         payload = msg.payload
@@ -530,10 +642,8 @@ class RealRuntime:
         result = await self._primary_apply(obj, payload)
         if obj.primary != self.node_id:
             return  # lost the seat while applying (cannot happen today)
-        self.transport.send(Message(
-            src=self.node_id, dst=writer, kind="net.pack",
-            payload={"wid": payload["wid"], "result": jsonify(result)
-                     if result != RETRY_MARKER else RETRY_MARKER}))
+        self._send(writer, "net.pack",
+                   {"wid": payload["wid"], "result": result})
 
     async def _primary_apply(self, obj: RealObject,
                              payload: Dict[str, Any]) -> Any:
@@ -543,9 +653,10 @@ class RealRuntime:
                 self.stats.deduplicated_writes += 1
                 return obj.applied_wids[wid]
             op = obj.spec_class.operation_def(payload["op"])
-            result = execute_operation(obj.instance, op,
-                                       tuple(payload["args"]),
-                                       dict(payload["kwargs"]))
+            with obj.state_lock:
+                result = execute_operation(obj.instance, op,
+                                           tuple(payload["args"]),
+                                           dict(payload["kwargs"]))
             if result is RETRY:
                 return RETRY_MARKER
             result = jsonify(result)
@@ -563,8 +674,7 @@ class RealRuntime:
             obj.pending_acks[version] = debt
             event = asyncio.Event()
             obj.ack_events[version] = event
-            self.transport.send(Message(src=self.node_id, dst=None,
-                                        kind="net.pupd", payload=record))
+            self._send(None, "net.pupd", record)
             try:
                 while debt:
                     try:
@@ -576,9 +686,7 @@ class RealRuntime:
                                 debt.discard(node)
                                 continue
                             self.stats.retransmissions += 1
-                            self.transport.send(Message(
-                                src=self.node_id, dst=node, kind="net.pupd",
-                                payload=record))
+                            self._send(node, "net.pupd", record)
             finally:
                 obj.pending_acks.pop(version, None)
                 obj.ack_events.pop(version, None)
@@ -601,16 +709,16 @@ class RealRuntime:
         else:
             obj.pending_updates[version] = payload
             self.stats.gap_requests += 1
-            self.transport.send(Message(
-                src=self.node_id, dst=obj.primary, kind="net.pgap",
-                payload={"obj_id": obj.obj_id, "have": obj.version}))
+            self._send(obj.primary, "net.pgap",
+                       {"obj_id": obj.obj_id, "have": obj.version})
 
     def _apply_update(self, obj: RealObject, payload: Dict[str, Any]) -> None:
         op = obj.spec_class.operation_def(payload["op"])
         # Deterministic operations on identical state yield the primary's
         # result; storing it locally keeps the wid table takeover-portable.
-        execute_operation(obj.instance, op, tuple(payload["args"]),
-                          dict(payload["kwargs"]))
+        with obj.state_lock:
+            execute_operation(obj.instance, op, tuple(payload["args"]),
+                              dict(payload["kwargs"]))
         obj.version = int(payload["version"])
         obj.applied_wids[payload["wid"]] = payload["result"]
         client = payload["client"]
@@ -619,9 +727,8 @@ class RealRuntime:
         self._ack_update(obj, obj.version)
 
     def _ack_update(self, obj: RealObject, version: int) -> None:
-        self.transport.send(Message(
-            src=self.node_id, dst=obj.primary, kind="net.pupdack",
-            payload={"obj_id": obj.obj_id, "version": version}))
+        self._send(obj.primary, "net.pupdack",
+                   {"obj_id": obj.obj_id, "version": version})
 
     def _handle_pupdack(self, msg: Message) -> None:
         payload = msg.payload
@@ -648,14 +755,13 @@ class RealRuntime:
             if record is None:
                 continue
             self.stats.retransmissions += 1
-            self.transport.send(Message(src=self.node_id, dst=msg.src,
-                                        kind="net.pupd", payload=record))
+            self._send(msg.src, "net.pupd", record)
 
     def _handle_pack(self, msg: Message) -> None:
         payload = msg.payload
-        fut = self._waiters.get(payload["wid"])
-        if fut is not None and not fut.done():
-            fut.set_result(payload["result"])
+        write = self._pending.get(payload["wid"])
+        if write is not None:
+            self._complete(write, payload["result"])
 
     # ------------------------------------------------------------------ #
     # Failure detection and takeover
@@ -663,8 +769,7 @@ class RealRuntime:
 
     async def _heartbeat_loop(self) -> None:
         while self._running:
-            self.transport.send(Message(src=self.node_id, dst=None,
-                                        kind="net.hb", payload=None))
+            self._send(None, "net.hb", None)
             await asyncio.sleep(self.timings.heartbeat_interval)
 
     def _handle_hb(self, msg: Message) -> None:
@@ -714,14 +819,15 @@ class RealRuntime:
                 "wids": jsonify(obj.applied_wids),
                 "log": jsonify(obj.applied_log),
             }
-        await self._submit_ordered(obj.shard, body)
+        await self._submit_ordered(obj, body)
 
     def _apply_takeover(self, body: Dict[str, Any]) -> None:
         obj = self.objects[int(body["obj_id"])]
         if obj.primary != int(body["old_primary"]):
             return  # stale proposal; someone already took this object over
         obj.primary = int(body["new_primary"])
-        obj.instance.unmarshal_state(dict(body["state"]))
+        with obj.state_lock:
+            obj.instance.unmarshal_state(dict(body["state"]))
         obj.version = int(body["version"])
         obj.applied_wids = dict(body["wids"])
         obj.applied_log = [list(entry) for entry in body["log"]]
@@ -743,7 +849,7 @@ class RealRuntime:
                        for shard, member in self._member_state.items()},
             "seats": {str(shard): seat.next_seqno
                       for shard, seat in self._seat_state.items()},
-            "pending_ops": len(self._waiters),
+            "pending_ops": len(self._pending),
             "primary_pending": sum(len(obj.pending_acks)
                                    for obj in self.objects.values()),
             "pending_updates": sum(len(obj.pending_updates)
@@ -772,7 +878,8 @@ class RealRuntime:
             "stats": {
                 "ordered_writes": self.stats.ordered_writes,
                 "primary_writes": self.stats.primary_writes,
-                "local_reads": self.stats.local_reads,
+                "local_reads": sum(obj.local_reads
+                                   for obj in self.objects.values()),
                 "guard_retries": self.stats.guard_retries,
                 "deduplicated_requests": self.stats.deduplicated_requests,
                 "deduplicated_writes": self.stats.deduplicated_writes,

@@ -73,6 +73,7 @@ class UdpTransport(Transport):
         self.drop_tx: Optional[Callable[[Message, int], bool]] = None
         self.drop_rx: Optional[Callable[[Message], bool]] = None
         self._peers: Dict[int, Tuple[str, int]] = {}
+        self._node_ids: List[int] = []
         self._dead: set = set()
         self._sock: Optional[asyncio.DatagramTransport] = None
         self._port: Optional[int] = None
@@ -104,10 +105,12 @@ class UdpTransport(Transport):
     def set_peers(self, peers: Dict[int, Tuple[str, int]]) -> None:
         """Install the cluster's ``node_id -> (host, port)`` table."""
         self._peers = {int(node_id): (host, int(p)) for node_id, (host, p) in peers.items()}
+        self._node_ids = sorted(self._peers)
 
     @property
     def node_ids(self) -> List[int]:
-        return sorted(self._peers)
+        """Every node of the cluster, ascending (shared list: do not mutate)."""
+        return self._node_ids
 
     def peer_alive(self, node_id: int) -> bool:
         """Is the peer believed alive?
@@ -130,7 +133,7 @@ class UdpTransport(Transport):
         frame = encode_message(msg)
         if msg.is_broadcast:
             self.stats.broadcast_messages += 1
-            for node_id in self.node_ids:
+            for node_id in self._node_ids:
                 if node_id == self.node_id:
                     continue
                 self._send_frame(msg, node_id, frame)

@@ -6,11 +6,17 @@ data plane one datagram carries exactly one frame (the prefix doubles as a
 truncation check); on TCP streams frames are concatenated and
 :class:`StreamDecoder` re-splits them.
 
-JSON cannot tell tuples from lists, so payloads and headers must be built
-from JSON-native values (dicts, lists, strings, numbers, booleans, None).
-The real protocol controls every payload it sends, and
-:func:`jsonify` normalises recursively for state snapshots that may contain
-tuples.
+JSON cannot tell tuples from lists or int keys from string keys: a decoded
+payload is in the normal form :func:`jsonify` describes (lists, string keys).
+The encoder gets there in the one pass ``json`` makes anyway; ``jsonify``
+itself is for values that must be in that form *without* crossing the wire:
+state snapshots (the control plane, the oracle, a takeover record its
+proposer applies locally) and a write's arguments and result, which a local
+seat or primary applies and stores as they are.
+
+``Message.size`` is the simulator's network-cost estimate and means nothing
+here, so it is not transmitted: a decoded message's ``size`` is the length
+of the frame it arrived in.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from ..errors import NetworkError
 MAX_FRAME = 60_000
 
 _PREFIX = struct.Struct(">I")
+_encode_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def jsonify(value: Any) -> Any:
@@ -47,19 +54,24 @@ def jsonify(value: Any) -> Any:
 
 
 def encode_message(msg: Message) -> bytes:
-    """Encode one message as a length-prefixed JSON frame."""
-    body = json.dumps(
-        {
-            "src": msg.src,
-            "dst": msg.dst,
-            "kind": msg.kind,
-            "payload": jsonify(msg.payload),
-            "size": msg.size,
-            "headers": jsonify(msg.headers),
-            "msg_id": msg.msg_id,
-        },
-        separators=(",", ":"),
-    ).encode("utf-8")
+    """Encode one message as a length-prefixed JSON frame.
+
+    Raises :class:`NetworkError` for a payload JSON cannot carry, so a
+    protocol bug fails loudly at the sender.
+    """
+    try:
+        body = _encode_json(
+            {
+                "src": msg.src,
+                "dst": msg.dst,
+                "kind": msg.kind,
+                "payload": msg.payload,
+                "headers": msg.headers,
+                "msg_id": msg.msg_id,
+            }
+        ).encode("utf-8")
+    except (TypeError, ValueError) as exc:
+        raise NetworkError(f"message {msg.kind!r} is not wire-encodable: {exc}") from None
     if len(body) > MAX_FRAME:
         raise NetworkError(
             f"message {msg.kind!r} encodes to {len(body)} bytes "
@@ -86,7 +98,7 @@ def decode_message(frame: bytes) -> Message:
         dst=fields["dst"],
         kind=fields["kind"],
         payload=fields["payload"],
-        size=fields["size"],
+        size=len(frame),
         headers=fields["headers"],
         msg_id=fields["msg_id"],
     )

@@ -173,7 +173,13 @@ class EventQueue:
     # ------------------------------------------------------------------ #
 
     def push(self, event: Event) -> None:
-        """Insert an event into the queue."""
+        """Insert an event into the queue.
+
+        Raises
+        ------
+        SimulationError
+            If the event's time is below that of the last popped event.
+        """
         self._live += 1
         time = event.time
         if time <= self._time:
@@ -184,10 +190,14 @@ class EventQueue:
                 # traffic — and the dominant case (delay-zero callbacks).
                 self._now_bucket.append(event)
             else:
-                # Strictly in the past: the simulator itself never does
-                # this, but direct queue users may — the heap keeps the
-                # (time, seq) order correct regardless.
-                heappush(self._heap, (time, event.seq, event))
+                # Strictly in the past: the pop-side comparison only orders
+                # the now bucket against the rest while every buffered time
+                # is >= the last popped one, so this is a caller bug
+                # (``Simulator.schedule``/``schedule_at`` reject it first).
+                self._live -= 1
+                raise SimulationError(
+                    f"cannot push an event at {time} before the last popped time {self._time}"
+                )
             return
         idx = int(time * _INV_SLOT_WIDTH)
         floor = self._wheel_floor

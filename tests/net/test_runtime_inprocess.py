@@ -7,17 +7,30 @@ real-socket analogues of the simulator's NIC ``drop_filter`` tests: every
 recovery mechanism — writer retry with sequencer dedupe, gap requests,
 primary retransmit to unacked replicas, heartbeat-driven takeover — must
 close the holes that injected loss opens.
+
+The second half runs the same cluster with its loop on a background thread
+and real client threads on :class:`~repro.net.rts_adapter.RealRtsFacade`, the
+way a node process does: reads stay on the client thread, writes cross to
+the loop once and live in one pending-write record.
 """
 
 from __future__ import annotations
 
 import asyncio
+import sys
+import threading
+import time
 
 import pytest
 
-from repro.net.runtime import RealRuntime, RealTimings
+from repro.amoeba import message as message_module
+from repro.errors import NetworkError
+from repro.net.rts_adapter import ClientProc, RealRtsFacade
+from repro.net.runtime import RealRuntime, RealTimings, resolve_spec
 from repro.net.udp import UdpTransport
-from repro.orca.builtin_objects import IntObject
+from repro.orca.builtin_objects import BoolObject, IntObject
+from repro.rts.base import ObjectHandle
+from repro.rts.object_model import ObjectSpec, operation
 
 #: Aggressive timers: these tests inject loss and wait for recovery, so the
 #: retry/sync machinery must cycle quickly.
@@ -26,11 +39,30 @@ FAST = RealTimings(heartbeat_interval=0.03, dead_after=0.25,
                    submit_deadline=20.0)
 
 
-def object_table(policy: str, primary: int = 0):
+class Pair(ObjectSpec):
+    """Two fields one write keeps equal, with a GIL yield between them."""
+
+    def init(self, value: int = 0) -> None:
+        self.a = value
+        self.b = value
+
+    @operation(write=True)
+    def bump(self) -> int:
+        self.a += 1
+        time.sleep(0)  # let a reader run between the two halves
+        self.b += 1
+        return self.a
+
+    @operation(write=False)
+    def snapshot(self) -> list:
+        return [self.a, self.b]
+
+
+def object_table(policy: str, primary: int = 0, spec=IntObject):
     return [{
         "obj_id": 1,
         "name": "cell",
-        "spec": f"{IntObject.__module__}:{IntObject.__name__}",
+        "spec": f"{spec.__module__}:{spec.__name__}",
         "args": [0],
         "kwargs": {},
         "policy": policy,
@@ -83,6 +115,20 @@ class InProcessCluster:
             if asyncio.get_running_loop().time() > deadline:
                 raise AssertionError(
                     f"replicas never converged to {value}: {states}")
+            await asyncio.sleep(0.02)
+
+    async def converged_state(self, state, timeout: float = 10.0) -> None:
+        """Wait until every replica's ``snapshot`` reads ``state``."""
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + timeout
+        while True:
+            states = [runtime.objects[1].instance.snapshot()
+                      for runtime in self.runtimes.values()]
+            if all(found == state for found in states):
+                return
+            if loop.time() > deadline:
+                raise AssertionError(
+                    f"replicas never converged to {state}: {states}")
             await asyncio.sleep(0.02)
 
 
@@ -207,3 +253,334 @@ class TestTakeover:
                 assert dead is not None
 
         asyncio.run(run())
+
+
+class TestWriteRecord:
+    """The pending-write record behind ``submit()`` and ``invoke()``."""
+
+    def test_dropped_request_resent_after_retry_interval_applied_once(self):
+        async def run():
+            async with InProcessCluster(3, object_table("broadcast")) as cluster:
+                writer = cluster.runtimes[1]
+                cluster.transports[1].drop_tx = drop_first(("net.req",))
+                started = time.monotonic()
+                result = await writer.submit(1, "add", (1,), client=(1, 0), cseq=1)
+                assert time.monotonic() - started >= FAST.retry_interval
+                assert result == 1
+                assert cluster.transports[1].stats.by_kind["net.req"] == 2
+                await cluster.converged(1)
+                for runtime in cluster.runtimes.values():
+                    assert runtime.objects[1].applied_log == [[1, 0, 1, "add"]]
+
+        asyncio.run(run())
+
+    def test_resolving_a_write_cancels_its_timer(self):
+        async def run():
+            async with InProcessCluster(3, object_table("broadcast")) as cluster:
+                writer = cluster.runtimes[1]
+                record = writer.start_write(writer.objects[1], "add", (1,), None, (1, 0), 1)
+                assert list(writer._pending.values()) == [record]
+                assert not record.handle.cancelled()
+                assert await asyncio.wrap_future(record.future) == 1
+                assert record.handle.cancelled()
+                assert writer._pending == {}
+                assert writer.status()["pending_ops"] == 0
+
+        asyncio.run(run())
+
+    def test_guard_retry_reissues_after_gap_delay_under_a_fresh_uid(self):
+        async def run():
+            table = object_table("broadcast", spec=BoolObject)
+            async with InProcessCluster(3, table) as cluster:
+                waiter = cluster.runtimes[1]
+                blocked = asyncio.ensure_future(
+                    waiter.submit(1, "await_true", client=(1, 0), cseq=1))
+                uids = set()
+                while waiter.stats.guard_retries < 2:
+                    await asyncio.sleep(FAST.gap_delay / 4)
+                    uids.update(waiter._pending)  # stays pending between issues
+                    assert len(waiter._pending) == 1
+                assert len(uids) >= 2
+                assert waiter.stats.ordered_writes >= waiter.stats.guard_retries
+                assert not blocked.done()
+                await cluster.runtimes[2].submit(1, "set", (True,), client=(2, 0), cseq=1)
+                assert await asyncio.wait_for(blocked, timeout=10.0) is True
+                assert waiter._pending == {}
+                # A guard RETRY leaves no trace in the applied log.
+                assert waiter.objects[1].applied_log == [[2, 0, 1, "set"],
+                                                         [1, 0, 1, "await_true"]]
+
+        asyncio.run(run())
+
+    def test_stop_fails_pending_writes(self):
+        async def run():
+            async with InProcessCluster(3, object_table("broadcast")) as cluster:
+                writer = cluster.runtimes[1]
+                cluster.transports[1].drop_tx = lambda msg, dst: msg.kind == "net.req"
+                record = writer.start_write(writer.objects[1], "add", (1,), None, (1, 0), 1)
+                await writer.stop()
+                assert record.handle.cancelled() and writer._pending == {}
+                with pytest.raises(NetworkError):
+                    record.future.result(0)
+
+        asyncio.run(run())
+
+    def test_cancelling_an_in_loop_await_ends_the_write(self):
+        async def run():
+            async with InProcessCluster(3, object_table("broadcast")) as cluster:
+                writer = cluster.runtimes[1]
+                cluster.transports[1].drop_tx = lambda msg, dst: msg.kind == "net.req"
+                with pytest.raises(asyncio.TimeoutError):
+                    await asyncio.wait_for(
+                        writer.submit(1, "add", (1,), client=(1, 0), cseq=1),
+                        timeout=FAST.retry_interval / 2)
+                assert writer._pending == {}
+                sent = cluster.transports[1].stats.by_kind["net.req"]
+                await asyncio.sleep(3 * FAST.retry_interval)
+                assert cluster.transports[1].stats.by_kind["net.req"] == sent
+
+        asyncio.run(run())
+
+    def test_dropped_primary_request_resent_and_applied_once(self):
+        async def run():
+            table = object_table("primary-update", primary=0)
+            async with InProcessCluster(3, table) as cluster:
+                writer = cluster.runtimes[1]
+                cluster.transports[1].drop_tx = drop_first(("net.pwrite",))
+                started = time.monotonic()
+                record = writer.start_write(writer.objects[1], "add", (1,), None, (1, 0), 1)
+                assert list(writer._pending) == ["1.0.1"]
+                assert await asyncio.wrap_future(record.future) == 1
+                assert time.monotonic() - started >= FAST.retry_interval
+                assert cluster.transports[1].stats.by_kind["net.pwrite"] == 2
+                assert record.handle.cancelled() and writer._pending == {}
+                await cluster.converged(1)
+                for runtime in cluster.runtimes.values():
+                    assert runtime.objects[1].applied_log == [[1, 0, 1, "add"]]
+                    assert runtime.objects[1].version == 1
+
+        asyncio.run(run())
+
+    @pytest.mark.parametrize("waiter_id", [0, 1], ids=["on-the-primary", "remote"])
+    def test_primary_guard_retry_reissues_under_the_same_wid(self, waiter_id):
+        async def run():
+            table = object_table("primary-update", primary=0, spec=BoolObject)
+            async with InProcessCluster(3, table) as cluster:
+                waiter = cluster.runtimes[waiter_id]
+                blocked = asyncio.ensure_future(
+                    waiter.submit(1, "await_true", client=(waiter_id, 0), cseq=1))
+                while waiter.stats.guard_retries < 2:
+                    await asyncio.sleep(FAST.gap_delay / 4)
+                    assert list(waiter._pending) == [f"{waiter_id}.0.1"]
+                # Counted per issue, so once per guard RETRY already seen.
+                assert waiter.stats.primary_writes >= waiter.stats.guard_retries
+                assert not blocked.done()
+                assert waiter.objects[1].version == 0
+                await cluster.runtimes[2].submit(1, "set", (True,), client=(2, 0), cseq=1)
+                assert await asyncio.wait_for(blocked, timeout=10.0) is True
+                assert waiter._pending == {}
+                for runtime in cluster.runtimes.values():
+                    assert runtime.objects[1].pending_acks == {}
+                    assert runtime.objects[1].applied_log == [
+                        [2, 0, 1, "set"], [waiter_id, 0, 1, "await_true"]]
+
+        asyncio.run(run())
+
+
+class TestWriteArguments:
+    """A write's arguments are validated and normalised before it is issued."""
+
+    @pytest.mark.parametrize("policy", ["broadcast", "primary-update"])
+    def test_unencodable_argument_fails_that_call_only(self, policy):
+        async def run():
+            async with InProcessCluster(3, object_table(policy)) as cluster:
+                # Node 0 is the seat and the primary: the bad write is local.
+                local = cluster.runtimes[0]
+                with pytest.raises(NetworkError, match="not wire-encodable"):
+                    await local.submit(1, "assign", ({1, 2},), client=(0, 0), cseq=1)
+                assert local._pending == {} and local.objects[1].version == 0
+                assert local.status()["seats"] == {"0": 1}
+                assert await cluster.runtimes[1].submit(
+                    1, "assign", (5,), client=(1, 0), cseq=1) == 5
+                assert await local.submit(1, "add", (1,), client=(0, 0), cseq=2) == 6
+                await cluster.converged(6)
+                for runtime in cluster.runtimes.values():
+                    assert runtime.status()["primary_pending"] == 0
+
+        asyncio.run(run())
+
+    def test_oversized_body_takes_no_seqno(self):
+        async def run():
+            async with InProcessCluster(3, object_table("broadcast")) as cluster:
+                seat = cluster.runtimes[0]
+                with pytest.raises(NetworkError, match="wire limit"):
+                    await seat.submit(1, "assign", ("x" * 70_000,), client=(0, 0), cseq=1)
+                assert seat._pending == {} and seat.status()["seats"] == {"0": 1}
+                assert await cluster.runtimes[1].submit(
+                    1, "assign", (5,), client=(1, 0), cseq=1) == 5
+                await cluster.converged(5)
+
+        asyncio.run(run())
+
+    @pytest.mark.parametrize("policy", ["broadcast", "primary-update"])
+    def test_every_replica_applies_the_wire_form_of_the_arguments(self, policy):
+        async def run():
+            async with InProcessCluster(3, object_table(policy)) as cluster:
+                inner = [1, 2]
+                value = ({1: "a"}, (3, 4), inner)
+                wire_form = [{"1": "a"}, [3, 4], [1, 2]]
+                # Issued on the seat/primary, which applies its own body.
+                result = await cluster.runtimes[0].submit(
+                    1, "assign", (value,), client=(0, 0), cseq=1)
+                inner.append(99)  # the caller's object is not the replica's
+                assert result == wire_form
+                await cluster.converged(wire_form)
+
+        asyncio.run(run())
+
+
+class ThreadedCluster:
+    """An :class:`InProcessCluster` whose loop runs on a background thread,
+    with one :class:`RealRtsFacade` per node for real client threads."""
+
+    def __init__(self, num_nodes: int, table, timings: RealTimings = FAST) -> None:
+        self.loop = asyncio.new_event_loop()
+        self.thread = threading.Thread(target=self.loop.run_forever, daemon=True)
+        self.cluster = InProcessCluster(num_nodes, table, timings=timings)
+        self.handle = ObjectHandle(obj_id=1, name="cell",
+                                   spec_class=resolve_spec(table[0]["spec"]))
+
+    def call(self, coro, timeout: float = 20.0):
+        return asyncio.run_coroutine_threadsafe(coro, self.loop).result(timeout)
+
+    def __enter__(self) -> "ThreadedCluster":
+        self.thread.start()
+        self.call(self.cluster.__aenter__())
+        self.facades = {node_id: RealRtsFacade(runtime, self.loop, op_timeout=20.0)
+                        for node_id, runtime in self.cluster.runtimes.items()}
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.call(self.cluster.__aexit__(None, None, None))
+        self.loop.call_soon_threadsafe(self.loop.stop)
+        self.thread.join(10.0)
+        assert not self.thread.is_alive()
+        self.loop.close()
+
+    def run_clients(self, body, clients_per_node: int = 2, timeout: float = 60.0):
+        """Run ``body(facade, proc)`` on one thread per client; re-raise the
+        first failure, and fail if a client is still running at the end."""
+        failures = []
+
+        def guarded(facade, proc):
+            try:
+                body(facade, proc)
+            except BaseException as exc:  # reported on the test thread below
+                failures.append(exc)
+
+        threads = [threading.Thread(target=guarded,
+                                    args=(facade, ClientProc(node_id, client_id)),
+                                    daemon=True)
+                   for node_id, facade in self.facades.items()
+                   for client_id in range(clients_per_node)]
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + timeout
+        for thread in threads:
+            thread.join(max(0.0, deadline - time.monotonic()))
+        assert not any(thread.is_alive() for thread in threads)
+        if failures:
+            raise failures[0]
+
+
+class TestClientThreads:
+    """Reads on the client thread, writes through the loop, both at once."""
+
+    def test_reads_are_monotone_and_see_the_clients_own_writes(self):
+        rounds = 150
+        with ThreadedCluster(3, object_table("broadcast")) as threaded:
+            def client(facade, proc):
+                last = 0
+                for _ in range(rounds):
+                    written = facade.invoke(proc, threaded.handle, "add", (1,))
+                    for _ in range(3):
+                        seen = facade.invoke(proc, threaded.handle, "read")
+                        # Its own acknowledged write is visible, and the
+                        # counter never runs backwards for one client.
+                        assert seen >= written and seen >= last
+                        last = seen
+
+            threaded.run_clients(client)
+            threaded.call(threaded.cluster.converged(6 * rounds))
+            for runtime in threaded.cluster.runtimes.values():
+                collected = runtime.collect()
+                assert collected["stats"]["local_reads"] == 2 * 3 * rounds
+                assert collected["stats"]["ordered_writes"] == 2 * rounds
+
+    def test_a_read_never_sees_half_a_write(self):
+        # More threads than cores and a short switch interval: without the
+        # object lock a reader lands between the two halves of ``bump``.
+        stop = threading.Event()
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadedCluster(3, object_table("broadcast", spec=Pair)) as threaded:
+                def client(facade, proc):
+                    if proc.client_id == 0:
+                        for _ in range(100):
+                            facade.invoke(proc, threaded.handle, "bump")
+                        stop.set()
+                        return
+                    while not stop.is_set():
+                        a, b = facade.invoke(proc, threaded.handle, "snapshot")
+                        assert a == b, f"torn read: a={a} b={b}"
+
+                try:
+                    threaded.run_clients(client)
+                finally:
+                    stop.set()
+                threaded.call(threaded.cluster.converged_state([300, 300]))
+        finally:
+            sys.setswitchinterval(switch_interval)
+
+    def test_submit_deadline_raises_network_error_on_the_client_thread(self):
+        impatient = RealTimings(heartbeat_interval=0.03, dead_after=5.0,
+                                retry_interval=0.03, sync_interval=0.03,
+                                gap_delay=0.02, submit_deadline=0.2)
+        with ThreadedCluster(3, object_table("broadcast"), impatient) as threaded:
+            threaded.cluster.transports[1].drop_tx = (
+                lambda msg, dst: msg.kind == "net.req")
+            proc = ClientProc(1, 0)
+            with pytest.raises(NetworkError, match="did not complete"):
+                threaded.facades[1].invoke(proc, threaded.handle, "add", (1,))
+            assert threaded.cluster.runtimes[1].status()["pending_ops"] == 0
+            assert threaded.cluster.transports[1].stats.send_drops >= 2
+
+    def test_submit_and_invoke_observe_the_same_result(self):
+        with ThreadedCluster(3, object_table("broadcast")) as threaded:
+            runtime, facade = threaded.cluster.runtimes[1], threaded.facades[1]
+            proc = ClientProc(1, 0)
+            assert facade.invoke(proc, threaded.handle, "assign", (7,)) == 7
+            assert threaded.call(runtime.submit(1, "assign", (7,), client=(1, 1),
+                                                cseq=1)) == 7
+            assert facade.invoke(proc, threaded.handle, "add", (2,)) == 9
+            assert threaded.call(runtime.submit(1, "add", (2,), client=(1, 1),
+                                                cseq=2)) == 11
+            assert facade.invoke(proc, threaded.handle, "read") == 11
+            assert threaded.call(runtime.submit(1, "read")) == 11
+
+    def test_real_send_path_never_estimates_a_payload(self, monkeypatch):
+        calls = []
+
+        def estimate_size(value):
+            calls.append(value)
+            return 1
+
+        monkeypatch.setattr(message_module, "estimate_size", estimate_size)
+        with ThreadedCluster(3, object_table("broadcast")) as threaded:
+            proc = ClientProc(1, 0)
+            assert threaded.facades[1].invoke(proc, threaded.handle, "add", (1,)) == 1
+            threaded.call(threaded.cluster.converged(1))
+            sent = threaded.cluster.transports[1].stats
+            assert sent.datagrams_sent > 0 and sent.datagrams_received > 0
+        assert calls == []

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.amoeba.message import Message
 from repro.errors import NetworkError
@@ -54,9 +55,11 @@ class TestCodec:
         decoded = decode_message(encode_message(msg))
         assert decoded.payload == {"client": [3, 0], "args": [1]}
 
-    def test_size_preserved_exactly(self):
-        msg = make_message()
-        assert decode_message(encode_message(msg)).size == msg.size
+    def test_decoded_size_is_the_senders_frame_length(self):
+        # ``size`` is not transmitted: the sender's estimate prices the
+        # simulated network, and on real sockets the frame is the size.
+        frame = encode_message(make_message(size=7))
+        assert decode_message(frame).size == len(frame)
 
     def test_length_prefix_matches_body(self):
         frame = encode_message(make_message())
@@ -76,6 +79,31 @@ class TestCodec:
     def test_unencodable_payload_rejected(self):
         with pytest.raises(NetworkError):
             encode_message(make_message(payload={"obj": object()}))
+
+
+#: What protocol payloads are made of: nested tuples, lists and dicts keyed
+#: by ints or strings, over JSON scalars (no NaN: it is not equal to itself).
+_scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=8),
+                     st.floats(allow_nan=False))
+_payloads = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(st.integers(), st.text(max_size=8)), inner,
+                        max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+class TestCodecNormalForm:
+    @given(_payloads)
+    def test_round_trip_equals_jsonify(self, payload):
+        # The encoder has no jsonify pre-pass; json's own single walk must
+        # still land every payload in the jsonify normal form.
+        decoded = decode_message(encode_message(make_message(payload=payload)))
+        assert decoded.payload == jsonify(payload)
 
 
 class TestStreamDecoder:

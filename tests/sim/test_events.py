@@ -5,7 +5,7 @@ from __future__ import annotations
 import heapq
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.errors import SimulationError
 from repro.sim.events import Event, EventQueue
@@ -149,10 +149,12 @@ class TestCompaction:
         assert queue.buffered == 0
 
 
-#: A time grid mixing near ties (wheel-slot granularity), sub-horizon
-#: floats, and far timestamps (heap fallback) so pushes exercise every
-#: internal structure and collide on equal timestamps often.
-_push_times = st.one_of(
+#: Delays past the last popped time, which is all the queue's contract
+#: admits (``Simulator.schedule`` adds them to ``now``): zero (the now
+#: bucket), near ties at wheel-slot granularity, sub-horizon floats, and far
+#: timestamps (heap fallback), so pushes exercise every internal structure
+#: and collide on equal timestamps often.
+_delays = st.one_of(
     st.integers(min_value=0, max_value=80).map(lambda i: i * 1.7e-5),
     st.floats(min_value=0, max_value=0.02, allow_nan=False),
     st.integers(min_value=0, max_value=30).map(lambda i: i * 0.31),
@@ -160,7 +162,7 @@ _push_times = st.one_of(
 
 _operations = st.lists(
     st.one_of(
-        st.tuples(st.just("push"), _push_times),
+        st.tuples(st.just("schedule"), _delays),
         st.tuples(st.just("pop"), st.just(0)),
         st.tuples(st.just("peek"), st.just(0)),
         st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=10**6)),
@@ -170,14 +172,27 @@ _operations = st.lists(
 
 
 class TestEventQueueMatchesReference:
+    # "push" takes an absolute time and is not generated: it is here for the
+    # case hypothesis once found, where a push below the last popped time
+    # moved the queue's clock backwards and 0.015625 came out before 0.0.
+    @example(
+        [("push", 0.015625), ("pop", 0), ("push", 0.0), ("push", 0.015625), ("pop", 0), ("push", 0.0)]
+    )
     @given(_operations)
     def test_interleaved_ops_match_single_stable_heap(self, operations):
         queue = EventQueue()
         reference = ReferenceQueue()
         in_queue = []  # pushed, not yet popped or cancelled
+        now = 0.0  # time of the last popped event
         for op, arg in operations:
-            if op == "push":
-                event = Event(float(arg), queue.next_seq(), lambda: None)
+            if op in ("push", "schedule"):
+                time = float(arg) if op == "push" else now + arg
+                event = Event(time, queue.next_seq(), lambda: None)
+                if time < now:
+                    with pytest.raises(SimulationError):
+                        queue.push(event)
+                    assert len(queue) == len(in_queue)
+                    continue
                 queue.push(event)
                 reference.push(event)
                 in_queue.append(event)
@@ -186,6 +201,7 @@ class TestEventQueueMatchesReference:
                 assert popped is reference.pop_next()
                 if popped is not None:
                     in_queue.remove(popped)
+                    now = popped.time
             elif op == "peek":
                 assert queue.peek_time() == reference.peek_time()
             elif in_queue:  # cancel a still-queued event
