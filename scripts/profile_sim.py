@@ -6,10 +6,18 @@ top-N table by cumulative and by internal time, so "make the kernel faster"
 always starts from a measurement instead of a hunch.  CI can archive the
 output as an artifact to track where the time goes across commits.
 
+Simulated processes run on the simulator's carrier threads, so the profiler
+is installed in every thread the run starts (``threading.setprofile``) and
+the per-thread statistics are merged.  Time a thread spends parked on a
+hand-off lock is nobody's work: those rows are left out of the tables (the
+*cumulative* time of a function that parks, ``hold`` or ``run``, still spans
+the wait).
+
 Usage::
 
     PYTHONPATH=src python scripts/profile_sim.py
     PYTHONPATH=src python scripts/profile_sim.py --nodes 64 --ops 20 --top 40
+    PYTHONPATH=src python scripts/profile_sim.py --runtime p2p --read-fraction 0.7
     PYTHONPATH=src python scripts/profile_sim.py --out profile.txt
 """
 
@@ -21,6 +29,7 @@ import io
 import os
 import pstats
 import sys
+import threading
 import time
 
 _SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
@@ -39,7 +48,7 @@ def build_cell(args: argparse.Namespace):
     spec = WorkloadSpec(
         name="counter-farm-writes",
         num_keys=32,
-        read_fraction=0.0,
+        read_fraction=args.read_fraction,
         ops_per_client=args.ops,
         think_time=args.think_time,
     )
@@ -48,7 +57,7 @@ def build_cell(args: argparse.Namespace):
         runner = WorkloadRunner(
             "counter-farm",
             workload=spec,
-            runtime="broadcast",
+            runtime=args.runtime,
             num_nodes=args.nodes,
             clients_per_node=args.clients,
             seed=args.seed,
@@ -60,6 +69,39 @@ def build_cell(args: argparse.Namespace):
     return cell
 
 
+def profile_all_threads(fn):
+    """Run ``fn()`` under cProfile in this thread and in every thread it starts.
+
+    Returns ``(result, wall seconds, merged pstats.Stats)`` with the
+    lock-wait rows removed.
+    """
+    profilers = [cProfile.Profile()]
+
+    def profile_new_thread(*_event):
+        # Runs once, on the thread's first profile event: enabling a C
+        # profiler replaces this hook for that thread.
+        profiler = cProfile.Profile()
+        try:
+            profiler.enable()
+        except ValueError:  # 3.12+: the first profiler already sees every thread
+            return
+        profilers.append(profiler)
+
+    threading.setprofile(profile_new_thread)
+    started = time.perf_counter()
+    profilers[0].enable()
+    try:
+        result = fn()
+    finally:
+        profilers[0].disable()
+        threading.setprofile(None)
+    wall = time.perf_counter() - started
+    stats = pstats.Stats(*profilers)
+    for func in [f for f in stats.stats if f[2] == "<method 'acquire' of '_thread.lock' objects>"]:
+        stats.total_tt -= stats.stats.pop(func)[2]
+    return result, wall, stats
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="cProfile the discrete-event hot path over one bench cell"
@@ -69,6 +111,8 @@ def main(argv=None) -> int:
     parser.add_argument("--ops", type=int, default=40, help="ops per client")
     parser.add_argument("--shards", type=int, default=4)
     parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--runtime", default="broadcast", help="broadcast, p2p, central or ivy")
+    parser.add_argument("--read-fraction", type=float, default=0.0)
     parser.add_argument("--think-time", type=float, default=0.0005)
     parser.add_argument(
         "--sequencing-cost",
@@ -80,22 +124,17 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="also write the report to this file")
     args = parser.parse_args(argv)
 
-    cell = build_cell(args)
-    profiler = cProfile.Profile()
-    started = time.perf_counter()
-    profiler.enable()
-    report = cell()
-    profiler.disable()
-    wall = time.perf_counter() - started
+    report, wall, stats = profile_all_threads(build_cell(args))
 
     buf = io.StringIO()
     buf.write(
         f"profile_sim: {args.nodes} nodes x {args.clients} clients x "
-        f"{args.ops} ops (shards={args.shards}, seed={args.seed})\n"
+        f"{args.ops} ops (runtime={args.runtime}, read_fraction={args.read_fraction}, "
+        f"shards={args.shards}, seed={args.seed})\n"
         f"wall={wall:.3f}s ops={report.total_ops} "
         f"virtual_throughput={report.throughput:.1f} ops/s\n\n"
     )
-    stats = pstats.Stats(profiler, stream=buf)
+    stats.stream = buf
     buf.write(f"=== top {args.top} by cumulative time ===\n")
     stats.sort_stats("cumulative").print_stats(args.top)
     buf.write(f"\n=== top {args.top} by internal time ===\n")

@@ -61,7 +61,7 @@ class AmoebaKernel:
             start_delay=start_delay + self.node.cost_model.cpu.context_switch_cost,
             **kwargs,
         )
-        proc.node = self.node  # type: ignore[attr-defined]
+        proc.node = self.node
         self.threads.append(proc)
         self.node.processes.append(proc)
         return proc

@@ -63,7 +63,7 @@ class Event:
     (see :meth:`repro.sim.kernel.Simulator.run`).
     """
 
-    __slots__ = ("time", "seq", "callback", "args", "kwargs", "cancelled", "fired")
+    __slots__ = ("time", "seq", "callback", "args", "kwargs", "cancelled", "fired", "proc")
 
     def __init__(
         self,
@@ -80,6 +80,9 @@ class Event:
         self.kwargs = kwargs or None
         self.cancelled = False
         self.fired = False
+        #: The process this event starts or resumes, else ``None``: such an
+        #: event may fire on a process's carrier thread (see ``process.py``).
+        self.proc: Any = None
 
     def cancel(self) -> None:
         """Prevent this event from firing.  Idempotent."""

@@ -1,13 +1,19 @@
-"""Handshaked-thread simulation processes.
+"""Simulation processes on pooled carrier threads.
 
-A :class:`SimProcess` runs ordinary Python code in a dedicated OS thread, but
-the simulator guarantees that **at most one thread runs at any moment**: the
-kernel hands control to the process and then blocks until the process hands
-control back (by blocking on a simulation primitive, holding for virtual
-time, or terminating).  This gives application code the convenience of plain
-imperative Python (deep recursion, loops, exceptions) while keeping the
-simulation fully deterministic: the interleaving of processes is decided
-solely by the virtual-time event queue, never by the OS scheduler.
+A :class:`SimProcess` runs ordinary Python code on an OS thread, but the
+simulator guarantees that **at most one thread runs at any moment**: control
+is passed by releasing the next owner's lock and then parking on one's own.
+Application code gets plain imperative Python (deep recursion, loops,
+exceptions) and the simulation stays fully deterministic: the interleaving of
+processes is decided solely by the virtual-time event queue, never by the OS
+scheduler.
+
+A process owns no thread.  Its start borrows a parked *carrier* (one thread,
+one raw lock) from the simulator's idle list and its body's return gives the
+carrier back, so a short-lived process costs no thread creation.  A process
+that blocks or ends pops the next due event itself
+(:meth:`Simulator._pass_control`): a process start or resume fires on the spot
+and that carrier is woken directly, anything else goes to the kernel thread.
 
 Processes account for their computation with :meth:`SimProcess.compute`,
 which accumulates *pending* virtual time locally.  Pending time is flushed
@@ -33,6 +39,27 @@ class ProcessKilled(BaseException):
     Derives from ``BaseException`` so that well-behaved application code that
     catches ``Exception`` does not accidentally swallow it.
     """
+
+
+class _Carrier:
+    """A pooled OS thread, parked on ``lock`` whenever its process is not running."""
+
+    def __init__(self, sim: "Simulator") -> None:
+        self.lock = threading.Lock()
+        self.lock.acquire()
+        self.proc: Optional["SimProcess"] = None
+        self.thread = threading.Thread(
+            target=self._main, args=(sim,), name="sim-carrier", daemon=True
+        )
+        self.thread.start()
+
+    def _main(self, sim: "Simulator") -> None:
+        self.lock.acquire()
+        while self.proc is not None:  # woken with no process: shutdown
+            self.proc._run()
+            self.proc = None
+            sim._idle.append(self)
+            sim._pass_control(self.lock)
 
 
 class SimProcess:
@@ -61,22 +88,14 @@ class SimProcess:
         self.state = "new"
         self.result: Any = None
         self.exception: Optional[BaseException] = None
+        #: The machine this process is pinned to (set by the Amoeba kernel).
+        self.node: Any = None
         self._pending_compute = 0.0
-        self._local_time_at_last_sync = 0.0
         self._killed = False
         self._wake_value: Any = None
         self._completion_waiters: List[Callable[["SimProcess"], None]] = []
-        # Control-transfer handshake: two raw locks used as binary
-        # semaphores.  The kernel and the process strictly alternate
-        # (release the peer's lock, block on one's own), so each transfer
-        # costs two lock operations instead of the ~six a pair of
-        # ``threading.Event`` set/wait/clear cycles performs.
-        self._resume_sem = threading.Lock()
-        self._resume_sem.acquire()
-        self._yield_sem = threading.Lock()
-        self._yield_sem.acquire()
-        self._thread = threading.Thread(target=self._bootstrap, name=f"sim:{name}", daemon=True)
-        self._thread_started = False
+        #: The lock of the carrier running this process, from its first start on.
+        self._lock: Any = None
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -109,106 +128,77 @@ class SimProcess:
         return f"<SimProcess {self.name!r} state={self.state}>"
 
     # ------------------------------------------------------------------ #
-    # Kernel-side control (runs in the simulator's thread)
+    # Control: these make the process current; the thread that fired the
+    # event then wakes its carrier (Simulator._run_process / _pass_control)
     # ------------------------------------------------------------------ #
 
     def _kernel_start(self) -> None:
-        """Start the process thread and give it control for the first time."""
+        """Put the process on an idle carrier and make it current."""
         if self.state != "ready":
             return
-        if not self._thread_started:
-            self._thread.start()
-            self._thread_started = True
-        self._transfer_control()
+        idle = self.sim._idle
+        carrier = idle.pop() if idle else _Carrier(self.sim)
+        carrier.proc = self
+        self._lock = carrier.lock
+        self.state = "running"
+        self.sim._current_process = self
 
     def _kernel_resume(self, value: Any = None) -> None:
-        """Resume a blocked process (invoked from the event queue)."""
+        """Make a blocked process current again (invoked from the event queue)."""
         if self.state == "killed":
             return
         if self.state != "blocked":
             raise SimulationError(f"cannot resume process {self.name!r} in state {self.state}")
-        node = getattr(self, "node", None)
-        if node is not None and not node.alive:
+        if self.node is not None and not self.node.alive:
             # The machine crashed while this process was blocked: its
             # thread died with it.  Unwind instead of running user code —
             # the same dead-node gate the Amoeba kernel applies to timers.
             self._killed = True
-            self._wake_value = None
-            self._transfer_control()
-            return
         self._wake_value = value
-        self._transfer_control()
-
-    def _transfer_control(self) -> None:
-        """Hand control to the process thread and wait until it yields back."""
-        previous = self.sim._current_process
-        self.sim._current_process = self
         self.state = "running"
-        self._resume_sem.release()
-        self._yield_sem.acquire()
-        self.sim._current_process = previous
-        if self.state == "failed" and not self.daemon:
-            exc = self.exception
-            raise ProcessError(
-                f"simulated process {self.name!r} raised {type(exc).__name__}: {exc}"
-            ) from exc
+        self.sim._current_process = self
 
     def _kill(self) -> None:
-        """Forcefully unwind this process's thread (used at simulator shutdown)."""
-        if not self.alive:
-            return
+        """Mark a live process for unwinding (shutdown); a blocked one becomes current."""
         self._killed = True
-        if self.state == "new":
-            self.state = "killed"
-            return
         if self.state == "blocked":
-            # Resume it so the thread can observe the kill flag and unwind.
-            self._wake_value = None
-            self._transfer_control()
-        elif self.state in ("ready",):
+            self.state = "running"
+            self.sim._current_process = self
+        elif self.state in ("new", "ready"):
             self.state = "killed"
 
     # ------------------------------------------------------------------ #
-    # Process-side API (runs in the process's own thread)
+    # Process-side API (runs on the process's carrier thread)
     # ------------------------------------------------------------------ #
 
-    def _bootstrap(self) -> None:
-        self._resume_sem.acquire()
+    def _run(self) -> None:
+        """The process body, start to end, on its carrier."""
         try:
-            if self._killed:
-                raise ProcessKilled()
             self.result = self._target(*self._args, **self._kwargs)
             self.state = "finished"
+            # Joiners are notified at the process's local time: after its pending compute.
+            delay, self._pending_compute = self._pending_compute, 0.0
+            self.sim.schedule(delay, self._notify_completion)
         except ProcessKilled:
             self.state = "killed"
         except BaseException as exc:  # noqa: BLE001 - report any failure
             self.exception = exc
             self.state = "failed"
-        finally:
-            if self.state == "finished":
-                self._on_finished()
-            self._yield_sem.release()
-
-    def _on_finished(self) -> None:
-        """Flush pending compute and notify joiners.  Runs with control held."""
-        if self._pending_compute > 0.0:
-            # Completion should be visible at the process's local time, so
-            # schedule the waiter notifications after the pending compute.
-            delay = self._pending_compute
-            self._pending_compute = 0.0
-            self.sim.schedule(delay, self._notify_completion)
-        else:
-            self.sim.schedule(0.0, self._notify_completion)
+            if not self.daemon:
+                error = ProcessError(
+                    f"simulated process {self.name!r} raised {type(exc).__name__}: {exc}"
+                )
+                error.__cause__ = exc
+                self.sim._abort(error)
 
     def _notify_completion(self) -> None:
         waiters, self._completion_waiters = self._completion_waiters, []
         for callback in waiters:
             callback(self)
 
-    def _yield_to_kernel(self) -> Any:
-        """Give control back to the kernel and wait to be resumed."""
-        self._yield_sem.release()
-        self._resume_sem.acquire()
+    def _yield_control(self) -> Any:
+        """Pass control on and park until resumed; returns the wake value."""
+        self.sim._pass_control(self._lock)
         if self._killed:
             raise ProcessKilled()
         return self._wake_value
@@ -265,19 +255,18 @@ class SimProcess:
         if sim._fast_hold_ok:
             # Nothing in the queue can fire strictly before this process
             # would resume, so the resume event would be the very next event:
-            # advance the clock here and skip the schedule + two-threading.Event
-            # round trip entirely.  Equal timestamps must NOT take this path —
-            # an already-queued event at exactly ``target`` has a smaller seq
-            # and fires first in the real ordering.  Only valid during an
-            # unbounded run (no ``until``/``max_events`` to overshoot).
+            # advance the clock here and skip the schedule and the pop.  Equal
+            # timestamps must NOT take this path — an already-queued event at
+            # exactly ``target`` has a smaller seq and fires first in the real
+            # ordering.  Only valid during an unbounded run (no bound to overshoot).
             target = sim.now + total
             next_time = sim._queue.peek_time()
             if next_time is None or next_time > target:
                 sim.now = target
                 return
         self.state = "blocked"
-        sim.schedule(total, self._kernel_resume)
-        self._yield_to_kernel()
+        sim.schedule(total, self._kernel_resume).proc = self
+        self._yield_control()
 
     def suspend(self) -> Any:
         """Block until another component calls :meth:`wake`.
@@ -289,7 +278,7 @@ class SimProcess:
         self._require_current()
         self._pending_compute = 0.0
         self.state = "blocked"
-        return self._yield_to_kernel()
+        return self._yield_control()
 
     def wake(self, value: Any = None, delay: float = 0.0) -> None:
         """Schedule this (blocked) process to resume after ``delay`` seconds.
@@ -299,7 +288,7 @@ class SimProcess:
         """
         if not self.alive:
             return
-        self.sim.schedule(delay, self._kernel_resume, value)
+        self.sim.schedule(delay, self._kernel_resume, value).proc = self
 
     def join(self, other: "SimProcess") -> Any:
         """Block until ``other`` terminates; returns its result.

@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+from math import inf
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import DeadlockError, ProcessError, SimulationError
 from repro.sim import Simulator
@@ -271,6 +277,338 @@ class TestProcesses:
             return log
 
         assert run_once() == run_once()
+
+
+class TestCarriers:
+    """Processes borrow pooled carrier threads; shutdown ends every one of them."""
+
+    @staticmethod
+    def _populate(sim):
+        """One process of each kind a shutdown has to cope with."""
+
+        def blocked():
+            sim.current_process.suspend()
+
+        def finished():
+            sim.current_process.hold(1.0)
+
+        def failing():
+            sim.current_process.hold(1.0)
+            raise ValueError("daemon failure")
+
+        on_crashed_node = sim.spawn(blocked, daemon=True)
+        on_crashed_node.node = SimpleNamespace(alive=False)
+        procs = {
+            "blocked": sim.spawn(blocked, daemon=True),
+            "finished": sim.spawn(finished),
+            "failed": sim.spawn(failing, daemon=True),
+            "crashed-node": on_crashed_node,
+            "never-started": sim.spawn(finished, start_delay=100.0),
+        }
+        sim.run(until=10.0)
+        assert {kind: proc.state for kind, proc in procs.items()} == {
+            "blocked": "blocked",
+            "finished": "finished",
+            "failed": "failed",
+            "crashed-node": "blocked",
+            "never-started": "ready",
+        }
+        return procs
+
+    def test_shutdown_ends_every_carrier(self):
+        before = threading.active_count()
+        sim = Simulator()
+        procs = self._populate(sim)
+        assert threading.active_count() > before
+        sim.shutdown()
+        assert threading.active_count() == before
+        assert not any(proc.alive for proc in procs.values())
+        sim.shutdown()  # idempotent
+        assert threading.active_count() == before
+
+    def test_context_manager_ends_every_carrier(self):
+        before = threading.active_count()
+        with Simulator() as sim:
+            self._populate(sim)
+        assert threading.active_count() == before
+
+    def test_fifty_simulators_in_a_row_leave_no_thread(self):
+        before = threading.active_count()
+        for _ in range(50):
+            with Simulator() as sim:
+                self._populate(sim)
+        assert threading.active_count() == before
+
+    def test_short_lived_processes_share_carriers(self, sim):
+        """1 000 processes, two alive at a time: two carriers, not 1 000."""
+        threads = set()
+        alive = [0, 0]  # now, most ever
+
+        def body():
+            threads.add(threading.get_ident())
+            alive[0] += 1
+            alive[1] = max(alive)
+            sim.current_process.hold(0.001)
+            alive[0] -= 1
+
+        def driver():
+            threads.add(threading.get_ident())
+            alive[0] += 1
+            for _ in range(1000):
+                sim.current_process.join(sim.spawn(body))
+
+        before = threading.active_count()
+        sim.spawn(driver)
+        sim.run()
+        assert len(sim.processes) == 1001
+        assert alive[1] == 2
+        assert len(threads) <= alive[1]
+        assert threading.active_count() - before <= alive[1]
+
+    def test_a_body_that_raises_returns_its_carrier(self, sim):
+        threads = []
+
+        def failing():
+            threads.append(threading.get_ident())
+            raise ValueError("boom")
+
+        def later():
+            threads.append(threading.get_ident())
+
+        before = threading.active_count()
+        sim.spawn(failing, daemon=True)
+        sim.spawn(failing, start_delay=1.0)
+        sim.spawn(later, start_delay=2.0)
+        with pytest.raises(ProcessError, match="boom"):
+            sim.run()
+        sim.run()
+        assert len(threads) == 3 and len(set(threads)) == 1
+        assert threading.active_count() == before + 1
+
+
+class _CountingLock:
+    """Stands in for a carrier's raw lock and counts what is done to it."""
+
+    def __init__(self, lock):
+        self._lock = lock
+        self.operations = 0
+
+    def acquire(self):
+        self.operations += 1
+        return self._lock.acquire()
+
+    def release(self):
+        self.operations += 1
+        self._lock.release()
+
+
+# A process is a list of steps; durations come from a small set so that equal
+# timestamps (ties broken by schedule order) are the rule, not the exception.
+_durations = st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0])
+_leaf_steps = st.one_of(
+    st.tuples(st.just("hold"), _durations),
+    st.tuples(st.just("nap"), _durations),  # suspend; a plain callback wakes
+    st.tuples(st.just("relay"), _durations),  # suspend; a helper process wakes
+)
+_steps = st.recursive(
+    st.lists(_leaf_steps, max_size=4),
+    lambda body: st.lists(
+        st.one_of(
+            _leaf_steps,
+            st.tuples(st.just("spawn-join"), body),
+            st.tuples(st.just("spawn"), body),
+        ),
+        max_size=4,
+    ),
+    max_leaves=12,
+)
+_programs = st.tuples(
+    st.lists(st.tuples(_durations, _steps), min_size=1, max_size=4),  # (start delay, steps)
+    st.lists(_durations, max_size=6),  # plain callbacks
+)
+
+
+def _run_program(program, **run_kwargs):
+    """Run ``program``; returns its ``(time, name)`` trace, final time and event count."""
+    processes, callbacks = program
+    kernel_thread = threading.get_ident()
+    trace = []
+    with Simulator() as sim:
+
+        def callback(name):
+            assert threading.get_ident() == kernel_thread
+            trace.append((sim.now, name))
+
+        def body(name, steps):
+            proc = sim.current_process
+            trace.append((sim.now, name))
+            for index, (kind, arg) in enumerate(steps):
+                step = f"{name}.{index}"
+                if kind == "hold":
+                    proc.hold(arg)
+                elif kind == "nap":
+                    sim.schedule(arg, proc.wake, step)
+                    assert proc.suspend() == step
+                elif kind == "relay":
+
+                    def helper(delay=arg, value=step):
+                        sim.current_process.hold(delay)
+                        proc.wake(value)
+
+                    sim.spawn(helper)
+                    assert proc.suspend() == step
+                elif kind == "spawn-join":
+                    assert proc.join(sim.spawn(body, step, arg)) == step
+                else:
+                    sim.spawn(body, step, arg)
+                trace.append((sim.now, step))
+            return name
+
+        for index, (delay, steps) in enumerate(processes):
+            sim.spawn(body, f"p{index}", steps, start_delay=delay)
+        for index, delay in enumerate(callbacks):
+            sim.schedule(delay, callback, f"c{index}")
+        final = sim.run(**run_kwargs)
+        assert all(proc.finished for proc in sim.processes)
+        return trace, final, sim.events_processed
+
+
+class TestHandOff:
+    """Who fires which event, and on which thread."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_programs)
+    def test_bounded_and_unbounded_runs_agree(self, program):
+        """One hand-off serves all three kinds of run.
+
+        The unbounded run may fire *fewer* events, never different ones: its
+        ``hold()`` skips the resume event when nothing else can fire first.
+        """
+        trace, final, fired = _run_program(program)
+        by_time = _run_program(program, until=inf)
+        by_count = _run_program(program, max_events=10**9)
+        assert by_time == by_count
+        assert (trace, final) == by_time[:2]
+        assert fired <= by_time[2]
+
+    def test_process_failure_surfaces_from_run_and_stops_it(self, sim):
+        log = []
+
+        def walker(name):
+            for _ in range(3):
+                sim.current_process.hold(1.0)
+                log.append((sim.now, name))
+                sim.schedule(1.0, log.append, f"callback scheduled by {name}")
+
+        def failing():
+            sim.current_process.hold(2.0)
+            raise ValueError("boom")
+
+        sim.spawn(walker, "first")
+        sim.spawn(failing)
+        sim.spawn(walker, "second")
+        sim.schedule(2.0, log.append, "callback scheduled at the start")
+        with pytest.raises(ProcessError, match="failing#1.*ValueError: boom") as raised:
+            sim.run(until=10.0)  # bounded: every hold is a real hand-off between carriers
+        assert isinstance(raised.value.__cause__, ValueError)
+        # At 2.0 the callback scheduled first fires, then the failing process
+        # resumes; the walkers' resumes and callbacks queued behind it do not fire.
+        assert log == [(1.0, "first"), (1.0, "second"), "callback scheduled at the start"]
+        assert sim.now == 2.0
+
+    def test_callback_exception_after_a_yield_surfaces_unchanged(self, sim):
+        where = []
+
+        def callback():
+            where.append(threading.get_ident())
+            raise KeyError("from the callback")
+
+        def body():
+            sim.schedule(1.0, callback)
+            sim.current_process.hold(2.0)  # the next event is the callback
+
+        proc = sim.spawn(body)
+        with pytest.raises(KeyError, match="from the callback"):
+            sim.run()
+        assert where == [threading.get_ident()]  # fired here, not inside the process
+        assert proc.state == "blocked" and proc.exception is None
+
+    def test_resume_of_an_unresumable_process_surfaces_unchanged(self, sim):
+        def sleeper():
+            sim.current_process.suspend()
+
+        def waker():
+            sleeper_proc.wake()
+            sleeper_proc.wake()  # fires when the sleeper has already finished
+
+        sleeper_proc = sim.spawn(sleeper)
+        waker_proc = sim.spawn(waker)
+        with pytest.raises(SimulationError, match="cannot resume"):
+            sim.run()
+        assert waker_proc.finished and sleeper_proc.finished
+
+    @pytest.mark.parametrize("bounds", [{}, {"until": 1e9}])
+    def test_only_one_thread_ever_runs(self, sim, bounds):
+        """Stress: 24 processes and a callback chain, preempted every few bytecodes.
+
+        ``inside`` is read, modified and written back with work in between; a
+        second thread running at the same time would find it non-zero or
+        lose an update to ``total``.
+        """
+        inside = [0]
+        total = [0]
+
+        def critical():
+            assert inside[0] == 0
+            inside[0] += 1
+            before = total[0]
+            for _ in range(50):
+                pass
+            total[0] = before + 1
+            inside[0] -= 1
+
+        def body(step):
+            proc = sim.current_process
+            for turn in range(100):
+                critical()
+                if turn % 3:
+                    proc.hold(step)
+                else:
+                    sim.schedule(step, proc.wake)
+                    proc.suspend()
+
+        def tick(left):
+            critical()
+            if left:
+                sim.schedule(0.5, tick, left - 1)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for index in range(24):
+                sim.spawn(body, 0.5 + index % 3)
+            sim.schedule(0.0, tick, 400)
+            sim.run(**bounds)
+        finally:
+            sys.setswitchinterval(interval)
+        assert total[0] == 24 * 100 + 401 and inside[0] == 0
+
+    @pytest.mark.parametrize("bounds", [{"until": 100.0}, {"max_events": 1000}])
+    def test_hold_resumed_by_the_very_next_event_switches_no_thread(self, sim, bounds):
+        seen = []
+
+        def body():
+            proc = sim.current_process
+            lock = proc._lock = _CountingLock(proc._lock)
+            for _ in range(5):
+                proc.hold(1.0)  # bounded run: no fast path, the resume is a real event
+                seen.append((threading.get_ident(), lock.operations))
+
+        sim.spawn(body)
+        sim.run(**bounds)
+        assert sim.events_processed == 7  # the start, five resumes, the completion notice
+        assert seen == [(seen[0][0], 0)] * 5
+        assert seen[0][0] != threading.get_ident()
 
 
 class TestRng:
