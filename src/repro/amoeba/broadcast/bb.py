@@ -43,10 +43,13 @@ class BBStrategy:
             group.wire_kind(KIND_BB_DATA),
             payload=record.payload,
             size=record.size,
-            uid=(record.uid.origin, record.uid.counter),
+            uid=record.uid,
         )
         member.node.send(msg, on_sent=lambda _msg: member._arm_retry(record))
         # The sender keeps its own copy; it will be sequenced when the
-        # sequencer's Accept arrives.
-        member.engine.offer_bb_data(member.node_id, record.uid, record.payload, record.size)
+        # sequencer's Accept arrives (or is at once, on a resend the Accept
+        # has outrun).
+        member._arrived(
+            member.engine.offer_bb_data(member.node_id, record.uid, record.payload, record.size)
+        )
         return True

@@ -5,11 +5,11 @@ from __future__ import annotations
 import itertools
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from ...config import BroadcastParams
 from ...errors import BroadcastError
-from ..message import Message
+from ..message import Message, estimate_size
 from .bb import BBStrategy
 from .pb import PBStrategy
 from .protocol import (
@@ -28,7 +28,7 @@ from .protocol import (
     OrderingEngine,
     SendRecord,
 )
-from .sequencer import HistoryEntry, Sequencer
+from .sequencer import Sequencer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cluster import Cluster
@@ -41,6 +41,8 @@ DeliveryHandler = Callable[[DeliveredMessage], None]
 class GroupStats:
     """Group-wide protocol statistics."""
 
+    #: The group's members, each keeping a plain count that ``deliveries`` sums.
+    members: Dict[int, "GroupMember"] = field(repr=False)
     pb_sends: int = 0
     bb_sends: int = 0
     retransmit_requests: int = 0
@@ -48,10 +50,13 @@ class GroupStats:
     #: its local delivered history — the cross-member recovery path.
     peer_retransmissions: int = 0
     elections: int = 0
-    deliveries: int = 0
     data_bytes_sent: int = 0
     control_bytes_sent: int = 0
-    per_member_deliveries: Dict[int, int] = field(default_factory=dict)
+
+    @property
+    def deliveries(self) -> int:
+        """Deliveries over all members; monotone, the counts survive a rejoin."""
+        return sum(member.deliveries for member in self.members.values())
 
 
 class GroupMember:
@@ -76,7 +81,10 @@ class GroupMember:
         #: Recently delivered messages, retained so this member can seed a
         #: sequencer history if it wins an election after a crash, and so it
         #: can answer broadcast gap requests from lagging peers.
-        self._delivered_history: "OrderedDict[int, HistoryEntry]" = OrderedDict()
+        self._delivered_history: "OrderedDict[int, DeliveredMessage]" = OrderedDict()
+        self._history_size = group.params.history_size
+        #: Messages delivered here, ever (not reset by a crash).
+        self.deliveries = 0
         self._send_counter = itertools.count(1)
         self._pending_sends: Dict[MessageId, SendRecord] = {}
         self._gap_timers: Dict[int, int] = {}
@@ -90,18 +98,19 @@ class GroupMember:
         #: prove the sequencer is alive (merely backlogged), so send retries
         #: keep backing off instead of escalating to an election.
         self._last_delivery_time = node.sim.now
-        for kind in (
-            KIND_REQUEST,
-            KIND_DATA,
-            KIND_BB_DATA,
-            KIND_ACCEPT,
-            KIND_RETRANSMIT_REQ,
-            KIND_RETRANSMIT,
-            KIND_SYNC,
-            KIND_ELECTION,
-            KIND_COORDINATOR,
+        # The node's handler table is the only dispatch on the way in.
+        for kind, handler in (
+            (KIND_REQUEST, self._on_request),
+            (KIND_DATA, self._on_data),
+            (KIND_RETRANSMIT, self._on_data),
+            (KIND_BB_DATA, self._on_bb_data),
+            (KIND_ACCEPT, self._on_accept),
+            (KIND_SYNC, self._on_sync),
+            (KIND_RETRANSMIT_REQ, self._on_retransmit_request),
+            (KIND_ELECTION, self._on_election_message),
+            (KIND_COORDINATOR, self._on_coordinator_message),
         ):
-            node.register_handler(group.wire_kind(kind), self._on_message)
+            node.register_handler(group.wire_kind(kind), handler)
         # A crash loses this member's volatile protocol state; the loss is
         # applied when the node comes back (wiping a dead member changes
         # nothing observable, and the election path still seeds the new
@@ -127,8 +136,6 @@ class GroupMember:
         when the sender's own copy is delivered locally.
         """
         if size <= 0:
-            from ..message import estimate_size
-
             size = max(1, estimate_size(payload))
         uid = MessageId(self.node_id, next(self._send_counter))
         chosen = method or self.group.choose_method(size)
@@ -189,98 +196,81 @@ class GroupMember:
     # Receiving
     # ------------------------------------------------------------------ #
 
-    def _on_message(self, msg: Message) -> None:
-        kind = self.group.base_kind(msg.kind)
-        if kind == KIND_REQUEST:
-            if self.group.sequencer_node_id == self.node_id:
-                uid = MessageId(*msg.headers["uid"])
-                self.group.sequencer.handle_pb_request(msg.src, uid, msg.payload, msg.size)
-            # else: stale request addressed to an old sequencer; drop it.
-            return
-        if kind == KIND_BB_DATA:
-            uid = MessageId(*msg.headers["uid"])
-            self.engine.offer_bb_data(msg.src, uid, msg.payload, msg.size)
-            if self.group.sequencer_node_id == self.node_id:
-                self.group.sequencer.handle_bb_data(msg.src, uid, msg.payload, msg.size)
-            self._after_arrival()
-            return
-        if kind in (KIND_DATA, KIND_RETRANSMIT):
-            uid = MessageId(*msg.headers["uid"])
-            if self._anchor_uid is not None and uid == self._anchor_uid:
-                # The rejoin anchor came back sequenced: everything before it
-                # is covered by the seed, so re-enter the order right here.
-                self.engine.fast_forward(msg.headers["seqno"])
-                self._anchor_uid = None
-                self.synced = True
-            self.engine.offer(
-                msg.headers["seqno"], msg.headers["origin"], uid, msg.payload, msg.size
+    def _on_request(self, msg: Message) -> None:
+        if self.group.sequencer_node_id == self.node_id:
+            self.group.sequencer.handle_pb_request(
+                msg.src, msg.headers["uid"], msg.payload, msg.size
             )
-            self._after_arrival()
-            return
-        if kind == KIND_ACCEPT:
-            uid = MessageId(*msg.headers["uid"])
-            self.engine.offer_accept(msg.headers["seqno"], msg.headers["origin"], uid)
-            self._after_arrival()
-            return
-        if kind == KIND_SYNC:
-            self.engine.note_highest(msg.headers["seqno"])
-            self._after_arrival()
-            return
-        if kind == KIND_RETRANSMIT_REQ:
-            seqno = msg.headers["seqno"]
-            served = False
-            if self.group.sequencer_node_id == self.node_id:
-                served = self.group.sequencer.handle_retransmit_request(msg.src, seqno)
-            if msg.is_broadcast and not served:
-                # A broadcast gap request: the sequencer could not help (it
-                # is newly elected, its history evicted the message, or the
-                # requester *is* the sequencer's node).  One member per
-                # salvo — rotated by the request's attempt counter so every
-                # member is eventually tried — answers from local state.
-                # (The designated peer cannot observe whether a *remote*
-                # sequencer served the same salvo, so a request can draw at
-                # most two replies — sequencer plus designee; duplicates are
-                # discarded by the ordering engine.)
-                if self._gap_responder(seqno, msg.headers.get("salvo", 0)):
-                    self._answer_gap_request(msg.src, seqno)
-            return
-        if kind == KIND_ELECTION:
-            self._on_election_message(msg)
-            return
-        if kind == KIND_COORDINATOR:
-            self._on_coordinator_message(msg)
-            return
+        # else: stale request addressed to an old sequencer; drop it.
 
-    def local_sequenced_data(self, entry: HistoryEntry) -> None:
-        """Direct (loop-back) delivery used by a sequencer hosted on this node."""
-        self.engine.offer(entry.seqno, entry.origin, entry.uid, entry.payload, entry.size)
-        self._after_arrival()
+    def _on_data(self, msg: Message) -> None:
+        """Sequenced data or a retransmission: the body is the record."""
+        record = msg.payload
+        if self._anchor_uid is not None and record.uid == self._anchor_uid:
+            # The rejoin anchor came back sequenced: everything before it
+            # is covered by the seed, so re-enter the order right here.
+            self._anchor_uid = None
+            self.synced = True
+            self._deliver(self.engine.fast_forward(record.seqno))
+        self._arrived(self.engine.offer(record))
 
-    def _after_arrival(self) -> None:
-        self._deliver_ready()
+    def _on_bb_data(self, msg: Message) -> None:
+        uid = msg.headers["uid"]
+        run = self.engine.offer_bb_data(msg.src, uid, msg.payload, msg.size)
+        if run:
+            # Its Accept was here first; what it releases precedes whatever
+            # a sequencer hosted here is about to number.
+            self._deliver(run)
+        if self.group.sequencer_node_id == self.node_id:
+            self.group.sequencer.handle_bb_data(msg.src, uid, msg.payload, msg.size)
         self._schedule_gap_requests()
 
-    def recovery_entries(self) -> List[HistoryEntry]:
+    def _on_accept(self, msg: Message) -> None:
+        headers = msg.headers
+        self._arrived(
+            self.engine.offer_accept(headers["seqno"], headers["origin"], headers["uid"])
+        )
+
+    def _on_sync(self, msg: Message) -> None:
+        self.engine.note_highest(msg.headers["seqno"])
+        self._schedule_gap_requests()
+
+    def _on_retransmit_request(self, msg: Message) -> None:
+        seqno = msg.headers["seqno"]
+        served = False
+        if self.group.sequencer_node_id == self.node_id:
+            served = self.group.sequencer.handle_retransmit_request(msg.src, seqno)
+        if msg.is_broadcast and not served:
+            # A broadcast gap request: the sequencer could not help (it
+            # is newly elected, its history evicted the message, or the
+            # requester *is* the sequencer's node).  One member per
+            # salvo — rotated by the request's attempt counter so every
+            # member is eventually tried — answers from local state.
+            # (The designated peer cannot observe whether a *remote*
+            # sequencer served the same salvo, so a request can draw at
+            # most two replies — sequencer plus designee; duplicates are
+            # discarded by the ordering engine.)
+            if self._gap_responder(seqno, msg.headers.get("salvo", 0)):
+                self._answer_gap_request(msg.src, seqno)
+
+    def local_sequenced_data(self, record: DeliveredMessage) -> None:
+        """Direct (loop-back) delivery used by a sequencer hosted on this node."""
+        self._arrived(self.engine.offer(record))
+
+    def _arrived(self, run: Sequence[DeliveredMessage]) -> None:
+        """After every arrival: deliver what it released, chase what it revealed."""
+        if run:
+            self._deliver(run)
+        self._schedule_gap_requests()
+
+    def recovery_entries(self) -> List[DeliveredMessage]:
         """Everything this member could serve as sequencer history: its
         retained delivered messages plus sequenced-but-undelivered buffers."""
-        entries = list(self._delivered_history.values())
-        entries.extend(
-            HistoryEntry(m.seqno, m.origin, m.uid, m.payload, m.size)
-            for m in self.engine.buffered_messages()
-        )
-        return entries
+        return list(self._delivered_history.values()) + self.engine.buffered_messages()
 
-    def lookup_entry(self, seqno: int) -> Optional[HistoryEntry]:
+    def lookup_entry(self, seqno: int) -> Optional[DeliveredMessage]:
         """This member's local copy of sequenced message ``seqno``, if any."""
-        entry = self._delivered_history.get(seqno)
-        if entry is not None:
-            return entry
-        for buffered in self.engine.buffered_messages():
-            if buffered.seqno == seqno:
-                return HistoryEntry(
-                    buffered.seqno, buffered.origin, buffered.uid, buffered.payload, buffered.size
-                )
-        return None
+        return self._delivered_history.get(seqno) or self.engine.buffered(seqno)
 
     def _gap_responder(self, seqno: int, salvo: int) -> bool:
         """Whether this member should answer the given broadcast gap request.
@@ -305,37 +295,28 @@ class GroupMember:
         """Serve a peer's broadcast gap request from local delivered state."""
         if not self.synced:
             return
-        entry = self.lookup_entry(seqno)
-        if entry is None or requester == self.node_id:
+        record = self.lookup_entry(seqno)
+        if record is None or requester == self.node_id:
             return
         self.group.stats.peer_retransmissions += 1
-        msg = self.node.make_message(
-            requester,
-            self.group.wire_kind(KIND_RETRANSMIT),
-            payload=entry.payload,
-            size=entry.size,
-            seqno=entry.seqno,
-            origin=entry.origin,
-            uid=(entry.uid.origin, entry.uid.counter),
+        self.node.send(
+            self.node.make_message(
+                requester, self.group.wire_kind(KIND_RETRANSMIT), payload=record, size=record.size
+            )
         )
-        self.node.send(msg)
 
-    def _deliver_ready(self) -> None:
+    def _deliver(self, run: Sequence[DeliveredMessage]) -> None:
+        """Hand an in-order run to the application, one record at a time."""
         history = self._delivered_history
-        history_size = self.group.params.history_size
+        history_size = self._history_size
         gap_timers = self._gap_timers
         gap_attempts = self._gap_attempts
-        pending_sends = self._pending_sends
-        stats = self.group.stats
         node_id = self.node_id
         sim = self.node.sim
-        tracing = sim.tracer.enabled
-        for delivered in self.engine.pop_deliverable():
-            seqno = delivered.seqno
-            history[seqno] = HistoryEntry(
-                seqno, delivered.origin, delivered.uid, delivered.payload, delivered.size
-            )
-            while len(history) > history_size:
+        for record in run:
+            seqno = record.seqno
+            history[seqno] = record
+            if len(history) > history_size:
                 history.popitem(last=False)
             if gap_timers:
                 timer = gap_timers.pop(seqno, None)
@@ -344,28 +325,24 @@ class GroupMember:
             if gap_attempts:
                 gap_attempts.pop(seqno, None)
             self._last_delivery_time = sim.now
-            if delivered.origin == node_id:
-                record = pending_sends.get(delivered.uid)
-                if record is not None:
-                    record.delivered = True
-                    if record.retry_timer is not None:
-                        self.node.kernel.cancel_timer(record.retry_timer)
-                    pending_sends.pop(delivered.uid, None)
-                    if record.on_delivered is not None:
-                        record.on_delivered(seqno)
-            stats.deliveries += 1
-            stats.per_member_deliveries[node_id] = (
-                stats.per_member_deliveries.get(node_id, 0) + 1
-            )
-            if tracing:
+            if record.origin == node_id:
+                sent = self._pending_sends.pop(record.uid, None)
+                if sent is not None:
+                    sent.delivered = True
+                    if sent.retry_timer is not None:
+                        self.node.kernel.cancel_timer(sent.retry_timer)
+                    if sent.on_delivered is not None:
+                        sent.on_delivered(seqno)
+            self.deliveries += 1
+            if sim.tracer.enabled:
                 sim.trace(
                     "grp.deliver",
                     f"node {node_id} delivers #{seqno}",
-                    origin=delivered.origin,
+                    origin=record.origin,
                     seqno=seqno,
                 )
             if self.delivery_handler is not None:
-                self.delivery_handler(delivered)
+                self.delivery_handler(record)
 
     def probe_gap(self) -> None:
         """One-shot recovery probe for the next expected sequence number.
@@ -416,6 +393,8 @@ class GroupMember:
         self.node.send(msg)
 
     def _schedule_gap_requests(self) -> None:
+        if not self.engine.has_gap:
+            return
         if not self.synced:
             # A fresh engine behind a live group would see everything up to
             # the current seqno as "missing" and storm the group with gap
@@ -589,8 +568,7 @@ class GroupMember:
         out of band; anything later that already arrived sequenced delivers
         now.
         """
-        self.engine.fast_forward(from_seqno + 1)
-        self._after_arrival()
+        self._arrived(self.engine.fast_forward(from_seqno + 1))
 
 
 class BroadcastGroup:
@@ -615,7 +593,8 @@ class BroadcastGroup:
         self.cluster = cluster
         self.group_id = group_id
         self.params = params or cluster.cost_model.broadcast
-        self.stats = GroupStats()
+        self.members: Dict[int, GroupMember] = {}
+        self.stats = GroupStats(self.members)
         self._pb = PBStrategy()
         self._bb = BBStrategy()
         #: Elected sequencer (initially the configured seat, defaulting to
@@ -623,9 +602,8 @@ class BroadcastGroup:
         initial = cluster.nodes[0].node_id if sequencer_node_id is None else sequencer_node_id
         self.sequencer_node_id = initial
         self.sequencer = Sequencer(self, cluster.node(initial))
-        self.members: Dict[int, GroupMember] = {
-            node.node_id: GroupMember(self, node) for node in cluster.nodes
-        }
+        for node in cluster.nodes:
+            self.members[node.node_id] = GroupMember(self, node)
         #: Tunables for loss recovery (fractions of the election timeout).
         self.retry_timeout = self.params.election_timeout / 2.0
         self.gap_request_delay = self.params.election_timeout / 20.0
@@ -643,11 +621,6 @@ class BroadcastGroup:
         keeps every group's registrations and dispatch disjoint.
         """
         return base if self.group_id == 0 else f"{base}#g{self.group_id}"
-
-    @staticmethod
-    def base_kind(wire: str) -> str:
-        """Invert :meth:`wire_kind`: strip the group suffix, if any."""
-        return wire.partition("#")[0]
 
     def member(self, node_id: int) -> GroupMember:
         return self.members[node_id]
@@ -762,4 +735,4 @@ class BroadcastGroup:
 
     def delivered_counts(self) -> Dict[int, int]:
         """Number of messages delivered at each member (for tests)."""
-        return {nid: m.engine.delivered_count for nid, m in self.members.items()}
+        return {nid: member.deliveries for nid, member in self.members.items()}

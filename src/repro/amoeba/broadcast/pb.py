@@ -43,7 +43,7 @@ class PBStrategy:
             group.wire_kind(KIND_REQUEST),
             payload=record.payload,
             size=record.size,
-            uid=(record.uid.origin, record.uid.counter),
+            uid=record.uid,
         )
         member.node.send(msg, on_sent=lambda _msg: member._arm_retry(record))
         return True

@@ -1,15 +1,16 @@
 """Protocol-independent pieces of the group-communication layer.
 
-This module holds the wire-format constants, the per-member
-:class:`OrderingEngine` that turns an unordered stream of sequenced messages
-into in-order deliveries (buffering out-of-order arrivals and reporting
-gaps), and the bookkeeping records for in-flight sends.
+This module holds the wire-format constants, the one immutable record a
+sequenced message is (:class:`DeliveredMessage`), the per-member
+:class:`OrderingEngine` that turns an unordered stream of such records into
+in-order runs (buffering out-of-order arrivals and reporting gaps), and the
+bookkeeping records for in-flight sends.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 # Message kinds used on the wire -------------------------------------------------
 
@@ -63,7 +64,14 @@ class SendRecord:
 
 @dataclass(frozen=True)
 class DeliveredMessage:
-    """One message as handed to the application delivery handler."""
+    """One sequenced message: the only record type of the delivery path.
+
+    The sequencer builds it once, when it assigns the number; that same
+    object rides the ``grp.data`` / ``grp.retransmit`` message, sits in the
+    sequencer's history and in every member's ordering buffer and delivered
+    history, and is what the delivery handler receives.  Immutability is
+    what makes the sharing safe.
+    """
 
     seqno: int
     origin: int
@@ -78,124 +86,141 @@ class OrderingEngine:
 
     The engine is purely local state: it never touches the network.  The
     owning :class:`~repro.amoeba.broadcast.group.GroupMember` feeds it with
-    ``offer`` (data carrying a sequence number) and ``offer_accept`` /
-    ``offer_bb_data`` (for the BB path where data and ordering arrive
-    separately), and asks for deliverable messages plus the set of missing
-    sequence numbers it should re-request.
+    ``offer`` (a sequenced record) and ``offer_accept`` / ``offer_bb_data``
+    (for the BB path where data and ordering arrive separately); each
+    returns the in-order run of records that just became deliverable, which
+    the caller must deliver (the engine keeps no copy).
     """
 
     #: Next sequence number to deliver to the application.
     next_expected: int = 1
-    #: Sequenced messages waiting for their predecessors.
+    #: Sequenced messages waiting for their predecessors (all of them
+    #: numbered above ``next_expected``).
     _ordered_buffer: Dict[int, DeliveredMessage] = field(default_factory=dict)
     #: BB data received but not yet sequenced, keyed by uid.
     _unordered_data: Dict[MessageId, Tuple[Any, int]] = field(default_factory=dict)
-    #: Accepts received whose data has not arrived yet: seqno -> uid.
-    _pending_accepts: Dict[int, MessageId] = field(default_factory=dict)
-    #: Sequence numbers already delivered (for duplicate suppression).
-    delivered_count: int = 0
+    #: Accepts received whose data has not arrived yet, uid -> seqno (the
+    #: newest, should a message be accepted twice): arriving BB data finds
+    #: its number without scanning.
+    _pending_accepts: Dict[MessageId, int] = field(default_factory=dict)
     #: Duplicates discarded.
     duplicates: int = 0
-    #: Highest sequence number announced by the sequencer (sync heartbeats),
-    #: which may exceed anything received so far if the tail was lost.
-    announced_highest: int = 0
+    #: The largest sequence number this member has evidence of: delivered,
+    #: buffered, accepted, or announced by a sync heartbeat (which may exceed
+    #: anything received so far if the tail was lost).  Never decreases.
+    highest_known_seqno: int = 0
 
     # -- feeding ----------------------------------------------------------- #
 
-    def offer(self, seqno: int, origin: int, uid: MessageId, payload: Any, size: int) -> None:
-        """Offer a fully sequenced data message (PB data or a retransmission)."""
-        if seqno < self.next_expected or seqno in self._ordered_buffer:
+    def offer(self, record: DeliveredMessage) -> Sequence[DeliveredMessage]:
+        """Offer a fully sequenced record (PB data or a retransmission)."""
+        seqno = record.seqno
+        buffer = self._ordered_buffer
+        if seqno < self.next_expected or seqno in buffer:
             self.duplicates += 1
-            return
-        self._ordered_buffer[seqno] = DeliveredMessage(seqno, origin, uid, payload, size)
-        self._pending_accepts.pop(seqno, None)
+            return ()
+        if self._pending_accepts and self._pending_accepts.get(record.uid) == seqno:
+            del self._pending_accepts[record.uid]
+        if seqno > self.highest_known_seqno:
+            self.highest_known_seqno = seqno
+        if seqno != self.next_expected:
+            buffer[seqno] = record
+            return ()
+        self.next_expected = seqno + 1
+        if not buffer:
+            # The common case, in sequence with nothing held back: the
+            # record goes straight through, the buffer is never written.
+            return (record,)
+        return [record] + self._drain()
 
-    def offer_bb_data(self, origin: int, uid: MessageId, payload: Any, size: int) -> None:
+    def offer_bb_data(
+        self, origin: int, uid: MessageId, payload: Any, size: int
+    ) -> Sequence[DeliveredMessage]:
         """Offer BB data that does not carry a sequence number yet."""
         # If the accept already arrived, the seqno is known; promote directly.
-        for seqno, pending_uid in list(self._pending_accepts.items()):
-            if pending_uid == uid:
-                del self._pending_accepts[seqno]
-                self.offer(seqno, origin, uid, payload, size)
-                return
+        seqno = self._pending_accepts.get(uid)
+        if seqno is not None:
+            return self.offer(DeliveredMessage(seqno, origin, uid, payload, size))
         if uid not in self._unordered_data:
             self._unordered_data[uid] = (payload, size)
         else:
             self.duplicates += 1
+        return ()
 
-    def offer_accept(self, seqno: int, origin: int, uid: MessageId) -> bool:
+    def offer_accept(self, seqno: int, origin: int, uid: MessageId) -> Sequence[DeliveredMessage]:
         """Offer an Accept for a BB message.
 
-        Returns True if the corresponding data was already present (so the
-        message is now sequenced), False if the data is still missing.
+        If the corresponding data is already here the message is now
+        sequenced; otherwise the accept is remembered until it arrives.
         """
         if seqno < self.next_expected or seqno in self._ordered_buffer:
             self.duplicates += 1
-            return True
+            return ()
         if uid in self._unordered_data:
             payload, size = self._unordered_data.pop(uid)
-            self.offer(seqno, origin, uid, payload, size)
-            return True
-        self._pending_accepts[seqno] = uid
-        return False
+            return self.offer(DeliveredMessage(seqno, origin, uid, payload, size))
+        self._pending_accepts[uid] = seqno
+        self.note_highest(seqno)
+        return ()
 
     # -- draining ---------------------------------------------------------- #
 
-    def pop_deliverable(self) -> List[DeliveredMessage]:
-        """Remove and return every message that can now be delivered in order."""
-        out: List[DeliveredMessage] = []
-        while self.next_expected in self._ordered_buffer:
-            msg = self._ordered_buffer.pop(self.next_expected)
-            out.append(msg)
-            self.next_expected += 1
-            self.delivered_count += 1
-        return out
+    def _drain(self) -> List[DeliveredMessage]:
+        """Remove and return the buffered run starting at ``next_expected``."""
+        run: List[DeliveredMessage] = []
+        buffer = self._ordered_buffer
+        expected = self.next_expected
+        while expected in buffer:
+            run.append(buffer.pop(expected))
+            expected += 1
+        self.next_expected = expected
+        return run
 
-    def fast_forward(self, seqno: int) -> None:
-        """Skip delivery forward so ``seqno`` is the next message delivered.
+    def fast_forward(self, seqno: int) -> Sequence[DeliveredMessage]:
+        """Skip delivery forward so ``seqno`` is the next message delivered;
+        returns the buffered run that starts there, if any.
 
         Used by the rejoin catch-up: a recovered member is seeded with a
         state snapshot that already covers everything sequenced before its
         rejoin anchor, so the history before the anchor must never be
         delivered (it would double-apply against the snapshot).
         """
-        if seqno <= self.next_expected:
-            return
-        for buffered in [s for s in self._ordered_buffer if s < seqno]:
-            del self._ordered_buffer[buffered]
-        for pending in [s for s in self._pending_accepts if s < seqno]:
-            del self._pending_accepts[pending]
-        self.next_expected = seqno
+        if seqno > self.next_expected:
+            for buffered in [s for s in self._ordered_buffer if s < seqno]:
+                del self._ordered_buffer[buffered]
+            for uid in [u for u, s in self._pending_accepts.items() if s < seqno]:
+                del self._pending_accepts[uid]
+            self.next_expected = seqno
+            self.note_highest(seqno - 1)
+        return self._drain()
 
     def note_highest(self, seqno: int) -> None:
         """Record that sequence numbers up to ``seqno`` exist (sync heartbeat)."""
-        if seqno > self.announced_highest:
-            self.announced_highest = seqno
+        if seqno > self.highest_known_seqno:
+            self.highest_known_seqno = seqno
+
+    @property
+    def has_gap(self) -> bool:
+        """Is any number up to the highest known still missing?  O(1):
+        everything buffered lies in that span, so it is gap-free exactly
+        when the buffer fills it."""
+        return self.highest_known_seqno - self.next_expected >= len(self._ordered_buffer)
 
     def missing_seqnos(self) -> List[int]:
         """Sequence numbers up to the highest known that have not arrived."""
-        highest = self.highest_known_seqno
-        if highest < self.next_expected:
-            return []
         return [
             seqno
-            for seqno in range(self.next_expected, highest + 1)
+            for seqno in range(self.next_expected, self.highest_known_seqno + 1)
             if seqno not in self._ordered_buffer
         ]
 
     @property
-    def highest_known_seqno(self) -> int:
-        """The largest sequence number this member has evidence of."""
-        candidates = [self.next_expected - 1, self.announced_highest]
-        if self._ordered_buffer:
-            candidates.append(max(self._ordered_buffer))
-        if self._pending_accepts:
-            candidates.append(max(self._pending_accepts))
-        return max(candidates)
-
-    @property
     def buffered_count(self) -> int:
         return len(self._ordered_buffer)
+
+    def buffered(self, seqno: int) -> Optional[DeliveredMessage]:
+        """The sequenced-but-undelivered record numbered ``seqno``, if held."""
+        return self._ordered_buffer.get(seqno)
 
     def buffered_messages(self) -> List[DeliveredMessage]:
         """Sequenced-but-undelivered messages (used for sequencer recovery)."""

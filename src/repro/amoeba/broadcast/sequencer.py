@@ -11,8 +11,7 @@ from which missing messages are retransmitted point-to-point on request.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Deque, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Deque, Dict, Iterable, Optional, Tuple
 
 from .protocol import (
     CONTROL_MESSAGE_SIZE,
@@ -20,23 +19,13 @@ from .protocol import (
     KIND_DATA,
     KIND_RETRANSMIT,
     KIND_SYNC,
+    DeliveredMessage,
     MessageId,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..node import Node
     from .group import BroadcastGroup
-
-
-@dataclass
-class HistoryEntry:
-    """One sequenced message retained for retransmission."""
-
-    seqno: int
-    origin: int
-    uid: MessageId
-    payload: Any
-    size: int
 
 
 class Sequencer:
@@ -47,7 +36,7 @@ class Sequencer:
         self.node = node
         self.next_seq = 1
         self.history_size = group.params.history_size
-        self._history: "OrderedDict[int, HistoryEntry]" = OrderedDict()
+        self._history: "OrderedDict[int, DeliveredMessage]" = OrderedDict()
         #: uid -> seqno, for duplicate suppression when senders retry.
         self._assigned: Dict[MessageId, int] = {}
         self.requests_handled = 0
@@ -58,7 +47,7 @@ class Sequencer:
         #: the sequencer is a queueing server with ``sequencing_cost`` service
         #: time per message, which is what gives a lone sequencer a hard
         #: throughput ceiling (and sharding something real to break).
-        self._service_queue: Deque[Tuple[HistoryEntry, bool]] = deque()
+        self._service_queue: Deque[Tuple[DeliveredMessage, bool]] = deque()
         self._service_timer: Optional[int] = None
         self.max_queue_depth = 0
         self._sync_timer: Optional[int] = None
@@ -73,38 +62,32 @@ class Sequencer:
 
     def handle_pb_request(self, origin: int, uid: MessageId, payload: Any, size: int) -> None:
         """PB path: sender shipped us the data point-to-point; order and broadcast it."""
-        self.requests_handled += 1
-        existing = self._assigned.get(uid)
-        if existing is not None:
-            # A retry of a message we already sequenced: rebroadcast the data
-            # so whoever missed it (including possibly the sender) catches up.
-            self.duplicates_suppressed += 1
-            entry = self._history.get(existing)
-            if entry is not None:
-                self._dispatch_broadcast(entry, accept=False)
-            return
-        entry = self._record(origin, uid, payload, size)
-        self._dispatch_broadcast(entry, accept=False)
+        self._sequence(origin, uid, payload, size, accept=False)
 
     def handle_bb_data(self, origin: int, uid: MessageId, payload: Any, size: int) -> None:
         """BB path: the data was broadcast by the sender; assign a number and Accept it."""
+        self._sequence(origin, uid, payload, size, accept=True)
+
+    def _sequence(self, origin: int, uid: MessageId, payload: Any, size: int, accept: bool) -> None:
         self.requests_handled += 1
         existing = self._assigned.get(uid)
-        if existing is not None:
+        if existing is None:
+            record = self._record(origin, uid, payload, size)
+        else:
+            # A retry of a message we already sequenced: rebroadcast it so
+            # whoever missed it (including possibly the sender) catches up.
             self.duplicates_suppressed += 1
-            entry = self._history.get(existing)
-            if entry is not None:
-                self._dispatch_broadcast(entry, accept=True)
-            return
-        entry = self._record(origin, uid, payload, size)
-        self._dispatch_broadcast(entry, accept=True)
+            record = self._history.get(existing)
+            if record is None:
+                return
+        self._dispatch_broadcast(record, accept)
 
     # ------------------------------------------------------------------ #
     # Service queue (the sequencer's own processing capacity)
     # ------------------------------------------------------------------ #
 
-    def _dispatch_broadcast(self, entry: HistoryEntry, accept: bool) -> None:
-        """Send — or queue — the ordered (re)broadcast of ``entry``.
+    def _dispatch_broadcast(self, record: DeliveredMessage, accept: bool) -> None:
+        """Send — or queue — the ordered (re)broadcast of ``record``.
 
         With ``sequencing_cost`` at 0 (the calibrated default) the broadcast
         leaves immediately.  Otherwise sequence numbers are still assigned
@@ -123,12 +106,9 @@ class Sequencer:
         comparisons remain apples-to-apples.
         """
         if self.node.cost_model.cpu.sequencing_cost <= 0.0:
-            if accept:
-                self._broadcast_accept(entry)
-            else:
-                self._broadcast_data(entry)
+            self._broadcast(record, accept)
             return
-        self._service_queue.append((entry, accept))
+        self._service_queue.append((record, accept))
         depth = len(self._service_queue)
         if depth > self.max_queue_depth:
             self.max_queue_depth = depth
@@ -161,12 +141,8 @@ class Sequencer:
             self._service_queue.clear()
             return
         if self._service_queue:
-            entry, accept = self._service_queue.popleft()
-            if accept:
-                self._broadcast_accept(entry)
-            else:
-                self._broadcast_data(entry)
-        # The broadcast's local delivery can re-enter _enqueue_broadcast
+            self._broadcast(*self._service_queue.popleft())
+        # The broadcast's local delivery can re-enter _dispatch_broadcast
         # (e.g. a batcher flushing on delivery), which may have re-armed the
         # service timer already.
         if self._service_queue and self._service_timer is None:
@@ -174,15 +150,16 @@ class Sequencer:
                 self.node.cost_model.cpu.sequencing_cost, self._serve_next
             )
 
-    def _record(self, origin: int, uid: MessageId, payload: Any, size: int) -> HistoryEntry:
+    def _record(self, origin: int, uid: MessageId, payload: Any, size: int) -> DeliveredMessage:
+        """Assign the next number: the one place a sequenced record is built."""
         seqno = self.next_seq
         self.next_seq += 1
-        entry = HistoryEntry(seqno, origin, uid, payload, size)
+        record = DeliveredMessage(seqno, origin, uid, payload, size)
         self._assigned[uid] = seqno
-        self._history[seqno] = entry
+        self._history[seqno] = record
         while len(self._history) > self.history_size:
-            old_seq, old_entry = self._history.popitem(last=False)
-            self._assigned.pop(old_entry.uid, None)
+            _, evicted = self._history.popitem(last=False)
+            self._assigned.pop(evicted.uid, None)
         # Charge the sequencer CPU for ordering work beyond the plain receive:
         # number assignment, history-buffer retention, flow control.  Under
         # the queueing model (sequencing_cost > 0) this is the service time
@@ -193,7 +170,7 @@ class Sequencer:
             cpu.sequencing_cost if cpu.sequencing_cost > 0.0 else cpu.operation_dispatch_cost
         )
         self._arm_sync()
-        return entry
+        return record
 
     # ------------------------------------------------------------------ #
     # Idle-time sync heartbeats (tail-loss recovery)
@@ -234,32 +211,28 @@ class Sequencer:
     # Outgoing traffic
     # ------------------------------------------------------------------ #
 
-    def _broadcast_data(self, entry: HistoryEntry) -> None:
-        msg = self.node.make_message(
-            None,
-            self.group.wire_kind(KIND_DATA),
-            payload=entry.payload,
-            size=entry.size,
-            seqno=entry.seqno,
-            origin=entry.origin,
-            uid=(entry.uid.origin, entry.uid.counter),
-        )
-        self.node.send(msg)
+    def _broadcast(self, record: DeliveredMessage, accept: bool) -> None:
+        """The ordered broadcast: a short Accept for data the members
+        already hold (BB), or the data itself (PB)."""
+        node = self.node
+        if accept:
+            msg = node.make_message(
+                None,
+                self.group.wire_kind(KIND_ACCEPT),
+                size=CONTROL_MESSAGE_SIZE,
+                seqno=record.seqno,
+                origin=record.origin,
+                uid=record.uid,
+            )
+        else:
+            # The record itself is the message body: every member buffers,
+            # retains and delivers this one object.
+            msg = node.make_message(
+                None, self.group.wire_kind(KIND_DATA), payload=record, size=record.size
+            )
+        node.send(msg)
         # Hardware broadcast does not loop back; deliver to the local member directly.
-        self.group.member(self.node.node_id).local_sequenced_data(entry)
-
-    def _broadcast_accept(self, entry: HistoryEntry) -> None:
-        msg = self.node.make_message(
-            None,
-            self.group.wire_kind(KIND_ACCEPT),
-            payload=None,
-            size=CONTROL_MESSAGE_SIZE,
-            seqno=entry.seqno,
-            origin=entry.origin,
-            uid=(entry.uid.origin, entry.uid.counter),
-        )
-        self.node.send(msg)
-        self.group.member(self.node.node_id).local_sequenced_data(entry)
+        self.group.member(node.node_id).local_sequenced_data(record)
 
     def handle_retransmit_request(self, requester: int, seqno: int) -> bool:
         """Unicast a missing message back to the member that asked for it.
@@ -269,24 +242,19 @@ class Sequencer:
         case a broadcast gap request can still be answered by an ordinary
         member's delivered history.
         """
-        entry = self._history.get(seqno)
-        if entry is None:
+        record = self._history.get(seqno)
+        if record is None:
             # Outside the history window; nothing *we* can do (the paper's
             # protocol bounds the window by flow control).
             return False
         # Someone is lagging: keep heartbeating so further tail losses heal.
         self._arm_sync()
         self.retransmissions += 1
-        msg = self.node.make_message(
-            requester,
-            self.group.wire_kind(KIND_RETRANSMIT),
-            payload=entry.payload,
-            size=entry.size,
-            seqno=entry.seqno,
-            origin=entry.origin,
-            uid=(entry.uid.origin, entry.uid.counter),
+        self.node.send(
+            self.node.make_message(
+                requester, self.group.wire_kind(KIND_RETRANSMIT), payload=record, size=record.size
+            )
         )
-        self.node.send(msg)
         return True
 
     # ------------------------------------------------------------------ #
@@ -297,7 +265,7 @@ class Sequencer:
         """Called on a newly elected sequencer to continue the numbering."""
         self.next_seq = max(self.next_seq, next_seq)
 
-    def adopt_history(self, entries) -> None:
+    def adopt_history(self, records: Iterable[DeliveredMessage]) -> None:
         """Seed the history buffer from the winning member's local state.
 
         Installed after an election so retransmit requests for messages the
@@ -306,13 +274,13 @@ class Sequencer:
         sequenced gets the original sequence number rebroadcast instead of a
         second one.
         """
-        for entry in sorted(entries, key=lambda e: e.seqno):
-            self._history[entry.seqno] = entry
-            self._assigned[entry.uid] = entry.seqno
-            self.next_seq = max(self.next_seq, entry.seqno + 1)
+        for record in sorted(records, key=lambda r: r.seqno):
+            self._history[record.seqno] = record
+            self._assigned[record.uid] = record.seqno
+            self.next_seq = max(self.next_seq, record.seqno + 1)
         while len(self._history) > self.history_size:
-            _, old_entry = self._history.popitem(last=False)
-            self._assigned.pop(old_entry.uid, None)
+            _, evicted = self._history.popitem(last=False)
+            self._assigned.pop(evicted.uid, None)
         if self._history:
             self._arm_sync()
 
@@ -332,6 +300,6 @@ class Sequencer:
     def highest_assigned(self) -> int:
         return self.next_seq - 1
 
-    def history_entries(self) -> Dict[int, HistoryEntry]:
+    def history_entries(self) -> Dict[int, DeliveredMessage]:
         """A copy of the current history (used by tests and state transfer)."""
         return dict(self._history)

@@ -2,8 +2,8 @@
 
 The NIC receives packets from the network, charges the node for the receive
 interrupt, reassembles fragmented messages, charges protocol-processing time
-for each complete message, and finally hands the message to the node's
-dispatcher.
+for each complete message, and finally calls the handler the node has
+registered for the message's kind.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Optional
 
+from ..errors import NetworkError
 from .message import Message
 from .network import Packet
 from .transport import TransportEndpoint
@@ -36,7 +37,7 @@ class NetworkInterface(TransportEndpoint):
 
     This is the simulated backend's :class:`TransportEndpoint`: packets are
     reassembled and the receive-interrupt/protocol CPU cost is charged before
-    the complete message reaches the node's dispatcher via :meth:`deliver`.
+    :meth:`deliver` calls the complete message's handler.
     """
 
     def __init__(self, node: "Node") -> None:
@@ -54,31 +55,36 @@ class NetworkInterface(TransportEndpoint):
     def receive_packet(self, packet: Packet) -> None:
         """Handle one packet arriving from the network (kernel context)."""
         node = self.node
+        stats = self.stats
         if not node.alive:
-            self.stats.packets_discarded += 1
+            stats.packets_discarded += 1
             return
         if self.drop_filter is not None and self.drop_filter(packet):
-            self.stats.packets_discarded += 1
+            stats.packets_discarded += 1
             return
-        cpu = node.cost_model.cpu
         # Every packet interrupts the receiving CPU.
-        self.stats.interrupts += 1
-        self.stats.packets_received += 1
-        self.stats.bytes_received += packet.payload_bytes
-        node.charge_overhead(cpu.interrupt_cost)
+        stats.interrupts += 1
+        stats.packets_received += 1
+        stats.bytes_received += packet.payload_bytes
+        node.charge_overhead(node.cost_model.cpu.interrupt_cost)
+        msg = packet.message
+        if packet.count != 1:
+            received = self._partial.get(msg.msg_id, 0) + 1
+            if received < packet.count:
+                self._partial[msg.msg_id] = received
+                return
+            self._partial.pop(msg.msg_id, None)
+        self.deliver(msg)
 
-        if packet.count == 1:
-            self._complete(packet.message)
-            return
-        received = self._partial.get(packet.message.msg_id, 0) + 1
-        if received >= packet.count:
-            self._partial.pop(packet.message.msg_id, None)
-            self._complete(packet.message)
-        else:
-            self._partial[packet.message.msg_id] = received
+    def deliver(self, msg: Message) -> None:
+        """Transport-seam entry: hand one complete message to its handler.
 
-    def _complete(self, msg: Message) -> None:
+        Overhead is a float sum per node, so the order is part of the model:
+        interrupt charge, this protocol charge, then whatever the handler charges.
+        """
         node = self.node
+        if not node.alive:
+            return
         self.stats.messages_received += 1
         node.charge_overhead(node.cost_model.cpu.protocol_cost)
         if node.sim.tracer.enabled:
@@ -90,11 +96,13 @@ class NetworkInterface(TransportEndpoint):
                 src=msg.src,
                 size=msg.size,
             )
-        node.dispatch(msg)
-
-    def deliver(self, msg: Message) -> None:
-        """Transport-seam entry: hand one complete message to the node."""
-        self._complete(msg)
+        node.stats.messages_received += 1
+        handler = node._handlers.get(msg.kind)
+        if handler is None:
+            raise NetworkError(
+                f"node {node.node_id} received {msg.kind!r} but has no handler for it"
+            )
+        handler(msg)
 
     def drop_partial_state(self) -> None:
         """Forget all partially reassembled messages (used on node crash)."""

@@ -10,7 +10,7 @@ speedup for update-heavy applications such as ACP in the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from ..config import CostModel
@@ -34,7 +34,6 @@ class NodeStats:
     bytes_sent: int = 0
     overhead_time: float = 0.0
     overhead_absorbed: float = 0.0
-    handler_invocations: Dict[str, int] = field(default_factory=dict)
 
 
 class Node:
@@ -53,8 +52,9 @@ class Node:
         self.nic = NetworkInterface(self)
         self.stats = NodeStats()
         self.alive = True
+        #: The dispatch table, message kind -> handler; the node's NIC calls
+        #: the handler of a complete message straight out of it.
         self._handlers: Dict[str, Callable[[Message], None]] = {}
-        self._default_handler: Optional[Callable[[Message], None]] = None
         #: CPU overhead accrued by protocol processing that has not yet been
         #: absorbed into an application process's virtual time.
         self._overhead_pending = 0.0
@@ -85,28 +85,6 @@ class Node:
         if kind in self._handlers:
             raise NetworkError(f"node {self.node_id} already has a handler for {kind!r}")
         self._handlers[kind] = handler
-
-    def unregister_handler(self, kind: str) -> None:
-        self._handlers.pop(kind, None)
-
-    def set_default_handler(self, handler: Callable[[Message], None]) -> None:
-        """Handler for message kinds with no exact registration."""
-        self._default_handler = handler
-
-    def dispatch(self, msg: Message) -> None:
-        """Deliver a fully reassembled message to its registered handler."""
-        if not self.alive:
-            return
-        self.stats.messages_received += 1
-        self.stats.handler_invocations[msg.kind] = (
-            self.stats.handler_invocations.get(msg.kind, 0) + 1
-        )
-        handler = self._handlers.get(msg.kind, self._default_handler)
-        if handler is None:
-            raise NetworkError(
-                f"node {self.node_id} received {msg.kind!r} but has no handler for it"
-            )
-        handler(msg)
 
     @property
     def transport(self) -> Optional["BaseNetwork"]:

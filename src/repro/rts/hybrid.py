@@ -99,7 +99,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple, Type
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set, Tuple, Type
 
 from ..amoeba.broadcast.protocol import CONTROL_MESSAGE_SIZE, DeliveredMessage
 from ..amoeba.message import estimate_size
@@ -187,6 +187,43 @@ class _Transaction:
     #: Nodes still owing an acknowledgement; a node crash releases its debt
     #: (a dead machine will never answer, and its copy is gone with it).
     destinations: Set[int] = None  # type: ignore[assignment]
+
+
+class _ShardMember:
+    """One machine's end of one shard's total order: its bound
+    :meth:`on_deliver` is that group member's delivery handler, so a record
+    arrives with the machine's manager and node already resolved."""
+
+    __slots__ = ("rts", "node_id", "key", "node", "manager")
+
+    def __init__(self, rts: "HybridRts", node: "Node", shard: int) -> None:
+        self.rts = rts
+        self.node_id = node.node_id
+        self.key = (node.node_id, shard)
+        self.node = node
+        self.manager = rts.managers[node.node_id]
+
+    def on_deliver(self, record: DeliveredMessage) -> None:
+        """Runs at every member, in per-shard total order."""
+        rts = self.rts
+        payload = record.payload
+        kind = payload[0]
+        if (rts._awaiting_seed and self.key in rts._awaiting_seed
+                and not (kind == "rejoin" and payload[1] == self.node_id)):
+            # This member re-entered the order at its rejoin anchor but the
+            # out-of-band seed (the state covering everything before the
+            # anchor) has not arrived yet; buffer post-anchor deliveries
+            # for ordered replay on top of the seeded state.  Only the
+            # member's own anchor passes through (it wakes the rejoin
+            # thread and carries no state).
+            rts._seed_buffer.setdefault(self.key, []).append(record)
+            return
+        try:
+            apply = rts._deliver_kinds[kind]
+        except (KeyError, TypeError):
+            raise RtsError(
+                f"unknown broadcast RTS payload kind {kind!r}") from None
+        apply(self, record)
 
 
 @dataclass
@@ -447,6 +484,23 @@ class HybridRts(RuntimeSystem):
         #: Shard-0 group under the classic attribute name (set with the router).
         self.group: Optional["BroadcastGroup"] = None
         self._batchers: Dict[Tuple[int, int], _WriteBatcher] = {}
+        #: (node_id, shard) -> that member's end of the shard's order.
+        self._shard_members: Dict[Tuple[int, int], _ShardMember] = {}
+        #: Payload kind -> what a member does on delivering it.  The
+        #: transaction layer's kinds join when the layer is built.
+        self._deliver_kinds: Dict[str, Callable[..., None]] = {
+            "op": self._deliver_op,
+            "batch": self._deliver_batch,
+            "create": self._deliver_create,
+            "rejoin": self._apply_rejoin,
+            "switch": self._apply_switch,
+            "takeover": self._apply_takeover,
+            "shard-switch": self._apply_shard_switch,
+            "shard-arrive": self._apply_shard_arrive,
+        }
+        #: (obj_id, op_name) -> (operation, CPU charged for applying it):
+        #: resolved on an object's first delivered write.
+        self._write_ops: Dict[Tuple[int, str], Tuple[Any, float]] = {}
         self._invocation_ids = itertools.count(1)
         self._pending: Dict[int, _PendingWrite] = {}
         #: (node_id, obj_id) -> [SimProcess, ...] waiting for a local replica.
@@ -612,11 +666,9 @@ class HybridRts(RuntimeSystem):
         """Install every member's delivery handler for one shard's group."""
         group = self.router.group_for(shard)
         for node in self.cluster.nodes:
-            group.set_delivery_handler(
-                node.node_id,
-                lambda delivered, nid=node.node_id, s=shard:
-                    self._on_deliver(nid, s, delivered),
-            )
+            member = _ShardMember(self, node, shard)
+            self._shard_members[member.key] = member
+            group.set_delivery_handler(node.node_id, member.on_deliver)
 
     def add_shard(self, sequencer_node_id: Optional[int] = None) -> int:
         """Add a broadcast group to the running cluster; returns its shard.
@@ -958,9 +1010,11 @@ class HybridRts(RuntimeSystem):
            read-only fast path is an open item.
         """
         if self._txn_layer is None:
-            from ..txn import TransactionLayer
+            from ..txn import TXN_KINDS, TransactionLayer
 
             self._txn_layer = TransactionLayer(self)
+            self._deliver_kinds.update(
+                dict.fromkeys(TXN_KINDS, self._deliver_txn))
         return self._txn_layer.transact(proc, ops, on_guard=on_guard)
 
     # ------------------------------------------------------------------ #
@@ -1041,75 +1095,41 @@ class HybridRts(RuntimeSystem):
 
     # -- delivery (runs at every member, in per-shard total order) ------- #
 
-    def _on_deliver(self, node_id: int, shard: int,
-                    delivered: DeliveredMessage) -> None:
-        payload = delivered.payload
-        kind = payload[0]
-        seed_key = (node_id, shard)
-        if seed_key in self._awaiting_seed and not (
-                kind == "rejoin" and payload[1] == node_id):
-            # This member re-entered the order at its rejoin anchor but the
-            # out-of-band seed (the state covering everything before the
-            # anchor) has not arrived yet; buffer post-anchor deliveries
-            # for ordered replay on top of the seeded state.  Only the
-            # member's own anchor passes through (it wakes the rejoin
-            # thread and carries no state).
-            self._seed_buffer.setdefault(seed_key, []).append(delivered)
-            return
-        if kind == "rejoin":
-            self._apply_rejoin(node_id, shard, delivered)
-            return
-        manager = self.managers[node_id]
-        node = self.cluster.node(node_id)
-        cpu = self.cost_model.cpu
-        if kind == "create":
-            _, obj_id, spec_class, args, kwargs, invocation_id = payload
-            if not manager.has_valid_copy(obj_id):
-                instance = spec_class.create(args, kwargs)
-                manager.install(obj_id, self.handle(obj_id).name, instance)
-                self.stats.replicas_created += 1
-            node.charge_overhead(cpu.operation_dispatch_cost)
-            self._wake_replica_waiters(node_id, obj_id)
-            if delivered.origin == node_id:
-                self._resolve(invocation_id, None)
-            return
-        if kind == "op":
-            _, obj_id, op_name, args, kwargs, invocation_id, epoch = payload
+    def _deliver_create(self, member: _ShardMember,
+                        record: DeliveredMessage) -> None:
+        _, obj_id, spec_class, args, kwargs, invocation_id = record.payload
+        if not member.manager.has_valid_copy(obj_id):
+            instance = spec_class.create(args, kwargs)
+            member.manager.install(obj_id, self.handle(obj_id).name, instance)
+            self.stats.replicas_created += 1
+        member.node.charge_overhead(self.cost_model.cpu.operation_dispatch_cost)
+        self._wake_replica_waiters(member.node_id, obj_id)
+        if record.origin == member.node_id:
+            self._resolve(invocation_id, None)
+
+    def _deliver_op(self, member: _ShardMember,
+                    record: DeliveredMessage) -> None:
+        _, obj_id, op_name, args, kwargs, invocation_id, epoch = record.payload
+        self._apply_one(member.node_id, member.manager, member.node, obj_id,
+                        op_name, args, kwargs, invocation_id, epoch,
+                        record.origin, record.seqno)
+
+    def _deliver_batch(self, member: _ShardMember,
+                       record: DeliveredMessage) -> None:
+        node_id, manager, node = member.node_id, member.manager, member.node
+        origin, seqno = record.origin, record.seqno
+        for obj_id, op_name, args, kwargs, invocation_id, epoch in record.payload[1]:
             self._apply_one(node_id, manager, node, obj_id, op_name, args,
-                            kwargs, invocation_id, epoch, delivered.origin,
-                            delivered.seqno)
-            return
-        if kind == "batch":
-            _, entries = payload
-            for obj_id, op_name, args, kwargs, invocation_id, epoch in entries:
-                self._apply_one(node_id, manager, node, obj_id, op_name, args,
-                                kwargs, invocation_id, epoch, delivered.origin,
-                                delivered.seqno)
-            if delivered.origin == node_id:
-                batcher = self._batchers.get((node_id, shard))
-                if batcher is not None:
-                    batcher.on_batch_delivered()
-            return
-        if kind == "switch":
-            self._apply_switch(node_id, payload, delivered.origin)
-            return
-        if kind == "takeover":
-            self._apply_takeover(node_id, payload, delivered.origin)
-            return
-        if kind == "shard-switch":
-            self._apply_shard_switch(node_id, payload, delivered.origin)
-            return
-        if kind == "shard-arrive":
-            self._apply_shard_arrive(node_id, payload, delivered.origin)
-            return
-        if isinstance(kind, str) and kind.startswith("txn-"):
-            # Transaction records exist only after some transact() call
-            # built the (cluster-global) layer, so it is always present
-            # when one is delivered.
-            self._txn_layer.on_deliver(node_id, payload, delivered.origin,
-                                       delivered.seqno)
-            return
-        raise RtsError(f"unknown broadcast RTS payload kind {kind!r}")
+                            kwargs, invocation_id, epoch, origin, seqno)
+        if origin == node_id:
+            batcher = self._batchers.get(member.key)
+            if batcher is not None:
+                batcher.on_batch_delivered()
+
+    def _deliver_txn(self, member: _ShardMember,
+                     record: DeliveredMessage) -> None:
+        self._txn_layer.on_deliver(member.node_id, record.payload,
+                                   record.origin, record.seqno)
 
     def _apply_one(self, node_id: int, manager, node, obj_id: int,
                    op_name: str, args, kwargs, invocation_id: int, epoch: int,
@@ -1148,10 +1168,15 @@ class HybridRts(RuntimeSystem):
             if origin == node_id:
                 self._resolve(invocation_id, MIGRATED)
             return
-        handle = self.handle(obj_id)
-        op = handle.spec_class.operation_def(op_name)
-        cpu = self.cost_model.cpu
-        if not manager.has_valid_copy(obj_id):
+        resolved = self._write_ops.get((obj_id, op_name))
+        if resolved is None:
+            op = self.handle(obj_id).spec_class.operation_def(op_name)
+            cpu = self.cost_model.cpu
+            resolved = self._write_ops[(obj_id, op_name)] = (
+                op, cpu.operation_dispatch_cost + op.work_units * cpu.work_unit_time)
+        op, charge = resolved
+        replica = manager.replicas.get(obj_id)
+        if replica is None or not replica.valid:
             # Per-shard total order guarantees the create precedes every
             # operation, so a missing replica is a protocol error worth
             # failing on.
@@ -1159,15 +1184,14 @@ class HybridRts(RuntimeSystem):
                 f"node {node_id} received operation {op_name!r} for object "
                 f"{obj_id} before its create message"
             )
-        result = manager.apply_write(obj_id, op, args, kwargs,
-                                     local_origin=origin == node_id)
+        result = manager.apply_write_to(replica, op, args, kwargs,
+                                        local_origin=origin == node_id)
         # Applying the update costs CPU on every machine that holds a
         # replica: this is the overhead that limits ACP's speedup.
-        node.charge_overhead(cpu.operation_dispatch_cost +
-                             op.work_units * cpu.work_unit_time)
-        if result is not RETRY:
+        node.charge_overhead(charge)
+        if self.history.enabled and result is not RETRY:
             self.history.record_write(node_id, obj_id, op_name, args, seqno,
-                                      manager.get(obj_id).version)
+                                      replica.version)
         if origin == node_id:
             self._resolve(invocation_id, result)
 
@@ -2058,8 +2082,8 @@ class HybridRts(RuntimeSystem):
         self._pending.pop(invocation_id, None)
         proc.absorb_overhead(node.drain_overhead())
 
-    def _apply_switch(self, node_id: int, payload: Tuple[Any, ...],
-                      origin: int) -> None:
+    def _apply_switch(self, member: _ShardMember,
+                      record: DeliveredMessage) -> None:
         """One member's totally-ordered switch point for one object.
 
         ``scope`` narrows a snapshot-carrying switch to the listed members
@@ -2067,8 +2091,9 @@ class HybridRts(RuntimeSystem):
         ``None`` scope is the classic primary -> broadcast transfer that
         installs a replica everywhere.
         """
+        node_id, origin = member.node_id, record.origin
         (_, obj_id, target, primary_node, state, version, epoch, scope,
-         table, invocation_id) = payload
+         table, invocation_id) = record.payload
         key = (node_id, obj_id)
         if self._superseded_switch(node_id, obj_id, epoch, origin,
                                    invocation_id):
@@ -2252,10 +2277,11 @@ class HybridRts(RuntimeSystem):
         finally:
             self._migrate_in_progress.discard(obj_id)
 
-    def _apply_shard_switch(self, node_id: int, payload: Tuple[Any, ...],
-                            origin: int) -> None:
+    def _apply_shard_switch(self, member: _ShardMember,
+                            record: DeliveredMessage) -> None:
         """One member's drain point in the *source* group's total order."""
-        (_, obj_id, src, dst, epoch, invocation_id) = payload
+        node_id, origin = member.node_id, record.origin
+        (_, obj_id, src, dst, epoch, invocation_id) = record.payload
         if self._superseded_switch(node_id, obj_id, epoch, origin,
                                    invocation_id):
             return
@@ -2270,10 +2296,11 @@ class HybridRts(RuntimeSystem):
         self._finish_switch_delivery(node_id, obj_id, epoch, origin,
                                      invocation_id)
 
-    def _apply_shard_arrive(self, node_id: int, payload: Tuple[Any, ...],
-                            origin: int) -> None:
+    def _apply_shard_arrive(self, member: _ShardMember,
+                            record: DeliveredMessage) -> None:
         """One member's arrival marker in the *destination* group's order."""
-        (_, obj_id, src, dst, epoch, invocation_id) = payload
+        node_id, origin = member.node_id, record.origin
+        (_, obj_id, src, dst, epoch, invocation_id) = record.payload
         key = (node_id, obj_id)
         node = self.cluster.node(node_id)
         node.charge_overhead(self.cost_model.cpu.operation_dispatch_cost)
@@ -2519,11 +2546,12 @@ class HybridRts(RuntimeSystem):
             if self._recovering.get(obj_id) == node.node_id:
                 self._recovering.pop(obj_id, None)
 
-    def _apply_takeover(self, node_id: int, payload: Tuple[Any, ...],
-                        origin: int) -> None:
+    def _apply_takeover(self, member: _ShardMember,
+                        record: DeliveredMessage) -> None:
         """One member's totally-ordered takeover point for one object."""
+        node_id, origin = member.node_id, record.origin
         (_, obj_id, target, new_primary, state, version, table, epoch,
-         scope, invocation_id) = payload
+         scope, invocation_id) = record.payload
         if self._superseded_switch(node_id, obj_id, epoch, origin,
                                    invocation_id):
             return
@@ -2717,7 +2745,7 @@ class HybridRts(RuntimeSystem):
             if member.node.alive and member.synced and nid != rejoining
             and nid not in self._catching_up)
 
-    def _apply_rejoin(self, node_id: int, shard: int,
+    def _apply_rejoin(self, member: _ShardMember,
                       delivered: DeliveredMessage) -> None:
         """One member's delivery of a recovered peer's rejoin anchor.
 
@@ -2728,8 +2756,8 @@ class HybridRts(RuntimeSystem):
         as of the anchor's position in the order — and unicasts it.
         """
         _, rejoining, generation, invocation_id = delivered.payload
-        node = self.cluster.node(node_id)
-        node.charge_overhead(self.cost_model.cpu.operation_dispatch_cost)
+        node_id, shard = member.key
+        member.node.charge_overhead(self.cost_model.cpu.operation_dispatch_cost)
         if node_id == rejoining:
             self._resolve(invocation_id, None)
             return
@@ -2857,10 +2885,11 @@ class HybridRts(RuntimeSystem):
         """
         key = (node_id, shard)
         self._awaiting_seed.discard(key)
+        member = self._shard_members[key]
         for delivered in self._seed_buffer.pop(key, []):
             if delivered.seqno <= upto:
                 continue  # covered by the seed snapshot
-            self._on_deliver(node_id, shard, delivered)
+            member.on_deliver(delivered)
         self.router.group_for(shard).member(node_id).resume_delivery(upto)
 
     def _rejoin_record(self, node_id: int) -> Optional[RejoinRecord]:

@@ -124,13 +124,19 @@ class ObjectManager:
     def apply_write(self, obj_id: int, op: OperationDef, args: Tuple[Any, ...],
                     kwargs: Optional[Dict[str, Any]] = None,
                     local_origin: bool = False) -> Any:
-        """Apply a write operation to the local replica (in protocol order).
+        """Apply a write operation to the local replica (in protocol order)."""
+        return self.apply_write_to(self.get(obj_id), op, args, kwargs, local_origin)
+
+    def apply_write_to(self, replica: Replica, op: OperationDef,
+                       args: Tuple[Any, ...],
+                       kwargs: Optional[Dict[str, Any]] = None,
+                       local_origin: bool = False) -> Any:
+        """:meth:`apply_write` for a caller that already holds the replica.
 
         The replica is locked for the duration of the operation, the version
         counter is bumped, and change waiters are notified.  Returns the
         operation result or :data:`RETRY` when the guard rejected it.
         """
-        replica = self.get(obj_id)
         replica.locked = True
         try:
             result = execute_operation(replica.instance, op, args, kwargs)

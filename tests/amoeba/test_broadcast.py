@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.amoeba.broadcast.protocol import (
     KIND_BB_DATA,
+    KIND_DATA,
     KIND_RETRANSMIT,
+    DeliveredMessage,
     MessageId,
     OrderingEngine,
 )
@@ -37,52 +41,115 @@ def collect_deliveries(cluster):
     return log
 
 
+def rec(seqno, payload=None, origin=0):
+    """The sequenced record the sequencer would have built for ``seqno``."""
+    return DeliveredMessage(seqno, origin, MessageId(origin, seqno), payload, 10)
+
+
 class TestOrderingEngine:
     def test_in_order_delivery(self):
         engine = OrderingEngine()
-        engine.offer(1, 0, MessageId(0, 1), "a", 10)
-        engine.offer(2, 0, MessageId(0, 2), "b", 10)
-        assert [d.payload for d in engine.pop_deliverable()] == ["a", "b"]
+        first, second = rec(1, "a"), rec(2, "b")
+        # The in-sequence arrival comes straight back: the very object
+        # offered, and the buffer is never touched.
+        assert list(engine.offer(first)) == [first]
+        assert engine.buffered_count == 0
+        run = engine.offer(second)
+        assert len(run) == 1 and run[0] is second
+        assert engine.next_expected == 3
 
     def test_out_of_order_buffered(self):
         engine = OrderingEngine()
-        engine.offer(2, 0, MessageId(0, 2), "b", 10)
-        assert engine.pop_deliverable() == []
-        assert engine.missing_seqnos() == [1]
-        engine.offer(1, 0, MessageId(0, 1), "a", 10)
-        assert [d.payload for d in engine.pop_deliverable()] == ["a", "b"]
+        assert not engine.offer(rec(2, "b"))
+        assert engine.missing_seqnos() == [1] and engine.has_gap
+        assert engine.buffered_count == 1 and engine.buffered(2).payload == "b"
+        assert [d.payload for d in engine.offer(rec(1, "a"))] == ["a", "b"]
+        assert engine.buffered_count == 0 and not engine.has_gap
 
     def test_duplicates_discarded(self):
         engine = OrderingEngine()
-        engine.offer(1, 0, MessageId(0, 1), "a", 10)
-        engine.pop_deliverable()
-        engine.offer(1, 0, MessageId(0, 1), "a", 10)
-        assert engine.pop_deliverable() == []
-        assert engine.duplicates == 1
+        assert engine.offer(rec(1, "a"))
+        assert not engine.offer(rec(1, "a"))  # already delivered
+        engine.offer(rec(3, "c"))
+        assert not engine.offer(rec(3, "c"))  # already buffered
+        assert engine.duplicates == 2
 
     def test_bb_data_then_accept(self):
         engine = OrderingEngine()
-        engine.offer_bb_data(3, MessageId(3, 1), "x", 10)
-        assert engine.pop_deliverable() == []
-        assert engine.offer_accept(1, 3, MessageId(3, 1))
-        assert [d.payload for d in engine.pop_deliverable()] == ["x"]
+        assert not engine.offer_bb_data(3, MessageId(3, 1), "x", 10)
+        run = engine.offer_accept(1, 3, MessageId(3, 1))
+        assert [(d.seqno, d.origin, d.payload) for d in run] == [(1, 3, "x")]
 
     def test_accept_before_data(self):
         engine = OrderingEngine()
         assert not engine.offer_accept(1, 3, MessageId(3, 1))
-        assert engine.missing_seqnos() == [1]
-        engine.offer_bb_data(3, MessageId(3, 1), "x", 10)
-        assert [d.payload for d in engine.pop_deliverable()] == ["x"]
+        assert engine.missing_seqnos() == [1] and engine.has_gap
+        assert [d.payload for d in engine.offer_bb_data(3, MessageId(3, 1), "x", 10)] == ["x"]
+        assert not engine.has_gap
 
-    @given(st.permutations(list(range(1, 11))))
-    @settings(max_examples=50, deadline=None)
-    def test_any_arrival_order_delivers_in_sequence(self, order):
+    def test_retransmitted_record_settles_a_pending_accept(self):
+        engine = OrderingEngine()
+        uid = MessageId(3, 1)
+        engine.offer_accept(1, 3, uid)
+        assert engine.offer(DeliveredMessage(1, 3, uid, "x", 10))
+        # The accept is spent: the late BB data is kept as unsequenced data,
+        # not promoted to a number that was already delivered.
+        assert not engine.offer_bb_data(3, uid, "x", 10)
+        assert engine.duplicates == 0 and engine.next_expected == 2
+
+    def test_message_accepted_under_two_numbers(self):
+        """Re-sequenced after an election, a message pends under two numbers:
+        its data takes the newer one, a retransmission fills the older."""
+        engine = OrderingEngine()
+        uid = MessageId(3, 1)
+        engine.offer_accept(1, 3, uid)
+        engine.offer_accept(2, 3, uid)
+        assert not engine.offer_bb_data(3, uid, "x", 10)
+        assert engine.buffered(2).payload == "x" and engine.missing_seqnos() == [1]
+        run = engine.offer(DeliveredMessage(1, 3, uid, "x", 10))
+        assert [d.seqno for d in run] == [1, 2]
+        assert not engine.has_gap and engine.buffered_count == 0
+
+    def test_sync_heartbeat_reveals_a_lost_tail(self):
+        engine = OrderingEngine()
+        engine.offer(rec(1))
+        assert not engine.has_gap
+        engine.note_highest(3)
+        assert engine.has_gap and engine.missing_seqnos() == [2, 3]
+        assert engine.highest_known_seqno == 3
+
+    def test_fast_forward_skips_and_releases(self):
+        engine = OrderingEngine()
+        for seqno in (2, 5, 6, 8):
+            engine.offer(rec(seqno))
+        engine.offer_accept(3, 0, MessageId(0, 3))
+        assert [d.seqno for d in engine.fast_forward(5)] == [5, 6]
+        assert engine.next_expected == 7 and engine.missing_seqnos() == [7]
+        assert not engine.fast_forward(4)  # never backwards
+        assert engine.next_expected == 7
+        # The skipped accept is forgotten with the numbers before it.
+        assert not engine.offer_bb_data(0, MessageId(0, 3), "late", 10)
+        assert engine.buffered_count == 1
+
+    @given(
+        st.permutations(list(range(1, 11))).flatmap(
+            lambda order: st.lists(st.sampled_from(order), max_size=10).flatmap(
+                lambda extra: st.permutations(list(order) + extra)
+            )
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_any_arrival_order_delivers_each_seqno_once_in_sequence(self, arrivals):
         engine = OrderingEngine()
         delivered = []
-        for seqno in order:
-            engine.offer(seqno, 0, MessageId(0, seqno), f"m{seqno}", 8)
-            delivered.extend(d.seqno for d in engine.pop_deliverable())
+        for seqno in arrivals:
+            run = engine.offer(rec(seqno, f"m{seqno}"))
+            delivered.extend(d.seqno for d in run)
+            assert engine.has_gap == bool(engine.missing_seqnos())
+            assert engine.next_expected == len(delivered) + 1
         assert delivered == list(range(1, 11))
+        assert engine.duplicates == len(arrivals) - 10
+        assert engine.buffered_count == 0
 
 
 class TestBroadcastGroup:
@@ -196,6 +263,100 @@ class TestBroadcastGroup:
             sequences = list(log.values())
             assert all(seq == sequences[0] for seq in sequences)
             assert len(sequences[0]) == 20
+
+
+class TestOneSequencedRecord:
+    """The sequencer builds one immutable record per message; everything
+    downstream holds that object, never a copy."""
+
+    def test_handler_histories_and_sequencer_share_the_record(self):
+        with make_cluster(4) as cluster:
+            group = cluster.broadcast_group
+            seen = {node.node_id: [] for node in cluster.nodes}
+            for nid, log in seen.items():
+                group.set_delivery_handler(nid, log.append)
+            group.broadcast_from(2, payload=("p", 1), size=40)
+            cluster.run()
+            record = group.sequencer.history_entries()[1]
+            assert (record.seqno, record.origin, record.payload) == (1, 2, ("p", 1))
+            for nid, member in group.members.items():
+                assert len(seen[nid]) == 1 and seen[nid][0] is record
+                assert member.lookup_entry(1) is record
+            for name in ("seqno", "origin", "uid", "payload", "size"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(record, name, 0)
+
+    @staticmethod
+    def _lose_first_data_at(cluster, victim):
+        """Node ``victim`` misses the first ``grp.data``; returns the kinds
+        of the messages that do reach it."""
+        data_kind = cluster.broadcast_group.wire_kind(KIND_DATA)
+        arrived = []
+
+        def lose_first_data(packet):
+            kind = packet.message.kind
+            lost = kind == data_kind and data_kind not in arrived
+            arrived.append(kind)
+            return lost
+
+        cluster.node(victim).nic.drop_filter = lose_first_data
+        return arrived
+
+    def test_lost_data_comes_back_from_the_sequencer_as_the_same_record(self):
+        with make_cluster(4) as cluster:
+            group = cluster.broadcast_group
+            seen = []
+            group.set_delivery_handler(3, seen.append)
+            arrived = self._lose_first_data_at(cluster, 3)
+            group.broadcast_from(1, payload="lost", size=40)
+            group.broadcast_from(1, payload="reveals-the-gap", size=40)
+            cluster.run()
+            assert group.wire_kind(KIND_RETRANSMIT) in arrived
+            assert group.sequencer.retransmissions == 1
+            assert group.stats.peer_retransmissions == 0
+            assert [d.payload for d in seen] == ["lost", "reveals-the-gap"]
+            assert seen[0] is group.sequencer.history_entries()[1]
+
+    def test_lost_data_comes_back_from_the_designated_peer_as_the_same_record(self):
+        with make_cluster(4) as cluster:
+            group = cluster.broadcast_group
+            seen = []
+            group.set_delivery_handler(3, seen.append)
+            arrived = self._lose_first_data_at(cluster, 3)
+
+            def scenario():
+                group.broadcast_from(1, payload="lost", size=40)
+                group.broadcast_from(1, payload="reveals-the-gap", size=40)
+                cluster.sim.current_process.hold(0.001)
+                # Both are sequenced; now the bounded window moves past them.
+                group.sequencer._history.clear()
+
+            cluster.node(1).kernel.spawn_thread(scenario)
+            cluster.run()
+            assert group.wire_kind(KIND_RETRANSMIT) in arrived
+            assert group.sequencer.retransmissions == 0
+            assert group.stats.peer_retransmissions == 1
+            assert [d.payload for d in seen] == ["lost", "reveals-the-gap"]
+            assert all(seen[0] is group.member(nid).lookup_entry(1) for nid in range(4))
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a send from the sequencer's own node is delivered inside strategy.send, "
+        "yet _transmit arms a retry timer for it afterwards (ROADMAP, smaller threads); "
+        "the fix changes sim.events_per_op and baselines/transactions.json",
+    )
+    def test_send_from_the_sequencer_node_leaves_no_retry_timer(self):
+        with make_cluster(4) as cluster:
+            log = collect_deliveries(cluster)
+            group = cluster.broadcast_group
+            assert group.sequencer_node_id == 0
+            group.broadcast_from(0, payload="x", size=10)
+            assert log[0] == [(1, "x")]  # delivered before broadcast_from returned
+            assert cluster.node(0).kernel.active_timers == 0
+            cluster.run()
+            # ... and the idle cluster winds down with the last delivery, not
+            # with a retry_timeout that finds nothing pending.
+            assert cluster.sim.now < group.retry_timeout
 
 
 class TestLossRecovery:
@@ -528,11 +689,14 @@ class TestRejoinedMembersAndGapRecovery:
             for i in range(5):
                 group.broadcast_from(1, payload=i, size=100)
             cluster.run()
+            assert group.stats.deliveries == 5 * 4
             cluster.node(3).crash()
             cluster.node(3).recover()
             member = group.member(3)
             assert member.synced is False
             assert member.lookup_entry(3) is None  # history wiped
+            # ... but not the count of what was delivered: it stays monotone.
+            assert group.stats.deliveries == 5 * 4 and member.deliveries == 5
             # Whatever the seqno or retry salvo, the rotation must never
             # land on the zombie — and even if a request reached it, the
             # answer path bows out.

@@ -4,10 +4,12 @@ per-object statistics."""
 
 from __future__ import annotations
 
+import inspect
 import warnings
 
 import pytest
 
+from repro.amoeba.broadcast.group import BroadcastGroup
 from repro.amoeba.cluster import Cluster
 from repro.config import ClusterConfig
 from repro.errors import RtsError
@@ -61,6 +63,40 @@ def run_threads(cluster, bodies):
 def make_hybrid(n=4, seed=7, **kwargs):
     cluster = Cluster(ClusterConfig(num_nodes=n, seed=seed))
     return cluster, HybridRts(cluster, **kwargs)
+
+
+class TestDeliveryHandlers:
+    def test_handlers_are_repro_rts_functions_or_bound_methods(self, monkeypatch):
+        """The benchmark's outside tracer files delivery work under the layer
+        the handler's ``__module__`` names: a ``functools.partial`` (no
+        ``__module__`` of its own) would silently move it to "other"."""
+        handed = []
+        install = BroadcastGroup.set_delivery_handler
+
+        def recording(group, node_id, handler):
+            handed.append(handler)
+            install(group, node_id, handler)
+
+        monkeypatch.setattr(BroadcastGroup, "set_delivery_handler", recording)
+        cluster, rts = make_hybrid(n=3, num_shards=2)
+        with cluster:
+            rts.add_shard()
+            made = []
+
+            def main():
+                proc = cluster.sim.current_process
+                made.append(rts.create_object(proc, Register, (0,)))
+                rts.invoke(proc, made[0], "add", (5,))
+
+            run_threads(cluster, [(1, main)])
+            assert len(handed) == 3 * 3
+            for handler in handed:
+                assert inspect.isfunction(handler) or inspect.ismethod(handler)
+                assert handler.__module__.startswith("repro.rts")
+            # ... and they are what the members really call.
+            assert {m.delivery_handler for g in rts.router.groups
+                    for m in g.members.values()} == set(handed)
+            assert rts.managers[2].get(made[0].obj_id).instance.value == 5
 
 
 class TestPerObjectPolicies:
