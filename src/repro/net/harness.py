@@ -6,7 +6,8 @@ the deterministic object table by replaying the scenario's setup against a
 ``repro.net.node_process`` child per node, distributes the peer/seat/object
 tables over the control plane, fans the workload out to the client nodes,
 optionally SIGKILLs victim nodes mid-run (the real-socket analogue of the
-simulator's staged crashes), polls until every surviving node has quiesced —
+simulator's staged crashes; each kill is keyed to acknowledged-operation
+progress, not to the clock), polls until every surviving node has quiesced —
 clients finished, no pending writes, hold-back queues empty, every member
 caught up with its shard's seat — and finally collects each node's object
 states and applied logs for the oracle's convergence check.
@@ -25,7 +26,6 @@ import socket
 import subprocess
 import sys
 import tempfile
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
@@ -50,11 +50,13 @@ class RealClusterConfig:
     clients_per_node: int = 1
     seed: int = 42
     timings: RealTimings = field(default_factory=RealTimings)
-    #: Node ids killed mid-run (SIGKILL), and when — seconds after the
-    #: clients start, one entry per victim.  Victims host neither clients
-    #: nor sequencer seats, mirroring the simulator's ``primary-churn``.
+    #: Node ids killed mid-run (SIGKILL), and when — one ascending entry per
+    #: victim: every client parks once that many of its own operations are
+    #: acknowledged, the victim dies, the clients resume.  Victims host
+    #: neither clients nor sequencer seats, mirroring the simulator's
+    #: ``primary-churn``.
     victims: Tuple[int, ...] = ()
-    kill_after: Tuple[float, ...] = ()
+    kill_after: Tuple[int, ...] = ()
     host: str = "127.0.0.1"
     spawn_timeout: float = 30.0
     settle_timeout: float = 120.0
@@ -68,6 +70,11 @@ class RealClusterConfig:
         if len(self.kill_after) != len(self.victims):
             raise ConfigurationError(
                 "kill_after needs exactly one entry per victim")
+        if (not all(isinstance(ops, int) and ops > 0 for ops in self.kill_after)
+                or list(self.kill_after) != sorted(set(self.kill_after))):
+            raise ConfigurationError(
+                "kill_after counts acknowledged operations per client: "
+                "positive integers, strictly ascending")
         for victim in self.victims:
             if not 0 <= victim < self.num_nodes:
                 raise ConfigurationError(f"victim {victim} is not a node id")
@@ -145,7 +152,6 @@ class RealCluster:
         self._conns: Dict[int, NodeConnection] = {}
         self._stderr_dir: Optional[str] = None
         self._killed: List[int] = []
-        self._kill_timers: List[threading.Timer] = []
         self._started = False
 
     # -- lifecycle -------------------------------------------------------- #
@@ -239,12 +245,8 @@ class RealCluster:
                 "seed": config.seed,
                 "clients": list(range(config.clients_per_node)),
                 "op_timeout": config.op_timeout,
+                "park_at": list(config.kill_after),
             }, timeout=config.spawn_timeout)
-        for victim, delay in zip(config.victims, config.kill_after):
-            timer = threading.Timer(delay, self.kill_node, args=(victim,))
-            timer.daemon = True
-            self._kill_timers.append(timer)
-            timer.start()
         self._settle()
         return self._collect()
 
@@ -266,7 +268,7 @@ class RealCluster:
         """Poll until clients are done and every survivor has quiesced."""
         config = self.config
         deadline = time.monotonic() + config.settle_timeout
-        pending_kills = set(config.victims)
+        pending_kills = list(config.victims)
         last: Dict[int, Dict[str, Any]] = {}
         while True:
             if time.monotonic() > deadline:
@@ -274,18 +276,12 @@ class RealCluster:
                     "real cluster failed to settle within "
                     f"{config.settle_timeout}s; last statuses: {last}")
             time.sleep(0.05)
-            pending_kills -= set(self._killed)
             statuses = {}
             for node_id in self._live_nodes():
-                conn = self._conns.get(node_id)
-                if conn is None:
-                    continue  # killed between the snapshot and the poll
                 try:
-                    statuses[node_id] = conn.request(
+                    statuses[node_id] = self._conns[node_id].request(
                         {"cmd": "status"}, timeout=config.spawn_timeout)
                 except NetworkError:
-                    if node_id in self._killed:
-                        continue
                     raise NetworkError(
                         f"node {node_id} died unexpectedly:\n"
                         + self._stderr_tail(node_id))
@@ -296,7 +292,18 @@ class RealCluster:
             if errors:
                 raise NetworkError("client failures:\n" + "\n".join(errors))
             if pending_kills:
-                continue  # a scheduled crash has not happened yet
+                # The next crash is due once every client still running is
+                # parked at its threshold (one that finished early counts as
+                # past it): kill, then let the clients go on.
+                clients = [statuses[node_id]["clients"]
+                           for node_id in config.client_nodes]
+                if all(pool["parked"] == pool["clients_running"]
+                       for pool in clients):
+                    self.kill_node(pending_kills.pop(0))
+                    for node_id in config.client_nodes:
+                        self._conns[node_id].request(
+                            {"cmd": "release"}, timeout=config.spawn_timeout)
+                continue
             if any(status["clients"]["clients_running"]
                    for node_id, status in statuses.items()
                    if node_id in config.client_nodes):
@@ -355,8 +362,6 @@ class RealCluster:
     # -- teardown --------------------------------------------------------- #
 
     def shutdown(self) -> None:
-        for timer in self._kill_timers:
-            timer.cancel()
         for node_id in list(self._conns):
             conn = self._conns.pop(node_id)
             try:

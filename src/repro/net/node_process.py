@@ -13,6 +13,8 @@ harness commands one at a time:
     request stream its simulated twin draws — same named rng stream, same
     draw order — so the write multiset is identical across backends.
     Returns immediately; the harness polls ``status`` for completion.
+    ``park_at`` lists per-client acknowledged-operation counts at which every
+    client parks (a staged crash is due) until the harness sends ``release``.
 ``status``
     Client progress plus the engine's quiescence counters.
 ``collect``
@@ -35,7 +37,7 @@ import asyncio
 import threading
 import time
 import traceback
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Tuple
 
 from ..sim.rng import RngRegistry
 from ..workloads.scenarios import Scenario, ScenarioRegistry
@@ -61,6 +63,12 @@ class _ClientPool:
         self.lock = threading.Lock()
         self.started_at: float = 0.0
         self.ended_at: float = 0.0
+        #: Staged crashes: the thresholds, how many clients are parked at
+        #: one right now, and how many thresholds the harness has released.
+        self.park_at: Tuple[int, ...] = ()
+        self.parked = 0
+        self.released = 0
+        self.gate = threading.Condition(self.lock)
 
     def note(self, is_write: bool) -> None:
         with self.lock:
@@ -68,6 +76,21 @@ class _ClientPool:
                 self.writes += 1
             else:
                 self.reads += 1
+
+    def park(self, done: int) -> None:
+        """Hold a client at a kill threshold until the harness has killed
+        the victim and released the stage."""
+        stage = self.park_at.index(done)
+        with self.gate:
+            self.parked += 1
+            while self.released <= stage:
+                self.gate.wait()
+            self.parked -= 1
+
+    def release(self) -> None:
+        with self.gate:
+            self.released += 1
+            self.gate.notify_all()
 
     def note_error(self, text: str) -> None:
         with self.lock:
@@ -84,6 +107,7 @@ class _ClientPool:
         with self.lock:
             return {
                 "clients_running": self.running(),
+                "parked": self.parked,
                 "reads": self.reads,
                 "writes": self.writes,
                 "errors": list(self.errors),
@@ -99,13 +123,16 @@ def _client_loop(facade: RealRtsFacade, scenario: Scenario,
         f"workload.client.{proc.node_id}.{proc.client_id}")
     try:
         if spec.arrival_trace:
-            for request, _arrival in traced_request_stream(spec, rng):
+            for done, (request, _arrival) in enumerate(
+                    traced_request_stream(spec, rng), 1):
                 scenario.perform(facade, proc, request)
                 pool.note(request.is_write)
+                if done in pool.park_at:
+                    pool.park(done)
             return
         phases = spec.resolved_phases()
         open_loop = spec.client_model == "open"
-        for request in request_stream(spec, rng):
+        for done, request in enumerate(request_stream(spec, rng), 1):
             phase = phases[request.phase]
             if open_loop:
                 # Draw (and discard) the arrival gap the simulated client
@@ -116,6 +143,8 @@ def _client_loop(facade: RealRtsFacade, scenario: Scenario,
                 time.sleep(min(delay, MAX_THINK_SLEEP))
             scenario.perform(facade, proc, request)
             pool.note(request.is_write)
+            if done in pool.park_at:
+                pool.park(done)
     except Exception:
         pool.note_error(
             f"client {proc.node_id}.{proc.client_id}:\n"
@@ -160,6 +189,7 @@ async def serve(node_id: int, host: str, control_port: int) -> None:
                         runtime, loop,
                         op_timeout=float(command.get("op_timeout", 60.0)))
                     scenario.setup(facade, None)
+                    pool.park_at = tuple(command.get("park_at", ()))
                     pool.started_at = time.monotonic()
                     for client_id in command["clients"]:
                         proc = ClientProc(node_id, int(client_id))
@@ -170,6 +200,8 @@ async def serve(node_id: int, host: str, control_port: int) -> None:
                             name=f"client{client_id}", daemon=True)
                         pool.threads.append(thread)
                         thread.start()
+                elif name == "release":
+                    pool.release()
                 elif name == "status":
                     reply["clients"] = pool.summary()
                     reply["runtime"] = (runtime.status()

@@ -377,7 +377,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         scenario = "primary-churn"
         victims = churn_victims(args.nodes)
         kwargs.update(victims=victims,
-                      kill_after=tuple(0.2 + 0.15 * i
+                      kill_after=tuple(30 + 30 * i
                                        for i in range(len(victims))))
         spec = ScenarioRegistry.get(scenario).default_spec()
         kwargs.update(workload=spec.with_overrides(ops_per_client=120))

@@ -17,11 +17,8 @@ objects under per-object, runtime-switchable **management policies** (see
   watches the object's read/write ratio and migrates it between the fixed
   policies at run time, in the object's broadcast total order.
 
-The classic :class:`~repro.rts.broadcast_rts.BroadcastRts` and
-:class:`~repro.rts.p2p.runtime.PointToPointRts` remain available as
-deprecated fixed-policy configurations of the unified runtime.  Everything
-exposes the same :class:`ObjectHandle`-based interface, so the Orca
-programming layer and the applications are agnostic of policy choices.
+Everything exposes the same :class:`ObjectHandle`-based interface, so the
+Orca programming layer and the applications are agnostic of policy choices.
 """
 
 from .object_model import ObjectSpec, OperationDef, operation

@@ -6,93 +6,23 @@ one runtime.  Every shared object runs under a
 (``create_object(..., policy=...)``) and changeable while the cluster runs:
 
 * **broadcast** objects are replicated on every machine; reads are local and
-  writes ride the totally-ordered broadcast of the object's shard (exactly
-  the classic :class:`BroadcastRts` machinery, including sharding and write
-  batching);
+  writes ride the totally-ordered broadcast of the object's shard, sharded
+  and optionally batched;
 * **primary-copy** objects live on one machine with dynamically replicated
   secondaries; writes go through the primary and propagate by invalidation
-  or two-phase update (exactly the classic :class:`PointToPointRts`
-  machinery);
+  or two-phase update;
 * **adaptive** objects carry an :class:`~repro.rts.policy.AdaptivePolicy`
   controller that watches the object's read/write ratio and migrates it
   between the fixed policies at run time.
 
-Migration protocol
-------------------
-
-A migration must not lose, duplicate, or reorder writes, so the switch point
-is decided by the same total order that already serialises the object's
-broadcast writes.  Every object keeps a **migration epoch**; broadcast write
-payloads are stamped with the epoch they were issued under, and every member
-tracks, per object, the epoch it has *delivered* up to.
-
-* **broadcast → primary**: the initiator flips the object's global policy
-  and directory entry (new writes head for the chosen primary), then
-  broadcasts a ``switch`` message through the object's shard.  Total order
-  guarantees each member delivers the switch after exactly the same set of
-  writes, so the (identical) replicas simply become the primary/secondary
-  copies — no state transfer.  A write broadcast sequenced *after* the
-  switch is dropped identically at every member and re-issued by its origin
-  through the primary.  The primary refuses to apply writes until it has
-  itself delivered the switch (so it has applied every pre-switch write);
-  coherence traffic reaching a member that has not yet delivered the switch
-  is deferred until it does.
-* **primary → broadcast**: the initiator freezes the object at the primary
-  (in-flight two-phase writes drain first; new writes bounce and retry),
-  snapshots its state, flips the global policy, and broadcasts the switch
-  *carrying the snapshot*.  Each member installs the snapshot when it
-  delivers the switch — the totally-ordered state transfer — after which
-  writes flow as ordered broadcasts.
-
-Both directions inherit the broadcast layer's fault tolerance: a switch in
-flight across a sequencer crash is retried, survives the election, and is
-still delivered exactly once in the same total order everywhere.
-
-Sequential consistency is preserved across a switch because (a) the switch
-point is a single position in the object's write order, (b) no write is
-applied on both sides of it (epoch-mismatched broadcasts are dropped and
-re-issued; primary writes wait for the switch to land), and (c) every
-member's replica passes through the switch state before serving post-switch
-operations.
-
-Cross-group rebalancing (drain-and-switch)
-------------------------------------------
-
-A policy switch moves an object between management mechanisms; a **shard
-move** (:meth:`HybridRts.move_shard`) moves it between *total orders* — from
-one broadcast group's sequencer to another's — so a skewed workload can be
-spread off a melting sequencer at run time.  The same epoch machinery
-carries it, with one extra barrier:
-
-* the initiator bumps the object's epoch and rewrites the router's mapping
-  (new writes are stamped with the new epoch and broadcast in the
-  *destination* group), then broadcasts a ``shard-switch`` through the
-  **source** group and a ``shard-arrive`` through the **destination** group;
-* the source switch is the drain point: total order in the source group
-  guarantees every member retires the old route after the same set of
-  writes; stale-epoch writes sequenced behind it are dropped identically
-  everywhere and re-issued by their origin into the destination order (the
-  origin's doomed pending writes are released early, exactly like a policy
-  switch);
-* destination-group writes carrying the *new* epoch can reach a member
-  before that member has delivered the source switch (the two groups share
-  no ordering).  Such writes are **deferred**, per member, and applied — in
-  their destination-order positions — the moment the local source switch
-  lands.  That per-member barrier is what makes the object's global write
-  order a source-order prefix followed by a destination-order suffix at
-  every machine;
-* the initiator awaits local delivery of both broadcasts, so a move is only
-  reported complete once both groups' sequencing paths have carried it; a
-  sequencer crash in either group retries through that group's election,
-  preserving exactly-once delivery of the switch and of every write.
-
-The same drain-and-switch primitive powers live scale-out: `add_shard`
-joins a fresh broadcast group on the running cluster and the rebalancing
-controller (:class:`~repro.rts.sharding.RebalanceParams`) moves hot objects
-onto it.  Primary-copy objects get the analogous lever in
-:meth:`HybridRts.relocate_primary`: the primary seat follows the heaviest
-writer via a frozen snapshot carried in a totally-ordered switch scoped to
-the copy-holding members.
+Changing an object's policy, primary seat or shard while the cluster runs
+(``migrate``, ``relocate_primary``, ``move_shard``, crash takeover) is one
+mechanism — an ordered, epoch-stamped switch record — implemented in
+:mod:`repro.rts.switch`; this module decides *what* switches (who becomes
+primary, which shard, when the controllers act) and keeps the invocation
+paths, the exactly-once bookkeeping, rejoin/drain/scale-in and reporting.
+The same switch powers live scale-out: ``add_shard`` joins a fresh broadcast
+group and the rebalancing controller moves hot objects onto it.
 """
 
 from __future__ import annotations
@@ -128,16 +58,25 @@ from .sharding import (
     rebalance_params,
 )
 from .stats import AccessStats
+from .switch import (
+    CURRENT,
+    FUTURE,
+    KIND_SWITCH,
+    LEG_ARRIVE,
+    LEG_DRAIN,
+    MIGRATED,
+    PORT_MIGRATE,
+    STALE,
+    SwitchEngine,
+    SwitchRecord,
+    _PendingWrite,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..amoeba.broadcast.group import BroadcastGroup
     from ..amoeba.cluster import Cluster
     from ..amoeba.node import Node
     from ..sim.process import SimProcess
-
-#: Sentinel returned by a mechanism path when the object's policy changed
-#: under the invocation; the unified dispatch loop re-routes the operation.
-MIGRATED = object()
 
 #: Point-to-point protocol message kinds (unchanged from the classic p2p RTS).
 KIND_ACK = "p2p.ack"
@@ -152,30 +91,12 @@ KIND_SEED_REQ = "rts.seed_req"
 PORT_READ = "orca.obj.read"
 PORT_WRITE = "orca.obj.write"
 PORT_FETCH = "orca.obj.fetch"
-#: Freeze-and-snapshot service used by primary -> broadcast migrations.
-PORT_MIGRATE = "orca.obj.migrate"
 
 #: On-wire retry markers carried in RPC replies (strings, like the classic
 #: ``"__retry__"``, so they survive the payload plumbing untouched).
 MARKER_RETRY = "__retry__"
 MARKER_MIGRATED = "__migrated__"
 MARKER_MIGRATING = "__migrating__"
-
-
-@dataclass
-class _PendingWrite:
-    """An invocation waiting for its own broadcast to come back.
-
-    Ordinary writes also record which object/epoch they were issued under so
-    a policy switch can release them early (see ``_apply_switch``).
-    """
-
-    proc: "SimProcess"
-    result: Any = None
-    resolved: bool = False
-    obj_id: Optional[int] = None
-    origin: Optional[int] = None
-    epoch: int = 0
 
 
 @dataclass
@@ -486,6 +407,8 @@ class HybridRts(RuntimeSystem):
         self._batchers: Dict[Tuple[int, int], _WriteBatcher] = {}
         #: (node_id, shard) -> that member's end of the shard's order.
         self._shard_members: Dict[Tuple[int, int], _ShardMember] = {}
+        #: Every switch's state: epochs, object lifecycles, member cursors.
+        self.switch = SwitchEngine(self)
         #: Payload kind -> what a member does on delivering it.  The
         #: transaction layer's kinds join when the layer is built.
         self._deliver_kinds: Dict[str, Callable[..., None]] = {
@@ -493,10 +416,7 @@ class HybridRts(RuntimeSystem):
             "batch": self._deliver_batch,
             "create": self._deliver_create,
             "rejoin": self._apply_rejoin,
-            "switch": self._apply_switch,
-            "takeover": self._apply_takeover,
-            "shard-switch": self._apply_shard_switch,
-            "shard-arrive": self._apply_shard_arrive,
+            KIND_SWITCH: self.switch.apply,
         }
         #: (obj_id, op_name) -> (operation, CPU charged for applying it):
         #: resolved on an object's first delivered write.
@@ -515,6 +435,12 @@ class HybridRts(RuntimeSystem):
         }
         #: Default protocol instance (what ``"primary"`` resolves to).
         self.protocol = self.protocols[protocol]
+        #: Coherence message kind -> its secondary-side handler.
+        self._coherence = {
+            KIND_INVALIDATE: self.protocols["invalidation"].handle_invalidate,
+            KIND_UPDATE: self.protocols["update"].handle_update,
+            KIND_UNLOCK: self.protocols["update"].handle_unlock,
+        }
         self._txn_ids = itertools.count(1)
         self._transactions: Dict[int, _Transaction] = {}
         #: txn_id -> node that must receive the acknowledgements.
@@ -531,42 +457,9 @@ class HybridRts(RuntimeSystem):
         self._created_on: Dict[int, int] = {}
 
         # -- migration state -------------------------------------------- #
-        #: obj_id -> number of switches (policy or shard) broadcast for it.
-        self._epoch_by_obj: Dict[int, int] = {}
-        #: (node_id, obj_id) -> epoch that node has delivered up to.
-        self._node_epoch: Dict[Tuple[int, int], int] = {}
-        #: (node_id, obj_id) -> destination-group writes that outran the
-        #: member's delivery of the source-group shard switch; applied, in
-        #: destination order, the moment the local switch lands (the
-        #: cross-group barrier of a shard move).
-        self._future_writes: Dict[Tuple[int, int],
-                                  List[Tuple[Any, ...]]] = {}
-        #: (node_id, obj_id) -> highest shard-arrive epoch delivered there;
-        #: a move is settled only when *both* of its broadcasts landed
-        #: everywhere.
-        self._dest_epoch: Dict[Tuple[int, int], int] = {}
-        #: obj_id -> shard-arrive epoch the latest move requires.
-        self._dest_epoch_required: Dict[int, int] = {}
-        #: (node_id, obj_id) -> processes waiting for that node to deliver
-        #: the current switch (the primary gating its first post-switch write).
-        self._switch_waiters: Dict[Tuple[int, int], List["SimProcess"]] = {}
-        #: Coherence messages that raced ahead of a switch at some member.
-        self._deferred: Dict[Tuple[int, int], List[Tuple[str, Dict[str, Any]]]] = {}
-        #: (node_id, obj_id) -> armed lag-probe timer (see _arm_lag_probe).
-        self._lag_probes: Dict[Tuple[int, int], int] = {}
-        #: Objects frozen at their primary for a state transfer.
-        self._frozen: Set[int] = set()
         #: (primary, obj_id) -> count of primary-write commits in flight
-        #: there; a freeze drains this to zero before snapshotting (two
-        #: overlapping two-phase rounds share one replica lock bit, so the
-        #: lock alone cannot prove quiescence).
+        #: there (what a freeze drains to zero before it snapshots).
         self._inflight_writes: Dict[Tuple[int, int], int] = {}
-        #: Objects with a switch still being delivered somewhere.
-        self._migrating: Set[int] = set()
-        #: Objects inside a migrate() call that has not yet broadcast its
-        #: switch (the freeze/snapshot phase can suspend, during which the
-        #: epoch is still old and ``_migrating`` alone cannot protect).
-        self._migrate_in_progress: Set[int] = set()
         #: Objects whose adaptive migration thread is spawned but not done.
         self._migration_pending: Set[int] = set()
         self.migrations: List[MigrationRecord] = []
@@ -692,12 +585,9 @@ class HybridRts(RuntimeSystem):
         for node in self.cluster.nodes:
             nid = node.node_id
             node.on_crash(lambda n=nid: self._on_node_crash(n))
-            node.register_handler(KIND_INVALIDATE,
-                                  lambda m, n=nid: self._on_invalidate(n, m.payload))
-            node.register_handler(KIND_UPDATE,
-                                  lambda m, n=nid: self._on_update(n, m.payload))
-            node.register_handler(KIND_UNLOCK,
-                                  lambda m, n=nid: self._on_unlock(n, m.payload))
+            for kind in self._coherence:
+                node.register_handler(
+                    kind, lambda m, n=nid, k=kind: self._on_coherence(n, k, m.payload))
             node.register_handler(KIND_ACK,
                                   lambda m, n=nid: self._on_ack(n, m.payload))
             node.register_handler(KIND_DROP,
@@ -711,9 +601,10 @@ class HybridRts(RuntimeSystem):
             rpc.register_service(PORT_FETCH,
                                  lambda req, n=nid: self._serve_fetch(n, req),
                                  may_block=True)
-            rpc.register_service(PORT_MIGRATE,
-                                 lambda req, n=nid: self._serve_migrate(n, req),
-                                 may_block=True)
+            rpc.register_service(
+                PORT_MIGRATE, lambda req, n=nid: self.switch.freeze_and_snapshot(
+                    self.sim.current_process, n, req.payload["obj_id"]),
+                may_block=True)
         self._wire_recovery()
 
     def _wire_recovery(self) -> None:
@@ -725,6 +616,7 @@ class HybridRts(RuntimeSystem):
             nid = node.node_id
             node.on_recover(lambda n=nid: self._on_node_recover(n))
             node.on_crash(lambda n=nid: self._abort_rejoin(n))
+            node.on_crash(lambda n=nid: self.switch.node_crashed(n))
             node.register_handler(
                 KIND_SEED, lambda m, n=nid: self._on_seed(n, m.payload))
             node.register_handler(
@@ -944,7 +836,7 @@ class HybridRts(RuntimeSystem):
         obj_id = handle.obj_id
         if obj_id in self._migration_pending:
             return
-        if obj_id in self._migrating and not self._migration_settled(obj_id):
+        if self.switch.in_flight(obj_id):
             return
         node = self._node_of(proc)
         target = controller.desired(window, self._policy_by_obj[obj_id])
@@ -1054,7 +946,7 @@ class HybridRts(RuntimeSystem):
             # write is always broadcast in the group that matches its stamp;
             # a shard move between loop iterations simply re-routes the
             # retry to the destination order.
-            epoch = self._epoch_by_obj.get(obj_id, 0)
+            epoch = self.switch.objects[obj_id].epoch
             shard = self.shard_of(handle)
             group = self.router.group_for(shard)
             if self._mechanism_of(obj_id) != MECHANISM_BROADCAST:
@@ -1143,29 +1035,24 @@ class HybridRts(RuntimeSystem):
             # before any epoch check, because the lock's release position
             # in the order is what decides the write's fate everywhere.
             return
-        delivered_up_to = self._node_epoch.get((node_id, obj_id), 0)
-        if epoch > delivered_up_to:
-            # A post-switch write outran this member's delivery of the
-            # switch itself — possible only across *groups* (a shard move's
-            # destination order is not synchronised with its source order)
-            # or when a new-epoch write is sequenced just ahead of its own
-            # switch message.  Defer it: it applies, in its own group's
-            # order, the moment the local switch lands.  Every member makes
-            # the same decision at the same position of the same group
-            # order, so the object's global write order stays identical
-            # everywhere.
-            self._future_writes.setdefault((node_id, obj_id), []).append(
-                (op_name, args, kwargs, invocation_id, epoch, origin, seqno))
-            # Same out-of-band evidence as a deferred coherence message: if
-            # the switch this write outran was lost here and its group went
-            # quiet, only an explicit probe will recover it.
-            self._arm_lag_probe(node_id, obj_id)
-            return
-        if epoch < delivered_up_to:
-            # The write was sequenced after a switch it predates.  Every
-            # member drops it at the same point in the total order; the
-            # origin re-issues it under the object's new policy or route.
-            if origin == node_id:
+        cursor = self.switch.cursors[node_id].get(obj_id)
+        if epoch != (cursor.delivered if cursor is not None else 0):
+            if self.switch.classify(node_id, obj_id, epoch) == FUTURE:
+                # A post-switch write outran this member's delivery of the
+                # switch itself — possible only across *groups* (a shard
+                # move's destination order is not synchronised with its
+                # source order) or when a new-epoch write is sequenced just
+                # ahead of its own switch.  It applies, in its own group's
+                # order, the moment the local switch lands; every member
+                # decides alike at the same position of that order, so the
+                # object's global write order stays identical everywhere.
+                self.switch.cursors[node_id][obj_id].future_writes.append(
+                    (op_name, args, kwargs, invocation_id, epoch, origin, seqno))
+                self.switch.arm_lag_probe(node_id, obj_id)
+            elif origin == node_id:
+                # The write was sequenced after a switch it predates.  Every
+                # member drops it at the same point in the total order; the
+                # origin re-issues it under the object's new policy or route.
                 self._resolve(invocation_id, MIGRATED)
             return
         resolved = self._write_ops.get((obj_id, op_name))
@@ -1195,31 +1082,11 @@ class HybridRts(RuntimeSystem):
         if origin == node_id:
             self._resolve(invocation_id, result)
 
-    def _flush_future_writes(self, node_id: int, obj_id: int) -> None:
-        """Apply deferred destination-order writes after a switch landed."""
-        entries = self._future_writes.pop((node_id, obj_id), [])
-        if not entries:
-            return
-        manager = self.managers[node_id]
-        node = self.cluster.node(node_id)
-        requeue: List[Tuple[Any, ...]] = []
-        current = self._node_epoch.get((node_id, obj_id), 0)
-        for entry in entries:
-            op_name, args, kwargs, invocation_id, epoch, origin, seqno = entry
-            if epoch > current:
-                requeue.append(entry)
-                continue
-            self._apply_one(node_id, manager, node, obj_id, op_name, args,
-                            kwargs, invocation_id, epoch, origin, seqno)
-        if requeue:
-            self._future_writes[(node_id, obj_id)] = requeue
-
     def _resolve(self, invocation_id: int, result: Any) -> None:
         pending = self._pending.get(invocation_id)
         if pending is None or pending.resolved:
             return
         pending.resolved = True
-        pending.result = result
         pending.proc.wake(result)
 
     # -- blocking helpers ------------------------------------------------ #
@@ -1337,10 +1204,10 @@ class HybridRts(RuntimeSystem):
             if primary == nid:
                 # The primary must have applied every pre-switch write (i.e.
                 # delivered the switch) before it can serialise new ones.
-                self._await_switch(proc, nid, obj_id)
+                self.switch.await_delivered(proc, nid, obj_id)
                 if self._mechanism_of(obj_id) != MECHANISM_PRIMARY:
                     return self._migrated_result(obj_id, wid)
-                if obj_id in self._frozen:
+                if self.switch.objects[obj_id].frozen:
                     proc.hold(self.cost_model.cpu.protocol_cost * 4)
                     continue
                 if self.directory.primary_of(obj_id) != nid:
@@ -1450,10 +1317,10 @@ class HybridRts(RuntimeSystem):
             raise RtsError("write handler must run in a blocking-capable context")
         if self._mechanism_of(obj_id) != MECHANISM_PRIMARY:
             return MARKER_MIGRATED
-        self._await_switch(proc, nid, obj_id)
+        self.switch.await_delivered(proc, nid, obj_id)
         if self._mechanism_of(obj_id) != MECHANISM_PRIMARY:
             return MARKER_MIGRATED
-        if obj_id in self._frozen:
+        if self.switch.objects[obj_id].frozen:
             return MARKER_MIGRATING
         if self.directory.primary_of(obj_id) != nid:
             # Stale primary: the object migrated here and away again.
@@ -1518,7 +1385,7 @@ class HybridRts(RuntimeSystem):
         if self._mechanism_of(obj_id) != MECHANISM_PRIMARY:
             return MARKER_MIGRATED
         if proc is not None:
-            self._await_switch(proc, nid, obj_id)
+            self.switch.await_delivered(proc, nid, obj_id)
         if self._mechanism_of(obj_id) != MECHANISM_PRIMARY:
             return MARKER_MIGRATED
         manager = self.managers[nid]
@@ -1622,7 +1489,7 @@ class HybridRts(RuntimeSystem):
             # so a message that was in flight when a takeover (or switch)
             # superseded its regime is dropped identically at every member.
             payload.setdefault(
-                "epoch", self._epoch_by_obj.get(payload["obj_id"], 0))
+                "epoch", self.switch.objects[payload["obj_id"]].epoch)
         node = self.cluster.node(src)
         msg = node.make_message(dst, kind, payload=payload, size=size)
         node.send(msg)
@@ -1631,133 +1498,20 @@ class HybridRts(RuntimeSystem):
 
     # -- incoming protocol messages --------------------------------------- #
 
-    def _defer_if_lagging(self, nid: int, kind: str,
-                          payload: Dict[str, Any]) -> bool:
-        """Queue a coherence message that raced ahead of a policy switch.
-
-        A member that has not yet delivered the switch establishing the
-        current primary regime must not apply (or discard state for)
-        coherence traffic from that regime: the totally-ordered writes the
-        switch is sequenced after may still be undelivered locally.
-        """
-        obj_id = payload["obj_id"]
-        key = (nid, obj_id)
-        if self._node_epoch.get(key, 0) >= self._epoch_by_obj.get(obj_id, 0):
-            return False
-        self._deferred.setdefault(key, []).append((kind, payload))
-        # The deferred message is out-of-band evidence this member missed
-        # sequenced traffic; if the group has gone quiet (every later write
-        # moved off the broadcast path), nothing in-band will ever reveal
-        # the gap — so probe for it.
-        self._arm_lag_probe(nid, obj_id)
-        return True
-
-    #: Bounded re-probe budget for a member lagging behind a switch it may
-    #: have lost to packet loss (see _arm_lag_probe).
-    LAG_PROBE_LIMIT = 12
-
-    def _arm_lag_probe(self, node_id: int, obj_id: int,
-                       attempt: int = 0) -> None:
-        """Schedule a recovery probe for a member lagging the object's epoch.
-
-        A member can lag legitimately (the switch is still being sequenced
-        or in flight), but it can also have *lost* the switch to packet
-        loss at a moment when all later traffic left the broadcast path —
-        e.g. the migration that very switch performed moved the object's
-        writes onto the primary-copy RPC path, so no further broadcast
-        will ever reveal the gap and the deferred coherence message would
-        wedge its sender forever.  The probe fires after the group's retry
-        timeout, asks the member's groups for the first unseen seqno
-        (answered from any member's retained history — the sequencer may
-        be dead), and re-arms itself a bounded number of times while the
-        member still lags.
-        """
-        key = (node_id, obj_id)
-        if key in self._lag_probes:
-            return
-        node = self.cluster.node(node_id)
-        if not node.alive or self.router is None:
-            return
-        delay = self.router.group_for(0).retry_timeout
-        self._lag_probes[key] = node.kernel.set_timer(
-            delay, self._fire_lag_probe, node_id, obj_id, attempt)
-
-    def _fire_lag_probe(self, node_id: int, obj_id: int,
-                        attempt: int) -> None:
-        key = (node_id, obj_id)
-        self._lag_probes.pop(key, None)
-        if (self._node_epoch.get(key, 0)
-                >= self._epoch_by_obj.get(obj_id, 0)):
-            return  # caught up; the deferred messages already flushed
-        if attempt >= self.LAG_PROBE_LIMIT:
-            return  # give up: behave as before the probe existed
-        # The switch may ride any of the groups (shard moves relocate an
-        # object's order at run time), so probe them all; a probe for a
-        # seqno that does not exist is simply never answered.
-        for group in self.router.groups:
-            group.member(node_id).probe_gap()
-        self._arm_lag_probe(node_id, obj_id, attempt + 1)
-
-    def _stale_regime(self, nid: int, payload: Dict[str, Any]) -> bool:
-        """Was this coherence message issued under a superseded regime?
-
-        A member that already delivered a later switch (a policy change, a
-        seat relocation, or a crash takeover) must not apply coherence
-        traffic from before it: the switch snapshot is the agreed state, and
-        an in-flight update from the dead regime would diverge it.  Every
-        member makes the same epoch comparison, so the drop is identical
-        everywhere; senders still waiting on an acknowledgement are acked.
-        """
-        return (payload.get("epoch", 0)
-                < self._node_epoch.get((nid, payload["obj_id"]), 0))
-
     def _drop_stale(self, nid: int, payload: Dict[str, Any]) -> None:
         if "txn_id" in payload:
             # Acknowledge so a (possibly still live) old primary waiting on
             # the fan-out is not left hanging.
             self.send_ack(nid, payload["txn_id"])
 
-    def _flush_deferred(self, node_id: int, obj_id: int) -> None:
-        handlers = {
-            "invalidate": self._on_invalidate,
-            "update": self._on_update,
-            "unlock": self._on_unlock,
-        }
-        for kind, payload in self._deferred.pop((node_id, obj_id), []):
-            if self._stale_regime(node_id, payload):
-                # The switch that released this message also superseded the
-                # regime that sent it (e.g. a takeover landed on top of the
-                # crash that raced this update): drop, do not apply.
-                self._drop_stale(node_id, payload)
-            elif self._mechanism_of(obj_id) == MECHANISM_PRIMARY:
-                handlers[kind](node_id, payload)
-            elif "txn_id" in payload:
-                # The regime that sent this message is gone; acknowledge so
-                # its primary (if still waiting) is not left hanging.
-                self.send_ack(node_id, payload["txn_id"])
-
-    def _on_invalidate(self, nid: int, payload: Dict[str, Any]) -> None:
-        if self._stale_regime(nid, payload):
+    def _on_coherence(self, nid: int, kind: str, payload: Dict[str, Any]) -> None:
+        """A coherence message reached a copy holder: by its epoch against
+        the member's switch cursor it is applied, parked or dropped."""
+        verdict = self.switch.screen(nid, kind, payload)
+        if verdict == CURRENT:
+            self._coherence[kind](nid, payload)
+        elif verdict == STALE and kind != KIND_UNLOCK:
             self._drop_stale(nid, payload)
-            return
-        if self._defer_if_lagging(nid, "invalidate", payload):
-            return
-        self.protocols["invalidation"].handle_invalidate(nid, payload)
-
-    def _on_update(self, nid: int, payload: Dict[str, Any]) -> None:
-        if self._stale_regime(nid, payload):
-            self._drop_stale(nid, payload)
-            return
-        if self._defer_if_lagging(nid, "update", payload):
-            return
-        self.protocols["update"].handle_update(nid, payload)
-
-    def _on_unlock(self, nid: int, payload: Dict[str, Any]) -> None:
-        if self._stale_regime(nid, payload):
-            return
-        if self._defer_if_lagging(nid, "unlock", payload):
-            return
-        self.protocols["update"].handle_unlock(nid, payload)
 
     def _on_ack(self, nid: int, payload: Dict[str, Any]) -> None:
         txn = self._transactions.get(payload["txn_id"])
@@ -1802,13 +1556,6 @@ class HybridRts(RuntimeSystem):
             if (FIXED_POLICIES[policy].mechanism == MECHANISM_PRIMARY
                     and obj_id in dead_manager.replicas):
                 dead_manager.discard(obj_id)
-        # Disarm the dead member's lag probes: their timers are suppressed
-        # by the kernel (dead node), and a stale entry would block
-        # re-arming if the node later recovers and lags again.
-        for key, timer in list(self._lag_probes.items()):
-            if key[0] == crashed:
-                self.cluster.node(crashed).kernel.cancel_timer(timer)
-                self._lag_probes.pop(key, None)
         self._schedule_recoveries()
         if self._txn_layer is not None:
             # After the runtime's own recovery: orphaned transactions (the
@@ -1822,13 +1569,6 @@ class HybridRts(RuntimeSystem):
         # directly), so this is a tolerant no-op if so.
         self.directory.entry(payload["obj_id"]).copyset.discard(payload["node"])
 
-    def protocol_for_secondary(self, name: str):
-        """Return the protocol object implementing secondary-side handling."""
-        try:
-            return self.protocols[name]
-        except KeyError:
-            raise RtsError(f"unknown coherence protocol {name!r}") from None
-
     # ------------------------------------------------------------------ #
     # Live migration between policies
     # ------------------------------------------------------------------ #
@@ -1839,15 +1579,12 @@ class HybridRts(RuntimeSystem):
 
         ``primary`` pins the primary copy onto a specific (live,
         copy-holding) node when migrating to primary-copy management; by
-        default the node with the most observed writes is chosen.  Note that
-        primary-copy management has no primary-failure recovery (as in the
-        paper), so callers racing node crashes should place the primary on a
-        node expected to survive.
+        default the node with the most observed writes is chosen (should
+        that machine crash later, a surviving copy takes the seat over).
 
         Returns ``True`` when a migration was performed, ``False`` when the
-        object already runs under the requested policy or another migration
-        of it is still being delivered.  Sequential consistency holds across
-        the switch (see the module docstring for the argument).
+        object already runs under the requested policy or the switch was
+        refused or aborted (see :meth:`SwitchEngine.admit`).
         """
         target = management_policy(policy, default=self.default_policy)
         if isinstance(target, AdaptivePolicy):
@@ -1855,32 +1592,14 @@ class HybridRts(RuntimeSystem):
                 "migrate() takes a fixed policy; attach adaptive control at "
                 "create_object(policy='adaptive') time")
         obj_id = handle.obj_id
-        current = self._policy_by_obj[obj_id]
-        if target.name == current:
+        if target.name == self._policy_by_obj[obj_id]:
             return False
-        # Two guards: one for a migrate() call still in its (possibly
-        # blocking) pre-switch phase, one for a broadcast switch still being
-        # delivered at some member.
-        if obj_id in self._migrate_in_progress:
-            return False
-        if obj_id in self._migrating and not self._migration_settled(obj_id):
-            return False
-        if self._catching_up:
-            # A recovered member's rejoin seed is being computed against
-            # the current policies and epochs; switching under it could
-            # strand the member on the wrong side of the switch.  Abort
-            # cleanly — callers retry once the catch-up completes.
-            return False
-        if self._txn_layer is not None and self._txn_layer.pins(obj_id):
-            # A live transaction names the object as a participant; its
-            # prepares and seat locks assume a stable mechanism.  Abort
-            # cleanly — callers retry once the transaction completes.
-            return False
-        self._migrating.discard(obj_id)
-        current_mechanism = self._mechanism_of(obj_id)
-        self._migrate_in_progress.add(obj_id)
-        try:
-            if target.mechanism == current_mechanism == MECHANISM_PRIMARY:
+        node = self._node_of(proc)
+        with self.switch.admit(obj_id, node.node_id,
+                               pause_for_catch_up=True) as admitted:
+            if not admitted:
+                return False
+            if target.mechanism == self._mechanism_of(obj_id) == MECHANISM_PRIMARY:
                 # Same mechanism, different coherence protocol: pure
                 # bookkeeping, no broadcast needed (so this works on
                 # point-to-point-only networks too).  Secondary-side
@@ -1890,70 +1609,62 @@ class HybridRts(RuntimeSystem):
                 self.stats.migrations += 1
                 self.migrations.append(MigrationRecord(
                     obj_id=obj_id, name=handle.name, target=target.name,
-                    epoch=self._epoch_by_obj.get(obj_id, 0),
+                    epoch=self.switch.epoch_of(obj_id),
                     primary_node=self.directory.primary_of(obj_id)))
                 return True
             # Mechanism changes ride the object's shard broadcast and may
             # land it under primary-copy management: both wirings needed.
             self._ensure_router()
             self._ensure_primary_services()
-            self._migrating.add(obj_id)
             if target.mechanism == MECHANISM_PRIMARY:
-                self._migrate_to_primary(proc, handle, target.name,
-                                         primary_override=primary)
-            elif not self._migrate_to_broadcast(proc, handle):
-                self._migrating.discard(obj_id)
+                self._migrate_to_primary(proc, node, handle, target.name,
+                                         primary)
+                return True
+            # primary -> broadcast: freeze, snapshot, switch carrying the
+            # state (each member installs it on delivery — the totally-ordered
+            # state transfer).  From the new epoch on, writes route through
+            # the broadcast.
+            snapshot = self.switch.snapshot_from_primary(proc, node, obj_id)
+            if snapshot is None:
                 return False
+            epoch = self.switch.advance(obj_id)
+            self._policy_by_obj[obj_id] = "broadcast"
+            self.stats.migrations += 1
+            self.stats.migrations_to_broadcast += 1
+            self.migrations.append(MigrationRecord(
+                obj_id=obj_id, name=handle.name, target="broadcast",
+                epoch=epoch, primary_node=None))
+            self.switch.broadcast(
+                proc, node,
+                SwitchRecord(obj_id, epoch, "broadcast", -1, snapshot + (None,)),
+                size=32 + estimate_size(snapshot[0]))
             return True
-        except RpcPeerDeadError:
-            # The primary died while this migration was freezing it: abort
-            # cleanly and let the crash takeover recover the object under
-            # its current policy.
-            self._migrating.discard(obj_id)
-            return False
-        finally:
-            self._migrate_in_progress.discard(obj_id)
 
-    def _migration_settled(self, obj_id: int) -> bool:
-        """Has every live member delivered the object's latest switch?
+    def _most_writes(self, obj_id: int,
+                     candidates: List[int]) -> Tuple[Optional[int], int]:
+        """Of ``candidates``, the node with the most observed writes to
+        ``obj_id`` (ties: the lowest id), and that count."""
+        def writes(nid: int) -> int:
+            return self.replication.decider.stats_for(obj_id, nid).total_writes
 
-        A shard move broadcasts in two groups; it settles only when the
-        source drain *and* the destination arrival landed at every live
-        member, so back-to-back moves never leave two epochs in flight.
-        """
-        epoch = self._epoch_by_obj.get(obj_id, 0)
-        dest_epoch = self._dest_epoch_required.get(obj_id, 0)
-        settled = all(
-            self._node_epoch.get((node.node_id, obj_id), 0) >= epoch
-            and self._dest_epoch.get((node.node_id, obj_id), 0) >= dest_epoch
-            for node in self.cluster.nodes if node.alive)
-        if settled:
-            self._migrating.discard(obj_id)
-        return settled
+        best = max(candidates, key=lambda nid: (writes(nid), -nid), default=None)
+        return best, (writes(best) if best is not None else 0)
 
     def _choose_primary(self, obj_id: int, copyset: List[int]) -> int:
-        """The copy-holding live node with the most observed writes."""
-        decider = self.replication.decider
+        """The copy-holding live node with the most observed writes (while
+        nobody has written: the creator, if it holds a copy)."""
+        best, writes = self._most_writes(obj_id, copyset)
+        creator = self._created_on.get(obj_id)
+        return creator if not writes and creator in copyset else best
 
-        def writes_on(nid: int) -> int:
-            return decider.stats_for(obj_id, nid).total_writes
-
-        best = max(copyset, key=lambda nid: (writes_on(nid), -nid))
-        if writes_on(best) == 0:
-            creator = self._created_on.get(obj_id)
-            if creator in copyset:
-                return creator
-        return best
-
-    def _migrate_to_primary(self, proc: "SimProcess", handle: ObjectHandle,
-                            target: str,
-                            primary_override: Optional[int] = None) -> None:
-        """broadcast -> primary: flip routing, then switch in total order."""
+    def _migrate_to_primary(self, proc: "SimProcess", node: "Node",
+                            handle: ObjectHandle, target: str,
+                            primary_override: Optional[int]) -> None:
+        """broadcast -> primary: flip routing, then switch in total order
+        (the identical replicas simply become the primary and secondary
+        copies — no state transfer)."""
         obj_id = handle.obj_id
-        node = self._node_of(proc)
-        copyset = sorted(
-            n.node_id for n in self.cluster.nodes
-            if n.alive and self.managers[n.node_id].has_valid_copy(obj_id))
+        copyset = self._live_holders(obj_id)
         if not copyset:
             raise RtsError(f"no live replica of object {obj_id} to migrate")
         if primary_override is not None:
@@ -1964,237 +1675,19 @@ class HybridRts(RuntimeSystem):
             primary = primary_override
         else:
             primary = self._choose_primary(obj_id, copyset)
-        epoch = self._epoch_by_obj.get(obj_id, 0) + 1
         # Flip the global routing first: new writes head for the primary,
         # where they wait until it has delivered the switch below.
-        self._epoch_by_obj[obj_id] = epoch
+        epoch = self.switch.advance(obj_id)
         self._policy_by_obj[obj_id] = target
-        self._register_primary(obj_id, primary, copyset)
+        self.directory.seat(obj_id, primary, copyset)
         self.stats.migrations += 1
         self.stats.migrations_to_primary += 1
         self.migrations.append(MigrationRecord(
             obj_id=obj_id, name=handle.name, target=target, epoch=epoch,
             primary_node=primary))
         self._commit_record(obj_id, primary)
-        self._broadcast_switch(proc, node, handle,
-                               ("switch", obj_id, target, primary, None, 0,
-                                epoch, None, None))
-
-    def _migrate_to_broadcast(self, proc: "SimProcess",
-                              handle: ObjectHandle) -> bool:
-        """primary -> broadcast: freeze, snapshot, switch carrying the state."""
-        obj_id = handle.obj_id
-        node = self._node_of(proc)
-        primary = self.directory.primary_of(obj_id)
-        epoch_before = self._epoch_by_obj.get(obj_id, 0)
-        if node.node_id == primary:
-            state, version = self._freeze_and_snapshot(proc, primary, obj_id)
-        else:
-            state, version = self.cluster.rpc_for(node.node_id).call(
-                proc, primary, PORT_MIGRATE, payload={"obj_id": obj_id},
-                size=24)
-        if self._epoch_by_obj.get(obj_id, 0) != epoch_before:
-            # The primary died right after serving the freeze and a crash
-            # takeover already switched the object to a successor, which
-            # may have accepted writes this snapshot predates: broadcasting
-            # it would erase them (its younger epoch wins at every member).
-            # Abort; the object stays under the recovered regime.
-            self._frozen.discard(obj_id)
-            return False
-        epoch = epoch_before + 1
-        self._epoch_by_obj[obj_id] = epoch
-        self._policy_by_obj[obj_id] = "broadcast"
-        # New writes now route through the broadcast; ones sequenced before
-        # the switch below are dropped by the epoch check and re-issued.
-        self._frozen.discard(obj_id)
-        self.stats.migrations += 1
-        self.stats.migrations_to_broadcast += 1
-        self.migrations.append(MigrationRecord(
-            obj_id=obj_id, name=handle.name, target="broadcast", epoch=epoch,
-            primary_node=None))
-        self._broadcast_switch(proc, node, handle,
-                               ("switch", obj_id, "broadcast", -1, state,
-                                version, epoch, None, None),
-                               size=32 + estimate_size(state))
-        return True
-
-    def _freeze_and_snapshot(self, proc: "SimProcess", primary: int,
-                             obj_id: int) -> Tuple[Any, int]:
-        """Freeze the primary, drain in-flight writes, snapshot state.
-
-        The freeze comes first so writes arriving during the drain bounce
-        (``MARKER_MIGRATING``) instead of starting new coherence rounds.
-        The drain must wait on the in-flight commit *count*, not just the
-        replica lock: concurrent two-phase rounds share one lock bit, so
-        the first round's unlock can expose an unlocked replica while a
-        second round is still awaiting acks — snapshotting there would
-        miss a write the client is told committed.
-        """
-        self._await_switch(proc, primary, obj_id)
-        self._frozen.add(obj_id)
-        replica = self.managers[primary].get(obj_id)
-        while replica.locked or self._inflight_writes.get((primary, obj_id)):
-            if replica.locked:
-                replica.on_next_change(lambda p=proc: p.wake())
-                proc.suspend()
-            else:
-                proc.hold(self.cost_model.cpu.protocol_cost)
-        return replica.instance.marshal_state(), replica.version
-
-    def _serve_migrate(self, nid: int, request: RpcRequest) -> RpcReply:
-        proc = self.sim.current_process
-        if proc is None:
-            raise RtsError("migration freeze must run in a blocking context")
-        obj_id = request.payload["obj_id"]
-        state, version = self._freeze_and_snapshot(proc, nid, obj_id)
-        size = self.managers[nid].get(obj_id).instance.state_size() + 16
-        return RpcReply(payload=(state, version), size=size)
-
-    def _register_primary(self, obj_id: int, primary: int,
-                          copyset: List[int]) -> None:
-        try:
-            entry = self.directory.entry(obj_id)
-        except RtsError:
-            entry = self.directory.register(obj_id, primary)
-        entry.primary_node = primary
-        entry.copyset = set(copyset) | {primary}
-
-    def _broadcast_switch(self, proc: "SimProcess", node: "Node",
-                          handle: ObjectHandle, payload: Tuple[Any, ...],
-                          size: int = 64, shard: Optional[int] = None) -> None:
-        """Send the switch through the object's shard and await local delivery.
-
-        ``shard`` overrides the route for cross-group moves, whose drain
-        switch must ride the *source* group after the router already points
-        at the destination.
-        """
-        if shard is None:
-            shard = self.shard_of(handle)
-        self.router.shard_stats[shard].note_migration()
-        invocation_id = next(self._invocation_ids)
-        self._pending[invocation_id] = _PendingWrite(proc=proc)
-        proc.advance(self.cost_model.cpu.operation_dispatch_cost)
-        proc.absorb_overhead(node.drain_overhead())
-        proc.flush()
-        self.router.group_for(shard).member(node.node_id).broadcast(
-            payload + (invocation_id,), size=size)
-        proc.suspend()
-        self._pending.pop(invocation_id, None)
-        proc.absorb_overhead(node.drain_overhead())
-
-    def _apply_switch(self, member: _ShardMember,
-                      record: DeliveredMessage) -> None:
-        """One member's totally-ordered switch point for one object.
-
-        ``scope`` narrows a snapshot-carrying switch to the listed members
-        (primary relocation refreshes only the copy-holding machines); a
-        ``None`` scope is the classic primary -> broadcast transfer that
-        installs a replica everywhere.
-        """
-        node_id, origin = member.node_id, record.origin
-        (_, obj_id, target, primary_node, state, version, epoch, scope,
-         table, invocation_id) = record.payload
-        key = (node_id, obj_id)
-        if self._superseded_switch(node_id, obj_id, epoch, origin,
-                                   invocation_id):
-            return
-        self._node_epoch[key] = epoch
-        self.cluster.node(node_id).charge_overhead(
-            self.cost_model.cpu.operation_dispatch_cost)
-        if state is not None and (scope is None or node_id in scope):
-            self._install_member_copy(node_id, obj_id, primary_node, state,
-                                      version, table)
-        elif state is None:
-            # broadcast -> primary: the (identical) replicas become the
-            # primary and secondary copies; no state moves, and the fresh
-            # primary regime starts with an empty applied-write table.
-            replica = self.managers[node_id].replicas.get(obj_id)
-            if replica is not None:
-                replica.is_primary = node_id == primary_node
-            self._applied[key] = {}
-        if target == "broadcast":
-            # Broadcast management does not use write ids at all.
-            self._applied.pop(key, None)
-        self._finish_switch_delivery(node_id, obj_id, epoch, origin,
-                                     invocation_id)
-
-    def _superseded_switch(self, node_id: int, obj_id: int, epoch: int,
-                           origin: int, invocation_id: int) -> bool:
-        """Ignore a switch whose epoch a later switch already overtook here.
-
-        A crash takeover can outrun a relocation (or a shard drain) at some
-        member; the overtaken switch must not regress the member's state or
-        epoch, but its initiator is still woken and settlement re-checked.
-        """
-        if epoch > self._node_epoch.get((node_id, obj_id), 0):
-            return False
-        if origin == node_id:
-            self._resolve(invocation_id, None)
-        self._migration_settled(obj_id)
-        return True
-
-    def _install_member_copy(self, node_id: int, obj_id: int,
-                             primary_node: int, state: Any, version: int,
-                             table: Optional[Dict]) -> None:
-        """Install a switch-carried snapshot (and dedup table) on a member.
-
-        Nodes holding a (secondary or primary) copy are updated in place so
-        processes already waiting on the replica keep their hooks.
-        """
-        manager = self.managers[node_id]
-        replica = manager.replicas.get(obj_id)
-        if replica is not None:
-            replica.instance.unmarshal_state(state)
-            replica.version = version
-            replica.valid = True
-            replica.is_primary = node_id == primary_node
-            replica.locked = False
-            replica.notify_changed()
-        else:
-            instance = self.handle(obj_id).spec_class()
-            instance.unmarshal_state(state)
-            manager.install(obj_id, self.handle(obj_id).name, instance,
-                            version=version,
-                            is_primary=node_id == primary_node)
-            self.stats.replicas_created += 1
-        self._applied[(node_id, obj_id)] = dict(table or {})
-        self._wake_replica_waiters(node_id, obj_id)
-
-    def _finish_switch_delivery(self, node_id: int, obj_id: int, epoch: int,
-                                origin: int, invocation_id: int) -> None:
-        """Common tail of every switch delivery at one member.
-
-        Deferred new-epoch writes apply first (on the freshly established
-        state), then coherence traffic that raced ahead of the switch
-        (stale-regime messages are dropped inside ``_flush_deferred``).
-        This member's own still-pending pre-switch writes are released for
-        re-issue right away: deliveries arrive in sequence order, so a
-        write of this object still pending here was not sequenced before
-        the switch and is guaranteed to be dropped identically everywhere.
-        """
-        self._flush_future_writes(node_id, obj_id)
-        self._flush_deferred(node_id, obj_id)
-        if self._txn_layer is not None:
-            # A transaction record that outran this member's epoch sits
-            # under a barrier lock; the switch it awaited just landed.
-            self._txn_layer.on_switch_delivered(node_id, obj_id)
-        for pending_id, pending in list(self._pending.items()):
-            if (pending.obj_id == obj_id and pending.origin == node_id
-                    and pending.epoch < epoch):
-                self._resolve(pending_id, MIGRATED)
-        for waiter in self._switch_waiters.pop((node_id, obj_id), []):
-            waiter.wake()
-        if origin == node_id:
-            self._resolve(invocation_id, None)
-        self._migration_settled(obj_id)
-
-    def _await_switch(self, proc: "SimProcess", node_id: int, obj_id: int) -> None:
-        """Block until ``node_id`` has delivered the object's latest switch."""
-        while (self._node_epoch.get((node_id, obj_id), 0)
-               < self._epoch_by_obj.get(obj_id, 0)):
-            key = (node_id, obj_id)
-            self._switch_waiters.setdefault(key, []).append(proc)
-            proc.suspend()
+        self.switch.broadcast(proc, node,
+                              SwitchRecord(obj_id, epoch, target, primary))
 
     # ------------------------------------------------------------------ #
     # Cross-group rebalancing: shard moves, live growth, primary seats
@@ -2204,19 +1697,20 @@ class HybridRts(RuntimeSystem):
                    new_shard: int) -> bool:
         """Move ``handle`` onto broadcast group ``new_shard`` while it runs.
 
-        For a broadcast-managed object this is the drain-and-switch barrier
-        described in the module docstring: the route flips first (new writes
-        head for the destination order under a fresh epoch), a
-        ``shard-switch`` drains the source order, and a ``shard-arrive``
-        lands in the destination order; stale writes are dropped identically
-        everywhere and re-issued by their origin, so no write is lost,
-        duplicated, or reordered within its client's FIFO.  A primary-copy
-        object carries no ordered broadcast traffic, so its move is pure
-        routing bookkeeping (the next switch simply rides the new group).
+        For a broadcast-managed object this is the drain-and-switch barrier:
+        the route flips first (new writes head for the destination order
+        under a fresh epoch), the switch's *drain* leg retires the old route
+        at one position of the source order, and its *arrive* leg proves the
+        destination group's sequencing path carries the object before the
+        move is reported complete.  At every machine the object's write
+        order is thus a source-order prefix followed by a destination-order
+        suffix: no write is lost, duplicated, or reordered within its
+        client's FIFO.  A primary-copy object rides no ordered broadcast, so
+        its move is routing bookkeeping (the next switch rides the new group).
 
         Returns ``True`` when a move was performed, ``False`` when the
-        object already lives on ``new_shard`` or another switch of it is
-        still in flight.
+        object already lives on ``new_shard`` or the switch was refused
+        (see :meth:`SwitchEngine.admit`).
         """
         router = self._ensure_router()
         obj_id = handle.obj_id
@@ -2227,100 +1721,34 @@ class HybridRts(RuntimeSystem):
         src = self.shard_of(handle)
         if src == new_shard:
             return False
-        if obj_id in self._migrate_in_progress:
-            return False
-        if obj_id in self._migrating and not self._migration_settled(obj_id):
-            return False
-        if self._catching_up:
-            # A rejoin seed is captured against the current shard routes;
-            # moving the object between orders under it could lose the
-            # member the object entirely.  Abort cleanly.
-            return False
-        if self._txn_layer is not None and self._txn_layer.pins(obj_id):
-            # A live transaction's prepares assume the object's shard (its
-            # decision order may be this one).  Abort cleanly.
-            return False
-        self._migrating.discard(obj_id)
-        self._migrate_in_progress.add(obj_id)
-        try:
-            if self._mechanism_of(obj_id) != MECHANISM_BROADCAST:
-                router.move(obj_id, new_shard)
-                self._last_moved_at[obj_id] = self.sim.now
-                self.stats.shard_moves += 1
-                self.shard_moves.append(ShardMoveRecord(
-                    obj_id=obj_id, name=handle.name, src=src, dst=new_shard,
-                    epoch=self._epoch_by_obj.get(obj_id, 0)))
-                return True
-            node = self._node_of(proc)
-            self._migrating.add(obj_id)
-            epoch = self._epoch_by_obj.get(obj_id, 0) + 1
-            self._epoch_by_obj[obj_id] = epoch
-            self._dest_epoch_required[obj_id] = epoch
+        node = self._node_of(proc)
+        with self.switch.admit(obj_id, node.node_id,
+                               pause_for_catch_up=True) as admitted:
+            if not admitted:
+                return False
+            ordered = self._mechanism_of(obj_id) == MECHANISM_BROADCAST
+            epoch = (self.switch.advance(obj_id, arrive=True) if ordered
+                     else self.switch.epoch_of(obj_id))
             router.move(obj_id, new_shard)
             self._last_moved_at[obj_id] = self.sim.now
             self.stats.shard_moves += 1
             self.shard_moves.append(ShardMoveRecord(
                 obj_id=obj_id, name=handle.name, src=src, dst=new_shard,
                 epoch=epoch))
-            # Drain: every source-group member retires the old route at the
-            # same position of the source total order.
-            self._broadcast_switch(
-                proc, node, handle,
-                ("shard-switch", obj_id, src, new_shard, epoch), shard=src)
-            # Arrive: prove the destination group's sequencing path carries
-            # the object before reporting the move complete.
-            self._broadcast_switch(
-                proc, node, handle,
-                ("shard-arrive", obj_id, src, new_shard, epoch),
-                shard=new_shard)
+            if ordered:
+                for leg, shard in ((LEG_DRAIN, src), (LEG_ARRIVE, new_shard)):
+                    self.switch.broadcast(
+                        proc, node,
+                        SwitchRecord(obj_id, epoch, self._policy_by_obj[obj_id],
+                                     -1, leg=leg),
+                        shard=shard)
             return True
-        finally:
-            self._migrate_in_progress.discard(obj_id)
-
-    def _apply_shard_switch(self, member: _ShardMember,
-                            record: DeliveredMessage) -> None:
-        """One member's drain point in the *source* group's total order."""
-        node_id, origin = member.node_id, record.origin
-        (_, obj_id, src, dst, epoch, invocation_id) = record.payload
-        if self._superseded_switch(node_id, obj_id, epoch, origin,
-                                   invocation_id):
-            return
-        self._node_epoch[(node_id, obj_id)] = epoch
-        self.cluster.node(node_id).charge_overhead(
-            self.cost_model.cpu.operation_dispatch_cost)
-        # Destination-order writes that outran this switch apply now, on
-        # the state every pre-switch source write has already reached; our
-        # own still-pending stale writes are doomed (they can only be
-        # sequenced behind this switch) and are released for re-issue into
-        # the destination order inside the common tail.
-        self._finish_switch_delivery(node_id, obj_id, epoch, origin,
-                                     invocation_id)
-
-    def _apply_shard_arrive(self, member: _ShardMember,
-                            record: DeliveredMessage) -> None:
-        """One member's arrival marker in the *destination* group's order."""
-        node_id, origin = member.node_id, record.origin
-        (_, obj_id, src, dst, epoch, invocation_id) = record.payload
-        key = (node_id, obj_id)
-        node = self.cluster.node(node_id)
-        node.charge_overhead(self.cost_model.cpu.operation_dispatch_cost)
-        if epoch > self._dest_epoch.get(key, 0):
-            self._dest_epoch[key] = epoch
-        if origin == node_id:
-            self._resolve(invocation_id, None)
-        self._migration_settled(obj_id)
 
     def _heaviest_writer(self, obj_id: int) -> Optional[int]:
-        """The live node with the most observed writes to ``obj_id``."""
-        decider = self.replication.decider
-        live = [node.node_id for node in self.cluster.nodes if node.alive]
-        if not live:
-            return None
-        best = max(live, key=lambda nid: (
-            decider.stats_for(obj_id, nid).total_writes, -nid))
-        if decider.stats_for(obj_id, best).total_writes == 0:
-            return None
-        return best
+        """The live node with the most observed writes to ``obj_id``, if any."""
+        best, writes = self._most_writes(
+            obj_id, [node.node_id for node in self.cluster.nodes if node.alive])
+        return best if writes else None
 
     def relocate_primary(self, proc: "SimProcess", handle: ObjectHandle,
                          target: Optional[int] = None) -> bool:
@@ -2328,15 +1756,13 @@ class HybridRts(RuntimeSystem):
 
         ``target`` defaults to the object's heaviest writer (per the
         dynamic-replication statistics), turning remote-write RPC streams
-        into local writes.  The relocation reuses the migration machinery:
-        the object is frozen at the old primary (in-flight coherence writes
-        drain first), its snapshot rides a totally-ordered switch scoped to
-        the copy-holding members plus the target, and the new primary
-        refuses writes until it has delivered that switch — so every write
-        lands exactly once, on exactly one primary.
+        into local writes.  The object is frozen at the old primary
+        (in-flight coherence writes drain first) and its snapshot rides a
+        switch scoped to the copy-holding members plus the target.
 
         Returns ``True`` when the seat moved, ``False`` when the target
-        already holds it (or no traffic suggests a better seat).
+        already holds it, no traffic suggests a better seat, or the switch
+        was refused or aborted (see :meth:`SwitchEngine.admit`).
         """
         obj_id = handle.obj_id
         if self._mechanism_of(obj_id) != MECHANISM_PRIMARY:
@@ -2350,7 +1776,7 @@ class HybridRts(RuntimeSystem):
         if not self.cluster.node(target).alive:
             raise RtsError(f"node {target} is crashed and cannot become "
                            f"the primary of {handle.name!r}")
-        if target in self._catching_up or target in self._draining:
+        if not self.is_full_member(target):
             # Alive but not (or not staying) a full member: a seat parked
             # there would serve from un-reseeded state or be orphaned the
             # moment the drain retires the machine.  Abort cleanly.
@@ -2360,70 +1786,25 @@ class HybridRts(RuntimeSystem):
         if not self.cluster.node(self.directory.primary_of(obj_id)).alive:
             # The seat is already dead; the crash takeover owns the object.
             return False
-        if obj_id in self._migrate_in_progress:
-            return False
-        if obj_id in self._migrating and not self._migration_settled(obj_id):
-            return False
-        if self._txn_layer is not None and self._txn_layer.pins(obj_id):
-            # A transaction holding (or about to take) this seat's lock
-            # evaluated its guards against the seat's state.  Abort
-            # cleanly — callers retry once the transaction completes.
-            return False
-        self._migrating.discard(obj_id)
-        self._ensure_router()
-        self._migrate_in_progress.add(obj_id)
-        try:
-            node = self._node_of(proc)
-            primary = self.directory.primary_of(obj_id)
-            epoch_before = self._epoch_by_obj.get(obj_id, 0)
-            if node.node_id == primary:
-                state, version = self._freeze_and_snapshot(proc, primary,
-                                                           obj_id)
-            else:
-                try:
-                    state, version = self.cluster.rpc_for(node.node_id).call(
-                        proc, primary, PORT_MIGRATE,
-                        payload={"obj_id": obj_id}, size=24)
-                except RpcPeerDeadError:
-                    # The old primary died mid-freeze: abort cleanly — the
-                    # crash takeover recovers the object instead.
-                    return False
-            if not self.cluster.node(target).alive:
-                # The chosen seat died while the snapshot was being taken:
-                # abort, unfreeze the (still intact) old primary, and let
-                # the bounced writers resume against it.
-                self._frozen.discard(obj_id)
+        node = self._node_of(proc)
+        with self.switch.admit(obj_id, node.node_id) as admitted:
+            if not admitted:
                 return False
-            if self._epoch_by_obj.get(obj_id, 0) != epoch_before:
-                # The old primary died right after serving the freeze and a
-                # crash takeover already reseated the object: its successor
-                # may hold writes this snapshot predates, so broadcasting
-                # the snapshot would erase them.  Abort cleanly.
-                self._frozen.discard(obj_id)
+            self._ensure_router()
+            primary = self.directory.primary_of(obj_id)
+            snapshot = self.switch.snapshot_from_primary(proc, node, obj_id)
+            if snapshot is None or not self.cluster.node(target).alive:
+                # Aborted, or the chosen seat died during the snapshot: leaving
+                # the gate unfreezes the (still intact) old primary.
                 return False
             table = dict(self._applied_table(primary, obj_id))
-            self._migrating.add(obj_id)
-            epoch = epoch_before + 1
-            self._epoch_by_obj[obj_id] = epoch
-            entry = self.directory.entry(obj_id)
-            scope = tuple(sorted(set(entry.copyset) | {primary, target}))
-            entry.primary_node = target
-            entry.copyset = set(scope)
-            self._frozen.discard(obj_id)
+            scope = tuple(sorted(
+                set(self.directory.entry(obj_id).copyset) | {primary, target}))
             self.stats.primary_relocations += 1
             self.relocations.append((obj_id, primary, target))
-            # The relocation snapshot is the committed state as of the seat
-            # move; record it so a crash of the new seat before its first
-            # commit still recovers the object.
-            self._last_committed[obj_id] = (state, version, table)
-            self._broadcast_switch(
-                proc, node, handle,
-                ("switch", obj_id, self._policy_by_obj[obj_id], target,
-                 state, version, epoch, scope, table),
-                size=32 + estimate_size(state) + estimate_size(table))
+            self.switch.reseat(proc, node, obj_id, target,
+                               snapshot + (table,), scope)
             return True
-        finally:
-            self._migrate_in_progress.discard(obj_id)
 
     # ------------------------------------------------------------------ #
     # Primary-failure recovery (takeover by a surviving secondary)
@@ -2463,12 +1844,14 @@ class HybridRts(RuntimeSystem):
                 self._recover_primary, obj_id, primary, self.sim.now,
                 name=f"takeover:{self.handle(obj_id).name}", daemon=True)
 
+    def _live_holders(self, obj_id: int) -> List[int]:
+        """The live machines holding a valid copy of ``obj_id``, ascending."""
+        return [node.node_id for node in self.cluster.nodes
+                if node.alive and self.managers[node.node_id].has_valid_copy(obj_id)]
+
     def _choose_successor(self, obj_id: int) -> Optional[int]:
         """The deterministic takeover winner for one dead-primary object."""
-        holders = [
-            node.node_id for node in self.cluster.nodes
-            if node.alive and self.managers[node.node_id].has_valid_copy(obj_id)
-        ]
+        holders = self._live_holders(obj_id)
         if holders:
             return max(holders, key=lambda nid: (
                 self.managers[nid].get(obj_id).version, -nid))
@@ -2484,11 +1867,9 @@ class HybridRts(RuntimeSystem):
         Re-validates the situation (another takeover, a relocation or a
         policy migration may have won the race), promotes this node's copy —
         or the last-committed record when no valid copy survived — and
-        broadcasts an epoch-stamped ``takeover`` switch through the object's
-        shard group.  Total order does the rest: every member installs the
-        same state at the same point of the object's write order, writes
-        from the dead regime are dropped identically everywhere, and the
-        new primary refuses writes until it has delivered its own switch.
+        reseats the object here: every member installs the same state at
+        the same point of the object's write order, and writes from the dead
+        regime are dropped identically everywhere.
         """
         proc = self.sim.current_process
         node = self._node_of(proc)
@@ -2501,68 +1882,32 @@ class HybridRts(RuntimeSystem):
             handle = self.handle(obj_id)
             successor = node.node_id
             manager = self.managers[successor]
-            if manager.has_valid_copy(obj_id):
-                replica = manager.get(obj_id)
-                state = replica.instance.marshal_state()
-                version = replica.version
-                table = dict(self._applied_table(successor, obj_id))
-                from_snapshot = False
-            else:
+            from_snapshot = not manager.has_valid_copy(obj_id)
+            if from_snapshot:
                 committed = self._last_committed.get(obj_id)
                 if committed is None:
                     return  # nothing to recover from
-                state, version, committed_table = committed
-                table = dict(committed_table)
-                from_snapshot = True
+                state, version, table = committed
+            else:
+                replica = manager.get(obj_id)
+                state, version = replica.instance.marshal_state(), replica.version
+                table = self._applied_table(successor, obj_id)
             self._ensure_router()
-            epoch = self._epoch_by_obj.get(obj_id, 0) + 1
-            self._epoch_by_obj[obj_id] = epoch
-            self._migrating.add(obj_id)
-            holders = [
-                n.node_id for n in self.cluster.nodes
-                if n.alive and self.managers[n.node_id].has_valid_copy(obj_id)
-            ]
-            scope = tuple(sorted(set(holders) | {successor}))
-            entry = self.directory.entry(obj_id)
-            entry.primary_node = successor
-            entry.copyset = set(scope)
-            self._frozen.discard(obj_id)
             self.stats.primary_recoveries += 1
             record = RecoveryRecord(
                 obj_id=obj_id, name=handle.name, old_primary=old_primary,
-                new_primary=successor, epoch=epoch,
+                new_primary=successor, epoch=self.switch.epoch_of(obj_id) + 1,
                 from_snapshot=from_snapshot, crashed_at=crashed_at)
             self.recoveries.append(record)
-            # The takeover commits the surviving state: refresh the record
-            # so a second crash (even before any new write) recovers it.
-            self._last_committed[obj_id] = (state, version, table)
-            self._broadcast_switch(
-                proc, node, handle,
-                ("takeover", obj_id, self._policy_by_obj[obj_id], successor,
-                 state, version, table, epoch, scope),
-                size=32 + estimate_size(state) + estimate_size(table))
+            # No admission gate: a takeover overrides whatever switch was
+            # preparing (its admission is revoked and its freeze lifted).
+            self.switch.reseat(proc, node, obj_id, successor,
+                               (state, version, dict(table)),
+                               tuple(sorted({successor, *self._live_holders(obj_id)})))
             record.completed_at = self.sim.now
         finally:
             if self._recovering.get(obj_id) == node.node_id:
                 self._recovering.pop(obj_id, None)
-
-    def _apply_takeover(self, member: _ShardMember,
-                        record: DeliveredMessage) -> None:
-        """One member's totally-ordered takeover point for one object."""
-        node_id, origin = member.node_id, record.origin
-        (_, obj_id, target, new_primary, state, version, table, epoch,
-         scope, invocation_id) = record.payload
-        if self._superseded_switch(node_id, obj_id, epoch, origin,
-                                   invocation_id):
-            return
-        self._node_epoch[(node_id, obj_id)] = epoch
-        self.cluster.node(node_id).charge_overhead(
-            self.cost_model.cpu.operation_dispatch_cost)
-        if node_id in scope:
-            self._install_member_copy(node_id, obj_id, new_primary, state,
-                                      version, table)
-        self._finish_switch_delivery(node_id, obj_id, epoch, origin,
-                                     invocation_id)
 
     def _await_recovery(self, proc: "SimProcess", obj_id: int) -> None:
         """Park a client until the object's primary seat is live again."""
@@ -2589,6 +1934,12 @@ class HybridRts(RuntimeSystem):
                 if not self.router.group_for(shard).member(node_id).synced:
                     return False
         return True
+
+    def is_full_member(self, node_id: int) -> bool:
+        """Alive, caught up and staying: may ``node_id`` be handed a seat?"""
+        return (self.cluster.node(node_id).alive
+                and node_id not in self._catching_up
+                and node_id not in self._draining)
 
     def _abort_rejoin(self, crashed: int) -> None:
         """A crash voids any rejoin catch-up in progress for the node.
@@ -2625,10 +1976,9 @@ class HybridRts(RuntimeSystem):
         for obj_id in list(manager.replicas):
             manager.discard(obj_id)
             self._forget_directory_copy(obj_id, recovered)
-        for table in (self._applied, self._future_writes, self._deferred,
-                      self._node_epoch, self._dest_epoch):
-            for key in [k for k in table if k[0] == recovered]:
-                del table[key]
+        for key in [k for k in self._applied if k[0] == recovered]:
+            del self._applied[key]
+        self.switch.wipe_node(recovered)
         if self._txn_layer is not None:
             # The member's lock entries and outcome markers died with it;
             # the rejoin seeds re-establish them from a donor.
@@ -2679,19 +2029,9 @@ class HybridRts(RuntimeSystem):
         # copies re-replicate on demand); jump this member's epoch cursors
         # to the present so coherence traffic is not deferred forever
         # waiting on pre-crash switches the member will never deliver.
-        # max() only: a post-anchor switch replayed from the seed buffer
-        # may already have advanced a cursor past the global value here.
         for handle in sorted(self.handles(), key=lambda h: h.obj_id):
-            obj_id = handle.obj_id
-            if self._mechanism_of(obj_id) != MECHANISM_PRIMARY:
-                continue
-            key = (recovered, obj_id)
-            self._node_epoch[key] = max(
-                self._node_epoch.get(key, 0),
-                self._epoch_by_obj.get(obj_id, 0))
-            self._dest_epoch[key] = max(
-                self._dest_epoch.get(key, 0),
-                self._dest_epoch_required.get(obj_id, 0))
+            if self._mechanism_of(handle.obj_id) == MECHANISM_PRIMARY:
+                self.switch.fast_forward(recovered, handle.obj_id)
         self._catching_up.discard(recovered)
         self.stats.node_rejoins += 1
         record.completed_at = self.sim.now
@@ -2798,9 +2138,8 @@ class HybridRts(RuntimeSystem):
                 continue
             replica = manager.get(obj_id)
             objects.append((obj_id, replica.instance.marshal_state(),
-                            replica.version,
-                            self._node_epoch.get((donor, obj_id), 0),
-                            self._dest_epoch.get((donor, obj_id), 0)))
+                            replica.version)
+                           + self.switch.position(donor, obj_id))
             payload_bytes += replica.instance.state_size()
         payload = {"shard": shard, "generation": generation, "upto": upto,
                    "objects": objects}
@@ -2856,16 +2195,14 @@ class HybridRts(RuntimeSystem):
             return  # stale seed from a rejoin a later crash voided
         manager = self.managers[node_id]
         count = 0
-        for obj_id, state, version, node_epoch, dest_epoch in payload["objects"]:
+        for obj_id, state, version, delivered, arrived in payload["objects"]:
             handle = self.handle(obj_id)
             instance = handle.spec_class()
             instance.unmarshal_state(state)
             manager.discard(obj_id)
             manager.install(obj_id, handle.name, instance, version=version)
             self.stats.replicas_created += 1
-            self._node_epoch[(node_id, obj_id)] = node_epoch
-            if dest_epoch:
-                self._dest_epoch[(node_id, obj_id)] = dest_epoch
+            self.switch.seed_position(node_id, obj_id, delivered, arrived)
             self._wake_replica_waiters(node_id, obj_id)
             count += 1
         if self._txn_layer is not None and payload.get("txn"):
@@ -2984,24 +2321,16 @@ class HybridRts(RuntimeSystem):
 
     def _drain_target(self, obj_id: int, leaving: int) -> Optional[int]:
         """The heaviest-writing full member to inherit a drained seat."""
-        decider = self.replication.decider
-        candidates = [
+        return self._most_writes(obj_id, [
             node.node_id for node in self.cluster.nodes
-            if node.alive and node.node_id != leaving
-            and node.node_id not in self._catching_up
-            and node.node_id not in self._draining]
-        if not candidates:
-            return None
-        return max(candidates, key=lambda nid: (
-            decider.stats_for(obj_id, nid).total_writes, -nid))
+            if node.node_id != leaving and self.is_full_member(node.node_id)])[0]
 
     def _drain_sequencer_target(self, group: "BroadcastGroup",
                                 leaving: int) -> Optional[int]:
         """Lowest-id full member to inherit a drained sequencer seat."""
         candidates = [
             nid for nid, member in group.members.items()
-            if member.node.alive and member.synced and nid != leaving
-            and nid not in self._catching_up and nid not in self._draining]
+            if member.synced and nid != leaving and self.is_full_member(nid)]
         return min(candidates) if candidates else None
 
     def _await_node_quiesced(self, proc: "SimProcess", node_id: int) -> None:

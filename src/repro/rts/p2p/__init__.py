@@ -1,4 +1,4 @@
-"""The point-to-point runtime system (no hardware broadcast required).
+"""The primary-copy mechanism's parts (no hardware broadcast required).
 
 Objects have a *primary copy* on the machine that created them; other
 machines may hold *secondary copies*.  All writes are sent to the primary,
@@ -14,19 +14,9 @@ from .replication_policy import ReplicationPolicy
 from .update import TwoPhaseUpdateProtocol
 
 __all__ = [
-    "PointToPointRts",
     "InvalidationProtocol",
     "TwoPhaseUpdateProtocol",
     "ObjectDirectory",
     "ReplicationPolicy",
 ]
 
-
-def __getattr__(name):
-    # PointToPointRts is a shim over repro.rts.hybrid, which itself builds on
-    # this package's protocol modules; importing it lazily keeps the package
-    # importable from either direction.
-    if name == "PointToPointRts":
-        from .runtime import PointToPointRts
-        return PointToPointRts
-    raise AttributeError(name)

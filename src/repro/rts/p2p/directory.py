@@ -66,11 +66,10 @@ class ObjectDirectory:
             raise RtsError("the primary copy cannot be dropped")
         entry.copyset.discard(node_id)
 
-    def migrate_primary(self, obj_id: int, new_primary: int) -> None:
-        """Move the primary role (used when the owner node is reconfigured)."""
-        entry = self.entry(obj_id)
-        entry.primary_node = new_primary
-        entry.copyset.add(new_primary)
+    def seat(self, obj_id: int, primary: int, copyset) -> None:
+        """(Re)seat an object: its primary and copy holders from a switch on."""
+        entry = self._entries.get(obj_id) or self.register(obj_id, primary)
+        entry.primary_node, entry.copyset = primary, set(copyset) | {primary}
 
     def objects(self) -> List[int]:
         return sorted(self._entries)

@@ -16,7 +16,7 @@ Placement policies decide which shard an object lives on:
 
 :class:`ShardRouter` owns the groups and per-shard counters;
 :class:`BatchingParams` configures the per-node write batching that rides on
-top (see :mod:`repro.rts.broadcast_rts`), flushing a shard's queued writes
+top (see :mod:`repro.rts.hybrid`), flushing a shard's queued writes
 into one ordered broadcast on a size or time threshold.
 
 Placement is **epoch-versioned**: the router records every object's current

@@ -22,8 +22,14 @@ from typing import Any, Dict, List, Tuple
 
 from ..amoeba.message import estimate_size
 from ..errors import ConfigurationError, RtsError, TransactionAborted
-from ..rts.object_model import RETRY
-from ..rts.policy import FIXED_POLICIES, MECHANISM_BROADCAST, PREPARE_ORDER
+from ..rts.object_model import RETRY, execute_operation
+from ..rts.policy import (
+    FIXED_POLICIES,
+    MECHANISM_BROADCAST,
+    MECHANISM_PRIMARY,
+    PREPARE_ORDER,
+)
+from ..rts.switch import MIGRATED, _PendingWrite
 from .records import (
     KIND_ATOMIC,
     KIND_DECIDE,
@@ -158,7 +164,7 @@ class TxnCoordinator:
         nbytes = 16
         stale = False
         for obj_id in order_objs:
-            epoch = rts._epoch_by_obj.get(obj_id, 0)
+            epoch = rts.switch.epoch_of(obj_id)
             if rts._mechanism_of(obj_id) != MECHANISM_BROADCAST:
                 stale = True
                 break
@@ -178,7 +184,7 @@ class TxnCoordinator:
             proc, node, group,
             (KIND_ATOMIC, desc.txn_id, tuple(entries)),
             size=max(16, nbytes), obj_id=first_obj,
-            epoch=rts._epoch_by_obj.get(first_obj, 0))
+            epoch=rts.switch.epoch_of(first_obj))
         if not isinstance(vote, tuple):
             # MIGRATED: a switch was sequenced ahead of the record.
             self.layer.complete(desc, committed=False)
@@ -304,10 +310,8 @@ class TxnCoordinator:
         MIGRATED.
         """
         rts = self.layer.rts
-        epoch = rts._epoch_by_obj.get(obj_id, 0)
+        epoch = rts.switch.epoch_of(obj_id)
         if rts._mechanism_of(obj_id) != MECHANISM_BROADCAST:
-            from ..rts.hybrid import MIGRATED
-
             return MIGRATED
         shard = rts.shard_of(rts.handle(obj_id))
         group = rts.router.group_for(shard)
@@ -328,8 +332,6 @@ class TxnCoordinator:
                           obj_id=None, epoch: int = 0) -> Any:
         """Broadcast one txn record and await its local delivery result."""
         rts = self.layer.rts
-        from ..rts.hybrid import _PendingWrite
-
         invocation_id = next(rts._invocation_ids)
         proc.absorb_overhead(node.drain_overhead())
         proc.flush()
@@ -355,10 +357,7 @@ class TxnCoordinator:
         while True:
             # Wait out any reconfiguration that slipped past pins() before
             # this descriptor registered; none can start afterwards.
-            if (obj_id in rts._migrate_in_progress
-                    or (obj_id in rts._migrating
-                        and not rts._migration_settled(obj_id))
-                    or obj_id in rts._frozen):
+            if not rts.switch.is_stable(obj_id):
                 proc.hold(rts.cost_model.cpu.protocol_cost)
                 continue
             primary = rts.directory.primary_of(obj_id)
@@ -385,10 +384,6 @@ class TxnCoordinator:
         the primary copy, so a passing guard here still passes there.
         """
         rts = self.layer.rts
-        from ..rts.hybrid import MIGRATED
-        from ..rts.object_model import execute_operation
-        from ..rts.policy import MECHANISM_PRIMARY
-
         while True:
             if rts._mechanism_of(obj_id) != MECHANISM_PRIMARY:
                 return MIGRATED

@@ -26,6 +26,7 @@ from typing import Any, List, Tuple
 
 from ..errors import RtsError
 from ..rts.object_model import RETRY, execute_operation
+from ..rts.switch import FUTURE, MIGRATED, STALE
 from .locks import (
     ITEM_RECORD,
     ITEM_WRITE,
@@ -106,17 +107,15 @@ class TxnParticipant:
             return
         future_obj = None
         for _index, obj_id, _op, _args, _kwargs, epoch in entries:
-            gate = rts._node_epoch.get((node_id, obj_id), 0)
-            if epoch < gate:
+            verdict = rts.switch.classify(node_id, obj_id, epoch)
+            if verdict == STALE:
                 # Sequenced after a switch it predates: dropped identically
                 # at every member; the origin re-groups and re-issues.
                 self._drop_own_barriers(node_id, txn_id, entries)
                 if origin == node_id:
-                    from ..rts.hybrid import MIGRATED
-
                     rts._resolve(invocation_id, MIGRATED)
                 return
-            if epoch > gate and future_obj is None:
+            if verdict == FUTURE and future_obj is None:
                 future_obj = obj_id
         if future_obj is not None:
             self._defer_future(node_id, txn_id, future_obj,
@@ -182,15 +181,13 @@ class TxnParticipant:
                                       and entry.owner == txn_id):
             locks.enqueue(node_id, obj_id, (ITEM_RECORD, payload, origin, seqno))
             return
-        gate = rts._node_epoch.get((node_id, obj_id), 0)
-        if epoch < gate:
+        verdict = rts.switch.classify(node_id, obj_id, epoch)
+        if verdict == STALE:
             self._drop_own_barrier(node_id, txn_id, obj_id)
             if origin == node_id:
-                from ..rts.hybrid import MIGRATED
-
                 rts._resolve(invocation_id, MIGRATED)
             return
-        if epoch > gate:
+        if verdict == FUTURE:
             self._defer_future(node_id, txn_id, obj_id, [obj_id], payload,
                                origin, seqno)
             return
@@ -303,10 +300,10 @@ class TxnParticipant:
             if locks.get(node_id, obj_id) is not None:
                 continue  # already barriered by an earlier deferral
             entry = locks.lock(node_id, obj_id, txn_id, MODE_BARRIER)
-            for write in rts._future_writes.pop((node_id, obj_id), []):
+            for write in rts.switch.take_future_writes(node_id, obj_id):
                 entry.queue.append((ITEM_WRITE,) + tuple(write))
         locks.enqueue(node_id, future_obj, (ITEM_RECORD, payload, origin, seqno))
-        rts._arm_lag_probe(node_id, future_obj)
+        rts.switch.arm_lag_probe(node_id, future_obj)
 
     def _drop_own_barrier(self, node_id: int, txn_id: int, obj_id: int) -> None:
         locks = self.layer.locks

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.amoeba.cluster import Cluster
 from repro.config import ClusterConfig
-from repro.rts.broadcast_rts import BroadcastRts
+from repro.rts.hybrid import HybridRts
 from repro.rts.object_model import ObjectSpec, operation
 from repro.rts.sharding import ExplicitPlacement
 
@@ -33,8 +33,8 @@ class Counter(ObjectSpec):
 def make_sharded_rts(num_nodes, num_shards, seed=13, placement=None,
                      batching=None):
     cluster = Cluster(ClusterConfig(num_nodes=num_nodes, seed=seed))
-    rts = BroadcastRts(cluster, num_shards=num_shards, placement=placement,
-                       batching=batching)
+    rts = HybridRts(cluster, num_shards=num_shards, placement=placement,
+                    batching=batching)
     return cluster, rts
 
 

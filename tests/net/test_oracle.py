@@ -75,7 +75,7 @@ class TestStreamReplay:
         assert total == expected["writes"]
 
     def test_victims_host_no_clients(self):
-        cfg = config(num_nodes=4, victims=(3,), kill_after=(0.2,))
+        cfg = config(num_nodes=4, victims=(3,), kill_after=(30,))
         expected = expected_issued_writes(cfg)
         client_nodes = {client[0]
                         for client in expected["per_client_writes"]}

@@ -83,7 +83,7 @@ class TestPrimaryTakeover:
         report = run_real_workload(
             scenario="primary-churn", workload=spec, num_nodes=num_nodes,
             num_shards=2, seed=11, victims=victims,
-            kill_after=tuple(0.15 + 0.15 * i for i in range(len(victims))),
+            kill_after=tuple(30 + 30 * i for i in range(len(victims))),
             timings=CI_TIMINGS, sim_oracle=True)
         facts = report.scenario_facts
         assert facts["killed"] == sorted(victims)

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.amoeba.cluster import Cluster
 from repro.config import ClusterConfig
-from repro.rts.broadcast_rts import BroadcastRts
+from repro.rts.hybrid import HybridRts
 from repro.rts.consistency import ConsistencyChecker
 from repro.rts.object_model import ObjectSpec, operation
 
@@ -62,8 +62,8 @@ def run_workload(seed, batching, num_shards, num_nodes=4, clients_per_node=2,
     exactly the same operations.
     """
     cluster = Cluster(ClusterConfig(num_nodes=num_nodes, seed=seed))
-    rts = BroadcastRts(cluster, num_shards=num_shards, batching=batching,
-                       record_history=True)
+    rts = HybridRts(cluster, num_shards=num_shards, batching=batching,
+                    record_history=True)
     handles = {}
 
     def setup():
@@ -177,8 +177,8 @@ class TestBatchingMechanics:
     def test_size_threshold_flushes_full_batches(self):
         """With a huge time window, the size threshold alone must flush."""
         cluster = Cluster(ClusterConfig(num_nodes=2, seed=3))
-        rts = BroadcastRts(cluster, batching={"max_batch": 3,
-                                              "flush_delay": 5.0})
+        rts = HybridRts(cluster, batching={"max_batch": 3,
+                                           "flush_delay": 5.0})
         with cluster:
             handles = {}
 
@@ -207,8 +207,8 @@ class TestBatchingMechanics:
     def test_time_threshold_flushes_partial_batches(self):
         """A lone write must not wait for a full batch: the timer flushes it."""
         cluster = Cluster(ClusterConfig(num_nodes=2, seed=3))
-        rts = BroadcastRts(cluster, batching={"max_batch": 64,
-                                              "flush_delay": 0.01})
+        rts = HybridRts(cluster, batching={"max_batch": 64,
+                                           "flush_delay": 0.01})
         with cluster:
             handles = {}
             times = {}
@@ -236,7 +236,7 @@ class TestBatchingMechanics:
         when batching is on."""
         def deliveries(batching):
             cluster = Cluster(ClusterConfig(num_nodes=4, seed=9))
-            rts = BroadcastRts(cluster, batching=batching)
+            rts = HybridRts(cluster, batching=batching)
             with cluster:
                 handles = {}
 
@@ -276,7 +276,7 @@ class TestBatchAwareFlowControl:
 
         cost = CostModel().with_overrides(cpu={"sequencing_cost": 5.0e-3})
         cluster = Cluster(ClusterConfig(num_nodes=8, seed=13, cost_model=cost))
-        rts = BroadcastRts(cluster, batching={
+        rts = HybridRts(cluster, batching={
             "max_batch": 4, "flush_delay": 0.0,
             "backpressure_depth": backpressure_depth,
         })
@@ -339,8 +339,8 @@ class TestBatchAwareFlowControl:
     def test_knob_is_inert_without_a_queueing_sequencer(self):
         """With sequencing_cost 0 the queue never forms; the knob no-ops."""
         cluster = Cluster(ClusterConfig(num_nodes=2, seed=13))
-        rts = BroadcastRts(cluster, batching={"max_batch": 4,
-                                              "backpressure_depth": 2})
+        rts = HybridRts(cluster, batching={"max_batch": 4,
+                                           "backpressure_depth": 2})
         with cluster:
             handles = {}
 

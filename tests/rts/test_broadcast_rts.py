@@ -6,7 +6,7 @@ import pytest
 
 from repro.amoeba.cluster import Cluster
 from repro.config import ClusterConfig, CostModel
-from repro.rts.broadcast_rts import BroadcastRts
+from repro.rts.hybrid import HybridRts
 from repro.rts.consistency import ConsistencyChecker
 from repro.rts.object_model import ObjectSpec, operation
 
@@ -58,7 +58,8 @@ class Queue(ObjectSpec):
 def make_rts(n=4, seed=2, record_history=False, loss_rate=0.0):
     cost_model = CostModel().with_overrides(network={"loss_rate": loss_rate})
     cluster = Cluster(ClusterConfig(num_nodes=n, seed=seed, cost_model=cost_model))
-    return cluster, BroadcastRts(cluster, record_history=record_history)
+    return cluster, HybridRts(cluster, default_policy="broadcast",
+                              record_history=record_history)
 
 
 class TestBroadcastRtsBasics:

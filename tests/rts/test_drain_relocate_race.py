@@ -74,7 +74,7 @@ class TestDrainRelocateRace:
                 # duration of the drain; every attempt must be refused.
                 proc = cluster.sim.current_process
                 while "drain" not in done:
-                    if VICTIM in rts._draining:
+                    if not rts.is_full_member(VICTIM):
                         try:
                             refused.append(rts.relocate_primary(
                                 proc, handles[3], target=VICTIM))

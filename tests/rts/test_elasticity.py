@@ -224,7 +224,7 @@ class TestRejoin:
         # Only completed rejoins count; the voided one left no zombie.
         assert rts.stats.node_rejoins >= 1
         assert rts.is_caught_up(2)
-        assert not rts._catching_up
+        assert all(rts.is_caught_up(n.node_id) for n in cluster.nodes)
 
         def check():
             proc = cluster.sim.current_process
@@ -265,7 +265,7 @@ class TestCatchupGuards:
             cluster.node(2).recover()
             # The recovery listener marked node 2 as catching up
             # synchronously; both movers must bow out cleanly now.
-            assert 2 in rts._catching_up
+            assert not rts.is_caught_up(2)
             results["relocate"] = rts.relocate_primary(
                 proc, handles["seat"], target=2)
             results["move"] = rts.move_shard(
@@ -461,7 +461,7 @@ class TestDrainNode:
             with pytest.raises(RtsError, match="crash recovery owns"):
                 rts.drain_node(proc, 2)
             cluster.node(2).recover()
-            assert 2 in rts._catching_up
+            assert not rts.is_caught_up(2)
             with pytest.raises(RtsError, match="catching up"):
                 rts.drain_node(proc, 2)
             await_caught_up(rts, proc, 2)

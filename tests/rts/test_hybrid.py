@@ -15,10 +15,8 @@ from repro.config import ClusterConfig
 from repro.errors import RtsError
 from repro.orca.builtin_objects import DictObject, IntObject
 from repro.orca.program import OrcaProgram
-from repro.rts.broadcast_rts import BroadcastRts
 from repro.rts.hybrid import HybridRts
 from repro.rts.object_model import ObjectSpec, operation
-from repro.rts.p2p.runtime import PointToPointRts
 from repro.rts.policy import AdaptiveParams
 
 
@@ -284,7 +282,7 @@ class TestExplicitMigration:
             assert rts.policy_of(handles["p"]) == "primary-invalidate"
             assert rts.managers[0].get(handles["p"].obj_id).instance.value == 2
             # Protocol flips stay out of the epoch machinery entirely.
-            assert rts._epoch_by_obj.get(handles["p"].obj_id, 0) == 0
+            assert rts.switch.epoch_of(handles["p"].obj_id) == 0
 
     def test_guard_waiters_survive_migration_to_broadcast(self):
         """A consumer blocked on a guarded operation across a migration is
@@ -401,7 +399,7 @@ class TestMigrationRaces:
                                   (2, migrator("second", 0.00101))])
             assert outcomes == {"first": True, "second": False}
             assert rts.stats.migrations == 1
-            assert rts._epoch_by_obj[handles["p"].obj_id] == 1
+            assert rts.switch.epoch_of(handles["p"].obj_id) == 1
             assert rts.policy_of(handles["p"]) == "broadcast"
             for node in cluster.nodes:
                 assert rts.managers[node.node_id].get(
@@ -507,39 +505,29 @@ class TestAdaptiveMigration:
         assert run_once() == run_once()
 
 
-class TestDeprecatedShims:
-    def test_broadcast_shim_warns_once_and_behaves(self):
+class TestFixedPolicyConfigurations:
+    """The paper's two runtime systems (and the central-server baseline) are
+    ``HybridRts`` with one default policy, under their classic report names."""
+
+    def test_broadcast_configuration_keeps_its_report_name(self):
         cluster = Cluster(ClusterConfig(num_nodes=3, seed=3))
         with cluster:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                rts = BroadcastRts(cluster)
-            deprecations = [w for w in caught
-                            if issubclass(w.category, DeprecationWarning)]
-            assert len(deprecations) == 1
-            assert "HybridRts" in str(deprecations[0].message)
-            assert isinstance(rts, HybridRts)
+            rts = HybridRts(cluster, default_policy="broadcast")
             assert rts.name == "broadcast-rts"
             assert rts.default_policy.name == "broadcast"
+            assert rts.read_write_summary()["rts"] == "broadcast-rts"
 
-    def test_p2p_shim_warns_once_and_behaves(self):
+    def test_primary_configuration_keeps_its_report_name(self):
         cluster = Cluster(ClusterConfig(num_nodes=3, seed=3),
                           network_type="switched")
         with cluster:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                rts = PointToPointRts(cluster, protocol="invalidation")
-            deprecations = [w for w in caught
-                            if issubclass(w.category, DeprecationWarning)]
-            assert len(deprecations) == 1
-            assert "HybridRts" in str(deprecations[0].message)
+            rts = HybridRts(cluster, default_policy="primary",
+                            protocol="invalidation")
             assert rts.name == "p2p-rts"
             assert rts.default_policy.name == "primary-invalidate"
-            # The classic attribute names still resolve.
-            assert rts.policy is rts.replication
             assert rts.protocol.name == "invalidation"
 
-    def test_subclasses_of_the_shims_do_not_warn(self):
+    def test_constructing_a_runtime_warns_nothing(self):
         from repro.baselines.central_server import CentralServerRts
 
         cluster = Cluster(ClusterConfig(num_nodes=2, seed=3),
@@ -547,17 +535,22 @@ class TestDeprecatedShims:
         with cluster:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                CentralServerRts(cluster)
-            assert not [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
+                rts = CentralServerRts(cluster)
+            assert not caught
+            assert rts.name == "central-server-rts"
+            with pytest.raises(ImportError):
+                import repro.rts.broadcast_rts  # noqa: F401
+            with pytest.raises(ImportError):
+                import repro.rts.p2p.runtime  # noqa: F401
 
-    def test_shim_matches_unified_runtime_exactly(self):
-        """A fixed-policy HybridRts and the shim produce identical runs."""
+    def test_central_server_is_the_unreplicated_primary_configuration(self):
+        """The baseline and the configuration it names produce identical runs."""
+        from repro.baselines.central_server import CentralServerRts
+
         def run_with(factory):
-            cluster = Cluster(ClusterConfig(num_nodes=3, seed=17))
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                rts = factory(cluster)
+            cluster = Cluster(ClusterConfig(num_nodes=3, seed=17),
+                              network_type="switched")
+            rts = factory(cluster)
             handles = {}
 
             def main():
@@ -569,18 +562,23 @@ class TestDeprecatedShims:
                     proc = cluster.sim.current_process
                     for _ in range(8):
                         rts.invoke(proc, handles["c"], "add", (1,))
+                        rts.invoke(proc, handles["c"], "read")
                 return body
 
             run_threads(cluster, [(0, main)])
             run_threads(cluster, [(n, writer(n)) for n in range(3)])
+            summary = rts.read_write_summary()
+            summary.pop("rts")
             digest = (cluster.sim.now, cluster.network.stats.messages_sent,
-                      rts.read_write_summary())
+                      summary)
             cluster.shutdown()
             return digest
 
-        shim = run_with(lambda c: BroadcastRts(c))
-        unified = run_with(lambda c: HybridRts(c, default_policy="broadcast"))
-        assert shim == unified
+        baseline = run_with(CentralServerRts)
+        unified = run_with(lambda c: HybridRts(
+            c, default_policy="primary", dynamic_replication=False))
+        assert baseline == unified
+        assert baseline[2]["remote_reads"] > 0  # never replicated
 
 
 class TestReconciledObjectSummary:

@@ -12,6 +12,7 @@ happens while the source shard's sequencer crashes mid-transfer.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.amoeba.broadcast.protocol import KIND_DATA
@@ -112,10 +113,10 @@ def run_crash_migration(seed, migrate_offset, crash=True, drop_data_to=None,
     def migrator():
         proc = cluster.sim.current_process
         proc.hold(CRASH_AT + migrate_offset)
-        # The primary is pinned to the migrator's own (surviving) node:
-        # primary-copy management has no primary-failure recovery, so the
-        # interesting crash is the *sequencer* ordering the switch, not the
-        # machine the object lands on.
+        # The primary is pinned to the migrator's own (surviving) node: the
+        # interesting crash here is the *sequencer* ordering the switch, not
+        # the machine the object lands on (a dead primary's seat is taken
+        # over; tests/rts/test_primary_recovery.py covers that).
         rts.migrate(proc, handles["log"], "primary-invalidate", primary=2)
 
     cluster.node(0).kernel.spawn_thread(setup)
@@ -255,3 +256,88 @@ class TestMigrationDuringSequencerCrash:
         assert state["elections"] == 0
         assert state["policy"] == "primary-invalidate"
         assert_no_lost_or_duplicated_writes(state)
+
+
+PRIMARY, INITIATOR, WRITER, LATER = 0, 1, 2, 3
+
+
+def run_initiator_crash(switch, crash_on):
+    """A switch of a primary-copy counter is started from ``INITIATOR`` (not
+    the primary), which crashes while the primary serves its freeze: on the
+    freeze request reaching the primary (``"rpc.request"``, the freeze has
+    not landed yet) or on the snapshot reply coming back (``"rpc.reply"``,
+    the object is frozen).  A writer then writes and a second switch is
+    tried from another machine; returns what they saw."""
+    cluster = Cluster(ClusterConfig(num_nodes=NUM_NODES, seed=3))
+    rts = HybridRts(cluster, default_policy="broadcast")
+    handles, seen = {}, {}
+
+    def switch_from(proc):
+        if switch == "migrate":
+            return rts.migrate(proc, handles["c"], "broadcast")
+        return rts.relocate_primary(proc, handles["c"], target=LATER)
+
+    def setup():
+        proc = cluster.sim.current_process
+        handles["c"] = rts.create_object(proc, Counter, (0,), name="c",
+                                         policy="primary-update")
+
+    def doomed_initiator():
+        proc = cluster.sim.current_process
+        proc.hold(0.04)
+        watched, peer = ((PRIMARY, INITIATOR) if crash_on == "rpc.request"
+                         else (INITIATOR, PRIMARY))
+
+        def crash_initiator(packet):
+            if (packet.message.kind == crash_on
+                    and packet.message.src == peer
+                    and cluster.node(INITIATOR).alive):
+                cluster.node(INITIATOR).crash()
+            return False
+
+        cluster.node(watched).nic.drop_filter = crash_initiator
+        switch_from(proc)
+
+    def writer():
+        proc = cluster.sim.current_process
+        proc.hold(0.05)
+        seen["write"] = rts.invoke(proc, handles["c"], "add", (1,))
+
+    def later_initiator():
+        proc = cluster.sim.current_process
+        proc.hold(1.0)
+        seen["second"] = switch_from(proc)
+        seen["after"] = rts.invoke(proc, handles["c"], "add", (1,))
+
+    with cluster:
+        cluster.node(PRIMARY).kernel.spawn_thread(setup)
+        cluster.run()
+        cluster.node(INITIATOR).kernel.spawn_thread(doomed_initiator)
+        cluster.node(WRITER).kernel.spawn_thread(writer)
+        cluster.node(LATER).kernel.spawn_thread(later_initiator)
+        # Bounded: a writer bouncing off a wedged freeze retries forever.
+        cluster.run(until=2.0)
+        seen["crashed"] = not cluster.node(INITIATOR).alive
+        seen["policy"] = rts.policy_of(handles["c"])
+        seen["primary"] = rts.directory.primary_of(handles["c"].obj_id)
+    return seen
+
+
+class TestInitiatorCrashBetweenFreezeAndSwitch:
+    """Regression: the initiator of a migration or seat relocation died
+    between freezing the object at its primary and broadcasting the switch;
+    the freeze and the in-progress mark were never cleared, so every later
+    write bounced forever and every later switch was refused."""
+
+    @pytest.mark.parametrize("crash_on", ["rpc.request", "rpc.reply"])
+    @pytest.mark.parametrize("switch", ["migrate", "relocate"])
+    def test_object_stays_writable_and_switchable(self, switch, crash_on):
+        seen = run_initiator_crash(switch, crash_on)
+        assert seen["crashed"]
+        assert seen.get("write") == 1, "the writer never got past the freeze"
+        assert seen.get("second") is True, "a later switch was still refused"
+        assert seen["after"] == 2
+        if switch == "migrate":
+            assert seen["policy"] == "broadcast"
+        else:
+            assert seen["primary"] == LATER

@@ -8,7 +8,7 @@ from repro.amoeba.cluster import Cluster
 from repro.config import ClusterConfig, CostModel, ReplicationParams
 from repro.errors import ConfigurationError
 from repro.rts.object_model import ObjectSpec, operation
-from repro.rts.p2p.runtime import PointToPointRts
+from repro.rts.hybrid import HybridRts
 
 
 class Register(ObjectSpec):
@@ -38,8 +38,9 @@ def make_rts(n=4, seed=3, protocol="update", dynamic=True, everywhere=False,
     cost_model = CostModel().with_overrides(**overrides) if overrides else CostModel()
     cluster = Cluster(ClusterConfig(num_nodes=n, seed=seed, cost_model=cost_model),
                       network_type=network_type)
-    rts = PointToPointRts(cluster, protocol=protocol, dynamic_replication=dynamic,
-                          replicate_everywhere=everywhere)
+    rts = HybridRts(cluster, default_policy="primary", protocol=protocol,
+                    dynamic_replication=dynamic,
+                    replicate_everywhere=everywhere)
     return cluster, rts
 
 
@@ -72,7 +73,7 @@ class TestCreationAndPlacement:
         cluster2 = Cluster(ClusterConfig(num_nodes=2, seed=1), network_type="switched")
         with cluster2:
             with pytest.raises(ConfigurationError):
-                PointToPointRts(cluster2, protocol="bogus")
+                HybridRts(cluster2, default_policy="primary", protocol="bogus")
 
     def test_replicate_everywhere_installs_all_copies(self):
         cluster, rts = make_rts(4, everywhere=True, dynamic=False)
@@ -275,7 +276,7 @@ class TestDynamicReplication:
             obj_id = handles["reg"].obj_id
             assert rts.managers[2].has_valid_copy(obj_id)
             assert 2 in rts.directory.copyset_of(obj_id)
-            assert rts.policy.stats.copies_fetched >= 1
+            assert rts.replication.stats.copies_fetched >= 1
             # Once the copy exists, later reads are local.
             assert rts.stats.local_reads > 0
 
@@ -302,7 +303,7 @@ class TestDynamicReplication:
             obj_id = handles["reg"].obj_id
             assert not rts.managers[2].has_valid_copy(obj_id)
             assert 2 not in rts.directory.copyset_of(obj_id)
-            assert rts.policy.stats.copies_dropped >= 1
+            assert rts.replication.stats.copies_dropped >= 1
 
     def test_final_value_correct_despite_replication_churn(self):
         cluster, rts = make_rts(4, dynamic=True)

@@ -131,7 +131,7 @@ def run_crash_shard_move(seed, move_offset, crash_group=None, batching=None):
         "elections": sum(g.stats.elections for g in rts.router.groups),
         "shard": rts.shard_of(handles["log"]),
         "moves": [(m.src, m.dst) for m in rts.shard_moves],
-        "epoch": rts._epoch_by_obj.get(handles["log"].obj_id, 0),
+        "epoch": rts.switch.epoch_of(handles["log"].obj_id),
         "history": rts.history,
         "crashed": crashed_node,
     }

@@ -121,7 +121,7 @@ class TestMoveShard:
         cluster.run()
         assert facts["value"] == 3
         assert rts.shard_of(handles["c"]) == 0
-        assert rts._epoch_by_obj[handles["c"].obj_id] == 2
+        assert rts.switch.epoch_of(handles["c"].obj_id) == 2
         assert rts.router.placement_epoch == 2
         assert rts.stats.shard_moves == 2
         assert [(m.src, m.dst) for m in rts.shard_moves] == [(0, 1), (1, 0)]

@@ -7,7 +7,7 @@ import pytest
 from repro.amoeba.cluster import Cluster
 from repro.config import ClusterConfig
 from repro.errors import ConfigurationError
-from repro.rts.broadcast_rts import BroadcastRts
+from repro.rts.hybrid import HybridRts
 from repro.rts.object_model import ObjectSpec, operation
 from repro.rts.sharding import (
     BatchingParams,
@@ -365,7 +365,7 @@ class TestRebalancePlanner:
 class TestShardedRtsDispatch:
     def test_objects_route_writes_to_their_shard_group(self):
         with Cluster(ClusterConfig(num_nodes=4, seed=5)) as cluster:
-            rts = BroadcastRts(cluster, num_shards=2)
+            rts = HybridRts(cluster, num_shards=2)
             handles = {}
 
             def main():
@@ -397,12 +397,12 @@ class TestShardedRtsDispatch:
 
     def test_summary_includes_sharding_when_active(self):
         with Cluster(ClusterConfig(num_nodes=2, seed=5)) as cluster:
-            rts = BroadcastRts(cluster, num_shards=2, batching=True)
+            rts = HybridRts(cluster, num_shards=2, batching=True)
             summary = rts.read_write_summary()
             assert summary["sharding"]["num_shards"] == 2
             assert summary["batching"]["max_batch"] == BatchingParams().max_batch
 
     def test_summary_stays_classic_when_unsharded(self):
         with Cluster(ClusterConfig(num_nodes=2, seed=5)) as cluster:
-            rts = BroadcastRts(cluster)
+            rts = HybridRts(cluster)
             assert "sharding" not in rts.read_write_summary()
