@@ -1,24 +1,27 @@
-"""Profile the simulator hot path over a parameterised benchmark cell.
+"""Profile the simulator hot path under one of the benchmark's own workloads.
 
-Runs one broadcast-heavy workload cell (the same shape as
-``benchmarks/bench_kernel_scaling.py``) under ``cProfile`` and prints a
-top-N table by cumulative and by internal time, so "make the kernel faster"
-always starts from a measurement instead of a hunch.  CI can archive the
+Runs one repeat of a workload named in ``BENCHMARK.json`` - built from
+``benchmarks/perf/workloads.py`` exactly as the benchmark's worker builds it -
+under ``cProfile`` and prints a top-N table by cumulative and by internal
+time, so "make the kernel faster" always starts from a measurement of the
+thing that is gated instead of a cell that resembles it.  CI can archive the
 output as an artifact to track where the time goes across commits.
 
 Simulated processes run on the simulator's carrier threads, so the profiler
 is installed in every thread the run starts (``threading.setprofile``) and
 the per-thread statistics are merged.  Time a thread spends parked on a
-hand-off lock is nobody's work: those rows are left out of the tables (the
-*cumulative* time of a function that parks, ``hold`` or ``run``, still spans
-the wait).
+hand-off lock is nobody's work: those ``acquire`` rows are left out of the
+tables (the *cumulative* time of a function that parks, ``hold`` or ``run``,
+still spans the wait).  Their count is printed in the header beside the count
+of lock ``release`` calls: every thread hand-off is one release, so that is
+the number to watch when the hand-off path changes.
 
 Usage::
 
-    PYTHONPATH=src python scripts/profile_sim.py
-    PYTHONPATH=src python scripts/profile_sim.py --nodes 64 --ops 20 --top 40
-    PYTHONPATH=src python scripts/profile_sim.py --runtime p2p --read-fraction 0.7
-    PYTHONPATH=src python scripts/profile_sim.py --out profile.txt
+    PYTHONPATH=src python scripts/profile_sim.py --workload primary-rpc-mix
+    PYTHONPATH=src python scripts/profile_sim.py --workload gateway-fleet --top 40
+    PYTHONPATH=src python scripts/profile_sim.py --workload bcast-write-storm --scale 0.25
+    PYTHONPATH=src python scripts/profile_sim.py --workload txn-bank-transfer --out profile.txt
 """
 
 from __future__ import annotations
@@ -32,39 +35,43 @@ import sys
 import threading
 import time
 
-_SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+_ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 try:
     import repro  # noqa: F401
 except ImportError:  # pragma: no cover - script-mode bootstrap
-    sys.path.insert(0, _SRC)
+    sys.path.insert(0, os.path.join(_ROOT, "src"))
+# The benchmark's workload table, imported read-only.
+sys.path.insert(0, os.path.join(_ROOT, "benchmarks", "perf"))
 
-from repro.config import ClusterConfig, CostModel
-from repro.workloads import WorkloadRunner, WorkloadSpec
+from workloads import WORKLOADS  # noqa: E402
+
+from repro.sim.events import EventQueue  # noqa: E402
+from repro.workloads import WorkloadRunner  # noqa: E402
+
+SIM_WORKLOADS = sorted(name for name, workload in WORKLOADS.items() if workload.backend == "sim")
+
+#: The rows of a raw lock's two methods in a ``pstats`` table.
+_ACQUIRE, _RELEASE = (
+    ("~", 0, f"<method '{method}' of '_thread.lock' objects>") for method in ("acquire", "release")
+)
 
 
-def build_cell(args: argparse.Namespace):
-    """The profiled workload: sequenced write broadcasts, loaded sequencer."""
-    cost_model = CostModel().with_overrides(cpu={"sequencing_cost": args.sequencing_cost})
-    spec = WorkloadSpec(
-        name="counter-farm-writes",
-        num_keys=32,
-        read_fraction=args.read_fraction,
-        ops_per_client=args.ops,
-        think_time=args.think_time,
-    )
+def build_cell(name: str, seed: int, scale: float):
+    """One repeat (``scale`` of one) of the benchmark workload ``name``, as the worker runs it."""
+    workload = WORKLOADS[name]
+    spec = workload.sized(scale)
 
     def cell():
-        runner = WorkloadRunner(
-            "counter-farm",
+        return WorkloadRunner(
+            workload.scenario,
             workload=spec,
-            runtime=args.runtime,
-            num_nodes=args.nodes,
-            clients_per_node=args.clients,
-            seed=args.seed,
-            num_shards=args.shards,
-            config=ClusterConfig(num_nodes=args.nodes, seed=args.seed, cost_model=cost_model),
-        )
-        return runner.run()
+            runtime=workload.runtime,
+            num_nodes=workload.num_nodes,
+            clients_per_node=workload.clients_per_node,
+            seed=seed,
+            num_shards=workload.num_shards,
+            gateway=workload.gateway,
+        ).run()
 
     return cell
 
@@ -72,8 +79,9 @@ def build_cell(args: argparse.Namespace):
 def profile_all_threads(fn):
     """Run ``fn()`` under cProfile in this thread and in every thread it starts.
 
-    Returns ``(result, wall seconds, merged pstats.Stats)`` with the
-    lock-wait rows removed.
+    Returns ``(result, wall seconds, merged pstats.Stats, lock acquires, lock
+    releases)``: the stats with the lock-wait rows removed, and how many calls
+    those rows and the ``release`` row stand for.
     """
     profilers = [cProfile.Profile()]
 
@@ -97,42 +105,55 @@ def profile_all_threads(fn):
         threading.setprofile(None)
     wall = time.perf_counter() - started
     stats = pstats.Stats(*profilers)
-    for func in [f for f in stats.stats if f[2] == "<method 'acquire' of '_thread.lock' objects>"]:
-        stats.total_tt -= stats.stats.pop(func)[2]
-    return result, wall, stats
+    _cc, acquires, parked, _ct, _callers = stats.stats.pop(_ACQUIRE, (0, 0, 0.0, 0.0, {}))
+    stats.total_tt -= parked
+    releases = stats.stats[_RELEASE][1] if _RELEASE in stats.stats else 0
+    return result, wall, stats, acquires, releases
+
+
+def share_of_self_time(stats: pstats.Stats, cls: type) -> float:
+    """Share of the profiled self time spent in the methods of ``cls``, plus in
+    the built-ins (``heappush``, ``heappop``...) called from them."""
+    functions = (getattr(member, "fget", member) for member in vars(cls).values())
+    codes = (getattr(function, "__code__", None) for function in functions)
+    own = {(code.co_filename, code.co_firstlineno, code.co_name) for code in codes if code}
+    spent = sum(row[2] for func, row in stats.stats.items() if func in own)
+    for func, (_cc, _nc, _tt, _ct, callers) in stats.stats.items():
+        if func[0] == "~":  # a built-in: its time, as called from those methods
+            spent += sum(row[2] for caller, row in callers.items() if caller in own)
+    return spent / stats.total_tt if stats.total_tt else 0.0
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="cProfile the discrete-event hot path over one bench cell"
+        description="cProfile the discrete-event hot path over one benchmark workload"
     )
-    parser.add_argument("--nodes", type=int, default=8)
-    parser.add_argument("--clients", type=int, default=6, help="closed-loop clients per node")
-    parser.add_argument("--ops", type=int, default=40, help="ops per client")
-    parser.add_argument("--shards", type=int, default=4)
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--runtime", default="broadcast", help="broadcast, p2p, central or ivy")
-    parser.add_argument("--read-fraction", type=float, default=0.0)
-    parser.add_argument("--think-time", type=float, default=0.0005)
     parser.add_argument(
-        "--sequencing-cost",
-        type=float,
-        default=2.0e-4,
-        help="per-message sequencer service time (seconds)",
+        "--workload",
+        default="primary-rpc-mix",
+        choices=SIM_WORKLOADS,
+        help="a simulator workload of BENCHMARK.json (benchmarks/perf/workloads.py)",
+    )
+    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument(
+        "--scale", type=float, default=1.0, help="fraction of one benchmark repeat to run"
     )
     parser.add_argument("--top", type=int, default=25, help="rows per ranking table")
     parser.add_argument("--out", default=None, help="also write the report to this file")
     args = parser.parse_args(argv)
 
-    report, wall, stats = profile_all_threads(build_cell(args))
+    cell = build_cell(args.workload, args.seed, args.scale)
+    report, wall, stats, acquires, releases = profile_all_threads(cell)
 
     buf = io.StringIO()
     buf.write(
-        f"profile_sim: {args.nodes} nodes x {args.clients} clients x "
-        f"{args.ops} ops (runtime={args.runtime}, read_fraction={args.read_fraction}, "
-        f"shards={args.shards}, seed={args.seed})\n"
+        f"profile_sim: {args.workload} (seed={args.seed}, scale={args.scale})\n"
         f"wall={wall:.3f}s ops={report.total_ops} "
-        f"virtual_throughput={report.throughput:.1f} ops/s\n\n"
+        f"virtual_throughput={report.throughput:.1f} ops/s\n"
+        f"lock releases={releases} (one per thread hand-off) "
+        f"acquires={acquires} (parked time left out below)\n"
+        f"EventQueue rows, with the heap built-ins they call: "
+        f"{share_of_self_time(stats, EventQueue):.1%} of profiled self time\n\n"
     )
     stats.stream = buf
     buf.write(f"=== top {args.top} by cumulative time ===\n")

@@ -162,6 +162,17 @@ class BaseNetwork(Transport):
 
     # -- delivery --------------------------------------------------------- #
 
+    def _on_wire_done(self, packet: Packet, on_sent: Optional[Callable[[Message], None]]) -> None:
+        """One packet has left the sender: count it and start its propagation."""
+        self.stats.packets_sent += 1
+        self.stats.wire_bytes += packet.payload_bytes + self.params.packet_overhead_bytes
+        if packet.message.is_broadcast:
+            self._broadcast_packet(packet)
+        else:
+            self._deliver_packet(packet, packet.message.dst)
+        if packet.is_last and on_sent is not None:
+            on_sent(packet.message)
+
     def _deliver_packet(self, packet: Packet, dst: int) -> None:
         """Deliver one packet to one destination after the propagation latency."""
         nic = self._nics.get(dst)
@@ -225,18 +236,7 @@ class EthernetNetwork(BaseNetwork):
     ) -> None:
         for packet in packets:
             duration = self.params.transmit_time(packet.payload_bytes)
-
-            def _on_wire_done(pkt: Packet = packet) -> None:
-                self.stats.packets_sent += 1
-                self.stats.wire_bytes += pkt.payload_bytes + self.params.packet_overhead_bytes
-                if pkt.message.is_broadcast:
-                    self._broadcast_packet(pkt)
-                else:
-                    self._deliver_packet(pkt, pkt.message.dst)
-                if pkt.is_last and on_sent is not None:
-                    on_sent(pkt.message)
-
-            self.medium.use(duration, _on_wire_done)
+            self.medium.use(duration, self._on_wire_done, packet, on_sent)
 
     def utilization(self) -> float:
         """Fraction of elapsed virtual time during which the medium was busy."""
@@ -273,15 +273,7 @@ class SwitchedNetwork(BaseNetwork):
         link = self._links[msg.src]
         for packet in packets:
             duration = self.params.transmit_time(packet.payload_bytes)
-
-            def _on_wire_done(pkt: Packet = packet) -> None:
-                self.stats.packets_sent += 1
-                self.stats.wire_bytes += pkt.payload_bytes + self.params.packet_overhead_bytes
-                self._deliver_packet(pkt, pkt.message.dst)
-                if pkt.is_last and on_sent is not None:
-                    on_sent(pkt.message)
-
-            link.use(duration, _on_wire_done)
+            link.use(duration, self._on_wire_done, packet, on_sent)
 
     def link_utilization(self, node_id: int) -> float:
         """Utilization of one node's output link."""

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import threading
 from math import inf
-from sys import getrefcount
 from typing import Any, Callable, List, Optional
 
 from ..errors import DeadlockError, SimulationError
@@ -12,10 +11,6 @@ from .events import Event, EventQueue
 from .process import SimProcess, _Carrier
 from .rng import RngRegistry
 from .trace import Tracer
-
-#: Upper bound on the fired-event free list; beyond this, events are left to
-#: the garbage collector like before pooling existed.
-_EVENT_POOL_LIMIT = 1024
 
 
 class Simulator:
@@ -51,10 +46,6 @@ class Simulator:
         self._current_process: Optional[SimProcess] = None
         self._running = False
         self._events_processed = 0
-        #: Free list of fired events with no outside references, recycled by
-        #: :meth:`schedule` / :meth:`schedule_at` to avoid an allocation per
-        #: event on the hot path.
-        self._event_pool: List[Event] = []
         #: True while an unbounded :meth:`run` is active: lets
         #: :meth:`SimProcess.hold` advance the clock directly when nothing
         #: can fire before the process would resume (see ``process.py``).
@@ -67,12 +58,11 @@ class Simulator:
         self._stop_at: float = 0
         #: Parked carrier threads that have no process (see ``process.py``).
         self._idle: List[_Carrier] = []
-        #: :meth:`run` / :meth:`shutdown` park here while a process has control;
-        #: the carrier that wakes them leaves the plain event it popped in
-        #: ``_handed`` and an exception to raise (which also stops) in ``_error``.
+        #: :meth:`run` / :meth:`shutdown` park here while carriers have control;
+        #: the carrier that wakes them leaves an exception for them to raise
+        #: (which also stops the run) in ``_error``.
         self._kernel_lock = threading.Lock()
         self._kernel_lock.acquire()
-        self._handed: Optional[Event] = None
         self._error: Optional[BaseException] = None
 
     # ------------------------------------------------------------------ #
@@ -83,21 +73,12 @@ class Simulator:
         self, delay: float, callback: Callable[..., Any], *args: Any, **kwargs: Any
     ) -> Event:
         """Schedule ``callback(*args, **kwargs)`` to run ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule an event in the past (delay={delay})")
+        if not 0 <= delay < inf:  # negative, NaN (compares false) or infinite
+            raise SimulationError(
+                f"cannot schedule an event in the past or at no finite time (delay={delay})"
+            )
         queue = self._queue
-        pool = self._event_pool
-        if pool:
-            event = pool.pop()
-            event.time = self.now + delay
-            event.seq = queue.next_seq()
-            event.callback = callback
-            event.args = args
-            event.kwargs = kwargs or None
-            event.cancelled = False
-            event.fired = False
-        else:
-            event = Event(self.now + delay, queue.next_seq(), callback, args, kwargs)
+        event = Event(self.now + delay, queue.next_seq(), callback, args, kwargs)
         queue.push(event)
         return event
 
@@ -105,23 +86,13 @@ class Simulator:
         self, time: float, callback: Callable[..., Any], *args: Any, **kwargs: Any
     ) -> Event:
         """Schedule ``callback`` at an absolute virtual time."""
-        if time < self.now:
+        if not self.now <= time < inf:
             raise SimulationError(
-                f"cannot schedule an event at {time} before current time {self.now}"
+                f"cannot schedule an event at {time}: not a finite time at or after "
+                f"the current time {self.now}"
             )
         queue = self._queue
-        pool = self._event_pool
-        if pool:
-            event = pool.pop()
-            event.time = time
-            event.seq = queue.next_seq()
-            event.callback = callback
-            event.args = args
-            event.kwargs = kwargs or None
-            event.cancelled = False
-            event.fired = False
-        else:
-            event = Event(time, queue.next_seq(), callback, args, kwargs)
+        event = Event(time, queue.next_seq(), callback, args, kwargs)
         queue.push(event)
         return event
 
@@ -156,7 +127,7 @@ class Simulator:
         )
         self._processes.append(proc)
         proc.state = "ready"
-        self.schedule(start_delay, proc._kernel_start).proc = proc
+        self.schedule(start_delay, proc._kernel_start)
         return proc
 
     @property
@@ -201,7 +172,8 @@ class Simulator:
         self._until = inf if until is None else until
         self._stop_at = inf if max_events is None else self._events_processed + max_events
         try:
-            self._run_loop()
+            self._pass_control(self._kernel_lock)
+            self._raise_error()
             if check_deadlock and self._events_processed < self._stop_at:  # drained
                 self._check_deadlock()
             return self.now
@@ -210,87 +182,48 @@ class Simulator:
             self._fast_hold_ok = False
             self._stop_at = 0
 
-    def _pop_due(self) -> Optional[Event]:
-        """Pop the next event the active run may fire; ``None`` when the queue
-        is drained or the run is stopped (a bound, an abort, no run at all)."""
-        if self._events_processed >= self._stop_at:
-            return None
-        if self._until != inf:
-            next_time = self._queue.peek_time()
-            if next_time is not None and next_time > self._until:
-                self.now = self._until
-                self._stop_at = 0
-                return None
-        return self._queue.pop_next()
-
-    def _run_loop(self) -> None:
-        """The kernel thread's loop: inlined dispatch, no bound checks when unbounded.
-
-        ``pop_next`` only yields live events, so the loop fires them without
-        re-checking cancellation.  ``fired`` is set *before* the callback so
-        a callback cancelling its own event cannot corrupt the live count.
-        Events nobody else references (refcount: the loop local plus the
-        ``getrefcount`` argument) are recycled through the free list.
-        """
-        pop = self._queue.pop_next if self._fast_hold_ok else self._pop_due
-        pool = self._event_pool
-        event = pop()
-        while event is not None:
-            self.now = event.time
-            event.fired = True
-            kwargs = event.kwargs
-            if kwargs:
-                event.callback(*event.args, **kwargs)
-            else:
-                event.callback(*event.args)
-            self._events_processed += 1
-            if getrefcount(event) == 2 and len(pool) < _EVENT_POOL_LIMIT:
-                event.callback = None
-                event.args = ()
-                event.kwargs = None
-                event.proc = None
-                pool.append(event)
-            event = pop() if self._current_process is None else self._run_process()
-
-    def _run_process(self) -> Optional[Event]:
-        """Kernel thread: wake the current process's carrier and park.
-
-        Returns what the carrier that hands control back popped: the plain
-        event to fire before popping again, or ``None`` (nothing due).
-        """
-        self._current_process._lock.release()
-        self._kernel_lock.acquire()
-        event, self._handed = self._handed, None
-        if self._error is not None:
-            error, self._error = self._error, None
-            raise error
-        return event
-
     def _pass_control(self, lock: Any) -> None:
-        """Carrier thread whose process just blocked or ended: pass control on.
+        """The one event loop, run by whichever thread holds control.
 
-        A process start/resume (``event.proc``) fires right here and its
-        carrier is woken directly: no switch at all if that is this carrier,
-        whose lock is ``lock``.  Anything else is handed to the kernel thread:
-        callbacks allocate, and spread over the carriers' malloc arenas they
-        cost up to 13 % more resident memory (docs/ARCHITECTURE.md).
+        That is the :meth:`run` caller, or a carrier whose process just
+        blocked or ended; ``lock`` is the lock that thread parks on.  It pops
+        and fires every due event itself until one makes a process current,
+        then wakes that process's carrier and parks — no lock is touched when
+        the process is the caller's own (its resume was the next event) or
+        landed on the carrier just given back.  Nothing due, a bound hit or an
+        abort wakes the :meth:`run` caller instead.  A callback's exception
+        aborts the run and is left in ``_error`` for :meth:`run` to raise.
+
+        ``pop_next`` only yields live events, so they fire without a
+        cancellation check; ``fired`` is set *before* the callback so a
+        callback cancelling its own event cannot corrupt the live count.
         """
-        self._current_process = None
-        wake = self._kernel_lock
-        while True:
-            event = self._pop_due()
-            if event is None or event.proc is None:
-                self._handed = event
-                break
-            self.now = event.time
-            try:
-                event.fire()
-            except BaseException as exc:  # noqa: BLE001 - run() raises it
-                self._abort(exc)
-            self._events_processed += 1
-            if self._current_process is not None:
-                wake = self._current_process._lock
-                break
+        queue = self._queue
+        pop = queue.pop_next
+        until = self._until
+        try:
+            while self._current_process is None and self._events_processed < self._stop_at:
+                if until != inf:
+                    next_time = queue.peek_time()
+                    if next_time is not None and next_time > until:
+                        self.now = until
+                        self._stop_at = 0
+                        break
+                event = pop()
+                if event is None:
+                    break
+                self.now = event.time
+                event.fired = True
+                kwargs = event.kwargs
+                if kwargs:
+                    event.callback(*event.args, **kwargs)
+                else:
+                    event.callback(*event.args)
+                self._events_processed += 1
+        except BaseException as exc:  # noqa: BLE001 - run() raises it
+            self._abort(exc)
+        current = self._current_process
+        wake = self._kernel_lock if current is None else current._lock
         if wake is not lock:
             wake.release()
             lock.acquire()
@@ -298,6 +231,12 @@ class Simulator:
     def _abort(self, error: BaseException) -> None:
         """Stop the active run: nothing more fires and ``run()`` raises ``error``."""
         self._error, self._stop_at = error, 0
+
+    def _raise_error(self) -> None:
+        """Back on the :meth:`run` / :meth:`shutdown` thread: raise what a carrier left."""
+        if self._error is not None:
+            error, self._error = self._error, None
+            raise error
 
     def run_until_complete(self, processes: List[SimProcess], **run_kwargs: Any) -> float:
         """Run until every process in ``processes`` has terminated."""
@@ -334,7 +273,8 @@ class Simulator:
             if proc.alive:
                 proc._kill()
                 if self._current_process is proc:  # was blocked: let it unwind
-                    self._run_process()
+                    self._pass_control(self._kernel_lock)
+                    self._raise_error()
         self._queue.clear()
         while self._idle:
             carrier = self._idle.pop()

@@ -11,9 +11,9 @@ scheduler.
 A process owns no thread.  Its start borrows a parked *carrier* (one thread,
 one raw lock) from the simulator's idle list and its body's return gives the
 carrier back, so a short-lived process costs no thread creation.  A process
-that blocks or ends pops the next due event itself
-(:meth:`Simulator._pass_control`): a process start or resume fires on the spot
-and that carrier is woken directly, anything else goes to the kernel thread.
+that blocks or ends runs the event loop itself (:meth:`Simulator._pass_control`)
+on its own carrier, above its own frames, until an event makes some process
+current: a thread switch happens only from one running process to the next.
 
 Processes account for their computation with :meth:`SimProcess.compute`,
 which accumulates *pending* virtual time locally.  Pending time is flushed
@@ -25,6 +25,7 @@ search application) does not force a kernel round trip per call.
 from __future__ import annotations
 
 import threading
+from math import inf
 from typing import TYPE_CHECKING, Any, Callable, List, Optional
 
 from ..errors import ProcessError, SimulationError
@@ -41,10 +42,42 @@ class ProcessKilled(BaseException):
     """
 
 
+#: ``M_ARENA_MAX`` of glibc's ``<malloc.h>``.
+_M_ARENA_MAX = -8
+_arenas_bounded = False
+
+
+def _bound_malloc_arenas() -> None:
+    """Keep glibc to one malloc arena, once per OS process, before any carrier.
+
+    Every thread that allocates otherwise gets an arena of its own, and memory
+    freed on one thread never returns to another's: with events firing on
+    whichever carrier holds control that cost 14.6 % more resident memory
+    (docs/ARCHITECTURE.md).  Arenas exist so threads can allocate in parallel;
+    at most one of ours ever runs, so one arena loses nothing.  Skipped
+    silently where libc has no ``mallopt``.  ``ctypes`` is imported here, not
+    at module import: the real backend's node processes import this package
+    and never start a carrier.
+    """
+    global _arenas_bounded
+    if _arenas_bounded:
+        return
+    _arenas_bounded = True
+    try:
+        import ctypes
+
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(_M_ARENA_MAX, 1)
+    except (OSError, AttributeError):
+        pass
+
+
 class _Carrier:
     """A pooled OS thread, parked on ``lock`` whenever its process is not running."""
 
     def __init__(self, sim: "Simulator") -> None:
+        _bound_malloc_arenas()
         self.lock = threading.Lock()
         self.lock.acquire()
         self.proc: Optional["SimProcess"] = None
@@ -59,6 +92,7 @@ class _Carrier:
             self.proc._run()
             self.proc = None
             sim._idle.append(self)
+            sim._current_process = None
             sim._pass_control(self.lock)
 
 
@@ -129,7 +163,7 @@ class SimProcess:
 
     # ------------------------------------------------------------------ #
     # Control: these make the process current; the thread that fired the
-    # event then wakes its carrier (Simulator._run_process / _pass_control)
+    # event then wakes its carrier (Simulator._pass_control)
     # ------------------------------------------------------------------ #
 
     def _kernel_start(self) -> None:
@@ -198,6 +232,7 @@ class SimProcess:
 
     def _yield_control(self) -> Any:
         """Pass control on and park until resumed; returns the wake value."""
+        self.sim._current_process = None
         self.sim._pass_control(self._lock)
         if self._killed:
             raise ProcessKilled()
@@ -247,8 +282,8 @@ class SimProcess:
         explicit synchronization point.
         """
         self._require_current()
-        if duration < 0:
-            raise SimulationError("hold() requires a non-negative duration")
+        if not 0 <= duration < inf:  # the fast path below never reaches schedule()'s check
+            raise SimulationError("hold() requires a non-negative, finite duration")
         total = duration + self._pending_compute
         self._pending_compute = 0.0
         sim = self.sim
@@ -265,7 +300,7 @@ class SimProcess:
                 sim.now = target
                 return
         self.state = "blocked"
-        sim.schedule(total, self._kernel_resume).proc = self
+        sim.schedule(total, self._kernel_resume)
         self._yield_control()
 
     def suspend(self) -> Any:
@@ -288,7 +323,7 @@ class SimProcess:
         """
         if not self.alive:
             return
-        self.sim.schedule(delay, self._kernel_resume, value).proc = self
+        self.sim.schedule(delay, self._kernel_resume, value)
 
     def join(self, other: "SimProcess") -> Any:
         """Block until ``other`` terminates; returns its result.

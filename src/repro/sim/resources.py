@@ -85,15 +85,17 @@ class FifoResource:
         period *ends* — i.e. when whatever the resource models (a packet
         transmission, a burst of CPU work) completes.
         """
-        def _granted() -> None:
-            def _done() -> None:
-                self.release()
-                if callback is not None:
-                    callback(*args)
+        self.request(self._granted, duration, callback, args)
 
-            self.sim.schedule(duration, _done)
+    def _granted(
+        self, duration: float, callback: Optional[Callable[..., Any]], args: tuple
+    ) -> None:
+        self.sim.schedule(duration, self._done, callback, args)
 
-        self.request(_granted)
+    def _done(self, callback: Optional[Callable[..., Any]], args: tuple) -> None:
+        self.release()
+        if callback is not None:
+            callback(*args)
 
     def utilization(self, elapsed: Optional[float] = None) -> float:
         """Fraction of time the resource was busy over ``elapsed`` (default: now)."""

@@ -31,9 +31,9 @@ BASELINES = {
     # byte-identical to its pre-transaction baseline — while this one
     # pins the transactional paths themselves.
     "bench_transactions.py": "transactions.json",
-    # PR 9: the kernel-scaling sweep pins the rebuilt hot path (timer
-    # wheel, event pooling, batched broadcast delivery, fast hold) at the
-    # 8/16/64-node scales where those optimisations actually engage.
+    # The kernel-scaling sweep pins the kernel's hot path (the event heap,
+    # the one run loop, batched broadcast delivery, fast hold) at the
+    # 8/16/64-node scales where its constant factors actually matter.
     "bench_kernel_scaling.py": "kernel_scaling.json",
 }
 

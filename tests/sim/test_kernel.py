@@ -41,6 +41,33 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.schedule_at(1.0, lambda: None)
 
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), inf, -inf])
+    def test_negative_and_non_finite_delays_are_rejected_before_anything_is_counted(self, sim, bad):
+        """A NaN on a heap is not an error, it is a silently broken order."""
+        sim.schedule(5.0, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule(bad, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule_at(bad, lambda: None)
+        assert len(sim._queue) == sim._queue.buffered == 1
+        assert sim.run() == 5.0 and sim.events_processed == 1
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), inf])
+    @pytest.mark.parametrize("bounds", [{}, {"until": 100.0}])
+    def test_hold_and_wake_reject_non_finite_delays(self, sim, bad, bounds):
+        raised = []
+
+        def body():
+            proc = sim.current_process
+            for blocking in (lambda: proc.hold(bad), lambda: proc.wake(delay=bad)):
+                with pytest.raises(SimulationError) as error:
+                    blocking()
+                raised.append(error.type)
+
+        sim.spawn(body)
+        assert sim.run(**bounds) == 0.0  # the clock never saw the bad value
+        assert raised == [SimulationError, SimulationError]
+
     def test_cancel_prevents_firing(self, sim):
         calls = []
         event = sim.schedule(1.0, lambda: calls.append(1))
@@ -431,12 +458,16 @@ _programs = st.tuples(
 def _run_program(program, **run_kwargs):
     """Run ``program``; returns its ``(time, name)`` trace, final time and event count."""
     processes, callbacks = program
-    kernel_thread = threading.get_ident()
+    run_caller = threading.get_ident()
     trace = []
     with Simulator() as sim:
 
         def callback(name):
-            assert threading.get_ident() == kernel_thread
+            # Fired by whichever thread holds control - the run() caller or a
+            # carrier whose process blocked or ended - and never *as* a process.
+            assert sim.current_process is None
+            here = threading.current_thread()
+            assert here.ident == run_caller or here.name == "sim-carrier"
             trace.append((sim.now, name))
 
         def body(name, steps):
@@ -518,19 +549,26 @@ class TestHandOff:
 
     def test_callback_exception_after_a_yield_surfaces_unchanged(self, sim):
         where = []
+        later = []
 
         def callback():
-            where.append(threading.get_ident())
+            where.append((threading.get_ident(), sim.current_process))
             raise KeyError("from the callback")
 
         def body():
+            where.append(threading.get_ident())
             sim.schedule(1.0, callback)
+            sim.schedule(1.5, later.append, "fired")
             sim.current_process.hold(2.0)  # the next event is the callback
 
         proc = sim.spawn(body)
-        with pytest.raises(KeyError, match="from the callback"):
+        with pytest.raises(KeyError, match="from the callback") as raised:
             sim.run()
-        assert where == [threading.get_ident()]  # fired here, not inside the process
+        assert type(raised.value) is KeyError and raised.value.args == ("from the callback",)
+        # Fired by the thread that held control - the blocked process's carrier,
+        # above its frames - but as kernel context, and raised from run() here.
+        assert where == [where[0], (where[0], None)] and where[0] != threading.get_ident()
+        assert later == [] and sim.now == 1.0
         assert proc.state == "blocked" and proc.exception is None
 
     def test_resume_of_an_unresumable_process_surfaces_unchanged(self, sim):
@@ -609,6 +647,145 @@ class TestHandOff:
         assert sim.events_processed == 7  # the start, five resumes, the completion notice
         assert seen == [(seen[0][0], 0)] * 5
         assert seen[0][0] != threading.get_ident()
+
+
+    def test_a_chain_of_plain_callbacks_waking_the_process_that_fired_them_touches_no_lock(
+        self, sim
+    ):
+        seen = []
+
+        def chain(proc, left):
+            seen.append(threading.get_ident())
+            if left:
+                sim.schedule(1.0, chain, proc, left - 1)
+            else:
+                proc.wake("woken")
+
+        def body():
+            proc = sim.current_process
+            lock = proc._lock = _CountingLock(proc._lock)
+            sim.schedule(1.0, chain, proc, 2)
+            seen.append((proc.suspend(), lock.operations, threading.get_ident()))
+
+        sim.spawn(body)
+        sim.run()
+        carrier = seen[-1][2]
+        assert seen == [carrier] * 3 + [("woken", 0, carrier)] and sim.now == 3.0
+
+    def test_an_rpc_shaped_exchange_makes_exactly_two_hand_offs(self, sim):
+        """Client suspends -> callback -> handler starts -> handler ends -> callback -> client."""
+
+        def warm():
+            sim.current_process.hold(1.0)
+
+        sim.spawn(warm)
+        sim.spawn(warm)
+        sim.run(until=10.0)  # bounded: both really block, so two carriers exist
+        assert len(sim._idle) == 2
+        for carrier in sim._idle:
+            carrier.lock = _CountingLock(carrier.lock)
+        kernel_lock = sim._kernel_lock = _CountingLock(sim._kernel_lock)
+        locks = [kernel_lock] + [carrier.lock for carrier in sim._idle]
+        counts = []
+
+        def operations():
+            return [lock.operations for lock in locks]
+
+        def handler():
+            sim.schedule(1.0, client_proc.wake, "reply")  # the reply's delivery
+
+        def client():
+            sim.schedule(1.0, sim.spawn, handler)  # the request's delivery
+            counts.append(operations())
+            assert sim.current_process.suspend() == "reply"
+            counts.append(operations())
+
+        client_proc = sim.spawn(client)
+        sim.run()
+        assert len(sim.processes) == 4 and len(sim._idle) == 2  # no third carrier
+        before, after = counts
+        assert after[0] == before[0]  # the run() caller slept through it
+        # One hand-off is a release of the next carrier's lock and an acquire
+        # of one's own: client -> handler, handler -> client.
+        assert sum(after) - sum(before) == 4
+
+    def test_callbacks_fire_above_the_frames_of_a_process_blocked_deep(self, sim):
+        depths = []
+
+        def depth():
+            frame, count = sys._getframe(1), 0
+            while frame is not None:
+                frame, count = frame.f_back, count + 1
+            return count
+
+        def chain(proc, left):
+            if left:
+                return chain(proc, left - 1)
+            depths.append(depth())
+            proc.wake()
+
+        def dive(left):
+            if left:
+                return dive(left - 1)
+            depths.append(depth())
+            sim.schedule(1.0, chain, sim.current_process, 20)
+            sim.current_process.suspend()
+            return "surfaced"
+
+        proc = sim.spawn(dive, 400)
+        sim.run()
+        assert proc.result == "surfaced"
+        assert depths[0] > 400 and depths[1] > depths[0] + 20
+
+
+class TestOneArena:
+    """glibc is bound to one malloc arena before the first carrier, where it can be."""
+
+    @pytest.fixture
+    def libc_calls(self, monkeypatch):
+        import ctypes
+
+        from repro.sim import process
+
+        calls = []
+
+        def install(cdll):
+            def recording(name):
+                calls.append(name)
+                return cdll(name)
+
+            monkeypatch.setattr(process, "_arenas_bounded", False)
+            monkeypatch.setattr(ctypes, "CDLL", recording)
+            return calls
+
+        return install
+
+    @staticmethod
+    def _one_process_runs():
+        with Simulator() as sim:
+            proc = sim.spawn(lambda: sim.current_process.hold(1.0))
+            sim.run(until=5.0)
+            assert proc.finished
+
+    def test_bounds_the_arenas_once_per_os_process(self, libc_calls):
+        mallopts = []
+        calls = libc_calls(lambda name: SimpleNamespace(mallopt=lambda *a: mallopts.append(a)))
+        self._one_process_runs()
+        self._one_process_runs()
+        assert calls == [None] and mallopts == [(-8, 1)]  # M_ARENA_MAX, 1
+
+    def test_no_libc_to_load_is_skipped_silently(self, libc_calls):
+        def no_libc(name):
+            raise OSError("no libc here")
+
+        calls = libc_calls(no_libc)
+        self._one_process_runs()
+        assert calls == [None]
+
+    def test_a_libc_without_mallopt_is_skipped_silently(self, libc_calls):
+        calls = libc_calls(lambda name: object())
+        self._one_process_runs()
+        assert calls == [None]
 
 
 class TestRng:
