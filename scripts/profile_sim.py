@@ -14,7 +14,10 @@ hand-off lock is nobody's work: those ``acquire`` rows are left out of the
 tables (the *cumulative* time of a function that parks, ``hold`` or ``run``,
 still spans the wait).  Their count is printed in the header beside the count
 of lock ``release`` calls: every thread hand-off is one release, so that is
-the number to watch when the hand-off path changes.
+the number to watch when the hand-off path changes.  A workload that transacts
+also gets the counts the delivery side of ``txn/`` is judged by: member
+deliveries of ``txn-*`` records, participant handler calls (deliveries plus
+replays), replayed queue items and ``ObjectSpec.clone`` calls.
 
 Usage::
 
@@ -45,7 +48,9 @@ sys.path.insert(0, os.path.join(_ROOT, "benchmarks", "perf"))
 
 from workloads import WORKLOADS  # noqa: E402
 
+from repro.rts.object_model import ObjectSpec  # noqa: E402
 from repro.sim.events import EventQueue  # noqa: E402
+from repro.txn import TransactionLayer, TxnParticipant  # noqa: E402
 from repro.workloads import WorkloadRunner  # noqa: E402
 
 SIM_WORKLOADS = sorted(name for name, workload in WORKLOADS.items() if workload.backend == "sim")
@@ -111,17 +116,38 @@ def profile_all_threads(fn):
     return result, wall, stats, acquires, releases
 
 
+def stat_keys(functions) -> set:
+    """The ``pstats`` row keys of the Python functions among ``functions``."""
+    codes = (getattr(function, "__code__", None) for function in functions)
+    return {(code.co_filename, code.co_firstlineno, code.co_name) for code in codes if code}
+
+
 def share_of_self_time(stats: pstats.Stats, cls: type) -> float:
     """Share of the profiled self time spent in the methods of ``cls``, plus in
     the built-ins (``heappush``, ``heappop``...) called from them."""
-    functions = (getattr(member, "fget", member) for member in vars(cls).values())
-    codes = (getattr(function, "__code__", None) for function in functions)
-    own = {(code.co_filename, code.co_firstlineno, code.co_name) for code in codes if code}
+    own = stat_keys(getattr(member, "fget", member) for member in vars(cls).values())
     spent = sum(row[2] for func, row in stats.stats.items() if func in own)
     for func, (_cc, _nc, _tt, _ct, callers) in stats.stats.items():
         if func[0] == "~":  # a built-in: its time, as called from those methods
             spent += sum(row[2] for caller, row in callers.items() if caller in own)
     return spent / stats.total_tt if stats.total_tt else 0.0
+
+
+def calls_of(stats: pstats.Stats, *functions) -> int:
+    """Profiled calls of the given plain functions or methods, summed."""
+    own = stat_keys(functions)
+    return sum(row[1] for func, row in stats.stats.items() if func in own)
+
+
+def count_replayed_items(counter: list):
+    """Have every ``TxnParticipant._replay`` add its queue's length to ``counter[0]``."""
+    replay = TxnParticipant._replay
+
+    def counted(self, node_id, locks, obj_id, items):
+        counter[0] += len(items)
+        return replay(self, node_id, locks, obj_id, items)
+
+    TxnParticipant._replay = counted
 
 
 def main(argv=None) -> int:
@@ -143,7 +169,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     cell = build_cell(args.workload, args.seed, args.scale)
+    replayed = [0]
+    count_replayed_items(replayed)
     report, wall, stats, acquires, releases = profile_all_threads(cell)
+    deliveries = calls_of(stats, TransactionLayer.on_deliver)
+    handlers = calls_of(
+        stats, TxnParticipant._on_atomic, TxnParticipant._on_prepare, TxnParticipant._on_outcome
+    )
 
     buf = io.StringIO()
     buf.write(
@@ -153,8 +185,15 @@ def main(argv=None) -> int:
         f"lock releases={releases} (one per thread hand-off) "
         f"acquires={acquires} (parked time left out below)\n"
         f"EventQueue rows, with the heap built-ins they call: "
-        f"{share_of_self_time(stats, EventQueue):.1%} of profiled self time\n\n"
+        f"{share_of_self_time(stats, EventQueue):.1%} of profiled self time\n"
     )
+    if deliveries:
+        buf.write(
+            f"txn: member deliveries={deliveries} handler calls={handlers} "
+            f"replayed queue items={replayed[0]} "
+            f"ObjectSpec.clone calls={calls_of(stats, ObjectSpec.clone)}\n"
+        )
+    buf.write("\n")
     stats.stream = buf
     buf.write(f"=== top {args.top} by cumulative time ===\n")
     stats.sort_stats("cumulative").print_stats(args.top)

@@ -906,7 +906,7 @@ class HybridRts(RuntimeSystem):
 
             self._txn_layer = TransactionLayer(self)
             self._deliver_kinds.update(
-                dict.fromkeys(TXN_KINDS, self._deliver_txn))
+                dict.fromkeys(TXN_KINDS, self._txn_layer.on_deliver))
         return self._txn_layer.transact(proc, ops, on_guard=on_guard)
 
     # ------------------------------------------------------------------ #
@@ -1018,11 +1018,6 @@ class HybridRts(RuntimeSystem):
             if batcher is not None:
                 batcher.on_batch_delivered()
 
-    def _deliver_txn(self, member: _ShardMember,
-                     record: DeliveredMessage) -> None:
-        self._txn_layer.on_deliver(member.node_id, record.payload,
-                                   record.origin, record.seqno)
-
     def _apply_one(self, node_id: int, manager, node, obj_id: int,
                    op_name: str, args, kwargs, invocation_id: int, epoch: int,
                    origin: int, seqno: int) -> None:
@@ -1055,13 +1050,7 @@ class HybridRts(RuntimeSystem):
                 # origin re-issues it under the object's new policy or route.
                 self._resolve(invocation_id, MIGRATED)
             return
-        resolved = self._write_ops.get((obj_id, op_name))
-        if resolved is None:
-            op = self.handle(obj_id).spec_class.operation_def(op_name)
-            cpu = self.cost_model.cpu
-            resolved = self._write_ops[(obj_id, op_name)] = (
-                op, cpu.operation_dispatch_cost + op.work_units * cpu.work_unit_time)
-        op, charge = resolved
+        op, charge = self._write_ops.get((obj_id, op_name)) or self._write_op(obj_id, op_name)
         replica = manager.replicas.get(obj_id)
         if replica is None or not replica.valid:
             # Per-shard total order guarantees the create precedes every
@@ -1081,6 +1070,16 @@ class HybridRts(RuntimeSystem):
                                       replica.version)
         if origin == node_id:
             self._resolve(invocation_id, result)
+
+    def _write_op(self, obj_id: int, op_name: str) -> Tuple[Any, float]:
+        """A delivered write's operation and the CPU applying it is charged."""
+        resolved = self._write_ops.get((obj_id, op_name))
+        if resolved is None:
+            op = self.handle(obj_id).spec_class.operation_def(op_name)
+            cpu = self.cost_model.cpu
+            resolved = self._write_ops[(obj_id, op_name)] = (
+                op, cpu.operation_dispatch_cost + op.work_units * cpu.work_unit_time)
+        return resolved
 
     def _resolve(self, invocation_id: int, result: Any) -> None:
         pending = self._pending.get(invocation_id)

@@ -28,7 +28,7 @@ full statement and the workaround (read through a transaction).
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional
 
 from .coordinator import TxnCoordinator
 from .locks import MemberLockTable, SeatLockTable
@@ -51,13 +51,18 @@ class TransactionLayer:
 
     def __init__(self, rts) -> None:
         self.rts = rts
-        self.locks = MemberLockTable()
+        self.locks = MemberLockTable(node.node_id for node in rts.cluster.nodes)
         self.seats = SeatLockTable()
         self.descs: Dict[int, TxnDescriptor] = {}
         self.txn_ids = itertools.count(1)
         #: obj_id -> number of live transactions naming it (pins() input).
         self._pinned: Dict[int, int] = {}
         self.participant = TxnParticipant(self)
+        self._handlers = self.participant.handlers
+        # The two delivery-path hooks HybridRts calls per write and per
+        # switch: straight into the participant.
+        self.defer_write = self.participant.defer_write
+        self.on_switch_delivered = self.participant.on_switch_delivered
         self.coordinator = TxnCoordinator(self)
         # A pure-broadcast cluster never installs the primary-copy crash
         # services, so the layer listens for crashes itself.  Where the
@@ -74,12 +79,13 @@ class TransactionLayer:
 
     # -- hooks called from HybridRts ------------------------------------
 
-    def on_deliver(self, node_id: int, payload, origin: int,
-                   seqno: int) -> None:
-        self.participant.process(node_id, payload, origin, seqno)
-
-    def defer_write(self, node_id: int, obj_id: int, entry) -> bool:
-        return self.participant.defer_write(node_id, obj_id, entry)
+    def on_deliver(self, member, record) -> None:
+        """A ``txn-*`` record delivered at ``member`` (registered in the
+        runtime's ``_deliver_kinds``): the one way the order enters this
+        package."""
+        payload = record.payload
+        self._handlers[payload[0]](member.node_id, payload, record.origin,
+                                   record.seqno)
 
     def seat_gate(self, proc, obj_id: int, wid) -> None:
         """Hold an ordinary primary write while a transaction pins the
@@ -100,9 +106,6 @@ class TransactionLayer:
         (their callers already retry)."""
         return self._pinned.get(obj_id, 0) > 0
 
-    def on_switch_delivered(self, node_id: int, obj_id: int) -> None:
-        self.participant.on_switch_delivered(node_id, obj_id)
-
     def on_node_crash(self, crashed: int) -> None:
         _recovery.schedule_recoveries(self, crashed)
 
@@ -113,7 +116,24 @@ class TransactionLayer:
         return self.locks.seed_state(donor, set(obj_ids))
 
     def install_seed(self, node_id: int, state: Dict[str, Any]) -> None:
-        self.locks.install_seed(node_id, state)
+        # The donor's snapshot may predate a normal completion: a tombstone
+        # installed after ``forget_txn`` ran would never be dropped.
+        outcomes = [mark for mark in state.get("outcomes", ())
+                    if self.keeps_tombstone(self.descs.get(mark[0]))]
+        self.locks.install_seed(node_id, {**state, "outcomes": outcomes})
+
+    @staticmethod
+    def keeps_tombstone(desc: Optional[TxnDescriptor]) -> bool:
+        """Does an outcome of this transaction still leave a tombstone?
+
+        Not once it completed normally: every prepare preceded its outcome
+        in its shard's order, so no record of it can still arrive, and
+        ``forget_txn`` has already run — a late member marking now would
+        leak the entry.  A transaction a recovery pass owns keeps them: the
+        dead coordinator's prepare may still be sequenced behind the
+        recovery abort at some member.
+        """
+        return desc is None or not desc.done or desc.recovery_node is not None
 
     # -- descriptor lifecycle -------------------------------------------
 
@@ -134,13 +154,7 @@ class TransactionLayer:
                 self._pinned[obj_id] = remaining
             else:
                 self._pinned.pop(obj_id, None)
-        if desc.recovery_node is None:
-            # Normal completion: no record of this transaction can still
-            # be in flight (every prepare precedes its outcome in its
-            # shard's order), so the tombstones are dead weight.  After a
-            # *recovery* completion the dead coordinator's prepare may
-            # still be sequenced behind the recovery abort at some member
-            # — those tombstones must outlive the descriptor.
+        if not self.keeps_tombstone(desc):
             self.locks.forget_txn(desc.txn_id)
         # Prune the transaction's entries from the primary dedup tables
         # (each sub-operation used a unique origin, so unlike client

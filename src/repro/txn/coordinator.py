@@ -22,7 +22,7 @@ from typing import Any, Dict, List, Tuple
 
 from ..amoeba.message import estimate_size
 from ..errors import ConfigurationError, RtsError, TransactionAborted
-from ..rts.object_model import RETRY, execute_operation
+from ..rts.object_model import RETRY
 from ..rts.policy import (
     FIXED_POLICIES,
     MECHANISM_BROADCAST,
@@ -30,6 +30,7 @@ from ..rts.policy import (
     PREPARE_ORDER,
 )
 from ..rts.switch import MIGRATED, _PendingWrite
+from .participant import guard_vote
 from .records import (
     KIND_ATOMIC,
     KIND_DECIDE,
@@ -91,7 +92,7 @@ class TxnCoordinator:
     # -- one attempt ----------------------------------------------------
 
     def _normalize(self, ops) -> List[Tuple[int, str, Tuple[Any, ...],
-                                            Dict[str, Any]]]:
+                                            Dict[str, Any], int]]:
         rts = self.layer.rts
         if not ops:
             raise ConfigurationError("transact() needs at least one operation")
@@ -113,16 +114,22 @@ class TxnCoordinator:
             obj_id = getattr(target, "obj_id", target)
             # Validate eagerly: an unknown operation must fail the call,
             # not poison a broadcast record.
-            rts.handle(obj_id).spec_class.operation_def(op_name)
-            normalized.append((obj_id, op_name, tuple(args), dict(kwargs or {})))
+            rts._write_op(obj_id, op_name)
+            args, kwargs = tuple(args), dict(kwargs or {})
+            # Sized here, once per transaction: a re-attempt re-sends the
+            # same sub-operations.
+            normalized.append((obj_id, op_name, args, kwargs,
+                               estimate_size(args) + estimate_size(kwargs)))
         return normalized
 
     def _attempt(self, proc, node, ops) -> Tuple[str, Any]:
         rts = self.layer.rts
         txn_id = next(self.layer.txn_ids)
         by_obj: Dict[int, List[Tuple[Any, ...]]] = {}
-        for index, (obj_id, op_name, args, kwargs) in enumerate(ops):
+        sizes: Dict[int, int] = {}  # obj_id -> bytes of its sub-operations
+        for index, (obj_id, op_name, args, kwargs, nbytes) in enumerate(ops):
             by_obj.setdefault(obj_id, []).append((index, op_name, args, kwargs))
+            sizes[obj_id] = sizes.get(obj_id, 0) + nbytes
         desc = TxnDescriptor(txn_id=txn_id, coordinator_node=node.node_id,
                              op_count=len(ops),
                              participants=tuple(sorted(by_obj)))
@@ -148,42 +155,37 @@ class TxnCoordinator:
         if not seat_objs:
             shards = {rts.shard_of(rts.handle(obj_id)) for obj_id in order_objs}
             if len(shards) == 1:
-                return self._attempt_atomic(proc, node, desc, by_obj,
+                return self._attempt_atomic(proc, node, desc, by_obj, sizes,
                                             order_objs, shards.pop())
-        return self._attempt_two_phase(proc, node, desc, by_obj, order_objs,
+        return self._attempt_two_phase(proc, node, desc, by_obj, sizes,
                                        seat_objs)
 
     # -- same-shard fast path -------------------------------------------
 
-    def _attempt_atomic(self, proc, node, desc: TxnDescriptor, by_obj,
+    def _attempt_atomic(self, proc, node, desc: TxnDescriptor, by_obj, sizes,
                         order_objs, shard: int) -> Tuple[str, Any]:
         """All participants broadcast-managed on one shard: a single
-        ordered record carries every sub-operation, lock-free."""
+        ordered record carries every sub-operation, lock-free.
+
+        ``shard`` was read by ``_attempt`` with no suspension since, so it
+        is the epoch stamps' back-to-back partner without asking again.
+        """
         rts = self.layer.rts
         entries = []
-        nbytes = 16
-        stale = False
         for obj_id in order_objs:
             epoch = rts.switch.epoch_of(obj_id)
             if rts._mechanism_of(obj_id) != MECHANISM_BROADCAST:
-                stale = True
-                break
-            if rts.shard_of(rts.handle(obj_id)) != shard:
-                stale = True
-                break
+                self.layer.complete(desc, committed=False)
+                return (_MIGRATED, None)
             for index, op_name, args, kwargs in by_obj[obj_id]:
                 entries.append((index, obj_id, op_name, args, kwargs, epoch))
-                nbytes += estimate_size(args) + estimate_size(kwargs)
-        if stale:
-            self.layer.complete(desc, committed=False)
-            return (_MIGRATED, None)
         entries.sort()
         group = rts.router.group_for(shard)
         first_obj = order_objs[0]
         vote = self._broadcast_record(
             proc, node, group,
             (KIND_ATOMIC, desc.txn_id, tuple(entries)),
-            size=max(16, nbytes), obj_id=first_obj,
+            size=16 + sum(sizes.values()), obj_id=first_obj,
             epoch=rts.switch.epoch_of(first_obj))
         if not isinstance(vote, tuple):
             # MIGRATED: a switch was sequenced ahead of the record.
@@ -200,7 +202,7 @@ class TxnCoordinator:
     # -- cross-shard / mixed-mechanism 2PC ------------------------------
 
     def _attempt_two_phase(self, proc, node, desc: TxnDescriptor, by_obj,
-                           order_objs, seat_objs) -> Tuple[str, Any]:
+                           sizes, seat_objs) -> Tuple[str, Any]:
         rts = self.layer.rts
         for obj_id in desc.participants:
             if obj_id in seat_objs:
@@ -208,7 +210,7 @@ class TxnCoordinator:
                 vote = self._eval_primary(proc, desc, obj_id, by_obj[obj_id])
             else:
                 vote = self._broadcast_prepare(proc, node, desc, obj_id,
-                                               by_obj[obj_id])
+                                               by_obj[obj_id], sizes[obj_id])
             if not isinstance(vote, tuple):
                 self._abort_attempt(proc, node, desc)
                 return (_MIGRATED, None)
@@ -252,19 +254,14 @@ class TxnCoordinator:
         (sequenced behind the prepare in the same order, so locks release
         at the same position everywhere); seats release directly.
         """
-        rts = self.layer.rts
         desc.outcome = OUTCOME_ABORT
-        for shard in sorted(desc.prepared_shards):
-            objs = desc.prepared_shards[shard]
-            self._broadcast_record(
-                proc, node, rts.router.group_for(shard),
-                (KIND_OUTCOME, desc.txn_id, OUTCOME_ABORT, objs),
-                size=CONTROL_RECORD_SIZE)
-            desc.outcome_sent.add(shard)
+        self._propagate_outcome(proc, node, desc)
         self._release_seats(desc)
         self.layer.complete(desc, committed=False)
 
     def _propagate_outcome(self, proc, node, desc: TxnDescriptor) -> None:
+        """Carry the fixed outcome into every prepared shard still owed it
+        (the coordinator's pass and the crash-recovery pass alike)."""
         rts = self.layer.rts
         for shard in sorted(desc.prepared_shards):
             if shard in desc.outcome_sent:
@@ -277,7 +274,8 @@ class TxnCoordinator:
             desc.outcome_sent.add(shard)
 
     def _apply_primary_ops(self, proc, node, desc: TxnDescriptor) -> None:
-        """Apply seat-managed sub-operations after the commit point.
+        """Apply seat-managed sub-operations after the commit point (a
+        recovery pass re-applies them the same way).
 
         Reuses the ordinary primary-write path under a transaction write
         id, inheriting its exactly-once behaviour across primary takeovers
@@ -286,10 +284,9 @@ class TxnCoordinator:
         """
         rts = self.layer.rts
         for index, obj_id, op_name, args, kwargs in desc.primary_ops:
-            handle = rts.handle(obj_id)
-            op = handle.spec_class.operation_def(op_name)
             result = rts._primary_write(
-                proc, node.node_id, handle, op, args, kwargs,
+                proc, node.node_id, rts.handle(obj_id),
+                rts._write_op(obj_id, op_name)[0], args, kwargs,
                 wid=txn_wid(desc.txn_id, index, obj_id))
             if result is RETRY:
                 raise RtsError(
@@ -300,7 +297,7 @@ class TxnCoordinator:
     # -- broadcast participants -----------------------------------------
 
     def _broadcast_prepare(self, proc, node, desc: TxnDescriptor, obj_id: int,
-                           sub_ops) -> Any:
+                           sub_ops, nbytes: int) -> Any:
         """One ordered prepare per broadcast participant.
 
         Epoch and shard are stamped back to back (no suspension between
@@ -319,14 +316,10 @@ class TxnCoordinator:
             desc.decision_shard = shard
         desc.prepared_shards[shard] = (desc.prepared_shards.get(shard, ())
                                        + (obj_id,))
-        payload_ops = tuple(sub_ops)
-        nbytes = 16
-        for _index, _op_name, args, kwargs in payload_ops:
-            nbytes += estimate_size(args) + estimate_size(kwargs)
         return self._broadcast_record(
             proc, node, group,
-            (KIND_PREPARE, desc.txn_id, obj_id, epoch, payload_ops),
-            size=max(16, nbytes), obj_id=obj_id, epoch=epoch)
+            (KIND_PREPARE, desc.txn_id, obj_id, epoch, tuple(sub_ops)),
+            size=16 + nbytes, obj_id=obj_id, epoch=epoch)
 
     def _broadcast_record(self, proc, node, group, payload, size: int,
                           obj_id=None, epoch: int = 0) -> Any:
@@ -396,13 +389,11 @@ class TxnCoordinator:
                 proc.hold(rts.cost_model.cpu.protocol_cost)
                 continue
             proc.advance(rts.cost_model.cpu.protocol_cost)
-            handle = rts.handle(obj_id)
-            clone = manager.get(obj_id).instance.clone()
-            for _index, op_name, args, kwargs in sub_ops:
-                op = handle.spec_class.operation_def(op_name)
-                if execute_operation(clone, op, args, kwargs) is RETRY:
-                    return (VOTE_RETRY, obj_id)
-            return (VOTE_READY, obj_id)
+            replica = manager.get(obj_id)
+            rejected = guard_vote([
+                (obj_id, replica, rts._write_op(obj_id, op_name)[0], args, kwargs)
+                for _index, op_name, args, kwargs in sub_ops])
+            return (VOTE_READY if rejected is None else VOTE_RETRY, obj_id)
 
     def _release_seats(self, desc: TxnDescriptor) -> None:
         for obj_id in desc.seats_held:

@@ -24,8 +24,7 @@ Two very different tables live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
 
 from collections import deque
 
@@ -44,79 +43,64 @@ MODE_PREPARED = "prepared"
 MODE_BARRIER = "barrier"
 
 
-@dataclass
 class LockEntry:
     """Lock on one (member node, object) pair."""
 
-    owner: int  # txn id
-    mode: str  # MODE_PREPARED | MODE_BARRIER
-    #: Sub-operations stashed by a ready prepare, applied at commit:
-    #: tuples of ``(index, op_name, args, kwargs)``.
-    stash: Tuple[Tuple[Any, ...], ...] = ()
-    #: Deferred work, replayed FIFO when the entry releases.
-    queue: Deque[Tuple[Any, ...]] = field(default_factory=deque)
+    __slots__ = ("owner", "mode", "stash", "queue")
+
+    def __init__(self, owner: int, mode: str,
+                 stash: Tuple[Tuple[Any, ...], ...] = ()) -> None:
+        self.owner = owner  # txn id
+        self.mode = mode  # MODE_PREPARED | MODE_BARRIER
+        #: Sub-operations stashed by a ready prepare, applied at commit:
+        #: tuples of ``(index, op_name, args, kwargs)``.
+        self.stash = stash
+        #: Deferred work, replayed FIFO when the entry releases.
+        self.queue: List[Tuple[Any, ...]] = []
 
 
 class MemberLockTable:
     """Deterministic per-member lock entries for broadcast participants."""
 
-    def __init__(self) -> None:
-        self._entries: Dict[Tuple[int, int], LockEntry] = {}
-        #: (node, txn, obj) triples whose outcome already landed at that
-        #: member — lets an outcome sequenced *before* a slow prepare in
-        #: the same shard order turn that prepare into a no-op
+    def __init__(self, node_ids: Iterable[int]) -> None:
+        #: node -> {obj -> LockEntry}.  A member's dict is its own: the
+        #: participant fetches it once per record and probes it by object
+        #: id (the dict objects live as long as the table; a wipe clears
+        #: them in place).
+        self.members: Dict[int, Dict[int, LockEntry]] = {
+            node_id: {} for node_id in node_ids}
+        #: txn -> {(node, obj) -> outcome}: the outcome already landed at
+        #: that member — lets an outcome sequenced *before* a slow prepare
+        #: in the same shard order turn that prepare into a no-op
         #: ("tombstone").  Per *object*, not per transaction: a member may
         #: process one shard's outcome before another shard's prepare of
         #: the same transaction, and that interleaving is member-local —
         #: only the within-shard order may decide a record's fate.
-        self._outcome_done: Dict[Tuple[int, int, int], str] = {}
-
-    # -- entries -------------------------------------------------------
+        self.tombstones: Dict[int, Dict[Tuple[int, int], str]] = {}
 
     def get(self, node_id: int, obj_id: int) -> Optional[LockEntry]:
-        return self._entries.get((node_id, obj_id))
-
-    def lock(
-        self,
-        node_id: int,
-        obj_id: int,
-        owner: int,
-        mode: str,
-        stash: Tuple[Tuple[Any, ...], ...] = (),
-    ) -> LockEntry:
-        entry = LockEntry(owner=owner, mode=mode, stash=stash)
-        self._entries[(node_id, obj_id)] = entry
-        return entry
-
-    def unlock(self, node_id: int, obj_id: int) -> Optional[LockEntry]:
-        return self._entries.pop((node_id, obj_id), None)
-
-    def enqueue(self, node_id: int, obj_id: int, item: Tuple[Any, ...]) -> None:
-        self._entries[(node_id, obj_id)].queue.append(item)
+        return self.members[node_id].get(obj_id)
 
     # -- per-member txn progress --------------------------------------
 
     def mark_outcome(self, node_id: int, txn_id: int, objs,
                      outcome: str) -> None:
+        marks = self.tombstones.get(txn_id)
+        if marks is None:
+            marks = self.tombstones[txn_id] = {}
         for obj_id in objs:
-            self._outcome_done.setdefault((node_id, txn_id, obj_id), outcome)
-
-    def outcome_at(self, node_id: int, txn_id: int,
-                   obj_id: int) -> Optional[str]:
-        return self._outcome_done.get((node_id, txn_id, obj_id))
+            marks.setdefault((node_id, obj_id), outcome)
 
     # -- lifecycle -----------------------------------------------------
 
     def forget_txn(self, txn_id: int) -> None:
-        """Drop completed-transaction bookkeeping (keeps tables bounded).
+        """Drop a normally completed transaction's tombstones.
 
         Lock entries are *not* dropped here — they release strictly via
         the ordered outcome records so every member replays its queues at
         the same order position.
         """
-        self._outcome_done = {
-            key: val for key, val in self._outcome_done.items() if key[1] != txn_id
-        }
+        self.tombstones.pop(txn_id, None)
 
     def wipe_node(self, node_id: int) -> None:
         """Forget everything a member knew (crash/recover wipe).
@@ -124,43 +108,38 @@ class MemberLockTable:
         A recovering member is re-seeded from a donor before it resumes
         delivery, exactly like replica state.
         """
-        self._entries = {
-            key: val for key, val in self._entries.items() if key[0] != node_id
-        }
-        self._outcome_done = {
-            key: val for key, val in self._outcome_done.items() if key[0] != node_id
-        }
+        self.members[node_id].clear()
+        for txn_id, marks in list(self.tombstones.items()):
+            kept = {key: val for key, val in marks.items() if key[0] != node_id}
+            if kept:
+                self.tombstones[txn_id] = kept
+            else:
+                del self.tombstones[txn_id]
 
     # -- rejoin seeds --------------------------------------------------
 
     def seed_state(self, donor: int, obj_ids) -> Dict[str, Any]:
         """Snapshot the donor member's txn state for a shard's objects."""
+        locks = self.members[donor]
         entries = []
         for obj_id in obj_ids:
-            entry = self._entries.get((donor, obj_id))
-            if entry is None:
-                continue
-            entries.append(
-                (
-                    obj_id,
-                    entry.owner,
-                    entry.mode,
-                    tuple(entry.stash),
-                    tuple(entry.queue),
-                )
-            )
+            entry = locks.get(obj_id)
+            if entry is not None:
+                entries.append((obj_id, entry.owner, entry.mode,
+                                tuple(entry.stash), tuple(entry.queue)))
         outcomes = [
             (txn_id, obj_id, outcome)
-            for (nid, txn_id, obj_id), outcome in sorted(
-                self._outcome_done.items())
+            for txn_id in sorted(self.tombstones)
+            for (nid, obj_id), outcome in sorted(self.tombstones[txn_id].items())
             if nid == donor and obj_id in obj_ids
         ]
         return {"entries": entries, "outcomes": outcomes}
 
     def install_seed(self, node_id: int, state: Dict[str, Any]) -> None:
         """Install a donor snapshot as the rejoining member's state."""
+        locks = self.members[node_id]
         for obj_id, owner, mode, stash, queue in state.get("entries", ()):
-            entry = self.lock(node_id, obj_id, owner, mode, tuple(stash))
+            entry = locks[obj_id] = LockEntry(owner, mode, tuple(stash))
             entry.queue.extend(tuple(item) for item in queue)
         for txn_id, obj_id, outcome in state.get("outcomes", ()):
             self.mark_outcome(node_id, txn_id, (obj_id,), outcome)

@@ -22,7 +22,7 @@ seed can ship a donor member's queues to a recovering machine.
 
 from __future__ import annotations
 
-from typing import Any, List, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import RtsError
 from ..rts.object_model import RETRY, execute_operation
@@ -30,6 +30,7 @@ from ..rts.switch import FUTURE, MIGRATED, STALE
 from .locks import (
     ITEM_RECORD,
     ITEM_WRITE,
+    LockEntry,
     MODE_BARRIER,
     MODE_PREPARED,
 )
@@ -44,28 +45,67 @@ from .records import (
 )
 
 
+def guard_vote(steps: Sequence[Tuple[Any, ...]]) -> Optional[int]:
+    """Vote on a group of sub-operations without applying any of them.
+
+    ``steps`` are ``(obj_id, replica, op, args, kwargs)`` in execution
+    order; the result is the object whose guard is the first to reject, or
+    ``None`` when the whole group may run.  Guards are pure (the runtime
+    evaluates them on live replicas for every ordinary write), so an
+    object's *first* sub-operation is judged on the live instance.  Only a
+    guard that follows earlier sub-operations on its object has to see
+    their effects: then, and only then, the object is cloned and the
+    earlier steps replayed on the clone.
+    """
+    earlier: Dict[int, List[Tuple[Any, ...]]] = {}
+    clones: Dict[int, Any] = {}
+    for step in steps:
+        obj_id, replica, op, args, kwargs = step
+        before = earlier.get(obj_id)
+        if before is None:
+            if op.guard is not None and not op.guard(replica.instance, *args,
+                                                     **kwargs):
+                return obj_id
+            earlier[obj_id] = [step]
+        elif op.guard is None:
+            before.append(step)
+        else:
+            clone = clones.get(obj_id)
+            if clone is None:
+                clone = clones[obj_id] = replica.instance.clone()
+            for _obj, _replica, done, done_args, done_kwargs in before:
+                execute_operation(clone, done, done_args, done_kwargs)
+            if execute_operation(clone, op, args, kwargs) is RETRY:
+                return obj_id
+            before.clear()
+    return None
+
+
 class TxnParticipant:
     """Processes delivered ``txn-*`` records at one member."""
 
     def __init__(self, layer) -> None:
         self.layer = layer
+        rts = self.rts = layer.rts
+        #: node -> (its object manager, its Node, its own lock dict).
+        self._members = {
+            node.node_id: (rts.managers[node.node_id], node,
+                           layer.locks.members[node.node_id])
+            for node in rts.cluster.nodes}
+        self._tombstones = layer.locks.tombstones
+        #: Record kind -> handler ``(node_id, payload, origin, seqno)``:
+        #: how a record enters, fresh from the order or replayed.
+        self.handlers = {
+            KIND_ATOMIC: self._on_atomic,
+            KIND_PREPARE: self._on_prepare,
+            KIND_DECIDE: self._on_outcome,
+            KIND_OUTCOME: self._on_outcome,
+        }
 
     # -- entry points ---------------------------------------------------
 
-    def process(self, node_id: int, payload: Tuple[Any, ...], origin: int,
-                seqno: int) -> None:
-        kind = payload[0]
-        if kind == KIND_ATOMIC:
-            self._on_atomic(node_id, payload, origin, seqno)
-        elif kind == KIND_PREPARE:
-            self._on_prepare(node_id, payload, origin, seqno)
-        elif kind in (KIND_DECIDE, KIND_OUTCOME):
-            self._on_outcome(node_id, payload, origin, seqno)
-        else:  # pragma: no cover - routing bug
-            raise RtsError(f"unknown transaction record kind {payload[0]!r}")
-
     def defer_write(self, node_id: int, obj_id: int,
-                    entry: Tuple[Any, ...]) -> bool:
+                    write: Tuple[Any, ...]) -> bool:
         """Queue an ordinary delivered write behind a lock, if one exists.
 
         Called from ``_apply_one`` *before* its epoch checks: once a lock
@@ -73,45 +113,43 @@ class TxnParticipant:
         delivered later for that object must replay after it, in FIFO
         order, regardless of its epoch stamp.
         """
-        if self.layer.locks.get(node_id, obj_id) is None:
+        entry = self._members[node_id][2].get(obj_id)
+        if entry is None:
             return False
-        self.layer.locks.enqueue(node_id, obj_id, (ITEM_WRITE,) + tuple(entry))
-        self.layer.rts.stats.txn_deferred_writes += 1
+        entry.queue.append((ITEM_WRITE,) + tuple(write))
+        self.rts.stats.txn_deferred_writes += 1
         return True
 
     def on_switch_delivered(self, node_id: int, obj_id: int) -> None:
         """Replay an epoch barrier once the member delivered the switch."""
-        entry = self.layer.locks.get(node_id, obj_id)
-        if entry is None or entry.mode != MODE_BARRIER:
-            return
-        self.layer.locks.unlock(node_id, obj_id)
-        self._replay(node_id, obj_id, list(entry.queue))
+        locks = self._members[node_id][2]
+        entry = locks.get(obj_id)
+        if entry is not None and entry.mode == MODE_BARRIER:
+            self._release(node_id, locks, obj_id)
 
     # -- atomic fast path ----------------------------------------------
 
     def _on_atomic(self, node_id: int, payload: Tuple[Any, ...], origin: int,
                    seqno: int) -> None:
         _, txn_id, entries, invocation_id = payload
-        rts = self.layer.rts
-        locks = self.layer.locks
+        rts = self.rts
+        manager, node, locks = self._members[node_id]
         # Deferred behind any foreign lock: FIFO into the first locked
         # object's queue (lock state is order-determined, so every member
         # picks the same queue at the same position).
-        for _index, obj_id, _op, _args, _kwargs, _epoch in entries:
-            entry = locks.get(node_id, obj_id)
-            if entry is None:
-                continue
-            if entry.mode == MODE_BARRIER and entry.owner == txn_id:
-                continue  # this record's own epoch barrier
-            locks.enqueue(node_id, obj_id, (ITEM_RECORD, payload, origin, seqno))
-            return
+        for sub in entries:
+            entry = locks.get(sub[1])
+            if entry is not None and not (entry.mode == MODE_BARRIER
+                                          and entry.owner == txn_id):
+                entry.queue.append((ITEM_RECORD, payload, origin, seqno))
+                return
         future_obj = None
         for _index, obj_id, _op, _args, _kwargs, epoch in entries:
             verdict = rts.switch.classify(node_id, obj_id, epoch)
             if verdict == STALE:
                 # Sequenced after a switch it predates: dropped identically
                 # at every member; the origin re-groups and re-issues.
-                self._drop_own_barriers(node_id, txn_id, entries)
+                self._drop_own_barriers(node_id, locks, txn_id, entries)
                 if origin == node_id:
                     rts._resolve(invocation_id, MIGRATED)
                 return
@@ -121,46 +159,35 @@ class TxnParticipant:
             self._defer_future(node_id, txn_id, future_obj,
                                [e[1] for e in entries], payload, origin, seqno)
             return
-        manager = rts.managers[node_id]
-        node = rts.cluster.node(node_id)
-        cpu = rts.cost_model.cpu
-        # All-or-nothing: validate every guard on clones first, touch the
-        # real replicas only when the whole group passes.
-        clones = {}
-        failed = None
+        # All-or-nothing: every guard votes first, the real replicas are
+        # touched only when the whole group passes.
+        steps = []
+        charges = []
         for _index, obj_id, op_name, args, kwargs, _epoch in entries:
-            handle = rts.handle(obj_id)
-            op = handle.spec_class.operation_def(op_name)
-            if not manager.has_valid_copy(obj_id):
-                raise RtsError(
-                    f"node {node_id} received transaction {txn_id} for object "
-                    f"{obj_id} before its create message"
-                )
-            clone = clones.get(obj_id)
-            if clone is None:
-                clone = clones[obj_id] = manager.get(obj_id).instance.clone()
-            if execute_operation(clone, op, args, kwargs) is RETRY:
-                failed = obj_id
-                break
+            op, charge = rts._write_op(obj_id, op_name)
+            steps.append((obj_id, self._replica(node_id, manager, txn_id, obj_id),
+                          op, args, kwargs))
+            charges.append(charge)
+        failed = guard_vote(steps)
         if failed is not None:
-            node.charge_overhead(cpu.operation_dispatch_cost)
-            self._drop_own_barriers(node_id, txn_id, entries)
+            node.charge_overhead(rts.cost_model.cpu.operation_dispatch_cost)
+            self._drop_own_barriers(node_id, locks, txn_id, entries)
             if origin == node_id:
                 rts._resolve(invocation_id, (VOTE_RETRY, failed))
             return
         results = {}
-        for index, obj_id, op_name, args, kwargs, _epoch in entries:
-            op = rts.handle(obj_id).spec_class.operation_def(op_name)
-            result = manager.apply_write(obj_id, op, args, kwargs,
-                                         local_origin=origin == node_id)
-            node.charge_overhead(cpu.operation_dispatch_cost
-                                 + op.work_units * cpu.work_unit_time)
-            rts.history.record_write(node_id, obj_id, op_name, args, seqno,
-                                     manager.get(obj_id).version)
-            results[index] = result
+        history = rts.history
+        for sub, (obj_id, replica, op, args, kwargs), charge in zip(
+                entries, steps, charges):
+            results[sub[0]] = manager.apply_write_to(
+                replica, op, args, kwargs, local_origin=origin == node_id)
+            node.charge_overhead(charge)
+            if history.enabled:
+                history.record_write(node_id, obj_id, op.name, args, seqno,
+                                     replica.version)
         # Own epoch barriers release only now: their queued work was
         # delivered after this record, so it replays after the applies.
-        self._drop_own_barriers(node_id, txn_id, entries)
+        self._drop_own_barriers(node_id, locks, txn_id, entries)
         if origin == node_id:
             rts._resolve(invocation_id, (VOTE_READY, results))
 
@@ -169,53 +196,41 @@ class TxnParticipant:
     def _on_prepare(self, node_id: int, payload: Tuple[Any, ...], origin: int,
                     seqno: int) -> None:
         _, txn_id, obj_id, epoch, sub_ops, invocation_id = payload
-        rts = self.layer.rts
-        locks = self.layer.locks
-        if locks.outcome_at(node_id, txn_id, obj_id) is not None:
+        marks = self._tombstones.get(txn_id)
+        if marks is not None and (node_id, obj_id) in marks:
             # An outcome naming this object was sequenced ahead of this
             # prepare in the same shard order (the coordinator died with
             # the prepare in flight): it is void everywhere.
             return
-        entry = locks.get(node_id, obj_id)
+        rts = self.rts
+        manager, node, locks = self._members[node_id]
+        entry = locks.get(obj_id)
         if entry is not None and not (entry.mode == MODE_BARRIER
                                       and entry.owner == txn_id):
-            locks.enqueue(node_id, obj_id, (ITEM_RECORD, payload, origin, seqno))
+            entry.queue.append((ITEM_RECORD, payload, origin, seqno))
             return
         verdict = rts.switch.classify(node_id, obj_id, epoch)
-        if verdict == STALE:
-            self._drop_own_barrier(node_id, txn_id, obj_id)
-            if origin == node_id:
-                rts._resolve(invocation_id, MIGRATED)
-            return
         if verdict == FUTURE:
             self._defer_future(node_id, txn_id, obj_id, [obj_id], payload,
                                origin, seqno)
             return
-        self._drop_own_barrier(node_id, txn_id, obj_id)
-        manager = rts.managers[node_id]
-        node = rts.cluster.node(node_id)
-        cpu = rts.cost_model.cpu
-        if not manager.has_valid_copy(obj_id):
-            raise RtsError(
-                f"node {node_id} received prepare of transaction {txn_id} for "
-                f"object {obj_id} before its create message"
-            )
-        handle = rts.handle(obj_id)
-        clone = manager.get(obj_id).instance.clone()
-        ready = True
-        for _index, op_name, args, kwargs in sub_ops:
-            op = handle.spec_class.operation_def(op_name)
-            if execute_operation(clone, op, args, kwargs) is RETRY:
-                ready = False
-                break
-        node.charge_overhead(cpu.operation_dispatch_cost)
+        if entry is not None:  # this record's own epoch barrier
+            self._release(node_id, locks, obj_id)
+        if verdict == STALE:
+            if origin == node_id:
+                rts._resolve(invocation_id, MIGRATED)
+            return
+        replica = self._replica(node_id, manager, txn_id, obj_id)
+        ready = guard_vote([
+            (obj_id, replica, rts._write_op(obj_id, op_name)[0], args, kwargs)
+            for _index, op_name, args, kwargs in sub_ops]) is None
+        node.charge_overhead(rts.cost_model.cpu.operation_dispatch_cost)
         if ready:
             # Stash the sub-operations under the lock; they apply when the
             # outcome record releases it.  Conflicting work delivered in
             # the meantime defers into the lock's queue (never rejected),
             # so per-client FIFO holds across the prepared window.
-            locks.lock(node_id, obj_id, txn_id, MODE_PREPARED,
-                       stash=tuple(sub_ops))
+            locks[obj_id] = LockEntry(txn_id, MODE_PREPARED, tuple(sub_ops))
         if origin == node_id:
             rts._resolve(invocation_id,
                          (VOTE_READY if ready else VOTE_RETRY, obj_id))
@@ -225,8 +240,8 @@ class TxnParticipant:
     def _on_outcome(self, node_id: int, payload: Tuple[Any, ...], origin: int,
                     seqno: int) -> None:
         kind, txn_id, outcome, objs, invocation_id = payload
-        rts = self.layer.rts
-        locks = self.layer.locks
+        rts = self.rts
+        manager, node, locks = self._members[node_id]
         # No early dedup return: a transaction's outcome reaches each of
         # its shards in a separate record, and each must run the apply
         # loop for its own objects.  Duplicates *within* a shard (the
@@ -239,49 +254,56 @@ class TxnParticipant:
         # this transaction holds prepared is the one this outcome is here
         # to release — never defer behind that.
         for obj_id in objs:
-            entry = locks.get(node_id, obj_id)
+            entry = locks.get(obj_id)
             if entry is not None and (entry.owner != txn_id
                                       or entry.mode == MODE_BARRIER):
-                locks.enqueue(node_id, obj_id,
-                              (ITEM_RECORD, payload, origin, seqno))
+                entry.queue.append((ITEM_RECORD, payload, origin, seqno))
                 return
         desc = self.layer.descs.get(txn_id)
-        if kind == KIND_DECIDE and desc is not None and desc.outcome is None:
+        if kind == KIND_DECIDE and desc is not None:
             # First decide record in the decision shard's order wins —
             # identical at every member, because this assignment happens at
             # the same order position everywhere.
-            desc.outcome = outcome
-        final = desc.outcome if (kind == KIND_DECIDE
-                                 and desc is not None
-                                 and desc.outcome is not None) else outcome
-        locks.mark_outcome(node_id, txn_id, objs, final)
-        manager = rts.managers[node_id]
-        node = rts.cluster.node(node_id)
-        cpu = rts.cost_model.cpu
-        node.charge_overhead(cpu.operation_dispatch_cost)
+            if desc.outcome is None:
+                desc.outcome = outcome
+            outcome = desc.outcome
+        if self.layer.keeps_tombstone(desc):
+            self.layer.locks.mark_outcome(node_id, txn_id, objs, outcome)
+        node.charge_overhead(rts.cost_model.cpu.operation_dispatch_cost)
+        history = rts.history
         for obj_id in objs:
-            entry = locks.get(node_id, obj_id)
+            entry = locks.get(obj_id)
             if entry is None or entry.owner != txn_id:
                 continue  # voted retry here: nothing stashed, nothing held
-            locks.unlock(node_id, obj_id)
-            if final == OUTCOME_COMMIT:
+            del locks[obj_id]
+            if outcome == OUTCOME_COMMIT:
+                replica = manager.get(obj_id)
                 for index, op_name, args, kwargs in entry.stash:
-                    op = rts.handle(obj_id).spec_class.operation_def(op_name)
-                    result = manager.apply_write(
-                        obj_id, op, args, kwargs,
+                    op, charge = rts._write_op(obj_id, op_name)
+                    result = manager.apply_write_to(
+                        replica, op, args, kwargs,
                         local_origin=origin == node_id)
-                    node.charge_overhead(cpu.operation_dispatch_cost
-                                         + op.work_units * cpu.work_unit_time)
-                    rts.history.record_write(node_id, obj_id, op_name, args,
-                                             seqno,
-                                             manager.get(obj_id).version)
+                    node.charge_overhead(charge)
+                    if history.enabled:
+                        history.record_write(node_id, obj_id, op_name, args,
+                                             seqno, replica.version)
                     if desc is not None:
                         desc.results[index] = result
-            self._replay(node_id, obj_id, list(entry.queue))
+            if entry.queue:
+                self._replay(node_id, locks, obj_id, entry.queue)
         if origin == node_id:
             rts._resolve(invocation_id, None)
 
     # -- deferral machinery ---------------------------------------------
+
+    def _replica(self, node_id: int, manager, txn_id: int, obj_id: int):
+        replica = manager.replicas.get(obj_id)
+        if replica is None or not replica.valid:
+            raise RtsError(
+                f"node {node_id} received a record of transaction {txn_id} "
+                f"for object {obj_id} before its create message"
+            )
+        return replica
 
     def _defer_future(self, node_id: int, txn_id: int, future_obj: int,
                       obj_ids: List[int], payload: Tuple[Any, ...],
@@ -294,50 +316,72 @@ class TxnParticipant:
         ordinary writes are absorbed ahead of the record, and the record
         itself queues on the object whose switch it awaits.
         """
-        rts = self.layer.rts
-        locks = self.layer.locks
+        rts = self.rts
+        locks = self._members[node_id][2]
         for obj_id in obj_ids:
-            if locks.get(node_id, obj_id) is not None:
+            if obj_id in locks:
                 continue  # already barriered by an earlier deferral
-            entry = locks.lock(node_id, obj_id, txn_id, MODE_BARRIER)
+            entry = locks[obj_id] = LockEntry(txn_id, MODE_BARRIER)
             for write in rts.switch.take_future_writes(node_id, obj_id):
                 entry.queue.append((ITEM_WRITE,) + tuple(write))
-        locks.enqueue(node_id, future_obj, (ITEM_RECORD, payload, origin, seqno))
+        locks[future_obj].queue.append((ITEM_RECORD, payload, origin, seqno))
         rts.switch.arm_lag_probe(node_id, future_obj)
 
-    def _drop_own_barrier(self, node_id: int, txn_id: int, obj_id: int) -> None:
-        locks = self.layer.locks
-        entry = locks.get(node_id, obj_id)
-        if (entry is not None and entry.owner == txn_id
-                and entry.mode == MODE_BARRIER):
-            locks.unlock(node_id, obj_id)
-            self._replay(node_id, obj_id, list(entry.queue))
+    def _drop_own_barriers(self, node_id: int, locks, txn_id: int,
+                           entries) -> None:
+        for sub in entries:
+            entry = locks.get(sub[1])
+            if (entry is not None and entry.owner == txn_id
+                    and entry.mode == MODE_BARRIER):
+                self._release(node_id, locks, sub[1])
 
-    def _drop_own_barriers(self, node_id: int, txn_id: int, entries) -> None:
-        for _index, obj_id, _op, _args, _kwargs, _epoch in entries:
-            self._drop_own_barrier(node_id, txn_id, obj_id)
+    def _release(self, node_id: int, locks, obj_id: int) -> None:
+        queue = locks.pop(obj_id).queue
+        if queue:
+            self._replay(node_id, locks, obj_id, queue)
 
-    def _replay(self, node_id: int, obj_id: int,
+    def _replay(self, node_id: int, locks, obj_id: int,
                 items: List[Tuple[Any, ...]]) -> None:
         """Replay a released lock's FIFO queue in delivery order.
 
-        Every item goes back through its normal dispatch path: a replayed
-        record may re-lock the object (a queued prepare voting ready, or a
-        re-deferral), and each later item then makes its own deferral
-        decision against the new lock — exactly as if it were delivered
-        fresh.  Blanket-migrating the rest of the queue would be wrong:
-        the new lock's own outcome record may be among the remaining
-        items, and it must release that lock, not queue behind it.
+        Every item makes its own deferral decision, exactly as if it were
+        delivered fresh: a replayed record may re-lock the object (a queued
+        prepare voting ready, or a re-deferral), and blanket-migrating the
+        rest of the queue behind it would be wrong — the new lock's own
+        outcome record may be among the remaining items, and it must
+        release that lock, not queue behind it.  An item whose decision is
+        "queue behind the lock now on this object" is handed over as it
+        is, without the trip through its handler.
         """
-        rts = self.layer.rts
+        rts = self.rts
+        manager, node, _ = self._members[node_id]
         for item in items:
+            entry = locks.get(obj_id)
             if item[0] == ITEM_WRITE:
-                (op_name, args, kwargs, invocation_id, epoch, origin,
-                 seqno) = item[1:]
-                rts._apply_one(node_id, rts.managers[node_id],
-                               rts.cluster.node(node_id), obj_id, op_name,
-                               args, kwargs, invocation_id, epoch, origin,
-                               seqno)
+                if entry is not None:
+                    entry.queue.append(item)
+                    rts.stats.txn_deferred_writes += 1
+                else:
+                    rts._apply_one(node_id, manager, node, obj_id, *item[1:])
+            elif entry is not None and self._queues_behind(
+                    node_id, obj_id, entry, item[1]):
+                entry.queue.append(item)
             else:
                 _, payload, origin, seqno = item
-                self.process(node_id, payload, origin, seqno)
+                self.handlers[payload[0]](node_id, payload, origin, seqno)
+
+    def _queues_behind(self, node_id: int, obj_id: int, entry: LockEntry,
+                       payload: Tuple[Any, ...]) -> bool:
+        """Would this record, queued on ``obj_id``, only queue again behind
+        ``entry``, the lock now on that object?  (The handlers' own
+        deferral tests, for the object each would look at first.)"""
+        kind, txn_id = payload[0], payload[1]
+        own_barrier = entry.owner == txn_id and entry.mode == MODE_BARRIER
+        if kind == KIND_PREPARE:
+            marks = self._tombstones.get(txn_id)
+            return not own_barrier and (marks is None
+                                        or (node_id, obj_id) not in marks)
+        if kind == KIND_ATOMIC:
+            return payload[2][0][1] == obj_id and not own_barrier
+        return payload[3][0] == obj_id and (entry.owner != txn_id
+                                            or own_barrier)

@@ -74,7 +74,6 @@ class TxnDescriptor:
     #: Shard whose order arbitrates the decision (None: no broadcast
     #: participants; the descriptor itself is the commit point).
     decision_shard: Optional[int] = None
-    decision_objs: Tuple[int, ...] = ()
     #: shard -> broadcast participant obj_ids whose prepare went there.
     prepared_shards: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
     outcome_sent: Set[int] = field(default_factory=set)
@@ -89,7 +88,3 @@ class TxnDescriptor:
     #: Node running the recovery pass for this transaction, if any.
     recovery_node: Optional[int] = None
     done: bool = False
-
-    @property
-    def needs_recovery(self) -> bool:
-        return not self.done

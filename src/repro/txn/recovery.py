@@ -22,16 +22,8 @@ every step above is a no-op when it already happened.
 
 from __future__ import annotations
 
-from ..errors import RtsError
-from ..rts.object_model import RETRY
 from .coordinator import CONTROL_RECORD_SIZE
-from .records import (
-    KIND_DECIDE,
-    KIND_OUTCOME,
-    OUTCOME_ABORT,
-    OUTCOME_COMMIT,
-    txn_wid,
-)
+from .records import KIND_DECIDE, OUTCOME_ABORT, OUTCOME_COMMIT
 
 
 def schedule_recoveries(layer, crashed: int) -> None:
@@ -67,9 +59,7 @@ def _recovery_body(layer, desc) -> None:
     node = rts.cluster.node(desc.recovery_node)
     if desc.done:
         return
-    from .coordinator import TxnCoordinator
-
-    coordinator: TxnCoordinator = layer.coordinator
+    coordinator = layer.coordinator
     if desc.outcome is None:
         if desc.decision_shard is not None:
             # Arbitrate through the decision order: our abort against any
@@ -86,27 +76,9 @@ def _recovery_body(layer, desc) -> None:
             # No broadcast participant ever prepared: the descriptor is
             # the commit point and it was never reached.  Presume abort.
             desc.outcome = OUTCOME_ABORT
-    for shard in sorted(desc.prepared_shards):
-        if shard in desc.outcome_sent:
-            continue
-        objs = desc.prepared_shards[shard]
-        coordinator._broadcast_record(
-            proc, node, rts.router.group_for(shard),
-            (KIND_OUTCOME, desc.txn_id, desc.outcome, objs),
-            size=CONTROL_RECORD_SIZE)
-        desc.outcome_sent.add(shard)
+    coordinator._propagate_outcome(proc, node, desc)
     if desc.outcome == OUTCOME_COMMIT:
-        for index, obj_id, op_name, args, kwargs in desc.primary_ops:
-            handle = rts.handle(obj_id)
-            op = handle.spec_class.operation_def(op_name)
-            result = rts._primary_write(
-                proc, node.node_id, handle, op, args, kwargs,
-                wid=txn_wid(desc.txn_id, index, obj_id))
-            if result is RETRY:  # pragma: no cover - protocol invariant
-                raise RtsError(
-                    f"transaction {desc.txn_id}: recovery re-apply of "
-                    f"{op_name!r} on object {obj_id} was rejected")
-            desc.results.setdefault(index, result)
+        coordinator._apply_primary_ops(proc, node, desc)
     for obj_id in list(desc.seats_held):
         for waiter in layer.seats.release(obj_id, desc.txn_id):
             waiter.wake()
