@@ -14,10 +14,14 @@ hand-off lock is nobody's work: those ``acquire`` rows are left out of the
 tables (the *cumulative* time of a function that parks, ``hold`` or ``run``,
 still spans the wait).  Their count is printed in the header beside the count
 of lock ``release`` calls: every thread hand-off is one release, so that is
-the number to watch when the hand-off path changes.  A workload that transacts
-also gets the counts the delivery side of ``txn/`` is judged by: member
-deliveries of ``txn-*`` records, participant handler calls (deliveries plus
-replays), replayed queue items and ``ObjectSpec.clone`` calls.
+the number to watch when the hand-off path changes.  What a hand-off costs the
+host is printed under it: OS context switches per hand-off, voluntary and
+involuntary (``getrusage``), counted over one pass of the same repeat run
+*before* the profiled one with no profiler installed.  One per hand-off is the
+floor; run under ``taskset -c N`` to read what the pinned benchmark pays.  A
+workload that transacts also gets the counts the delivery side of ``txn/`` is
+judged by: member deliveries of ``txn-*`` records, participant handler calls
+(deliveries plus replays), replayed queue items and ``ObjectSpec.clone`` calls.
 
 Usage::
 
@@ -34,6 +38,7 @@ import cProfile
 import io
 import os
 import pstats
+import resource
 import sys
 import threading
 import time
@@ -116,6 +121,14 @@ def profile_all_threads(fn):
     return result, wall, stats, acquires, releases
 
 
+def context_switches(fn):
+    """Run ``fn()``; returns the (voluntary, involuntary) OS context switches it took."""
+    before = resource.getrusage(resource.RUSAGE_SELF)
+    fn()
+    after = resource.getrusage(resource.RUSAGE_SELF)
+    return after.ru_nvcsw - before.ru_nvcsw, after.ru_nivcsw - before.ru_nivcsw
+
+
 def stat_keys(functions) -> set:
     """The ``pstats`` row keys of the Python functions among ``functions``."""
     codes = (getattr(function, "__code__", None) for function in functions)
@@ -169,6 +182,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     cell = build_cell(args.workload, args.seed, args.scale)
+    voluntary, involuntary = context_switches(cell)
     replayed = [0]
     count_replayed_items(replayed)
     report, wall, stats, acquires, releases = profile_all_threads(cell)
@@ -184,6 +198,9 @@ def main(argv=None) -> int:
         f"virtual_throughput={report.throughput:.1f} ops/s\n"
         f"lock releases={releases} (one per thread hand-off) "
         f"acquires={acquires} (parked time left out below)\n"
+        f"context switches per hand-off, unprofiled pass: "
+        f"voluntary={voluntary / max(1, releases):.2f} "
+        f"involuntary={involuntary / max(1, releases):.2f}\n"
         f"EventQueue rows, with the heap built-ins they call: "
         f"{share_of_self_time(stats, EventQueue):.1%} of profiled self time\n"
     )

@@ -63,7 +63,6 @@ class AmoebaKernel:
         )
         proc.node = self.node
         self.threads.append(proc)
-        self.node.processes.append(proc)
         return proc
 
     def live_threads(self) -> List[SimProcess]:

@@ -20,7 +20,6 @@ from .nic import NetworkInterface
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim.kernel import Simulator
-    from ..sim.process import SimProcess
     from .kernel import AmoebaKernel
     from .network import BaseNetwork
 
@@ -58,8 +57,6 @@ class Node:
         #: CPU overhead accrued by protocol processing that has not yet been
         #: absorbed into an application process's virtual time.
         self._overhead_pending = 0.0
-        #: Application processes pinned to this node (bookkeeping only).
-        self.processes: List["SimProcess"] = []
         #: Callbacks fired (synchronously) when this node crashes; protocol
         #: layers use them to stop waiting on acknowledgements from the dead.
         self._crash_listeners: List[Callable[[], None]] = []

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Any, Dict, Optional, Set, Tuple, Type
 from ..amoeba.cluster import Cluster
 from ..amoeba.rpc import RpcReply, RpcRequest
 from ..config import ClusterConfig
-from ..rts.base import ObjectHandle, RuntimeSystem
+from ..rts.base import CallSite, ObjectHandle, RuntimeSystem
 from ..rts.object_model import RETRY, ObjectSpec, execute_operation
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -253,11 +253,10 @@ class IvyObjectRuntime(RuntimeSystem):
         proc.advance(self.cost_model.cpu.operation_dispatch_cost)
         return handle
 
-    def _invoke(self, proc: "SimProcess", handle: ObjectHandle, op_name: str,
-                args: Tuple[Any, ...] = (), kwargs: Optional[Dict[str, Any]] = None) -> Any:
-        node = self._node_of(proc)
-        nid = node.node_id
-        op = handle.spec_class.operation_def(op_name)
+    def _invoke(self, proc: "SimProcess", site: CallSite, handle: ObjectHandle,
+                args: Tuple[Any, ...], kwargs: Optional[Dict[str, Any]]) -> Any:
+        nid = site.node.node_id
+        op = site.op
         cpu = self.cost_model.cpu
         proc.advance(cpu.operation_dispatch_cost)
         if op.work_units:

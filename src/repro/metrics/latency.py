@@ -126,8 +126,8 @@ class LatencyRecorder:
     """Named latency histograms (one per operation class: read, write, ...).
 
     The recorder is what gets attached to a runtime system's invocation path
-    (see :class:`repro.rts.stats.LatencyProbe`) and what the workload runner
-    uses for client-observed request latencies.
+    (see :meth:`repro.rts.base.RuntimeSystem.attach_latency_recorder`) and
+    what the workload runner uses for client-observed request latencies.
     """
 
     def __init__(self) -> None:

@@ -16,12 +16,15 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Type
 
 from ..errors import RtsError
 from .manager import ObjectManager
-from .object_model import ObjectSpec, validate_spec
-from .stats import LatencyProbe
+from .object_model import ObjectSpec, OperationDef, validate_spec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..amoeba.cluster import Cluster
+    from ..amoeba.node import Node
     from ..sim.process import SimProcess
+
+_OFF_NODE = ("shared-object operations must be invoked from a process created "
+             "on a cluster node (kernel.spawn_thread or OrcaProcess.fork)")
 
 
 @dataclass(frozen=True)
@@ -34,6 +37,29 @@ class ObjectHandle:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<ObjectHandle {self.name!r} #{self.obj_id} ({self.spec_class.__name__})>"
+
+
+class CallSite:
+    """What one (node, object, operation) resolves to, once, on first use.
+
+    Every field is fixed for the life of the runtime.  What can change under
+    a call site - the object's policy, whether the node holds a valid
+    replica - is not here and is checked on every call.
+    """
+
+    __slots__ = ("node", "manager", "op", "kind", "apply_cost", "access")
+
+    def __init__(self, node: "Node", manager: ObjectManager, op: OperationDef,
+                 apply_cost: float, access: Any) -> None:
+        self.node = node
+        self.manager = manager
+        self.op = op
+        #: The latency class the invocation is recorded under.
+        self.kind = "write" if op.is_write else "read"
+        #: CPU a machine is charged for applying the operation to its replica.
+        self.apply_cost = apply_cost
+        #: The runtime's (object, node) access counters, if it keeps any.
+        self.access = access
 
 
 @dataclass
@@ -114,8 +140,10 @@ class RuntimeSystem(ABC):
         self.sim = cluster.sim
         self.cost_model = cluster.cost_model
         self.stats = RtsStats()
-        #: Invocation-latency hook; inert until a recorder is attached.
-        self.latency_probe = LatencyProbe()
+        #: Anything with ``record(kind, seconds)``, e.g. a
+        #: :class:`repro.metrics.latency.LatencyRecorder` (duck-typed: rts
+        #: does not import metrics); ``None`` times nothing.
+        self.latency_recorder: Optional[Any] = None
         #: Gateway/session tier, attached lazily by gateway-mode workload
         #: runs (see :mod:`repro.gateway`); ``None`` keeps reports and
         #: fingerprints byte-identical to pre-gateway runs.
@@ -126,6 +154,8 @@ class RuntimeSystem(ABC):
         self.managers: Dict[int, ObjectManager] = {
             node.node_id: ObjectManager(node) for node in cluster.nodes
         }
+        #: (node_id, obj_id, op_name) -> its :class:`CallSite`.
+        self._sites: Dict[Tuple[int, int, str], CallSite] = {}
 
     # ------------------------------------------------------------------ #
     # Object creation / lookup
@@ -170,31 +200,52 @@ class RuntimeSystem(ABC):
         """
 
     @abstractmethod
-    def _invoke(self, proc: "SimProcess", handle: ObjectHandle, op_name: str,
-                args: Tuple[Any, ...] = (), kwargs: Optional[Dict[str, Any]] = None) -> Any:
-        """Runtime-specific invocation of an operation on a shared object."""
+    def _invoke(self, proc: "SimProcess", site: CallSite, handle: ObjectHandle,
+                args: Tuple[Any, ...], kwargs: Optional[Dict[str, Any]]) -> Any:
+        """Runtime-specific invocation of ``site.op`` from ``site.node``."""
 
     def invoke(self, proc: "SimProcess", handle: ObjectHandle, op_name: str,
                args: Tuple[Any, ...] = (), kwargs: Optional[Dict[str, Any]] = None) -> Any:
         """Invoke an operation on a shared object from the given process.
 
-        When a latency recorder is attached to :attr:`latency_probe`, the
-        invocation's virtual-time latency (including any blocking on
-        broadcasts, RPCs or guards) is recorded under ``"read"`` or
-        ``"write"`` according to the operation's declared class.
+        While a latency recorder is attached, the invocation's virtual-time
+        latency (including any blocking on broadcasts, RPCs or guards) is
+        recorded under ``"read"`` or ``"write"`` according to the
+        operation's declared class.
         """
-        probe = self.latency_probe
-        if not probe.enabled:
-            return self._invoke(proc, handle, op_name, args, kwargs)
-        start = probe.start(proc)
-        result = self._invoke(proc, handle, op_name, args, kwargs)
-        kind = "write" if handle.spec_class.operation_def(op_name).is_write else "read"
-        probe.finish(kind, proc, start)
+        node = proc.node
+        if node is None:
+            raise RtsError(_OFF_NODE)
+        site = (self._sites.get((node.node_id, handle.obj_id, op_name))
+                or self._site(node.node_id, handle.obj_id, op_name))
+        recorder = self.latency_recorder
+        if recorder is None:
+            return self._invoke(proc, site, handle, args, kwargs)
+        start = proc.local_time
+        result = self._invoke(proc, site, handle, args, kwargs)
+        recorder.record(site.kind, proc.local_time - start)
         return result
 
+    def _site(self, node_id: int, obj_id: int, op_name: str) -> CallSite:
+        """The call site's record, resolved on first use."""
+        key = (node_id, obj_id, op_name)
+        site = self._sites.get(key)
+        if site is None:
+            op = self.handle(obj_id).spec_class.operation_def(op_name)
+            cpu = self.cost_model.cpu
+            site = self._sites[key] = CallSite(
+                self.cluster.node(node_id), self.managers[node_id], op,
+                cpu.operation_dispatch_cost + op.work_units * cpu.work_unit_time,
+                self._access_stats(obj_id, node_id))
+        return site
+
+    def _access_stats(self, obj_id: int, node_id: int) -> Any:
+        """The (object, node) access counters a call site bumps; none here."""
+        return None
+
     def attach_latency_recorder(self, recorder: Any) -> Any:
-        """Attach a latency recorder to every subsequent invocation; returns it."""
-        self.latency_probe.recorder = recorder
+        """Time every subsequent invocation into ``recorder`` (``None``: stop)."""
+        self.latency_recorder = recorder
         return recorder
 
     def downstream_queue_depth(self) -> int:
@@ -214,13 +265,10 @@ class RuntimeSystem(ABC):
     # ------------------------------------------------------------------ #
 
     @staticmethod
-    def _node_of(proc: "SimProcess"):
-        node = getattr(proc, "node", None)
+    def _node_of(proc: "SimProcess") -> "Node":
+        node = proc.node
         if node is None:
-            raise RtsError(
-                "shared-object operations must be invoked from a process created "
-                "on a cluster node (kernel.spawn_thread or OrcaProcess.fork)"
-            )
+            raise RtsError(_OFF_NODE)
         return node
 
     #: Default policy label reported for objects of single-policy runtimes.

@@ -35,7 +35,7 @@ from ..amoeba.broadcast.protocol import CONTROL_MESSAGE_SIZE, DeliveredMessage
 from ..amoeba.message import estimate_size
 from ..amoeba.rpc import RpcReply, RpcRequest
 from ..errors import ConfigurationError, RpcPeerDeadError, RtsError
-from .base import ObjectHandle, RuntimeSystem
+from .base import CallSite, ObjectHandle, RuntimeSystem
 from .consistency import HistoryRecorder
 from .object_model import RETRY, ObjectSpec
 from .p2p.directory import ObjectDirectory
@@ -418,9 +418,6 @@ class HybridRts(RuntimeSystem):
             "rejoin": self._apply_rejoin,
             KIND_SWITCH: self.switch.apply,
         }
-        #: (obj_id, op_name) -> (operation, CPU charged for applying it):
-        #: resolved on an object's first delivered write.
-        self._write_ops: Dict[Tuple[int, str], Tuple[Any, float]] = {}
         self._invocation_ids = itertools.count(1)
         self._pending: Dict[int, _PendingWrite] = {}
         #: (node_id, obj_id) -> [SimProcess, ...] waiting for a local replica.
@@ -752,28 +749,34 @@ class HybridRts(RuntimeSystem):
     # Unified invocation dispatch
     # ------------------------------------------------------------------ #
 
-    def _invoke(self, proc: "SimProcess", handle: ObjectHandle, op_name: str,
-                args: Tuple[Any, ...] = (), kwargs: Optional[Dict[str, Any]] = None) -> Any:
-        node = self._node_of(proc)
+    def _access_stats(self, obj_id: int, node_id: int) -> AccessStats:
+        return self.replication.access_stats(obj_id, node_id)
+
+    def _invoke(self, proc: "SimProcess", site: CallSite, handle: ObjectHandle,
+                args: Tuple[Any, ...], kwargs: Optional[Dict[str, Any]]) -> Any:
+        node = site.node
         nid = node.node_id
         obj_id = handle.obj_id
-        op = handle.spec_class.operation_def(op_name)
-        cpu = self.cost_model.cpu
-        proc.advance(cpu.operation_dispatch_cost)
+        op = site.op
+        proc.advance(self.cost_model.cpu.operation_dispatch_cost)
         if op.work_units:
             proc.compute(op.work_units)
 
         # Cluster-wide and per-machine access accounting (one note per
         # invocation, regardless of retries or mid-flight migrations).
+        access = site.access
         if op.is_write:
             self.stats.note_write(obj_id)
-            self.replication.note_write(obj_id, nid)
+            access.note_write()
         else:
-            self.replication.note_read(obj_id, nid)
+            access.reads += 1.0
+            access.total_reads += 1
 
         shard_write_noted = False
         while True:
-            mechanism = self._mechanism_of(obj_id)
+            # The policy is read on every turn: a migration must re-route
+            # the very next invocation.
+            mechanism = FIXED_POLICIES[self._policy_by_obj[obj_id]].mechanism
             if mechanism == MECHANISM_BROADCAST:
                 if op.is_write:
                     # One shard-write note per invocation, exactly like the
@@ -794,8 +797,8 @@ class HybridRts(RuntimeSystem):
                     result = self._broadcast_write(proc, node, handle, op,
                                                    args, kwargs)
                 else:
-                    result = self._broadcast_read(proc, node, handle, op,
-                                                  args, kwargs)
+                    result = self._broadcast_read(proc, site, obj_id, args,
+                                                  kwargs)
             else:
                 proc.absorb_overhead(node.drain_overhead())
                 if op.is_write:
@@ -811,21 +814,20 @@ class HybridRts(RuntimeSystem):
             # The object moved to the other mechanism while this invocation
             # was in flight; re-route it under the new policy.
 
-        self._adaptive_check(proc, handle, op.is_write)
+        controller = self._adaptive_by_obj.get(obj_id)
+        if controller is not None:
+            self._adaptive_check(proc, handle, controller, op.is_write)
         return result
 
     def _adaptive_check(self, proc: "SimProcess", handle: ObjectHandle,
-                        is_write: bool) -> None:
-        """Update the object's access window; migrate when the controller says.
+                        controller: AdaptivePolicy, is_write: bool) -> None:
+        """Update the object's access window; migrate when ``controller`` says.
 
         The migration itself runs in a spawned thread on the invoking node:
         the client whose access tripped the threshold continues immediately
         instead of paying the freeze/switch round trips in its own request
         latency.
         """
-        controller = self._adaptive_by_obj.get(handle.obj_id)
-        if controller is None:
-            return
         window = self._obj_access[handle.obj_id]
         if is_write:
             window.note_write()
@@ -913,22 +915,27 @@ class HybridRts(RuntimeSystem):
     # Broadcast mechanism (reads local, writes through the ordered group)
     # ------------------------------------------------------------------ #
 
-    def _broadcast_read(self, proc: "SimProcess", node: "Node",
-                        handle: ObjectHandle, op, args, kwargs) -> Any:
-        manager = self.managers[node.node_id]
-        if not manager.has_valid_copy(handle.obj_id):
-            self._await_replica(proc, node.node_id, handle.obj_id)
+    def _broadcast_read(self, proc: "SimProcess", site: CallSite, obj_id: int,
+                        args, kwargs) -> Any:
+        manager, node, op = site.manager, site.node, site.op
+        replica = manager.replicas.get(obj_id)
+        if replica is None or not replica.valid:
+            self._await_replica(proc, node.node_id, obj_id)
+            replica = manager.get(obj_id)
         proc.absorb_overhead(node.drain_overhead())
         while True:
-            result = manager.execute_read(handle.obj_id, op, args, kwargs)
+            result = manager.read_from(replica, op, args, kwargs)
             if result is not RETRY:
                 break
             self.stats.guard_retries += 1
-            self._wait_for_change(proc, node.node_id, handle.obj_id)
-        self.stats.note_read(handle.obj_id, local=True)
-        self.history.record_read(proc.name, node.node_id, handle.obj_id,
-                                 op.name, args, result,
-                                 manager.get(handle.obj_id).version)
+            self._wait_for_change(proc, node.node_id, obj_id)
+            replica = manager.get(obj_id)
+        stats = self.stats
+        stats.local_reads += 1
+        stats.per_object_reads[obj_id] = stats.per_object_reads.get(obj_id, 0) + 1
+        if self.history.enabled:
+            self.history.record_read(proc.name, node.node_id, obj_id, op.name,
+                                     args, result, replica.version)
         return result
 
     def _broadcast_write(self, proc: "SimProcess", node: "Node",
@@ -1050,7 +1057,8 @@ class HybridRts(RuntimeSystem):
                 # origin re-issues it under the object's new policy or route.
                 self._resolve(invocation_id, MIGRATED)
             return
-        op, charge = self._write_ops.get((obj_id, op_name)) or self._write_op(obj_id, op_name)
+        site = (self._sites.get((node_id, obj_id, op_name))
+                or self._site(node_id, obj_id, op_name))
         replica = manager.replicas.get(obj_id)
         if replica is None or not replica.valid:
             # Per-shard total order guarantees the create precedes every
@@ -1060,26 +1068,16 @@ class HybridRts(RuntimeSystem):
                 f"node {node_id} received operation {op_name!r} for object "
                 f"{obj_id} before its create message"
             )
-        result = manager.apply_write_to(replica, op, args, kwargs,
+        result = manager.apply_write_to(replica, site.op, args, kwargs,
                                         local_origin=origin == node_id)
         # Applying the update costs CPU on every machine that holds a
         # replica: this is the overhead that limits ACP's speedup.
-        node.charge_overhead(charge)
+        node.charge_overhead(site.apply_cost)
         if self.history.enabled and result is not RETRY:
             self.history.record_write(node_id, obj_id, op_name, args, seqno,
                                       replica.version)
         if origin == node_id:
             self._resolve(invocation_id, result)
-
-    def _write_op(self, obj_id: int, op_name: str) -> Tuple[Any, float]:
-        """A delivered write's operation and the CPU applying it is charged."""
-        resolved = self._write_ops.get((obj_id, op_name))
-        if resolved is None:
-            op = self.handle(obj_id).spec_class.operation_def(op_name)
-            cpu = self.cost_model.cpu
-            resolved = self._write_ops[(obj_id, op_name)] = (
-                op, cpu.operation_dispatch_cost + op.work_units * cpu.work_unit_time)
-        return resolved
 
     def _resolve(self, invocation_id: int, result: Any) -> None:
         pending = self._pending.get(invocation_id)
@@ -1113,8 +1111,8 @@ class HybridRts(RuntimeSystem):
     def _primary_read(self, proc: "SimProcess", nid: int, handle: ObjectHandle,
                       op, args, kwargs) -> Any:
         manager = self.managers[nid]
-        if manager.has_valid_copy(handle.obj_id):
-            replica = manager.get(handle.obj_id)
+        replica = manager.replicas.get(handle.obj_id)
+        if replica is not None and replica.valid:
             # Reads wait while the copy is locked by an in-flight update.
             while replica.locked:
                 replica.on_next_change(lambda p=proc: p.wake())

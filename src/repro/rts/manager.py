@@ -113,7 +113,11 @@ class ObjectManager:
     def execute_read(self, obj_id: int, op: OperationDef, args: Tuple[Any, ...],
                      kwargs: Optional[Dict[str, Any]] = None) -> Any:
         """Execute a read operation directly against the local replica."""
-        replica = self.get(obj_id)
+        return self.read_from(self.get(obj_id), op, args, kwargs)
+
+    def read_from(self, replica: Replica, op: OperationDef, args: Tuple[Any, ...],
+                  kwargs: Optional[Dict[str, Any]] = None) -> Any:
+        """:meth:`execute_read` for a caller that already holds the replica."""
         if not replica.valid:
             raise RtsError(
                 f"read of invalidated replica of {replica.name!r} on node {self.node_id}"

@@ -35,12 +35,6 @@ class ReplicationPolicy:
 
     # -- accounting -------------------------------------------------------- #
 
-    def note_read(self, obj_id: int, node_id: int) -> None:
-        self.decider.note_read(obj_id, node_id)
-
-    def note_write(self, obj_id: int, node_id: int) -> None:
-        self.decider.note_write(obj_id, node_id)
-
     def access_stats(self, obj_id: int, node_id: int) -> AccessStats:
         return self.decider.stats_for(obj_id, node_id)
 

@@ -10,43 +10,9 @@ being built and read-heavy afterwards).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from ..config import ReplicationParams
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..sim.process import SimProcess
-
-
-class LatencyProbe:
-    """Per-runtime hook timing shared-object invocations.
-
-    Every runtime system owns one probe; it is inert (and nearly free) until a
-    recorder is attached.  The workload runner attaches a
-    :class:`repro.metrics.latency.LatencyRecorder` so that each invocation's
-    virtual-time latency is recorded under its operation class (``"read"`` or
-    ``"write"``).  The recorder is duck-typed (anything with
-    ``record(kind, seconds)``) to keep the rts layer free of a dependency on
-    the metrics package.
-    """
-
-    __slots__ = ("recorder",)
-
-    def __init__(self, recorder: Optional[Any] = None) -> None:
-        self.recorder = recorder
-
-    @property
-    def enabled(self) -> bool:
-        return self.recorder is not None
-
-    def start(self, proc: "SimProcess") -> float:
-        """Timestamp (the process's local virtual time) before an invocation."""
-        return proc.local_time
-
-    def finish(self, kind: str, proc: "SimProcess", start: float) -> None:
-        """Record the elapsed virtual time for one finished invocation."""
-        if self.recorder is not None:
-            self.recorder.record(kind, proc.local_time - start)
 
 
 @dataclass
@@ -151,12 +117,6 @@ class ReplicationDecider:
             stats = AccessStats()
             self._stats[key] = stats
         return stats
-
-    def note_read(self, obj_id: int, node_id: int) -> None:
-        self.stats_for(obj_id, node_id).note_read()
-
-    def note_write(self, obj_id: int, node_id: int) -> None:
-        self.stats_for(obj_id, node_id).note_write()
 
     def should_replicate(self, obj_id: int, node_id: int) -> bool:
         """True if a machine *without* a copy should fetch one."""

@@ -24,6 +24,7 @@ search application) does not force a kernel round trip per call.
 
 from __future__ import annotations
 
+import os
 import threading
 from math import inf
 from typing import TYPE_CHECKING, Any, Callable, List, Optional
@@ -73,6 +74,25 @@ def _bound_malloc_arenas() -> None:
         pass
 
 
+def _never_preempt_on_wake() -> None:
+    """Put the calling carrier thread under ``SCHED_BATCH`` (Linux; pid 0 is this thread).
+
+    Under the default policy a woken carrier preempts its waker, finds the GIL
+    still held, sleeps again and is woken a second time when the waker parks:
+    three OS context switches per hand-off.  ``SCHED_BATCH`` means "my wake-ups
+    never preempt", the simulator's own invariant (at most one carrier has
+    anything to do), and makes it one.  Unprivileged; a carrier started under
+    any other policy keeps it; skipped silently where the call is missing or
+    refused, as ``mallopt`` is.  A thread or subprocess started from inside a
+    process body inherits the policy (docs/ARCHITECTURE.md).
+    """
+    try:
+        if os.sched_getscheduler(0) == os.SCHED_OTHER:
+            os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
+    except (AttributeError, OSError):
+        pass
+
+
 class _Carrier:
     """A pooled OS thread, parked on ``lock`` whenever its process is not running."""
 
@@ -87,6 +107,7 @@ class _Carrier:
         self.thread.start()
 
     def _main(self, sim: "Simulator") -> None:
+        _never_preempt_on_wake()
         self.lock.acquire()
         while self.proc is not None:  # woken with no process: shutdown
             self.proc._run()
@@ -224,6 +245,11 @@ class SimProcess:
                 )
                 error.__cause__ = exc
                 self.sim._abort(error)
+        finally:
+            # The body and its arguments (an RPC handler's request, message
+            # and payload) are garbage from here on; ``sim.processes`` keeps
+            # this object until shutdown.
+            self._target = self._args = self._kwargs = None
 
     def _notify_completion(self) -> None:
         waiters, self._completion_waiters = self._completion_waiters, []

@@ -65,7 +65,7 @@ class TxnCoordinator:
             raise ConfigurationError(
                 f"on_guard must be 'retry' or 'abort', not {on_guard!r}")
         node = rts._node_of(proc)
-        normalized = self._normalize(ops)
+        normalized = self._normalize(node.node_id, ops)
         while True:
             status, detail = self._attempt(proc, node, normalized)
             if status == _COMMITTED:
@@ -91,7 +91,7 @@ class TxnCoordinator:
 
     # -- one attempt ----------------------------------------------------
 
-    def _normalize(self, ops) -> List[Tuple[int, str, Tuple[Any, ...],
+    def _normalize(self, node_id: int, ops) -> List[Tuple[int, str, Tuple[Any, ...],
                                             Dict[str, Any], int]]:
         rts = self.layer.rts
         if not ops:
@@ -114,7 +114,7 @@ class TxnCoordinator:
             obj_id = getattr(target, "obj_id", target)
             # Validate eagerly: an unknown operation must fail the call,
             # not poison a broadcast record.
-            rts._write_op(obj_id, op_name)
+            rts._site(node_id, obj_id, op_name)
             args, kwargs = tuple(args), dict(kwargs or {})
             # Sized here, once per transaction: a re-attempt re-sends the
             # same sub-operations.
@@ -286,7 +286,7 @@ class TxnCoordinator:
         for index, obj_id, op_name, args, kwargs in desc.primary_ops:
             result = rts._primary_write(
                 proc, node.node_id, rts.handle(obj_id),
-                rts._write_op(obj_id, op_name)[0], args, kwargs,
+                rts._site(node.node_id, obj_id, op_name).op, args, kwargs,
                 wid=txn_wid(desc.txn_id, index, obj_id))
             if result is RETRY:
                 raise RtsError(
@@ -391,7 +391,7 @@ class TxnCoordinator:
             proc.advance(rts.cost_model.cpu.protocol_cost)
             replica = manager.get(obj_id)
             rejected = guard_vote([
-                (obj_id, replica, rts._write_op(obj_id, op_name)[0], args, kwargs)
+                (obj_id, replica, rts._site(primary, obj_id, op_name).op, args, kwargs)
                 for _index, op_name, args, kwargs in sub_ops])
             return (VOTE_READY if rejected is None else VOTE_RETRY, obj_id)
 

@@ -164,10 +164,10 @@ class TxnParticipant:
         steps = []
         charges = []
         for _index, obj_id, op_name, args, kwargs, _epoch in entries:
-            op, charge = rts._write_op(obj_id, op_name)
+            site = rts._site(node_id, obj_id, op_name)
             steps.append((obj_id, self._replica(node_id, manager, txn_id, obj_id),
-                          op, args, kwargs))
-            charges.append(charge)
+                          site.op, args, kwargs))
+            charges.append(site.apply_cost)
         failed = guard_vote(steps)
         if failed is not None:
             node.charge_overhead(rts.cost_model.cpu.operation_dispatch_cost)
@@ -222,7 +222,7 @@ class TxnParticipant:
             return
         replica = self._replica(node_id, manager, txn_id, obj_id)
         ready = guard_vote([
-            (obj_id, replica, rts._write_op(obj_id, op_name)[0], args, kwargs)
+            (obj_id, replica, rts._site(node_id, obj_id, op_name).op, args, kwargs)
             for _index, op_name, args, kwargs in sub_ops]) is None
         node.charge_overhead(rts.cost_model.cpu.operation_dispatch_cost)
         if ready:
@@ -279,11 +279,11 @@ class TxnParticipant:
             if outcome == OUTCOME_COMMIT:
                 replica = manager.get(obj_id)
                 for index, op_name, args, kwargs in entry.stash:
-                    op, charge = rts._write_op(obj_id, op_name)
+                    site = rts._site(node_id, obj_id, op_name)
                     result = manager.apply_write_to(
-                        replica, op, args, kwargs,
+                        replica, site.op, args, kwargs,
                         local_origin=origin == node_id)
-                    node.charge_overhead(charge)
+                    node.charge_overhead(site.apply_cost)
                     if history.enabled:
                         history.record_write(node_id, obj_id, op_name, args,
                                              seqno, replica.version)

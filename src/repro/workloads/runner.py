@@ -13,7 +13,7 @@ Latency is collected at two levels:
 * **request latency** — what a client observed, measured from the *intended*
   arrival time under the open-loop model (so queueing delay counts);
 * **runtime latency** — per-invocation latency recorded inside the runtime
-  system via :class:`~repro.rts.stats.LatencyProbe`.
+  system (:meth:`~repro.rts.base.RuntimeSystem.attach_latency_recorder`).
 
 Everything is deterministic under a fixed seed: clients draw keys, mixes,
 think times and arrival gaps from per-client named rng streams, so two runs
@@ -374,7 +374,7 @@ class WorkloadRunner:
             for client in clients:
                 proc.join(client)
             window["end"] = proc.local_time
-            rts.latency_probe.recorder = None
+            rts.attach_latency_recorder(None)
             # A finished client only proves its writes were delivered at its
             # own node; broadcasts to the other replicas can still be in
             # flight at this instant.  Let them land before validation reads

@@ -118,21 +118,21 @@ class TestReplicationDecider:
     def test_replicates_read_mostly_objects(self):
         decider = ReplicationDecider(ReplicationParams(min_accesses=4))
         for _ in range(10):
-            decider.note_read(1, 0)
-        decider.note_write(1, 0)
+            decider.stats_for(1, 0).note_read()
+        decider.stats_for(1, 0).note_write()
         assert decider.should_replicate(1, 0)
 
     def test_does_not_replicate_before_min_accesses(self):
         decider = ReplicationDecider(ReplicationParams(min_accesses=20))
         for _ in range(10):
-            decider.note_read(1, 0)
+            decider.stats_for(1, 0).note_read()
         assert not decider.should_replicate(1, 0)
 
     def test_drops_write_heavy_objects(self):
         decider = ReplicationDecider(ReplicationParams(min_accesses=4))
         for _ in range(10):
-            decider.note_write(1, 0)
-        decider.note_read(1, 0)
+            decider.stats_for(1, 0).note_write()
+        decider.stats_for(1, 0).note_read()
         assert decider.should_drop(1, 0)
         assert not decider.should_replicate(1, 0)
 
@@ -142,16 +142,16 @@ class TestReplicationDecider:
         decider = ReplicationDecider(params)
         # Ratio of 2 sits between the thresholds: neither replicate nor drop.
         for _ in range(8):
-            decider.note_read(1, 0)
+            decider.stats_for(1, 0).note_read()
         for _ in range(4):
-            decider.note_write(1, 0)
+            decider.stats_for(1, 0).note_write()
         assert not decider.should_replicate(1, 0)
         assert not decider.should_drop(1, 0)
 
     def test_per_node_statistics_are_independent(self):
         decider = ReplicationDecider(ReplicationParams(min_accesses=2))
         for _ in range(10):
-            decider.note_read(1, 0)
-            decider.note_write(1, 1)
+            decider.stats_for(1, 0).note_read()
+            decider.stats_for(1, 1).note_write()
         assert decider.should_replicate(1, 0)
         assert decider.should_drop(1, 1)

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import gc
+import os
 import sys
 import threading
+import weakref
 from math import inf
 from types import SimpleNamespace
 
@@ -391,6 +394,26 @@ class TestCarriers:
         assert alive[1] == 2
         assert len(threads) <= alive[1]
         assert threading.active_count() - before <= alive[1]
+
+    def test_a_finished_process_lets_go_of_its_body_and_arguments(self, sim):
+        """``sim.processes`` keeps every process until shutdown; not what it ran on."""
+
+        class Request:
+            pass
+
+        def handler(request, reply_to=None):
+            sim.current_process.hold(1.0)
+
+        requests = []
+        for _ in range(50):
+            request = Request()
+            requests.append(weakref.ref(request))
+            sim.spawn(handler, request, reply_to=request)
+        del request
+        sim.run(until=5.0)
+        gc.collect()
+        assert len(sim.processes) == 50 and all(p.finished for p in sim.processes)
+        assert [ref() for ref in requests] == [None] * 50
 
     def test_a_body_that_raises_returns_its_carrier(self, sim):
         threads = []
@@ -786,6 +809,84 @@ class TestOneArena:
         calls = libc_calls(lambda name: object())
         self._one_process_runs()
         assert calls == [None]
+
+
+needs_sched_batch = pytest.mark.skipif(
+    not hasattr(os, "SCHED_BATCH") or os.sched_getscheduler(0) != os.SCHED_OTHER,
+    reason="needs Linux scheduling policies and a host running the tests under SCHED_OTHER",
+)
+
+
+class TestCarrierPolicy:
+    """Carriers put themselves under SCHED_BATCH, where they can; nobody else is touched."""
+
+    @staticmethod
+    def _trace(in_body=lambda: None):
+        """Three processes holding in turn; the ``(time, name)`` of every step."""
+        steps = []
+        with Simulator(seed=5) as sim:
+
+            def body(period):
+                proc = sim.current_process
+                in_body()
+                for _ in range(3):
+                    proc.hold(period)
+                    steps.append((sim.now, proc.name))
+
+            for index, period in enumerate((1.0, 1.5, 2.5)):
+                sim.spawn(body, period, name=f"p{index}")
+            sim.run(until=20.0)  # bounded: every hold is a real hand-off
+        return steps
+
+    @needs_sched_batch
+    def test_a_process_body_runs_under_sched_batch(self):
+        seen = []
+        self._trace(lambda: seen.append(os.sched_getscheduler(0)))
+        assert seen == [os.SCHED_BATCH] * 3
+
+    @needs_sched_batch
+    def test_the_run_callers_policy_is_left_alone(self):
+        # This thread fires the first start event, so it creates the first carrier.
+        assert self._trace() and os.sched_getscheduler(0) == os.SCHED_OTHER
+
+    @needs_sched_batch
+    def test_a_thread_started_from_a_process_body_inherits_and_can_opt_out(self):
+        seen = []
+
+        def child():
+            seen.append(os.sched_getscheduler(0))
+            os.sched_setscheduler(0, os.SCHED_OTHER, os.sched_param(0))
+            seen.append(os.sched_getscheduler(0))
+
+        def in_body():
+            thread = threading.Thread(target=child)
+            thread.start()
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+
+        self._trace(in_body)
+        assert seen == [os.SCHED_BATCH, os.SCHED_OTHER] * 3
+
+    def test_a_refused_call_is_skipped_silently(self, monkeypatch):
+        expected = self._trace()
+
+        def refused(*args):
+            raise PermissionError("not allowed here")
+
+        monkeypatch.setattr(os, "sched_setscheduler", refused, raising=False)
+        assert self._trace() == expected
+
+    def test_a_platform_without_the_call_is_skipped_silently(self, monkeypatch):
+        expected = self._trace()
+        monkeypatch.delattr(os, "sched_setscheduler", raising=False)
+        assert self._trace() == expected
+
+    @needs_sched_batch
+    def test_a_carrier_that_starts_under_another_policy_is_left_alone(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(os, "sched_getscheduler", lambda pid: os.SCHED_IDLE)
+        monkeypatch.setattr(os, "sched_setscheduler", lambda *args: calls.append(args))
+        assert self._trace() and calls == []
 
 
 class TestRng:

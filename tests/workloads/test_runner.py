@@ -60,7 +60,7 @@ class TestLatencyCollection:
         assert 0 <= overall["p50"] <= overall["p95"] <= overall["p99"]
 
     def test_rts_invocation_latency_is_wired(self):
-        """The runtime's own invocation path records through LatencyProbe,
+        """The runtime's own invocation path records into the attached recorder,
         covering exactly the measurement window (counter-farm issues one
         invocation per request; setup and validation are excluded)."""
         report = small_runner(runtime="broadcast").run()
