@@ -18,10 +18,14 @@ the number to watch when the hand-off path changes.  What a hand-off costs the
 host is printed under it: OS context switches per hand-off, voluntary and
 involuntary (``getrusage``), counted over one pass of the same repeat run
 *before* the profiled one with no profiler installed.  One per hand-off is the
-floor; run under ``taskset -c N`` to read what the pinned benchmark pays.  A
-workload that transacts also gets the counts the delivery side of ``txn/`` is
-judged by: member deliveries of ``txn-*`` records, participant handler calls
-(deliveries plus replays), replayed queue items and ``ObjectSpec.clone`` calls.
+floor; run under ``taskset -c N`` to read what the pinned benchmark pays.
+Under that comes a census of the events a third, also unprofiled, pass
+scheduled, by callback: how many, what share, how many for the instant they
+were scheduled in (a wake that ``SimProcess.wake`` parks is no event and has no
+row).  A workload that transacts also gets the counts the delivery side of
+``txn/`` is judged by: member deliveries of ``txn-*`` records, participant
+handler calls (deliveries plus replays), replayed queue items and
+``ObjectSpec.clone`` calls.
 
 Usage::
 
@@ -55,6 +59,7 @@ from workloads import WORKLOADS  # noqa: E402
 
 from repro.rts.object_model import ObjectSpec  # noqa: E402
 from repro.sim.events import EventQueue  # noqa: E402
+from repro.sim.kernel import Simulator  # noqa: E402
 from repro.txn import TransactionLayer, TxnParticipant  # noqa: E402
 from repro.workloads import WorkloadRunner  # noqa: E402
 
@@ -129,6 +134,45 @@ def context_switches(fn):
     return after.ru_nvcsw - before.ru_nvcsw, after.ru_nivcsw - before.ru_nivcsw
 
 
+def event_census(fn) -> dict:
+    """Run ``fn()``; returns ``{callback qualname: [events scheduled, of them zero-delay]}``."""
+    census = {}
+    schedule, schedule_at = Simulator.schedule, Simulator.schedule_at
+
+    def note(callback, zero_delay):
+        name = getattr(callback, "__qualname__", None) or type(callback).__name__
+        row = census.setdefault(name, [0, 0])
+        row[0] += 1
+        row[1] += zero_delay
+
+    def counted_schedule(sim, delay, callback, *args, **kwargs):
+        note(callback, delay == 0)
+        return schedule(sim, delay, callback, *args, **kwargs)
+
+    def counted_schedule_at(sim, time, callback, *args, **kwargs):
+        note(callback, time == sim.now)
+        return schedule_at(sim, time, callback, *args, **kwargs)
+
+    Simulator.schedule, Simulator.schedule_at = counted_schedule, counted_schedule_at
+    try:
+        fn()
+    finally:
+        Simulator.schedule, Simulator.schedule_at = schedule, schedule_at
+    return census
+
+
+def census_table(census: dict, ops: int) -> str:
+    total = sum(count for count, _zero in census.values())
+    lines = [
+        f"events by callback, unprofiled pass: {total} scheduled "
+        f"({total / max(1, ops):.2f} per op)",
+        f"{'count':>9} {'share':>6} {'zero-delay':>10}  callback",
+    ]
+    for name, (count, zero) in sorted(census.items(), key=lambda row: (-row[1][0], row[0])):
+        lines.append(f"{count:>9} {count / total:>6.1%} {zero:>10}  {name}")
+    return "\n".join(lines) + "\n"
+
+
 def stat_keys(functions) -> set:
     """The ``pstats`` row keys of the Python functions among ``functions``."""
     codes = (getattr(function, "__code__", None) for function in functions)
@@ -183,6 +227,7 @@ def main(argv=None) -> int:
 
     cell = build_cell(args.workload, args.seed, args.scale)
     voluntary, involuntary = context_switches(cell)
+    census = event_census(cell)
     replayed = [0]
     count_replayed_items(replayed)
     report, wall, stats, acquires, releases = profile_all_threads(cell)
@@ -203,6 +248,7 @@ def main(argv=None) -> int:
         f"involuntary={involuntary / max(1, releases):.2f}\n"
         f"EventQueue rows, with the heap built-ins they call: "
         f"{share_of_self_time(stats, EventQueue):.1%} of profiled self time\n"
+        f"{census_table(census, report.total_ops)}"
     )
     if deliveries:
         buf.write(

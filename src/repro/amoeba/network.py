@@ -4,8 +4,8 @@ Two network models are provided:
 
 * :class:`EthernetNetwork` — the paper's setting: a single shared 10 Mb/s
   medium on which only one packet is in flight at a time and every attached
-  NIC sees broadcast packets.  Contention for the medium is modelled with a
-  FIFO resource, so heavy communication naturally flattens speedup curves.
+  NIC sees broadcast packets.  Contention for the medium is modelled as one
+  :class:`Timeline`, so heavy communication naturally flattens speedup curves.
 * :class:`SwitchedNetwork` — a point-to-point network without hardware
   broadcast (each source serialises its own transmissions but different
   sources do not contend).  This is the substrate for the point-to-point
@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from ..config import NetworkParams
 from ..errors import NetworkError, RoutingError
-from ..sim.resources import FifoResource
 from .message import Message
 from .transport import Transport
 
@@ -41,9 +40,27 @@ class Packet:
     count: int
     payload_bytes: int
 
-    @property
-    def is_last(self) -> bool:
-        return self.index == self.count - 1
+
+class Timeline:
+    """One transmitter — the shared medium, or one node's output link.
+
+    It sends one packet at a time in the order they are handed over, so the
+    whole queue is one number: when the last packet handed over will have left.
+    """
+
+    __slots__ = ("free_at", "busy")
+
+    def __init__(self) -> None:
+        #: Virtual time at which everything handed over so far has left.
+        self.free_at = 0.0
+        #: Transmit seconds handed over so far (those still ahead of ``now`` too).
+        self.busy = 0.0
+
+    def utilization(self, now: float) -> float:
+        """Fraction of ``[0, now]`` spent transmitting."""
+        if now <= 0:
+            return 0.0
+        return min(1.0, (self.busy - max(0.0, self.free_at - now)) / now)
 
 
 @dataclass
@@ -93,9 +110,9 @@ class BaseNetwork(Transport):
         self.name = name
         self.stats = NetworkStats()
         self._nics: Dict[int, "NetworkInterface"] = {}
-        #: Sorted node ids, rebuilt on attach: the broadcast fan-out walks
-        #: this every packet, and nodes only ever attach (never detach).
-        self._node_order: List[int] = []
+        #: NICs in ascending node id, rebuilt on attach: the broadcast fan-out
+        #: walks this every packet, and nodes only ever attach (never detach).
+        self._nic_order: List["NetworkInterface"] = []
         self._loss_rng = sim.rng.stream(f"{name}.loss")
 
     # -- attachment ------------------------------------------------------ #
@@ -105,7 +122,7 @@ class BaseNetwork(Transport):
         if nic.node_id in self._nics:
             raise NetworkError(f"node {nic.node_id} already attached to {self.name}")
         self._nics[nic.node_id] = nic
-        self._node_order = sorted(self._nics)
+        self._nic_order = [self._nics[node_id] for node_id in sorted(self._nics)]
         nic.network = self
 
     def nic_for(self, node_id: int) -> "NetworkInterface":
@@ -116,7 +133,7 @@ class BaseNetwork(Transport):
 
     @property
     def node_ids(self) -> List[int]:
-        return list(self._node_order)
+        return [nic.node_id for nic in self._nic_order]
 
     def peer_alive(self, node_id: int) -> bool:
         """Is the machine behind ``node_id`` up?
@@ -131,92 +148,83 @@ class BaseNetwork(Transport):
     # -- sending ---------------------------------------------------------- #
 
     def send(self, msg: Message, on_sent: Optional[Callable[[Message], None]] = None) -> None:
-        """Queue ``msg`` for transmission.
+        """Hand ``msg`` to its transmitter: one arrival event per packet.
 
-        ``on_sent`` is invoked (in kernel context) once the final packet of
-        the message has left the sender.
+        A transmitter sends one packet at a time in hand-over order, so when
+        each packet leaves is known here: it starts when the previous one has
+        left (or now) and takes its transmit time.  Its arrival is scheduled
+        one latency after that; nothing fires in between, so an arrival ties
+        with other events of its instant in the order of this call, not of the
+        end of its transmission.  ``on_sent`` is invoked (in kernel context)
+        once the final packet of the message has left the sender — the one
+        extra event, and only for a caller that asks.
         """
-        if msg.is_broadcast and not self.supports_broadcast:
-            raise NetworkError(f"network {self.name!r} does not support hardware broadcast")
-        if not msg.is_broadcast:
+        if msg.is_broadcast:
+            if not self.supports_broadcast:
+                raise NetworkError(f"network {self.name!r} does not support hardware broadcast")
+            nic = None
+        else:
             # Validate the destination eagerly so misrouting fails loudly.
-            self.nic_for(msg.dst)
-        self.stats.note_message(msg)
-        packets = self._fragment(msg)
-        self._transmit_packets(msg, packets, on_sent)
-
-    def _fragment(self, msg: Message) -> List[Packet]:
-        count = self.params.packets_for(msg.size)
-        packets = []
+            nic = self.nic_for(msg.dst)
+        stats = self.stats
+        stats.note_message(msg)
+        sim = self.sim
+        params = self.params
+        latency = params.latency
+        schedule_at = sim.schedule_at
+        wire = self._transmitter(msg.src)
+        count = params.packets_for(msg.size)
         remaining = msg.size
+        done = max(sim.now, wire.free_at)
         for index in range(count):
-            chunk = min(self.params.packet_size, remaining)
+            chunk = min(params.packet_size, remaining)
             remaining -= chunk
-            packets.append(Packet(msg, index, count, max(1, chunk)))
-        return packets
+            payload = max(1, chunk)
+            packet = Packet(msg, index, count, payload)
+            duration = params.transmit_time(payload)
+            wire.busy += duration
+            done += duration
+            stats.packets_sent += 1
+            stats.wire_bytes += payload + params.packet_overhead_bytes
+            if on_sent is not None and index == count - 1:
+                # Before the arrival, as it was called before: they tie at zero latency.
+                schedule_at(done, on_sent, msg)
+            if nic is None:
+                schedule_at(done + latency, self._arrive_broadcast, packet)
+            else:
+                schedule_at(done + latency, self._arrive, packet, nic)
+        wire.free_at = done
 
-    def _transmit_packets(
-        self, msg: Message, packets: List[Packet], on_sent: Optional[Callable[[Message], None]]
-    ) -> None:
+    def _transmitter(self, src: int) -> Timeline:
+        """The timeline ``src``'s packets queue on."""
         raise NotImplementedError
 
     # -- delivery --------------------------------------------------------- #
 
-    def _on_wire_done(self, packet: Packet, on_sent: Optional[Callable[[Message], None]]) -> None:
-        """One packet has left the sender: count it and start its propagation."""
-        self.stats.packets_sent += 1
-        self.stats.wire_bytes += packet.payload_bytes + self.params.packet_overhead_bytes
-        if packet.message.is_broadcast:
-            self._broadcast_packet(packet)
-        else:
-            self._deliver_packet(packet, packet.message.dst)
-        if packet.is_last and on_sent is not None:
-            on_sent(packet.message)
-
-    def _deliver_packet(self, packet: Packet, dst: int) -> None:
-        """Deliver one packet to one destination after the propagation latency."""
-        nic = self._nics.get(dst)
-        if nic is None:
-            return
-        if self.params.loss_rate > 0.0 and self._loss_rng.random() < self.params.loss_rate:
+    def _arrive(self, packet: Packet, nic: "NetworkInterface") -> None:
+        """One unicast packet reaches its destination, unless lost on the way."""
+        loss_rate = self.params.loss_rate
+        if loss_rate > 0.0 and self._loss_rng.random() < loss_rate:
             self.stats.packets_dropped += 1
             return
-        self.sim.schedule(self.params.latency, nic.receive_packet, packet)
+        nic.receive_packet(packet)
 
-    def _broadcast_packet(self, packet: Packet) -> None:
-        """Fan one packet out to every attached NIC except the sender.
+    def _arrive_broadcast(self, packet: Packet) -> None:
+        """One broadcast packet reaches every attached NIC except the sender's.
 
-        All copies share the same propagation latency, so instead of one
-        scheduled event per member (the O(members) hot spot at 64+ nodes)
-        the surviving destinations are delivered by **one** event that calls
-        each NIC in ascending node-id order.  The per-destination events
-        would have been scheduled back to back with consecutive sequence
-        numbers — nothing could interleave between them — so firing them
-        inside one callback, in the same order, is exactly equivalent.
-        Loss draws happen here, per destination in ascending id order, to
-        keep the rng stream's draw sequence identical to the per-event
-        implementation.
+        All copies share the same propagation latency, so one event calls each
+        NIC in ascending node-id order instead of one event per member (the
+        O(members) hot spot at 64+ nodes).  Loss is drawn per destination, in
+        that order, so the rng stream's draw sequence is that of per-copy events.
         """
         sender = packet.message.src
-        nics = self._nics
         loss_rate = self.params.loss_rate
-        if loss_rate > 0.0:
-            rng = self._loss_rng
-            targets = []
-            for node_id in self._node_order:
-                if node_id == sender:
-                    continue
-                if rng.random() < loss_rate:
-                    self.stats.packets_dropped += 1
-                else:
-                    targets.append(nics[node_id])
-        else:
-            targets = [nics[nid] for nid in self._node_order if nid != sender]
-        if targets:
-            self.sim.schedule(self.params.latency, self._deliver_broadcast, packet, targets)
-
-    def _deliver_broadcast(self, packet: Packet, targets: List["NetworkInterface"]) -> None:
-        for nic in targets:
+        for nic in self._nic_order:
+            if nic.node_id == sender:
+                continue
+            if loss_rate > 0.0 and self._loss_rng.random() < loss_rate:
+                self.stats.packets_dropped += 1
+                continue
             nic.receive_packet(packet)
 
 
@@ -229,24 +237,20 @@ class EthernetNetwork(BaseNetwork):
         self, sim: "Simulator", params: Optional[NetworkParams] = None, name: str = "ethernet"
     ) -> None:
         super().__init__(sim, params, name)
-        self.medium = FifoResource(sim, capacity=1, name=f"{name}.medium")
+        self.medium = Timeline()
 
-    def _transmit_packets(
-        self, msg: Message, packets: List[Packet], on_sent: Optional[Callable[[Message], None]]
-    ) -> None:
-        for packet in packets:
-            duration = self.params.transmit_time(packet.payload_bytes)
-            self.medium.use(duration, self._on_wire_done, packet, on_sent)
+    def _transmitter(self, src: int) -> Timeline:
+        return self.medium
 
     def utilization(self) -> float:
         """Fraction of elapsed virtual time during which the medium was busy."""
-        return self.medium.utilization()
+        return self.medium.utilization(self.sim.now)
 
 
 class SwitchedNetwork(BaseNetwork):
     """A switched point-to-point network without hardware broadcast.
 
-    Each source node owns an output link modelled as a FIFO resource, so a
+    Each source node owns an output link with a timeline of its own, so a
     node's transmissions are serialised but different nodes transmit
     concurrently (as in a full-duplex switch).
     """
@@ -259,22 +263,15 @@ class SwitchedNetwork(BaseNetwork):
         if params is None:
             params = NetworkParams(supports_broadcast=False)
         super().__init__(sim, params, name)
-        self._links: Dict[int, FifoResource] = {}
+        self._links: Dict[int, Timeline] = {}
 
     def attach(self, nic: "NetworkInterface") -> None:
         super().attach(nic)
-        self._links[nic.node_id] = FifoResource(
-            self.sim, capacity=1, name=f"{self.name}.link{nic.node_id}"
-        )
+        self._links[nic.node_id] = Timeline()
 
-    def _transmit_packets(
-        self, msg: Message, packets: List[Packet], on_sent: Optional[Callable[[Message], None]]
-    ) -> None:
-        link = self._links[msg.src]
-        for packet in packets:
-            duration = self.params.transmit_time(packet.payload_bytes)
-            link.use(duration, self._on_wire_done, packet, on_sent)
+    def _transmitter(self, src: int) -> Timeline:
+        return self._links[src]
 
     def link_utilization(self, node_id: int) -> float:
         """Utilization of one node's output link."""
-        return self._links[node_id].utilization()
+        return self._links[node_id].utilization(self.sim.now)

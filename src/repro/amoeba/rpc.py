@@ -124,7 +124,7 @@ class RpcEndpoint:
         self.calls_served += 1
         if may_block:
             self.node.kernel.spawn_thread(
-                self._run_handler_blocking,
+                self._run_handler,
                 handler,
                 request,
                 msg,
@@ -132,19 +132,9 @@ class RpcEndpoint:
                 daemon=True,
             )
         else:
-            self._run_handler_inline(handler, request, msg)
+            self._run_handler(handler, request, msg)
 
-    def _run_handler_inline(
-        self, handler: Callable[[RpcRequest], Any], request: RpcRequest, msg: Message
-    ) -> None:
-        try:
-            result = handler(request)
-        except Exception as exc:  # noqa: BLE001 - surfaced to the caller
-            self._send_reply(msg, error=f"{type(exc).__name__}: {exc}")
-            return
-        self._send_reply(msg, result=result)
-
-    def _run_handler_blocking(
+    def _run_handler(
         self, handler: Callable[[RpcRequest], Any], request: RpcRequest, msg: Message
     ) -> None:
         try:

@@ -10,7 +10,6 @@ deterministic for a given seed and schedule.
 from .events import Event, EventQueue
 from .kernel import Simulator
 from .process import SimProcess
-from .resources import FifoResource
 from .rng import RngRegistry
 from .sync import Barrier, SimCondition, SimLock, SimSemaphore
 from .trace import TraceRecord, Tracer
@@ -20,7 +19,6 @@ __all__ = [
     "EventQueue",
     "Simulator",
     "SimProcess",
-    "FifoResource",
     "RngRegistry",
     "SimLock",
     "SimCondition",

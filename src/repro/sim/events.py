@@ -1,8 +1,8 @@
 """Event and event-queue primitives for the discrete-event kernel.
 
 The queue is the simulator's innermost data structure: every message hop,
-timer, resource grant and process resume passes through it, so its constant
-factors bound the throughput of every benchmark.  It is **one binary heap of
+timer and process resume passes through it, so its constant factors bound the
+throughput of every benchmark.  It is **one binary heap of
 ``(time, seq, event)`` tuples**: ``seq`` is unique, so every comparison is
 settled in C on the first two fields and equal timestamps pop in push order.
 That stable ``(time, seq)`` order is the whole contract: delivery order — and

@@ -46,6 +46,9 @@ class Simulator:
         self._current_process: Optional[SimProcess] = None
         self._running = False
         self._events_processed = 0
+        #: ``(process, value)`` of a :meth:`SimProcess.wake` that would have
+        #: been the very next event: resumed as its callback returns.
+        self._parked_wake: Optional[tuple] = None
         #: True while an unbounded :meth:`run` is active: lets
         #: :meth:`SimProcess.hold` advance the clock directly when nothing
         #: can fire before the process would resume (see ``process.py``).
@@ -142,7 +145,7 @@ class Simulator:
 
     @property
     def events_processed(self) -> int:
-        """Total number of events fired so far."""
+        """Total number of events fired so far (a parked wake is not one)."""
         return self._events_processed
 
     # ------------------------------------------------------------------ #
@@ -194,6 +197,10 @@ class Simulator:
         abort wakes the :meth:`run` caller instead.  A callback's exception
         aborts the run and is left in ``_error`` for :meth:`run` to raise.
 
+        A wake the callback parked (:meth:`SimProcess.wake`) is applied as the
+        callback returns: it was the next event anyway, so it is not counted
+        as one, neither in ``events_processed`` nor against ``max_events``.
+
         ``pop_next`` only yields live events, so they fire without a
         cancellation check; ``fired`` is set *before* the callback so a
         callback cancelling its own event cannot corrupt the live count.
@@ -220,8 +227,14 @@ class Simulator:
                 else:
                     event.callback(*event.args)
                 self._events_processed += 1
+                if self._parked_wake is not None:
+                    (proc, value), self._parked_wake = self._parked_wake, None
+                    proc._kernel_resume(value)
         except BaseException as exc:  # noqa: BLE001 - run() raises it
             self._abort(exc)
+            if self._parked_wake is not None:  # back in the queue, as if never parked
+                (proc, value), self._parked_wake = self._parked_wake, None
+                self.schedule(0.0, proc._kernel_resume, value)
         current = self._current_process
         wake = self._kernel_lock if current is None else current._lock
         if wake is not lock:

@@ -231,9 +231,12 @@ class SimProcess:
         try:
             self.result = self._target(*self._args, **self._kwargs)
             self.state = "finished"
-            # Joiners are notified at the process's local time: after its pending compute.
+            # Joiners are notified at the process's local time: after its pending
+            # compute, which the event also puts on the clock.  With neither
+            # (a daemon RPC handler nobody joined) there is nothing to fire.
             delay, self._pending_compute = self._pending_compute, 0.0
-            self.sim.schedule(delay, self._notify_completion)
+            if delay or self._completion_waiters:
+                self.sim.schedule(delay, self._notify_completion)
         except ProcessKilled:
             self.state = "killed"
         except BaseException as exc:  # noqa: BLE001 - report any failure
@@ -345,11 +348,25 @@ class SimProcess:
         """Schedule this (blocked) process to resume after ``delay`` seconds.
 
         May be called from kernel context (event callbacks) or from another
-        process that currently holds control.
+        process that currently holds control.  The first undelayed wake of an
+        event callback, with nothing else due now, would be the very next
+        event: it is parked for :meth:`Simulator._pass_control` to apply when
+        the callback returns instead of going through the queue.
         """
         if not self.alive:
             return
-        self.sim.schedule(delay, self._kernel_resume, value)
+        sim = self.sim
+        if (
+            delay == 0
+            and sim._running
+            and sim._current_process is None
+            and sim._parked_wake is None
+        ):
+            next_time = sim._queue.peek_time()
+            if next_time is None or next_time > sim.now:
+                sim._parked_wake = (self, value)
+                return
+        sim.schedule(delay, self._kernel_resume, value)
 
     def join(self, other: "SimProcess") -> Any:
         """Block until ``other`` terminates; returns its result.

@@ -288,6 +288,39 @@ class TestProcesses:
         sim.run()
         assert seen == [5]
 
+    def test_a_process_nobody_waits_for_ends_without_an_event(self, sim):
+        queued = []
+
+        def body():
+            queued.append(len(sim._queue))
+
+        proc = sim.spawn(body, daemon=True)
+        sim.schedule(1.0, lambda: queued.append(len(sim._queue)))
+        sim.run()
+        # Only the callback was queued when the body ended, and nothing after it.
+        assert proc.finished and queued == [1, 0]
+        assert sim.events_processed == 2  # the start and the callback
+
+    def test_pending_compute_of_an_unjoined_process_still_reaches_the_clock(self, sim):
+        def body():
+            sim.current_process.hold(1.0)
+            sim.current_process.advance(0.5)
+
+        sim.spawn(body)
+        assert sim.run() == 1.5
+
+    def test_a_waiter_registered_before_the_end_is_called_at_the_local_time(self, sim):
+        seen = []
+
+        def body():
+            sim.current_process.hold(1.0)
+            sim.current_process.advance(0.5)
+            return "done"
+
+        sim.spawn(body).on_completion(lambda p: seen.append((sim.now, p.result)))
+        sim.run()
+        assert seen == [(1.5, "done")]
+
     def test_determinism_across_runs(self):
         """The same program produces an identical event interleaving every run."""
 
@@ -667,10 +700,11 @@ class TestHandOff:
 
         sim.spawn(body)
         sim.run(**bounds)
-        assert sim.events_processed == 7  # the start, five resumes, the completion notice
+        # The start and five resumes.  The seventh event, the completion notice,
+        # went: nobody waits for this process and it ends with no pending compute.
+        assert sim.events_processed == 6
         assert seen == [(seen[0][0], 0)] * 5
         assert seen[0][0] != threading.get_ident()
-
 
     def test_a_chain_of_plain_callbacks_waking_the_process_that_fired_them_touches_no_lock(
         self, sim
@@ -759,6 +793,177 @@ class TestHandOff:
         sim.run()
         assert proc.result == "surfaced"
         assert depths[0] > 400 and depths[1] > depths[0] + 20
+
+
+def _fused(proc, value):
+    proc.wake(value)
+
+
+def _queued(proc, value):
+    """What ``wake`` did before it could park: the resume as an event of its own."""
+    proc.sim.schedule(0.0, proc._kernel_resume, value)
+
+
+def _nap_program(wake, *, node=None, **run_kwargs):
+    """A sleeper, a callback at 1.0 that wakes it through ``wake``, a timer at 2.0."""
+    trace = []
+    with Simulator() as sim:
+
+        def sleeper():
+            trace.append((sim.now, "asleep"))
+            value = sim.current_process.suspend()
+            trace.append((sim.now, value))
+
+        def callback():
+            trace.append((sim.now, "callback"))
+            proc.node = node
+            wake(proc, "woken")
+            trace.append((sim.now, "callback returns"))
+
+        proc = sim.spawn(sleeper)
+        sim.schedule(1.0, callback)
+        sim.schedule(2.0, trace.append, "timer")
+        final = sim.run(**run_kwargs)
+        assert sim._parked_wake is None
+        return trace, final, proc.state, sim.events_processed
+
+
+class TestFusedWake:
+    """A callback's wake that would be the very next event is no event at all."""
+
+    def test_a_wake_with_nothing_else_due_costs_no_event(self):
+        fused, queued = _nap_program(_fused), _nap_program(_queued)
+        assert fused[:3] == queued[:3]
+        assert fused[0] == [
+            (0.0, "asleep"),
+            (1.0, "callback"),
+            (1.0, "callback returns"),
+            (1.0, "woken"),
+            "timer",
+        ]
+        # The start, the callback, the timer; queued, the resume too.
+        assert (fused[3], queued[3]) == (3, 4)
+
+    def test_with_another_event_due_now_the_wake_queues_behind_it(self, sim):
+        log = []
+
+        def sleeper():
+            log.append(sim.current_process.suspend())
+
+        proc = sim.spawn(sleeper)
+        sim.schedule(1.0, proc.wake, "woken")
+        sim.schedule(1.0, log.append, "due at the same time")
+        sim.run()
+        assert log == ["due at the same time", "woken"]
+        assert sim.events_processed == 4  # the resume is one of them
+
+    def test_what_the_callback_schedules_after_the_wake_fires_after_the_process_ran(self, sim):
+        log = []
+
+        def sleeper():
+            log.append(sim.current_process.suspend())
+
+        def callback():
+            proc.wake("woken")
+            sim.schedule(0.0, log.append, "scheduled after the wake")
+
+        proc = sim.spawn(sleeper)
+        sim.schedule(1.0, callback)
+        sim.run()
+        assert log == ["woken", "scheduled after the wake"]
+        assert sim.events_processed == 3
+
+    def test_two_wakes_in_one_callback_resume_in_call_order(self, sim):
+        log = []
+
+        def sleeper():
+            log.append(sim.current_process.suspend())
+
+        def callback():
+            first.wake("first")
+            second.wake("second")
+            assert sim._parked_wake == (first, "first") and len(sim._queue) == 1
+
+        second = sim.spawn(sleeper)
+        first = sim.spawn(sleeper)
+        sim.schedule(1.0, callback)
+        sim.run()
+        assert log == ["first", "second"]
+        assert sim.events_processed == 4  # two starts, the callback, the second resume
+
+    def test_every_other_wake_goes_through_the_queue(self, sim):
+        log = []
+
+        def sleeper():
+            proc = sim.current_process
+            for _ in range(4):
+                value = proc.suspend()
+                log.append((sim.now, value))
+
+        def delayed():
+            proc.wake("delayed", delay=0.5)
+            assert sim._parked_wake is None and len(sim._queue) == 3  # + waker's hold, timer
+
+        def waker():
+            sim.current_process.hold(3.0)
+            proc.wake("from a process")
+            assert sim._parked_wake is None and len(sim._queue) == 2
+
+        proc = sim.spawn(sleeper)
+        proc.wake("before run()")  # fires behind the start it was scheduled after
+        assert sim._parked_wake is None and len(sim._queue) == 2
+        sim.schedule(1.0, delayed)
+        sim.schedule(6.0, lambda: None)  # keeps both bounded runs from draining the queue
+        sim.spawn(waker)
+        assert sim.run(until=4.0) == 4.0
+        proc.wake("between two runs")
+        assert sim._parked_wake is None and len(sim._queue) == 2
+        sim.run(until=5.0)
+        assert log == [
+            (0.0, "before run()"),
+            (1.5, "delayed"),
+            (3.0, "from a process"),
+            (4.0, "between two runs"),
+        ]
+
+    def test_a_process_woken_on_a_dead_node_unwinds_as_through_the_queue(self):
+        dead = SimpleNamespace(alive=False)
+        fused, queued = _nap_program(_fused, node=dead), _nap_program(_queued, node=dead)
+        assert fused[:3] == queued[:3]
+        trace, _final, state, _events = fused
+        assert state == "killed" and (1.0, "woken") not in trace
+
+    def test_a_callback_that_raises_after_the_wake_leaves_nothing_parked(self, sim):
+        log = []
+
+        def sleeper():
+            log.append(sim.current_process.suspend())
+
+        def callback():
+            proc.wake("woken")
+            raise KeyError("after the wake")
+
+        proc = sim.spawn(sleeper)
+        sim.schedule(1.0, callback)
+        with pytest.raises(KeyError, match="after the wake"):
+            sim.run()
+        # The wake is back in the queue, where it would have been: not lost, not parked.
+        assert sim._parked_wake is None and len(sim._queue) == 1
+        assert proc.state == "blocked" and log == []
+        sim.run()
+        assert log == ["woken"] and proc.finished
+
+    def test_bounded_runs_stop_where_they_say_with_the_slot_empty(self):
+        # max_events: the start and the callback; the resume it fused is no event.
+        trace, final, state, events = _nap_program(_fused, max_events=2)
+        assert (final, state, events) == (1.0, "finished", 2)
+        assert trace[-1] == (1.0, "woken")
+        # until: everything due by 1.0 fires, the process runs at 1.0, the timer does not.
+        trace, final, state, events = _nap_program(_fused, until=1.0)
+        assert (final, state, events) == (1.0, "finished", 2)
+        assert trace[-1] == (1.0, "woken")
+        trace, final, state, events = _nap_program(_fused, until=0.5)
+        assert (final, state, events) == (0.5, "blocked", 1)
 
 
 class TestOneArena:

@@ -218,41 +218,3 @@ class TestBarrier:
     def test_invalid_parties(self, sim):
         with pytest.raises(SimulationError):
             Barrier(sim, parties=0)
-
-
-class TestFifoResource:
-    def test_serialises_use(self, sim):
-        from repro.sim import FifoResource
-
-        resource = FifoResource(sim, capacity=1)
-        completions = []
-        resource.use(2.0, lambda: completions.append(sim.now))
-        resource.use(3.0, lambda: completions.append(sim.now))
-        sim.run()
-        assert completions == [2.0, 5.0]
-
-    def test_capacity_two_overlaps(self, sim):
-        from repro.sim import FifoResource
-
-        resource = FifoResource(sim, capacity=2)
-        completions = []
-        resource.use(2.0, lambda: completions.append(sim.now))
-        resource.use(3.0, lambda: completions.append(sim.now))
-        sim.run()
-        assert completions == [2.0, 3.0]
-
-    def test_utilization(self, sim):
-        from repro.sim import FifoResource
-
-        resource = FifoResource(sim, capacity=1)
-        resource.use(2.0)
-        sim.schedule(8.0, lambda: None)  # extend the run to t=8
-        sim.run()
-        assert resource.utilization() == pytest.approx(0.25)
-
-    def test_release_when_idle_rejected(self, sim):
-        from repro.sim import FifoResource
-
-        resource = FifoResource(sim, capacity=1)
-        with pytest.raises(SimulationError):
-            resource.release()
