@@ -23,7 +23,8 @@ Orca programming layer and the applications are agnostic of policy choices.
 
 from .object_model import ObjectSpec, OperationDef, operation
 from .manager import ObjectManager, Replica
-from .hybrid import HybridRts, MigrationRecord, ShardMoveRecord
+from .hybrid import HybridRts
+from .records import MigrationRecord, ShardMoveRecord
 from .policy import (
     AdaptiveParams,
     AdaptivePolicy,

@@ -10,7 +10,7 @@ creation).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set
+from typing import Dict, Iterable, List, Optional, Set
 
 from ...errors import RtsError
 
@@ -70,6 +70,14 @@ class ObjectDirectory:
         """(Re)seat an object: its primary and copy holders from a switch on."""
         entry = self._entries.get(obj_id) or self.register(obj_id, primary)
         entry.primary_node, entry.copyset = primary, set(copyset) | {primary}
+
+    def forget(self, node_id: int, obj_ids: Optional[Iterable[int]] = None) -> None:
+        """Drop ``node_id`` from the copysets of ``obj_ids`` (default: every
+        object); the objects whose primary seat it holds keep it."""
+        for obj_id in self._entries if obj_ids is None else obj_ids:
+            entry = self._entries.get(obj_id)
+            if entry is not None and entry.primary_node != node_id:
+                entry.copyset.discard(node_id)
 
     def objects(self) -> List[int]:
         return sorted(self._entries)

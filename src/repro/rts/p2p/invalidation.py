@@ -16,13 +16,13 @@ from ..object_model import OperationDef
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...sim.process import SimProcess
-    from ..hybrid import HybridRts
+    from ..primary import PrimaryCopy
 
 #: Message kinds used by the invalidation protocol.
 KIND_INVALIDATE = "p2p.invalidate"
 
 
-def live_secondaries(rts: "HybridRts", obj_id: int) -> list:
+def live_secondaries(host: "PrimaryCopy", obj_id: int) -> list:
     """Secondary copy holders that are still alive.
 
     A crashed machine can never acknowledge, so fanning out to it would
@@ -30,10 +30,10 @@ def live_secondaries(rts: "HybridRts", obj_id: int) -> list:
     migrated from broadcast management inherit their copyset from the whole
     cluster, which is how dead members can appear here.)
     """
-    secondaries = rts.directory.secondaries_of(obj_id)
-    live = [n for n in secondaries if rts.cluster.node(n).alive]
+    secondaries = host.directory.secondaries_of(obj_id)
+    live = [n for n in secondaries if host.cluster.node(n).alive]
     for dead in set(secondaries) - set(live):
-        rts.directory.remove_copy(obj_id, dead)
+        host.directory.remove_copy(obj_id, dead)
     return live
 
 
@@ -42,8 +42,8 @@ class InvalidationProtocol:
 
     name = "invalidation"
 
-    def __init__(self, rts: "HybridRts") -> None:
-        self.rts = rts
+    def __init__(self, host: "PrimaryCopy") -> None:
+        self.host = host
         self.invalidations_sent = 0
         self.writes_processed = 0
 
@@ -58,29 +58,29 @@ class InvalidationProtocol:
         write id) is recorded by the runtime at commit time; invalidated
         secondaries hold no state, so nothing rides the invalidations.
         """
-        rts = self.rts
-        primary_node = rts.directory.primary_of(obj_id)
-        manager = rts.managers[primary_node]
+        host = self.host
+        primary_node = host.directory.primary_of(obj_id)
+        manager = host.managers[primary_node]
         replica = manager.get(obj_id)
-        secondaries = live_secondaries(rts, obj_id)
+        secondaries = live_secondaries(host, obj_id)
         self.writes_processed += 1
 
         replica.locked = True
         try:
             if secondaries:
-                txn_id = rts.new_transaction(len(secondaries),
-                                             destinations=secondaries)
+                txn_id = host.fanouts.new_transaction(len(secondaries),
+                                                      destinations=secondaries)
                 for node_id in secondaries:
                     self.invalidations_sent += 1
-                    rts.stats.invalidations_sent += 1
-                    rts.send_protocol_message(
+                    host.stats.invalidations_sent += 1
+                    host.send_protocol_message(
                         primary_node, node_id, KIND_INVALIDATE,
                         {"obj_id": obj_id, "txn_id": txn_id},
                     )
-                rts.await_acks(proc, txn_id)
+                host.fanouts.await_acks(proc, txn_id)
                 # All other copies are gone now.
                 for node_id in secondaries:
-                    rts.directory.remove_copy(obj_id, node_id)
+                    host.directory.remove_copy(obj_id, node_id)
             result = manager.apply_write(obj_id, op, args, kwargs, local_origin=True)
         finally:
             replica.locked = False
@@ -90,10 +90,10 @@ class InvalidationProtocol:
 
     def handle_invalidate(self, node_id: int, payload: Dict[str, Any]) -> None:
         """A secondary discards its copy and acknowledges."""
-        rts = self.rts
+        host = self.host
         obj_id = payload["obj_id"]
-        manager = rts.managers[node_id]
+        manager = host.managers[node_id]
         manager.invalidate(obj_id)
         manager.discard(obj_id)
-        rts.stats.replicas_dropped += 1
-        rts.send_ack(node_id, payload["txn_id"])
+        host.stats.replicas_dropped += 1
+        host.send_ack(node_id, payload)

@@ -17,7 +17,7 @@ from .invalidation import live_secondaries
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...sim.process import SimProcess
-    from ..hybrid import HybridRts
+    from ..primary import PrimaryCopy
 
 #: Message kinds used by the two-phase update protocol.
 KIND_UPDATE = "p2p.update"
@@ -29,8 +29,8 @@ class TwoPhaseUpdateProtocol:
 
     name = "update"
 
-    def __init__(self, rts: "HybridRts") -> None:
-        self.rts = rts
+    def __init__(self, host: "PrimaryCopy") -> None:
+        self.host = host
         self.updates_sent = 0
         self.unlocks_sent = 0
         self.writes_processed = 0
@@ -45,33 +45,33 @@ class TwoPhaseUpdateProtocol:
         secondary promoted after a primary crash then recognises the
         client's re-issue of an in-flight write and does not apply it twice.
         """
-        rts = self.rts
-        primary_node = rts.directory.primary_of(obj_id)
-        manager = rts.managers[primary_node]
+        host = self.host
+        primary_node = host.directory.primary_of(obj_id)
+        manager = host.managers[primary_node]
         replica = manager.get(obj_id)
-        secondaries = live_secondaries(rts, obj_id)
+        secondaries = live_secondaries(host, obj_id)
         self.writes_processed += 1
 
         replica.locked = True
         try:
             if secondaries:
                 # Phase 1: ship the operation, wait until everyone applied it.
-                txn_id = rts.new_transaction(len(secondaries),
-                                             destinations=secondaries)
+                txn_id = host.fanouts.new_transaction(len(secondaries),
+                                                      destinations=secondaries)
                 for node_id in secondaries:
                     self.updates_sent += 1
-                    rts.stats.updates_sent += 1
-                    rts.send_protocol_message(
+                    host.stats.updates_sent += 1
+                    host.send_protocol_message(
                         primary_node, node_id, KIND_UPDATE,
                         {"obj_id": obj_id, "txn_id": txn_id,
                          "op_name": op.name, "args": args,
                          "kwargs": kwargs or {}, "wid": wid},
                     )
-                rts.await_acks(proc, txn_id)
+                host.fanouts.await_acks(proc, txn_id)
                 # Phase 2: unlock every secondary copy.
                 for node_id in secondaries:
                     self.unlocks_sent += 1
-                    rts.send_protocol_message(
+                    host.send_protocol_message(
                         primary_node, node_id, KIND_UNLOCK,
                         {"obj_id": obj_id, "txn_id": txn_id},
                     )
@@ -84,27 +84,27 @@ class TwoPhaseUpdateProtocol:
 
     def handle_update(self, node_id: int, payload: Dict[str, Any]) -> None:
         """A secondary applies the shipped operation, acknowledges, stays locked."""
-        rts = self.rts
+        host = self.host
         obj_id = payload["obj_id"]
-        manager = rts.managers[node_id]
+        manager = host.managers[node_id]
         if manager.has_valid_copy(obj_id):
-            handle = rts.handle(obj_id)
+            handle = host.handle(obj_id)
             op = handle.spec_class.operation_def(payload["op_name"])
             result = manager.apply_write(obj_id, op, payload["args"],
                                          payload["kwargs"],
                                          local_origin=False)
             manager.get(obj_id).locked = True
-            rts.record_applied(node_id, obj_id, payload.get("wid"), result)
-            cpu = rts.cost_model.cpu
-            rts.cluster.node(node_id).charge_overhead(
+            host.record_applied(node_id, obj_id, payload.get("wid"), result)
+            cpu = host.cost_model.cpu
+            host.cluster.node(node_id).charge_overhead(
                 cpu.operation_dispatch_cost + op.work_units * cpu.work_unit_time
             )
-        rts.send_ack(node_id, payload["txn_id"])
+        host.send_ack(node_id, payload)
 
     def handle_unlock(self, node_id: int, payload: Dict[str, Any]) -> None:
         """Phase 2 at a secondary: make the copy readable again."""
-        rts = self.rts
-        manager = rts.managers[node_id]
+        host = self.host
+        manager = host.managers[node_id]
         obj_id = payload["obj_id"]
         if obj_id in manager.replicas:
             replica = manager.get(obj_id)

@@ -20,7 +20,8 @@ from __future__ import annotations
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import (TYPE_CHECKING, Any, Callable, Collection, Dict, Iterator, List,
+                    NamedTuple, Optional, Protocol, Tuple)
 
 from ..amoeba.message import estimate_size
 from ..amoeba.rpc import RpcReply
@@ -29,9 +30,14 @@ from .policy import MECHANISM_PRIMARY
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..amoeba.broadcast.protocol import DeliveredMessage
+    from ..amoeba.cluster import Cluster
     from ..amoeba.node import Node
+    from ..config import CostModel
     from ..sim.process import SimProcess
-    from .hybrid import HybridRts, _ShardMember
+    from .base import ObjectHandle, RtsStats
+    from .manager import ObjectManager
+    from .p2p.directory import ObjectDirectory
+    from .sharding import ShardRouter
 
 #: Sentinel returned by a mechanism path when a switch overtook the
 #: invocation; the unified dispatch loop re-routes the operation.
@@ -51,6 +57,58 @@ STALE, CURRENT, FUTURE = -1, 0, 1
 
 #: Lifecycle phases besides :class:`Preparing`.
 STABLE, IN_FLIGHT = "stable", "in-flight"
+
+
+class Member(Protocol):
+    """One machine's end of one shard's order, as a delivery handler sees it."""
+
+    node_id: int
+    key: Tuple[int, int]
+    node: "Node"
+    manager: "ObjectManager"
+
+
+class SwitchedSeats(Protocol):
+    """The primary-copy state a switch drains, rewrites and replays into."""
+
+    applied: Dict[Tuple[int, int], Dict]
+    last_committed: Dict[int, Tuple[Any, int, Dict]]
+    inflight_writes: Dict[Tuple[int, int], int]
+
+    def on_coherence(self, nid: int, kind: str, payload: Dict[str, Any]) -> None: ...
+    def drop_stale(self, nid: int, payload: Dict[str, Any]) -> None: ...
+
+
+class CatchingUp(Protocol):
+    #: Nodes whose rejoin catch-up is still running.
+    catching_up: Collection[int]
+
+
+class SwitchRuntime(Protocol):
+    """What :class:`SwitchEngine` reads and calls of the runtime."""
+
+    cluster: "Cluster"
+    cost_model: "CostModel"
+    managers: Dict[int, "ObjectManager"]
+    stats: "RtsStats"
+    router: Optional["ShardRouter"]
+    directory: "ObjectDirectory"
+    primary: SwitchedSeats
+    membership: CatchingUp
+    _policy_by_obj: Dict[int, str]
+    _pending: Dict[int, "_PendingWrite"]
+    _txn_layer: Optional[Any]
+
+    def handle(self, obj_id: int) -> "ObjectHandle": ...
+    def shard_of(self, handle: "ObjectHandle") -> int: ...
+    def _mechanism_of(self, obj_id: int) -> str: ...
+    def _apply_one(self, node_id: int, manager: "ObjectManager", node: "Node",
+                   obj_id: int, *write: Any) -> None: ...
+    def _resolve(self, invocation_id: int, result: Any) -> None: ...
+    def _wake_replica_waiters(self, node_id: int, obj_id: int) -> None: ...
+    def await_delivery(self, proc: "SimProcess", send: Callable[..., Any],
+                       payload: Tuple[Any, ...], size: int,
+                       pending: Optional["_PendingWrite"] = None) -> Any: ...
 
 
 class SwitchRecord(NamedTuple):
@@ -126,7 +184,7 @@ class SwitchEngine:
     #: Re-probe budget of a member lagging behind a possibly lost switch.
     LAG_PROBE_LIMIT = 12
 
-    def __init__(self, rts: "HybridRts") -> None:
+    def __init__(self, rts: SwitchRuntime) -> None:
         self.rts = rts
         self.objects: Dict[int, _Lifecycle] = defaultdict(_Lifecycle)
         #: Per node (ids are dense), obj_id -> cursor: a machine's loss is one
@@ -189,7 +247,7 @@ class SwitchEngine:
         rts = self.rts
         life = self.objects[obj_id]
         if (not self.is_stable(obj_id)
-                or (pause_for_catch_up and rts._catching_up)
+                or (pause_for_catch_up and rts.membership.catching_up)
                 or (rts._txn_layer is not None
                     and rts._txn_layer.pins(obj_id))):
             yield False
@@ -246,7 +304,7 @@ class SwitchEngine:
             return None
         life.frozen = True
         replica = rts.managers[primary].get(obj_id)
-        while replica.locked or rts._inflight_writes.get((primary, obj_id)):
+        while replica.locked or rts.primary.inflight_writes.get((primary, obj_id)):
             if replica.locked:
                 replica.on_next_change(lambda p=proc: p.wake())
                 proc.suspend()
@@ -278,7 +336,7 @@ class SwitchEngine:
         rts.directory.seat(obj_id, seat, scope)
         # The snapshot is the committed state as of the seat change: a crash
         # of the new seat before its first commit still recovers the object.
-        rts._last_committed[obj_id] = snapshot
+        rts.primary.last_committed[obj_id] = snapshot
         self.broadcast(
             proc, node,
             SwitchRecord(obj_id, epoch, rts._policy_by_obj[obj_id], seat,
@@ -294,20 +352,16 @@ class SwitchEngine:
         if shard is None:
             shard = rts.shard_of(rts.handle(record.obj_id))
         rts.router.shard_stats[shard].note_migration()
-        invocation_id = next(rts._invocation_ids)
-        rts._pending[invocation_id] = _PendingWrite(proc=proc)
         proc.advance(rts.cost_model.cpu.operation_dispatch_cost)
         proc.absorb_overhead(node.drain_overhead())
-        proc.flush()
-        rts.router.group_for(shard).member(node.node_id).broadcast(
-            (KIND_SWITCH, record, invocation_id), size=size)
-        proc.suspend()
-        rts._pending.pop(invocation_id, None)
+        rts.await_delivery(
+            proc, rts.router.group_for(shard).member(node.node_id).broadcast,
+            (KIND_SWITCH, record), size)
         proc.absorb_overhead(node.drain_overhead())
 
     # -- member side (every member, in the shard's total order) ------------ #
 
-    def apply(self, member: "_ShardMember",
+    def apply(self, member: Member,
               delivered: "DeliveredMessage") -> None:
         """One member's delivery of one switch record."""
         _, record, invocation_id = delivered.payload
@@ -336,12 +390,12 @@ class SwitchEngine:
             for kind, payload in deferred:
                 if (payload.get("epoch", 0) >= epoch
                         and rts._mechanism_of(obj_id) == MECHANISM_PRIMARY):
-                    rts._on_coherence(node_id, kind, payload)
+                    rts.primary.on_coherence(node_id, kind, payload)
                 else:
                     # The record also superseded the message's regime (a
                     # takeover on top of the crash that raced it, or the
                     # object left primary-copy management): drop and ack.
-                    rts._drop_stale(node_id, payload)
+                    rts.primary.drop_stale(node_id, payload)
             if rts._txn_layer is not None:
                 # A transaction record that outran this member's epoch sits
                 # under a barrier lock; the switch it awaited just landed.
@@ -368,13 +422,14 @@ class SwitchEngine:
         obj_id = record.obj_id
         key = (node_id, obj_id)
         manager = rts.managers[node_id]
+        applied = rts.primary.applied
         replica = manager.replicas.get(obj_id)
         if record.snapshot is None:
             # No state moves: the (identical) replicas become the regime's
             # copies, and it starts with an empty applied-write table.
             if replica is not None:
                 replica.is_primary = node_id == record.primary
-            rts._applied[key] = {}
+            applied[key] = {}
         elif record.scope is None or node_id in record.scope:
             state, version, table = record.snapshot
             if replica is not None:
@@ -393,11 +448,11 @@ class SwitchEngine:
                 manager.install(obj_id, handle.name, instance, version=version,
                                 is_primary=node_id == record.primary)
                 rts.stats.replicas_created += 1
-            rts._applied[key] = dict(table or {})
+            applied[key] = dict(table or {})
             rts._wake_replica_waiters(node_id, obj_id)
         if record.policy == "broadcast":
             # Broadcast management does not use write ids at all.
-            rts._applied.pop(key, None)
+            applied.pop(key, None)
 
     def await_delivered(self, proc: "SimProcess", node_id: int, obj_id: int) -> None:
         """Block until ``node_id`` has delivered the object's latest switch."""

@@ -28,13 +28,26 @@ full statement and the workaround (read through a transaction).
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Protocol, Tuple
 
 from .coordinator import TxnCoordinator
 from .locks import MemberLockTable, SeatLockTable
 from .participant import TxnParticipant
 from .records import TXN_KINDS, TxnDescriptor
 from . import recovery as _recovery
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..amoeba.cluster import Cluster
+    from ..amoeba.node import Node
+    from ..config import CostModel
+    from ..rts.base import CallSite, ObjectHandle, RtsStats
+    from ..rts.consistency import HistoryRecorder
+    from ..rts.manager import ObjectManager
+    from ..rts.p2p.directory import ObjectDirectory
+    from ..rts.sharding import ShardRouter
+    from ..rts.switch import SwitchEngine, _PendingWrite
+    from ..sim.kernel import Simulator
+    from ..sim.process import SimProcess
 
 __all__ = [
     "TXN_KINDS",
@@ -45,11 +58,58 @@ __all__ = [
 ]
 
 
+class SeatPath(Protocol):
+    """The primary-copy path and state a seat participant goes through."""
+
+    #: (primary, obj_id) -> commits in flight there (drained before a vote).
+    inflight_writes: Dict[Tuple[int, int], int]
+    last_committed: Dict[int, Tuple[Any, int, Dict]]
+
+    def applied_table(self, node_id: int, obj_id: int) -> Dict: ...
+    def write(self, proc: "SimProcess", nid: int, handle: "ObjectHandle",
+              op: Any, args: Any, kwargs: Any, wid: Any = None) -> Any: ...
+
+
+class Takeovers(Protocol):
+    def await_recovery(self, proc: "SimProcess", obj_id: int) -> None: ...
+
+
+class TxnRuntime(Protocol):
+    """What the transaction layer reads and calls of the runtime."""
+
+    cluster: "Cluster"
+    sim: "Simulator"
+    cost_model: "CostModel"
+    managers: Dict[int, "ObjectManager"]
+    stats: "RtsStats"
+    history: "HistoryRecorder"
+    switch: "SwitchEngine"
+    router: Optional["ShardRouter"]
+    directory: "ObjectDirectory"
+    primary: SeatPath
+    takeover: Takeovers
+    _policy_by_obj: Dict[int, str]
+
+    def handle(self, obj_id: int) -> "ObjectHandle": ...
+    def shard_of(self, handle: "ObjectHandle") -> int: ...
+    def _node_of(self, proc: "SimProcess") -> "Node": ...
+    def _mechanism_of(self, obj_id: int) -> str: ...
+    def _site(self, node_id: int, obj_id: int, op_name: str) -> "CallSite": ...
+    def _resolve(self, invocation_id: int, result: Any) -> None: ...
+    def _apply_one(self, node_id: int, manager: "ObjectManager", node: "Node",
+                   obj_id: int, *write: Any) -> None: ...
+    def _wait_for_change(self, proc: "SimProcess", node_id: int, obj_id: int) -> None: ...
+    def await_delivery(self, proc: "SimProcess", send: Callable[..., Any],
+                       payload: Tuple[Any, ...], size: int,
+                       pending: Optional["_PendingWrite"] = None) -> Any: ...
+    def back_off(self, proc: "SimProcess") -> None: ...
+
+
 class TransactionLayer:
     """Facade wiring coordinator, participant, locks and recovery to a
     :class:`~repro.rts.hybrid.HybridRts`."""
 
-    def __init__(self, rts) -> None:
+    def __init__(self, rts: TxnRuntime) -> None:
         self.rts = rts
         self.locks = MemberLockTable(node.node_id for node in rts.cluster.nodes)
         self.seats = SeatLockTable()
@@ -163,8 +223,8 @@ class TransactionLayer:
             origin = f"txn:{desc.txn_id}#{index}"
             primary = rts.directory.primary_of(obj_id)
             if primary is not None:
-                rts._applied_table(primary, obj_id).pop(origin, None)
-            committed_record = rts._last_committed.get(obj_id)
+                rts.primary.applied_table(primary, obj_id).pop(origin, None)
+            committed_record = rts.primary.last_committed.get(obj_id)
             if committed_record is not None:
                 committed_record[2].pop(origin, None)
         if committed:

@@ -87,7 +87,7 @@ class TxnCoordinator:
                     and rts.managers[node.node_id].has_valid_copy(detail)):
                 rts._wait_for_change(proc, node.node_id, detail)
             else:
-                proc.hold(rts.cost_model.cpu.protocol_cost * 4)
+                rts.back_off(proc)
 
     # -- one attempt ----------------------------------------------------
 
@@ -284,7 +284,7 @@ class TxnCoordinator:
         """
         rts = self.layer.rts
         for index, obj_id, op_name, args, kwargs in desc.primary_ops:
-            result = rts._primary_write(
+            result = rts.primary.write(
                 proc, node.node_id, rts.handle(obj_id),
                 rts._site(node.node_id, obj_id, op_name).op, args, kwargs,
                 wid=txn_wid(desc.txn_id, index, obj_id))
@@ -324,17 +324,11 @@ class TxnCoordinator:
     def _broadcast_record(self, proc, node, group, payload, size: int,
                           obj_id=None, epoch: int = 0) -> Any:
         """Broadcast one txn record and await its local delivery result."""
-        rts = self.layer.rts
-        invocation_id = next(rts._invocation_ids)
         proc.absorb_overhead(node.drain_overhead())
-        proc.flush()
-        pending = _PendingWrite(proc=proc, obj_id=obj_id,
-                                origin=node.node_id, epoch=epoch)
-        rts._pending[invocation_id] = pending
-        group.member(node.node_id).broadcast(payload + (invocation_id,),
-                                             size=size)
-        result = proc.suspend()
-        rts._pending.pop(invocation_id, None)
+        result = self.layer.rts.await_delivery(
+            proc, group.member(node.node_id).broadcast, payload, size,
+            _PendingWrite(proc=proc, obj_id=obj_id, origin=node.node_id,
+                          epoch=epoch))
         proc.absorb_overhead(node.drain_overhead())
         return result
 
@@ -355,9 +349,9 @@ class TxnCoordinator:
                 continue
             primary = rts.directory.primary_of(obj_id)
             if not rts.cluster.node(primary).alive:
-                rts._await_recovery(proc, obj_id)
+                rts.takeover.await_recovery(proc, obj_id)
                 continue
-            if rts._inflight_writes.get((primary, obj_id)):
+            if rts.primary.inflight_writes.get((primary, obj_id)):
                 proc.hold(rts.cost_model.cpu.protocol_cost)
                 continue
             manager = rts.managers[primary]
@@ -382,7 +376,7 @@ class TxnCoordinator:
                 return MIGRATED
             primary = rts.directory.primary_of(obj_id)
             if not rts.cluster.node(primary).alive:
-                rts._await_recovery(proc, obj_id)
+                rts.takeover.await_recovery(proc, obj_id)
                 continue
             manager = rts.managers[primary]
             if not manager.has_valid_copy(obj_id):

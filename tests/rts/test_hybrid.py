@@ -359,16 +359,16 @@ class TestMigrationRaces:
         while live secondaries are still applying)."""
         cluster, rts = make_hybrid(n=4, seed=41)
         with cluster:
-            txn_id = rts.new_transaction(2, destinations=[1, 2])
-            rts._on_node_crash(1)
-            assert rts._transactions[txn_id].remaining == 1
+            txn_id = rts.primary.fanouts.new_transaction(2, destinations=[1, 2])
+            rts.primary.on_node_crash(1)
+            assert rts.primary.fanouts._transactions[txn_id].remaining == 1
             # The crashed node's ack arrives anyway (it left the wire before
             # the crash): no further decrement.
-            rts._on_ack(0, {"txn_id": txn_id, "node": 1})
-            assert rts._transactions[txn_id].remaining == 1
+            rts.primary.fanouts.on_ack(0, {"txn_id": txn_id, "node": 1})
+            assert rts.primary.fanouts._transactions[txn_id].remaining == 1
             # The live secondary's ack completes the transaction.
-            rts._on_ack(0, {"txn_id": txn_id, "node": 2})
-            assert rts._transactions[txn_id].remaining == 0
+            rts.primary.fanouts.on_ack(0, {"txn_id": txn_id, "node": 2})
+            assert rts.primary.fanouts._transactions[txn_id].remaining == 0
 
     def test_concurrent_migrate_calls_perform_one_migration(self):
         """A second migrate() issued while the first is suspended in its

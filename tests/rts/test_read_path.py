@@ -16,6 +16,7 @@ from repro.rts.hybrid import HybridRts
 from repro.rts.manager import ObjectManager
 from repro.rts.object_model import RETRY, ObjectSpec, operation
 from repro.rts.policy import MECHANISM_BROADCAST, AdaptiveParams
+from repro.rts.primary import PrimaryCopy
 from repro.rts.switch import MIGRATED
 
 
@@ -82,15 +83,15 @@ class ReferenceRts(HybridRts):
                     result = self._reference_read(proc, node, handle, op, args, kwargs)
             else:
                 proc.absorb_overhead(node.drain_overhead())
-                serve = self._primary_write if op.is_write else self._primary_read
+                serve = self.primary.write if op.is_write else self.primary.read
                 result = serve(proc, nid, handle, op, args, kwargs)
                 if result is not MIGRATED and self.dynamic_replication:
-                    self._apply_replication_policy(proc, nid, handle)
+                    self.primary.apply_replication_policy(proc, nid, handle)
             if result is not MIGRATED:
                 break
         controller = self._adaptive_by_obj.get(obj_id)
         if controller is not None:
-            self._adaptive_check(proc, handle, controller, op.is_write)
+            self.placement.adaptive_check(proc, handle, controller, op.is_write)
         return result
 
     def _reference_read(self, proc, node, handle, op, args, kwargs):
@@ -210,14 +211,14 @@ class TestWhatIsCheckedOnEveryCall:
         with cluster:
             register = create(cluster, rts, Register, 3)
             served = []
-            for name in ("_broadcast_read", "_primary_read"):
-                original = getattr(HybridRts, name)
+            for owner, name in ((HybridRts, "_broadcast_read"), (PrimaryCopy, "read")):
+                original = getattr(owner, name)
 
                 def spy(self, *args, _name=name, _original=original):
                     served.append(_name)
                     return _original(self, *args)
 
-                monkeypatch.setattr(HybridRts, name, spy)
+                monkeypatch.setattr(owner, name, spy)
 
             def body():
                 proc = cluster.sim.current_process
@@ -228,7 +229,7 @@ class TestWhatIsCheckedOnEveryCall:
                 assert rts.invoke(proc, register, "read") == 3
 
             run_threads(cluster, [(2, body)])
-            assert served == ["_broadcast_read", "_primary_read", "_broadcast_read"]
+            assert served == ["_broadcast_read", "read", "_broadcast_read"]
             assert rts.stats.local_reads == 3
 
     def test_an_adaptive_object_migrates_on_the_same_read_as_before(self):
@@ -244,7 +245,7 @@ class TestWhatIsCheckedOnEveryCall:
                     rts.invoke(proc, register, "add", (1,))
                 for reads in range(1, 9):
                     rts.invoke(proc, register, "read")
-                    if register.obj_id in rts._migration_pending:
+                    if register.obj_id in rts.placement._migration_pending:
                         spawned_after.append(reads)
                         break
                 proc.hold(0.05)

@@ -446,7 +446,7 @@ class TestRebalanceController:
         assert len(names) == len(set(names)), names
         # The predicate itself: a just-moved object reports in-cooldown.
         moved = rts.shard_moves[0]
-        assert rts._in_move_cooldown(moved.obj_id)
+        assert rts.placement._in_move_cooldown(moved.obj_id)
         cluster.shutdown()
 
     def test_cooldown_expires_with_virtual_time(self):
@@ -456,7 +456,7 @@ class TestRebalanceController:
         assert rts.stats.shard_moves >= 1
         moved = rts.shard_moves[0].obj_id
         # All moves are long past by the time the run drained.
-        assert not rts._in_move_cooldown(moved)
+        assert not rts.placement._in_move_cooldown(moved)
         cluster.shutdown()
 
     def test_controller_runs_are_deterministic(self):
