@@ -18,7 +18,7 @@ replaced through an election among the surviving members.
 """
 
 from .group import BroadcastGroup, GroupMember
-from .protocol import DeliveredMessage, OrderingEngine
+from .protocol import DeliveredMessage, OrderingEngine, SequencerLog
 from .sequencer import Sequencer
 
 __all__ = [
@@ -26,5 +26,6 @@ __all__ = [
     "GroupMember",
     "Sequencer",
     "OrderingEngine",
+    "SequencerLog",
     "DeliveredMessage",
 ]

@@ -664,12 +664,12 @@ class BroadcastGroup:
         member = self.members.get(node_id)
         if member is not None:
             self.sequencer.adopt_history(member.recovery_entries())
-        self.sequencer.adopt_state(next_seq)
+        self.sequencer.log.advance_to(next_seq)
 
     def note_new_sequencer(self, node_id: int, next_seq: int) -> None:
         """Record the outcome of an election announced by another member."""
         if node_id == self.sequencer_node_id and self.sequencer.node.node_id == node_id:
-            self.sequencer.adopt_state(next_seq)
+            self.sequencer.log.advance_to(next_seq)
             return
         self.install_sequencer(node_id, next_seq)
 
@@ -687,9 +687,9 @@ class BroadcastGroup:
         broadcasts at it.  Returns the adopted ``next_seq``.
         """
         if node_id == self.sequencer_node_id:
-            return self.sequencer.next_seq
+            return self.sequencer.log.next_seq
         if trust_old:
-            next_seq = self.sequencer.next_seq
+            next_seq = self.sequencer.log.next_seq
         else:
             highest = 0
             for member in self.members.values():

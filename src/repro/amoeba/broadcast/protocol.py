@@ -1,16 +1,22 @@
 """Protocol-independent pieces of the group-communication layer.
 
 This module holds the wire-format constants, the one immutable record a
-sequenced message is (:class:`DeliveredMessage`), the per-member
-:class:`OrderingEngine` that turns an unordered stream of such records into
-in-order runs (buffering out-of-order arrivals and reporting gaps), and the
-bookkeeping records for in-flight sends.
+sequenced message is (:class:`DeliveredMessage`), the seat's
+:class:`SequencerLog` that numbers such records and keeps them for
+retransmission, the per-member :class:`OrderingEngine` that turns an
+unordered stream of them into in-order runs (buffering out-of-order arrivals
+and reporting gaps), and the bookkeeping records for in-flight sends.
+
+Nothing here does I/O or reads a clock: the simulated group
+(:mod:`repro.amoeba.broadcast.group`) and the real-socket runtime
+(:mod:`repro.net.runtime`) are two drivers of the same log and engine.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 # Message kinds used on the wire -------------------------------------------------
 
@@ -80,12 +86,83 @@ class DeliveredMessage:
     size: int
 
 
+class SequencerLog:
+    """A sequencer seat's numbering state: the next number, the history of
+    numbered records, and which uid got which number.
+
+    :meth:`stamp` builds the record the next number makes without taking
+    it — the one place a sequenced record is built — and :meth:`append`
+    takes it.  A driver that must put the record on the wire first (so a
+    frame the wire refuses leaves no hole in the order) sends in between.
+    The history is bounded by ``history_size`` (oldest evicted first, their
+    uids forgotten with them) or, with ``None``, unbounded.
+    """
+
+    def __init__(self, history_size: Optional[int] = None) -> None:
+        self.next_seq = 1
+        self.history_size = history_size
+        self._history: "OrderedDict[int, DeliveredMessage]" = OrderedDict()
+        #: uid -> seqno, for duplicate suppression when senders retry.
+        self._assigned: Dict[MessageId, int] = {}
+
+    def stamp(self, origin: int, uid: MessageId, payload: Any, size: int) -> DeliveredMessage:
+        """The record the next number would make; the number is not taken."""
+        return DeliveredMessage(self.next_seq, origin, uid, payload, size)
+
+    def append(self, record: DeliveredMessage) -> None:
+        """Take ``record``'s number (``record`` is a :meth:`stamp` of this log)."""
+        self.next_seq = record.seqno + 1
+        self._assigned[record.uid] = record.seqno
+        self._history[record.seqno] = record
+        self._evict()
+
+    def seqno_of(self, uid: MessageId) -> Optional[int]:
+        """The number ``uid`` was given, while the log remembers it."""
+        return self._assigned.get(uid)
+
+    def get(self, seqno: int) -> Optional[DeliveredMessage]:
+        """The retained record numbered ``seqno`` (to retransmit it)."""
+        return self._history.get(seqno)
+
+    def advance_to(self, next_seq: int) -> None:
+        """Continue numbering at ``next_seq`` at the earliest (never back)."""
+        self.next_seq = max(self.next_seq, next_seq)
+
+    def adopt(self, records: Iterable[DeliveredMessage]) -> None:
+        """Take over records another seat numbered: retain them, remember
+        their uids, and number after the highest of them."""
+        for record in sorted(records, key=lambda r: r.seqno):
+            self._history[record.seqno] = record
+            self._assigned[record.uid] = record.seqno
+            self.next_seq = max(self.next_seq, record.seqno + 1)
+        self._evict()
+
+    def _evict(self) -> None:
+        if self.history_size is None:
+            return
+        while len(self._history) > self.history_size:
+            _, evicted = self._history.popitem(last=False)
+            self._assigned.pop(evicted.uid, None)
+
+    @property
+    def highest_assigned(self) -> int:
+        return self.next_seq - 1
+
+    def __len__(self) -> int:
+        return len(self._history)
+
+    def entries(self) -> Dict[int, DeliveredMessage]:
+        """A copy of the retained history, seqno -> record."""
+        return dict(self._history)
+
+
 @dataclass
 class OrderingEngine:
     """Turns sequenced-but-unordered arrivals into strict in-order delivery.
 
-    The engine is purely local state: it never touches the network.  The
-    owning :class:`~repro.amoeba.broadcast.group.GroupMember` feeds it with
+    The engine is purely local state: it never touches the network.  Its
+    driver — a simulated :class:`~repro.amoeba.broadcast.group.GroupMember`
+    or a real-socket :class:`~repro.net.runtime.RealRuntime` — feeds it with
     ``offer`` (a sequenced record) and ``offer_accept`` / ``offer_bb_data``
     (for the BB path where data and ordering arrive separately); each
     returns the in-order run of records that just became deliverable, which

@@ -4,14 +4,18 @@ One node of the broadcast group acts as the sequencer ("like a committee
 electing a chairman").  For the PB protocol it receives the full data from
 the sender and broadcasts it with the next sequence number; for the BB
 protocol it observes the sender's own broadcast and broadcasts a short
-Accept.  All sequenced messages are retained in a bounded *history buffer*
-from which missing messages are retransmitted point-to-point on request.
+Accept.  Numbering, the bounded *history buffer* from which missing messages
+are retransmitted point-to-point on request, and duplicate suppression live
+in the driver-free :class:`~repro.amoeba.broadcast.protocol.SequencerLog`
+(the real-socket backend's seats number through the same class); this module
+adds what the simulation drives around it: the service queue, CPU charges
+and the sync heartbeat.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
-from typing import TYPE_CHECKING, Any, Deque, Dict, Iterable, Optional, Tuple
+from collections import deque
+from typing import TYPE_CHECKING, Any, Deque, Iterable, Optional, Tuple
 
 from .protocol import (
     CONTROL_MESSAGE_SIZE,
@@ -21,6 +25,7 @@ from .protocol import (
     KIND_SYNC,
     DeliveredMessage,
     MessageId,
+    SequencerLog,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -34,11 +39,8 @@ class Sequencer:
     def __init__(self, group: "BroadcastGroup", node: "Node") -> None:
         self.group = group
         self.node = node
-        self.next_seq = 1
-        self.history_size = group.params.history_size
-        self._history: "OrderedDict[int, DeliveredMessage]" = OrderedDict()
-        #: uid -> seqno, for duplicate suppression when senders retry.
-        self._assigned: Dict[MessageId, int] = {}
+        #: Numbering, retained history and the uid -> seqno table.
+        self.log = SequencerLog(group.params.history_size)
         self.requests_handled = 0
         self.retransmissions = 0
         self.duplicates_suppressed = 0
@@ -70,14 +72,14 @@ class Sequencer:
 
     def _sequence(self, origin: int, uid: MessageId, payload: Any, size: int, accept: bool) -> None:
         self.requests_handled += 1
-        existing = self._assigned.get(uid)
+        existing = self.log.seqno_of(uid)
         if existing is None:
             record = self._record(origin, uid, payload, size)
         else:
             # A retry of a message we already sequenced: rebroadcast it so
             # whoever missed it (including possibly the sender) catches up.
             self.duplicates_suppressed += 1
-            record = self._history.get(existing)
+            record = self.log.get(existing)
             if record is None:
                 return
         self._dispatch_broadcast(record, accept)
@@ -151,15 +153,9 @@ class Sequencer:
             )
 
     def _record(self, origin: int, uid: MessageId, payload: Any, size: int) -> DeliveredMessage:
-        """Assign the next number: the one place a sequenced record is built."""
-        seqno = self.next_seq
-        self.next_seq += 1
-        record = DeliveredMessage(seqno, origin, uid, payload, size)
-        self._assigned[uid] = seqno
-        self._history[seqno] = record
-        while len(self._history) > self.history_size:
-            _, evicted = self._history.popitem(last=False)
-            self._assigned.pop(evicted.uid, None)
+        """Number the message and charge the ordering work for it."""
+        record = self.log.stamp(origin, uid, payload, size)
+        self.log.append(record)
         # Charge the sequencer CPU for ordering work beyond the plain receive:
         # number assignment, history-buffer retention, flow control.  Under
         # the queueing model (sequencing_cost > 0) this is the service time
@@ -193,14 +189,14 @@ class Sequencer:
 
     def _send_sync(self) -> None:
         self._sync_timer = None
-        if self.highest_assigned <= 0 or self.group.sequencer is not self:
+        if self.log.highest_assigned <= 0 or self.group.sequencer is not self:
             return
         self.sync_broadcasts += 1
         msg = self.node.make_message(
             None,
             self.group.wire_kind(KIND_SYNC),
             size=CONTROL_MESSAGE_SIZE,
-            seqno=self.highest_assigned,
+            seqno=self.log.highest_assigned,
         )
         self.node.send(msg)
         self._sync_remaining -= 1
@@ -242,7 +238,7 @@ class Sequencer:
         case a broadcast gap request can still be answered by an ordinary
         member's delivered history.
         """
-        record = self._history.get(seqno)
+        record = self.log.get(seqno)
         if record is None:
             # Outside the history window; nothing *we* can do (the paper's
             # protocol bounds the window by flow control).
@@ -261,10 +257,6 @@ class Sequencer:
     # Election support
     # ------------------------------------------------------------------ #
 
-    def adopt_state(self, next_seq: int) -> None:
-        """Called on a newly elected sequencer to continue the numbering."""
-        self.next_seq = max(self.next_seq, next_seq)
-
     def adopt_history(self, records: Iterable[DeliveredMessage]) -> None:
         """Seed the history buffer from the winning member's local state.
 
@@ -274,14 +266,8 @@ class Sequencer:
         sequenced gets the original sequence number rebroadcast instead of a
         second one.
         """
-        for record in sorted(records, key=lambda r: r.seqno):
-            self._history[record.seqno] = record
-            self._assigned[record.uid] = record.seqno
-            self.next_seq = max(self.next_seq, record.seqno + 1)
-        while len(self._history) > self.history_size:
-            _, evicted = self._history.popitem(last=False)
-            self._assigned.pop(evicted.uid, None)
-        if self._history:
+        self.log.adopt(records)
+        if len(self.log):
             self._arm_sync()
 
     @property
@@ -295,11 +281,3 @@ class Sequencer:
         move objects away from.
         """
         return len(self._service_queue)
-
-    @property
-    def highest_assigned(self) -> int:
-        return self.next_seq - 1
-
-    def history_entries(self) -> Dict[int, DeliveredMessage]:
-        """A copy of the current history (used by tests and state transfer)."""
-        return dict(self._history)

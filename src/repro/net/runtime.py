@@ -1,22 +1,26 @@
 """The per-process protocol engine of the real-socket backend.
 
 Each node process runs one :class:`RealRuntime` inside its asyncio event
-loop.  The engine re-expresses the simulator's protocol stack over the
+loop.  The engine drives the simulator's ordering core over the
 :class:`~repro.net.udp.UdpTransport`:
 
 * **sharded fixed-sequencer total order** — each broadcast group (shard) has
-  one *seat* node.  Writers send a request to the seat; the seat assigns the
-  next sequence number, fans the data message to every node, and every node
-  applies deliveries strictly in sequence-number order from a hold-back
-  queue.  Lost requests are retried by the writer (the seat deduplicates on
-  the request uid); lost data messages are recovered through gap requests
-  answered from the seat's history, triggered either by a later delivery or
-  by the seat's periodic sync beacon.
+  one *seat* node.  Writers send a request to the seat; the seat numbers it
+  in its :class:`~repro.amoeba.broadcast.protocol.SequencerLog` and fans the
+  data message to every node, and every node delivers through its shard's
+  :class:`~repro.amoeba.broadcast.protocol.OrderingEngine` — the log and
+  engine the simulated broadcast group runs on.  Lost requests are retried
+  by the writer (the seat's log deduplicates on the request uid); lost data
+  messages are recovered through gap requests answered from the log's
+  history, triggered either by a gap the engine reports after a later
+  delivery or by the seat's periodic sync beacon.
 * **primary-copy management** — writes go to the object's primary, which
   serialises them, applies them at the next version, fans version-ordered
-  update messages and acknowledges the writer only once every live peer has
-  acknowledged the update.  Writers retry with a stable write id (*wid*);
-  the primary's applied-wid table makes retries exactly-once.
+  update messages (a replica holds an early one back in the object's own
+  ``OrderingEngine``, numbered by version) and acknowledges the writer only
+  once every live peer has acknowledged the update.  Writers retry with a
+  stable write id (*wid*); the primary's applied-wid table makes retries
+  exactly-once.
 * **failure detection and takeover** — every node heartbeats; a silent peer
   is declared dead, its acknowledgement debts are released, and for every
   object whose primary died the lowest-id live node proposes itself through
@@ -50,8 +54,11 @@ import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple, Type
+from typing import (Any, Awaitable, Callable, Dict, List, Optional, Sequence,
+                    Tuple, Type)
 
+from ..amoeba.broadcast.protocol import (DeliveredMessage, MessageId,
+                                         OrderingEngine, SequencerLog)
 from ..amoeba.message import Message
 from ..errors import NetworkError, RtsError, UnknownObjectError
 from ..rts.object_model import (RETRY, ObjectSpec, OperationDef,
@@ -81,6 +88,13 @@ def resolve_spec(path: str) -> Type[ObjectSpec]:
 def spec_path(spec_class: Type[ObjectSpec]) -> str:
     """The ``module:Class`` path under which a spec class is importable."""
     return f"{spec_class.__module__}:{spec_class.__qualname__}"
+
+
+def _data(shard: int, record: DeliveredMessage) -> Dict[str, Any]:
+    """The ``net.data`` payload carrying one sequenced record (the uid's
+    origin travels as ``origin``, its counter as ``uid``)."""
+    return {"shard": shard, "seqno": record.seqno, "origin": record.origin,
+            "uid": record.uid.counter, "body": record.payload}
 
 
 @dataclass(frozen=True)
@@ -131,8 +145,9 @@ class RealObject:
     #: Every applied write, in application order: [client_node, client_id,
     #: cseq, op].  Identical on all replicas once quiesced.
     applied_log: List[List[Any]] = field(default_factory=list)
-    #: Member hold-back for out-of-version-order updates.
-    pending_updates: Dict[int, Dict[str, Any]] = field(default_factory=dict)
+    #: Member hold-back of updates that arrive ahead of their version (the
+    #: versions are the engine's sequence numbers: it expects version + 1).
+    updates: OrderingEngine = field(default_factory=OrderingEngine)
     #: Primary-side retransmission history: version -> update record.
     update_log: Dict[int, Dict[str, Any]] = field(default_factory=dict)
     #: Primary-side acknowledgement debts: version -> nodes yet to ack.
@@ -144,23 +159,6 @@ class RealObject:
     state_lock: threading.Lock = field(default_factory=threading.Lock)
     #: Reads served from this replica; counted under ``state_lock``.
     local_reads: int = 0
-
-
-@dataclass
-class _SeatState:
-    """Sequencer state for one shard this node is the seat of."""
-
-    next_seqno: int = 1
-    history: Dict[int, Dict[str, Any]] = field(default_factory=dict)
-    uid_to_seqno: Dict[str, int] = field(default_factory=dict)
-
-
-@dataclass
-class _MemberState:
-    """Ordered-delivery state for one shard, on every node."""
-
-    next_expected: int = 1
-    holdback: Dict[int, Dict[str, Any]] = field(default_factory=dict)
 
 
 class _PendingWrite:
@@ -181,8 +179,9 @@ class _PendingWrite:
         self.obj = obj
         self.body = body
         self.future = future if future is not None else Future()
-        #: Key in ``RealRuntime._pending``: the ordered uid or the primary wid.
-        self.key: Optional[str] = None
+        #: Key in ``RealRuntime._pending``: the ordered uid (a
+        #: ``MessageId``) or the primary wid.
+        self.key: Any = None
         self.deadline = 0.0
         #: The re-send (or re-issue) timer, or the local primary-apply task.
         self.handle: Any = None
@@ -212,9 +211,12 @@ class RealRuntime:
         self.stats = RealRuntimeStats()
         self.objects: Dict[int, RealObject] = {}
         self.seats: Dict[int, int] = {}
-        self._seat_state: Dict[int, _SeatState] = {}
-        self._member_state: Dict[int, _MemberState] = {}
-        self._pending: Dict[str, _PendingWrite] = {}
+        #: Per shard: the delivery engine (every node) and the sequencer log
+        #: (the seat only), and the check armed on a gap the engine reports.
+        self._engines: Dict[int, OrderingEngine] = {}
+        self._logs: Dict[int, SequencerLog] = {}
+        self._gap_checks: Dict[int, asyncio.TimerHandle] = {}
+        self._pending: Dict[Any, _PendingWrite] = {}
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._uid_counter = itertools.count(1)
         self._last_heard: Dict[int, float] = {}
@@ -232,6 +234,11 @@ class RealRuntime:
             "net.pgap": self._handle_pgap,
             "net.pack": self._handle_pack,
         }
+        #: An ordered body's ``type`` -> what applies it.
+        self._ordered_kinds = {
+            "op": self._apply_ordered_op,
+            "takeover": self._apply_takeover,
+        }
 
     # ------------------------------------------------------------------ #
     # Setup
@@ -241,9 +248,9 @@ class RealRuntime:
         """Install the shard -> seat-node table (identical cluster-wide)."""
         self.seats = {int(shard): int(node) for shard, node in seats.items()}
         for shard, seat in self.seats.items():
-            self._member_state.setdefault(shard, _MemberState())
+            self._engines.setdefault(shard, OrderingEngine())
             if seat == self.node_id:
-                self._seat_state.setdefault(shard, _SeatState())
+                self._logs.setdefault(shard, SequencerLog())
 
     def install_objects(self, table: List[Dict[str, Any]]) -> None:
         """Create local replicas from the harness's object table."""
@@ -289,6 +296,9 @@ class RealRuntime:
             except asyncio.CancelledError:
                 pass
         self._tasks = []
+        for handle in self._gap_checks.values():
+            handle.cancel()
+        self._gap_checks.clear()
         for write in list(self._pending.values()):
             self._finish(write, error=NetworkError(
                 f"node {self.node_id} stopped with write {write.key} pending"))
@@ -327,7 +337,6 @@ class RealRuntime:
         }
         if obj.policy == "broadcast":
             body["type"] = "op"
-            body["origin"] = self.node_id
             write = _PendingWrite(self._issue_ordered_op, obj, body, future)
         else:
             body["wid"] = f"{int(client[0])}.{int(client[1])}.{int(cseq)}"
@@ -420,8 +429,8 @@ class RealRuntime:
     # Ordered-broadcast write path
     # ------------------------------------------------------------------ #
 
-    def _new_uid(self) -> str:
-        return f"{self.node_id}:{next(self._uid_counter)}"
+    def _new_uid(self) -> MessageId:
+        return MessageId(self.node_id, next(self._uid_counter))
 
     def _submit_ordered(self, obj: RealObject, body: Dict[str, Any]) -> Awaitable[Any]:
         """Put ``body`` through ``obj``'s shard's total order (in-loop callers)."""
@@ -435,9 +444,7 @@ class RealRuntime:
 
     def _issue_ordered(self, write: _PendingWrite) -> None:
         # A fresh uid per issue: the seat remembers the old one as sequenced.
-        uid = self._new_uid()
-        write.body = dict(write.body, uid=uid)
-        self._track(write, uid)
+        self._track(write, self._new_uid())
         self._attempt_ordered(write)
 
     def _attempt_ordered(self, write: _PendingWrite) -> None:
@@ -449,144 +456,138 @@ class RealRuntime:
         shard = write.obj.shard
         seat = self.seats[shard]
         if seat == self.node_id:
-            self._sequence(shard, write.key, write.body, requester=self.node_id)
+            self._sequence(shard, write.key, write.body)
         else:
-            self._send(seat, "net.req",
-                       {"shard": shard, "uid": write.key, "body": write.body})
+            self._send(seat, "net.req", {"shard": shard,
+                                         "uid": write.key.counter,
+                                         "body": write.body})
 
     def _handle_req(self, msg: Message) -> None:
         payload = msg.payload
         shard = int(payload["shard"])
         if self.seats.get(shard) != self.node_id:
             return  # stale routing; the writer will retry
-        self._sequence(shard, payload["uid"], payload["body"],
-                       requester=msg.src)
+        self._sequence(shard, MessageId(msg.src, int(payload["uid"])),
+                       payload["body"])
 
-    def _sequence(self, shard: int, uid: str, body: Dict[str, Any],
-                  requester: int) -> None:
-        """Seat side: assign the next seqno (or retransmit a duplicate)."""
-        seat = self._seat_state[shard]
-        known = seat.uid_to_seqno.get(uid)
+    def _sequence(self, shard: int, uid: MessageId, body: Dict[str, Any]) -> None:
+        """Seat side: number ``body`` (or answer a duplicate from the log)."""
+        log = self._logs[shard]
+        known = log.seqno_of(uid)
         if known is not None:
             # Duplicate request: the writer missed the data message; resend
             # it point-to-point so recovery does not wait for a sync beacon.
             self.stats.deduplicated_requests += 1
-            if requester != self.node_id:
-                self.stats.retransmissions += 1
-                self._send(requester, "net.data",
-                           {"shard": shard, "seqno": known,
-                            "body": seat.history[known]})
+            if uid.origin != self.node_id:
+                self._retransmit(uid.origin, shard, log.get(known))
             return
-        seqno = seat.next_seqno
-        # Sent before it is recorded: a body the wire rejects (too large)
-        # must not take a seqno nobody could ever be sent.
-        self._send(None, "net.data",
-                   {"shard": shard, "seqno": seqno, "body": body})
-        seat.next_seqno += 1
-        seat.history[seqno] = body
-        seat.uid_to_seqno[uid] = seqno
-        self._accept_data(shard, seqno, body)
+        record = log.stamp(uid.origin, uid, body, 0)
+        # Sent before the log takes the number: a body the wire rejects
+        # (too large) must not take a seqno nobody could ever be sent.
+        self._send(None, "net.data", _data(shard, record))
+        log.append(record)
+        self._arrived(shard, self._engines[shard].offer(record))
+
+    def _retransmit(self, dst: int, shard: int, record: DeliveredMessage) -> None:
+        self.stats.retransmissions += 1
+        self._send(dst, "net.data", _data(shard, record))
 
     def _handle_data(self, msg: Message) -> None:
         payload = msg.payload
-        self._accept_data(int(payload["shard"]), int(payload["seqno"]),
-                          payload["body"])
-
-    def _accept_data(self, shard: int, seqno: int, body: Dict[str, Any]) -> None:
-        member = self._member_state.get(shard)
-        if member is None:
+        shard = int(payload["shard"])
+        engine = self._engines.get(shard)
+        if engine is None:
             return
-        if seqno < member.next_expected:
-            return  # duplicate of something already applied
-        member.holdback[seqno] = body
-        self._drain(shard, member)
-        if member.holdback:
-            asyncio.ensure_future(self._gap_check(shard, member.next_expected))
+        origin = int(payload["origin"])
+        record = DeliveredMessage(int(payload["seqno"]), origin,
+                                  MessageId(origin, int(payload["uid"])),
+                                  payload["body"], 0)
+        self._arrived(shard, engine.offer(record))
 
-    def _drain(self, shard: int, member: _MemberState) -> None:
-        while member.next_expected in member.holdback:
-            body = member.holdback.pop(member.next_expected)
-            member.next_expected += 1
-            self._apply_ordered(body)
+    def _arrived(self, shard: int, run: Sequence[DeliveredMessage]) -> None:
+        """After every arrival: apply what it released, chase what it revealed."""
+        for record in run:
+            self._ordered_kinds[record.payload["type"]](record)
+        self._watch_gap(shard)
 
-    async def _gap_check(self, shard: int, stalled_at: int) -> None:
-        await asyncio.sleep(self.timings.gap_delay)
-        member = self._member_state[shard]
-        if not member.holdback or member.next_expected != stalled_at:
-            return  # the gap filled itself (or moved) in the meantime
-        self._request_gap(shard, member)
+    def _watch_gap(self, shard: int) -> None:
+        """Give a gap the engine reports ``gap_delay`` to fill by itself."""
+        engine = self._engines[shard]
+        if engine.has_gap and shard not in self._gap_checks:
+            self._gap_checks[shard] = self._loop.call_later(
+                self.timings.gap_delay, self._gap_check, shard,
+                engine.next_expected)
 
-    def _request_gap(self, shard: int, member: _MemberState) -> None:
+    def _gap_check(self, shard: int, stalled_at: int) -> None:
+        del self._gap_checks[shard]
+        if self._engines[shard].next_expected == stalled_at:
+            self._request_gap(shard)
+        else:
+            self._watch_gap(shard)  # delivery moved on; a later gap waits anew
+
+    def _request_gap(self, shard: int) -> None:
+        """Ask the seat for everything between delivery and the highest
+        sequence number known to exist, if any of it is missing."""
         seat = self.seats[shard]
-        if seat == self.node_id:
+        engine = self._engines[shard]
+        if seat == self.node_id or not engine.has_gap:
             return
-        upto = max(member.holdback) if member.holdback else member.next_expected
         self.stats.gap_requests += 1
-        self._send(seat, "net.gapreq",
-                   {"shard": shard, "from": member.next_expected, "to": upto})
+        self._send(seat, "net.gapreq", {"shard": shard,
+                                        "from": engine.next_expected,
+                                        "to": engine.highest_known_seqno})
 
     def _handle_gapreq(self, msg: Message) -> None:
         payload = msg.payload
         shard = int(payload["shard"])
-        seat = self._seat_state.get(shard)
-        if seat is None:
+        log = self._logs.get(shard)
+        if log is None:
             return
         for seqno in range(int(payload["from"]), int(payload["to"]) + 1):
-            body = seat.history.get(seqno)
-            if body is None:
-                continue
-            self.stats.retransmissions += 1
-            self._send(msg.src, "net.data",
-                       {"shard": shard, "seqno": seqno, "body": body})
+            record = log.get(seqno)
+            if record is not None:
+                self._retransmit(msg.src, shard, record)
 
     async def _sync_loop(self) -> None:
-        """Seats periodically announce their next seqno so a lost *final*
+        """Seats periodically announce their highest seqno so a lost *final*
         data message (with nothing after it to expose the gap) is found."""
         while self._running:
             await asyncio.sleep(self.timings.sync_interval)
-            for shard, seat in self._seat_state.items():
+            for shard, log in self._logs.items():
                 self._send(None, "net.sync",
-                           {"shard": shard, "next_seqno": seat.next_seqno})
+                           {"shard": shard, "seqno": log.highest_assigned})
 
     def _handle_sync(self, msg: Message) -> None:
         payload = msg.payload
         shard = int(payload["shard"])
-        member = self._member_state.get(shard)
-        if member is None:
+        engine = self._engines.get(shard)
+        if engine is None:
             return
-        if member.next_expected < int(payload["next_seqno"]):
-            self._request_gap(shard, member)
+        engine.note_highest(int(payload["seqno"]))
+        self._request_gap(shard)
 
     # -- ordered apply ---------------------------------------------------- #
 
-    def _apply_ordered(self, body: Dict[str, Any]) -> None:
-        kind = body["type"]
-        if kind == "op":
-            self._apply_ordered_op(body)
-        elif kind == "takeover":
-            self._apply_takeover(body)
-        else:  # pragma: no cover - protocol bug guard
-            raise NetworkError(f"unknown ordered body type {kind!r}")
-
-    def _apply_ordered_op(self, body: Dict[str, Any]) -> None:
+    def _apply_ordered_op(self, record: DeliveredMessage) -> None:
+        body = record.payload
         obj = self.objects[int(body["obj_id"])]
         op = obj.spec_class.operation_def(body["op"])
         with obj.state_lock:
             result = execute_operation(obj.instance, op, tuple(body["args"]),
                                        dict(body["kwargs"]))
         if result is RETRY:
-            self._resolve(body, RETRY_MARKER)
+            self._resolve(record, RETRY_MARKER)
             return
         client = body["client"]
         obj.applied_log.append([int(client[0]), int(client[1]),
                                 int(body["cseq"]), body["op"]])
-        self._resolve(body, result)
+        self._resolve(record, result)
 
-    def _resolve(self, body: Dict[str, Any], result: Any) -> None:
-        """Complete the pending write if this node originated ``body``."""
-        if body.get("origin") != self.node_id:
+    def _resolve(self, record: DeliveredMessage, result: Any) -> None:
+        """Complete the pending write if this node originated ``record``."""
+        if record.origin != self.node_id:
             return
-        write = self._pending.get(body["uid"])
+        write = self._pending.get(record.uid)
         if write is not None:
             self._complete(write, result)
 
@@ -701,16 +702,15 @@ class RealRuntime:
         if version <= obj.version:
             self._ack_update(obj, version)  # duplicate; re-ack
             return
-        if version == obj.version + 1:
-            self._apply_update(obj, payload)
-            while obj.version + 1 in obj.pending_updates:
-                self._apply_update(obj,
-                                   obj.pending_updates.pop(obj.version + 1))
-        else:
-            obj.pending_updates[version] = payload
+        run = obj.updates.offer(DeliveredMessage(
+            version, msg.src, MessageId(msg.src, version), payload, 0))
+        if not run:
+            # Held back behind a missing version: ask the primary for it.
             self.stats.gap_requests += 1
             self._send(obj.primary, "net.pgap",
                        {"obj_id": obj.obj_id, "have": obj.version})
+        for record in run:
+            self._apply_update(obj, record.payload)
 
     def _apply_update(self, obj: RealObject, payload: Dict[str, Any]) -> None:
         op = obj.spec_class.operation_def(payload["op"])
@@ -811,7 +811,6 @@ class RealRuntime:
             body = {
                 "type": "takeover",
                 "obj_id": obj.obj_id,
-                "origin": self.node_id,
                 "old_primary": old_primary,
                 "new_primary": self.node_id,
                 "state": jsonify(obj.instance.marshal_state()),
@@ -821,7 +820,8 @@ class RealRuntime:
             }
         await self._submit_ordered(obj, body)
 
-    def _apply_takeover(self, body: Dict[str, Any]) -> None:
+    def _apply_takeover(self, record: DeliveredMessage) -> None:
+        body = record.payload
         obj = self.objects[int(body["obj_id"])]
         if obj.primary != int(body["old_primary"]):
             return  # stale proposal; someone already took this object over
@@ -831,10 +831,10 @@ class RealRuntime:
         obj.version = int(body["version"])
         obj.applied_wids = dict(body["wids"])
         obj.applied_log = [list(entry) for entry in body["log"]]
-        obj.pending_updates.clear()
+        obj.updates = OrderingEngine(next_expected=obj.version + 1)
         obj.update_log.clear()
         self.stats.takeovers += 1
-        self._resolve(body, True)
+        self._resolve(record, True)
 
     # ------------------------------------------------------------------ #
     # Introspection for the control plane
@@ -844,15 +844,15 @@ class RealRuntime:
         """Quiescence-relevant counters, all JSON-native."""
         return {
             "node_id": self.node_id,
-            "shards": {str(shard): {"next_expected": member.next_expected,
-                                    "holdback": len(member.holdback)}
-                       for shard, member in self._member_state.items()},
-            "seats": {str(shard): seat.next_seqno
-                      for shard, seat in self._seat_state.items()},
+            "shards": {str(shard): {"next_expected": engine.next_expected,
+                                    "holdback": engine.buffered_count}
+                       for shard, engine in self._engines.items()},
+            "seats": {str(shard): log.next_seq
+                      for shard, log in self._logs.items()},
             "pending_ops": len(self._pending),
             "primary_pending": sum(len(obj.pending_acks)
                                    for obj in self.objects.values()),
-            "pending_updates": sum(len(obj.pending_updates)
+            "pending_updates": sum(obj.updates.buffered_count
                                    for obj in self.objects.values()),
             "dead": sorted(node for node in self.transport.node_ids
                            if not self.transport.peer_alive(node)),

@@ -460,7 +460,7 @@ class Placement:
         def drained() -> bool:
             if group.sequencer.queue_depth > 0:
                 return False
-            highest = group.sequencer.highest_assigned
+            highest = group.sequencer.log.highest_assigned
             return all(
                 member.engine.next_expected > highest
                 for member in group.members.values()

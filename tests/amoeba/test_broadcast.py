@@ -14,6 +14,7 @@ from repro.amoeba.broadcast.protocol import (
     DeliveredMessage,
     MessageId,
     OrderingEngine,
+    SequencerLog,
 )
 from repro.amoeba.cluster import Cluster
 from repro.config import BroadcastParams, ClusterConfig, CostModel
@@ -152,6 +153,46 @@ class TestOrderingEngine:
         assert engine.buffered_count == 0
 
 
+class TestSequencerLog:
+    """The seat's numbering state, shared by the simulated and real seats."""
+
+    def test_stamp_takes_no_number_until_appended(self):
+        log = SequencerLog()
+        uid = MessageId(2, 1)
+        record = log.stamp(2, uid, "x", 10)
+        assert (record.seqno, record.origin, record.payload) == (1, 2, "x")
+        # A driver whose send fails drops the stamp: nothing was taken.
+        assert log.next_seq == 1 and log.seqno_of(uid) is None and len(log) == 0
+        log.append(record)
+        assert log.next_seq == 2 and log.highest_assigned == 1
+        assert log.seqno_of(uid) == 1 and log.get(1) is record
+
+    def test_bounded_history_forgets_evicted_uids(self):
+        log = SequencerLog(history_size=2)
+        for counter in (1, 2, 3):
+            log.append(log.stamp(0, MessageId(0, counter), counter, 10))
+        assert sorted(log.entries()) == [2, 3] and log.get(1) is None
+        # An evicted uid is new again: a retry of it would take a number.
+        assert log.seqno_of(MessageId(0, 1)) is None
+        assert log.seqno_of(MessageId(0, 3)) == 3
+
+    def test_unbounded_history_keeps_everything(self):
+        log = SequencerLog()
+        for counter in range(1, 2001):
+            log.append(log.stamp(0, MessageId(0, counter), None, 0))
+        assert len(log) == 2000 and log.seqno_of(MessageId(0, 1)) == 1
+
+    def test_adopt_and_advance_never_number_backwards(self):
+        log = SequencerLog()
+        log.adopt([rec(5, "e"), rec(3, "c")])
+        assert sorted(log.entries()) == [3, 5] and log.next_seq == 6
+        assert log.seqno_of(MessageId(0, 3)) == 3
+        log.advance_to(4)
+        assert log.next_seq == 6
+        log.advance_to(9)
+        assert log.stamp(1, MessageId(1, 1), None, 0).seqno == 9
+
+
 class TestBroadcastGroup:
     def test_total_order_identical_on_all_nodes(self):
         with make_cluster(5) as cluster:
@@ -277,7 +318,7 @@ class TestOneSequencedRecord:
                 group.set_delivery_handler(nid, log.append)
             group.broadcast_from(2, payload=("p", 1), size=40)
             cluster.run()
-            record = group.sequencer.history_entries()[1]
+            record = group.sequencer.log.entries()[1]
             assert (record.seqno, record.origin, record.payload) == (1, 2, ("p", 1))
             for nid, member in group.members.items():
                 assert len(seen[nid]) == 1 and seen[nid][0] is record
@@ -315,7 +356,7 @@ class TestOneSequencedRecord:
             assert group.sequencer.retransmissions == 1
             assert group.stats.peer_retransmissions == 0
             assert [d.payload for d in seen] == ["lost", "reveals-the-gap"]
-            assert seen[0] is group.sequencer.history_entries()[1]
+            assert seen[0] is group.sequencer.log.entries()[1]
 
     def test_lost_data_comes_back_from_the_designated_peer_as_the_same_record(self):
         with make_cluster(4) as cluster:
@@ -329,7 +370,7 @@ class TestOneSequencedRecord:
                 group.broadcast_from(1, payload="reveals-the-gap", size=40)
                 cluster.sim.current_process.hold(0.001)
                 # Both are sequenced; now the bounded window moves past them.
-                group.sequencer._history.clear()
+                group.sequencer.log._history.clear()
 
             cluster.node(1).kernel.spawn_thread(scenario)
             cluster.run()
@@ -449,7 +490,7 @@ class TestFailureInjection:
             assert group.delivered_counts() == {0: 25, 1: 25, 2: 25, 3: 25}
             # Recovery went through the history buffer, not just luck.
             assert group.sequencer.retransmissions > 0
-            history = group.sequencer.history_entries()
+            history = group.sequencer.log.entries()
             assert history, "sequencer retained no history"
             assert max(history) == 25
 

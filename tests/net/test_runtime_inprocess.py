@@ -22,8 +22,11 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.amoeba import message as message_module
+from repro.amoeba.broadcast.protocol import OrderingEngine, SequencerLog
+from repro.amoeba.message import Message
 from repro.errors import NetworkError
 from repro.net.rts_adapter import ClientProc, RealRtsFacade
 from repro.net.runtime import RealRuntime, RealTimings, resolve_spec
@@ -435,6 +438,159 @@ class TestWriteArguments:
                 inner.append(99)  # the caller's object is not the replica's
                 assert result == wire_form
                 await cluster.converged(wire_form)
+
+        asyncio.run(run())
+
+
+class RecordingWire:
+    """A transport stand-in: records what a runtime sends, delivers nothing."""
+
+    def __init__(self, node_ids) -> None:
+        self.node_ids = list(node_ids)
+        self.sent = []
+        self.on_message = None
+
+    def send(self, msg, on_sent=None) -> None:
+        self.sent.append(msg)
+
+    def peer_alive(self, node_id) -> bool:
+        return True
+
+    def mark_dead(self, node_id) -> None:  # pragma: no cover - never called
+        raise AssertionError("the failure detector must stay quiet here")
+
+    def kinds(self, kind):
+        return [msg for msg in self.sent if msg.kind == kind]
+
+
+#: Timers for a runtime on a :class:`RecordingWire`: heartbeats and beacons
+#: far apart, a short gap delay.
+QUIET = RealTimings(heartbeat_interval=30.0, dead_after=60.0,
+                    retry_interval=30.0, sync_interval=30.0, gap_delay=0.01,
+                    submit_deadline=60.0)
+
+
+def data(seqno, origin=0):
+    """The ``net.data`` message the seat (node 0) sends for ``seqno``."""
+    body = {"type": "op", "obj_id": 1, "op": "add", "args": [seqno],
+            "kwargs": {}, "client": [origin, 0], "cseq": seqno}
+    return Message(src=0, dst=1, kind="net.data", size=1,
+                   payload={"shard": 0, "seqno": seqno, "origin": origin,
+                            "uid": seqno, "body": body})
+
+
+def update(version):
+    """The ``net.pupd`` message primary node 0 sends for ``version``."""
+    return Message(src=0, dst=1, kind="net.pupd", size=1, payload={
+        "obj_id": 1, "op": "add", "args": [version], "kwargs": {},
+        "client": [0, 0], "cseq": version, "wid": f"0.0.{version}",
+        "version": version, "result": version})
+
+
+async def member_on_a_wire(policy="broadcast"):
+    """Node 1 of a two-node cluster whose seat and primary is node 0."""
+    wire = RecordingWire([0, 1])
+    member = RealRuntime(1, wire, QUIET)
+    member.set_seats({0: 0})
+    member.install_objects(object_table(policy, primary=0))
+    await member.start()
+    return member, wire
+
+
+class TestOneOrderingCore:
+    """The real member and seat run the simulator's OrderingEngine and
+    SequencerLog; the runtime only moves their records over the wire."""
+
+    def test_seat_numbers_through_a_sequencer_log(self):
+        async def run():
+            async with InProcessCluster(3, object_table("broadcast")) as cluster:
+                for node_id, runtime in cluster.runtimes.items():
+                    await runtime.submit(1, "add", (1,), client=(node_id, 0), cseq=1)
+                await cluster.converged(3)
+                log = cluster.runtimes[0]._logs[0]
+                assert isinstance(log, SequencerLog)
+                assert sorted(log.entries()) == [1, 2, 3]
+                assert [log.get(n).origin for n in (1, 2, 3)] == [0, 1, 2]
+                for runtime in cluster.runtimes.values():
+                    engine = runtime._engines[0]
+                    assert isinstance(engine, OrderingEngine)
+                    assert engine.next_expected == 4 and engine.buffered_count == 0
+                assert set(cluster.runtimes[1]._logs) == set()
+
+        asyncio.run(run())
+
+    @given(st.permutations(list(range(1, 7))))
+    @settings(max_examples=25, deadline=None)
+    def test_any_arrival_order_applies_in_seqno_order(self, order):
+        async def run():
+            member, wire = await member_on_a_wire()
+            try:
+                for seqno in order:
+                    member._dispatch(data(seqno))
+                return member.objects[1].applied_log, member.status()
+            finally:
+                await member.stop()
+
+        applied, status = asyncio.run(run())
+        assert applied == [[0, 0, seqno, "add"] for seqno in range(1, 7)]
+        assert status["shards"] == {"0": {"next_expected": 7, "holdback": 0}}
+
+    def test_a_stalled_gap_is_asked_of_the_seat_once_then_filled(self):
+        async def run():
+            member, wire = await member_on_a_wire()
+            try:
+                member._dispatch(data(2))
+                member._dispatch(data(3))
+                assert member.objects[1].applied_log == []
+                assert member.status()["shards"]["0"]["holdback"] == 2
+                await asyncio.sleep(4 * QUIET.gap_delay)
+                [request] = wire.kinds("net.gapreq")
+                assert request.dst == 0
+                assert request.payload == {"shard": 0, "from": 1, "to": 3}
+                member._dispatch(data(1))
+                assert [entry[2] for entry in member.objects[1].applied_log] == [1, 2, 3]
+                await asyncio.sleep(4 * QUIET.gap_delay)
+                assert len(wire.kinds("net.gapreq")) == 1
+            finally:
+                await member.stop()
+
+        asyncio.run(run())
+
+    def test_a_sync_beacon_reveals_a_lost_tail(self):
+        async def run():
+            member, wire = await member_on_a_wire()
+            try:
+                member._dispatch(data(1))
+                member._dispatch(Message(src=0, dst=None, kind="net.sync", size=1,
+                                         payload={"shard": 0, "seqno": 3}))
+                [request] = wire.kinds("net.gapreq")
+                assert request.payload == {"shard": 0, "from": 2, "to": 3}
+            finally:
+                await member.stop()
+
+        asyncio.run(run())
+
+    def test_primary_updates_are_held_back_by_version(self):
+        async def run():
+            member, wire = await member_on_a_wire("primary-update")
+            try:
+                obj = member.objects[1]
+                member._dispatch(update(3))
+                member._dispatch(update(2))
+                assert obj.version == 0 and obj.updates.buffered_count == 2
+                assert member.status()["pending_updates"] == 2
+                assert [m.payload["have"] for m in wire.kinds("net.pgap")] == [0, 0]
+                member._dispatch(update(1))
+                assert obj.version == 3 and obj.instance.value == 6
+                assert [entry[2] for entry in obj.applied_log] == [1, 2, 3]
+                assert member.status()["pending_updates"] == 0
+                # A late duplicate is re-acknowledged, not applied again.
+                member._dispatch(update(2))
+                assert obj.version == 3
+                acks = [m.payload["version"] for m in wire.kinds("net.pupdack")]
+                assert acks == [1, 2, 3, 2]
+            finally:
+                await member.stop()
 
         asyncio.run(run())
 
