@@ -1,11 +1,15 @@
-"""Broadcast group membership, send/deliver engine, and sequencer election."""
+"""Broadcast group membership, send/deliver engine, and sequencer election.
+
+The group owns no socket and no clock: it reads its host and nodes only through
+the Protocols below.  A simulated ``Cluster`` hosts every member; a real node
+process (:mod:`repro.net.host`) hosts one."""
 
 from __future__ import annotations
 
 import itertools
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Protocol, Sequence
 
 from ...config import BroadcastParams
 from ...errors import BroadcastError
@@ -31,10 +35,59 @@ from .protocol import (
 from .sequencer import Sequencer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..cluster import Cluster
-    from ..node import Node
+    from ...config import CostModel
 
 DeliveryHandler = Callable[[DeliveredMessage], None]
+
+
+class GroupClock(Protocol):
+    """The clock and trace sink a member reads (``node.sim``)."""
+
+    now: float
+    tracer: Any
+
+    def trace(self, category: str, message: str, **data: Any) -> None: ...
+
+
+class GroupTimers(Protocol):
+    """One-shot timers (``node.kernel``)."""
+
+    def set_timer(self, delay: float, callback: Callable[..., Any], *args: Any) -> int: ...
+    def cancel_timer(self, timer_id: int) -> None: ...
+
+
+class GroupNode(Protocol):
+    """What a member and a sequencer read of the node hosting them."""
+
+    node_id: int
+    alive: bool
+    sim: GroupClock
+    kernel: GroupTimers
+    cost_model: "CostModel"
+
+    def register_handler(self, kind: str, handler: Callable[[Message], None]) -> None: ...
+    def on_recover(self, callback: Callable[[], None]) -> None: ...
+    def make_message(
+        self, dst: Optional[int], kind: str, payload: Any = None, size: int = 0, **headers: Any
+    ) -> Message: ...
+    def send(self, msg: Message, on_sent: Optional[Callable[[Message], None]] = None) -> None: ...
+    def charge_overhead(self, duration: float) -> None: ...
+
+
+class GroupTransport(Protocol):
+    """What a group reads of the interconnect (``cluster.network``)."""
+
+    supports_broadcast: bool
+    lossy: bool
+    node_ids: List[int]
+
+
+class GroupHost(Protocol):
+    """What a group reads of its host; ``nodes`` are the members it hosts."""
+
+    network: GroupTransport
+    cost_model: "CostModel"
+    nodes: List[GroupNode]
 
 
 @dataclass
@@ -62,7 +115,7 @@ class GroupStats:
 class GroupMember:
     """Per-node endpoint of the totally-ordered broadcast group."""
 
-    def __init__(self, group: "BroadcastGroup", node: "Node") -> None:
+    def __init__(self, group: "BroadcastGroup", node: GroupNode) -> None:
         self.group = group
         self.node = node
         self.node_id = node.node_id
@@ -285,8 +338,10 @@ class GroupMember:
         a recovered member's delivered history was wiped with the crash, so
         designating it would silently stall the requester for a salvo (and
         the answer it *could* give from a fresh engine would be nothing).
+        A member on another host is taken to be synced.
         """
-        ids = sorted(nid for nid, member in self.group.members.items() if member.synced)
+        members, every = self.group.members, self.group.cluster.network.node_ids
+        ids = [nid for nid in every if nid not in members or members[nid].synced]
         if not ids:
             return False
         return ids[(seqno + salvo) % len(ids)] == self.node_id
@@ -499,6 +554,12 @@ class GroupMember:
             if not record.delivered:
                 self._transmit(record)
 
+    def cancel(self, uid: MessageId) -> None:
+        """Stop retrying broadcast ``uid``; it may still be delivered."""
+        record = self._pending_sends.pop(uid, None)
+        if record is not None and record.retry_timer is not None:
+            self.node.kernel.cancel_timer(record.retry_timer)
+
     # ------------------------------------------------------------------ #
     # Rejoin (crash -> recover catch-up)
     # ------------------------------------------------------------------ #
@@ -572,18 +633,18 @@ class GroupMember:
 
 
 class BroadcastGroup:
-    """A totally-ordered broadcast group spanning every node of a cluster.
+    """A totally-ordered broadcast group spanning every node of a network.
 
-    Several groups can coexist on one cluster (the sharding layer runs one
-    per shard): each group gets a ``group_id`` that namespaces its wire
-    message kinds, so the groups' protocol traffic — sequencing, gap
-    recovery, elections — is fully independent.  The initial sequencer seat
-    is configurable so shards can spread their sequencers over the machines.
+    Several groups can coexist (the sharding layer runs one per shard): a
+    ``group_id`` namespaces each group's wire kinds, so their sequencing,
+    gap recovery and elections are independent, and each has its own seat.
+    A group has a member per node its host hosts, and a :class:`Sequencer`
+    only while one of them holds the seat (``sequencer`` is None otherwise).
     """
 
     def __init__(
         self,
-        cluster: "Cluster",
+        cluster: GroupHost,
         params: Optional[BroadcastParams] = None,
         group_id: int = 0,
         sequencer_node_id: Optional[int] = None,
@@ -597,16 +658,18 @@ class BroadcastGroup:
         self.stats = GroupStats(self.members)
         self._pb = PBStrategy()
         self._bb = BBStrategy()
+        for node in cluster.nodes:
+            self.members[node.node_id] = GroupMember(self, node)
         #: Elected sequencer (initially the configured seat, defaulting to
         #: the lowest-numbered machine).
         initial = cluster.nodes[0].node_id if sequencer_node_id is None else sequencer_node_id
         self.sequencer_node_id = initial
-        self.sequencer = Sequencer(self, cluster.node(initial))
-        for node in cluster.nodes:
-            self.members[node.node_id] = GroupMember(self, node)
+        seat = self.members.get(initial)
+        self.sequencer: Optional[Sequencer] = None if seat is None else Sequencer(self, seat.node)
         #: Tunables for loss recovery (fractions of the election timeout).
         self.retry_timeout = self.params.election_timeout / 2.0
         self.gap_request_delay = self.params.election_timeout / 20.0
+        self.sync_interval = self.retry_timeout
         self.max_send_attempts = 3
 
     # ------------------------------------------------------------------ #
@@ -650,28 +713,28 @@ class BroadcastGroup:
         member's local state (delivered plus buffered messages), so it can
         keep serving retransmissions for messages ordered before the old
         sequencer crashed.  The election winner is the member with the
-        highest known sequence number, i.e. the best-informed seed.
+        highest known sequence number, i.e. the best-informed seed.  A
+        winner on another host is only recorded: its own host builds it.
         """
-        node = self.cluster.node(node_id)
         old = self.sequencer
+        member = self.members.get(node_id)
         self.sequencer_node_id = node_id
-        self.sequencer = Sequencer(self, node)
-        if old is not None and old is not self.sequencer:
+        self.sequencer = None if member is None else Sequencer(self, member.node)
+        if old is not None:
             # A dethroned sequencer that is still alive must stop serving its
             # queue, or its stale broadcasts would collide with the seqnos
             # the successor hands out.
             old.retire()
-        member = self.members.get(node_id)
         if member is not None:
             self.sequencer.adopt_history(member.recovery_entries())
-        self.sequencer.log.advance_to(next_seq)
+            self.sequencer.log.advance_to(next_seq)
 
     def note_new_sequencer(self, node_id: int, next_seq: int) -> None:
         """Record the outcome of an election announced by another member."""
-        if node_id == self.sequencer_node_id and self.sequencer.node.node_id == node_id:
+        if node_id != self.sequencer_node_id:
+            self.install_sequencer(node_id, next_seq)
+        elif self.sequencer is not None:
             self.sequencer.log.advance_to(next_seq)
-            return
-        self.install_sequencer(node_id, next_seq)
 
     def handoff_sequencer(self, node_id: int, trust_old: bool = True) -> int:
         """Hand the sequencer seat to ``node_id`` without an election.
@@ -697,7 +760,7 @@ class BroadcastGroup:
                     highest = max(highest, member.engine.highest_known_seqno)
             next_seq = highest + 1
         self.install_sequencer(node_id, next_seq)
-        node = self.cluster.node(node_id)
+        node = self.members[node_id].node
         self.stats.control_bytes_sent += CONTROL_MESSAGE_SIZE
         node.send(
             node.make_message(
@@ -709,12 +772,6 @@ class BroadcastGroup:
             )
         )
         return next_seq
-
-    def crash_sequencer(self) -> int:
-        """Failure injection: crash the current sequencer node; returns its id."""
-        crashed = self.sequencer_node_id
-        self.cluster.node(crashed).crash()
-        return crashed
 
     # ------------------------------------------------------------------ #
     # Convenience

@@ -7,9 +7,7 @@ retransmission, the per-member :class:`OrderingEngine` that turns an
 unordered stream of them into in-order runs (buffering out-of-order arrivals
 and reporting gaps), and the bookkeeping records for in-flight sends.
 
-Nothing here does I/O or reads a clock: the simulated group
-(:mod:`repro.amoeba.broadcast.group`) and the real-socket runtime
-(:mod:`repro.net.runtime`) are two drivers of the same log and engine.
+Nothing here does I/O or reads a clock.
 """
 
 from __future__ import annotations
@@ -90,31 +88,27 @@ class SequencerLog:
     """A sequencer seat's numbering state: the next number, the history of
     numbered records, and which uid got which number.
 
-    :meth:`stamp` builds the record the next number makes without taking
-    it — the one place a sequenced record is built — and :meth:`append`
-    takes it.  A driver that must put the record on the wire first (so a
-    frame the wire refuses leaves no hole in the order) sends in between.
-    The history is bounded by ``history_size`` (oldest evicted first, their
-    uids forgotten with them) or, with ``None``, unbounded.
+    :meth:`append` is the one place a sequenced record is built.  The
+    history is bounded by ``history_size``: the oldest records are evicted
+    first, and their uids are forgotten with them.
     """
 
-    def __init__(self, history_size: Optional[int] = None) -> None:
+    def __init__(self, history_size: int) -> None:
         self.next_seq = 1
         self.history_size = history_size
         self._history: "OrderedDict[int, DeliveredMessage]" = OrderedDict()
         #: uid -> seqno, for duplicate suppression when senders retry.
         self._assigned: Dict[MessageId, int] = {}
 
-    def stamp(self, origin: int, uid: MessageId, payload: Any, size: int) -> DeliveredMessage:
-        """The record the next number would make; the number is not taken."""
-        return DeliveredMessage(self.next_seq, origin, uid, payload, size)
-
-    def append(self, record: DeliveredMessage) -> None:
-        """Take ``record``'s number (``record`` is a :meth:`stamp` of this log)."""
-        self.next_seq = record.seqno + 1
-        self._assigned[record.uid] = record.seqno
-        self._history[record.seqno] = record
+    def append(self, origin: int, uid: MessageId, payload: Any, size: int) -> DeliveredMessage:
+        """Number a message with the next number and retain its record."""
+        seqno = self.next_seq
+        record = DeliveredMessage(seqno, origin, uid, payload, size)
+        self.next_seq = seqno + 1
+        self._assigned[uid] = seqno
+        self._history[seqno] = record
         self._evict()
+        return record
 
     def seqno_of(self, uid: MessageId) -> Optional[int]:
         """The number ``uid`` was given, while the log remembers it."""
@@ -138,8 +132,6 @@ class SequencerLog:
         self._evict()
 
     def _evict(self) -> None:
-        if self.history_size is None:
-            return
         while len(self._history) > self.history_size:
             _, evicted = self._history.popitem(last=False)
             self._assigned.pop(evicted.uid, None)
@@ -161,8 +153,8 @@ class OrderingEngine:
     """Turns sequenced-but-unordered arrivals into strict in-order delivery.
 
     The engine is purely local state: it never touches the network.  Its
-    driver — a simulated :class:`~repro.amoeba.broadcast.group.GroupMember`
-    or a real-socket :class:`~repro.net.runtime.RealRuntime` — feeds it with
+    caller — a :class:`~repro.amoeba.broadcast.group.GroupMember`, or a
+    primary-copy replica of the real-socket runtime — feeds it with
     ``offer`` (a sequenced record) and ``offer_accept`` / ``offer_bb_data``
     (for the BB path where data and ordering arrive separately); each
     returns the in-order run of records that just became deliverable, which

@@ -6,10 +6,9 @@ the sender and broadcasts it with the next sequence number; for the BB
 protocol it observes the sender's own broadcast and broadcasts a short
 Accept.  Numbering, the bounded *history buffer* from which missing messages
 are retransmitted point-to-point on request, and duplicate suppression live
-in the driver-free :class:`~repro.amoeba.broadcast.protocol.SequencerLog`
-(the real-socket backend's seats number through the same class); this module
-adds what the simulation drives around it: the service queue, CPU charges
-and the sync heartbeat.
+in the I/O-free :class:`~repro.amoeba.broadcast.protocol.SequencerLog`;
+this module adds what is driven around it: the service queue, CPU charges
+and the sync heartbeat.  A group builds a sequencer only on a node it hosts.
 """
 
 from __future__ import annotations
@@ -29,14 +28,13 @@ from .protocol import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..node import Node
-    from .group import BroadcastGroup
+    from .group import BroadcastGroup, GroupNode
 
 
 class Sequencer:
     """Sequencer state machine, hosted on one node of the group."""
 
-    def __init__(self, group: "BroadcastGroup", node: "Node") -> None:
+    def __init__(self, group: "BroadcastGroup", node: "GroupNode") -> None:
         self.group = group
         self.node = node
         #: Numbering, retained history and the uid -> seqno table.
@@ -154,8 +152,7 @@ class Sequencer:
 
     def _record(self, origin: int, uid: MessageId, payload: Any, size: int) -> DeliveredMessage:
         """Number the message and charge the ordering work for it."""
-        record = self.log.stamp(origin, uid, payload, size)
-        self.log.append(record)
+        record = self.log.append(origin, uid, payload, size)
         # Charge the sequencer CPU for ordering work beyond the plain receive:
         # number assignment, history-buffer retention, flow control.  Under
         # the queueing model (sequencing_cost > 0) this is the service time
@@ -180,12 +177,12 @@ class Sequencer:
         suppressed entirely on loss-free networks — this keeps the PB/BB
         bandwidth and interrupt counts exactly as the paper describes them.
         """
-        if self.group.cluster.cost_model.network.loss_rate <= 0.0:
+        if not self.group.cluster.network.lossy:
             return
         self._sync_remaining = self.sync_repeats
         if self._sync_timer is not None:
             self.node.kernel.cancel_timer(self._sync_timer)
-        self._sync_timer = self.node.kernel.set_timer(self.group.retry_timeout, self._send_sync)
+        self._sync_timer = self.node.kernel.set_timer(self.group.sync_interval, self._send_sync)
 
     def _send_sync(self) -> None:
         self._sync_timer = None
@@ -201,7 +198,7 @@ class Sequencer:
         self.node.send(msg)
         self._sync_remaining -= 1
         if self._sync_remaining > 0:
-            self._sync_timer = self.node.kernel.set_timer(self.group.retry_timeout, self._send_sync)
+            self._sync_timer = self.node.kernel.set_timer(self.group.sync_interval, self._send_sync)
 
     # ------------------------------------------------------------------ #
     # Outgoing traffic

@@ -24,7 +24,6 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 from ..config import NetworkParams
 from ..errors import NetworkError, RoutingError
 from .message import Message
-from .transport import Transport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim.kernel import Simulator
@@ -89,15 +88,15 @@ class NetworkStats:
         self.bytes_by_kind[msg.kind] = self.bytes_by_kind.get(msg.kind, 0) + msg.size
 
 
-class BaseNetwork(Transport):
+class BaseNetwork:
     """Common functionality shared by the network models.
 
-    This is the *simulated* implementation of the
-    :class:`~repro.amoeba.transport.Transport` seam: delivery happens through
-    virtual-time events, messages fragment into packets, and loss is injected
-    deterministically from a named rng stream.  The real-process backend
-    implements the same seam over asyncio UDP sockets
-    (:class:`repro.net.udp.UdpTransport`).
+    The simulated transport: delivery happens through virtual-time events,
+    messages fragment into packets, and loss is injected deterministically
+    from a named rng stream.  The real-process backend moves messages over
+    asyncio UDP sockets instead (:class:`repro.net.udp.UdpTransport`); what
+    a broadcast group reads of either is
+    :class:`~repro.amoeba.broadcast.group.GroupTransport`.
     """
 
     supports_broadcast = False
@@ -134,6 +133,10 @@ class BaseNetwork(Transport):
     @property
     def node_ids(self) -> List[int]:
         return [nic.node_id for nic in self._nic_order]
+
+    @property
+    def lossy(self) -> bool:
+        return self.params.loss_rate > 0.0
 
     def peer_alive(self, node_id: int) -> bool:
         """Is the machine behind ``node_id`` up?

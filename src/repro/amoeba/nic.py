@@ -14,7 +14,6 @@ from typing import TYPE_CHECKING, Callable, Dict, Optional
 from ..errors import NetworkError
 from .message import Message
 from .network import Packet
-from .transport import TransportEndpoint
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .network import BaseNetwork
@@ -32,12 +31,11 @@ class NicStats:
     packets_discarded: int = 0
 
 
-class NetworkInterface(TransportEndpoint):
+class NetworkInterface:
     """Receive-side model of a node's network adapter.
 
-    This is the simulated backend's :class:`TransportEndpoint`: packets are
-    reassembled and the receive-interrupt/protocol CPU cost is charged before
-    :meth:`deliver` calls the complete message's handler.
+    Packets are reassembled and the receive-interrupt/protocol CPU cost is
+    charged before :meth:`deliver` calls the complete message's handler.
     """
 
     def __init__(self, node: "Node") -> None:

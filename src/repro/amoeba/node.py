@@ -83,16 +83,6 @@ class Node:
             raise NetworkError(f"node {self.node_id} already has a handler for {kind!r}")
         self._handlers[kind] = handler
 
-    @property
-    def transport(self) -> Optional["BaseNetwork"]:
-        """The node's attached interconnect, seen through the transport seam.
-
-        An alias of :attr:`network`; code written against the
-        :class:`~repro.amoeba.transport.Transport` interface should prefer
-        this name, which the real-process backend mirrors.
-        """
-        return self.network
-
     def send(self, msg: Message, on_sent: Optional[Callable[[Message], None]] = None) -> None:
         """Send a message on the attached network."""
         if self.network is None:

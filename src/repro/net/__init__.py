@@ -14,10 +14,11 @@ Layout
 ------
 ``wire``          length-prefixed JSON framing of the existing
                   :class:`~repro.amoeba.message.Message` type
-``udp``           :class:`UdpTransport` — the asyncio implementation of the
-                  :class:`~repro.amoeba.transport.Transport` seam
-``runtime``       the per-process protocol engine (ordering, primaries,
-                  heartbeats, takeover)
+``udp``           :class:`UdpTransport` — messages over asyncio UDP
+``host``          :class:`RealNode` — hosts the simulator's broadcast
+                  groups (one member per shard) over the transport
+``runtime``       the per-process RTS layer above them (writes, the
+                  primary path, heartbeats, takeover)
 ``rts_adapter``   a RuntimeSystem facade so the existing workload
                   :class:`~repro.workloads.scenarios.Scenario` classes run
                   unchanged against the real backend

@@ -9,8 +9,8 @@ optionally SIGKILLs victim nodes mid-run (the real-socket analogue of the
 simulator's staged crashes; each kill is keyed to acknowledged-operation
 progress, not to the clock), polls until every surviving node has quiesced —
 clients finished, no pending writes, hold-back queues empty, every member
-caught up with its shard's seat — and finally collects each node's object
-states and applied logs for the oracle's convergence check.
+caught up with the seat its shard follows — and finally collects each node's
+object states and applied logs for the oracle's convergence check.
 
 Placement mirrors the simulator: object ids count from 1, id-hash placement
 assigns shards, sequencer seats go round-robin over the non-victim machines,
@@ -312,20 +312,24 @@ class RealCluster:
                 return
 
     def _quiesced(self, statuses: Dict[int, Dict[str, Any]]) -> bool:
-        killed = set(self._killed)
         runtime = {node_id: status["runtime"]
                    for node_id, status in statuses.items()}
         for state in runtime.values():
             if (state["pending_ops"] or state["primary_pending"]
                     or state["pending_updates"]):
                 return False
-        for shard, seat in self.seats.items():
-            seat_next = runtime[seat]["seats"][str(shard)]
-            for node_id, state in runtime.items():
-                if node_id in killed:
-                    continue
-                member = state["shards"][str(shard)]
-                if member["holdback"] or member["next_expected"] != seat_next:
+        for shard in map(str, self.seats):
+            # The seat every live member follows, which an election may
+            # have moved off the launch-time one.
+            named = {state["shards"][shard]["sequencer"]
+                     for state in runtime.values()}
+            seat = runtime.get(named.pop()) if len(named) == 1 else None
+            if seat is None or shard not in seat["seats"]:
+                return False
+            for state in runtime.values():
+                member = state["shards"][shard]
+                if (member["holdback"]
+                        or member["next_expected"] != seat["seats"][shard]):
                     return False
         return True
 

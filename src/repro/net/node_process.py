@@ -6,7 +6,7 @@ harness commands one at a time:
 
 ``start``
     Install the peer table, shard seats, object table and protocol timers,
-    then start the protocol engine (heartbeats, failure monitor, beacons).
+    then start the runtime (heartbeats, failure monitor).
 ``run_clients``
     Replay the scenario's setup against the local replicas (handle binding),
     then launch one OS thread per client.  Each client replays exactly the

@@ -1,19 +1,13 @@
-"""The per-process protocol engine of the real-socket backend.
+"""The per-process RTS layer of the real-socket backend.
 
 Each node process runs one :class:`RealRuntime` inside its asyncio event
-loop.  The engine drives the simulator's ordering core over the
-:class:`~repro.net.udp.UdpTransport`:
+loop, above the simulator's own broadcast groups:
 
-* **sharded fixed-sequencer total order** — each broadcast group (shard) has
-  one *seat* node.  Writers send a request to the seat; the seat numbers it
-  in its :class:`~repro.amoeba.broadcast.protocol.SequencerLog` and fans the
-  data message to every node, and every node delivers through its shard's
-  :class:`~repro.amoeba.broadcast.protocol.OrderingEngine` — the log and
-  engine the simulated broadcast group runs on.  Lost requests are retried
-  by the writer (the seat's log deduplicates on the request uid); lost data
-  messages are recovered through gap requests answered from the log's
-  history, triggered either by a gap the engine reports after a later
-  delivery or by the seat's periodic sync beacon.
+* **sharded total order** — each shard is one
+  :class:`~repro.amoeba.broadcast.group.BroadcastGroup` (PB only) hosted by
+  a :class:`~repro.net.host.RealNode`, which owns sequencing, retries, gap
+  recovery, tail syncs and elections; an ordered write is one ``broadcast``
+  and this module applies what the member delivers.
 * **primary-copy management** — writes go to the object's primary, which
   serialises them, applies them at the next version, fans version-ordered
   update messages (a replica holds an early one back in the object's own
@@ -49,22 +43,22 @@ from __future__ import annotations
 import asyncio
 import functools
 import importlib
-import itertools
 import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import (Any, Awaitable, Callable, Dict, List, Optional, Sequence,
-                    Tuple, Type)
+from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple, Type
 
-from ..amoeba.broadcast.protocol import (DeliveredMessage, MessageId,
-                                         OrderingEngine, SequencerLog)
+from ..amoeba.broadcast.group import BroadcastGroup
+from ..amoeba.broadcast.protocol import DeliveredMessage, MessageId, OrderingEngine
 from ..amoeba.message import Message
+from ..config import BroadcastParams
 from ..errors import NetworkError, RtsError, UnknownObjectError
 from ..rts.object_model import (RETRY, ObjectSpec, OperationDef,
                                 execute_operation)
+from .host import RealNode
 from .udp import UdpTransport
-from .wire import jsonify
+from .wire import jsonify, wire_form
 
 #: Wire encoding of the :data:`~repro.rts.object_model.RETRY` sentinel.
 RETRY_MARKER = {"__retry__": True}
@@ -90,20 +84,14 @@ def spec_path(spec_class: Type[ObjectSpec]) -> str:
     return f"{spec_class.__module__}:{spec_class.__qualname__}"
 
 
-def _data(shard: int, record: DeliveredMessage) -> Dict[str, Any]:
-    """The ``net.data`` payload carrying one sequenced record (the uid's
-    origin travels as ``origin``, its counter as ``uid``)."""
-    return {"shard": shard, "seqno": record.seqno, "origin": record.origin,
-            "uid": record.uid.counter, "body": record.payload}
-
-
 @dataclass(frozen=True)
 class RealTimings:
     """Protocol timers, in real seconds.
 
     The defaults favour fast CI convergence on loopback; the failure
     detector is deliberately generous so a briefly descheduled process is
-    not declared dead under load.
+    not declared dead under load.  The broadcast groups use all but
+    ``heartbeat_interval`` and ``submit_deadline`` (:meth:`RealRuntime.set_seats`).
     """
 
     heartbeat_interval: float = 0.15
@@ -167,23 +155,27 @@ class _PendingWrite:
     The record is the whole writer-side state of the write: the ordered body
     or primary request to (re-)send, until when, the handle to cancel when it
     ends, and the thread-safe future its issuer waits on — a client thread
-    directly, in-loop callers through ``asyncio.wrap_future``.
+    directly, in-loop callers through ``asyncio.wrap_future``.  An ordered
+    write's re-sends are its group member's.
     """
 
-    __slots__ = ("issue", "obj", "body", "future", "key", "deadline", "handle")
+    __slots__ = ("issue", "obj", "body", "size", "future", "key", "deadline", "handle")
 
     def __init__(self, issue: Callable[["_PendingWrite"], None], obj: RealObject,
-                 body: Dict[str, Any], future: Optional[Future]) -> None:
+                 future: Optional[Future]) -> None:
         #: (Re-)issues the write: at the start, and after a guard ``RETRY``.
         self.issue = issue
         self.obj = obj
-        self.body = body
+        #: The body in wire form and its encoded size, set by the issuer.
+        self.body: Dict[str, Any] = {}
+        self.size = 0
         self.future = future if future is not None else Future()
-        #: Key in ``RealRuntime._pending``: the ordered uid (a
+        #: Key in ``RealRuntime._pending``: the broadcast's uid (a
         #: ``MessageId``) or the primary wid.
         self.key: Any = None
         self.deadline = 0.0
-        #: The re-send (or re-issue) timer, or the local primary-apply task.
+        #: The primary re-send timer or local apply task, or the re-issue
+        #: timer after a guard ``RETRY``.
         self.handle: Any = None
 
 
@@ -192,7 +184,6 @@ class RealRuntimeStats:
     ordered_writes: int = 0
     primary_writes: int = 0
     guard_retries: int = 0
-    deduplicated_requests: int = 0
     deduplicated_writes: int = 0
     gap_requests: int = 0
     retransmissions: int = 0
@@ -210,30 +201,20 @@ class RealRuntime:
         self.timings = timings or RealTimings()
         self.stats = RealRuntimeStats()
         self.objects: Dict[int, RealObject] = {}
-        self.seats: Dict[int, int] = {}
-        #: Per shard: the delivery engine (every node) and the sequencer log
-        #: (the seat only), and the check armed on a gap the engine reports.
-        self._engines: Dict[int, OrderingEngine] = {}
-        self._logs: Dict[int, SequencerLog] = {}
-        self._gap_checks: Dict[int, asyncio.TimerHandle] = {}
+        #: The node the groups run on; its handler table is the process's.
+        self.node = RealNode(node_id, transport)
+        #: shard -> its broadcast group (this process's member of it).
+        self.groups: Dict[int, BroadcastGroup] = {}
         self._pending: Dict[Any, _PendingWrite] = {}
+        #: The write whose record the member is about to deliver (set by the
+        #: write's ``on_delivered``, which fires just before delivery).
+        self._applying: Optional[_PendingWrite] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._uid_counter = itertools.count(1)
         self._last_heard: Dict[int, float] = {}
         self._tasks: List[asyncio.Task] = []
         self._running = False
-        self._handlers = {
-            "net.req": self._handle_req,
-            "net.data": self._handle_data,
-            "net.gapreq": self._handle_gapreq,
-            "net.sync": self._handle_sync,
-            "net.hb": self._handle_hb,
-            "net.pwrite": self._handle_pwrite,
-            "net.pupd": self._handle_pupd,
-            "net.pupdack": self._handle_pupdack,
-            "net.pgap": self._handle_pgap,
-            "net.pack": self._handle_pack,
-        }
+        for kind in ("hb", "pwrite", "pupd", "pupdack", "pgap", "pack"):
+            self.node.register_handler(f"net.{kind}", getattr(self, f"_handle_{kind}"))
         #: An ordered body's ``type`` -> what applies it.
         self._ordered_kinds = {
             "op": self._apply_ordered_op,
@@ -245,12 +226,18 @@ class RealRuntime:
     # ------------------------------------------------------------------ #
 
     def set_seats(self, seats: Dict[int, int]) -> None:
-        """Install the shard -> seat-node table (identical cluster-wide)."""
-        self.seats = {int(shard): int(node) for shard, node in seats.items()}
-        for shard, seat in self.seats.items():
-            self._engines.setdefault(shard, OrderingEngine())
-            if seat == self.node_id:
-                self._logs.setdefault(shard, SequencerLog())
+        """Join one broadcast group per shard, seated as the shard -> node
+        table (identical cluster-wide) says."""
+        timings = self.timings
+        params = BroadcastParams(method="pb", election_timeout=timings.dead_after)
+        for shard, seat in seats.items():
+            group = BroadcastGroup(self.node, params, group_id=int(shard),
+                                   sequencer_node_id=int(seat))
+            group.retry_timeout = timings.retry_interval
+            group.sync_interval = timings.sync_interval
+            group.gap_request_delay = timings.gap_delay
+            group.set_delivery_handler(self.node_id, self._deliver)
+            self.groups[int(shard)] = group
 
     def install_objects(self, table: List[Dict[str, Any]]) -> None:
         """Create local replicas from the harness's object table."""
@@ -273,8 +260,8 @@ class RealRuntime:
             self.objects[obj.obj_id] = obj
 
     async def start(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self.transport.on_message = self._dispatch
+        self._loop = self.node.loop = asyncio.get_running_loop()
+        self.transport.on_message = self.node.dispatch
         now = time.monotonic()
         for node_id in self.transport.node_ids:
             if node_id != self.node_id:
@@ -283,7 +270,6 @@ class RealRuntime:
         self._tasks = [
             asyncio.ensure_future(self._heartbeat_loop()),
             asyncio.ensure_future(self._monitor_loop()),
-            asyncio.ensure_future(self._sync_loop()),
         ]
 
     async def stop(self) -> None:
@@ -296,12 +282,10 @@ class RealRuntime:
             except asyncio.CancelledError:
                 pass
         self._tasks = []
-        for handle in self._gap_checks.values():
-            handle.cancel()
-        self._gap_checks.clear()
         for write in list(self._pending.values()):
             self._finish(write, error=NetworkError(
                 f"node {self.node_id} stopped with write {write.key} pending"))
+        self.node.stop()
 
     # ------------------------------------------------------------------ #
     # Public operation API
@@ -334,21 +318,22 @@ class RealRuntime:
             "op": op_name,
             "client": [int(client[0]), int(client[1])],
             "cseq": int(cseq),
+            "args": list(args),
+            "kwargs": dict(kwargs or {}),
         }
         if obj.policy == "broadcast":
             body["type"] = "op"
-            write = _PendingWrite(self._issue_ordered_op, obj, body, future)
+            write = _PendingWrite(self._issue_ordered_op, obj, future)
         else:
             body["wid"] = f"{int(client[0])}.{int(client[1])}.{int(cseq)}"
-            write = _PendingWrite(self._issue_primary, obj, body, future)
+            write = _PendingWrite(self._issue_primary, obj, future)
         try:
-            # The arguments alone are put in wire form, before any protocol
-            # state moves: a local seat or primary applies this body as it
-            # is, so it must be the value (and a copy, not the caller's
-            # objects) that the other replicas decode — and an argument the
-            # wire cannot carry must fail this call, not take a seqno.
-            body["args"] = jsonify(list(args))
-            body["kwargs"] = jsonify(dict(kwargs or {}))
+            # The body is put in wire form before any protocol state moves:
+            # a local seat or primary applies it as it is, so it must be the
+            # value (and a copy, not the caller's objects) that the other
+            # replicas decode — and a body the wire cannot carry must fail
+            # this call, not take a seqno.
+            write.body, write.size = wire_form(body)
             write.issue(write)
         except Exception as exc:
             self._finish(write, error=exc)
@@ -368,10 +353,10 @@ class RealRuntime:
             self.start_write(obj, op_name, args, kwargs, client, cseq))
 
     # ------------------------------------------------------------------ #
-    # Pending writes: one record, one timer
+    # Pending writes: one record each
     # ------------------------------------------------------------------ #
 
-    def _track(self, write: _PendingWrite, key: str) -> None:
+    def _track(self, write: _PendingWrite, key: Any) -> None:
         """(Re-)register ``write`` under ``key`` with a fresh deadline."""
         self._pending.pop(write.key, None)
         write.key = key
@@ -392,7 +377,8 @@ class RealRuntime:
             # Guard not satisfied; state was untouched, so re-issue after a
             # beat (the record stays pending, its handle now this timer).
             self.stats.guard_retries += 1
-            write.handle.cancel()
+            if write.handle is not None:
+                write.handle.cancel()
             write.handle = self._loop.call_later(self.timings.gap_delay,
                                                  write.issue, write)
             return
@@ -400,10 +386,13 @@ class RealRuntime:
 
     def _finish(self, write: _PendingWrite, result: Any = None,
                 error: Optional[BaseException] = None) -> None:
-        """End the write: forget it, cancel its handle, wake its issuer."""
+        """End the write: forget it, cancel its handle and its broadcast's
+        re-sends, wake its issuer."""
         self._pending.pop(write.key, None)
         if write.handle is not None:
             write.handle.cancel()
+        if isinstance(write.key, MessageId):
+            self.groups[write.obj.shard].members[self.node_id].cancel(write.key)
         if write.future.done():
             return  # the issuer gave up waiting (an in-loop await cancelled)
         if error is not None:
@@ -429,12 +418,10 @@ class RealRuntime:
     # Ordered-broadcast write path
     # ------------------------------------------------------------------ #
 
-    def _new_uid(self) -> MessageId:
-        return MessageId(self.node_id, next(self._uid_counter))
-
     def _submit_ordered(self, obj: RealObject, body: Dict[str, Any]) -> Awaitable[Any]:
         """Put ``body`` through ``obj``'s shard's total order (in-loop callers)."""
-        write = _PendingWrite(self._issue_ordered, obj, body, None)
+        write = _PendingWrite(self._issue_ordered, obj, None)
+        write.body, write.size = wire_form(body)
         self._issue_ordered(write)
         return self._in_loop(write)
 
@@ -443,132 +430,28 @@ class RealRuntime:
         self._issue_ordered(write)
 
     def _issue_ordered(self, write: _PendingWrite) -> None:
+        member = self.groups[write.obj.shard].members[self.node_id]
         # A fresh uid per issue: the seat remembers the old one as sequenced.
-        self._track(write, self._new_uid())
-        self._attempt_ordered(write)
+        # A local seat applies (and may finish or re-issue) the write inline.
+        uid = member.broadcast(write.body, write.size,
+                               functools.partial(self._own_delivery, write))
+        if not write.future.done():
+            self._track(write, uid)
 
-    def _attempt_ordered(self, write: _PendingWrite) -> None:
-        if self._expired(write):
-            return
-        # Armed before sending: a local seat applies (and finishes) inline.
-        write.handle = self._loop.call_later(self.timings.retry_interval,
-                                             self._attempt_ordered, write)
-        shard = write.obj.shard
-        seat = self.seats[shard]
-        if seat == self.node_id:
-            self._sequence(shard, write.key, write.body)
-        else:
-            self._send(seat, "net.req", {"shard": shard,
-                                         "uid": write.key.counter,
-                                         "body": write.body})
+    def _own_delivery(self, write: _PendingWrite, seqno: int) -> None:
+        self._applying = write
 
-    def _handle_req(self, msg: Message) -> None:
-        payload = msg.payload
-        shard = int(payload["shard"])
-        if self.seats.get(shard) != self.node_id:
-            return  # stale routing; the writer will retry
-        self._sequence(shard, MessageId(msg.src, int(payload["uid"])),
-                       payload["body"])
-
-    def _sequence(self, shard: int, uid: MessageId, body: Dict[str, Any]) -> None:
-        """Seat side: number ``body`` (or answer a duplicate from the log)."""
-        log = self._logs[shard]
-        known = log.seqno_of(uid)
-        if known is not None:
-            # Duplicate request: the writer missed the data message; resend
-            # it point-to-point so recovery does not wait for a sync beacon.
-            self.stats.deduplicated_requests += 1
-            if uid.origin != self.node_id:
-                self._retransmit(uid.origin, shard, log.get(known))
-            return
-        record = log.stamp(uid.origin, uid, body, 0)
-        # Sent before the log takes the number: a body the wire rejects
-        # (too large) must not take a seqno nobody could ever be sent.
-        self._send(None, "net.data", _data(shard, record))
-        log.append(record)
-        self._arrived(shard, self._engines[shard].offer(record))
-
-    def _retransmit(self, dst: int, shard: int, record: DeliveredMessage) -> None:
-        self.stats.retransmissions += 1
-        self._send(dst, "net.data", _data(shard, record))
-
-    def _handle_data(self, msg: Message) -> None:
-        payload = msg.payload
-        shard = int(payload["shard"])
-        engine = self._engines.get(shard)
-        if engine is None:
-            return
-        origin = int(payload["origin"])
-        record = DeliveredMessage(int(payload["seqno"]), origin,
-                                  MessageId(origin, int(payload["uid"])),
-                                  payload["body"], 0)
-        self._arrived(shard, engine.offer(record))
-
-    def _arrived(self, shard: int, run: Sequence[DeliveredMessage]) -> None:
-        """After every arrival: apply what it released, chase what it revealed."""
-        for record in run:
-            self._ordered_kinds[record.payload["type"]](record)
-        self._watch_gap(shard)
-
-    def _watch_gap(self, shard: int) -> None:
-        """Give a gap the engine reports ``gap_delay`` to fill by itself."""
-        engine = self._engines[shard]
-        if engine.has_gap and shard not in self._gap_checks:
-            self._gap_checks[shard] = self._loop.call_later(
-                self.timings.gap_delay, self._gap_check, shard,
-                engine.next_expected)
-
-    def _gap_check(self, shard: int, stalled_at: int) -> None:
-        del self._gap_checks[shard]
-        if self._engines[shard].next_expected == stalled_at:
-            self._request_gap(shard)
-        else:
-            self._watch_gap(shard)  # delivery moved on; a later gap waits anew
-
-    def _request_gap(self, shard: int) -> None:
-        """Ask the seat for everything between delivery and the highest
-        sequence number known to exist, if any of it is missing."""
-        seat = self.seats[shard]
-        engine = self._engines[shard]
-        if seat == self.node_id or not engine.has_gap:
-            return
-        self.stats.gap_requests += 1
-        self._send(seat, "net.gapreq", {"shard": shard,
-                                        "from": engine.next_expected,
-                                        "to": engine.highest_known_seqno})
-
-    def _handle_gapreq(self, msg: Message) -> None:
-        payload = msg.payload
-        shard = int(payload["shard"])
-        log = self._logs.get(shard)
-        if log is None:
-            return
-        for seqno in range(int(payload["from"]), int(payload["to"]) + 1):
-            record = log.get(seqno)
-            if record is not None:
-                self._retransmit(msg.src, shard, record)
-
-    async def _sync_loop(self) -> None:
-        """Seats periodically announce their highest seqno so a lost *final*
-        data message (with nothing after it to expose the gap) is found."""
-        while self._running:
-            await asyncio.sleep(self.timings.sync_interval)
-            for shard, log in self._logs.items():
-                self._send(None, "net.sync",
-                           {"shard": shard, "seqno": log.highest_assigned})
-
-    def _handle_sync(self, msg: Message) -> None:
-        payload = msg.payload
-        shard = int(payload["shard"])
-        engine = self._engines.get(shard)
-        if engine is None:
-            return
-        engine.note_highest(int(payload["seqno"]))
-        self._request_gap(shard)
+    def _deliver(self, record: DeliveredMessage) -> None:
+        """Apply one delivered record; complete the write it carries if
+        this node issued it."""
+        write, self._applying = self._applying, None
+        result = self._ordered_kinds[record.payload["type"]](record)
+        if write is not None:
+            self._complete(write, result)
 
     # -- ordered apply ---------------------------------------------------- #
 
-    def _apply_ordered_op(self, record: DeliveredMessage) -> None:
+    def _apply_ordered_op(self, record: DeliveredMessage) -> Any:
         body = record.payload
         obj = self.objects[int(body["obj_id"])]
         op = obj.spec_class.operation_def(body["op"])
@@ -576,20 +459,11 @@ class RealRuntime:
             result = execute_operation(obj.instance, op, tuple(body["args"]),
                                        dict(body["kwargs"]))
         if result is RETRY:
-            self._resolve(record, RETRY_MARKER)
-            return
+            return RETRY_MARKER
         client = body["client"]
         obj.applied_log.append([int(client[0]), int(client[1]),
                                 int(body["cseq"]), body["op"]])
-        self._resolve(record, result)
-
-    def _resolve(self, record: DeliveredMessage, result: Any) -> None:
-        """Complete the pending write if this node originated ``record``."""
-        if record.origin != self.node_id:
-            return
-        write = self._pending.get(record.uid)
-        if write is not None:
-            self._complete(write, result)
+        return result
 
     # ------------------------------------------------------------------ #
     # Primary-copy write path
@@ -778,6 +652,8 @@ class RealRuntime:
     async def _monitor_loop(self) -> None:
         while self._running:
             await asyncio.sleep(self.timings.heartbeat_interval)
+            for write in list(self._pending.values()):
+                self._expired(write)  # an ordered write's only deadline check
             now = time.monotonic()
             for node_id, heard in list(self._last_heard.items()):
                 if not self.transport.peer_alive(node_id):
@@ -808,23 +684,24 @@ class RealRuntime:
 
     async def _takeover(self, obj: RealObject, old_primary: int) -> None:
         async with obj.lock:
-            body = {
+            # Put in wire form (a copy) here: a snapshot under the lock.
+            takeover = self._submit_ordered(obj, {
                 "type": "takeover",
                 "obj_id": obj.obj_id,
                 "old_primary": old_primary,
                 "new_primary": self.node_id,
-                "state": jsonify(obj.instance.marshal_state()),
+                "state": obj.instance.marshal_state(),
                 "version": obj.version,
-                "wids": jsonify(obj.applied_wids),
-                "log": jsonify(obj.applied_log),
-            }
-        await self._submit_ordered(obj, body)
+                "wids": obj.applied_wids,
+                "log": obj.applied_log,
+            })
+        await takeover
 
-    def _apply_takeover(self, record: DeliveredMessage) -> None:
+    def _apply_takeover(self, record: DeliveredMessage) -> bool:
         body = record.payload
         obj = self.objects[int(body["obj_id"])]
         if obj.primary != int(body["old_primary"]):
-            return  # stale proposal; someone already took this object over
+            return True  # stale proposal; someone already took this object over
         obj.primary = int(body["new_primary"])
         with obj.state_lock:
             obj.instance.unmarshal_state(dict(body["state"]))
@@ -834,21 +711,27 @@ class RealRuntime:
         obj.updates = OrderingEngine(next_expected=obj.version + 1)
         obj.update_log.clear()
         self.stats.takeovers += 1
-        self._resolve(record, True)
+        return True
 
     # ------------------------------------------------------------------ #
     # Introspection for the control plane
     # ------------------------------------------------------------------ #
 
     def status(self) -> Dict[str, Any]:
-        """Quiescence-relevant counters, all JSON-native."""
+        """Quiescence-relevant counters, all JSON-native; ``seats`` holds the
+        next seqno of each sequencer hosted here."""
+        shards, seats = {}, {}
+        for shard, group in self.groups.items():
+            engine = group.member(self.node_id).engine
+            shards[str(shard)] = {"next_expected": engine.next_expected,
+                                  "holdback": engine.buffered_count,
+                                  "sequencer": group.sequencer_node_id}
+            if group.sequencer is not None:
+                seats[str(shard)] = group.sequencer.log.next_seq
         return {
             "node_id": self.node_id,
-            "shards": {str(shard): {"next_expected": engine.next_expected,
-                                    "holdback": engine.buffered_count}
-                       for shard, engine in self._engines.items()},
-            "seats": {str(shard): log.next_seq
-                      for shard, log in self._logs.items()},
+            "shards": shards,
+            "seats": seats,
             "pending_ops": len(self._pending),
             "primary_pending": sum(len(obj.pending_acks)
                                    for obj in self.objects.values()),
@@ -871,6 +754,9 @@ class RealRuntime:
                 "state": jsonify(obj.instance.marshal_state()),
                 "applied_log": jsonify(obj.applied_log),
             }
+        groups = [group.stats for group in self.groups.values()]
+        seats = [group.sequencer for group in self.groups.values()
+                 if group.sequencer is not None]
         return {
             "node_id": self.node_id,
             "objects": objects,
@@ -881,19 +767,17 @@ class RealRuntime:
                 "local_reads": sum(obj.local_reads
                                    for obj in self.objects.values()),
                 "guard_retries": self.stats.guard_retries,
-                "deduplicated_requests": self.stats.deduplicated_requests,
+                "deduplicated_requests": sum(seat.duplicates_suppressed
+                                             for seat in seats),
                 "deduplicated_writes": self.stats.deduplicated_writes,
-                "gap_requests": self.stats.gap_requests,
-                "retransmissions": self.stats.retransmissions,
+                "gap_requests": self.stats.gap_requests + sum(
+                    stats.retransmit_requests for stats in groups),
+                "retransmissions": self.stats.retransmissions + sum(
+                    stats.peer_retransmissions for stats in groups) + sum(
+                    seat.retransmissions + seat.duplicates_suppressed
+                    for seat in seats),
+                "elections": sum(stats.elections for stats in groups),
                 "takeovers": self.stats.takeovers,
                 "peers_declared_dead": self.stats.peers_declared_dead,
             },
         }
-
-    # ------------------------------------------------------------------ #
-
-    def _dispatch(self, msg: Message) -> None:
-        handler = self._handlers.get(msg.kind)
-        if handler is None:  # pragma: no cover - protocol bug guard
-            raise NetworkError(f"node {self.node_id} cannot handle {msg.kind!r}")
-        handler(msg)

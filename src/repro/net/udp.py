@@ -1,18 +1,17 @@
-"""Asyncio UDP transport — the real-socket implementation of the seam.
+"""Asyncio UDP transport — the real-socket counterpart of the simulated network.
 
 One :class:`UdpTransport` lives in each node process.  It binds a datagram
 socket on the loopback interface, learns the full ``node_id -> (host, port)``
-peer table from the harness, and then implements
-:class:`~repro.amoeba.transport.Transport`: unicast goes to one peer,
-broadcast (``dst is None``) fans out one datagram per live peer, mirroring
-the simulator's hardware-broadcast semantics (the sender never hears its own
-broadcast).
+peer table from the harness, and then moves whole messages: unicast goes to
+one peer, broadcast (``dst is None``) fans out one datagram per peer,
+mirroring the simulator's hardware-broadcast semantics (the sender never
+hears its own broadcast).
 
 UDP gives us the same failure model the simulator injects deterministically:
 datagrams may be dropped (kernel buffers, the test-only ``drop_filter``
 hooks) but are never corrupted-and-accepted or spontaneously duplicated by
-this layer.  All loss recovery lives in the protocol engine above
-(:mod:`repro.net.runtime`), exactly as in the simulated stack.
+this layer.  All loss recovery lives in the protocols above, exactly as in
+the simulated stack.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..amoeba.message import Message
-from ..amoeba.transport import Transport
 from ..errors import NetworkError, RoutingError
 from .wire import MAX_FRAME, decode_message, encode_message
 
@@ -57,7 +55,7 @@ class _Protocol(asyncio.DatagramProtocol):
         pass
 
 
-class UdpTransport(Transport):
+class UdpTransport:
     """Transport over asyncio UDP unicast with configurable fan-out.
 
     ``drop_tx`` / ``drop_rx`` are loss-injection hooks for tests: given the
@@ -65,6 +63,9 @@ class UdpTransport(Transport):
     drop that datagram — the real-socket analogue of the simulated NIC's
     ``drop_filter``.
     """
+
+    supports_broadcast = True
+    lossy = True
 
     def __init__(self, node_id: int) -> None:
         self.node_id = node_id

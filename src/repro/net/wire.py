@@ -9,10 +9,10 @@ truncation check); on TCP streams frames are concatenated and
 JSON cannot tell tuples from lists or int keys from string keys: a decoded
 payload is in the normal form :func:`jsonify` describes (lists, string keys).
 The encoder gets there in the one pass ``json`` makes anyway; ``jsonify``
-itself is for values that must be in that form *without* crossing the wire:
-state snapshots (the control plane, the oracle, a takeover record its
-proposer applies locally) and a write's arguments and result, which a local
-seat or primary applies and stores as they are.
+and :func:`wire_form` are for values that must be in that form *without*
+crossing the wire: state snapshots (the control plane, the oracle) and a
+write's body and result, which a local seat or primary applies and stores
+as they are.
 
 ``Message.size`` is the simulator's network-cost estimate and means nothing
 here, so it is not transmitted: a decoded message's ``size`` is the length
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import Any, Iterator, List
+from typing import Any, Iterator, List, Tuple
 
 from ..amoeba.message import Message
 from ..errors import NetworkError
@@ -51,6 +51,24 @@ def jsonify(value: Any) -> Any:
     if isinstance(value, dict):
         return {str(key): jsonify(item) for key, item in value.items()}
     raise NetworkError(f"value {value!r} is not wire-encodable")
+
+
+#: Room a frame needs around the body it carries (the envelope, the kind,
+#: the numbers of a sequenced record).
+ENVELOPE = 256
+
+
+def wire_form(body: Any) -> Tuple[Any, int]:
+    """``body`` as a receiver decodes it — a JSON round trip, so a copy in
+    normal form — and its encoded size.  Raises :class:`NetworkError` if
+    JSON cannot carry it or a frame cannot."""
+    try:
+        text = _encode_json(body)  # ASCII: characters are bytes
+    except (TypeError, ValueError) as exc:
+        raise NetworkError(f"body is not wire-encodable: {exc}") from None
+    if len(text) > MAX_FRAME - ENVELOPE:
+        raise NetworkError(f"a body of {len(text)} bytes does not fit a frame (wire limit {MAX_FRAME})")
+    return json.loads(text), len(text)
 
 
 def encode_message(msg: Message) -> bytes:

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.amoeba.broadcast.group import BroadcastGroup
 from repro.amoeba.broadcast.protocol import (
     KIND_BB_DATA,
     KIND_DATA,
@@ -40,6 +42,13 @@ def collect_deliveries(cluster):
             lambda d, nid=node.node_id: log[nid].append((d.seqno, d.payload)),
         )
     return log
+
+
+def crash_sequencer(cluster, group):
+    """Crash the node holding ``group``'s seat; returns its id."""
+    crashed = group.sequencer_node_id
+    cluster.node(crashed).crash()
+    return crashed
 
 
 def rec(seqno, payload=None, origin=0):
@@ -156,41 +165,32 @@ class TestOrderingEngine:
 class TestSequencerLog:
     """The seat's numbering state, shared by the simulated and real seats."""
 
-    def test_stamp_takes_no_number_until_appended(self):
-        log = SequencerLog()
+    def test_append_numbers_and_retains_the_record(self):
+        log = SequencerLog(history_size=4)
         uid = MessageId(2, 1)
-        record = log.stamp(2, uid, "x", 10)
+        record = log.append(2, uid, "x", 10)
         assert (record.seqno, record.origin, record.payload) == (1, 2, "x")
-        # A driver whose send fails drops the stamp: nothing was taken.
-        assert log.next_seq == 1 and log.seqno_of(uid) is None and len(log) == 0
-        log.append(record)
         assert log.next_seq == 2 and log.highest_assigned == 1
         assert log.seqno_of(uid) == 1 and log.get(1) is record
 
     def test_bounded_history_forgets_evicted_uids(self):
         log = SequencerLog(history_size=2)
         for counter in (1, 2, 3):
-            log.append(log.stamp(0, MessageId(0, counter), counter, 10))
+            log.append(0, MessageId(0, counter), counter, 10)
         assert sorted(log.entries()) == [2, 3] and log.get(1) is None
         # An evicted uid is new again: a retry of it would take a number.
         assert log.seqno_of(MessageId(0, 1)) is None
         assert log.seqno_of(MessageId(0, 3)) == 3
 
-    def test_unbounded_history_keeps_everything(self):
-        log = SequencerLog()
-        for counter in range(1, 2001):
-            log.append(log.stamp(0, MessageId(0, counter), None, 0))
-        assert len(log) == 2000 and log.seqno_of(MessageId(0, 1)) == 1
-
     def test_adopt_and_advance_never_number_backwards(self):
-        log = SequencerLog()
+        log = SequencerLog(history_size=4)
         log.adopt([rec(5, "e"), rec(3, "c")])
         assert sorted(log.entries()) == [3, 5] and log.next_seq == 6
         assert log.seqno_of(MessageId(0, 3)) == 3
         log.advance_to(4)
         assert log.next_seq == 6
         log.advance_to(9)
-        assert log.stamp(1, MessageId(1, 1), None, 0).seqno == 9
+        assert log.append(1, MessageId(1, 1), None, 0).seqno == 9
 
 
 class TestBroadcastGroup:
@@ -427,16 +427,22 @@ class TestLossRecovery:
 
 
 class TestFailureInjection:
-    """crash_sequencer() and loss_rate combined: the worst-case recovery path."""
+    """A crashed sequencer and loss_rate combined: the worst-case recovery path."""
 
-    def test_crash_sequencer_reports_and_kills_the_node(self):
+    def test_a_group_builds_a_sequencer_only_for_a_seat_it_hosts(self):
         with make_cluster(4) as cluster:
-            collect_deliveries(cluster)
-            group = cluster.broadcast_group
-            assert group.sequencer_node_id == 0
-            crashed = group.crash_sequencer()
-            assert crashed == 0
-            assert not cluster.node(0).alive
+            host = SimpleNamespace(network=cluster.network, cost_model=cluster.cost_model,
+                                   nodes=[cluster.node(1)])
+            group = BroadcastGroup(host, group_id=5, sequencer_node_id=0)
+            assert list(group.members) == [1] and group.sequencer is None
+            group.install_sequencer(1, 7)
+            seat = group.sequencer
+            assert seat.node is cluster.node(1) and seat.log.next_seq == 7
+            group.note_new_sequencer(1, 9)
+            assert group.sequencer is seat and seat.log.next_seq == 9
+            # A remote winner is recorded, not built; the old seat retires.
+            group.note_new_sequencer(2, 11)
+            assert group.sequencer_node_id == 2 and group.sequencer is None
 
     def test_total_order_survives_crash_under_packet_loss(self):
         """Sequencer crash and packet loss at the same time: survivors still
@@ -450,7 +456,7 @@ class TestFailureInjection:
                 for i in range(8):
                     group.broadcast_from((i % 4) + 1, payload=("pre", i), size=200)
                 proc.hold(0.5)
-                group.crash_sequencer()
+                crash_sequencer(cluster, group)
                 for i in range(8):
                     group.broadcast_from((i % 4) + 1, payload=("post", i), size=200)
                 proc.hold(4.0)
@@ -506,7 +512,7 @@ class TestFailureInjection:
                 for i in range(6):
                     group.broadcast_from(1, payload=("old", i), size=50)
                 proc.hold(0.3)
-                group.crash_sequencer()
+                crash_sequencer(cluster, group)
                 group.broadcast_from(2, payload=("new", 0), size=50)
                 proc.hold(2.0)
 
@@ -553,7 +559,7 @@ class TestCrossMemberRetransmission:
                     cluster.node(nid).nic.drop_filter = drop_bb_from_2
                 group.broadcast_from(2, payload=("lost", 4), size=100)
                 proc.hold(0.002)  # Accept is out; gap requests still pending
-                group.crash_sequencer()
+                crash_sequencer(cluster, group)
                 for nid in (1, 3):
                     cluster.node(nid).nic.drop_filter = None
                 # An unsequenceable send forces retries and an election.
@@ -582,7 +588,7 @@ class TestCrossMemberRetransmission:
                 for i in range(10):
                     group.broadcast_from((i % 4) + 1, payload=("pre", i), size=250)
                 proc.hold(0.4)
-                group.crash_sequencer()
+                crash_sequencer(cluster, group)
                 for i in range(10):
                     group.broadcast_from((i % 4) + 1, payload=("post", i), size=250)
                 proc.hold(6.0)
@@ -678,7 +684,7 @@ class TestSequencerElection:
                 proc = cluster.sim.current_process
                 group.broadcast_from(1, payload="before", size=10)
                 proc.hold(0.2)
-                group.crash_sequencer()
+                crash_sequencer(cluster, group)
                 # This send has no sequencer to order it; the retry path
                 # must elect a new sequencer and then deliver it.
                 group.broadcast_from(1, payload="after", size=10)
@@ -702,7 +708,7 @@ class TestSequencerElection:
                 for i in range(5):
                     group.broadcast_from(2, payload=("pre", i), size=10)
                 proc.hold(0.2)
-                group.crash_sequencer()
+                crash_sequencer(cluster, group)
                 for i in range(5):
                     group.broadcast_from(3, payload=("post", i), size=10)
                 proc.hold(2.0)

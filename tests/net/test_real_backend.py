@@ -52,6 +52,8 @@ class TestConvergenceMatrix:
             assert report.total_ops == 3 * 30
         assert report.elapsed > 0.0
         assert report.throughput > 0.0
+        # Nobody died, so no member ever gave up on its seat.
+        assert report.rts_summary["stats"]["elections"] == 0
 
     def test_sim_oracle_cross_check(self):
         # One full sim-vs-real comparison: the simulator runs the identical
@@ -70,6 +72,7 @@ class TestConvergenceMatrix:
             timings=CI_TIMINGS)
         assert report.num_clients == 6
         assert report.total_ops == 6 * 15
+        assert report.rts_summary["stats"]["elections"] == 0
 
 
 class TestPrimaryTakeover:

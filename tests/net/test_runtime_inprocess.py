@@ -4,9 +4,10 @@ These run the real protocol engine over real UDP sockets without spawning
 node processes, which makes loss injection (the transport's ``drop_tx`` /
 ``drop_rx`` hooks) and direct state inspection possible.  They are the
 real-socket analogues of the simulator's NIC ``drop_filter`` tests: every
-recovery mechanism — writer retry with sequencer dedupe, gap requests,
-primary retransmit to unacked replicas, heartbeat-driven takeover — must
-close the holes that injected loss opens.
+recovery mechanism — writer retry with sequencer dedupe, gap requests to
+the seat or a peer, sequencer election, primary retransmit to unacked
+replicas, heartbeat-driven takeover — must close the holes that injected
+loss opens.  Ordered writes travel as the simulator's own ``grp.*`` kinds.
 
 The second half runs the same cluster with its loop on a background thread
 and real client threads on :class:`~repro.net.rts_adapter.RealRtsFacade`, the
@@ -17,6 +18,7 @@ the loop once and live in one pending-write record.
 from __future__ import annotations
 
 import asyncio
+import functools
 import sys
 import threading
 import time
@@ -25,9 +27,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.amoeba import message as message_module
+from repro.amoeba.broadcast import group as group_module
 from repro.amoeba.broadcast.protocol import OrderingEngine, SequencerLog
 from repro.amoeba.message import Message
+from repro.config import BroadcastParams
 from repro.errors import NetworkError
+from repro.net import runtime as runtime_module
+from repro.net.host import RealNode
 from repro.net.rts_adapter import ClientProc, RealRtsFacade
 from repro.net.runtime import RealRuntime, RealTimings, resolve_spec
 from repro.net.udp import UdpTransport
@@ -162,28 +168,70 @@ class TestOrderedPath:
     def test_lost_data_broadcast_recovered_via_gap_request(self):
         async def run():
             async with InProcessCluster(3, object_table("broadcast")) as cluster:
-                # Node 2 misses the first final-DATA broadcast; the next
-                # in-order delivery (or a sync beacon) reveals the gap and
-                # the seat's history refills it.
-                cluster.transports[2].drop_rx = drop_first(("net.data",))
+                # Node 2 misses the first data broadcast; the next in-order
+                # delivery (or a sync) reveals the gap and the seat's
+                # history refills it.
+                cluster.transports[2].drop_rx = drop_first(("grp.data",))
                 for cseq in (1, 2):
                     await cluster.runtimes[1].submit(1, "add", (1,),
                                                      client=(1, 0), cseq=cseq)
                 await cluster.converged(2)
                 assert cluster.transports[2].stats.recv_drops == 1
+                assert cluster.transports[2].stats.by_kind["grp.retransmit_req"] >= 1
 
         asyncio.run(run())
 
     def test_lost_request_retried_and_deduped_at_seat(self):
         async def run():
             async with InProcessCluster(3, object_table("broadcast")) as cluster:
-                # The writer's first two ordering requests vanish; the
-                # retry loop re-sends and the seat's uid table keeps the
-                # operation exactly-once.
-                cluster.transports[1].drop_tx = drop_first(("net.req",), 2)
+                # The writer's first two ordering requests vanish; its
+                # member re-sends until the seat numbers one.
+                cluster.transports[1].drop_tx = drop_first(("grp.request",), 2)
                 await cluster.runtimes[1].submit(1, "add", (1,),
                                                  client=(1, 0), cseq=1)
                 await cluster.converged(1)
+                assert cluster.transports[1].stats.by_kind["grp.request"] == 3
+
+        asyncio.run(run())
+
+    def test_retry_of_a_sequenced_request_is_deduped_at_the_seat(self):
+        async def run():
+            async with InProcessCluster(3, object_table("broadcast")) as cluster:
+                # The writer never hears its data (nor a sync), so it
+                # re-sends a request the seat has already numbered: the
+                # seat's uid table answers with the same record.
+                first = drop_first(("grp.data",))
+                cluster.transports[1].drop_rx = (
+                    lambda msg: msg.kind == "grp.sync" or first(msg))
+                await cluster.runtimes[1].submit(1, "add", (1,),
+                                                 client=(1, 0), cseq=1)
+                await cluster.converged(1)
+                seat = cluster.runtimes[0].groups[0].sequencer
+                assert seat.duplicates_suppressed == 1 and seat.log.next_seq == 2
+                for runtime in cluster.runtimes.values():
+                    assert runtime.objects[1].applied_log == [[1, 0, 1, "add"]]
+                    assert runtime.collect()["stats"]["elections"] == 0
+
+        asyncio.run(run())
+
+    def test_a_survivors_write_completes_after_the_seat_dies(self):
+        async def run():
+            async with InProcessCluster(3, object_table("broadcast")) as cluster:
+                await cluster.runtimes[1].submit(1, "add", (1,), client=(1, 0), cseq=1)
+                await cluster.converged(1)
+                # The seat of shard 0 goes silent, as a SIGKILL would leave it.
+                await cluster.runtimes.pop(0).stop()
+                cluster.transports.pop(0).close()
+                result = await asyncio.wait_for(
+                    cluster.runtimes[2].submit(1, "add", (1,), client=(2, 0), cseq=1),
+                    timeout=15.0)
+                assert result == 2
+                await cluster.converged(2)
+                groups = [runtime.groups[0] for runtime in cluster.runtimes.values()]
+                # Both survivors know seqno 1; the tie goes to the lowest id.
+                assert [group.sequencer_node_id for group in groups] == [1, 1]
+                assert groups[0].sequencer is not None and groups[1].sequencer is None
+                assert sum(group.stats.elections for group in groups) >= 1
 
         asyncio.run(run())
 
@@ -265,12 +313,12 @@ class TestWriteRecord:
         async def run():
             async with InProcessCluster(3, object_table("broadcast")) as cluster:
                 writer = cluster.runtimes[1]
-                cluster.transports[1].drop_tx = drop_first(("net.req",))
+                cluster.transports[1].drop_tx = drop_first(("grp.request",))
                 started = time.monotonic()
                 result = await writer.submit(1, "add", (1,), client=(1, 0), cseq=1)
                 assert time.monotonic() - started >= FAST.retry_interval
                 assert result == 1
-                assert cluster.transports[1].stats.by_kind["net.req"] == 2
+                assert cluster.transports[1].stats.by_kind["grp.request"] == 2
                 await cluster.converged(1)
                 for runtime in cluster.runtimes.values():
                     assert runtime.objects[1].applied_log == [[1, 0, 1, "add"]]
@@ -281,11 +329,13 @@ class TestWriteRecord:
         async def run():
             async with InProcessCluster(3, object_table("broadcast")) as cluster:
                 writer = cluster.runtimes[1]
+                member = writer.groups[0].member(1)
                 record = writer.start_write(writer.objects[1], "add", (1,), None, (1, 0), 1)
                 assert list(writer._pending.values()) == [record]
-                assert not record.handle.cancelled()
+                [send] = member._pending_sends.values()
+                assert send.uid == record.key and send.retry_timer in writer.node._timers
                 assert await asyncio.wrap_future(record.future) == 1
-                assert record.handle.cancelled()
+                assert member._pending_sends == {} and writer.node._timers == {}
                 assert writer._pending == {}
                 assert writer.status()["pending_ops"] == 0
 
@@ -319,10 +369,11 @@ class TestWriteRecord:
         async def run():
             async with InProcessCluster(3, object_table("broadcast")) as cluster:
                 writer = cluster.runtimes[1]
-                cluster.transports[1].drop_tx = lambda msg, dst: msg.kind == "net.req"
+                cluster.transports[1].drop_tx = lambda msg, dst: msg.kind == "grp.request"
                 record = writer.start_write(writer.objects[1], "add", (1,), None, (1, 0), 1)
+                await asyncio.sleep(2 * FAST.retry_interval)
                 await writer.stop()
-                assert record.handle.cancelled() and writer._pending == {}
+                assert writer._pending == {} and writer.node._timers == {}
                 with pytest.raises(NetworkError):
                     record.future.result(0)
 
@@ -332,15 +383,15 @@ class TestWriteRecord:
         async def run():
             async with InProcessCluster(3, object_table("broadcast")) as cluster:
                 writer = cluster.runtimes[1]
-                cluster.transports[1].drop_tx = lambda msg, dst: msg.kind == "net.req"
+                cluster.transports[1].drop_tx = lambda msg, dst: msg.kind == "grp.request"
                 with pytest.raises(asyncio.TimeoutError):
                     await asyncio.wait_for(
                         writer.submit(1, "add", (1,), client=(1, 0), cseq=1),
                         timeout=FAST.retry_interval / 2)
                 assert writer._pending == {}
-                sent = cluster.transports[1].stats.by_kind["net.req"]
+                sent = cluster.transports[1].stats.by_kind["grp.request"]
                 await asyncio.sleep(3 * FAST.retry_interval)
-                assert cluster.transports[1].stats.by_kind["net.req"] == sent
+                assert cluster.transports[1].stats.by_kind["grp.request"] == sent
 
         asyncio.run(run())
 
@@ -445,6 +496,9 @@ class TestWriteArguments:
 class RecordingWire:
     """A transport stand-in: records what a runtime sends, delivers nothing."""
 
+    supports_broadcast = True
+    lossy = True
+
     def __init__(self, node_ids) -> None:
         self.node_ids = list(node_ids)
         self.sent = []
@@ -471,12 +525,12 @@ QUIET = RealTimings(heartbeat_interval=30.0, dead_after=60.0,
 
 
 def data(seqno, origin=0):
-    """The ``net.data`` message the seat (node 0) sends for ``seqno``."""
+    """The ``grp.data`` message the seat (node 0) sends for ``seqno``: the
+    record as ``[seqno, origin, uid counter, body, size]``."""
     body = {"type": "op", "obj_id": 1, "op": "add", "args": [seqno],
             "kwargs": {}, "client": [origin, 0], "cseq": seqno}
-    return Message(src=0, dst=1, kind="net.data", size=1,
-                   payload={"shard": 0, "seqno": seqno, "origin": origin,
-                            "uid": seqno, "body": body})
+    return Message(src=0, dst=None, kind="grp.data", size=1,
+                   payload=[seqno, origin, seqno, body, 100])
 
 
 def update(version):
@@ -497,9 +551,40 @@ async def member_on_a_wire(policy="broadcast"):
     return member, wire
 
 
+class TestRealNodeTimers:
+    """The group's timers on a real node: one heap behind one loop callback."""
+
+    def test_timers_fire_in_order_and_a_raising_one_stops_none(self):
+        async def run():
+            loop = asyncio.get_running_loop()
+            errors = []
+            loop.set_exception_handler(lambda _loop, context: errors.append(context))
+            node = RealNode(0, RecordingWire([0]))
+            node.loop = loop
+            fired = []
+
+            def boom():
+                raise RuntimeError("boom")
+
+            node.set_timer(0.04, fired.append, "late")
+            cancelled = node.set_timer(0.01, fired.append, "cancelled")
+            node.set_timer(0.02, boom)
+            node.set_timer(0.03, fired.append, "early")
+            node.cancel_timer(cancelled)
+            await asyncio.sleep(0.08)
+            assert fired == ["early", "late"] and node._timers == {}
+            assert [type(c["exception"]) for c in errors] == [RuntimeError]
+            node.set_timer(0.01, fired.append, "stopped")
+            node.stop()
+            await asyncio.sleep(0.03)
+            assert fired == ["early", "late"]
+
+        asyncio.run(run())
+
+
 class TestOneOrderingCore:
-    """The real member and seat run the simulator's OrderingEngine and
-    SequencerLog; the runtime only moves their records over the wire."""
+    """Each real node process hosts the simulator's own broadcast group per
+    shard; the node only moves its messages over the wire."""
 
     def test_seat_numbers_through_a_sequencer_log(self):
         async def run():
@@ -507,17 +592,47 @@ class TestOneOrderingCore:
                 for node_id, runtime in cluster.runtimes.items():
                     await runtime.submit(1, "add", (1,), client=(node_id, 0), cseq=1)
                 await cluster.converged(3)
-                log = cluster.runtimes[0]._logs[0]
+                log = cluster.runtimes[0].groups[0].sequencer.log
                 assert isinstance(log, SequencerLog)
                 assert sorted(log.entries()) == [1, 2, 3]
                 assert [log.get(n).origin for n in (1, 2, 3)] == [0, 1, 2]
                 for runtime in cluster.runtimes.values():
-                    engine = runtime._engines[0]
+                    engine = runtime.groups[0].member(runtime.node_id).engine
                     assert isinstance(engine, OrderingEngine)
                     assert engine.next_expected == 4 and engine.buffered_count == 0
-                assert set(cluster.runtimes[1]._logs) == set()
+                assert cluster.runtimes[1].groups[0].sequencer is None
 
         asyncio.run(run())
+
+    def test_the_seat_log_is_bounded_and_a_peer_serves_what_it_evicted(self, monkeypatch):
+        monkeypatch.setattr(runtime_module, "BroadcastParams",
+                            functools.partial(BroadcastParams, history_size=4))
+
+        async def run():
+            async with InProcessCluster(3, object_table("broadcast")) as cluster:
+                # Node 1 hears seqno 1 only; node 2 hears everything but 1.
+                first = drop_first(("grp.data",))
+                cluster.transports[1].drop_rx = (
+                    lambda msg: msg.kind in ("grp.data", "grp.sync") and not first(msg))
+                cluster.transports[2].drop_rx = drop_first(("grp.data",))
+                seat = cluster.runtimes[0]
+                for cseq in range(1, 6):
+                    await seat.submit(1, "add", (1,), client=(0, 0), cseq=cseq)
+                log = seat.groups[0].sequencer.log
+                assert sorted(log.entries()) == [2, 3, 4, 5] and log.get(1) is None
+                # The seat cannot serve 1, nor can its own member; node 1,
+                # the designated peer of a later salvo, can.
+                await asyncio.wait_for(self._value(cluster.runtimes[2], 5), 10.0)
+                assert cluster.runtimes[1].groups[0].stats.peer_retransmissions == 1
+                assert [entry[2] for entry in cluster.runtimes[2].objects[1].applied_log] \
+                    == [1, 2, 3, 4, 5]
+
+        asyncio.run(run())
+
+    @staticmethod
+    async def _value(runtime, value):
+        while runtime.objects[1].instance.value != value:
+            await asyncio.sleep(0.01)
 
     @given(st.permutations(list(range(1, 7))))
     @settings(max_examples=25, deadline=None)
@@ -526,31 +641,32 @@ class TestOneOrderingCore:
             member, wire = await member_on_a_wire()
             try:
                 for seqno in order:
-                    member._dispatch(data(seqno))
+                    member.node.dispatch(data(seqno))
                 return member.objects[1].applied_log, member.status()
             finally:
                 await member.stop()
 
         applied, status = asyncio.run(run())
         assert applied == [[0, 0, seqno, "add"] for seqno in range(1, 7)]
-        assert status["shards"] == {"0": {"next_expected": 7, "holdback": 0}}
+        assert status["shards"] == {"0": {"next_expected": 7, "holdback": 0,
+                                          "sequencer": 0}}
 
     def test_a_stalled_gap_is_asked_of_the_seat_once_then_filled(self):
         async def run():
             member, wire = await member_on_a_wire()
             try:
-                member._dispatch(data(2))
-                member._dispatch(data(3))
+                member.node.dispatch(data(2))
+                member.node.dispatch(data(3))
                 assert member.objects[1].applied_log == []
                 assert member.status()["shards"]["0"]["holdback"] == 2
                 await asyncio.sleep(4 * QUIET.gap_delay)
-                [request] = wire.kinds("net.gapreq")
+                [request] = wire.kinds("grp.retransmit_req")
                 assert request.dst == 0
-                assert request.payload == {"shard": 0, "from": 1, "to": 3}
-                member._dispatch(data(1))
+                assert request.headers == {"seqno": 1, "salvo": 1}
+                member.node.dispatch(data(1))
                 assert [entry[2] for entry in member.objects[1].applied_log] == [1, 2, 3]
                 await asyncio.sleep(4 * QUIET.gap_delay)
-                assert len(wire.kinds("net.gapreq")) == 1
+                assert len(wire.kinds("grp.retransmit_req")) == 1
             finally:
                 await member.stop()
 
@@ -560,11 +676,12 @@ class TestOneOrderingCore:
         async def run():
             member, wire = await member_on_a_wire()
             try:
-                member._dispatch(data(1))
-                member._dispatch(Message(src=0, dst=None, kind="net.sync", size=1,
-                                         payload={"shard": 0, "seqno": 3}))
-                [request] = wire.kinds("net.gapreq")
-                assert request.payload == {"shard": 0, "from": 2, "to": 3}
+                member.node.dispatch(data(1))
+                member.node.dispatch(Message(src=0, dst=None, kind="grp.sync", size=1,
+                                             headers={"seqno": 3}))
+                await asyncio.sleep(4 * QUIET.gap_delay)
+                requests = wire.kinds("grp.retransmit_req")
+                assert [(m.dst, m.headers["seqno"]) for m in requests] == [(0, 2), (0, 3)]
             finally:
                 await member.stop()
 
@@ -575,17 +692,17 @@ class TestOneOrderingCore:
             member, wire = await member_on_a_wire("primary-update")
             try:
                 obj = member.objects[1]
-                member._dispatch(update(3))
-                member._dispatch(update(2))
+                member.node.dispatch(update(3))
+                member.node.dispatch(update(2))
                 assert obj.version == 0 and obj.updates.buffered_count == 2
                 assert member.status()["pending_updates"] == 2
                 assert [m.payload["have"] for m in wire.kinds("net.pgap")] == [0, 0]
-                member._dispatch(update(1))
+                member.node.dispatch(update(1))
                 assert obj.version == 3 and obj.instance.value == 6
                 assert [entry[2] for entry in obj.applied_log] == [1, 2, 3]
                 assert member.status()["pending_updates"] == 0
                 # A late duplicate is re-acknowledged, not applied again.
-                member._dispatch(update(2))
+                member.node.dispatch(update(2))
                 assert obj.version == 3
                 acks = [m.payload["version"] for m in wire.kinds("net.pupdack")]
                 assert acks == [1, 2, 3, 2]
@@ -705,7 +822,7 @@ class TestClientThreads:
                                 gap_delay=0.02, submit_deadline=0.2)
         with ThreadedCluster(3, object_table("broadcast"), impatient) as threaded:
             threaded.cluster.transports[1].drop_tx = (
-                lambda msg, dst: msg.kind == "net.req")
+                lambda msg, dst: msg.kind == "grp.request")
             proc = ClientProc(1, 0)
             with pytest.raises(NetworkError, match="did not complete"):
                 threaded.facades[1].invoke(proc, threaded.handle, "add", (1,))
@@ -733,6 +850,7 @@ class TestClientThreads:
             return 1
 
         monkeypatch.setattr(message_module, "estimate_size", estimate_size)
+        monkeypatch.setattr(group_module, "estimate_size", estimate_size)
         with ThreadedCluster(3, object_table("broadcast")) as threaded:
             proc = ClientProc(1, 0)
             assert threaded.facades[1].invoke(proc, threaded.handle, "add", (1,)) == 1

@@ -1,10 +1,10 @@
-"""The transport-seam refactor must not move the simulator by one byte.
+"""Work on the seam between the protocols and their transport must not
+move the simulator by one byte.
 
-The simulated NIC/network layer now implements the extracted
-:class:`~repro.amoeba.transport.Transport` interface the real backend plugs
-into.  That refactor is only safe if it is *inert*: every committed smoke
-baseline (`benchmarks/baselines/*.json`) must be reproduced byte-for-byte
-by the seeded smoke suites.  Any drift — an extra message, a reordered
+The broadcast group runs on a simulated cluster and in real node
+processes alike.  Changes to that seam are only safe if they are *inert*:
+every committed smoke baseline (`benchmarks/baselines/*.json`) must be
+reproduced byte-for-byte by the seeded smoke suites.  Any drift — an extra message, a reordered
 delivery, a changed latency — shows up here as a byte diff.
 """
 
