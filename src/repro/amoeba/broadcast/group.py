@@ -6,10 +6,9 @@ process (:mod:`repro.net.host`) hosts one."""
 
 from __future__ import annotations
 
-import itertools
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Protocol, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Protocol, Sequence, Tuple
 
 from ...config import BroadcastParams
 from ...errors import BroadcastError
@@ -138,14 +137,15 @@ class GroupMember:
         self._history_size = group.params.history_size
         #: Messages delivered here, ever (not reset by a crash).
         self.deliveries = 0
-        self._send_counter = itertools.count(1)
+        #: Broadcasts this member has issued: the counter of its latest uid.
+        self.sent = 0
         self._pending_sends: Dict[MessageId, SendRecord] = {}
         self._gap_timers: Dict[int, int] = {}
         #: Gap-request attempts per missing seqno; after the first unanswered
         #: unicast to the sequencer, requests fall back to a group broadcast.
         self._gap_attempts: Dict[int, int] = {}
-        #: Election round bookkeeping: candidate -> highest known seqno.
-        self._election_votes: Dict[int, int] = {}
+        #: Election round bookkeeping: candidate -> (epoch, highest known seqno).
+        self._election_votes: Dict[int, Tuple[int, int]] = {}
         self._election_timer: Optional[int] = None
         #: When this member last delivered a sequenced message: deliveries
         #: prove the sequencer is alive (merely backlogged), so send retries
@@ -155,7 +155,7 @@ class GroupMember:
         for kind, handler in (
             (KIND_REQUEST, self._on_request),
             (KIND_DATA, self._on_data),
-            (KIND_RETRANSMIT, self._on_data),
+            (KIND_RETRANSMIT, self._on_retransmit),
             (KIND_BB_DATA, self._on_bb_data),
             (KIND_ACCEPT, self._on_accept),
             (KIND_SYNC, self._on_sync),
@@ -190,7 +190,8 @@ class GroupMember:
         """
         if size <= 0:
             size = max(1, estimate_size(payload))
-        uid = MessageId(self.node_id, next(self._send_counter))
+        self.sent += 1
+        uid = MessageId(self.node_id, self.sent)
         chosen = method or self.group.choose_method(size)
         record = SendRecord(
             uid=uid, payload=payload, size=size, method=chosen, on_delivered=on_delivered
@@ -257,7 +258,17 @@ class GroupMember:
         # else: stale request addressed to an old sequencer; drop it.
 
     def _on_data(self, msg: Message) -> None:
-        """Sequenced data or a retransmission: the body is the record."""
+        """Sequenced data from the seat.  A number the seat this member
+        follows hands out, sent by another node (a deposed seat, or a winner
+        whose announcement was lost here), is dropped for an election."""
+        group = self.group
+        if msg.src == group.sequencer_node_id or msg.payload.seqno < group.seat_start:
+            self._on_retransmit(msg)
+        else:
+            self._start_election()
+
+    def _on_retransmit(self, msg: Message) -> None:
+        """A sequenced record, from the seat or a peer's history."""
         record = msg.payload
         if self._anchor_uid is not None and record.uid == self._anchor_uid:
             # The rejoin anchor came back sequenced: everything before it
@@ -285,8 +296,10 @@ class GroupMember:
         )
 
     def _on_sync(self, msg: Message) -> None:
-        self.engine.note_highest(msg.headers["seqno"])
-        self._schedule_gap_requests()
+        seqno, group = msg.headers["seqno"], self.group
+        if msg.src == group.sequencer_node_id or seqno < group.seat_start:  # as _on_data
+            self.engine.note_highest(seqno)
+            self._schedule_gap_requests()
 
     def _on_retransmit_request(self, msg: Message) -> None:
         seqno = msg.headers["seqno"]
@@ -294,15 +307,11 @@ class GroupMember:
         if self.group.sequencer_node_id == self.node_id:
             served = self.group.sequencer.handle_retransmit_request(msg.src, seqno)
         if msg.is_broadcast and not served:
-            # A broadcast gap request: the sequencer could not help (it
-            # is newly elected, its history evicted the message, or the
-            # requester *is* the sequencer's node).  One member per
-            # salvo — rotated by the request's attempt counter so every
-            # member is eventually tried — answers from local state.
-            # (The designated peer cannot observe whether a *remote*
-            # sequencer served the same salvo, so a request can draw at
-            # most two replies — sequencer plus designee; duplicates are
-            # discarded by the ordering engine.)
+            # A broadcast gap request the sequencer could not serve (newly
+            # elected, evicted, or it is the requester's node): one member
+            # per salvo, rotated by the attempt counter, answers from local
+            # state.  A request draws at most two replies (a remote seat's
+            # and the designee's); the engine discards the duplicate.
             if self._gap_responder(seqno, msg.headers.get("salvo", 0)):
                 self._answer_gap_request(msg.src, seqno)
 
@@ -314,7 +323,8 @@ class GroupMember:
         """After every arrival: deliver what it released, chase what it revealed."""
         if run:
             self._deliver(run)
-        self._schedule_gap_requests()
+        if self.engine.has_gap:
+            self._schedule_gap_requests()
 
     def recovery_entries(self) -> List[DeliveredMessage]:
         """Everything this member could serve as sequencer history: its
@@ -328,17 +338,11 @@ class GroupMember:
     def _gap_responder(self, seqno: int, salvo: int) -> bool:
         """Whether this member should answer the given broadcast gap request.
 
-        Exactly one member is designated per salvo; the designation rotates
-        with the requester's retry counter, so a crashed or equally lagging
-        designee only costs one retry interval before the next member is
-        tried.  This caps recovery traffic at one reply per request instead
-        of one per holder.
-
-        Members that have not completed their rejoin catch-up are skipped:
-        a recovered member's delivered history was wiped with the crash, so
-        designating it would silently stall the requester for a salvo (and
-        the answer it *could* give from a fresh engine would be nothing).
-        A member on another host is taken to be synced.
+        One member per salvo, rotating with the requester's retry counter,
+        so a crashed or lagging designee costs one retry interval and
+        recovery traffic stays at one reply per request.  Members still
+        catching up after a rejoin are skipped (their history was wiped
+        with the crash); a member on another host is taken to be synced.
         """
         members, every = self.group.members, self.group.cluster.network.node_ids
         ids = [nid for nid in every if nid not in members or members[nid].synced]
@@ -402,17 +406,13 @@ class GroupMember:
     def probe_gap(self) -> None:
         """One-shot recovery probe for the next expected sequence number.
 
-        The in-band gap machinery only fires when a *later* arrival reveals
-        a hole.  A layer above can know out of band that this member missed
-        sequenced traffic — e.g. a coherence message stamped with a newer
-        regime epoch arrived while the group has gone quiet (all later
-        traffic left the broadcast path), so nothing in-band will ever
-        reveal the gap.  This broadcasts a single gap request for the first
-        unseen seqno: if it exists anywhere, the sequencer or the rotating
-        designated peer serves it from retained history; if it does not
-        (the evidence was a transient race), the request goes unanswered
-        and it is the caller's job to re-probe — there is deliberately no
-        self-re-arm here, so probing a not-yet-sequenced seqno cannot spin.
+        In-band gap recovery fires only when a *later* arrival reveals a
+        hole; a layer above can know out of band that this member missed
+        sequenced traffic (a coherence message of a newer regime arrived
+        while the group went quiet).  One broadcast gap request for the
+        first unseen seqno: the sequencer or the designated peer serves it
+        if it exists; if not, the caller re-probes — no self-re-arm, so
+        probing a not-yet-sequenced seqno cannot spin.
         """
         if not self.synced:
             return  # the rejoin seed, not gap recovery, covers the span
@@ -485,38 +485,31 @@ class GroupMember:
         if self._election_timer is not None:
             return  # already participating in a round
         self.group.stats.elections += 1
-        self._election_votes = {self.node_id: self.engine.highest_known_seqno}
-        msg = self.node.make_message(
-            None,
-            self.group.wire_kind(KIND_ELECTION),
-            size=CONTROL_MESSAGE_SIZE,
-            candidate=self.node_id,
-            high=self.engine.highest_known_seqno,
-        )
-        self.node.send(msg)
-        self._election_timer = self.node.kernel.set_timer(
-            self.group.params.election_timeout, self._conclude_election
-        )
+        self._join_election()
 
     def _on_election_message(self, msg: Message) -> None:
-        candidate = msg.headers["candidate"]
-        high = msg.headers["high"]
-        joined_already = self._election_timer is not None
-        if not joined_already:
-            # Join the round: announce ourselves as well.
-            self._election_votes = {self.node_id: self.engine.highest_known_seqno}
-            reply = self.node.make_message(
+        if self._election_timer is None:
+            self._join_election()  # announce ourselves as well
+        headers, votes = msg.headers, self._election_votes
+        vote = (headers["epoch"], headers["high"])
+        votes[headers["candidate"]] = max(votes.get(headers["candidate"], vote), vote)
+
+    def _join_election(self) -> None:
+        epoch, high = self.group.epoch, self.engine.highest_known_seqno
+        self._election_votes = {self.node_id: (epoch, high)}
+        self.node.send(
+            self.node.make_message(
                 None,
                 self.group.wire_kind(KIND_ELECTION),
                 size=CONTROL_MESSAGE_SIZE,
                 candidate=self.node_id,
-                high=self.engine.highest_known_seqno,
+                high=high,
+                epoch=epoch,
             )
-            self.node.send(reply)
-            self._election_timer = self.node.kernel.set_timer(
-                self.group.params.election_timeout, self._conclude_election
-            )
-        self._election_votes[candidate] = max(self._election_votes.get(candidate, -1), high)
+        )
+        self._election_timer = self.node.kernel.set_timer(
+            self.group.params.election_timeout, self._conclude_election
+        )
 
     def _conclude_election(self) -> None:
         self._election_timer = None
@@ -524,25 +517,29 @@ class GroupMember:
         self._election_votes = {}
         if not votes:
             return
-        # Winner: highest known sequence number; ties go to the lowest node id.
-        winner = min(votes, key=lambda nid: (-votes[nid], nid))
+        # Winner: a follower of the latest seat (a deposed seat's numbers do
+        # not count), then the highest known seqno, then the lowest node id.
+        winner = min(votes, key=lambda nid: (-votes[nid][0], -votes[nid][1], nid))
         if winner != self.node_id:
             return  # the winner announces itself; everyone else stays quiet
-        next_seq = max(votes.values()) + 1
-        self.group.install_sequencer(self.node_id, next_seq)
+        epoch, next_seq = votes[winner][0] + 1, votes[winner][1] + 1
+        self.group.install_sequencer(self.node_id, next_seq, epoch)
         msg = self.node.make_message(
             None,
             self.group.wire_kind(KIND_COORDINATOR),
             size=CONTROL_MESSAGE_SIZE,
             sequencer=self.node_id,
             next_seq=next_seq,
+            epoch=epoch,
         )
         self.node.send(msg)
         self._resend_pending()
 
     def _on_coordinator_message(self, msg: Message) -> None:
-        new_sequencer = msg.headers["sequencer"]
-        self.group.note_new_sequencer(new_sequencer, msg.headers["next_seq"])
+        headers = msg.headers
+        if headers["epoch"] < self.group.epoch:
+            return  # announced by a seat since deposed
+        self.group.note_new_sequencer(headers["sequencer"], headers["next_seq"], headers["epoch"])
         if self._election_timer is not None:
             self.node.kernel.cancel_timer(self._election_timer)
             self._election_timer = None
@@ -664,12 +661,14 @@ class BroadcastGroup:
         #: the lowest-numbered machine).
         initial = cluster.nodes[0].node_id if sequencer_node_id is None else sequencer_node_id
         self.sequencer_node_id = initial
+        #: The first number the current seat hands out (see ``_on_data``),
+        #: and how many seats the group had before it.
+        self.seat_start, self.epoch = 1, 0
         seat = self.members.get(initial)
         self.sequencer: Optional[Sequencer] = None if seat is None else Sequencer(self, seat.node)
         #: Tunables for loss recovery (fractions of the election timeout).
         self.retry_timeout = self.params.election_timeout / 2.0
         self.gap_request_delay = self.params.election_timeout / 20.0
-        self.sync_interval = self.retry_timeout
         self.max_send_attempts = 3
 
     # ------------------------------------------------------------------ #
@@ -706,7 +705,7 @@ class BroadcastGroup:
     # Sequencer management
     # ------------------------------------------------------------------ #
 
-    def install_sequencer(self, node_id: int, next_seq: int) -> None:
+    def install_sequencer(self, node_id: int, next_seq: int, epoch: Optional[int] = None) -> None:
         """Make ``node_id`` the sequencer, continuing numbering at ``next_seq``.
 
         The new sequencer's history buffer is seeded from the hosting
@@ -719,6 +718,8 @@ class BroadcastGroup:
         old = self.sequencer
         member = self.members.get(node_id)
         self.sequencer_node_id = node_id
+        self.seat_start = next_seq
+        self.epoch = self.epoch + 1 if epoch is None else epoch
         self.sequencer = None if member is None else Sequencer(self, member.node)
         if old is not None:
             # A dethroned sequencer that is still alive must stop serving its
@@ -729,11 +730,12 @@ class BroadcastGroup:
             self.sequencer.adopt_history(member.recovery_entries())
             self.sequencer.log.advance_to(next_seq)
 
-    def note_new_sequencer(self, node_id: int, next_seq: int) -> None:
+    def note_new_sequencer(self, node_id: int, next_seq: int, epoch: Optional[int] = None) -> None:
         """Record the outcome of an election announced by another member."""
         if node_id != self.sequencer_node_id:
-            self.install_sequencer(node_id, next_seq)
-        elif self.sequencer is not None:
+            return self.install_sequencer(node_id, next_seq, epoch)
+        self.epoch = self.epoch if epoch is None else epoch
+        if self.sequencer is not None:
             self.sequencer.log.advance_to(next_seq)
 
     def handoff_sequencer(self, node_id: int, trust_old: bool = True) -> int:
@@ -769,6 +771,7 @@ class BroadcastGroup:
                 size=CONTROL_MESSAGE_SIZE,
                 sequencer=node_id,
                 next_seq=next_seq,
+                epoch=self.epoch,
             )
         )
         return next_seq

@@ -182,7 +182,7 @@ class Sequencer:
         self._sync_remaining = self.sync_repeats
         if self._sync_timer is not None:
             self.node.kernel.cancel_timer(self._sync_timer)
-        self._sync_timer = self.node.kernel.set_timer(self.group.sync_interval, self._send_sync)
+        self._sync_timer = self.node.kernel.set_timer(self.group.retry_timeout, self._send_sync)
 
     def _send_sync(self) -> None:
         self._sync_timer = None
@@ -198,7 +198,7 @@ class Sequencer:
         self.node.send(msg)
         self._sync_remaining -= 1
         if self._sync_remaining > 0:
-            self._sync_timer = self.node.kernel.set_timer(self.group.sync_interval, self._send_sync)
+            self._sync_timer = self.node.kernel.set_timer(self.group.retry_timeout, self._send_sync)
 
     # ------------------------------------------------------------------ #
     # Outgoing traffic

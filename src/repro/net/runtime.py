@@ -58,7 +58,7 @@ from ..rts.object_model import (RETRY, ObjectSpec, OperationDef,
                                 execute_operation)
 from .host import RealNode
 from .udp import UdpTransport
-from .wire import jsonify, wire_form
+from .wire import from_wire, jsonify, wire_text
 
 #: Wire encoding of the :data:`~repro.rts.object_model.RETRY` sentinel.
 RETRY_MARKER = {"__retry__": True}
@@ -90,8 +90,11 @@ class RealTimings:
 
     The defaults favour fast CI convergence on loopback; the failure
     detector is deliberately generous so a briefly descheduled process is
-    not declared dead under load.  The broadcast groups use all but
-    ``heartbeat_interval`` and ``submit_deadline`` (:meth:`RealRuntime.set_seats`).
+    not declared dead under load.  The broadcast groups read ``dead_after``
+    (election timeout), ``retry_interval`` (retries and tail syncs) and
+    ``gap_delay`` (:meth:`RealRuntime.set_seats`).  ``sync_interval`` stays
+    for the callers that pass it (always equal to ``retry_interval``) and is
+    read nowhere: a group's tail syncs run at ``retry_interval``.
     """
 
     heartbeat_interval: float = 0.15
@@ -166,12 +169,13 @@ class _PendingWrite:
         #: (Re-)issues the write: at the start, and after a guard ``RETRY``.
         self.issue = issue
         self.obj = obj
-        #: The body in wire form and its encoded size, set by the issuer.
-        self.body: Dict[str, Any] = {}
+        #: The body in wire form — an ordered body's JSON text, a primary
+        #: request's decoded copy — and its encoded size, set by the issuer.
+        self.body: Any = None
         self.size = 0
         self.future = future if future is not None else Future()
-        #: Key in ``RealRuntime._pending``: the broadcast's uid (a
-        #: ``MessageId``) or the primary wid.
+        #: Key in ``RealRuntime._pending``: the broadcast's uid counter (an
+        #: int: this node's uids differ only in it) or the primary wid.
         self.key: Any = None
         self.deadline = 0.0
         #: The primary re-send timer or local apply task, or the re-issue
@@ -206,9 +210,6 @@ class RealRuntime:
         #: shard -> its broadcast group (this process's member of it).
         self.groups: Dict[int, BroadcastGroup] = {}
         self._pending: Dict[Any, _PendingWrite] = {}
-        #: The write whose record the member is about to deliver (set by the
-        #: write's ``on_delivered``, which fires just before delivery).
-        self._applying: Optional[_PendingWrite] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._last_heard: Dict[int, float] = {}
         self._tasks: List[asyncio.Task] = []
@@ -234,7 +235,6 @@ class RealRuntime:
             group = BroadcastGroup(self.node, params, group_id=int(shard),
                                    sequencer_node_id=int(seat))
             group.retry_timeout = timings.retry_interval
-            group.sync_interval = timings.sync_interval
             group.gap_request_delay = timings.gap_delay
             group.set_delivery_handler(self.node_id, self._deliver)
             self.groups[int(shard)] = group
@@ -328,12 +328,14 @@ class RealRuntime:
             body["wid"] = f"{int(client[0])}.{int(client[1])}.{int(cseq)}"
             write = _PendingWrite(self._issue_primary, obj, future)
         try:
-            # The body is put in wire form before any protocol state moves:
-            # a local seat or primary applies it as it is, so it must be the
-            # value (and a copy, not the caller's objects) that the other
-            # replicas decode — and a body the wire cannot carry must fail
-            # this call, not take a seqno.
-            write.body, write.size = wire_form(body)
+            # The body reaches wire form before any protocol state moves: an
+            # ordered body crosses its group as this text, a primary applies
+            # the decoded copy, so every replica applies the same value (not
+            # the caller's objects) — and a body the wire cannot carry fails
+            # this call instead of taking a seqno.
+            text = wire_text(body)
+            write.body = text if obj.policy == "broadcast" else from_wire(text)
+            write.size = len(text)
             write.issue(write)
         except Exception as exc:
             self._finish(write, error=exc)
@@ -386,13 +388,14 @@ class RealRuntime:
 
     def _finish(self, write: _PendingWrite, result: Any = None,
                 error: Optional[BaseException] = None) -> None:
-        """End the write: forget it, cancel its handle and its broadcast's
-        re-sends, wake its issuer."""
+        """End the write: forget it, cancel its handle and, unless it was
+        delivered, its broadcast's re-sends; wake its issuer."""
         self._pending.pop(write.key, None)
         if write.handle is not None:
             write.handle.cancel()
-        if isinstance(write.key, MessageId):
-            self.groups[write.obj.shard].members[self.node_id].cancel(write.key)
+        if type(write.key) is int and (error is not None or write.future.done()):
+            member = self.groups[write.obj.shard].members[self.node_id]
+            member.cancel(MessageId(self.node_id, write.key))
         if write.future.done():
             return  # the issuer gave up waiting (an in-loop await cancelled)
         if error is not None:
@@ -421,7 +424,8 @@ class RealRuntime:
     def _submit_ordered(self, obj: RealObject, body: Dict[str, Any]) -> Awaitable[Any]:
         """Put ``body`` through ``obj``'s shard's total order (in-loop callers)."""
         write = _PendingWrite(self._issue_ordered, obj, None)
-        write.body, write.size = wire_form(body)
+        write.body = wire_text(body)
+        write.size = len(write.body)
         self._issue_ordered(write)
         return self._in_loop(write)
 
@@ -432,27 +436,24 @@ class RealRuntime:
     def _issue_ordered(self, write: _PendingWrite) -> None:
         member = self.groups[write.obj.shard].members[self.node_id]
         # A fresh uid per issue: the seat remembers the old one as sequenced.
-        # A local seat applies (and may finish or re-issue) the write inline.
-        uid = member.broadcast(write.body, write.size,
-                               functools.partial(self._own_delivery, write))
-        if not write.future.done():
-            self._track(write, uid)
-
-    def _own_delivery(self, write: _PendingWrite, seqno: int) -> None:
-        self._applying = write
+        # Tracked under it first: a local seat applies (and may finish or
+        # re-issue) the write inside ``broadcast``.
+        self._track(write, member.sent + 1)
+        member.broadcast(write.body, write.size)
 
     def _deliver(self, record: DeliveredMessage) -> None:
         """Apply one delivered record; complete the write it carries if
         this node issued it."""
-        write, self._applying = self._applying, None
-        result = self._ordered_kinds[record.payload["type"]](record)
-        if write is not None:
-            self._complete(write, result)
+        body = from_wire(record.payload)
+        result = self._ordered_kinds[body["type"]](body)
+        if record.origin == self.node_id:
+            write = self._pending.get(record.uid.counter)
+            if write is not None:
+                self._complete(write, result)
 
     # -- ordered apply ---------------------------------------------------- #
 
-    def _apply_ordered_op(self, record: DeliveredMessage) -> Any:
-        body = record.payload
+    def _apply_ordered_op(self, body: Dict[str, Any]) -> Any:
         obj = self.objects[int(body["obj_id"])]
         op = obj.spec_class.operation_def(body["op"])
         with obj.state_lock:
@@ -652,8 +653,10 @@ class RealRuntime:
     async def _monitor_loop(self) -> None:
         while self._running:
             await asyncio.sleep(self.timings.heartbeat_interval)
-            for write in list(self._pending.values()):
-                self._expired(write)  # an ordered write's only deadline check
+            # An ordered write's only deadline check; a primary write is
+            # checked where it is (re-)sent, and never once it is applying.
+            for write in [w for w in self._pending.values() if type(w.key) is int]:
+                self._expired(write)
             now = time.monotonic()
             for node_id, heard in list(self._last_heard.items()):
                 if not self.transport.peer_alive(node_id):
@@ -697,8 +700,7 @@ class RealRuntime:
             })
         await takeover
 
-    def _apply_takeover(self, record: DeliveredMessage) -> bool:
-        body = record.payload
+    def _apply_takeover(self, body: Dict[str, Any]) -> bool:
         obj = self.objects[int(body["obj_id"])]
         if obj.primary != int(body["old_primary"]):
             return True  # stale proposal; someone already took this object over

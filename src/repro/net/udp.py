@@ -164,7 +164,7 @@ class UdpTransport:
             return
         try:
             msg = decode_message(data)
-        except (NetworkError, ValueError, KeyError):
+        except (NetworkError, ValueError, KeyError, TypeError):
             self.stats.decode_errors += 1
             return
         if self.drop_rx is not None and self.drop_rx(msg):

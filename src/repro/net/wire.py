@@ -1,7 +1,8 @@
 """Wire framing: length-prefixed JSON encoding of the existing Message type.
 
 One frame is a 4-byte big-endian payload length followed by a UTF-8 JSON
-object with the fields of :class:`~repro.amoeba.message.Message`.  On the UDP
+array of the :class:`~repro.amoeba.message.Message` fields ``src, dst, kind,
+payload, headers, msg_id`` (no field names to encode and parse).  On the UDP
 data plane one datagram carries exactly one frame (the prefix doubles as a
 truncation check); on TCP streams frames are concatenated and
 :class:`StreamDecoder` re-splits them.
@@ -9,10 +10,11 @@ truncation check); on TCP streams frames are concatenated and
 JSON cannot tell tuples from lists or int keys from string keys: a decoded
 payload is in the normal form :func:`jsonify` describes (lists, string keys).
 The encoder gets there in the one pass ``json`` makes anyway; ``jsonify``
-and :func:`wire_form` are for values that must be in that form *without*
-crossing the wire: state snapshots (the control plane, the oracle) and a
-write's body and result, which a local seat or primary applies and stores
-as they are.
+is for values that must be in that form *without* crossing the wire: state
+snapshots (the control plane, the oracle) and a primary's write result.  A
+write's body is encoded once, by :func:`wire_text`: an ordered body crosses
+its group as that text and every replica, a local seat too, applies
+:func:`from_wire` of it.
 
 ``Message.size`` is the simulator's network-cost estimate and means nothing
 here, so it is not transmitted: a decoded message's ``size`` is the length
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import Any, Iterator, List, Tuple
+from typing import Any, Iterator, List
 
 from ..amoeba.message import Message
 from ..errors import NetworkError
@@ -35,6 +37,7 @@ MAX_FRAME = 60_000
 
 _PREFIX = struct.Struct(">I")
 _encode_json = json.JSONEncoder(separators=(",", ":")).encode
+_decode_json = json.JSONDecoder().raw_decode  # no whitespace scans, unlike loads
 
 
 def jsonify(value: Any) -> Any:
@@ -58,17 +61,22 @@ def jsonify(value: Any) -> Any:
 ENVELOPE = 256
 
 
-def wire_form(body: Any) -> Tuple[Any, int]:
-    """``body`` as a receiver decodes it — a JSON round trip, so a copy in
-    normal form — and its encoded size.  Raises :class:`NetworkError` if
-    JSON cannot carry it or a frame cannot."""
+def wire_text(body: Any) -> str:
+    """``body`` as JSON text, checked to fit a frame as a string field.
+    Raises :class:`NetworkError` if JSON cannot carry it or a frame cannot."""
     try:
-        text = _encode_json(body)  # ASCII: characters are bytes
+        text = _encode_json(body)
     except (TypeError, ValueError) as exc:
         raise NetworkError(f"body is not wire-encodable: {exc}") from None
-    if len(text) > MAX_FRAME - ENVELOPE:
-        raise NetworkError(f"a body of {len(text)} bytes does not fit a frame (wire limit {MAX_FRAME})")
-    return json.loads(text), len(text)
+    framed = len(_encode_json(text))  # quotes and escapes included
+    if framed > MAX_FRAME - ENVELOPE:
+        raise NetworkError(f"a body of {framed} bytes does not fit a frame (wire limit {MAX_FRAME})")
+    return text
+
+
+def from_wire(text: str) -> Any:
+    """The value :func:`wire_text` encoded, in normal form (a copy)."""
+    return _decode_json(text)[0]
 
 
 def encode_message(msg: Message) -> bytes:
@@ -79,14 +87,7 @@ def encode_message(msg: Message) -> bytes:
     """
     try:
         body = _encode_json(
-            {
-                "src": msg.src,
-                "dst": msg.dst,
-                "kind": msg.kind,
-                "payload": msg.payload,
-                "headers": msg.headers,
-                "msg_id": msg.msg_id,
-            }
+            [msg.src, msg.dst, msg.kind, msg.payload, msg.headers, msg.msg_id]
         ).encode("utf-8")
     except (TypeError, ValueError) as exc:
         raise NetworkError(f"message {msg.kind!r} is not wire-encodable: {exc}") from None
@@ -110,16 +111,13 @@ def decode_message(frame: bytes) -> Message:
     if length != len(body) or length > MAX_FRAME:
         raise NetworkError(
             f"frame length mismatch: prefix {length}, body {len(body)}")
-    fields = json.loads(body.decode("utf-8"))
-    return Message(
-        src=fields["src"],
-        dst=fields["dst"],
-        kind=fields["kind"],
-        payload=fields["payload"],
-        size=len(frame),
-        headers=fields["headers"],
-        msg_id=fields["msg_id"],
-    )
+    text = body.decode("utf-8")
+    fields, end = _decode_json(text)
+    if end != len(text):
+        raise NetworkError(f"trailing bytes after the message: {len(text) - end}")
+    src, dst, kind, payload, headers, msg_id = fields
+    return Message(src=src, dst=dst, kind=kind, payload=payload, size=len(frame),
+                   headers=headers, msg_id=msg_id)
 
 
 class StreamDecoder:

@@ -19,6 +19,7 @@ from repro.amoeba.broadcast.protocol import (
     SequencerLog,
 )
 from repro.amoeba.cluster import Cluster
+from repro.amoeba.message import Message
 from repro.config import BroadcastParams, ClusterConfig, CostModel
 from repro.errors import BroadcastError
 
@@ -443,6 +444,37 @@ class TestFailureInjection:
             # A remote winner is recorded, not built; the old seat retires.
             group.note_new_sequencer(2, 11)
             assert group.sequencer_node_id == 2 and group.sequencer is None
+
+    def test_a_member_takes_the_seats_numbers_only_from_the_seat(self):
+        with make_cluster(4) as cluster:
+            host = SimpleNamespace(network=cluster.network, cost_model=cluster.cost_model,
+                                   nodes=[cluster.node(1)])
+            group = BroadcastGroup(host, group_id=5, sequencer_node_id=0)
+            member = group.member(1)
+
+            def carrying(src, seqno, kind=KIND_DATA, **headers):
+                record = DeliveredMessage(seqno, 3, MessageId(3, seqno), "x", 10)
+                return Message(src=src, dst=None, kind=group.wire_kind(kind), payload=record,
+                               size=10, headers=headers)
+
+            # Node 2 is not the seat this member follows: its number is
+            # dropped, and an election is called to settle the seat.
+            member._on_data(carrying(2, 1))
+            assert member.engine.next_expected == 1 and group.stats.elections == 1
+            member._on_data(carrying(0, 1))
+            member._on_retransmit(carrying(2, 2, KIND_RETRANSMIT))  # a peer's history
+            assert member.engine.next_expected == 3
+            # A later seat's announcement wins over an older one's.
+            group.install_sequencer(2, 4)
+            assert (group.epoch, group.seat_start) == (1, 4)
+            member._on_coordinator_message(
+                Message(src=0, dst=None, kind="grp.coordinator#g5",
+                        headers={"sequencer": 0, "next_seq": 4, "epoch": 0}))
+            assert group.sequencer_node_id == 2
+            # The old seat's numbers below the new seat's first one are history.
+            member._on_data(carrying(0, 3))
+            member._on_data(carrying(0, 4))
+            assert member.engine.next_expected == 4 and member.engine.buffered_count == 0
 
     def test_total_order_survives_crash_under_packet_loss(self):
         """Sequencer crash and packet loss at the same time: survivors still

@@ -18,6 +18,7 @@ the loop once and live in one pending-write record.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import functools
 import sys
 import threading
@@ -37,6 +38,7 @@ from repro.net.host import RealNode
 from repro.net.rts_adapter import ClientProc, RealRtsFacade
 from repro.net.runtime import RealRuntime, RealTimings, resolve_spec
 from repro.net.udp import UdpTransport
+from repro.net.wire import wire_text
 from repro.orca.builtin_objects import BoolObject, IntObject
 from repro.rts.base import ObjectHandle
 from repro.rts.object_model import ObjectSpec, operation
@@ -235,6 +237,86 @@ class TestOrderedPath:
 
         asyncio.run(run())
 
+    def test_a_lost_election_announcement_is_settled_by_another_election(self):
+        async def run():
+            async with InProcessCluster(3, object_table("broadcast")) as cluster:
+                await cluster.runtimes[1].submit(1, "add", (1,), client=(1, 0), cseq=1)
+                await cluster.converged(1)
+                # The seat of shard 0 dies and node 2 misses the winner's
+                # announcement while node 1 keeps writing through the winner:
+                # node 2 must not go on following the dead seat.
+                cluster.transports[2].drop_rx = drop_first(("grp.coordinator",))
+                await cluster.runtimes.pop(0).stop()
+                cluster.transports.pop(0).close()
+                stop, written = asyncio.Event(), [1]
+
+                async def keep_writing():
+                    while not stop.is_set():
+                        written[0] += 1
+                        await cluster.runtimes[1].submit(1, "add", (1,), client=(1, 0),
+                                                         cseq=written[0])
+                        await asyncio.sleep(0.005)
+
+                writer = asyncio.ensure_future(keep_writing())
+                try:
+                    await asyncio.wait_for(
+                        cluster.runtimes[2].submit(1, "add", (1,), client=(2, 0), cseq=1),
+                        timeout=5.0)
+                finally:
+                    stop.set()
+                    await writer
+                await cluster.converged(written[0] + 1)
+                survivors = list(cluster.runtimes.values())
+                assert survivors[0].objects[1].applied_log == survivors[1].objects[1].applied_log
+                assert [rt.groups[0].sequencer_node_id for rt in survivors] == [1, 1]
+                assert cluster.transports[2].stats.recv_drops == 1
+
+        asyncio.run(run())
+
+    def test_a_deposed_seat_numbers_nothing_the_survivors_apply(self):
+        async def run():
+            async with InProcessCluster(3, object_table("broadcast")) as cluster:
+                await cluster.runtimes[1].submit(1, "add", (1,), client=(1, 0), cseq=1)
+                await cluster.converged(1)
+                # The seat of shard 0 is cut off for longer than dead_after
+                # (a partition, or a paused process).  The survivors elect
+                # node 1, which numbers from seqno 2; so does the old seat,
+                # for its own writes, and it numbers more of them.
+                cut, deposed = cluster.transports[0], cluster.runtimes[0]
+                cut.drop_tx, cut.drop_rx = (lambda msg, dst: True), (lambda msg: True)
+                for cseq in (2, 3):
+                    await asyncio.wait_for(
+                        cluster.runtimes[1].submit(1, "add", (1,), client=(1, 0), cseq=cseq),
+                        timeout=10.0)
+                for cseq in range(1, 5):
+                    await deposed.submit(1, "add", (10,), client=(0, 0), cseq=cseq)
+                await asyncio.sleep(2 * FAST.dead_after)
+                cut.drop_tx = cut.drop_rx = None
+                group = deposed.groups[0]
+                assert group.sequencer_node_id == 0 and group.sequencer.log.next_seq == 6
+                # Back, it hears numbers from another node and calls an
+                # election; a follower of the newer seat wins it, not the
+                # node that knows the highest seqno: the old seat steps down.
+                for node_id in (1, 2):
+                    await asyncio.wait_for(
+                        cluster.runtimes[node_id].submit(1, "add", (1,), client=(node_id, 0),
+                                                         cseq=9),
+                        timeout=10.0)
+
+                async def stepped_down():
+                    while group.sequencer is not None:
+                        await asyncio.sleep(FAST.retry_interval)
+
+                await asyncio.wait_for(stepped_down(), timeout=10.0)
+                assert group.sequencer_node_id == 1 and group.epoch >= 2
+                await cluster.runtimes.pop(0).stop()
+                await cluster.converged(5)
+                logs = [rt.objects[1].applied_log for rt in cluster.runtimes.values()]
+                assert logs[0] == logs[1]
+                assert [entry[0] for entry in logs[0]] == [1, 1, 1, 1, 2]
+
+        asyncio.run(run())
+
 
 class TestPrimaryPath:
     def test_remote_writes_converge(self):
@@ -333,7 +415,7 @@ class TestWriteRecord:
                 record = writer.start_write(writer.objects[1], "add", (1,), None, (1, 0), 1)
                 assert list(writer._pending.values()) == [record]
                 [send] = member._pending_sends.values()
-                assert send.uid == record.key and send.retry_timer in writer.node._timers
+                assert send.uid.counter == record.key and send.retry_timer in writer.node._timers
                 assert await asyncio.wrap_future(record.future) == 1
                 assert member._pending_sends == {} and writer.node._timers == {}
                 assert writer._pending == {}
@@ -412,6 +494,24 @@ class TestWriteRecord:
                 for runtime in cluster.runtimes.values():
                     assert runtime.objects[1].applied_log == [[1, 0, 1, "add"]]
                     assert runtime.objects[1].version == 1
+
+        asyncio.run(run())
+
+    def test_a_write_applying_on_its_primary_outlives_the_submit_deadline(self):
+        async def run():
+            timings = dataclasses.replace(FAST, submit_deadline=0.2)
+            table = object_table("primary-update", primary=0)
+            async with InProcessCluster(3, table, timings=timings) as cluster:
+                # Replica 2 misses the update for longer than the deadline:
+                # the primary's own write is already applied and re-sends
+                # until every live peer has acknowledged; no sweep ends it.
+                cluster.transports[2].drop_rx = drop_first(("net.pupd",), 12)
+                primary = cluster.runtimes[0]
+                result = await asyncio.wait_for(
+                    primary.submit(1, "add", (1,), client=(0, 0), cseq=1), timeout=10.0)
+                assert result == 1 and cluster.transports[2].stats.recv_drops == 12
+                await cluster.converged(1)
+                assert primary.objects[1].pending_acks == {}
 
         asyncio.run(run())
 
@@ -526,11 +626,11 @@ QUIET = RealTimings(heartbeat_interval=30.0, dead_after=60.0,
 
 def data(seqno, origin=0):
     """The ``grp.data`` message the seat (node 0) sends for ``seqno``: the
-    record as ``[seqno, origin, uid counter, body, size]``."""
-    body = {"type": "op", "obj_id": 1, "op": "add", "args": [seqno],
-            "kwargs": {}, "client": [origin, 0], "cseq": seqno}
+    record as ``[seqno, origin, uid counter, body text, size]``."""
+    body = wire_text({"type": "op", "obj_id": 1, "op": "add", "args": [seqno],
+                      "kwargs": {}, "client": [origin, 0], "cseq": seqno})
     return Message(src=0, dst=None, kind="grp.data", size=1,
-                   payload=[seqno, origin, seqno, body, 100])
+                   payload=[seqno, origin, seqno, body, len(body)])
 
 
 def update(version):
