@@ -15,7 +15,6 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from ..sim.events import Event
 from ..sim.process import SimProcess
-from ..sim.sync import SimCondition, SimLock, SimSemaphore
 from .segments import SegmentManager
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -64,23 +63,6 @@ class AmoebaKernel:
         proc.node = self.node
         self.threads.append(proc)
         return proc
-
-    def live_threads(self) -> List[SimProcess]:
-        """Threads on this node that have not yet terminated."""
-        return [t for t in self.threads if t.alive]
-
-    # ------------------------------------------------------------------ #
-    # Synchronization objects (factory helpers)
-    # ------------------------------------------------------------------ #
-
-    def new_lock(self, name: str = "lock") -> SimLock:
-        return SimLock(self.sim, name=f"n{self.node.node_id}:{name}")
-
-    def new_condition(self, lock: SimLock, name: str = "cond") -> SimCondition:
-        return SimCondition(lock, name=f"n{self.node.node_id}:{name}")
-
-    def new_semaphore(self, value: int = 0, name: str = "sem") -> SimSemaphore:
-        return SimSemaphore(self.sim, value, name=f"n{self.node.node_id}:{name}")
 
     # ------------------------------------------------------------------ #
     # Timers

@@ -101,9 +101,6 @@ class RpcEndpoint:
             raise RpcError(f"node {self.node.node_id} already serves port {port!r}")
         self._services[port] = (handler, may_block, service_cost)
 
-    def unregister_service(self, port: str) -> None:
-        self._services.pop(port, None)
-
     def _on_request(self, msg: Message) -> None:
         port = msg.headers["port"]
         entry = self._services.get(port)

@@ -85,9 +85,5 @@ class SegmentManager:
     def unmap(self, segment: Segment) -> None:
         segment.mapped = False
 
-    @property
-    def free_bytes(self) -> int:
-        return self.capacity_bytes - self.used_bytes
-
     def __len__(self) -> int:
         return len(self._segments)

@@ -53,10 +53,6 @@ class BroadcastError(ReproError):
     """Errors raised by the totally-ordered broadcast protocols."""
 
 
-class SequencerUnavailableError(BroadcastError):
-    """Raised when no sequencer is available and election is disabled."""
-
-
 class RtsError(ReproError):
     """Errors raised by the shared-object runtime systems."""
 
@@ -82,10 +78,6 @@ class OrcaError(ReproError):
     """Errors raised by the Orca programming layer."""
 
 
-class OrcaTypeError(OrcaError):
-    """Raised by the Orca mini-language type checker."""
-
-
 class OrcaSyntaxError(OrcaError):
     """Raised by the Orca mini-language parser."""
 
@@ -100,9 +92,6 @@ class OrcaSyntaxError(OrcaError):
             return f"{base} (line {self.line}, column {self.column})"
         return base
 
-
-class OrcaRuntimeError(OrcaError):
-    """Raised when an Orca mini-language program fails at run time."""
 
 
 class ApplicationError(ReproError):

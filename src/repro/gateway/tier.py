@@ -146,7 +146,3 @@ class GatewayTier:
             "shed": total_offered - total_completed,
             "tenants": tenants,
         }
-
-    def tenant_percentile(self, name: str, fraction: float) -> float:
-        """One tenant's completed-request latency percentile (bench helper)."""
-        return self._tenant_latency[name].percentile(fraction)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence
 
 from ..metrics.collectors import RunCollection, RunRecord
 from ..metrics.speedup import SpeedupCurve
@@ -28,9 +28,6 @@ class ExperimentResult:
         """True if every processor count produced the same application answer."""
         unique = {repr(v) for v in self.values.values()}
         return len(unique) <= 1
-
-    def table_rows(self) -> List[List[str]]:
-        return self.curve.as_rows()
 
 
 class ScalingExperiment:

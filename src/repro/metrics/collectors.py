@@ -61,9 +61,6 @@ class RunCollection:
         """Map of ``param`` value to elapsed time (last record wins on duplicates)."""
         return {record.params.get(param): record.elapsed for record in self.records}
 
-    def values_by(self, param: str) -> Dict[Any, Any]:
-        return {record.params.get(param): record.value for record in self.records}
-
     def column(self, key: str, source: str = "params") -> List[Any]:
         """Extract one column across records (from params/network/rts/extra)."""
         return [getattr(record, source).get(key) for record in self.records]

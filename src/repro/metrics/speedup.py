@@ -45,9 +45,6 @@ class SpeedupCurve:
     def speedups(self) -> Dict[int, float]:
         return {p: self.speedup(p) for p in self.processor_counts}
 
-    def efficiencies(self) -> Dict[int, float]:
-        return {p: self.efficiency(p) for p in self.processor_counts}
-
     def as_rows(self) -> List[List[str]]:
         """Rows (CPUs, time, speedup, efficiency) for tabular reports."""
         rows = []

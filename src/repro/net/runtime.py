@@ -9,19 +9,18 @@ loop, above the simulator's own broadcast groups:
   recovery, tail syncs and elections; an ordered write is one ``broadcast``
   and this module applies what the member delivers.
 * **primary-copy management** — writes go to the object's primary, which
-  serialises them, applies them at the next version, fans version-ordered
-  update messages (a replica holds an early one back in the object's own
-  ``OrderingEngine``, numbered by version) and acknowledges the writer only
-  once every live peer has acknowledged the update.  Writers retry with a
-  stable write id (*wid*); the primary's applied-wid table makes retries
-  exactly-once.
-* **failure detection and takeover** — every node heartbeats; a silent peer
-  is declared dead, its acknowledgement debts are released, and for every
-  object whose primary died the lowest-id live node proposes itself through
-  the object's shard's total order with a state-carrying takeover record.
-  Applying the takeover is a hard state reset on every replica — the
-  convergence point — and the adopted wid table keeps client retries that
-  straddle the failover exactly-once.
+  serialises them through the simulator's primary-copy core
+  (:mod:`repro.rts.p2p.fanout`): it deduplicates on (client, cseq), numbers
+  each update in the object's bounded ``SequencerLog`` (a replica holds an
+  early one back in its ``OrderingEngine``) and answers the writer once the
+  update's ``FanOuts`` entry has every live peer's acknowledgement.
+* **failure detection and takeover**, still this backend's own — every node
+  heartbeats; a silent peer is declared dead, its acknowledgement debts are
+  released, and for every object whose primary died the lowest-id live node
+  proposes itself through the object's shard's total order with a
+  state-carrying takeover record.  Applying the takeover is a hard state
+  reset on every replica — the convergence point — and the adopted applied
+  table keeps client retries that straddle the failover exactly-once.
 
 The engine reuses the simulator's object model verbatim
 (:class:`~repro.rts.object_model.ObjectSpec`, ``execute_operation``), so an
@@ -50,12 +49,13 @@ from dataclasses import dataclass, field
 from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple, Type
 
 from ..amoeba.broadcast.group import BroadcastGroup
-from ..amoeba.broadcast.protocol import DeliveredMessage, MessageId, OrderingEngine
+from ..amoeba.broadcast.protocol import DeliveredMessage, MessageId, OrderingEngine, SequencerLog
 from ..amoeba.message import Message
 from ..config import BroadcastParams
 from ..errors import NetworkError, RtsError, UnknownObjectError
 from ..rts.object_model import (RETRY, ObjectSpec, OperationDef,
                                 execute_operation)
+from ..rts.p2p.fanout import AppliedTable, FanOuts, lookup_applied, record_applied
 from .host import RealNode
 from .udp import UdpTransport
 from .wire import from_wire, jsonify, wire_text
@@ -82,6 +82,12 @@ def resolve_spec(path: str) -> Type[ObjectSpec]:
 def spec_path(spec_class: Type[ObjectSpec]) -> str:
     """The ``module:Class`` path under which a spec class is importable."""
     return f"{spec_class.__module__}:{spec_class.__qualname__}"
+
+
+def write_id(body: Dict[str, Any]) -> Tuple[str, int]:
+    """A primary write's id, (client, cseq), from fields its body carries."""
+    node, client = body["client"]
+    return f"{node}.{client}", int(body["cseq"])
 
 
 @dataclass(frozen=True)
@@ -128,28 +134,34 @@ class RealObject:
     policy: str
     shard: int
     primary: int
-    #: Primary-path version counter (last applied update, on every replica).
-    version: int = 0
-    #: wid -> result of every applied primary-path write (exactly-once table;
-    #: carried through takeover so retries across the failover deduplicate).
-    applied_wids: Dict[str, Any] = field(default_factory=dict)
+    #: The primary's numbering of updates and their retransmission history.
+    log: SequencerLog
+    #: Primary-path exactly-once table, one entry per client; carried
+    #: through takeover so retries across the failover deduplicate.
+    applied: AppliedTable = field(default_factory=dict)
     #: Every applied write, in application order: [client_node, client_id,
     #: cseq, op].  Identical on all replicas once quiesced.
     applied_log: List[List[Any]] = field(default_factory=list)
-    #: Member hold-back of updates that arrive ahead of their version (the
-    #: versions are the engine's sequence numbers: it expects version + 1).
+    #: Hold-back of updates that arrive ahead of their version (the versions
+    #: are the engine's sequence numbers: it expects version + 1).
     updates: OrderingEngine = field(default_factory=OrderingEngine)
-    #: Primary-side retransmission history: version -> update record.
-    update_log: Dict[int, Dict[str, Any]] = field(default_factory=dict)
-    #: Primary-side acknowledgement debts: version -> nodes yet to ack.
-    pending_acks: Dict[int, set] = field(default_factory=dict)
-    ack_events: Dict[int, asyncio.Event] = field(default_factory=dict)
     #: Serialises primary-path writes (held across the ack wait, loop only).
     lock: asyncio.Lock = field(default_factory=asyncio.Lock)
     #: Guards ``instance`` between client-thread reads and loop-side applies.
     state_lock: threading.Lock = field(default_factory=threading.Lock)
     #: Reads served from this replica; counted under ``state_lock``.
     local_reads: int = 0
+
+    @property
+    def version(self) -> int:
+        """The last primary-path update applied here."""
+        return self.updates.next_expected - 1
+
+    def log_applied(self, body: Dict[str, Any]) -> None:
+        """Append the write ``body`` carries to ``applied_log``."""
+        client = body["client"]
+        self.applied_log.append([int(client[0]), int(client[1]),
+                                 int(body["cseq"]), body["op"]])
 
 
 class _PendingWrite:
@@ -175,7 +187,7 @@ class _PendingWrite:
         self.size = 0
         self.future = future if future is not None else Future()
         #: Key in ``RealRuntime._pending``: the broadcast's uid counter (an
-        #: int: this node's uids differ only in it) or the primary wid.
+        #: int: this node's uids differ only in it) or the primary write id.
         self.key: Any = None
         self.deadline = 0.0
         #: The primary re-send timer or local apply task, or the re-issue
@@ -204,7 +216,11 @@ class RealRuntime:
         self.transport = transport
         self.timings = timings or RealTimings()
         self.stats = RealRuntimeStats()
+        self.params = BroadcastParams(method="pb",
+                                      election_timeout=self.timings.dead_after)
         self.objects: Dict[int, RealObject] = {}
+        #: Acknowledgement debts of the primary writes applying here.
+        self.fanouts = FanOuts()
         #: The node the groups run on; its handler table is the process's.
         self.node = RealNode(node_id, transport)
         #: shard -> its broadcast group (this process's member of it).
@@ -229,13 +245,11 @@ class RealRuntime:
     def set_seats(self, seats: Dict[int, int]) -> None:
         """Join one broadcast group per shard, seated as the shard -> node
         table (identical cluster-wide) says."""
-        timings = self.timings
-        params = BroadcastParams(method="pb", election_timeout=timings.dead_after)
         for shard, seat in seats.items():
-            group = BroadcastGroup(self.node, params, group_id=int(shard),
+            group = BroadcastGroup(self.node, self.params, group_id=int(shard),
                                    sequencer_node_id=int(seat))
-            group.retry_timeout = timings.retry_interval
-            group.gap_request_delay = timings.gap_delay
+            group.retry_timeout = self.timings.retry_interval
+            group.gap_request_delay = self.timings.gap_delay
             group.set_delivery_handler(self.node_id, self._deliver)
             self.groups[int(shard)] = group
 
@@ -256,6 +270,7 @@ class RealRuntime:
                 policy=policy,
                 shard=int(row["shard"]),
                 primary=int(row["primary"]),
+                log=SequencerLog(self.params.history_size),
             )
             self.objects[obj.obj_id] = obj
 
@@ -325,7 +340,6 @@ class RealRuntime:
             body["type"] = "op"
             write = _PendingWrite(self._issue_ordered_op, obj, future)
         else:
-            body["wid"] = f"{int(client[0])}.{int(client[1])}.{int(cseq)}"
             write = _PendingWrite(self._issue_primary, obj, future)
         try:
             # The body reaches wire form before any protocol state moves: an
@@ -461,9 +475,7 @@ class RealRuntime:
                                        dict(body["kwargs"]))
         if result is RETRY:
             return RETRY_MARKER
-        client = body["client"]
-        obj.applied_log.append([int(client[0]), int(client[1]),
-                                int(body["cseq"]), body["op"]])
+        obj.log_applied(body)
         return result
 
     # ------------------------------------------------------------------ #
@@ -471,10 +483,10 @@ class RealRuntime:
     # ------------------------------------------------------------------ #
 
     def _issue_primary(self, write: _PendingWrite) -> None:
-        # The wid is stable across re-issues: a guard RETRY is not recorded
-        # in the primary's applied-wid table, so the same wid applies later.
+        # The id is stable across re-issues: a guard RETRY is not recorded
+        # in the primary's applied table, so the same id applies later.
         self.stats.primary_writes += 1
-        self._track(write, write.body["wid"])
+        self._track(write, write_id(write.body))
         self._attempt_primary(write)
 
     def _attempt_primary(self, write: _PendingWrite) -> None:
@@ -509,63 +521,53 @@ class RealRuntime:
         obj = self.objects.get(int(payload["obj_id"]))
         if obj is None or obj.primary != self.node_id:
             return  # stale routing; the writer will retry elsewhere
-        asyncio.ensure_future(self._primary_apply_and_reply(obj, payload,
-                                                            msg.src))
+        asyncio.ensure_future(self._primary_apply_and_reply(obj, payload, msg.src))
 
-    async def _primary_apply_and_reply(self, obj: RealObject,
-                                       payload: Dict[str, Any],
+    async def _primary_apply_and_reply(self, obj: RealObject, body: Dict[str, Any],
                                        writer: int) -> None:
-        result = await self._primary_apply(obj, payload)
+        result = await self._primary_apply(obj, body)
         if obj.primary != self.node_id:
             return  # lost the seat while applying (cannot happen today)
-        self._send(writer, "net.pack",
-                   {"wid": payload["wid"], "result": result})
+        self._send(writer, "net.pack", {"client": body["client"],
+                                        "cseq": body["cseq"], "result": result})
 
-    async def _primary_apply(self, obj: RealObject,
-                             payload: Dict[str, Any]) -> Any:
-        wid = payload["wid"]
+    async def _primary_apply(self, obj: RealObject, body: Dict[str, Any]) -> Any:
+        wid = write_id(body)
         async with obj.lock:
-            if wid in obj.applied_wids:
+            duplicate, result = lookup_applied(obj.applied, wid)
+            if duplicate:
                 self.stats.deduplicated_writes += 1
-                return obj.applied_wids[wid]
-            op = obj.spec_class.operation_def(payload["op"])
+                return result
+            op = obj.spec_class.operation_def(body["op"])
             with obj.state_lock:
-                result = execute_operation(obj.instance, op,
-                                           tuple(payload["args"]),
-                                           dict(payload["kwargs"]))
+                result = execute_operation(obj.instance, op, tuple(body["args"]),
+                                           dict(body["kwargs"]))
             if result is RETRY:
                 return RETRY_MARKER
             result = jsonify(result)
-            obj.version += 1
-            version = obj.version
-            record = dict(payload, version=version, result=result)
-            obj.update_log[version] = record
-            obj.applied_wids[wid] = result
-            client = payload["client"]
-            obj.applied_log.append([int(client[0]), int(client[1]),
-                                    int(payload["cseq"]), payload["op"]])
+            record_applied(obj.applied, wid, result)
+            obj.log_applied(body)
             peers = [node for node in self.transport.node_ids
                      if node != self.node_id and self.transport.peer_alive(node)]
-            debt = set(peers)
-            obj.pending_acks[version] = debt
-            event = asyncio.Event()
-            obj.ack_events[version] = event
-            self._send(None, "net.pupd", record)
+            fanouts = self.fanouts
+            fan = fanouts.new_transaction(len(peers), destinations=peers)
+            version = obj.log.next_seq
+            update = obj.log.append(self.node_id, MessageId(self.node_id, version),
+                                    dict(body, version=version, result=result, fan=fan), 0)
+            obj.updates.offer(update)  # this copy is at ``version`` too
+            acked = asyncio.Event()
+            self._send(None, "net.pupd", update.payload)
             try:
-                while debt:
+                fanouts.wait(fan, self.node_id, acked.set)
+                while fanouts.owing(fan):
                     try:
-                        await asyncio.wait_for(event.wait(),
-                                               self.timings.retry_interval)
+                        await asyncio.wait_for(acked.wait(), self.timings.retry_interval)
                     except asyncio.TimeoutError:
-                        for node in list(debt):
-                            if not self.transport.peer_alive(node):
-                                debt.discard(node)
-                                continue
+                        for node in fanouts.owing(fan):
                             self.stats.retransmissions += 1
-                            self._send(node, "net.pupd", record)
+                            self._send(node, "net.pupd", update.payload)
             finally:
-                obj.pending_acks.pop(version, None)
-                obj.ack_events.pop(version, None)
+                fanouts.forget(fan)
             return result
 
     def _handle_pupd(self, msg: Message) -> None:
@@ -575,7 +577,7 @@ class RealRuntime:
             return  # stale update from a deposed (dead) primary
         version = int(payload["version"])
         if version <= obj.version:
-            self._ack_update(obj, version)  # duplicate; re-ack
+            self._send(obj.primary, "net.pupdack", payload["fan"])  # duplicate: re-ack
             return
         run = obj.updates.offer(DeliveredMessage(
             version, msg.src, MessageId(msg.src, version), payload, 0))
@@ -590,53 +592,32 @@ class RealRuntime:
     def _apply_update(self, obj: RealObject, payload: Dict[str, Any]) -> None:
         op = obj.spec_class.operation_def(payload["op"])
         # Deterministic operations on identical state yield the primary's
-        # result; storing it locally keeps the wid table takeover-portable.
+        # result; storing it locally keeps the applied table takeover-portable.
         with obj.state_lock:
             execute_operation(obj.instance, op, tuple(payload["args"]),
                               dict(payload["kwargs"]))
-        obj.version = int(payload["version"])
-        obj.applied_wids[payload["wid"]] = payload["result"]
-        client = payload["client"]
-        obj.applied_log.append([int(client[0]), int(client[1]),
-                                int(payload["cseq"]), payload["op"]])
-        self._ack_update(obj, obj.version)
-
-    def _ack_update(self, obj: RealObject, version: int) -> None:
-        self._send(obj.primary, "net.pupdack",
-                   {"obj_id": obj.obj_id, "version": version})
+        record_applied(obj.applied, write_id(payload), payload["result"])
+        obj.log_applied(payload)
+        self._send(obj.primary, "net.pupdack", payload["fan"])
 
     def _handle_pupdack(self, msg: Message) -> None:
-        payload = msg.payload
-        obj = self.objects.get(int(payload["obj_id"]))
-        if obj is None:
-            return
-        version = int(payload["version"])
-        debt = obj.pending_acks.get(version)
-        if debt is None:
-            return
-        debt.discard(msg.src)
-        if not debt:
-            event = obj.ack_events.get(version)
-            if event is not None:
-                event.set()
+        self.fanouts.release(msg.payload, msg.src)
 
     def _handle_pgap(self, msg: Message) -> None:
         payload = msg.payload
         obj = self.objects.get(int(payload["obj_id"]))
         if obj is None or obj.primary != self.node_id:
             return
-        for version in range(int(payload["have"]) + 1, obj.version + 1):
-            record = obj.update_log.get(version)
-            if record is None:
-                continue
-            self.stats.retransmissions += 1
-            self._send(msg.src, "net.pupd", record)
+        for version in range(int(payload["have"]) + 1, obj.log.next_seq):
+            record = obj.log.get(version)
+            if record is not None:
+                self.stats.retransmissions += 1
+                self._send(msg.src, "net.pupd", record.payload)
 
     def _handle_pack(self, msg: Message) -> None:
-        payload = msg.payload
-        write = self._pending.get(payload["wid"])
+        write = self._pending.get(write_id(msg.payload))
         if write is not None:
-            self._complete(write, payload["result"])
+            self._complete(write, msg.payload["result"])
 
     # ------------------------------------------------------------------ #
     # Failure detection and takeover
@@ -667,15 +648,8 @@ class RealRuntime:
     def _declare_dead(self, node_id: int) -> None:
         self.stats.peers_declared_dead += 1
         self.transport.mark_dead(node_id)
-        # Release every acknowledgement debt owed by the dead peer, so
-        # primaries here stop waiting for acks that cannot come.
-        for obj in self.objects.values():
-            for version, debt in list(obj.pending_acks.items()):
-                debt.discard(node_id)
-                if not debt:
-                    event = obj.ack_events.get(version)
-                    if event is not None:
-                        event.set()
+        # Primaries here stop waiting for acks the dead peer cannot send.
+        self.fanouts.node_crashed(node_id)
         live = [node for node in self.transport.node_ids
                 if self.transport.peer_alive(node)]
         if not live or min(live) != self.node_id:
@@ -695,7 +669,7 @@ class RealRuntime:
                 "new_primary": self.node_id,
                 "state": obj.instance.marshal_state(),
                 "version": obj.version,
-                "wids": obj.applied_wids,
+                "wids": obj.applied,
                 "log": obj.applied_log,
             })
         await takeover
@@ -707,11 +681,11 @@ class RealRuntime:
         obj.primary = int(body["new_primary"])
         with obj.state_lock:
             obj.instance.unmarshal_state(dict(body["state"]))
-        obj.version = int(body["version"])
-        obj.applied_wids = dict(body["wids"])
+        obj.applied = dict(body["wids"])
         obj.applied_log = [list(entry) for entry in body["log"]]
-        obj.updates = OrderingEngine(next_expected=obj.version + 1)
-        obj.update_log.clear()
+        obj.updates = OrderingEngine(next_expected=int(body["version"]) + 1)
+        obj.log = SequencerLog(obj.log.history_size)
+        obj.log.advance_to(obj.updates.next_expected)
         self.stats.takeovers += 1
         return True
 
@@ -735,8 +709,7 @@ class RealRuntime:
             "shards": shards,
             "seats": seats,
             "pending_ops": len(self._pending),
-            "primary_pending": sum(len(obj.pending_acks)
-                                   for obj in self.objects.values()),
+            "primary_pending": len(self.fanouts),
             "pending_updates": sum(obj.updates.buffered_count
                                    for obj in self.objects.values()),
             "dead": sorted(node for node in self.transport.node_ids

@@ -144,7 +144,3 @@ class StreamDecoder:
             frame = bytes(self._buffer[:end])
             del self._buffer[:end]
             yield decode_message(frame)
-
-    @property
-    def pending_bytes(self) -> int:
-        return len(self._buffer)

@@ -161,8 +161,5 @@ class ObjectManager:
     # Introspection
     # ------------------------------------------------------------------ #
 
-    def object_ids(self) -> List[int]:
-        return sorted(self.replicas)
-
     def __len__(self) -> int:
         return len(self.replicas)

@@ -77,7 +77,7 @@ class InvalidationProtocol:
                         primary_node, node_id, KIND_INVALIDATE,
                         {"obj_id": obj_id, "txn_id": txn_id},
                     )
-                host.fanouts.await_acks(proc, txn_id)
+                host.await_acks(proc, txn_id)
                 # All other copies are gone now.
                 for node_id in secondaries:
                     host.directory.remove_copy(obj_id, node_id)

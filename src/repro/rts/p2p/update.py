@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
-from ..object_model import OperationDef
+from ..object_model import RETRY, OperationDef
+from .fanout import record_applied
 from .invalidation import live_secondaries
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -67,7 +68,7 @@ class TwoPhaseUpdateProtocol:
                          "op_name": op.name, "args": args,
                          "kwargs": kwargs or {}, "wid": wid},
                     )
-                host.fanouts.await_acks(proc, txn_id)
+                host.await_acks(proc, txn_id)
                 # Phase 2: unlock every secondary copy.
                 for node_id in secondaries:
                     self.unlocks_sent += 1
@@ -94,7 +95,9 @@ class TwoPhaseUpdateProtocol:
                                          payload["kwargs"],
                                          local_origin=False)
             manager.get(obj_id).locked = True
-            host.record_applied(node_id, obj_id, payload.get("wid"), result)
+            if result is not RETRY:
+                record_applied(host.applied_table(node_id, obj_id),
+                               payload.get("wid"), result)
             cpu = host.cost_model.cpu
             host.cluster.node(node_id).charge_overhead(
                 cpu.operation_dispatch_cost + op.work_units * cpu.work_unit_time

@@ -15,7 +15,7 @@ from ..amoeba.rpc import RpcReply, RpcRequest
 from ..errors import RpcPeerDeadError, RtsError
 from .object_model import RETRY
 from .p2p.directory import ObjectDirectory
-from .p2p.fanout import FanOuts
+from .p2p.fanout import AppliedTable, FanOuts, lookup_applied, record_applied
 from .p2p.invalidation import KIND_INVALIDATE, InvalidationProtocol
 from .p2p.replication_policy import ReplicationPolicy
 from .p2p.update import KIND_UNLOCK, KIND_UPDATE, TwoPhaseUpdateProtocol
@@ -100,14 +100,11 @@ class PrimaryCopy:
         self.fanouts = FanOuts()
         #: Cluster-unique write-invocation ids for the primary-copy path.
         self._write_ids = itertools.count(1)
-        #: (node_id, obj_id) -> {origin: (seq, result)} of the latest write
-        #: each client process got applied there.  The dedup table that
-        #: makes a client's re-issue after a primary crash idempotent; it
-        #: travels with every copy (fetches, update fan-outs, relocation
-        #: and takeover switches).  Each client has at most one write
-        #: outstanding, so retaining only its newest id bounds the table
-        #: at O(clients) however long the run.
-        self.applied: Dict[Tuple[int, int], Dict[str, Tuple[int, Any]]] = {}
+        #: (node_id, obj_id) -> that copy's applied table, which makes a
+        #: client's re-issue after a primary crash idempotent; it travels
+        #: with every copy (fetches, update fan-outs, relocation and
+        #: takeover switches).
+        self.applied: Dict[Tuple[int, int], AppliedTable] = {}
         #: obj_id -> (state, version, dedup table) as of the last committed
         #: primary write — the commit record a takeover falls back to when
         #: the only valid copy died with its machine (primary-invalidate
@@ -198,7 +195,7 @@ class PrimaryCopy:
         # carry no ids — so return the recorded result instead.
         committed = self.last_committed.get(obj_id)
         if committed is not None:
-            duplicate, recorded = self._lookup_applied(committed[2], wid)
+            duplicate, recorded = lookup_applied(committed[2], wid)
             if duplicate:
                 self.stats.deduplicated_writes += 1
                 return recorded
@@ -335,9 +332,9 @@ class PrimaryCopy:
         """Dedup-checked protocol write at the primary, plus commit record.
 
         Runs on the primary node (client or RPC server thread).  A write id
-        already present in the primary's applied table is a client re-issue
-        of a write that committed (e.g. the reply was lost to a crash): the
-        recorded result is returned without touching the object again.
+        the primary's applied table covers (``lookup_applied``) is a client
+        re-issue of a write that committed (e.g. the reply was lost to a
+        crash): it is answered without touching the object again.
         """
         primary = self.directory.primary_of(obj_id)
         txn_layer = self.rts._txn_layer
@@ -347,7 +344,7 @@ class PrimaryCopy:
             # primary is unchanged, the writes just park first.
             txn_layer.seat_gate(proc, obj_id, wid)
         table = self.applied_table(primary, obj_id)
-        duplicate, recorded = self._lookup_applied(table, wid)
+        duplicate, recorded = lookup_applied(table, wid)
         if duplicate:
             self.stats.deduplicated_writes += 1
             return recorded
@@ -364,8 +361,7 @@ class PrimaryCopy:
             else:
                 self.inflight_writes.pop(key, None)
         if result is not RETRY:
-            if wid is not None:
-                table[wid[0]] = (wid[1], result)
+            record_applied(table, wid, result)
             # The record is refreshed at EVERY commit point, like the
             # write-ahead commit record it models: deferring it while live
             # secondaries exist would lose committed writes when the
@@ -451,29 +447,6 @@ class PrimaryCopy:
         """The applied-write-id table of one machine's copy of one object."""
         return self.applied.setdefault((node_id, obj_id), {})
 
-    def record_applied(self, node_id: int, obj_id: int, wid, result) -> None:
-        """Note that ``node_id``'s copy has applied write ``wid``.
-
-        Called by the update protocol's secondary side, so a secondary
-        promoted by a takeover can recognise the client re-issue of a write
-        that was in flight when the primary died.  Only the newest id per
-        origin client is kept (FIFO clients have one write outstanding).
-        """
-        if wid is None or result is RETRY:
-            return
-        origin, seq = wid
-        self.applied_table(node_id, obj_id)[origin] = (seq, result)
-
-    @staticmethod
-    def _lookup_applied(table: Dict, wid) -> Tuple[bool, Any]:
-        """Was ``wid`` the last write this copy applied for its origin?"""
-        if wid is None:
-            return False, None
-        entry = table.get(wid[0])
-        if entry is not None and entry[0] == wid[1]:
-            return True, entry[1]
-        return False, None
-
     def commit_record(self, obj_id: int, primary: Optional[int] = None) -> None:
         """Refresh the object's last-committed record from its primary copy.
 
@@ -495,6 +468,12 @@ class PrimaryCopy:
             self.applied_table(primary, obj_id))
 
     # -- protocol plumbing used by the coherence strategies --------------- #
+
+    def await_acks(self, proc: "SimProcess", txn_id: int) -> None:
+        """Suspend the primary's writer until fan-out ``txn_id`` completes."""
+        if self.fanouts.wait(txn_id, proc.node.node_id, proc.wake):
+            proc.suspend()
+        self.fanouts.forget(txn_id)
 
     def send_ack(self, from_node: int, payload: Dict[str, Any]) -> None:
         """Acknowledge a coherence message to the primary that sent it."""

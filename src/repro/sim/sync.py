@@ -157,10 +157,6 @@ class Barrier:
         self._waiting: Deque["SimProcess"] = deque()
         self._generation = 0
 
-    @property
-    def n_waiting(self) -> int:
-        return len(self._waiting)
-
     def wait(self) -> int:
         """Block until ``parties`` processes have called :meth:`wait`.
 

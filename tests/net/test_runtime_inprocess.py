@@ -359,6 +359,60 @@ class TestPrimaryPath:
         asyncio.run(run())
 
 
+    def test_a_stale_duplicate_write_is_not_applied(self):
+        async def run():
+            table = object_table("primary-update", primary=0)
+            async with InProcessCluster(3, table) as cluster:
+                requests = []  # every net.pwrite node 1 sends; nothing dropped
+                cluster.transports[1].drop_tx = (
+                    lambda msg, dst: msg.kind == "net.pwrite" and requests.append(msg))
+                writer, primary = cluster.runtimes[1], cluster.runtimes[0]
+                for cseq in (1, 2):
+                    await writer.submit(1, "add", (1,), client=(1, 0), cseq=cseq)
+                await cluster.converged(2)
+                deduplicated = primary.stats.deduplicated_writes
+                updates = cluster.transports[0].stats.by_kind["net.pupd"]
+                # The first write's request arrives again after the second
+                # applied: the client has moved on, so it is not applied.
+                primary.node.dispatch(requests[0])
+                await asyncio.sleep(3 * FAST.retry_interval)
+                assert primary.stats.deduplicated_writes == deduplicated + 1
+                assert cluster.transports[0].stats.by_kind["net.pupd"] == updates
+                await cluster.converged(2)
+
+        asyncio.run(run())
+
+    def test_the_primary_tables_are_bounded(self, monkeypatch):
+        monkeypatch.setattr(runtime_module, "BroadcastParams",
+                            functools.partial(BroadcastParams, history_size=4))
+
+        async def run():
+            table = object_table("primary-update", primary=2)
+            async with InProcessCluster(3, table) as cluster:
+                for cseq in range(1, 5):
+                    for node, client in ((0, 0), (1, 0), (1, 1)):
+                        await cluster.runtimes[node].submit(
+                            1, "add", (1,), client=(node, client), cseq=cseq)
+                await cluster.converged(12)
+                assert len(cluster.runtimes[2].objects[1].log) <= 4
+                for runtime in cluster.runtimes.values():
+                    assert len(runtime.objects[1].applied) == 3
+                # The takeover record carries one entry per client too.
+                proposals = []
+                survivor = cluster.runtimes[1]
+                apply = survivor._ordered_kinds["takeover"]
+                survivor._ordered_kinds["takeover"] = (
+                    lambda body: proposals.append(body) or apply(body))
+                await cluster.runtimes.pop(2).stop()
+                cluster.transports.pop(2).close()
+                assert await asyncio.wait_for(
+                    survivor.submit(1, "add", (1,), client=(1, 0), cseq=5), 15.0) == 13
+                assert [len(body["wids"]) for body in proposals] == [3]
+                await cluster.converged(13)
+
+        asyncio.run(run())
+
+
 class TestTakeover:
     def test_surviving_node_adopts_dead_primary(self):
         async def run():
@@ -485,7 +539,7 @@ class TestWriteRecord:
                 cluster.transports[1].drop_tx = drop_first(("net.pwrite",))
                 started = time.monotonic()
                 record = writer.start_write(writer.objects[1], "add", (1,), None, (1, 0), 1)
-                assert list(writer._pending) == ["1.0.1"]
+                assert list(writer._pending) == [("1.0", 1)]
                 assert await asyncio.wrap_future(record.future) == 1
                 assert time.monotonic() - started >= FAST.retry_interval
                 assert cluster.transports[1].stats.by_kind["net.pwrite"] == 2
@@ -511,7 +565,7 @@ class TestWriteRecord:
                     primary.submit(1, "add", (1,), client=(0, 0), cseq=1), timeout=10.0)
                 assert result == 1 and cluster.transports[2].stats.recv_drops == 12
                 await cluster.converged(1)
-                assert primary.objects[1].pending_acks == {}
+                assert primary.status()["primary_pending"] == 0
 
         asyncio.run(run())
 
@@ -525,7 +579,7 @@ class TestWriteRecord:
                     waiter.submit(1, "await_true", client=(waiter_id, 0), cseq=1))
                 while waiter.stats.guard_retries < 2:
                     await asyncio.sleep(FAST.gap_delay / 4)
-                    assert list(waiter._pending) == [f"{waiter_id}.0.1"]
+                    assert list(waiter._pending) == [(f"{waiter_id}.0", 1)]
                 # Counted per issue, so once per guard RETRY already seen.
                 assert waiter.stats.primary_writes >= waiter.stats.guard_retries
                 assert not blocked.done()
@@ -534,7 +588,7 @@ class TestWriteRecord:
                 assert await asyncio.wait_for(blocked, timeout=10.0) is True
                 assert waiter._pending == {}
                 for runtime in cluster.runtimes.values():
-                    assert runtime.objects[1].pending_acks == {}
+                    assert runtime.status()["primary_pending"] == 0
                     assert runtime.objects[1].applied_log == [
                         [2, 0, 1, "set"], [waiter_id, 0, 1, "await_true"]]
 
@@ -634,11 +688,12 @@ def data(seqno, origin=0):
 
 
 def update(version):
-    """The ``net.pupd`` message primary node 0 sends for ``version``."""
+    """The ``net.pupd`` message primary node 0 sends for ``version``, under
+    fan-out id ``version``."""
     return Message(src=0, dst=1, kind="net.pupd", size=1, payload={
         "obj_id": 1, "op": "add", "args": [version], "kwargs": {},
-        "client": [0, 0], "cseq": version, "wid": f"0.0.{version}",
-        "version": version, "result": version})
+        "client": [0, 0], "cseq": version, "version": version,
+        "result": version, "fan": version})
 
 
 async def member_on_a_wire(policy="broadcast"):
@@ -804,7 +859,7 @@ class TestOneOrderingCore:
                 # A late duplicate is re-acknowledged, not applied again.
                 member.node.dispatch(update(2))
                 assert obj.version == 3
-                acks = [m.payload["version"] for m in wire.kinds("net.pupdack")]
+                acks = [m.payload for m in wire.kinds("net.pupdack")]
                 assert acks == [1, 2, 3, 2]
             finally:
                 await member.stop()

@@ -369,6 +369,14 @@ class TestMigrationRaces:
             # The live secondary's ack completes the transaction.
             rts.primary.fanouts.on_ack(0, {"txn_id": txn_id, "node": 2})
             assert rts.primary.fanouts._transactions[txn_id].remaining == 0
+            # A fan-out whose owner crashes is forgotten, its wake never run.
+            woken = []
+            owned = rts.primary.fanouts.new_transaction(1, destinations=[2])
+            assert rts.primary.fanouts.wait(owned, 3, lambda: woken.append(owned))
+            rts.primary.fanouts.node_crashed(3)
+            assert owned not in rts.primary.fanouts._transactions
+            rts.primary.fanouts.on_ack(0, {"txn_id": owned, "node": 2})
+            assert woken == []
 
     def test_concurrent_migrate_calls_perform_one_migration(self):
         """A second migrate() issued while the first is suspended in its
