@@ -62,6 +62,7 @@ from .config import (
     NetworkParams,
     ReplicationParams,
 )
+from ._lazy import lazy_exports as _lazy_exports
 from .errors import ReproError
 
 __version__ = "1.0.0"
@@ -88,23 +89,15 @@ __all__ = [
 ]
 
 
-def __getattr__(name):  # pragma: no cover - thin lazy-import shim
-    """Lazily re-export the Orca programming API.
-
-    The Orca layer imports the RTS and Amoeba packages; importing it lazily
-    keeps ``import repro`` cheap for users who only need the configuration
-    types or the simulation kernel.
-    """
-    if name in ("ObjectSpec", "operation", "OrcaProcess"):
-        from . import orca
-
-        return getattr(orca, name)
-    if name in ("OrcaProgram", "ProgramResult"):
-        from .orca import program as _program
-
-        return getattr(_program, name)
-    if name in ("WorkloadRunner", "WorkloadSpec", "WorkloadReport", "ScenarioRegistry"):
-        from . import workloads
-
-        return getattr(workloads, name)
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
+#: The Orca and workload layers import the RTS and Amoeba packages; reading
+#: their names lazily keeps ``import repro`` cheap for users who only need
+#: the configuration types or one layer of the stack.
+_EXPORTS = {
+    ".rts.object_model": ("ObjectSpec", "operation"),
+    ".orca.process": ("OrcaProcess",),
+    ".orca.program": ("OrcaProgram", "ProgramResult"),
+    ".workloads.runner": ("WorkloadRunner", "WorkloadReport"),
+    ".workloads.spec": ("WorkloadSpec",),
+    ".workloads.scenarios": ("ScenarioRegistry",),
+}
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

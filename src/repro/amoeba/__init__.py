@@ -14,10 +14,15 @@ data-object runtime systems rely on:
   broadcast protocols built around a sequencer.
 """
 
-from .cluster import Cluster
-from .message import Message, estimate_size
-from .network import EthernetNetwork, SwitchedNetwork
-from .node import Node
+from .._lazy import lazy_exports as _lazy_exports
+
+_EXPORTS = {
+    ".cluster": ("Cluster",),
+    ".message": ("Message", "estimate_size"),
+    ".network": ("EthernetNetwork", "SwitchedNetwork"),
+    ".node": ("Node",),
+}
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "Cluster",

@@ -161,3 +161,19 @@ class Message:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         dst = "ALL" if self.is_broadcast else self.dst
         return f"<Message #{self.msg_id} {self.kind} {self.src}->{dst} {self.size}B>"
+
+
+def make_message(
+    node: Any, dst: Optional[int], kind: str, payload: Any = None, size: int = 0, **headers: Any
+) -> Message:
+    """Build a message stamped with ``node.node_id`` as its source.
+
+    Both hosts of the broadcast groups bind this as their ``make_message``
+    method: the simulator's :class:`~repro.amoeba.node.Node` and the real
+    backend's :class:`~repro.net.host.RealNode`.
+    """
+    # ``headers`` is already a fresh dict (built from the ** call), so it
+    # is handed to the Message without another copy.
+    return Message(
+        src=node.node_id, dst=dst, kind=kind, payload=payload, size=size, headers=headers
+    )

@@ -11,11 +11,11 @@ speedup for update-heavy applications such as ACP in the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from ..config import CostModel
 from ..errors import NetworkError
-from .message import Message
+from .message import Message, make_message
 from .nic import NetworkInterface
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -93,15 +93,8 @@ class Node:
         self.stats.bytes_sent += msg.size
         self.network.send(msg, on_sent)
 
-    def make_message(
-        self, dst: Optional[int], kind: str, payload: Any = None, size: int = 0, **headers: Any
-    ) -> Message:
-        """Convenience constructor stamping this node as the source."""
-        # ``headers`` is already a fresh dict (built from the ** call), so it
-        # is handed to the Message without another copy.
-        return Message(
-            src=self.node_id, dst=dst, kind=kind, payload=payload, size=size, headers=headers
-        )
+    #: Convenience constructor stamping this node as the source.
+    make_message = make_message
 
     # ------------------------------------------------------------------ #
     # CPU overhead accounting

@@ -32,7 +32,20 @@ Layout
 ``oracle``        record a sim run, replay it for real, check convergence
 """
 
-from .harness import RealCluster, RealClusterConfig  # noqa: F401
-from .oracle import (check_convergence, expected_issued_writes,  # noqa: F401
-                     record_sim_oracle)
-from .runner import run_real_workload  # noqa: F401
+from .._lazy import lazy_exports as _lazy_exports
+
+_EXPORTS = {
+    ".harness": ("RealCluster", "RealClusterConfig"),
+    ".oracle": ("check_convergence", "expected_issued_writes", "record_sim_oracle"),
+    ".runner": ("run_real_workload",),
+}
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
+
+__all__ = [
+    "RealCluster",
+    "RealClusterConfig",
+    "check_convergence",
+    "expected_issued_writes",
+    "record_sim_oracle",
+    "run_real_workload",
+]

@@ -21,8 +21,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..amoeba.broadcast.protocol import (KIND_DATA, KIND_REQUEST, KIND_RETRANSMIT,
                                          DeliveredMessage, MessageId)
-from ..amoeba.message import Message
-from ..amoeba.node import Node
+from ..amoeba.message import Message, make_message
 from ..config import CostModel
 from ..errors import NetworkError
 from ..sim.trace import Tracer
@@ -127,7 +126,7 @@ class RealNode:
     def dispatch(self, msg: Message) -> None:
         self._handlers[msg.kind](msg)
 
-    make_message = Node.make_message
+    make_message = make_message
 
     def send(self, msg: Message, on_sent: Optional[Handler] = None) -> None:
         record = msg.payload

@@ -10,10 +10,15 @@ a Python API (:mod:`repro.orca.api`, :mod:`repro.orca.process`,
 end (:mod:`repro.orca.lang`).
 """
 
-from ..rts.object_model import ObjectSpec, operation
-from .api import BoundObject
-from .process import OrcaProcess
-from .program import OrcaProgram, ProgramResult
+from .._lazy import lazy_exports as _lazy_exports
+
+_EXPORTS = {
+    "..rts.object_model": ("ObjectSpec", "operation"),
+    ".api": ("BoundObject",),
+    ".process": ("OrcaProcess",),
+    ".program": ("OrcaProgram", "ProgramResult"),
+}
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "ObjectSpec",

@@ -21,30 +21,35 @@ Everything exposes the same :class:`ObjectHandle`-based interface, so the
 Orca programming layer and the applications are agnostic of policy choices.
 """
 
-from .object_model import ObjectSpec, OperationDef, operation
-from .manager import ObjectManager, Replica
-from .hybrid import HybridRts
-from .records import MigrationRecord, ShardMoveRecord
-from .policy import (
-    AdaptiveParams,
-    AdaptivePolicy,
-    BroadcastReplicated,
-    ManagementPolicy,
-    PrimaryCopyInvalidate,
-    PrimaryCopyUpdate,
-    management_policy,
-)
-from .sharding import (
-    BatchingParams,
-    ExplicitPlacement,
-    HashPlacement,
-    RebalanceMove,
-    RebalanceParams,
-    RebalancePlanner,
-    ShardRouter,
-    ShardingPolicy,
-)
-from .stats import AccessStats, ShardStats
+from .._lazy import lazy_exports as _lazy_exports
+
+_EXPORTS = {
+    ".object_model": ("ObjectSpec", "OperationDef", "operation"),
+    ".manager": ("ObjectManager", "Replica"),
+    ".hybrid": ("HybridRts",),
+    ".records": ("MigrationRecord", "ShardMoveRecord"),
+    ".policy": (
+        "AdaptiveParams",
+        "AdaptivePolicy",
+        "BroadcastReplicated",
+        "ManagementPolicy",
+        "PrimaryCopyInvalidate",
+        "PrimaryCopyUpdate",
+        "management_policy",
+    ),
+    ".sharding": (
+        "BatchingParams",
+        "ExplicitPlacement",
+        "HashPlacement",
+        "RebalanceMove",
+        "RebalanceParams",
+        "RebalancePlanner",
+        "ShardRouter",
+        "ShardingPolicy",
+    ),
+    ".stats": ("AccessStats", "ShardStats"),
+}
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "ObjectSpec",

@@ -8,10 +8,15 @@ acknowledgements, then unlock).  Which machines hold copies is decided
 dynamically from per-machine read/write-ratio statistics.
 """
 
-from .directory import ObjectDirectory
-from .invalidation import InvalidationProtocol
-from .replication_policy import ReplicationPolicy
-from .update import TwoPhaseUpdateProtocol
+from ..._lazy import lazy_exports as _lazy_exports
+
+_EXPORTS = {
+    ".directory": ("ObjectDirectory",),
+    ".invalidation": ("InvalidationProtocol",),
+    ".replication_policy": ("ReplicationPolicy",),
+    ".update": ("TwoPhaseUpdateProtocol",),
+}
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "InvalidationProtocol",

@@ -7,12 +7,17 @@ simulator retains full control over interleaving, making every run
 deterministic for a given seed and schedule.
 """
 
-from .events import Event, EventQueue
-from .kernel import Simulator
-from .process import SimProcess
-from .rng import RngRegistry
-from .sync import Barrier, SimCondition, SimLock, SimSemaphore
-from .trace import TraceRecord, Tracer
+from .._lazy import lazy_exports as _lazy_exports
+
+_EXPORTS = {
+    ".events": ("Event", "EventQueue"),
+    ".kernel": ("Simulator",),
+    ".process": ("SimProcess",),
+    ".rng": ("RngRegistry",),
+    ".sync": ("Barrier", "SimCondition", "SimLock", "SimSemaphore"),
+    ".trace": ("TraceRecord", "Tracer"),
+}
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "Event",

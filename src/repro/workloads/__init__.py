@@ -26,26 +26,31 @@ Quick use::
     print(report.throughput, report.percentile_row()["p99"])
 """
 
-from .runner import (
-    RUNTIME_KINDS,
-    WorkloadReport,
-    WorkloadRunner,
-    build_runtime,
-    run_scenario_matrix,
-    run_shard_sweep,
-)
-from .scenarios import PollableQueue, Scenario, ScenarioRegistry, scenario
-from .spec import (
-    KeySampler,
-    PhaseSpec,
-    Request,
-    TenantSpec,
-    WorkloadSpec,
-    bursty,
-    request_stream,
-    trace_arrivals,
-    traced_request_stream,
-)
+from .._lazy import lazy_exports as _lazy_exports
+
+_EXPORTS = {
+    ".runner": (
+        "RUNTIME_KINDS",
+        "WorkloadReport",
+        "WorkloadRunner",
+        "build_runtime",
+        "run_scenario_matrix",
+        "run_shard_sweep",
+    ),
+    ".scenarios": ("PollableQueue", "Scenario", "ScenarioRegistry", "scenario"),
+    ".spec": (
+        "KeySampler",
+        "PhaseSpec",
+        "Request",
+        "TenantSpec",
+        "WorkloadSpec",
+        "bursty",
+        "request_stream",
+        "trace_arrivals",
+        "traced_request_stream",
+    ),
+}
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "RUNTIME_KINDS",

@@ -20,6 +20,7 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import functools
+import json
 import sys
 import threading
 import time
@@ -38,7 +39,7 @@ from repro.net.host import RealNode
 from repro.net.rts_adapter import ClientProc, RealRtsFacade
 from repro.net.runtime import RealRuntime, RealTimings, resolve_spec
 from repro.net.udp import UdpTransport
-from repro.net.wire import wire_text
+from repro.net.wire import ENVELOPE, MAX_FRAME, wire_text
 from repro.orca.builtin_objects import BoolObject, IntObject
 from repro.rts.base import ObjectHandle
 from repro.rts.object_model import ObjectSpec, operation
@@ -629,6 +630,21 @@ class TestWriteArguments:
                 await cluster.converged(5)
 
         asyncio.run(run())
+
+    @pytest.mark.parametrize("unit", ["x", "\u00e9", "\U0001f600"])
+    def test_a_body_that_fits_exactly_is_accepted_and_one_byte_more_is_not(self, unit):
+        """As a string field a body costs its JSON text, quoted and escaped
+        again; the last byte of room decides, for non-ASCII text too."""
+        def framed(body):
+            return len(json.dumps(json.dumps(body)))
+
+        room = MAX_FRAME - ENVELOPE
+        body = unit * 1000
+        body += "a" * (room - framed(body))
+        assert framed(body) == room
+        assert wire_text(body) == json.dumps(body)
+        with pytest.raises(NetworkError, match="wire limit"):
+            wire_text(body + "a")
 
     @pytest.mark.parametrize("policy", ["broadcast", "primary-update"])
     def test_every_replica_applies_the_wire_form_of_the_arguments(self, policy):
