@@ -60,10 +60,6 @@ def jsonify(value: Any) -> Any:
 #: the numbers of a sequenced record).
 ENVELOPE = 256
 
-#: Longest text whose string field surely fits a frame: ``ensure_ascii``
-#: escapes one character to at most 12 (a surrogate pair), plus two quotes.
-_SURELY_FITS = (MAX_FRAME - ENVELOPE - 2) // 12
-
 
 def wire_text(body: Any) -> str:
     """``body`` as JSON text, checked to fit a frame as a string field.
@@ -72,11 +68,12 @@ def wire_text(body: Any) -> str:
         text = _encode_json(body)
     except (TypeError, ValueError) as exc:
         raise NetworkError(f"body is not wire-encodable: {exc}") from None
-    if len(text) > _SURELY_FITS:
-        framed = len(_encode_json(text))  # quotes and escapes included
-        if framed > MAX_FRAME - ENVELOPE:
-            raise NetworkError(
-                f"a body of {framed} bytes does not fit a frame (wire limit {MAX_FRAME})")
+    # ``ensure_ascii`` leaves ``text`` printable ASCII, so as a string field
+    # it grows by its two quotes and one backslash per ``"`` and ``\``.
+    framed = len(text) + 2 + text.count('"') + text.count("\\")
+    if framed > MAX_FRAME - ENVELOPE:
+        raise NetworkError(
+            f"a body of {framed} bytes does not fit a frame (wire limit {MAX_FRAME})")
     return text
 
 

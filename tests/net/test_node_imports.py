@@ -37,7 +37,12 @@ NOT_IN_A_NODE = (
 )
 
 #: Source lines of every ``repro`` module a node loads (16 728 when the
-#: package ``__init__`` modules re-exported eagerly).
+#: package ``__init__`` modules re-exported eagerly, 6 965 when they first
+#: re-exported lazily).  The headroom is small: ``net/runtime.py``, the
+#: broadcast group and the scenario definitions are in the closure, so
+#: protocol growth alone can cross the cap.  The forbidden-module check above
+#: is the main guard; this one catches a closure that grows without loading
+#: any of those modules.
 MAX_CLOSURE_LINES = 7000
 
 _PROBE = """
@@ -71,5 +76,10 @@ def test_a_node_imports_no_simulator_driver(loaded):
 
 
 def test_a_node_loads_under_7000_source_lines(loaded):
-    lines = sum(source_lines(path) for path in loaded.values() if path)
-    assert lines < MAX_CLOSURE_LINES, sorted(loaded)
+    lines = {name: source_lines(path) for name, path in loaded.items() if path}
+    total = sum(lines.values())
+    assert total < MAX_CLOSURE_LINES, (
+        f"a node loads {total} repro source lines, cap {MAX_CLOSURE_LINES}. "
+        "If no new module below is an eager re-export or a simulator module, "
+        "the protocol core grew: raise the cap in the same change. "
+        f"Loaded: {sorted(lines.items(), key=lambda item: -item[1])}")

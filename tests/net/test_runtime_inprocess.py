@@ -631,10 +631,11 @@ class TestWriteArguments:
 
         asyncio.run(run())
 
-    @pytest.mark.parametrize("unit", ["x", "\u00e9", "\U0001f600"])
+    @pytest.mark.parametrize("unit", ["x", '"', "\\", "\n", "\u00e9", "\U0001f600"])
     def test_a_body_that_fits_exactly_is_accepted_and_one_byte_more_is_not(self, unit):
         """As a string field a body costs its JSON text, quoted and escaped
-        again; the last byte of room decides, for non-ASCII text too."""
+        again; the last byte of room decides, for escaped and non-ASCII
+        text too."""
         def framed(body):
             return len(json.dumps(json.dumps(body)))
 
