@@ -1,12 +1,11 @@
 """Client sessions: cheap per-client state machines, not simulated processes.
 
 A :class:`ClientSession` is the gateway-tier replacement for the classic
-runner's one-SimProcess-per-client: it owns a deterministic request stream
-(:func:`~repro.workloads.spec.request_stream`, or the traced variant when
-the spec carries an ``arrival_trace``) and turns it into timed *arrivals*
-for its gateway's driver.  A session is a generator plus a few floats —
-no OS thread — which is what makes ≥10k concurrent sessions per sim cell
-affordable.
+runner's one-SimProcess-per-client: it owns a deterministic request schedule
+(:func:`~repro.workloads.spec.client_schedule`, every request with its
+pacing draw) and turns it into timed *arrivals* for its gateway's driver.  A
+session is a generator plus a few floats — no OS thread — which is what
+makes ≥10k concurrent sessions per sim cell affordable.
 
 Arrival semantics follow the spec's (possibly per-phase) client model:
 
@@ -23,15 +22,9 @@ Arrival semantics follow the spec's (possibly per-phase) client model:
 from __future__ import annotations
 
 import random
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Iterator, Optional, Tuple
 
-from ..workloads.spec import (
-    Request,
-    ResolvedPhase,
-    WorkloadSpec,
-    request_stream,
-    traced_request_stream,
-)
+from ..workloads.spec import Request, WorkloadSpec, client_schedule
 
 #: ``advance`` outcome tags: the next arrival is already timed, or it waits
 #: on the in-flight request's completion (closed-loop chaining).
@@ -42,26 +35,24 @@ WAIT = "wait"
 class ClientSession:
     """One client's request stream, advanced by its gateway's driver."""
 
-    __slots__ = ("sid", "tenant", "rng", "phases", "start_time", "waiting",
-                 "done", "_iter", "_traced", "_open_clock", "_prev_model")
+    __slots__ = ("sid", "tenant", "start_time", "waiting", "done",
+                 "_schedule", "_open_clock", "_prev_pacing")
 
     def __init__(self, sid: int, tenant: Any, spec: WorkloadSpec,
                  rng: random.Random, start_time: float) -> None:
         self.sid = sid
         #: The gateway-side tenant state this session bills to (opaque here).
         self.tenant = tenant
-        self.rng = rng
-        self.phases: List[ResolvedPhase] = spec.resolved_phases()
         self.start_time = start_time
-        #: A generated closed-loop request waiting for its predecessor's
-        #: completion before its arrival time exists.
-        self.waiting: Optional[Request] = None
+        #: A generated closed-loop request and its think time, waiting for
+        #: its predecessor's completion before its arrival time exists.  The
+        #: session owns its rng stream, so drawing the think time with the
+        #: request leaves the draw order as it is.
+        self.waiting: Optional[Tuple[Request, float]] = None
         self.done = False
-        self._traced = bool(spec.arrival_trace)
-        self._iter: Iterator[Any] = (traced_request_stream(spec, rng)
-                                     if self._traced else request_stream(spec, rng))
+        self._schedule: Iterator[Tuple[Request, str, float]] = client_schedule(spec, rng)
         self._open_clock = start_time
-        self._prev_model: Optional[str] = None
+        self._prev_pacing: Optional[str] = None
 
     def advance(self, now: float) -> Optional[Tuple[str, float, Optional[Request]]]:
         """Generate the next request; returns how (and when) it arrives.
@@ -72,35 +63,27 @@ class ClientSession:
         :meth:`release` is called with its predecessor's completion time;
         ``None`` — the stream is exhausted.
         """
-        item = next(self._iter, None)
+        item = next(self._schedule, None)
         if item is None:
             self.done = True
             return None
-        if self._traced:
-            request, offset = item
-            return (READY, self.start_time + offset, request)
-        request = item
-        phase = self.phases[request.phase]
-        if phase.client_model == "open":
-            if self._prev_model == "closed":
+        request, pacing, value = item
+        if pacing == "trace":
+            return (READY, self.start_time + value, request)
+        prev, self._prev_pacing = self._prev_pacing, pacing
+        if pacing == "open":
+            if prev == "closed":
                 # Closed -> open handover: the schedule restarts from the
                 # switch point instead of back-filling arrivals for the
                 # time spent in the closed phase.
                 self._open_clock = now
-            self._prev_model = "open"
-            self._open_clock += self.rng.expovariate(phase.arrival_rate)
+            self._open_clock += value
             return (READY, self._open_clock, request)
-        self._prev_model = "closed"
-        self.waiting = request
+        self.waiting = (request, value)
         return (WAIT, 0.0, None)
 
     def release(self, completion_time: float) -> Tuple[float, Request]:
         """Time the stashed closed-loop request off its predecessor's end."""
-        request = self.waiting
-        assert request is not None, "release() without a waiting request"
-        self.waiting = None
-        think = self.phases[request.phase].think_time
-        arrival = completion_time
-        if think > 0.0:
-            arrival += self.rng.expovariate(1.0 / think)
-        return arrival, request
+        assert self.waiting is not None, "release() without a waiting request"
+        (request, think), self.waiting = self.waiting, None
+        return completion_time + think, request

@@ -17,6 +17,7 @@ import functools
 import heapq
 import itertools
 import time
+from types import SimpleNamespace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..amoeba.broadcast.protocol import (KIND_DATA, KIND_REQUEST, KIND_RETRANSMIT,
@@ -24,7 +25,6 @@ from ..amoeba.broadcast.protocol import (KIND_DATA, KIND_REQUEST, KIND_RETRANSMI
 from ..amoeba.message import Message, make_message
 from ..config import CostModel
 from ..errors import NetworkError
-from ..sim.trace import Tracer
 from .udp import UdpTransport
 
 Handler = Callable[[Message], None]
@@ -53,7 +53,8 @@ class RealNode:
     and one loop callback: arming is a push, cancelling a dict pop."""
 
     alive = True
-    tracer = Tracer()
+    #: The groups record a trace only through an enabled tracer.
+    tracer = SimpleNamespace(enabled=False)
 
     def __init__(self, node_id: int, transport: UdpTransport) -> None:
         self.node_id = node_id

@@ -22,12 +22,12 @@ harness commands one at a time:
 ``shutdown``
     Stop the engine and exit.
 
-Client loops intentionally reproduce the *draw order* of the simulator's
-client bodies: the think-time and open-loop arrival draws come from the same
-rng stream as the requests, so skipping them would derail every subsequent
-request.  Timing itself is advisory — closed-loop pacing sleeps (bounded)
-real time, open-loop arrivals are issued back to back — because the oracle
-compares converged state, not timing.
+Client loops draw through :func:`~repro.workloads.spec.client_schedule`, as
+the simulator's client bodies do: the think-time and arrival draws come from
+the same rng stream as the requests, so the draw order is the requests'.
+Timing itself is advisory — closed-loop pacing sleeps (bounded) real time,
+open-loop arrivals are issued back to back — because the oracle compares
+converged state, not timing.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from typing import Any, Dict, List, Tuple
 
 from ..sim.rng import RngRegistry
 from ..workloads.scenarios import Scenario, ScenarioRegistry
-from ..workloads.spec import WorkloadSpec, request_stream, traced_request_stream
+from ..workloads.spec import WorkloadSpec, client_schedule
 from .control import AsyncControlChannel
 from .rts_adapter import ClientProc, RealRtsFacade, spec_from_payload
 from .runtime import RealRuntime, RealTimings
@@ -121,26 +121,12 @@ def _client_loop(facade: RealRtsFacade, scenario: Scenario,
                  pool: _ClientPool, seed: int) -> None:
     rng = RngRegistry(seed).stream(
         f"workload.client.{proc.node_id}.{proc.client_id}")
+    schedule = client_schedule(spec, rng)
     try:
-        if spec.arrival_trace:
-            for done, (request, _arrival) in enumerate(
-                    traced_request_stream(spec, rng), 1):
-                scenario.perform(facade, proc, request)
-                pool.note(request.is_write)
-                if done in pool.park_at:
-                    pool.park(done)
-            return
-        phases = spec.resolved_phases()
-        open_loop = spec.client_model == "open"
-        for done, request in enumerate(request_stream(spec, rng), 1):
-            phase = phases[request.phase]
-            if open_loop:
-                # Draw (and discard) the arrival gap the simulated client
-                # draws here, keeping the shared rng stream aligned.
-                rng.expovariate(phase.arrival_rate)
-            elif phase.think_time > 0.0:
-                delay = rng.expovariate(1.0 / phase.think_time)
-                time.sleep(min(delay, MAX_THINK_SLEEP))
+        for done, (request, pacing, value) in enumerate(schedule, 1):
+            # Arrivals are issued back to back; a think time is slept.
+            if pacing == "closed" and value > 0.0:
+                time.sleep(min(value, MAX_THINK_SLEEP))
             scenario.perform(facade, proc, request)
             pool.note(request.is_write)
             if done in pool.park_at:

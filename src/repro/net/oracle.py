@@ -37,7 +37,7 @@ from ..rts.base import ObjectHandle
 from ..rts.object_model import ObjectSpec, execute_operation
 from ..sim.rng import RngRegistry
 from ..workloads.scenarios import ScenarioRegistry
-from ..workloads.spec import request_stream, traced_request_stream
+from ..workloads.spec import client_schedule
 from .harness import RealCluster, RealClusterConfig
 from .wire import jsonify
 
@@ -163,24 +163,7 @@ def expected_issued_writes(config: RealClusterConfig) -> Dict[str, Any]:
         for client_id in range(config.clients_per_node):
             rng = registry.stream(f"workload.client.{node_id}.{client_id}")
             proc = _ProbeProc(node_id, client_id)
-            if spec.arrival_trace:
-                requests = (request for request, _arrival
-                            in traced_request_stream(spec, rng))
-                for request in requests:
-                    scenario.perform(probe, proc, request)
-                    writes += request.is_write
-                    reads += not request.is_write
-                continue
-            phases = spec.resolved_phases()
-            open_loop = spec.client_model == "open"
-            for request in request_stream(spec, rng):
-                phase = phases[request.phase]
-                # Mirror the client loops' extra rng draws exactly, or the
-                # shared stream (and every later request) would diverge.
-                if open_loop:
-                    rng.expovariate(phase.arrival_rate)
-                elif phase.think_time > 0.0:
-                    rng.expovariate(1.0 / phase.think_time)
+            for request, _pacing, _value in client_schedule(spec, rng):
                 scenario.perform(probe, proc, request)
                 writes += request.is_write
                 reads += not request.is_write
@@ -237,6 +220,12 @@ def check_convergence(result: Dict[str, Any], expected: Dict[str, Any],
                     f"replicas disagree on {row['name']!r} {key}: node "
                     f"{node_ids[0]} has {row[key]!r}, node {node_id} has "
                     f"{other[key]!r}")
+
+    # Every takeover proposal a node made was sequenced (or ended by stop()).
+    for node_id in node_ids:
+        failures = nodes[node_id].get("stats", {}).get("takeover_failures", 0)
+        _require(failures == 0,
+                 f"node {node_id} failed {failures} takeover proposal(s)")
 
     # 2. Request accounting: the real clients issued exactly the streams'
     # requests (every client ran to completion).

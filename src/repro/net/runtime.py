@@ -14,13 +14,14 @@ loop, above the simulator's own broadcast groups:
   each update in the object's bounded ``SequencerLog`` (a replica holds an
   early one back in its ``OrderingEngine``) and answers the writer once the
   update's ``FanOuts`` entry has every live peer's acknowledgement.
-* **failure detection and takeover**, still this backend's own — every node
-  heartbeats; a silent peer is declared dead, its acknowledgement debts are
-  released, and for every object whose primary died the lowest-id live node
-  proposes itself through the object's shard's total order with a
-  state-carrying takeover record.  Applying the takeover is a hard state
-  reset on every replica — the convergence point — and the adopted applied
-  table keeps client retries that straddle the failover exactly-once.
+* **failure detection**, still this backend's own — every node heartbeats;
+  a silent peer is declared dead and its acknowledgement debts are released.
+* **takeover**, the simulator's seat switch — the lowest live node proposes
+  itself for every primary-update object whose seat is dead, as a
+  :class:`~repro.rts.p2p.fanout.SwitchRecord` in the object's shard order.
+  A member installs a record newer than its last: the proposer's state,
+  version and applied table (retries across the failover stay
+  exactly-once), and its own applied writes before the record's log tail.
 
 The engine reuses the simulator's object model verbatim
 (:class:`~repro.rts.object_model.ObjectSpec`, ``execute_operation``), so an
@@ -55,7 +56,8 @@ from ..config import BroadcastParams
 from ..errors import NetworkError, RtsError, UnknownObjectError
 from ..rts.object_model import (RETRY, ObjectSpec, OperationDef,
                                 execute_operation)
-from ..rts.p2p.fanout import AppliedTable, FanOuts, lookup_applied, record_applied
+from ..rts.p2p.fanout import (FUTURE, AppliedTable, FanOuts, SwitchRecord,
+                              lookup_applied, place_epoch, record_applied)
 from .host import RealNode
 from .udp import UdpTransport
 from .wire import from_wire, jsonify, wire_text
@@ -139,6 +141,8 @@ class RealObject:
     #: Primary-path exactly-once table, one entry per client; carried
     #: through takeover so retries across the failover deduplicate.
     applied: AppliedTable = field(default_factory=dict)
+    #: Epoch of the last seat switch installed here.
+    epoch: int = 0
     #: Every applied write, in application order: [client_node, client_id,
     #: cseq, op].  Identical on all replicas once quiesced.
     applied_log: List[List[Any]] = field(default_factory=list)
@@ -204,6 +208,7 @@ class RealRuntimeStats:
     gap_requests: int = 0
     retransmissions: int = 0
     takeovers: int = 0
+    takeover_failures: int = 0  # proposals not ended by ``stop()``
     peers_declared_dead: int = 0
 
 
@@ -233,10 +238,7 @@ class RealRuntime:
         for kind in ("hb", "pwrite", "pupd", "pupdack", "pgap", "pack"):
             self.node.register_handler(f"net.{kind}", getattr(self, f"_handle_{kind}"))
         #: An ordered body's ``type`` -> what applies it.
-        self._ordered_kinds = {
-            "op": self._apply_ordered_op,
-            "takeover": self._apply_takeover,
-        }
+        self._ordered_kinds = {"op": self._apply_ordered_op, "switch": self._install_switch}
 
     # ------------------------------------------------------------------ #
     # Setup
@@ -434,14 +436,6 @@ class RealRuntime:
     # ------------------------------------------------------------------ #
     # Ordered-broadcast write path
     # ------------------------------------------------------------------ #
-
-    def _submit_ordered(self, obj: RealObject, body: Dict[str, Any]) -> Awaitable[Any]:
-        """Put ``body`` through ``obj``'s shard's total order (in-loop callers)."""
-        write = _PendingWrite(self._issue_ordered, obj, None)
-        write.body = wire_text(body)
-        write.size = len(write.body)
-        self._issue_ordered(write)
-        return self._in_loop(write)
 
     def _issue_ordered_op(self, write: _PendingWrite) -> None:
         self.stats.ordered_writes += 1
@@ -650,44 +644,62 @@ class RealRuntime:
         self.transport.mark_dead(node_id)
         # Primaries here stop waiting for acks the dead peer cannot send.
         self.fanouts.node_crashed(node_id)
-        live = [node for node in self.transport.node_ids
-                if self.transport.peer_alive(node)]
-        if not live or min(live) != self.node_id:
+        self._propose_takeovers()
+
+    def _propose_takeovers(self) -> None:
+        """The lowest live node proposes itself for every primary-update
+        object whose seat is dead — not only the seat that just died: a
+        proposal can die with its proposer before it is sequenced."""
+        alive = self.transport.peer_alive
+        if min(filter(alive, self.transport.node_ids), default=None) != self.node_id:
             return
-        # Lowest-id survivor proposes takeovers for the dead node's objects.
         for obj in self.objects.values():
-            if obj.primary == node_id and obj.policy == "primary-update":
-                asyncio.ensure_future(self._takeover(obj, node_id))
+            if obj.policy == "primary-update" and not alive(obj.primary):
+                self._takeover(obj)
 
-    async def _takeover(self, obj: RealObject, old_primary: int) -> None:
-        async with obj.lock:
-            # Put in wire form (a copy) here: a snapshot under the lock.
-            takeover = self._submit_ordered(obj, {
-                "type": "takeover",
-                "obj_id": obj.obj_id,
-                "old_primary": old_primary,
-                "new_primary": self.node_id,
-                "state": obj.instance.marshal_state(),
-                "version": obj.version,
-                "wids": obj.applied,
-                "log": obj.applied_log,
-            })
-        await takeover
+    def _takeover(self, obj: RealObject) -> None:
+        """Propose this node as ``obj``'s primary: a switch record with this
+        copy's state, version and applied table, and beside it only the
+        newest ``history_size`` applied writes (the window the primary's
+        ``SequencerLog`` keeps for ``net.pgap``)."""
+        record = SwitchRecord(obj.obj_id, obj.epoch + 1, obj.policy, self.node_id,
+                              (obj.instance.marshal_state(), obj.version, obj.applied))
+        write = _PendingWrite(self._issue_ordered, obj, None)
+        write.future.add_done_callback(self._proposal_done)
+        try:
+            write.body = wire_text({"type": "switch", "record": record,
+                                    "log": obj.applied_log[-obj.log.history_size:]})
+            write.size = len(write.body)
+            self._issue_ordered(write)
+        except Exception as exc:
+            self._finish(write, error=exc)
 
-    def _apply_takeover(self, body: Dict[str, Any]) -> bool:
-        obj = self.objects[int(body["obj_id"])]
-        if obj.primary != int(body["old_primary"]):
-            return True  # stale proposal; someone already took this object over
-        obj.primary = int(body["new_primary"])
+    def _proposal_done(self, future: Future) -> None:
+        if future.exception() is not None and self._running:
+            self.stats.takeover_failures += 1  # ``stop()`` ends one quietly
+
+    def _install_switch(self, body: Dict[str, Any]) -> None:
+        """Install a delivered switch unless this replica already installed
+        one as new (the simulator's epoch rule).  The replica keeps its own
+        applied writes in front of the record's log tail."""
+        record = SwitchRecord(*body["record"])
+        obj = self.objects[record.obj_id]
+        if place_epoch(record.epoch, obj.epoch) != FUTURE:
+            return
+        state, version, obj.applied = record.snapshot
+        tail = body["log"]
+        obj.epoch, obj.primary = record.epoch, record.primary
         with obj.state_lock:
-            obj.instance.unmarshal_state(dict(body["state"]))
-        obj.applied = dict(body["wids"])
-        obj.applied_log = [list(entry) for entry in body["log"]]
-        obj.updates = OrderingEngine(next_expected=int(body["version"]) + 1)
+            obj.instance.unmarshal_state(state)
+        obj.applied_log[version - len(tail):] = tail
+        obj.updates = OrderingEngine(next_expected=version + 1)
         obj.log = SequencerLog(obj.log.history_size)
-        obj.log.advance_to(obj.updates.next_expected)
+        obj.log.advance_to(version + 1)
         self.stats.takeovers += 1
-        return True
+        if not self.transport.peer_alive(obj.primary):
+            # After this delivery: a local seat would deliver a proposal
+            # made inside it ahead of the rest of the delivered run.
+            self._loop.call_soon(self._propose_takeovers)
 
     # ------------------------------------------------------------------ #
     # Introspection for the control plane
@@ -753,6 +765,7 @@ class RealRuntime:
                     for seat in seats),
                 "elections": sum(stats.elections for stats in groups),
                 "takeovers": self.stats.takeovers,
+                "takeover_failures": self.stats.takeover_failures,
                 "peers_declared_dead": self.stats.peers_declared_dead,
             },
         }

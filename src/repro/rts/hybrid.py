@@ -21,6 +21,7 @@ from .batching import WriteBatcher
 from .consistency import HistoryRecorder
 from .membership import Membership
 from .object_model import RETRY, ObjectSpec
+from .p2p.fanout import FUTURE
 from .placement import Placement
 from .policy import (
     FIXED_POLICIES,
@@ -34,7 +35,7 @@ from .primary import PrimaryCopy
 from .records import summarize
 from .sharding import ShardRouter, batching_params, rebalance_params
 from .stats import AccessStats
-from .switch import FUTURE, KIND_SWITCH, MIGRATED, SwitchEngine, _PendingWrite
+from .switch import KIND_SWITCH, MIGRATED, SwitchEngine, _PendingWrite
 from .takeover import Takeover
 
 if TYPE_CHECKING:  # pragma: no cover - typing only

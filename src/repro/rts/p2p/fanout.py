@@ -1,20 +1,52 @@
-"""The primary-copy core: exactly-once write ids and ack debts.
+"""The primary-copy core: exactly-once write ids, ack debts and seat switches.
 
 The simulated :class:`~repro.rts.primary.PrimaryCopy` and the real-socket
 :class:`~repro.net.runtime.RealRuntime` both run through it; they suspend,
-send and re-send, this module only decides.  No I/O, no clock: it imports
-the standard library only.
+send and re-send, this module only decides.  The simulator's switch engine
+(:mod:`repro.rts.switch`) and the real takeover share its
+:class:`SwitchRecord` and epoch rule.  No I/O, no clock: it imports the
+standard library only.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 #: origin -> (seq, result) of the newest write a FIFO client got applied to
 #: one copy: one entry per client however long the run.
 AppliedTable = Dict[Any, Tuple[int, Any]]
+
+#: ``drain``: the switch point in the order the object's writes rode so far (a
+#: shard move adds ``arrive``: its destination order carries the object).
+LEG_DRAIN, LEG_ARRIVE = "drain", "arrive"
+
+#: Verdicts of :func:`place_epoch`.
+STALE, CURRENT, FUTURE = -1, 0, 1
+
+
+class SwitchRecord(NamedTuple):
+    """What every member learns, at one position of the object's order."""
+
+    obj_id: int
+    epoch: int
+    #: Policy managing the object, and its primary seat (-1: none), from here on.
+    policy: str
+    primary: int
+    #: ``(state, version, applied-write table)`` to install, or ``None`` when
+    #: the replicas are already identical and simply stay.
+    snapshot: Optional[Tuple[Any, int, Optional[Dict]]] = None
+    #: The members that install the snapshot (``None``: all of them).
+    scope: Optional[Tuple[int, ...]] = None
+    leg: str = LEG_DRAIN
+
+
+def place_epoch(epoch: int, delivered: int) -> int:
+    """An ``epoch``-stamped record at a member that delivered switches up to
+    ``delivered``: ``STALE`` (a later switch superseded it), ``CURRENT`` or
+    ``FUTURE`` (a switch to install, or a write that outran its switch)."""
+    return (epoch > delivered) - (epoch < delivered)
 
 
 def lookup_applied(table: AppliedTable, wid) -> Tuple[bool, Any]:

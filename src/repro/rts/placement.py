@@ -12,10 +12,10 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Protocol, Set, Tupl
 
 from ..amoeba.message import estimate_size
 from ..errors import ConfigurationError, RtsError
+from .p2p.fanout import LEG_ARRIVE, LEG_DRAIN, SwitchRecord
 from .policy import MECHANISM_BROADCAST, MECHANISM_PRIMARY, AdaptivePolicy, management_policy
 from .records import MigrationRecord, ShardMoveRecord
 from .sharding import RebalancePlanner
-from .switch import LEG_ARRIVE, LEG_DRAIN, SwitchRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..amoeba.broadcast.group import BroadcastGroup

@@ -15,12 +15,19 @@ from ..amoeba.rpc import RpcReply, RpcRequest
 from ..errors import RpcPeerDeadError, RtsError
 from .object_model import RETRY
 from .p2p.directory import ObjectDirectory
-from .p2p.fanout import AppliedTable, FanOuts, lookup_applied, record_applied
+from .p2p.fanout import (
+    CURRENT,
+    STALE,
+    AppliedTable,
+    FanOuts,
+    lookup_applied,
+    record_applied,
+)
 from .p2p.invalidation import KIND_INVALIDATE, InvalidationProtocol
 from .p2p.replication_policy import ReplicationPolicy
 from .p2p.update import KIND_UNLOCK, KIND_UPDATE, TwoPhaseUpdateProtocol
 from .policy import FIXED_POLICIES, MECHANISM_PRIMARY
-from .switch import CURRENT, MIGRATED, PORT_MIGRATE, STALE
+from .switch import MIGRATED, PORT_MIGRATE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..amoeba.cluster import Cluster

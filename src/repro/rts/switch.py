@@ -21,11 +21,12 @@ from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Any, Callable, Collection, Dict, Iterator, List,
-                    NamedTuple, Optional, Protocol, Tuple)
+                    Optional, Protocol, Tuple)
 
 from ..amoeba.message import estimate_size
 from ..amoeba.rpc import RpcReply
 from ..errors import RpcPeerDeadError, RtsError
+from .p2p.fanout import CURRENT, FUTURE, LEG_ARRIVE, STALE, SwitchRecord, place_epoch
 from .policy import MECHANISM_PRIMARY
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -47,13 +48,6 @@ MIGRATED = object()
 KIND_SWITCH = "switch"
 #: Freeze-and-snapshot service of a primary (state leaves it in a record).
 PORT_MIGRATE = "orca.obj.migrate"
-
-#: ``drain``: the switch point in the order the object's writes rode so far (a
-#: shard move adds ``arrive``: its destination order carries the object).
-LEG_DRAIN, LEG_ARRIVE = "drain", "arrive"
-
-#: Verdicts of :meth:`SwitchEngine.classify` and :meth:`SwitchEngine.screen`.
-STALE, CURRENT, FUTURE = -1, 0, 1
 
 #: Lifecycle phases besides :class:`Preparing`.
 STABLE, IN_FLIGHT = "stable", "in-flight"
@@ -109,22 +103,6 @@ class SwitchRuntime(Protocol):
     def await_delivery(self, proc: "SimProcess", send: Callable[..., Any],
                        payload: Tuple[Any, ...], size: int,
                        pending: Optional["_PendingWrite"] = None) -> Any: ...
-
-
-class SwitchRecord(NamedTuple):
-    """What every member learns, at one position of the object's order."""
-
-    obj_id: int
-    epoch: int
-    #: Policy managing the object, and its primary seat (-1: none), from here on.
-    policy: str
-    primary: int
-    #: ``(state, version, applied-write table)`` to install, or ``None`` when
-    #: the replicas are already identical and simply stay.
-    snapshot: Optional[Tuple[Any, int, Optional[Dict]]] = None
-    #: The members that install the snapshot (``None``: all of them).
-    scope: Optional[Tuple[int, ...]] = None
-    leg: str = LEG_DRAIN
 
 
 @dataclass
@@ -202,8 +180,7 @@ class SwitchEngine:
         """An ``epoch``-stamped ordered record at ``node_id``: ``STALE``
         (drop), ``CURRENT`` (apply) or ``FUTURE`` (it outran its switch: park)."""
         cursor = self.cursors[node_id].get(obj_id)
-        delivered = cursor.delivered if cursor is not None else 0
-        return (epoch > delivered) - (epoch < delivered)
+        return place_epoch(epoch, cursor.delivered if cursor is not None else 0)
 
     def settled(self, obj_id: int) -> bool:
         """Has every live member delivered the object's latest switch — for
@@ -372,7 +349,7 @@ class SwitchEngine:
             member.node.charge_overhead(
                 rts.cost_model.cpu.operation_dispatch_cost)
             cursor.arrived = max(cursor.arrived, epoch)
-        elif epoch > cursor.delivered:
+        elif place_epoch(epoch, cursor.delivered) == FUTURE:
             cursor.delivered = epoch
             member.node.charge_overhead(
                 rts.cost_model.cpu.operation_dispatch_cost)

@@ -26,7 +26,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import RtsError
 from ..rts.object_model import RETRY, execute_operation
-from ..rts.switch import FUTURE, MIGRATED, STALE
+from ..rts.p2p.fanout import FUTURE, STALE
+from ..rts.switch import MIGRATED
 from .locks import (
     ITEM_RECORD,
     ITEM_WRITE,

@@ -36,7 +36,7 @@ from ..rts.hybrid import HybridRts
 from ..rts.policy import DEFAULT_POLICY_FOR_KIND
 from ..rts.sharding import batching_params
 from .scenarios import Scenario, ScenarioRegistry
-from .spec import WorkloadSpec, request_stream, traced_request_stream
+from .spec import WorkloadSpec, client_schedule
 
 #: Every runtime kind the runner can sweep.  ``broadcast``/``p2p`` are the
 #: fixed-policy configurations of the unified runtime; ``adaptive`` lets
@@ -287,7 +287,6 @@ class WorkloadRunner:
         request_recorder = LatencyRecorder()
         scenario = ScenarioRegistry.create(self.scenario_kind, self.workload)
         spec = scenario.spec
-        phases = spec.resolved_phases()
         counts = {"reads": 0, "writes": 0, "clients": 0}
         window = {"start": 0.0, "end": 0.0}
         facts: Dict[str, Any] = {}
@@ -295,45 +294,32 @@ class WorkloadRunner:
         def client_body(node_id: int, client_id: int) -> None:
             proc = sim.current_process
             rng = sim.rng.stream(f"workload.client.{node_id}.{client_id}")
-            if spec.arrival_trace:
-                # Trace-driven open loop: arrivals follow the deterministic
-                # (duration, rate) segments; the request count falls out of
-                # the trace.  Latency is measured from the intended arrival,
-                # so queueing delay counts (no coordinated omission).
-                start = proc.local_time
-                for request, offset in traced_request_stream(spec, rng):
-                    arrival = start + offset
-                    if proc.local_time < arrival:
-                        proc.hold(arrival - proc.local_time)
-                    scenario.perform(rts, proc, request)
-                    kind = "write" if request.is_write else "read"
-                    request_recorder.record(kind, proc.local_time - arrival)
-                    counts["writes" if request.is_write else "reads"] += 1
-                return
-            # The loop mode is per resolved phase, so one client can switch
-            # between closed-loop think/issue and open-loop Poisson arrivals
-            # mid-stream (a "hybrid" client).  The open-loop arrival clock
+            # Trace offsets count from the client's start.  The pacing is
+            # per request's phase, so one client can switch between
+            # closed-loop think/issue and open-loop Poisson arrivals
+            # mid-stream (a "hybrid" client); the open-loop arrival clock
             # restarts at every closed->open handover instead of
             # back-filling arrivals for the time spent closed.
-            prev_model = None
-            next_arrival = proc.local_time
-            for request in request_stream(spec, rng):
-                phase = phases[request.phase]
-                if phase.client_model == "open":
-                    if prev_model == "closed":
-                        next_arrival = proc.local_time
-                    prev_model = "open"
-                    next_arrival += rng.expovariate(phase.arrival_rate)
+            start = next_arrival = proc.local_time
+            prev_pacing = None
+            for request, pacing, value in client_schedule(spec, rng):
+                if pacing == "closed":
+                    if value > 0.0:
+                        proc.hold(value)
+                    issued_at = proc.local_time
+                else:
+                    if pacing == "trace":
+                        next_arrival = start + value
+                    elif prev_pacing == "closed":
+                        next_arrival = proc.local_time + value
+                    else:
+                        next_arrival += value
                     if proc.local_time < next_arrival:
                         proc.hold(next_arrival - proc.local_time)
                     # Intended arrival, not actual issue time: queueing delay
                     # counts toward latency (no coordinated omission).
                     issued_at = next_arrival
-                else:
-                    prev_model = "closed"
-                    if phase.think_time > 0.0:
-                        proc.hold(rng.expovariate(1.0 / phase.think_time))
-                    issued_at = proc.local_time
+                prev_pacing = pacing
                 scenario.perform(rts, proc, request)
                 kind = "write" if request.is_write else "read"
                 request_recorder.record(kind, proc.local_time - issued_at)

@@ -423,6 +423,27 @@ def traced_request_stream(spec: WorkloadSpec,
         seq += 1
 
 
+def client_schedule(spec: WorkloadSpec,
+                    rng: random.Random) -> Iterator[Tuple[Request, str, float]]:
+    """One client's requests with their pacing draws, in the one order every
+    client driver makes them.  Yields ``(request, pacing, value)``:
+    ``"trace"`` with the arrival offset from the client's start, ``"open"``
+    with the Poisson gap since the last arrival, ``"closed"`` with the think
+    time (0.0, not drawn, when the request's phase does not think)."""
+    if spec.arrival_trace:
+        for request, offset in traced_request_stream(spec, rng):
+            yield request, "trace", offset
+        return
+    phases = spec.resolved_phases()
+    for request in request_stream(spec, rng):
+        phase = phases[request.phase]
+        if phase.client_model == "open":
+            yield request, "open", rng.expovariate(phase.arrival_rate)
+        else:
+            think = phase.think_time
+            yield request, "closed", rng.expovariate(1.0 / think) if think > 0.0 else 0.0
+
+
 def observed_mix(requests: Sequence[Request]) -> float:
     """Fraction of reads in a generated request sequence (test helper)."""
     if not requests:

@@ -28,6 +28,9 @@ NOT_IN_A_NODE = (
     "repro.amoeba.node",
     "repro.amoeba.network",
     "repro.rts.hybrid",
+    "repro.rts.switch",
+    "repro.rts.policy",
+    "repro.amoeba.rpc",
     "repro.workloads.runner",
     "repro.txn",
     "repro.gateway",

@@ -14,7 +14,8 @@ import pytest
 
 from repro.net.harness import RealClusterConfig
 from repro.net.oracle import (check_convergence, churn_victims,
-                              expected_issued_writes)
+                              expected_issued_writes, record_sim_oracle)
+from repro.workloads.spec import PhaseSpec, WorkloadSpec
 
 
 def config(**overrides):
@@ -85,6 +86,22 @@ class TestStreamReplay:
         assert churn_victims(4) == (3, 2)
         assert churn_victims(3) == (2,)
         assert churn_victims(2) == ()
+
+    def test_a_hybrid_client_replays_its_simulated_twin(self):
+        """Pacing is per phase: an open-loop spec's closed phase draws no
+        arrival gap in the replay either."""
+        spec = WorkloadSpec(
+            name="counter-farm", client_model="open",
+            phases=(PhaseSpec(ops_per_client=50),
+                    PhaseSpec(ops_per_client=50, client_model="closed",
+                              think_time=0.0)))
+        cfg = config(workload=spec, seed=7)
+        expected = expected_issued_writes(cfg)
+        sim = record_sim_oracle(cfg)
+        simulated = {name: count for name, count
+                     in sim["per_object_writes"].items() if count}
+        assert expected["per_object_writes"] == simulated
+        assert expected["writes"] == sim["writes"]
 
 
 class TestChecker:

@@ -43,6 +43,7 @@ from repro.net.wire import ENVELOPE, MAX_FRAME, wire_text
 from repro.orca.builtin_objects import BoolObject, IntObject
 from repro.rts.base import ObjectHandle
 from repro.rts.object_model import ObjectSpec, operation
+from repro.rts.p2p.fanout import SwitchRecord
 
 #: Aggressive timers: these tests inject loss and wait for recovery, so the
 #: retry/sync machinery must cycle quickly.
@@ -398,18 +399,24 @@ class TestPrimaryPath:
                 assert len(cluster.runtimes[2].objects[1].log) <= 4
                 for runtime in cluster.runtimes.values():
                     assert len(runtime.objects[1].applied) == 3
-                # The takeover record carries one entry per client too.
+                # The takeover record carries one entry per client too, and
+                # of the applied log only the seat log's window.
                 proposals = []
                 survivor = cluster.runtimes[1]
-                apply = survivor._ordered_kinds["takeover"]
-                survivor._ordered_kinds["takeover"] = (
-                    lambda body: proposals.append(body) or apply(body))
+                install = survivor._ordered_kinds["switch"]
+                survivor._ordered_kinds["switch"] = (
+                    lambda body: proposals.append(body) or install(body))
                 await cluster.runtimes.pop(2).stop()
                 cluster.transports.pop(2).close()
                 assert await asyncio.wait_for(
                     survivor.submit(1, "add", (1,), client=(1, 0), cseq=5), 15.0) == 13
-                assert [len(body["wids"]) for body in proposals] == [3]
+                records = [SwitchRecord(*body["record"]) for body in proposals]
+                assert [len(record.snapshot[2]) for record in records] == [3]
+                assert [len(body["log"]) for body in proposals] == [4]
                 await cluster.converged(13)
+                logs = [runtime.objects[1].applied_log
+                        for runtime in cluster.runtimes.values()]
+                assert len(logs[0]) == 13 and all(log == logs[0] for log in logs)
 
         asyncio.run(run())
 
@@ -439,6 +446,78 @@ class TestTakeover:
                 for runtime in cluster.runtimes.values():
                     assert runtime.objects[1].primary == 0
                 assert dead is not None
+
+        asyncio.run(run())
+
+    def test_a_proposal_lost_with_its_proposer_is_made_again(self):
+        """The lowest live node proposes a takeover and dies before it is
+        sequenced: the next lowest proposes again for the seat that died
+        first, not only for the proposer's own."""
+        async def run():
+            table = object_table("primary-update", primary=3)
+            async with InProcessCluster(4, table, seats={0: 1}) as cluster:
+                await cluster.runtimes[2].submit(1, "add", (1,),
+                                                 client=(2, 0), cseq=1)
+                await cluster.converged(1)
+                # Node 0's broadcasts never reach the seat (node 1).
+                cluster.transports[0].drop_tx = (
+                    lambda msg, dst: msg.kind == "grp.request")
+                await cluster.runtimes.pop(3).stop()
+                cluster.transports.pop(3).close()
+                loop = asyncio.get_running_loop()
+                deadline = loop.time() + 10.0
+                while not (cluster.runtimes[0]._pending and not any(
+                        cluster.transports[node].peer_alive(3) for node in (1, 2))):
+                    assert loop.time() < deadline, "node 0 never proposed"
+                    await asyncio.sleep(0.01)
+                await cluster.runtimes.pop(0).stop()
+                cluster.transports.pop(0).close()
+                result = await asyncio.wait_for(
+                    cluster.runtimes[2].submit(1, "add", (1,),
+                                               client=(2, 0), cseq=2),
+                    timeout=15.0)
+                assert result == 2
+                await cluster.converged(2)
+                for runtime in cluster.runtimes.values():
+                    assert runtime.objects[1].primary == 1
+                    assert runtime.stats.takeover_failures == 0
+
+        asyncio.run(run())
+
+    def test_a_switch_to_a_dead_seat_is_taken_over_again(self):
+        """Node 1 delivers node 0's takeover only after node 0 died: the
+        delivered switch names a dead seat, so node 1 proposes again."""
+        async def run():
+            table = object_table("primary-update", primary=3)
+            async with InProcessCluster(4, table, seats={0: 2}) as cluster:
+                await cluster.runtimes[1].submit(1, "add", (1,),
+                                                 client=(1, 0), cseq=1)
+                await cluster.converged(1)
+                deaf = {"on": True}  # node 1 hears nothing node 0 broadcast
+                cluster.transports[1].drop_rx = lambda msg: deaf["on"] and (
+                    msg.kind in ("grp.data", "grp.retransmit") and msg.payload[1] == 0)
+                await cluster.runtimes.pop(3).stop()
+                cluster.transports.pop(3).close()
+                loop = asyncio.get_running_loop()
+                deadline = loop.time() + 10.0
+                while cluster.runtimes[2].objects[1].primary != 0:
+                    assert loop.time() < deadline, "node 0 never took over"
+                    await asyncio.sleep(0.01)
+                await cluster.runtimes.pop(0).stop()
+                cluster.transports.pop(0).close()
+                while not cluster.runtimes[1]._pending:
+                    assert loop.time() < deadline, "node 1 never proposed"
+                    await asyncio.sleep(0.01)
+                deaf["on"] = False
+                result = await asyncio.wait_for(
+                    cluster.runtimes[2].submit(1, "add", (1,),
+                                               client=(2, 0), cseq=1),
+                    timeout=15.0)
+                assert result == 2
+                await cluster.converged(2)
+                for runtime in cluster.runtimes.values():
+                    assert runtime.objects[1].primary == 1
+                    assert runtime.objects[1].epoch == 2
 
         asyncio.run(run())
 

@@ -17,16 +17,18 @@ from repro.amoeba.cluster import Cluster
 from repro.config import ClusterConfig
 from repro.rts.hybrid import HybridRts
 from repro.rts.object_model import ObjectSpec, operation
-from repro.rts.switch import (
+from repro.rts.p2p.fanout import (
     CURRENT,
     FUTURE,
-    IN_FLIGHT,
-    KIND_SWITCH,
     LEG_ARRIVE,
     LEG_DRAIN,
-    STABLE,
     STALE,
     SwitchRecord,
+)
+from repro.rts.switch import (
+    IN_FLIGHT,
+    KIND_SWITCH,
+    STABLE,
     _PendingWrite,
 )
 from repro.txn import TXN_KINDS
