@@ -1,4 +1,4 @@
-"""WORKLOADS — synthetic shared-object traffic across all four runtimes.
+"""WORKLOADS — synthetic shared-object traffic across all five runtimes.
 
 The paper reports aggregate speedup for four hand-written applications; this
 benchmark instead drives the runtimes with parameterised synthetic traffic
@@ -7,8 +7,9 @@ and throughput per scenario, in the spirit of the cluster-benchmark
 methodology: read/write mixes, key-popularity skew, open- and closed-loop
 clients.
 
-Five named scenarios run on all four runtimes (broadcast RTS, point-to-point
-RTS, central-server baseline, Ivy-style DSM baseline).  The whole sweep is
+Five named scenarios run on all five runtimes (broadcast RTS, point-to-point
+RTS, central-server baseline, Ivy-style DSM baseline, adaptive unified
+runtime).  The whole sweep is
 deterministic under a fixed seed: the benchmark re-runs one cell and asserts
 the two reports are identical.
 

@@ -36,28 +36,10 @@ from typing import Any, Dict, List, Optional, Tuple, Type
 from ..rts.base import ObjectHandle
 from ..rts.object_model import ObjectSpec, execute_operation
 from ..sim.rng import RngRegistry
-from ..workloads.scenarios import ScenarioRegistry
+from ..workloads.scenarios import PrimaryChurn, ScenarioRegistry
 from ..workloads.spec import client_schedule
 from .harness import RealCluster, RealClusterConfig
 from .wire import jsonify
-
-#: Scenario kinds whose writes commute, so the stream replay predicts the
-#: exact final object states (not just the write counts).
-COMMUTATIVE_SCENARIOS = ("counter-farm", "hotspot-shift", "hot-spot",
-                         "primary-churn")
-
-
-def churn_victims(num_nodes: int) -> Tuple[int, ...]:
-    """The victim set the sim's ``primary-churn`` scenario would crash.
-
-    A real kill run must SIGKILL the *same* nodes the simulated scenario
-    crashes (the highest-numbered ones, up to two, never below two
-    survivors), or the two backends' client sets — and therefore their
-    request streams — diverge and the oracle comparison is meaningless.
-    """
-    count = min(2, max(0, num_nodes - 2))
-    return tuple(num_nodes - 1 - i for i in range(count))
-
 
 # ---------------------------------------------------------------------- #
 # Recording the simulator's side
@@ -273,7 +255,7 @@ def check_convergence(result: Dict[str, Any], expected: Dict[str, Any],
                              "clients": len(expected_clients)}
     scenario = result["scenario"]
     per_object_writes = expected["per_object_writes"]
-    if scenario in COMMUTATIVE_SCENARIOS:
+    if ScenarioRegistry.get(scenario).writes_commute:
         for row in reference.values():
             want = expected["final_states"].get(row["name"])
             _require(
@@ -364,7 +346,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     scenario = args.scenario
     if args.kill:
         scenario = "primary-churn"
-        victims = churn_victims(args.nodes)
+        victims = PrimaryChurn.victims_for(args.nodes)
         kwargs.update(victims=victims,
                       kill_after=tuple(30 + 30 * i
                                        for i in range(len(victims))))

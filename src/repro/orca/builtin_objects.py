@@ -1,8 +1,8 @@
 """A library of generally useful shared object types.
 
 These are the object types most Orca programs need: shared scalars, a job
-queue for the replicated-worker paradigm, sets, counters, dictionaries and a
-barrier.  They also serve as worked examples of how to define object types
+queue for the replicated-worker paradigm, a queue whose dequeue never blocks,
+a guarded bank account, sets, counters, dictionaries and a barrier.  They also serve as worked examples of how to define object types
 with the :func:`~repro.rts.object_model.operation` decorator, including
 guarded (blocking) operations.
 """
@@ -156,6 +156,82 @@ class JobQueue(ObjectSpec):
     @operation(write=False)
     def is_closed(self) -> bool:
         return self.closed
+
+
+class PollableQueue(ObjectSpec):
+    """A FIFO queue whose dequeue never blocks (workload-friendly consume).
+
+    The classic Orca :class:`JobQueue` blocks consumers on a guard while the
+    queue is empty; synthetic traffic instead wants a bounded-time ``poll``
+    that returns ``None`` on empty, so client loops always terminate.
+    """
+
+    def init(self) -> None:
+        self.items: List[Any] = []
+        self.enqueued = 0
+        self.dequeued = 0
+        self.empty_polls = 0
+
+    @operation(write=True)
+    def put(self, item: Any) -> int:
+        self.items.append(item)
+        self.enqueued += 1
+        return len(self.items)
+
+    @operation(write=True)
+    def poll(self) -> Any:
+        """Dequeue the oldest item, or return ``None`` when empty."""
+        if self.items:
+            self.dequeued += 1
+            return self.items.pop(0)
+        self.empty_polls += 1
+        return None
+
+    @operation(write=True, guard=lambda self: bool(self.items))
+    def take(self) -> Any:
+        """Dequeue the oldest item; the guard rejects an empty queue.
+
+        Unlike ``poll`` this never consumes "nothing" — inside a transaction
+        the guard turns move-from-empty into a clean all-or-nothing abort.
+        """
+        self.dequeued += 1
+        return self.items.pop(0)
+
+    @operation(write=False)
+    def size(self) -> int:
+        return len(self.items)
+
+    @operation(write=False)
+    def totals(self) -> Dict[str, int]:
+        return {"enqueued": self.enqueued, "dequeued": self.dequeued,
+                "empty_polls": self.empty_polls}
+
+
+class BankAccount(ObjectSpec):
+    """An account whose withdrawals are guarded against overdraft."""
+
+    def init(self, balance: int = 0) -> None:
+        self.balance = balance
+
+    @operation(write=False)
+    def read(self) -> int:
+        return self.balance
+
+    @operation(write=True)
+    def deposit(self, amount: int) -> int:
+        self.balance += amount
+        return self.balance
+
+    @operation(write=True, guard=lambda self, amount: self.balance >= amount)
+    def withdraw(self, amount: int) -> int:
+        self.balance -= amount
+        return self.balance
+
+    @operation(write=True)
+    def adjust(self, delta: int) -> int:
+        """Unguarded balance change (the non-transactional fallback path)."""
+        self.balance += delta
+        return self.balance
 
 
 class SetObject(ObjectSpec):

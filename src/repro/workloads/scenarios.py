@@ -1,124 +1,26 @@
 """Shared-object scenario kinds: what objects exist and what requests do.
 
 A :class:`Scenario` binds an abstract :class:`~repro.workloads.spec.Request`
-stream to concrete shared objects and operations, via the common
-:class:`~repro.rts.base.RuntimeSystem` interface — so the same scenario runs
-unchanged on the broadcast RTS, the point-to-point RTS, the central-server
-baseline and the Ivy DSM baseline.
-
-The built-in kinds cover the access patterns the paper's evaluation and the
-cluster-benchmark literature care about:
-
-* ``counter-farm``   — many independent counters; requests spread over them;
-* ``kv-table``       — one shared dictionary with get/put traffic;
-* ``fifo-queue``     — a producer/consumer job queue (writes produce, reads
-  consume via a non-blocking poll — both are RTS-level writes, which makes
-  this the broadcast-heaviest scenario);
-* ``read-mostly-catalog`` — a preloaded dictionary served almost exclusively
-  to readers (replication's best case);
-* ``hot-spot``       — every request hits one cell (contention's worst case);
-* ``policy-mix``     — a read-mostly catalog next to a write-hot ledger,
-  with the ledger pinned to primary-copy management on runtimes that honour
-  per-object policies (one cluster, two management strategies at once);
-* ``hotspot-shift``  — a counter farm whose hot keys rotate every workload
-  phase (or arrival-trace segment), the moving-hotspot pattern that static
-  shard placement cannot follow but online rebalancing can;
-* ``primary-churn``  — mixed-policy counters whose primary seats are parked
-  on reserved victim nodes that crash on a schedule mid-run: the scenario
-  that exercises primary-failure recovery end to end (and degrades to
-  crash-free traffic on runtimes without takeover support);
-* ``rolling-restart`` — mixed-policy counters while every non-client node is
-  crashed, recovered and caught back up in sequence: the elasticity loop
-  (takeover, rejoin, seat handback) under live traffic;
-* ``scale-in``       — a counter farm whose broadcast-group count is merged
-  down mid-run via ``remove_shard``, the inverse of the rebalancer's live
-  group growth;
-* ``bank-transfer``  — guarded accounts with atomic two-account transfers
-  through ``rts.transact`` (conservation is the invariant; runtimes without
-  transactions fall back to sequential unguarded adjustments);
-* ``kv-index``       — a table and its secondary index updated atomically,
-  validated entry-for-entry (the mirror only survives concurrent writers if
-  the two stores really commit as one);
-* ``queue-move``     — producer traffic into an inbox plus atomic
-  take-from-inbox/put-to-outbox moves (dequeue and enqueue counts must agree
-  exactly);
-* ``multi-tenant-noisy-neighbour`` — a counter farm shared by a quiet
-  tenant and a noisy one whose open-loop rate far exceeds its token-bucket
-  quota: the gateway-tier isolation scenario (quota + weighted fair
-  queueing must keep the quiet tenant's p99 flat);
-* ``flash-crowd``    — calm / 4x-overload / calm open-loop phases piling
-  onto one hot counter: the graceful-degradation scenario (bounded accept
-  queues and priority shedding versus the unshed p99 spiral);
-* ``diurnal-trace``  — a counter farm driven by an ``arrival_trace`` day
-  curve (night / ramp / peak / evening), replayed deterministically.
-
-New kinds register themselves with :class:`ScenarioRegistry` via the
-:func:`scenario` class decorator.
+stream to shared objects and operations through the common
+:class:`~repro.rts.base.RuntimeSystem` interface, so it runs unchanged on
+every runtime.  Kinds register with :class:`ScenarioRegistry` through the
+:func:`scenario` decorator.  Nine are one family, :class:`Counters`, whose
+kinds are class data plus a key remapping or a fault schedule; a kind with
+objects or operations of its own keeps its own class.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Any, Dict, List, Type
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Type
 
 from ..errors import ConfigurationError, TransactionAborted
-from ..orca.builtin_objects import DictObject, IntObject
+from ..orca.builtin_objects import BankAccount, DictObject, IntObject, PollableQueue
 from ..rts.base import ObjectHandle, RuntimeSystem
-from ..rts.object_model import ObjectSpec, operation
 from .spec import PhaseSpec, Request, TenantSpec, WorkloadSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim.process import SimProcess
-
-
-class PollableQueue(ObjectSpec):
-    """A FIFO queue whose dequeue never blocks (workload-friendly consume).
-
-    The classic Orca :class:`~repro.orca.builtin_objects.JobQueue` blocks
-    consumers on a guard while the queue is empty; synthetic traffic instead
-    wants a bounded-time ``poll`` that returns ``None`` on empty, so client
-    loops always terminate.
-    """
-
-    def init(self) -> None:
-        self.items: List[Any] = []
-        self.enqueued = 0
-        self.dequeued = 0
-        self.empty_polls = 0
-
-    @operation(write=True)
-    def put(self, item: Any) -> int:
-        self.items.append(item)
-        self.enqueued += 1
-        return len(self.items)
-
-    @operation(write=True)
-    def poll(self) -> Any:
-        """Dequeue the oldest item, or return ``None`` when empty."""
-        if self.items:
-            self.dequeued += 1
-            return self.items.pop(0)
-        self.empty_polls += 1
-        return None
-
-    @operation(write=True, guard=lambda self: bool(self.items))
-    def take(self) -> Any:
-        """Dequeue the oldest item; the guard rejects an empty queue.
-
-        Unlike ``poll`` this never consumes "nothing" — inside a transaction
-        the guard turns move-from-empty into a clean all-or-nothing abort.
-        """
-        self.dequeued += 1
-        return self.items.pop(0)
-
-    @operation(write=False)
-    def size(self) -> int:
-        return len(self.items)
-
-    @operation(write=False)
-    def totals(self) -> Dict[str, int]:
-        return {"enqueued": self.enqueued, "dequeued": self.dequeued,
-                "empty_polls": self.empty_polls}
 
 
 class Scenario(ABC):
@@ -126,6 +28,11 @@ class Scenario(ABC):
 
     #: Registry key; subclasses set it via the :func:`scenario` decorator.
     kind = "abstract"
+    #: :class:`WorkloadSpec` fields of :meth:`default_spec` besides its name.
+    spec_defaults: Dict[str, Any] = {}
+    #: Whether the kind's writes all commute, so replaying the request
+    #: streams in any order predicts every object's exact final state.
+    writes_commute = False
 
     def __init__(self, spec: WorkloadSpec) -> None:
         self.spec = spec
@@ -134,7 +41,7 @@ class Scenario(ABC):
     @classmethod
     def default_spec(cls) -> WorkloadSpec:
         """The workload this scenario is usually driven with."""
-        return WorkloadSpec(name=cls.kind)
+        return WorkloadSpec(name=cls.kind, **cls.spec_defaults)
 
     def client_nodes(self, cluster) -> List[int]:
         """Node ids that should host workload clients (default: all).
@@ -155,11 +62,9 @@ class Scenario(ABC):
 
     def validate(self, rts: RuntimeSystem, proc: "SimProcess",
                  totals: Dict[str, int]) -> Dict[str, Any]:
-        """Post-run consistency check; returns scenario-specific facts.
+        """Assert the kind's invariants after the run; return its facts.
 
         ``totals`` carries the runner's request counts (``reads``/``writes``).
-        The default implementation returns an empty dict; scenario kinds
-        override it to assert invariants like "the counters add up".
         """
         return {}
 
@@ -206,23 +111,71 @@ def scenario(kind: str):
     return decorate
 
 
-# ---------------------------------------------------------------------- #
-# Built-in scenario kinds
-# ---------------------------------------------------------------------- #
+def _broadcast_runtime_with(rts: RuntimeSystem, method: str) -> bool:
+    """Does ``rts`` offer ``method`` on a broadcast-capable interconnect?
+
+    Takeover, rejoin, group removal and transactions all run through the
+    broadcast groups, so the method alone is not enough.
+    """
+    return hasattr(rts, method) and rts.cluster.network.supports_broadcast
 
 
-@scenario("counter-farm")
-class CounterFarm(Scenario):
-    """``num_keys`` independent counters; key popularity picks which one."""
+def _hold_until(proc: "SimProcess", at: float) -> None:
+    """Hold ``proc`` until virtual time ``at`` (no wait once it has passed)."""
+    if proc.local_time < at:
+        proc.hold(at - proc.local_time)
+
+
+class Counters(Scenario):
+    """``IntObject`` counters: a write adds 1 to one, a read reads one.
+
+    A kind of the family sets class data and, where it has one, a key
+    remapping (:meth:`_counter_for`) or a fault schedule: ``_stage_faults``
+    prepares it, ``_run_faults(rts)`` runs it as a daemon thread on the first
+    client node and ``_fault_facts(rts)`` reports what it did.  ``validate``
+    checks conservation: the counters sum to the writes issued.
+    """
+
+    #: Object name of counter ``i``.
+    name_pattern = "counter[{}]"
+    #: How many counters there are (``None``: one per key of the spec).
+    num_counters: Optional[int] = None
+    #: Management policies assigned round-robin (``None``: the runtime's).
+    policies: Tuple[Optional[str], ...] = (None,)
+    #: Facts key of the conserved total.
+    total_key = "counter_total"
+    #: Facts key saying whether the fault schedule ran (``None``: no schedule).
+    fault_key: Optional[str] = None
+    fault_active = False
+    writes_commute = True
+
+    def _counter_for(self, request: Request) -> int:
+        """Index of the counter ``request`` adds to or reads."""
+        return request.key
 
     def setup(self, rts: RuntimeSystem, proc: "SimProcess") -> None:
+        count = self.spec.num_keys if self.num_counters is None else self.num_counters
+        policies = self.policies
+        if hasattr(rts, "relocate_primary") and not rts.cluster.network.supports_broadcast:
+            # Per-object policies that include broadcast management need a
+            # broadcast-capable network; fall back to the runtime's default.
+            policies = (None,)
         self.handles = [
-            rts.create_object(proc, IntObject, (0,), name=f"counter[{i}]")
-            for i in range(self.spec.num_keys)
+            rts.create_object(proc, IntObject, (0,), name=self.name_pattern.format(i),
+                              policy=policies[i % len(policies)])
+            for i in range(count)
         ]
+        self.fault_active = self._stage_faults(rts, proc)
+        if self.fault_active:
+            host = rts.cluster.node(self.client_nodes(rts.cluster)[0])
+            host.kernel.spawn_thread(self._run_faults, rts, name=self.kind, daemon=True)
+
+    def _stage_faults(self, rts: RuntimeSystem, proc: "SimProcess") -> bool:
+        """Prepare the fault schedule; ``False`` when this run has none."""
+        return False
 
     def perform(self, rts: RuntimeSystem, proc: "SimProcess", request: Request) -> Any:
-        handle = self.handles[request.key]
+        handle = self.handles[self._counter_for(request)]
         if request.is_write:
             return rts.invoke(proc, handle, "add", (1,))
         return rts.invoke(proc, handle, "read")
@@ -230,8 +183,309 @@ class CounterFarm(Scenario):
     def validate(self, rts, proc, totals):
         total = sum(rts.invoke(proc, handle, "read") for handle in self.handles)
         assert total == totals["writes"], (
-            f"counter farm lost updates: {total} != {totals['writes']}")
-        return {"counter_total": total}
+            f"{self.kind} lost or duplicated updates: {total} != {totals['writes']}")
+        facts: Dict[str, Any] = {self.total_key: total}
+        if self.fault_key is not None:
+            facts[self.fault_key] = self.fault_active
+        if self.fault_active:
+            facts.update(self._fault_facts(rts))
+        return facts
+
+
+@scenario("counter-farm")
+class CounterFarm(Counters):
+    """``num_keys`` independent counters; key popularity picks which one."""
+
+
+@scenario("hot-spot")
+class HotSpotCell(Counters):
+    """Every request, read or write, hits one shared cell (max contention)."""
+
+    spec_defaults = dict(num_keys=1, read_fraction=0.5)
+    name_pattern = "hot-cell"
+    num_counters = 1
+    total_key = "cell_value"
+
+    def _counter_for(self, request: Request) -> int:
+        return 0
+
+
+@scenario("hotspot-shift")
+class HotspotShift(Counters):
+    """A counter farm whose hot keys rotate with the workload phase.
+
+    The sampled key is rotated by ``phase * stride`` (a phase is also an
+    arrival-trace segment), so consecutive phases put the Zipf-hottest
+    counters on *different* shards under the id-hash placement: the moving
+    hotspot a static placement cannot follow but online rebalancing can.
+    """
+
+    spec_defaults = dict(num_keys=16, popularity="zipfian", zipf_s=1.3,
+                         read_fraction=0.5, client_model="open",
+                         arrival_trace=((0.02, 800.0), (0.02, 800.0),
+                                        (0.02, 800.0)))
+
+    @property
+    def stride(self) -> int:
+        # num_keys // 4 + 1 is coprime-ish with the usual shard counts, so
+        # the rotated hotspot does not stay pinned to one group.
+        return max(1, self.spec.num_keys // 4 + 1)
+
+    def _counter_for(self, request: Request) -> int:
+        return (request.key + request.phase * self.stride) % self.spec.num_keys
+
+
+@scenario("multi-tenant-noisy-neighbour")
+class NoisyNeighbour(Counters):
+    """A quiet tenant and a rate-capped noisy one sharing a counter farm.
+
+    The noisy tenant offers far more than its token-bucket quota; the
+    gateway tier must shed the excess at admission and fair-queue the rest,
+    so the quiet tenant's latency barely moves.  Without ``gateway=`` the
+    tenant list is inert: a plain open-loop counter farm.
+    """
+
+    spec_defaults = dict(
+        num_keys=16, read_fraction=0.9,
+        client_model="open", arrival_rate=150.0, ops_per_client=30,
+        tenants=(
+            TenantSpec(name="quiet", sessions=4, weight=1.0, priority=1),
+            TenantSpec(name="noisy", sessions=8, weight=1.0, priority=0,
+                       rate=300.0, burst=30.0, arrival_rate=600.0),
+        ))
+
+
+@scenario("flash-crowd")
+class FlashCrowd(Counters):
+    """Calm / overload / calm arrival phases piling onto one hot counter.
+
+    The middle phase multiplies the arrival rate and sends every request to
+    counter 0 ("everyone refreshes the same page").  With a bounded accept
+    queue and priority shedding, admitted-request p99 stays near the
+    unloaded cell's; without admission control the backlog, and p99, grow
+    with the length of the crowd phase.
+    """
+
+    #: Open-loop arrival rate of the calm phases.
+    calm_rate = 100.0
+    #: Crowd-phase arrival-rate multiplier over the calm phases.
+    overload = 4.0
+    spec_defaults = dict(
+        num_keys=8, read_fraction=0.9,
+        client_model="open", arrival_rate=calm_rate,
+        phases=(
+            PhaseSpec(ops_per_client=10, arrival_rate=calm_rate),
+            PhaseSpec(ops_per_client=40, arrival_rate=calm_rate * overload),
+            PhaseSpec(ops_per_client=10, arrival_rate=calm_rate),
+        ),
+        tenants=(
+            TenantSpec(name="premium", sessions=2, weight=2.0, priority=1),
+            TenantSpec(name="standard", sessions=6, weight=1.0, priority=0),
+        ))
+
+    def _counter_for(self, request: Request) -> int:
+        return 0 if request.phase == 1 else request.key
+
+
+@scenario("diurnal-trace")
+class DiurnalTrace(Counters):
+    """A counter farm under a deterministic day-curve ``arrival_trace``.
+
+    Night trickle, morning ramp, midday peak, evening tail — replayed as
+    piecewise-Poisson segments, so one run sweeps the gateway through
+    idle, nominal and saturated operating points.
+    """
+
+    spec_defaults = dict(
+        num_keys=16, popularity="zipfian", zipf_s=1.1,
+        read_fraction=0.9, client_model="open",
+        arrival_trace=((0.02, 50.0),    # night
+                       (0.02, 250.0),   # morning ramp
+                       (0.02, 600.0),   # midday peak
+                       (0.02, 150.0)),  # evening
+        tenants=(
+            TenantSpec(name="interactive", sessions=4, weight=2.0, priority=1),
+            TenantSpec(name="batch", sessions=4, weight=1.0, priority=0,
+                       rate=400.0),
+        ))
+
+
+class SeatChurn(Counters):
+    """Mixed-policy counters whose primary seats sit on nodes that go down.
+
+    The *victims* (:meth:`victims_for`) host no clients, and every primary
+    seat is parked on them round-robin, so each crash takes a live primary
+    down while clients keep writing through it.
+    """
+
+    # Think time stretches the run across the whole fault schedule.
+    spec_defaults = dict(num_keys=8, read_fraction=0.5, think_time=0.0005)
+    policies = ("primary-invalidate", "primary-update", "broadcast", "adaptive")
+    fault_key = "churn_active"
+    #: The runtime method that lets every counter survive the schedule; a
+    #: runtime without it (or without broadcast) runs the traffic crash-free.
+    survival_method = ""
+
+    @classmethod
+    @abstractmethod
+    def victims_for(cls, num_nodes: int) -> Tuple[int, ...]:
+        """The node ids the schedule takes down in a ``num_nodes`` cluster."""
+
+    def client_nodes(self, cluster) -> List[int]:
+        reserved = set(self.victims_for(cluster.num_nodes))
+        return [node.node_id for node in cluster.nodes if node.node_id not in reserved]
+
+    def _stage_faults(self, rts: RuntimeSystem, proc: "SimProcess") -> bool:
+        if not _broadcast_runtime_with(rts, self.survival_method):
+            return False
+        self.victims = self.victims_for(rts.cluster.num_nodes)
+        if not self.victims:
+            return False
+        # Park every primary seat on a victim, round-robin, so each crash
+        # takes a live primary down and each rejoin has seats to re-seat.
+        seat = 0
+        for handle in self.handles:
+            if rts.policy_of(handle) in ("primary-invalidate", "primary-update"):
+                rts.relocate_primary(proc, handle, target=self.victims[seat % len(self.victims)])
+                seat += 1
+        return True
+
+
+@scenario("primary-churn")
+class PrimaryChurn(SeatChurn):
+    """Counters under every management policy while their primaries die.
+
+    The victims are killed on a fixed schedule while the request mix keeps
+    flowing; on the unified runtime over a broadcast-capable network every
+    counter must survive with exactly-once semantics.
+    """
+
+    name_pattern = "churn[{}]"
+    survival_method = "relocate_primary"
+    #: Virtual times at which the victims die, one entry per victim.
+    crash_times = (0.004, 0.009)
+
+    @classmethod
+    def victims_for(cls, num_nodes: int) -> Tuple[int, ...]:
+        """The highest-numbered nodes, one per crash time, keeping two alive.
+
+        A real kill run must SIGKILL these same nodes, or the two backends'
+        client sets — and therefore their request streams — diverge.
+        """
+        count = min(len(cls.crash_times), max(0, num_nodes - 2))
+        return tuple(num_nodes - 1 - i for i in range(count))
+
+    def _run_faults(self, rts: RuntimeSystem) -> None:
+        proc = rts.cluster.sim.current_process
+        for crash_at, victim in zip(self.crash_times, self.victims):
+            _hold_until(proc, crash_at)
+            rts.cluster.node(victim).crash()
+
+    def _fault_facts(self, rts: RuntimeSystem) -> Dict[str, Any]:
+        crashed = [victim for victim in self.victims if not rts.cluster.node(victim).alive]
+        return {"crashed_nodes": crashed, "recoveries": rts.stats.primary_recoveries}
+
+
+@scenario("rolling-restart")
+class RollingRestart(SeatChurn):
+    """Mixed-policy counters while every non-client node restarts in turn.
+
+    Every machine but the first two is a victim: crashed, dead for a
+    moment, recovered with its memory wiped, and polled until the runtime
+    reports it caught back up (history reseeded, membership re-armed)
+    before the next victim goes down.
+    """
+
+    name_pattern = "roll[{}]"
+    # Only a runtime with a rejoin protocol catches a wiped machine up.
+    survival_method = "is_caught_up"
+    #: Virtual time of the first crash.
+    first_crash_at = 0.003
+    #: How long a victim stays dead before it is recovered.
+    dwell = 0.0015
+    #: Pause between a victim reporting caught-up and the next crash.
+    gap = 0.001
+    #: Catch-up poll interval (and its safety bound, in polls).
+    poll = 0.0005
+    max_polls = 2000
+    #: How many victims have restarted and caught up, in schedule order.
+    restarted = 0
+
+    @classmethod
+    def victims_for(cls, num_nodes: int) -> Tuple[int, ...]:
+        # Keep the first two machines for clients; roll everything else.
+        return tuple(range(2, num_nodes))
+
+    def _run_faults(self, rts: RuntimeSystem) -> None:
+        proc = rts.cluster.sim.current_process
+        _hold_until(proc, self.first_crash_at)
+        for victim in self.victims:
+            rts.cluster.node(victim).crash()
+            proc.hold(self.dwell)
+            rts.cluster.node(victim).recover()
+            for _ in range(self.max_polls):
+                if rts.is_caught_up(victim):
+                    break
+                proc.hold(self.poll)
+            else:  # pragma: no cover - deterministic safety bound
+                raise AssertionError(f"node {victim} never caught up after recovery")
+            self.restarted += 1
+            proc.hold(self.gap)
+
+    def validate(self, rts, proc, totals):
+        if self.fault_active:
+            # Clients may drain before the last restart ends; the daemon
+            # restarter must still run to completion, so wait it out, bounded.
+            for _ in range(self.max_polls):
+                if self.restarted == len(self.victims):
+                    break
+                proc.hold(self.poll)
+        return super().validate(rts, proc, totals)
+
+    def _fault_facts(self, rts: RuntimeSystem) -> Dict[str, Any]:
+        assert self.restarted == len(self.victims), (
+            f"restart schedule incomplete: {self.victims[:self.restarted]} != {self.victims}")
+        dead = [n.node_id for n in rts.cluster.nodes if not n.alive]
+        assert not dead, f"nodes still dead after rolling restart: {dead}"
+        return {"restarted_nodes": list(self.victims[:self.restarted]),
+                "rejoins": rts.stats.node_rejoins,
+                "reseeded": sum(r.objects_reseeded for r in rts.rejoins)}
+
+
+@scenario("scale-in")
+class ScaleIn(Counters):
+    """A counter farm whose broadcast-group count shrinks under load.
+
+    Run it with ``num_shards`` > 1: at each scheduled time ``remove_shard``
+    merges the highest-numbered active group away under live traffic, so
+    objects are evacuated through their group's total order.  With one group,
+    or no live group removal, the traffic runs unchanged.
+    """
+
+    spec_defaults = dict(num_keys=16, read_fraction=0.5, think_time=0.0005)
+    name_pattern = "farm[{}]"
+    fault_key = "scale_active"
+    #: Virtual times at which one group is merged away.
+    shrink_times = (0.004, 0.008)
+
+    def _stage_faults(self, rts: RuntimeSystem, proc: "SimProcess") -> bool:
+        return (_broadcast_runtime_with(rts, "remove_shard")
+                and getattr(rts, "router", None) is not None
+                and rts.router.num_active_shards > 1)
+
+    def _run_faults(self, rts: RuntimeSystem) -> None:
+        proc = rts.cluster.sim.current_process
+        for shrink_at in self.shrink_times:
+            _hold_until(proc, shrink_at)
+            active = rts.router.active_shards()
+            if len(active) <= 1:
+                break
+            rts.remove_shard(proc, active[-1])
+
+    def _fault_facts(self, rts: RuntimeSystem) -> Dict[str, Any]:
+        return {"shards_removed": rts.stats.shards_removed,
+                "active_shards": rts.router.num_active_shards,
+                "removed": list(rts.removed_shards)}
 
 
 @scenario("kv-table")
@@ -266,16 +520,13 @@ class KVTable(Scenario):
 class FifoJobQueue(Scenario):
     """Producer/consumer traffic on a FIFO queue.
 
-    Write requests produce (``put``); read requests consume (``poll``).  Note
-    that at the RTS level *both* are write operations — a dequeue mutates
-    state on every replica — so this scenario stresses the write path of
-    whichever coherence protocol runs it.
+    Write requests produce (``put``); read requests consume (``poll``).  Both
+    are RTS-level writes, since a dequeue mutates every replica, so this
+    kind stresses the write path of whichever coherence protocol runs it.
     """
 
-    @classmethod
-    def default_spec(cls) -> WorkloadSpec:
-        # Balanced produce/consume keeps the queue short but never starved.
-        return WorkloadSpec(name=cls.kind, read_fraction=0.5)
+    # Balanced produce/consume keeps the queue short but never starved.
+    spec_defaults = dict(read_fraction=0.5)
 
     def setup(self, rts: RuntimeSystem, proc: "SimProcess") -> None:
         self.handles = [rts.create_object(proc, PollableQueue, name="job-queue")]
@@ -298,522 +549,92 @@ class FifoJobQueue(Scenario):
 class ReadMostlyCatalog(Scenario):
     """A preloaded catalog served to readers, with rare in-place updates."""
 
-    @classmethod
-    def default_spec(cls) -> WorkloadSpec:
-        return WorkloadSpec(name=cls.kind, read_fraction=0.98, num_keys=32,
-                            popularity="zipfian", zipf_s=1.2)
-
-    def setup(self, rts: RuntimeSystem, proc: "SimProcess") -> None:
-        self.handles = [rts.create_object(proc, DictObject, name="catalog")]
-        for key in range(self.spec.num_keys):
-            rts.invoke(proc, self.handles[0], "store", (f"k{key}", 0))
-
-    def perform(self, rts: RuntimeSystem, proc: "SimProcess", request: Request) -> Any:
-        handle = self.handles[0]
-        key = f"k{request.key}"
-        if request.is_write:
-            return rts.invoke(proc, handle, "store", (key, request.seq))
-        return rts.invoke(proc, handle, "lookup", (key,))
-
-    def validate(self, rts, proc, totals):
-        size = rts.invoke(proc, self.handles[0], "size")
-        assert size == self.spec.num_keys, (f"catalog size changed: {size} != {self.spec.num_keys}")
-        return {"catalog_size": size}
-
-
-@scenario("policy-mix")
-class PolicyMix(Scenario):
-    """A read-mostly catalog and a write-hot ledger under different policies.
-
-    Reads look up catalog entries (the replication-friendly traffic); writes
-    increment one shared ledger (the replication-hostile traffic).  The
-    ledger is created with ``policy="primary-invalidate"`` so that, on the
-    unified runtime, the two objects run under different management
-    strategies in the same cluster; runtimes that manage every object one
-    way accept the policy argument and ignore it.
-    """
-
-    @classmethod
-    def default_spec(cls) -> WorkloadSpec:
-        return WorkloadSpec(name=cls.kind, num_keys=16, read_fraction=0.9,
-                            popularity="zipfian", zipf_s=1.1)
+    spec_defaults = dict(read_fraction=0.98, num_keys=32, popularity="zipfian", zipf_s=1.2)
 
     def setup(self, rts: RuntimeSystem, proc: "SimProcess") -> None:
         catalog = rts.create_object(proc, DictObject, name="catalog")
         for key in range(self.spec.num_keys):
             rts.invoke(proc, catalog, "store", (f"k{key}", 0))
-        ledger = rts.create_object(proc, IntObject, (0,), name="ledger",
-                                   policy="primary-invalidate")
-        self.handles = [catalog, ledger]
+        self.handles = [catalog]
 
     def perform(self, rts: RuntimeSystem, proc: "SimProcess", request: Request) -> Any:
-        catalog, ledger = self.handles
+        key = f"k{request.key}"
         if request.is_write:
-            return rts.invoke(proc, ledger, "add", (1,))
-        return rts.invoke(proc, catalog, "lookup", (f"k{request.key}",))
+            return rts.invoke(proc, self.handles[0], "store", (key, request.seq))
+        return rts.invoke(proc, self.handles[0], "lookup", (key,))
+
+    def _catalog_size(self, rts: RuntimeSystem, proc: "SimProcess") -> int:
+        size = rts.invoke(proc, self.handles[0], "size")
+        assert size == self.spec.num_keys, (f"catalog size changed: {size} != {self.spec.num_keys}")
+        return size
 
     def validate(self, rts, proc, totals):
-        catalog, ledger = self.handles
-        total = rts.invoke(proc, ledger, "read")
-        size = rts.invoke(proc, catalog, "size")
+        return {"catalog_size": self._catalog_size(rts, proc)}
+
+
+@scenario("policy-mix")
+class PolicyMix(ReadMostlyCatalog):
+    """A read-mostly catalog and a write-hot ledger under different policies.
+
+    Reads look up catalog entries (replication-friendly); writes increment
+    one ledger (replication-hostile) created with
+    ``policy="primary-invalidate"``, so on the unified runtime two
+    management strategies share one cluster.  Runtimes that manage every
+    object one way ignore the policy.
+    """
+
+    spec_defaults = dict(num_keys=16, read_fraction=0.9, popularity="zipfian", zipf_s=1.1)
+
+    def setup(self, rts: RuntimeSystem, proc: "SimProcess") -> None:
+        super().setup(rts, proc)
+        self.handles.append(rts.create_object(proc, IntObject, (0,), name="ledger",
+                                              policy="primary-invalidate"))
+
+    def perform(self, rts: RuntimeSystem, proc: "SimProcess", request: Request) -> Any:
+        if request.is_write:
+            return rts.invoke(proc, self.handles[1], "add", (1,))
+        return rts.invoke(proc, self.handles[0], "lookup", (f"k{request.key}",))
+
+    def validate(self, rts, proc, totals):
+        total = rts.invoke(proc, self.handles[1], "read")
+        facts = {"ledger_total": total, "catalog_size": self._catalog_size(rts, proc)}
         assert total == totals["writes"], (f"ledger lost updates: {total} != {totals['writes']}")
-        assert size == self.spec.num_keys, (f"catalog size changed: {size} != {self.spec.num_keys}")
-        facts = {"ledger_total": total, "catalog_size": size}
         policy_of = getattr(rts, "policy_of", None)
         if policy_of is not None:
             facts["policies"] = {h.name: policy_of(h) for h in self.handles}
         return facts
 
 
-@scenario("hotspot-shift")
-class HotspotShift(Scenario):
-    """A counter farm whose hot keys rotate with the workload phase.
-
-    The sampled key is rotated by ``phase * stride`` before it picks a
-    counter, so the Zipf-hottest objects are different in every phase (and
-    every arrival-trace segment).  The stride is chosen so consecutive
-    phases land the hotspot on a *different* shard under the id-hash
-    placement — the moving hotspot a static placement cannot follow.
-    """
-
-    @classmethod
-    def default_spec(cls) -> WorkloadSpec:
-        return WorkloadSpec(name=cls.kind, num_keys=16, popularity="zipfian",
-                            zipf_s=1.3, read_fraction=0.5,
-                            client_model="open",
-                            arrival_trace=((0.02, 800.0), (0.02, 800.0),
-                                           (0.02, 800.0)))
-
-    @property
-    def stride(self) -> int:
-        # num_keys // 4 + 1 is coprime-ish with the usual shard counts, so
-        # the rotated hotspot does not stay pinned to one group.
-        return max(1, self.spec.num_keys // 4 + 1)
-
-    def _counter_for(self, request: Request) -> int:
-        return (request.key + request.phase * self.stride) % self.spec.num_keys
-
-    def setup(self, rts: RuntimeSystem, proc: "SimProcess") -> None:
-        self.handles = [
-            rts.create_object(proc, IntObject, (0,), name=f"counter[{i}]")
-            for i in range(self.spec.num_keys)
-        ]
-
-    def perform(self, rts: RuntimeSystem, proc: "SimProcess", request: Request) -> Any:
-        handle = self.handles[self._counter_for(request)]
-        if request.is_write:
-            return rts.invoke(proc, handle, "add", (1,))
-        return rts.invoke(proc, handle, "read")
-
-    def validate(self, rts, proc, totals):
-        total = sum(rts.invoke(proc, handle, "read") for handle in self.handles)
-        assert total == totals["writes"], (
-            f"shifting counter farm lost updates: {total} != {totals['writes']}")
-        return {"counter_total": total}
-
-
-@scenario("primary-churn")
-class PrimaryChurn(Scenario):
-    """Counters under every management policy while their primaries die.
-
-    The scenario creates ``num_keys`` counters cycling through all four
-    management policies, parks the primary-copy counters' seats on reserved
-    *victim* nodes (which host no clients), and kills those victims on a
-    fixed schedule while the request mix keeps flowing.  On runtimes with
-    primary-failure recovery (the unified runtime on a broadcast-capable
-    network) every counter must survive with exactly-once semantics — the
-    ``validate`` hook checks conservation.  On runtimes without takeover
-    support the schedule is skipped and the scenario degrades to plain
-    mixed-policy counter traffic, so it still runs everywhere.
-    """
-
-    #: Policies assigned round-robin over the counters.
-    POLICIES = ("primary-invalidate", "primary-update", "broadcast", "adaptive")
-    #: Virtual times at which the victims die, one entry per victim.
-    crash_times = (0.004, 0.009)
-
-    def __init__(self, spec: WorkloadSpec) -> None:
-        super().__init__(spec)
-        self.churn_active = False
-        self.victims: List[int] = []
-
-    @classmethod
-    def default_spec(cls) -> WorkloadSpec:
-        # A little think time stretches the run across the crash schedule.
-        return WorkloadSpec(name=cls.kind, num_keys=8, read_fraction=0.5, think_time=0.0005)
-
-    def _pick_victims(self, cluster) -> List[int]:
-        count = min(len(self.crash_times), max(0, cluster.num_nodes - 2))
-        return [cluster.nodes[-1 - i].node_id for i in range(count)]
-
-    def client_nodes(self, cluster) -> List[int]:
-        reserved = set(self._pick_victims(cluster))
-        return [node.node_id for node in cluster.nodes if node.node_id not in reserved]
-
-    @staticmethod
-    def _supports_churn(rts: RuntimeSystem) -> bool:
-        """Can this runtime survive (and therefore stage) primary crashes?"""
-        return hasattr(rts, "relocate_primary") and rts.cluster.network.supports_broadcast
-
-    def setup(self, rts: RuntimeSystem, proc: "SimProcess") -> None:
-        is_hybrid = hasattr(rts, "relocate_primary")
-        self.churn_active = self._supports_churn(rts)
-        if is_hybrid and not rts.cluster.network.supports_broadcast:
-            # Per-object policies that include broadcast management need a
-            # broadcast-capable network; fall back to the runtime's default.
-            policies: Any = (None,) * len(self.POLICIES)
-        else:
-            policies = self.POLICIES
-        self.handles = [
-            rts.create_object(proc, IntObject, (0,), name=f"churn[{i}]",
-                              policy=policies[i % len(policies)])
-            for i in range(self.spec.num_keys)
-        ]
-        if not self.churn_active:
-            return
-        cluster = rts.cluster
-        self.victims = self._pick_victims(cluster)
-        if not self.victims:
-            self.churn_active = False
-            return
-        # Park every primary seat on a victim, round-robin, so each crash
-        # takes a live primary down with clients still writing through it.
-        seat = 0
-        for handle in self.handles:
-            if rts.policy_of(handle) in ("primary-invalidate", "primary-update"):
-                rts.relocate_primary(proc, handle, target=self.victims[seat % len(self.victims)])
-                seat += 1
-
-        def crasher() -> None:
-            cproc = cluster.sim.current_process
-            for crash_at, victim in zip(self.crash_times, self.victims):
-                if cproc.local_time < crash_at:
-                    cproc.hold(crash_at - cproc.local_time)
-                cluster.node(victim).crash()
-
-        host = self.client_nodes(cluster)[0]
-        cluster.node(host).kernel.spawn_thread(crasher, name="primary-churn", daemon=True)
-
-    def perform(self, rts: RuntimeSystem, proc: "SimProcess", request: Request) -> Any:
-        handle = self.handles[request.key]
-        if request.is_write:
-            return rts.invoke(proc, handle, "add", (1,))
-        return rts.invoke(proc, handle, "read")
-
-    def validate(self, rts, proc, totals):
-        total = sum(rts.invoke(proc, handle, "read") for handle in self.handles)
-        assert total == totals["writes"], (
-            f"churned counters lost or duplicated updates: "
-            f"{total} != {totals['writes']}")
-        facts: Dict[str, Any] = {"counter_total": total, "churn_active": self.churn_active}
-        if self.churn_active:
-            facts["crashed_nodes"] = [
-                victim for victim in self.victims
-                if not rts.cluster.node(victim).alive]
-            facts["recoveries"] = rts.stats.primary_recoveries
-        return facts
-
-
-@scenario("rolling-restart")
-class RollingRestart(Scenario):
-    """Mixed-policy counters while every non-client node restarts in turn.
-
-    Clients live on the first two machines only; every other machine is a
-    *victim* that gets crashed, dwells dead for a moment, recovers with its
-    memory wiped, and is polled until the runtime reports it caught back up
-    (history reseeded, membership re-armed) — then the next victim goes
-    down.  Primary seats are parked round-robin on the victims up front so
-    each crash forces a takeover and each rejoin re-seats real object
-    copies.  ``validate`` asserts conservation: a full rolling restart of
-    the cluster must lose or duplicate nothing.
-
-    On runtimes without a rejoin protocol (no ``is_caught_up``) the restart
-    schedule is skipped and the scenario degrades to plain mixed-policy
-    counter traffic.
-    """
-
-    #: Policies assigned round-robin over the counters.
-    POLICIES = ("primary-invalidate", "primary-update", "broadcast", "adaptive")
-    #: Virtual time of the first crash.
-    first_crash_at = 0.003
-    #: How long a victim stays dead before it is recovered.
-    dwell = 0.0015
-    #: Pause between a victim reporting caught-up and the next crash.
-    gap = 0.001
-    #: Catch-up poll interval (and its safety bound, in polls).
-    poll = 0.0005
-    max_polls = 2000
-
-    def __init__(self, spec: WorkloadSpec) -> None:
-        super().__init__(spec)
-        self.churn_active = False
-        self.victims: List[int] = []
-        self.restarted: List[int] = []
-
-    @classmethod
-    def default_spec(cls) -> WorkloadSpec:
-        # Think time stretches the run across the whole restart schedule.
-        return WorkloadSpec(name=cls.kind, num_keys=8, read_fraction=0.5, think_time=0.0005)
-
-    def _pick_victims(self, cluster) -> List[int]:
-        # Keep the first two machines for clients; roll everything else.
-        return [node.node_id for node in cluster.nodes[2:]]
-
-    def client_nodes(self, cluster) -> List[int]:
-        reserved = set(self._pick_victims(cluster))
-        return [node.node_id for node in cluster.nodes if node.node_id not in reserved]
-
-    @staticmethod
-    def _supports_restart(rts: RuntimeSystem) -> bool:
-        """Can this runtime catch a wiped machine back up after recovery?"""
-        return hasattr(rts, "is_caught_up") and rts.cluster.network.supports_broadcast
-
-    def setup(self, rts: RuntimeSystem, proc: "SimProcess") -> None:
-        is_hybrid = hasattr(rts, "relocate_primary")
-        self.churn_active = self._supports_restart(rts)
-        if is_hybrid and not rts.cluster.network.supports_broadcast:
-            policies: Any = (None,) * len(self.POLICIES)
-        else:
-            policies = self.POLICIES
-        self.handles = [
-            rts.create_object(proc, IntObject, (0,), name=f"roll[{i}]",
-                              policy=policies[i % len(policies)])
-            for i in range(self.spec.num_keys)
-        ]
-        if not self.churn_active:
-            return
-        cluster = rts.cluster
-        self.victims = self._pick_victims(cluster)
-        if not self.victims:
-            self.churn_active = False
-            return
-        # Park the primary seats on the victims so every restart takes a
-        # live primary down and every rejoin has seats to re-seat.
-        seat = 0
-        for handle in self.handles:
-            if rts.policy_of(handle) in ("primary-invalidate", "primary-update"):
-                rts.relocate_primary(proc, handle, target=self.victims[seat % len(self.victims)])
-                seat += 1
-
-        def restarter() -> None:
-            rproc = cluster.sim.current_process
-            if rproc.local_time < self.first_crash_at:
-                rproc.hold(self.first_crash_at - rproc.local_time)
-            for victim in self.victims:
-                cluster.node(victim).crash()
-                rproc.hold(self.dwell)
-                cluster.node(victim).recover()
-                for _ in range(self.max_polls):
-                    if rts.is_caught_up(victim):
-                        break
-                    rproc.hold(self.poll)
-                else:  # pragma: no cover - deterministic safety bound
-                    raise AssertionError(f"node {victim} never caught up after recovery")
-                self.restarted.append(victim)
-                rproc.hold(self.gap)
-
-        host = self.client_nodes(cluster)[0]
-        cluster.node(host).kernel.spawn_thread(restarter, name="rolling-restart", daemon=True)
-
-    def perform(self, rts: RuntimeSystem, proc: "SimProcess", request: Request) -> Any:
-        handle = self.handles[request.key]
-        if request.is_write:
-            return rts.invoke(proc, handle, "add", (1,))
-        return rts.invoke(proc, handle, "read")
-
-    def validate(self, rts, proc, totals):
-        if self.churn_active:
-            # Clients may drain before the last victim finishes its
-            # restart; the schedule must still run to completion (the
-            # restarter is a daemon thread), so wait it out, bounded.
-            for _ in range(self.max_polls):
-                if len(self.restarted) == len(self.victims):
-                    break
-                proc.hold(self.poll)
-        total = sum(rts.invoke(proc, handle, "read") for handle in self.handles)
-        assert total == totals["writes"], (
-            f"rolling restart lost or duplicated updates: "
-            f"{total} != {totals['writes']}")
-        facts: Dict[str, Any] = {"counter_total": total, "churn_active": self.churn_active}
-        if self.churn_active:
-            assert self.restarted == self.victims, (
-                f"restart schedule incomplete: {self.restarted} != "
-                f"{self.victims}")
-            dead = [n.node_id for n in rts.cluster.nodes if not n.alive]
-            assert not dead, f"nodes still dead after rolling restart: {dead}"
-            facts["restarted_nodes"] = list(self.restarted)
-            facts["rejoins"] = rts.stats.node_rejoins
-            facts["reseeded"] = sum(r.objects_reseeded for r in rts.rejoins)
-        return facts
-
-
-@scenario("scale-in")
-class ScaleIn(Scenario):
-    """A counter farm whose broadcast-group count shrinks under load.
-
-    Run it with ``num_shards`` > 1: a shrinker thread merges the
-    highest-numbered active group away at each scheduled time via
-    ``remove_shard`` while the request mix keeps flowing, so objects are
-    evacuated through their group's total order mid-traffic.  ``validate``
-    asserts conservation.  On runtimes without live group removal (or with
-    a single group) the schedule degrades to plain counter traffic.
-    """
-
-    #: Virtual times at which one group is merged away.
-    shrink_times = (0.004, 0.008)
-
-    def __init__(self, spec: WorkloadSpec) -> None:
-        super().__init__(spec)
-        self.scale_active = False
-
-    @classmethod
-    def default_spec(cls) -> WorkloadSpec:
-        return WorkloadSpec(name=cls.kind, num_keys=16, read_fraction=0.5, think_time=0.0005)
-
-    @staticmethod
-    def _supports_scale_in(rts: RuntimeSystem) -> bool:
-        return (hasattr(rts, "remove_shard")
-                and rts.cluster.network.supports_broadcast
-                and getattr(rts, "router", None) is not None
-                and rts.router.num_active_shards > 1)
-
-    def setup(self, rts: RuntimeSystem, proc: "SimProcess") -> None:
-        self.handles = [
-            rts.create_object(proc, IntObject, (0,), name=f"farm[{i}]")
-            for i in range(self.spec.num_keys)
-        ]
-        self.scale_active = self._supports_scale_in(rts)
-        if not self.scale_active:
-            return
-        cluster = rts.cluster
-
-        def shrinker() -> None:
-            sproc = cluster.sim.current_process
-            for shrink_at in self.shrink_times:
-                if sproc.local_time < shrink_at:
-                    sproc.hold(shrink_at - sproc.local_time)
-                active = rts.router.active_shards()
-                if len(active) <= 1:
-                    break
-                rts.remove_shard(sproc, active[-1])
-
-        cluster.node(0).kernel.spawn_thread(shrinker, name="scale-in", daemon=True)
-
-    def perform(self, rts: RuntimeSystem, proc: "SimProcess", request: Request) -> Any:
-        handle = self.handles[request.key]
-        if request.is_write:
-            return rts.invoke(proc, handle, "add", (1,))
-        return rts.invoke(proc, handle, "read")
-
-    def validate(self, rts, proc, totals):
-        total = sum(rts.invoke(proc, handle, "read") for handle in self.handles)
-        assert total == totals["writes"], (f"scale-in lost updates: {total} != {totals['writes']}")
-        facts: Dict[str, Any] = {"counter_total": total, "scale_active": self.scale_active}
-        if self.scale_active:
-            facts["shards_removed"] = rts.stats.shards_removed
-            facts["active_shards"] = rts.router.num_active_shards
-            facts["removed"] = list(rts.removed_shards)
-        return facts
-
-
-@scenario("hot-spot")
-class HotSpotCell(Scenario):
-    """Every request, read or write, hits one shared cell (max contention)."""
-
-    @classmethod
-    def default_spec(cls) -> WorkloadSpec:
-        return WorkloadSpec(name=cls.kind, num_keys=1, read_fraction=0.5)
-
-    def setup(self, rts: RuntimeSystem, proc: "SimProcess") -> None:
-        self.handles = [rts.create_object(proc, IntObject, (0,), name="hot-cell")]
-
-    def perform(self, rts: RuntimeSystem, proc: "SimProcess", request: Request) -> Any:
-        handle = self.handles[0]
-        if request.is_write:
-            return rts.invoke(proc, handle, "add", (1,))
-        return rts.invoke(proc, handle, "read")
-
-    def validate(self, rts, proc, totals):
-        value = rts.invoke(proc, self.handles[0], "read")
-        assert value == totals["writes"], (f"hot cell lost updates: {value} != {totals['writes']}")
-        return {"cell_value": value}
-
-
-# ---------------------------------------------------------------------- #
-# Transactional scenario kinds
-# ---------------------------------------------------------------------- #
-
-
 def supports_transactions(rts: RuntimeSystem) -> bool:
     """Can this runtime commit cross-object groups atomically?
 
-    ``transact`` sequences its prepare/decide records through the broadcast
-    groups, so besides the method itself the interconnect must support
-    broadcast.  Scenario kinds degrade to sequential per-object writes when
-    this is false, so they still run on every runtime.
+    The transactional kinds record this in ``setup`` and, where it is false,
+    fall back to sequential per-object writes, so they run on every runtime.
     """
-    return hasattr(rts, "transact") and rts.cluster.network.supports_broadcast
-
-
-class BankAccount(ObjectSpec):
-    """An account whose withdrawals are guarded against overdraft."""
-
-    def init(self, balance: int = 0) -> None:
-        self.balance = balance
-
-    @operation(write=False)
-    def read(self) -> int:
-        return self.balance
-
-    @operation(write=True)
-    def deposit(self, amount: int) -> int:
-        self.balance += amount
-        return self.balance
-
-    @operation(write=True, guard=lambda self, amount: self.balance >= amount)
-    def withdraw(self, amount: int) -> int:
-        self.balance -= amount
-        return self.balance
-
-    @operation(write=True)
-    def adjust(self, delta: int) -> int:
-        """Unguarded balance change (the non-transactional fallback path)."""
-        self.balance += delta
-        return self.balance
+    return _broadcast_runtime_with(rts, "transact")
 
 
 @scenario("bank-transfer")
 class BankTransfer(Scenario):
     """Guarded accounts with atomic two-account transfers.
 
-    A write request moves a small amount from the sampled account to a
-    deterministic partner via ``rts.transact`` — guarded withdraw plus
-    deposit as one all-or-nothing group — so the invariant is exact
-    conservation: the balances always sum to the initial endowment, at
-    every settle point, no matter which nodes crash mid-protocol.
-    Insufficient funds abort the transfer cleanly (counted, not retried).
-    Runtimes without transactions fall back to a sequential
-    deposit-then-adjust pair, which conserves in crash-free runs but is
-    not atomic — the degraded mode keeps the scenario runnable everywhere.
+    A write moves a small amount from the sampled account to a
+    deterministic partner as one guarded withdraw-plus-deposit transaction,
+    so the balances always sum to the initial endowment, no matter which
+    nodes crash mid-protocol.  Insufficient funds abort the transfer
+    (counted, not retried).
     """
 
     INITIAL_BALANCE = 100
-
-    def __init__(self, spec: WorkloadSpec) -> None:
-        super().__init__(spec)
-        self.transactional = False
-        self.transfers = 0
-        self.aborted = 0
-
-    @classmethod
-    def default_spec(cls) -> WorkloadSpec:
-        return WorkloadSpec(name=cls.kind, num_keys=8, read_fraction=0.5)
+    spec_defaults = dict(num_keys=8, read_fraction=0.5)
+    #: Transfers committed and aborted so far.
+    transfers = 0
+    aborted = 0
 
     def setup(self, rts: RuntimeSystem, proc: "SimProcess") -> None:
         self.transactional = supports_transactions(rts)
         self.handles = [
-            rts.create_object(proc, BankAccount, (self.INITIAL_BALANCE,),
-                              name=f"acct[{i}]")
+            rts.create_object(proc, BankAccount, (self.INITIAL_BALANCE,), name=f"acct[{i}]")
             for i in range(self.spec.num_keys)
         ]
 
@@ -847,42 +668,27 @@ class BankTransfer(Scenario):
         return rts.invoke(proc, src, "adjust", (-amount,))
 
     def validate(self, rts, proc, totals):
-        balances = [rts.invoke(proc, handle, "read") for handle in self.handles]
-        total = sum(balances)
+        total = sum(rts.invoke(proc, handle, "read") for handle in self.handles)
         endowment = self.INITIAL_BALANCE * self.spec.num_keys
         assert total == endowment, (f"bank transfers broke conservation: {total} != {endowment}")
-        facts: Dict[str, Any] = {
-            "bank_total": total,
-            "transfers_committed": self.transfers,
-            "transfers_aborted": self.aborted,
-            "transactional": self.transactional,
-        }
-        return facts
+        return {"bank_total": total, "transfers_committed": self.transfers,
+                "transfers_aborted": self.aborted, "transactional": self.transactional}
 
 
 @scenario("kv-index")
 class KVIndexed(Scenario):
     """A table and its secondary index kept consistent atomically.
 
-    Every write stores the same entry into the primary table *and* the
-    index object as one transaction.  With concurrent writers racing on
-    hot keys, the mirror ``table[k] == index[k]`` (for every key, at any
-    settle point) survives only if the two stores really commit as one
-    — two sequential writes can interleave as T1.table, T2.table,
-    T2.index, T1.index and leave the index pointing at a value the table
-    no longer holds.  That makes the validation a direct serializability
-    check.  Runtimes without transactions use the sequential path, and
-    validation reports (rather than asserts) the mirror.
+    Every write stores the same entry into the table *and* the index as one
+    transaction.  With writers racing on hot keys, the mirror
+    ``table[k] == index[k]`` survives only if the two stores really commit
+    as one: sequential writes can interleave as T1.table, T2.table,
+    T2.index, T1.index and leave the index pointing at a value the table no
+    longer holds.  So validation is a direct serializability check (on the
+    sequential fallback it reports the mirror rather than asserting it).
     """
 
-    def __init__(self, spec: WorkloadSpec) -> None:
-        super().__init__(spec)
-        self.transactional = False
-
-    @classmethod
-    def default_spec(cls) -> WorkloadSpec:
-        return WorkloadSpec(name=cls.kind, num_keys=8, read_fraction=0.7,
-                            popularity="zipfian", zipf_s=1.2)
+    spec_defaults = dict(num_keys=8, read_fraction=0.7, popularity="zipfian", zipf_s=1.2)
 
     def setup(self, rts: RuntimeSystem, proc: "SimProcess") -> None:
         self.transactional = supports_transactions(rts)
@@ -913,8 +719,7 @@ class KVIndexed(Scenario):
                 mismatches += 1
         if self.transactional:
             assert mismatches == 0, (f"secondary index diverged from table on {mismatches} keys")
-        return {"index_mismatches": mismatches,
-                "table_size": rts.invoke(proc, table, "size"),
+        return {"index_mismatches": mismatches, "table_size": rts.invoke(proc, table, "size"),
                 "transactional": self.transactional}
 
 
@@ -923,25 +728,19 @@ class QueueMove(Scenario):
     """Producer traffic plus atomic inbox-to-outbox moves.
 
     Even-sequence writes produce into the inbox; odd-sequence writes move
-    one item to the outbox via a transaction pairing the inbox's guarded
-    ``take`` with an outbox ``put`` — a move from an empty inbox aborts
-    cleanly instead of conjuring an item.  The invariant is exact flow
-    accounting: inbox dequeues equal outbox enqueues equal committed
-    moves, and the two backlogs partition everything produced.  Reads
-    poll queue sizes.  Without transactions the move degrades to
-    poll-then-put (skipping the put when the poll came up empty).
+    one item to the outbox in a transaction pairing the inbox's guarded
+    ``take`` with an outbox ``put``, so a move from an empty inbox aborts
+    instead of conjuring an item.  Inbox dequeues, outbox enqueues and
+    committed moves must agree exactly.  Reads poll queue sizes.  The
+    sequential fallback is poll-then-put, skipping the put after an empty
+    poll.
     """
 
-    def __init__(self, spec: WorkloadSpec) -> None:
-        super().__init__(spec)
-        self.transactional = False
-        self.produced = 0
-        self.moves = 0
-        self.aborted = 0
-
-    @classmethod
-    def default_spec(cls) -> WorkloadSpec:
-        return WorkloadSpec(name=cls.kind, num_keys=2, read_fraction=0.3)
+    spec_defaults = dict(num_keys=2, read_fraction=0.3)
+    #: Items produced, moves committed and moves aborted so far.
+    produced = 0
+    moves = 0
+    aborted = 0
 
     def setup(self, rts: RuntimeSystem, proc: "SimProcess") -> None:
         self.transactional = supports_transactions(rts)
@@ -980,110 +779,12 @@ class QueueMove(Scenario):
         backlog_in = rts.invoke(proc, inbox, "size")
         backlog_out = rts.invoke(proc, outbox, "size")
         assert totals_in["enqueued"] == self.produced, (
-            f"inbox lost produced items: {totals_in['enqueued']} != "
-            f"{self.produced}")
+            f"inbox lost produced items: {totals_in['enqueued']} != {self.produced}")
         assert totals_in["dequeued"] == totals_out["enqueued"] == self.moves, (
             f"moves are not atomic: took {totals_in['dequeued']}, delivered "
             f"{totals_out['enqueued']}, committed {self.moves}")
         assert backlog_in == self.produced - self.moves
         assert backlog_out == self.moves
-        return {"produced": self.produced, "moves": self.moves,
-                "moves_aborted": self.aborted, "inbox_backlog": backlog_in,
-                "outbox_backlog": backlog_out,
+        return {"produced": self.produced, "moves": self.moves, "moves_aborted": self.aborted,
+                "inbox_backlog": backlog_in, "outbox_backlog": backlog_out,
                 "transactional": self.transactional}
-
-
-# ---------------------------------------------------------------------- #
-# Gateway-tier scenario kinds
-# ---------------------------------------------------------------------- #
-
-
-@scenario("multi-tenant-noisy-neighbour")
-class NoisyNeighbour(CounterFarm):
-    """A quiet tenant and a rate-capped noisy one sharing a counter farm.
-
-    The noisy tenant's open-loop sessions offer far more traffic than its
-    token-bucket quota allows; the gateway tier must shed the excess at
-    admission and fair-queue what remains, so the quiet tenant's latency
-    barely moves compared to running alone.  Run it through
-    ``WorkloadRunner(gateway=...)``; under the classic runner the tenant
-    list is inert and this degrades to a plain open-loop counter farm.
-    """
-
-    @classmethod
-    def default_spec(cls) -> WorkloadSpec:
-        return WorkloadSpec(
-            name=cls.kind, num_keys=16, read_fraction=0.9,
-            client_model="open", arrival_rate=150.0, ops_per_client=30,
-            tenants=(
-                TenantSpec(name="quiet", sessions=4, weight=1.0, priority=1),
-                TenantSpec(name="noisy", sessions=8, weight=1.0, priority=0,
-                           rate=300.0, burst=30.0, arrival_rate=600.0),
-            ))
-
-
-@scenario("flash-crowd")
-class FlashCrowd(CounterFarm):
-    """Calm / overload / calm arrival phases piling onto one hot counter.
-
-    The middle phase multiplies the open-loop arrival rate (4x by
-    default) and redirects every request to counter 0, the "everyone
-    refreshes the same page" shape.  With a bounded accept queue (and
-    priority shedding for the standard tenant) admitted-request p99 stays
-    near the unloaded cell's; without admission control the backlog — and
-    p99 — grows with the length of the crowd phase.
-    """
-
-    #: Crowd-phase arrival-rate multiplier over the calm phases.
-    overload = 4.0
-
-    @classmethod
-    def default_spec(cls) -> WorkloadSpec:
-        calm_rate = 100.0
-        return WorkloadSpec(
-            name=cls.kind, num_keys=8, read_fraction=0.9,
-            client_model="open", arrival_rate=calm_rate,
-            phases=(
-                PhaseSpec(ops_per_client=10, arrival_rate=calm_rate),
-                PhaseSpec(ops_per_client=40,
-                          arrival_rate=calm_rate * cls.overload),
-                PhaseSpec(ops_per_client=10, arrival_rate=calm_rate),
-            ),
-            tenants=(
-                TenantSpec(name="premium", sessions=2, weight=2.0, priority=1),
-                TenantSpec(name="standard", sessions=6, weight=1.0, priority=0),
-            ))
-
-    def perform(self, rts: RuntimeSystem, proc: "SimProcess", request: Request) -> Any:
-        key = 0 if request.phase == 1 else request.key
-        handle = self.handles[key]
-        if request.is_write:
-            return rts.invoke(proc, handle, "add", (1,))
-        return rts.invoke(proc, handle, "read")
-
-
-@scenario("diurnal-trace")
-class DiurnalTrace(CounterFarm):
-    """A counter farm under a deterministic day-curve ``arrival_trace``.
-
-    Night trickle, morning ramp, midday peak, evening tail — replayed as
-    piecewise-Poisson segments, so one run sweeps the gateway through
-    idle, nominal and saturated operating points.  The trace segment index
-    is the request's ``phase``.
-    """
-
-    @classmethod
-    def default_spec(cls) -> WorkloadSpec:
-        return WorkloadSpec(
-            name=cls.kind, num_keys=16, popularity="zipfian", zipf_s=1.1,
-            read_fraction=0.9, client_model="open",
-            arrival_trace=((0.02, 50.0),    # night
-                           (0.02, 250.0),   # morning ramp
-                           (0.02, 600.0),   # midday peak
-                           (0.02, 150.0)),  # evening
-            tenants=(
-                TenantSpec(name="interactive", sessions=4, weight=2.0,
-                           priority=1),
-                TenantSpec(name="batch", sessions=4, weight=1.0, priority=0,
-                           rate=400.0),
-            ))

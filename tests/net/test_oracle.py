@@ -13,8 +13,9 @@ import copy
 import pytest
 
 from repro.net.harness import RealClusterConfig
-from repro.net.oracle import (check_convergence, churn_victims,
-                              expected_issued_writes, record_sim_oracle)
+from repro.net.oracle import (check_convergence, expected_issued_writes,
+                              record_sim_oracle)
+from repro.workloads.scenarios import PrimaryChurn, ScenarioRegistry
 from repro.workloads.spec import PhaseSpec, WorkloadSpec
 
 
@@ -83,9 +84,9 @@ class TestStreamReplay:
         assert 3 not in client_nodes
 
     def test_churn_victims_match_the_sim(self):
-        assert churn_victims(4) == (3, 2)
-        assert churn_victims(3) == (2,)
-        assert churn_victims(2) == ()
+        assert PrimaryChurn.victims_for(4) == (3, 2)
+        assert PrimaryChurn.victims_for(3) == (2,)
+        assert PrimaryChurn.victims_for(2) == ()
 
     def test_a_hybrid_client_replays_its_simulated_twin(self):
         """Pacing is per phase: an open-loop spec's closed phase draws no
@@ -177,6 +178,25 @@ class TestChecker:
         }
         with pytest.raises(AssertionError, match="oracle mismatch"):
             check_convergence(self.result, self.expected, sim)
+
+
+COUNTER_KINDS = [kind for kind in ScenarioRegistry.names()
+                 if ScenarioRegistry.get(kind).writes_commute]
+
+
+@pytest.mark.parametrize("kind", COUNTER_KINDS)
+def test_every_counter_kind_checks_exact_final_states(kind):
+    """Replicas that agree on a wrong counter value are caught for every
+    kind whose writes commute, not only for a hand-kept list of them."""
+    cfg = config(scenario=kind)
+    expected = expected_issued_writes(cfg)
+    result = synthetic_result(expected, cfg)
+    check_convergence(result, expected)
+    for reply in result["nodes"].values():
+        for row in reply["objects"].values():
+            row["state"]["value"] += 1
+    with pytest.raises(AssertionError, match="converged to"):
+        check_convergence(result, expected)
 
 
 class TestSetupWritingScenariosRejected:

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.net.oracle import churn_victims
 from repro.net.runner import run_real_workload
 from repro.net.runtime import RealTimings
-from repro.workloads.scenarios import ScenarioRegistry
+from repro.workloads.scenarios import PrimaryChurn, ScenarioRegistry
 
 #: CI-friendly timers: fast retry/sync cycles, but a failure detector slow
 #: enough that a briefly descheduled child is not declared dead under load.
@@ -81,7 +80,7 @@ class TestPrimaryTakeover:
         # dead primaries must block until takeover and then commit, and the
         # survivors must still agree with the simulator's crash run.
         num_nodes = 4
-        victims = churn_victims(num_nodes)
+        victims = PrimaryChurn.victims_for(num_nodes)
         spec = small_spec("primary-churn", 120)
         report = run_real_workload(
             scenario="primary-churn", workload=spec, num_nodes=num_nodes,

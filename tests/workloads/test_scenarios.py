@@ -94,6 +94,19 @@ class TestDefaultSpecs:
             assert spec.total_ops_per_client > 0
             assert spec.num_keys >= 1
 
+    def test_the_counter_kinds_are_one_family_whose_writes_commute(self):
+        from repro.workloads.scenarios import Counters
+
+        family = [kind for kind in ScenarioRegistry.names()
+                  if issubclass(ScenarioRegistry.get(kind), Counters)]
+        assert family == ["counter-farm", "diurnal-trace", "flash-crowd",
+                          "hot-spot", "hotspot-shift",
+                          "multi-tenant-noisy-neighbour", "primary-churn",
+                          "rolling-restart", "scale-in"]
+        commuting = [kind for kind in ScenarioRegistry.names()
+                     if ScenarioRegistry.get(kind).writes_commute]
+        assert commuting == family
+
     def test_hot_spot_uses_single_key(self):
         assert ScenarioRegistry.get("hot-spot").default_spec().num_keys == 1
 
