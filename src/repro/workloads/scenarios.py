@@ -324,7 +324,7 @@ class SeatChurn(Counters):
     fault_key = "churn_active"
     #: The runtime method that lets every counter survive the schedule; a
     #: runtime without it (or without broadcast) runs the traffic crash-free.
-    survival_method = ""
+    survival_method: str
 
     @classmethod
     @abstractmethod

@@ -16,6 +16,7 @@ behaviour) with::
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 
@@ -51,6 +52,7 @@ def line_for(cell, kwargs):
                       sort_keys=True)
 
 
+@functools.lru_cache(maxsize=None)
 def pinned_lines():
     with PINNED.open(encoding="utf-8") as fh:
         return {json.loads(line)["cell"]: line.rstrip("\n") for line in fh}
