@@ -2,8 +2,9 @@
 
 These are the object types most Orca programs need: shared scalars, a job
 queue for the replicated-worker paradigm, a queue whose dequeue never blocks,
-a guarded bank account, sets, counters, dictionaries and a barrier.  They also serve as worked examples of how to define object types
-with the :func:`~repro.rts.object_model.operation` decorator, including
+a guarded bank account, sets, counters, dictionaries and a barrier.  They
+also serve as worked examples of how to define object types with the
+:func:`~repro.rts.object_model.operation` decorator, including
 guarded (blocking) operations.
 """
 

@@ -41,7 +41,7 @@ NOT_IN_A_NODE = (
 
 #: Source lines of every ``repro`` module a node loads (16 728 when the
 #: package ``__init__`` modules re-exported eagerly, 6 965 when they first
-#: re-exported lazily, 6 942 before and 6 719 after the nine counter scenario
+#: re-exported lazily, 6 942 before and 6 720 after the nine counter scenario
 #: kinds became one family).  The headroom is small: ``net/runtime.py``, the
 #: broadcast group and the scenario definitions are in the closure, so
 #: protocol growth alone can cross the cap.  The forbidden-module check above
