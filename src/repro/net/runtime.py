@@ -19,8 +19,8 @@ loop, above the simulator's own broadcast groups:
 * **takeover**, the simulator's seat switch — the lowest live node proposes
   itself for every primary-update object whose seat is dead, as a
   :class:`~repro.rts.p2p.fanout.SwitchRecord` in the object's shard order.
-  A member installs a record newer than its last: the proposer's state,
-  version and applied table (retries across the failover stay
+  A member installs a record newer than its last: the proposer's replica
+  snapshot (its applied table keeps retries across the failover
   exactly-once), and its own applied writes before the record's log tail.
 
 The engine reuses the simulator's object model verbatim
@@ -54,10 +54,11 @@ from ..amoeba.broadcast.protocol import DeliveredMessage, MessageId, OrderingEng
 from ..amoeba.message import Message
 from ..config import BroadcastParams
 from ..errors import NetworkError, RtsError, UnknownObjectError
+from ..rts.manager import Replica
 from ..rts.object_model import (RETRY, ObjectSpec, OperationDef,
                                 execute_operation)
-from ..rts.p2p.fanout import (FUTURE, AppliedTable, FanOuts, SwitchRecord,
-                              lookup_applied, place_epoch, record_applied)
+from ..rts.p2p.fanout import (FUTURE, FanOuts, SwitchRecord, lookup_applied,
+                              place_epoch, record_applied)
 from .host import RealNode
 from .udp import UdpTransport
 from .wire import from_wire, jsonify, wire_text
@@ -126,21 +127,16 @@ class RealTimings:
 
 
 @dataclass
-class RealObject:
-    """One shared object's replica state inside a node process."""
+class RealObject(Replica):
+    """One shared object's replica inside a node process: the simulator's
+    replica record plus this driver's ordering state."""
 
-    obj_id: int
-    name: str
     spec_class: Type[ObjectSpec]
-    instance: ObjectSpec
     policy: str
     shard: int
     primary: int
     #: The primary's numbering of updates and their retransmission history.
     log: SequencerLog
-    #: Primary-path exactly-once table, one entry per client; carried
-    #: through takeover so retries across the failover deduplicate.
-    applied: AppliedTable = field(default_factory=dict)
     #: Epoch of the last seat switch installed here.
     epoch: int = 0
     #: Every applied write, in application order: [client_node, client_id,
@@ -160,6 +156,11 @@ class RealObject:
     def version(self) -> int:
         """The last primary-path update applied here."""
         return self.updates.next_expected - 1
+
+    @version.setter
+    def version(self, version: int) -> None:
+        # Installing a snapshot restarts the hold-back at its version.
+        self.updates = OrderingEngine(next_expected=version + 1)
 
     def log_applied(self, body: Dict[str, Any]) -> None:
         """Append the write ``body`` carries to ``applied_log``."""
@@ -663,7 +664,7 @@ class RealRuntime:
         newest ``history_size`` applied writes (the window the primary's
         ``SequencerLog`` keeps for ``net.pgap``)."""
         record = SwitchRecord(obj.obj_id, obj.epoch + 1, obj.policy, self.node_id,
-                              (obj.instance.marshal_state(), obj.version, obj.applied))
+                              obj.snapshot())
         write = _PendingWrite(self._issue_ordered, obj, None)
         write.future.add_done_callback(self._proposal_done)
         try:
@@ -686,15 +687,13 @@ class RealRuntime:
         obj = self.objects[record.obj_id]
         if place_epoch(record.epoch, obj.epoch) != FUTURE:
             return
-        state, version, obj.applied = record.snapshot
         tail = body["log"]
         obj.epoch, obj.primary = record.epoch, record.primary
         with obj.state_lock:
-            obj.instance.unmarshal_state(state)
-        obj.applied_log[version - len(tail):] = tail
-        obj.updates = OrderingEngine(next_expected=version + 1)
+            obj.restore(record.snapshot, record.primary == self.node_id)
+        obj.applied_log[obj.version - len(tail):] = tail
         obj.log = SequencerLog(obj.log.history_size)
-        obj.log.advance_to(version + 1)
+        obj.log.advance_to(obj.version + 1)
         self.stats.takeovers += 1
         if not self.transport.peer_alive(obj.primary):
             # After this delivery: a local seat would deliver a proposal

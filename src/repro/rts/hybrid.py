@@ -388,15 +388,12 @@ class HybridRts(RuntimeSystem):
         """Eagerly install a secondary copy on ``node_id`` (no cost charged)."""
         seat = self.directory.primary_of(handle.obj_id)
         source = self.managers[seat].get(handle.obj_id)
-        if self.managers[node_id].has_valid_copy(handle.obj_id):
+        manager = self.managers[node_id]
+        if manager.has_valid_copy(handle.obj_id):
             return
-        copy = handle.spec_class()
-        copy.unmarshal_state(source.instance.marshal_state())
-        self.managers[node_id].discard(handle.obj_id)
-        self.managers[node_id].install(handle.obj_id, handle.name, copy,
-                                       version=source.version)
-        self.primary.applied[(node_id, handle.obj_id)] = dict(
-            self.primary.applied_table(seat, handle.obj_id))
+        manager.discard(handle.obj_id)
+        manager.install(handle.obj_id, handle.name, handle.spec_class()).restore(
+            source.snapshot(), is_primary=False)
         self.directory.add_copy(handle.obj_id, node_id)
         self.stats.replicas_created += 1
 

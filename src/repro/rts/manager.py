@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import RtsError, UnknownObjectError
 from .object_model import RETRY, ObjectSpec, OperationDef, execute_operation
+from .p2p.fanout import AppliedTable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..amoeba.node import Node
@@ -25,18 +26,41 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 @dataclass
 class Replica:
-    """One machine's copy of a shared object."""
+    """One machine's copy of a shared object: the record both drivers hold.
+
+    Only the identity is a constructor argument, so a driver's own record
+    can extend this one with required fields of its own.
+    """
 
     obj_id: int
     name: str
     instance: ObjectSpec
-    is_primary: bool = False
-    valid: bool = True
-    locked: bool = False
+    is_primary: bool = field(default=False, init=False)
+    valid: bool = field(default=True, init=False)
+    locked: bool = field(default=False, init=False)
     #: Number of write operations applied to this replica.
-    version: int = 0
+    version: int = field(default=0, init=False)
+    #: The exactly-once table of the primary-copy path: it makes a client's
+    #: re-issue after a primary crash idempotent, so it travels with every
+    #: copy (fetches, update fan-outs, relocation and takeover switches).
+    applied: AppliedTable = field(default_factory=dict, init=False)
+    #: Primary-write commits in flight at this copy (a freeze drains them).
+    inflight: int = field(default=0, init=False)
     #: Callbacks to invoke after the next state change (guard retries).
-    _change_waiters: List[Callable[[], None]] = field(default_factory=list)
+    _change_waiters: List[Callable[[], None]] = field(default_factory=list, init=False)
+
+    def snapshot(self) -> Tuple[Any, int, AppliedTable]:
+        """``(state, version, applied table)``: the copy as it travels."""
+        return self.instance.marshal_state(), self.version, dict(self.applied)
+
+    def restore(self, snapshot: Tuple[Any, int, AppliedTable], is_primary: bool) -> None:
+        """Install a :meth:`snapshot` in place, so processes already waiting
+        on this replica keep their hooks."""
+        state, self.version, table = snapshot
+        self.instance.unmarshal_state(state)
+        self.applied = dict(table)
+        self.valid, self.locked, self.is_primary = True, False, is_primary
+        self.notify_changed()
 
     def on_next_change(self, callback: Callable[[], None]) -> None:
         self._change_waiters.append(callback)
@@ -78,8 +102,8 @@ class ObjectManager:
             raise RtsError(
                 f"object {name!r} (id {obj_id}) already present on node {self.node_id}"
             )
-        replica = Replica(obj_id=obj_id, name=name, instance=instance,
-                          is_primary=is_primary, version=version)
+        replica = Replica(obj_id, name, instance)
+        replica.is_primary, replica.version = is_primary, version
         self.replicas[obj_id] = replica
         return replica
 

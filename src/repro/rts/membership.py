@@ -37,11 +37,6 @@ KIND_SEED = "rts.seed"
 KIND_SEED_REQ = "rts.seed_req"
 
 
-class AppliedTables(Protocol):
-    #: (node_id, obj_id) -> applied-write table of that copy.
-    applied: Dict[Tuple[int, int], Dict]
-
-
 class SeatChoice(Protocol):
     def heaviest_writer(self, obj_id: int) -> Optional[int]: ...
     def most_writes(self, obj_id: int,
@@ -59,7 +54,6 @@ class MembershipRuntime(Protocol):
     router: Optional["ShardRouter"]
     switch: "SwitchEngine"
     directory: "ObjectDirectory"
-    primary: AppliedTables
     placement: SeatChoice
     _shard_members: Dict[Tuple[int, int], "Member"]
     _batchers: Dict[Tuple[int, int], "WriteBatcher"]
@@ -153,10 +147,10 @@ class Membership:
         Runs synchronously in the recover listener.  The crash's loss of
         RTS state is applied here rather than at crash time (so runs that
         never recover a node behave exactly as before): every replica the
-        machine held — both mechanisms — its applied-write tables, epoch
-        cursors, deferred traffic and write batchers are gone.  A rejoin
-        thread then re-earns membership shard by shard before the member
-        serves the cluster again.
+        machine held — both mechanisms, with their applied-write tables —
+        its epoch cursors, deferred traffic and write batchers are gone.  A
+        rejoin thread then re-earns membership shard by shard before the
+        member serves the cluster again.
         """
         rts = self.rts
         manager = rts.managers[recovered]
@@ -165,9 +159,6 @@ class Membership:
             manager.discard(obj_id)
         # A dead or blank primary seat is the crash takeover's business.
         rts.directory.forget(recovered, held)
-        applied = rts.primary.applied
-        for key in [k for k in applied if k[0] == recovered]:
-            del applied[key]
         rts.switch.wipe_node(recovered)
         if rts._txn_layer is not None:
             # The member's lock entries and outcome markers died with it;

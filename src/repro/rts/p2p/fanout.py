@@ -36,7 +36,7 @@ class SwitchRecord(NamedTuple):
     primary: int
     #: ``(state, version, applied-write table)`` to install, or ``None`` when
     #: the replicas are already identical and simply stay.
-    snapshot: Optional[Tuple[Any, int, Optional[Dict]]] = None
+    snapshot: Optional[Tuple[Any, int, Dict]] = None
     #: The members that install the snapshot (``None``: all of them).
     scope: Optional[Tuple[int, ...]] = None
     leg: str = LEG_DRAIN

@@ -91,13 +91,13 @@ class TwoPhaseUpdateProtocol:
         if manager.has_valid_copy(obj_id):
             handle = host.handle(obj_id)
             op = handle.spec_class.operation_def(payload["op_name"])
-            result = manager.apply_write(obj_id, op, payload["args"],
-                                         payload["kwargs"],
-                                         local_origin=False)
-            manager.get(obj_id).locked = True
+            replica = manager.get(obj_id)
+            result = manager.apply_write_to(replica, op, payload["args"],
+                                            payload["kwargs"],
+                                            local_origin=False)
+            replica.locked = True
             if result is not RETRY:
-                record_applied(host.applied_table(node_id, obj_id),
-                               payload.get("wid"), result)
+                record_applied(replica.applied, payload.get("wid"), result)
             cpu = host.cost_model.cpu
             host.cluster.node(node_id).charge_overhead(
                 cpu.operation_dispatch_cost + op.work_units * cpu.work_unit_time

@@ -33,7 +33,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class SeatState(Protocol):
-    def applied_table(self, node_id: int, obj_id: int) -> Dict: ...
     def commit_record(self, obj_id: int, primary: Optional[int] = None) -> None: ...
 
 
@@ -214,8 +213,7 @@ class Placement:
                 obj_id=obj_id, name=handle.name, target="broadcast",
                 epoch=epoch, primary_node=None))
             rts.switch.broadcast(
-                proc, node,
-                SwitchRecord(obj_id, epoch, "broadcast", -1, snapshot + (None,)),
+                proc, node, SwitchRecord(obj_id, epoch, "broadcast", -1, snapshot),
                 size=32 + estimate_size(snapshot[0]))
             return True
 
@@ -377,13 +375,11 @@ class Placement:
                 # Aborted, or the chosen seat died during the snapshot: leaving
                 # the gate unfreezes the (still intact) old primary.
                 return False
-            table = dict(rts.primary.applied_table(primary, obj_id))
             scope = tuple(sorted(
                 set(rts.directory.entry(obj_id).copyset) | {primary, target}))
             rts.stats.primary_relocations += 1
             self.relocations.append((obj_id, primary, target))
-            rts.switch.reseat(proc, node, obj_id, target,
-                              snapshot + (table,), scope)
+            rts.switch.reseat(proc, node, obj_id, target, snapshot, scope)
             return True
 
     # -- live scale-out and scale-in --------------------------------------- #

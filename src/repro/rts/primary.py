@@ -15,14 +15,7 @@ from ..amoeba.rpc import RpcReply, RpcRequest
 from ..errors import RpcPeerDeadError, RtsError
 from .object_model import RETRY
 from .p2p.directory import ObjectDirectory
-from .p2p.fanout import (
-    CURRENT,
-    STALE,
-    AppliedTable,
-    FanOuts,
-    lookup_applied,
-    record_applied,
-)
+from .p2p.fanout import CURRENT, STALE, FanOuts, lookup_applied, record_applied
 from .p2p.invalidation import KIND_INVALIDATE, InvalidationProtocol
 from .p2p.replication_policy import ReplicationPolicy
 from .p2p.update import KIND_UNLOCK, KIND_UPDATE, TwoPhaseUpdateProtocol
@@ -107,19 +100,12 @@ class PrimaryCopy:
         self.fanouts = FanOuts()
         #: Cluster-unique write-invocation ids for the primary-copy path.
         self._write_ids = itertools.count(1)
-        #: (node_id, obj_id) -> that copy's applied table, which makes a
-        #: client's re-issue after a primary crash idempotent; it travels
-        #: with every copy (fetches, update fan-outs, relocation and
-        #: takeover switches).
-        self.applied: Dict[Tuple[int, int], AppliedTable] = {}
         #: obj_id -> (state, version, dedup table) as of the last committed
         #: primary write — the commit record a takeover falls back to when
         #: the only valid copy died with its machine (primary-invalidate
-        #: objects after any write).
+        #: objects after any write).  It is per object, not per replica:
+        #: it must outlive every copy.
         self.last_committed: Dict[int, Tuple[Any, int, Dict]] = {}
-        #: (primary, obj_id) -> count of primary-write commits in flight
-        #: there (what a freeze drains to zero before it snapshots).
-        self.inflight_writes: Dict[Tuple[int, int], int] = {}
 
     def install_services(self) -> None:
         """Register every node's point-to-point handlers and RPC services."""
@@ -350,23 +336,20 @@ class PrimaryCopy:
             # (its own sub-operations pass); serialisation order at the
             # primary is unchanged, the writes just park first.
             txn_layer.seat_gate(proc, obj_id, wid)
-        table = self.applied_table(primary, obj_id)
+        # A process whose seat crashed under it finds no replica here.
+        replica = self.managers[primary].get(obj_id)
+        table = replica.applied
         duplicate, recorded = lookup_applied(table, wid)
         if duplicate:
             self.stats.deduplicated_writes += 1
             return recorded
-        key = (primary, obj_id)
-        self.inflight_writes[key] = self.inflight_writes.get(key, 0) + 1
+        replica.inflight += 1
         protocol = FIXED_POLICIES[self.rts._policy_by_obj[obj_id]].protocol
         try:
             result = self.protocols[protocol].primary_write(
                 proc, obj_id, op, args, kwargs, wid=wid)
         finally:
-            remaining = self.inflight_writes.get(key, 0) - 1
-            if remaining > 0:
-                self.inflight_writes[key] = remaining
-            else:
-                self.inflight_writes.pop(key, None)
+            replica.inflight -= 1
         if result is not RETRY:
             record_applied(table, wid, result)
             # The record is refreshed at EVERY commit point, like the
@@ -414,15 +397,12 @@ class PrimaryCopy:
             return
         if isinstance(reply, str) and reply == MARKER_MIGRATED:
             return
-        state, version, applied = reply
         if self.rts._mechanism_of(handle.obj_id) != MECHANISM_PRIMARY:
             return
-        instance = handle.spec_class()
-        instance.unmarshal_state(state)
         manager = self.managers[nid]
         manager.discard(handle.obj_id)
-        manager.install(handle.obj_id, handle.name, instance, version=version)
-        self.applied[(nid, handle.obj_id)] = dict(applied)
+        manager.install(handle.obj_id, handle.name,
+                        handle.spec_class()).restore(reply, is_primary=False)
         self.stats.replicas_created += 1
 
     def _serve_fetch(self, nid: int, request: RpcRequest):
@@ -439,20 +419,14 @@ class PrimaryCopy:
             replica.on_next_change(lambda p=proc: p.wake())
             proc.suspend()
         self.directory.add_copy(obj_id, payload["requester"])
-        state = replica.instance.marshal_state()
         # The applied-write table travels with the copy (bounded at one
         # entry per client), so a secondary promoted after a primary crash
         # can recognise re-issued writes; its bytes ride the reply.
-        applied = dict(self.applied_table(nid, obj_id))
-        return RpcReply(payload=(state, replica.version, applied),
+        return RpcReply(payload=replica.snapshot(),
                         size=(replica.instance.state_size() + 16
-                              + estimate_size(applied)))
+                              + estimate_size(replica.applied)))
 
-    # -- exactly-once bookkeeping (write ids + commit record) ------------- #
-
-    def applied_table(self, node_id: int, obj_id: int) -> Dict:
-        """The applied-write-id table of one machine's copy of one object."""
-        return self.applied.setdefault((node_id, obj_id), {})
+    # -- exactly-once bookkeeping (the commit record) --------------------- #
 
     def commit_record(self, obj_id: int, primary: Optional[int] = None) -> None:
         """Refresh the object's last-committed record from its primary copy.
@@ -470,9 +444,10 @@ class PrimaryCopy:
         if not manager.has_valid_copy(obj_id):
             return
         replica = manager.get(obj_id)
+        # Not ``replica.snapshot()``: the record aliases the live table
+        # rather than copying it, which would cost one dict copy per write.
         self.last_committed[obj_id] = (
-            replica.instance.marshal_state(), replica.version,
-            self.applied_table(primary, obj_id))
+            replica.instance.marshal_state(), replica.version, replica.applied)
 
     # -- protocol plumbing used by the coherence strategies --------------- #
 
@@ -538,9 +513,8 @@ class PrimaryCopy:
         In order: (a) settle the fan-outs it owed acknowledgements to or
         was collecting them for (:meth:`FanOuts.node_crashed`); (b) prune its copies from the directory and discard its
         primary-managed replicas (their state died with the machine, and a
-        later :meth:`Node.recover` must never serve them), and forget the
-        commits that died mid-flight there (they must not wedge a later
-        freeze of a recovered or relocated seat); (c) start a primary
+        later :meth:`Node.recover` must never serve them) and with them
+        the commits that died mid-flight there; (c) start a primary
         takeover for every object whose primary seat just died.
         """
         self.fanouts.node_crashed(crashed)
@@ -550,8 +524,6 @@ class PrimaryCopy:
             if (FIXED_POLICIES[policy].mechanism == MECHANISM_PRIMARY
                     and obj_id in dead_manager.replicas):
                 dead_manager.discard(obj_id)
-        for key in [k for k in self.inflight_writes if k[0] == crashed]:
-            del self.inflight_writes[key]
         self.rts.takeover.schedule_recoveries()
         if self.rts._txn_layer is not None:
             # After the runtime's own recovery: orphaned transactions (the

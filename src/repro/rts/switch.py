@@ -63,11 +63,9 @@ class Member(Protocol):
 
 
 class SwitchedSeats(Protocol):
-    """The primary-copy state a switch drains, rewrites and replays into."""
+    """The primary-copy state a switch rewrites and replays into."""
 
-    applied: Dict[Tuple[int, int], Dict]
     last_committed: Dict[int, Tuple[Any, int, Dict]]
-    inflight_writes: Dict[Tuple[int, int], int]
 
     def on_coherence(self, nid: int, kind: str, payload: Dict[str, Any]) -> None: ...
     def drop_stale(self, nid: int, payload: Dict[str, Any]) -> None: ...
@@ -237,12 +235,13 @@ class SwitchEngine:
                 life.phase, life.frozen = STABLE, False
 
     def snapshot_from_primary(self, proc: "SimProcess", node: "Node",
-                              obj_id: int) -> Optional[Tuple[Any, int]]:
-        """Freeze the object at its primary and return ``(state, version)``,
-        or ``None`` to abort: the primary died mid-freeze (the takeover
-        recovers the object), or the admission was revoked — a takeover
-        reseated the object and its successor may hold writes this snapshot
-        predates, which broadcasting it (a younger epoch) would erase."""
+                              obj_id: int) -> Optional[Tuple[Any, int, Dict]]:
+        """Freeze the object at its primary and return its replica's
+        snapshot, or ``None`` to abort: the primary died mid-freeze (the
+        takeover recovers the object), or the admission was revoked — a
+        takeover reseated the object and its successor may hold writes this
+        snapshot predates, which broadcasting it (a younger epoch) would
+        erase."""
         life = self.objects[obj_id]
         mine = life.phase
         primary = self.rts.directory.primary_of(obj_id)
@@ -260,8 +259,8 @@ class SwitchEngine:
 
     def freeze_and_snapshot(self, proc: "SimProcess", primary: int,
                             obj_id: int) -> Optional[RpcReply]:
-        """Freeze the primary, drain in-flight writes, snapshot ``(state,
-        version)`` — as the reply of the ``PORT_MIGRATE`` service this is.
+        """Freeze the primary, drain in-flight writes, snapshot the replica —
+        as the reply of the ``PORT_MIGRATE`` service this is.
 
         The freeze comes first, so writes arriving during the drain bounce
         (``MARKER_MIGRATING``) instead of starting new coherence rounds.  The
@@ -281,15 +280,14 @@ class SwitchEngine:
             return None
         life.frozen = True
         replica = rts.managers[primary].get(obj_id)
-        while replica.locked or rts.primary.inflight_writes.get((primary, obj_id)):
+        while replica.locked or replica.inflight:
             if replica.locked:
                 replica.on_next_change(lambda p=proc: p.wake())
                 proc.suspend()
             else:
                 proc.hold(rts.cost_model.cpu.protocol_cost)
-        instance = replica.instance
-        return RpcReply(payload=(instance.marshal_state(), replica.version),
-                        size=instance.state_size() + 16)
+        return RpcReply(payload=replica.snapshot(),
+                        size=replica.instance.state_size() + 16)
 
     def advance(self, obj_id: int, arrive: bool = False) -> int:
         """Open the object's next epoch (the switch is in flight from here);
@@ -397,39 +395,24 @@ class SwitchEngine:
         """Bring one member's copy to the record's agreed state."""
         rts = self.rts
         obj_id = record.obj_id
-        key = (node_id, obj_id)
         manager = rts.managers[node_id]
-        applied = rts.primary.applied
         replica = manager.replicas.get(obj_id)
         if record.snapshot is None:
             # No state moves: the (identical) replicas become the regime's
             # copies, and it starts with an empty applied-write table.
             if replica is not None:
                 replica.is_primary = node_id == record.primary
-            applied[key] = {}
+                replica.applied = {}
         elif record.scope is None or node_id in record.scope:
-            state, version, table = record.snapshot
-            if replica is not None:
-                # In place, so processes already waiting on the replica keep
-                # their hooks.
-                replica.instance.unmarshal_state(state)
-                replica.version = version
-                replica.valid = True
-                replica.is_primary = node_id == record.primary
-                replica.locked = False
-                replica.notify_changed()
-            else:
+            if replica is None:
                 handle = rts.handle(obj_id)
-                instance = handle.spec_class()
-                instance.unmarshal_state(state)
-                manager.install(obj_id, handle.name, instance, version=version,
-                                is_primary=node_id == record.primary)
+                replica = manager.install(obj_id, handle.name, handle.spec_class())
                 rts.stats.replicas_created += 1
-            applied[key] = dict(table or {})
+            replica.restore(record.snapshot, node_id == record.primary)
             rts._wake_replica_waiters(node_id, obj_id)
-        if record.policy == "broadcast":
+        if record.policy == "broadcast" and replica is not None:
             # Broadcast management does not use write ids at all.
-            applied.pop(key, None)
+            replica.applied = {}
 
     def await_delivered(self, proc: "SimProcess", node_id: int, obj_id: int) -> None:
         """Block until ``node_id`` has delivered the object's latest switch."""

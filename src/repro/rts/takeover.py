@@ -28,11 +28,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class CommitRecords(Protocol):
-    """The primary-copy state a takeover restores from."""
+    """The commit records a takeover falls back to."""
 
     last_committed: Dict[int, Tuple[Any, int, Dict]]
-
-    def applied_table(self, node_id: int, obj_id: int) -> Dict: ...
 
 
 class TakeoverRuntime(Protocol):
@@ -142,14 +140,11 @@ class Takeover:
             manager = rts.managers[successor]
             from_snapshot = not manager.has_valid_copy(obj_id)
             if from_snapshot:
-                committed = rts.primary.last_committed.get(obj_id)
-                if committed is None:
+                snapshot = rts.primary.last_committed.get(obj_id)
+                if snapshot is None:
                     return  # nothing to recover from
-                state, version, table = committed
             else:
-                replica = manager.get(obj_id)
-                state, version = replica.instance.marshal_state(), replica.version
-                table = rts.primary.applied_table(successor, obj_id)
+                snapshot = manager.get(obj_id).snapshot()
             rts._ensure_router()
             rts.stats.primary_recoveries += 1
             record = RecoveryRecord(
@@ -159,8 +154,7 @@ class Takeover:
             self.recoveries.append(record)
             # No admission gate: a takeover overrides whatever switch was
             # preparing (its admission is revoked and its freeze lifted).
-            rts.switch.reseat(proc, node, obj_id, successor,
-                              (state, version, dict(table)),
+            rts.switch.reseat(proc, node, obj_id, successor, snapshot,
                               tuple(sorted({successor, *self.live_holders(obj_id)})))
             record.completed_at = rts.sim.now
         finally:

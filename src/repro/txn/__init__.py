@@ -59,13 +59,10 @@ __all__ = [
 
 
 class SeatPath(Protocol):
-    """The primary-copy path and state a seat participant goes through."""
+    """The primary-copy path and commit records a seat participant uses."""
 
-    #: (primary, obj_id) -> commits in flight there (drained before a vote).
-    inflight_writes: Dict[Tuple[int, int], int]
     last_committed: Dict[int, Tuple[Any, int, Dict]]
 
-    def applied_table(self, node_id: int, obj_id: int) -> Dict: ...
     def write(self, proc: "SimProcess", nid: int, handle: "ObjectHandle",
               op: Any, args: Any, kwargs: Any, wid: Any = None) -> Any: ...
 
@@ -222,8 +219,10 @@ class TransactionLayer:
         for index, obj_id, _op, _args, _kwargs in desc.primary_ops:
             origin = f"txn:{desc.txn_id}#{index}"
             primary = rts.directory.primary_of(obj_id)
-            if primary is not None:
-                rts.primary.applied_table(primary, obj_id).pop(origin, None)
+            replica = (rts.managers[primary].replicas.get(obj_id)
+                       if primary is not None else None)
+            if replica is not None:
+                replica.applied.pop(origin, None)
             committed_record = rts.primary.last_committed.get(obj_id)
             if committed_record is not None:
                 committed_record[2].pop(origin, None)

@@ -351,12 +351,11 @@ class TxnCoordinator:
             if not rts.cluster.node(primary).alive:
                 rts.takeover.await_recovery(proc, obj_id)
                 continue
-            if rts.primary.inflight_writes.get((primary, obj_id)):
+            replica = rts.managers[primary].replicas.get(obj_id)
+            if replica is not None and replica.inflight:
                 proc.hold(rts.cost_model.cpu.protocol_cost)
                 continue
-            manager = rts.managers[primary]
-            if manager.has_valid_copy(obj_id) and manager.get(obj_id).locked:
-                replica = manager.get(obj_id)
+            if replica is not None and replica.valid and replica.locked:
                 replica.on_next_change(lambda p=proc: p.wake())
                 proc.suspend()
                 continue

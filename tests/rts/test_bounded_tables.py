@@ -95,7 +95,10 @@ def open_entries(rts):
         "pending writes": dict(rts._pending),
         "fan-out transactions": dict(rts.primary.fanouts._transactions),
         "replica waiters": dict(rts._replica_waiters),
-        "in-flight commits": dict(rts.primary.inflight_writes),
+        "in-flight commits": {(node_id, obj_id): replica.inflight
+                              for node_id, manager in rts.managers.items()
+                              for obj_id, replica in manager.replicas.items()
+                              if replica.inflight},
         "awaited seeds": set(rts.membership.awaiting_seed),
         "seed buffer": dict(rts.membership.seed_buffer),
         "parked writes": [c.future_writes for c in cursors if c.future_writes],

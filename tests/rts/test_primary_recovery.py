@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.amoeba.cluster import Cluster
 from repro.config import ClusterConfig
@@ -192,6 +192,9 @@ class TestPrimaryCrashMidWrite:
     @settings(max_examples=5, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
            policy=st.sampled_from(["primary-invalidate", "primary-update"]))
+    # A client process on the crashed seat reaches the commit after its
+    # replica was discarded; drawn seeds find this about once in ten.
+    @example(seed=15, policy="primary-invalidate")
     def test_writes_survive_primary_crash(self, seed, policy):
         state = run_primary_crash(seed, policy=policy)
         assert state["policy"] == policy
