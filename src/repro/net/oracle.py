@@ -254,8 +254,9 @@ def check_convergence(result: Dict[str, Any], expected: Dict[str, Any],
     facts: Dict[str, Any] = {"objects": len(reference),
                              "clients": len(expected_clients)}
     scenario = result["scenario"]
+    kind = ScenarioRegistry.get(scenario)
     per_object_writes = expected["per_object_writes"]
-    if ScenarioRegistry.get(scenario).writes_commute:
+    if kind.writes_commute:
         for row in reference.values():
             want = expected["final_states"].get(row["name"])
             _require(
@@ -263,8 +264,8 @@ def check_convergence(result: Dict[str, Any], expected: Dict[str, Any],
                 == json.dumps(want, sort_keys=True),
                 f"object {row['name']!r} converged to {row['state']!r}, "
                 f"expected {want!r}")
-        facts["counter_total"] = sum(row["state"].get("value", 0)
-                                     for row in reference.values())
+        facts[kind.total_key] = sum(row["state"].get("value", 0)
+                                    for row in reference.values())
     elif scenario == "fifo-queue":
         row = next(iter(reference.values()))
         state = row["state"]
@@ -303,11 +304,10 @@ def check_convergence(result: Dict[str, Any], expected: Dict[str, Any],
         _require(sim_writes == real_writes,
                  f"per-object write counts diverge from the simulator: "
                  f"{sim_writes} != {real_writes}")
-        sim_total = sim_oracle["facts"].get("counter_total")
-        if sim_total is not None and "counter_total" in facts:
-            _require(facts["counter_total"] == sim_total,
-                     f"counter total {facts['counter_total']} != "
-                     f"simulator's {sim_total}")
+        if kind.writes_commute and kind.total_key in sim_oracle["facts"]:
+            total, sim_total = facts[kind.total_key], sim_oracle["facts"][kind.total_key]
+            _require(total == sim_total,
+                     f"{kind.total_key} {total} != simulator's {sim_total}")
         sim_enqueued = sim_oracle["facts"].get("enqueued")
         if sim_enqueued is not None and "enqueued" in facts:
             _require(facts["enqueued"] == sim_enqueued,

@@ -199,6 +199,23 @@ def test_every_counter_kind_checks_exact_final_states(kind):
         check_convergence(result, expected)
 
 
+@pytest.mark.parametrize("kind", COUNTER_KINDS)
+def test_every_counter_kind_checks_the_simulator_total(kind):
+    """The converged total is held against the simulator's under the facts
+    key the kind reports it by (``hot-spot`` calls it ``cell_value``)."""
+    cfg = config(scenario=kind)
+    expected = expected_issued_writes(cfg)
+    result = synthetic_result(expected, cfg)
+    total_key = ScenarioRegistry.get(kind).total_key
+    sim = {"writes": expected["writes"],
+           "per_object_writes": dict(expected["per_object_writes"]),
+           "facts": {total_key: expected["writes"]}}
+    assert check_convergence(result, expected, sim)[total_key] == expected["writes"]
+    sim["facts"][total_key] += 1
+    with pytest.raises(AssertionError, match="simulator's"):
+        check_convergence(result, expected, sim)
+
+
 class TestSetupWritingScenariosRejected:
     def test_preloaded_catalog_is_rejected(self):
         from repro.errors import ConfigurationError
