@@ -35,6 +35,8 @@ BASELINES = {
     # the one run loop, batched broadcast delivery, fast hold) at the
     # 8/16/64-node scales where its constant factors actually matter.
     "bench_kernel_scaling.py": "kernel_scaling.json",
+    # The gateway tier: admission, fair queueing and shedding at the edge.
+    "bench_gateway.py": "gateway.json",
 }
 
 
