@@ -81,10 +81,6 @@ class WorkObject(ObjectSpec):
         """Which of ``variables`` are currently flagged (local read)."""
         return [v for v in variables if self.flags[v]]
 
-    @operation(write=False)
-    def any_pending(self) -> bool:
-        return any(self.flags)
-
     @operation(write=True)
     def take(self, variables: Tuple[int, ...], worker: int) -> List[int]:
         """Atomically fetch-and-clear the flags of ``variables``.

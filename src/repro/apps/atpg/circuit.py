@@ -30,10 +30,6 @@ INVERTING = {"NAND": True, "NOR": True, "NOT": True, "AND": False, "OR": False,
              "BUF": False, "XOR": False}
 
 
-def _invert(value: str) -> str:
-    return {ZERO: ONE, ONE: ZERO, D: DB, DB: D, X: X}[value]
-
-
 def _to_good_bad(value: str) -> Tuple[Optional[int], Optional[int]]:
     """Split a 5-valued signal into (good-circuit bit, faulty-circuit bit)."""
     return {
@@ -217,9 +213,6 @@ class Circuit:
         if good_bit == stuck_bit:
             return good_value
         return D if good_bit == 1 else DB
-
-    def output_values(self, values: Dict[str, str]) -> Dict[str, str]:
-        return {po: values[po] for po in self.primary_outputs}
 
 
 def random_circuit(num_inputs: int = 8, num_gates: int = 40, num_outputs: int = 4,

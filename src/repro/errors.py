@@ -78,22 +78,6 @@ class OrcaError(ReproError):
     """Errors raised by the Orca programming layer."""
 
 
-class OrcaSyntaxError(OrcaError):
-    """Raised by the Orca mini-language parser."""
-
-    def __init__(self, message: str, line: int = 0, column: int = 0) -> None:
-        super().__init__(message)
-        self.line = line
-        self.column = column
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        base = super().__str__()
-        if self.line:
-            return f"{base} (line {self.line}, column {self.column})"
-        return base
-
-
-
 class ApplicationError(ReproError):
     """Errors raised by the example applications."""
 

@@ -55,14 +55,6 @@ class IntObject(ObjectSpec):
             return True
         return False
 
-    @operation(write=True)
-    def max_update(self, candidate: int) -> bool:
-        """Atomically raise the value to ``candidate`` if that is larger."""
-        if candidate > self.value:
-            self.value = candidate
-            return True
-        return False
-
 
 class BoolObject(ObjectSpec):
     """A shared boolean flag (e.g. ACP's "no solution exists" flag)."""
@@ -83,27 +75,6 @@ class BoolObject(ObjectSpec):
     def await_true(self) -> bool:
         """Block the caller until the flag becomes true."""
         return True
-
-
-class CounterObject(ObjectSpec):
-    """A shared counter that can be waited on (used for termination detection)."""
-
-    def init(self, value: int = 0) -> None:
-        self.value = value
-
-    @operation(write=False)
-    def read(self) -> int:
-        return self.value
-
-    @operation(write=True)
-    def increment(self, delta: int = 1) -> int:
-        self.value += delta
-        return self.value
-
-    @operation(write=True)
-    def decrement(self, delta: int = 1) -> int:
-        self.value -= delta
-        return self.value
 
 
 class JobQueue(ObjectSpec):
@@ -153,10 +124,6 @@ class JobQueue(ObjectSpec):
     @operation(write=False)
     def size(self) -> int:
         return len(self.jobs)
-
-    @operation(write=False)
-    def is_closed(self) -> bool:
-        return self.closed
 
 
 class PollableQueue(ObjectSpec):
@@ -331,10 +298,6 @@ class BarrierObject(ObjectSpec):
             self.arrived = 0
             self.generation += 1
         return generation
-
-    @operation(write=False)
-    def current_generation(self) -> int:
-        return self.generation
 
     @operation(write=True, guard=lambda self, generation: self.generation > generation)
     def await_generation(self, generation: int) -> int:

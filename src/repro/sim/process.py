@@ -170,11 +170,6 @@ class SimProcess:
         return self.state == "failed"
 
     @property
-    def pending_compute(self) -> float:
-        """Virtual compute time accumulated but not yet flushed to the clock."""
-        return self._pending_compute
-
-    @property
     def local_time(self) -> float:
         """The process's own notion of current time (global clock + pending)."""
         return self.sim.now + self._pending_compute
