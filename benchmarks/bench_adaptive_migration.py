@@ -24,25 +24,9 @@ All cells run every runtime on the *same* shared-Ethernet hardware and the
 loaded-sequencer regime (0.2 ms ordering service per message), so the
 comparison isolates the management policy.  Deterministic under the fixed
 seed; one cell is re-run and compared fingerprint-for-fingerprint.
-
-Run as a script with ``--smoke`` to emit a reduced canonical-JSON report for
-the CI determinism regression (two runs must be byte-identical)::
-
-    PYTHONPATH=src python benchmarks/bench_adaptive_migration.py --smoke --out smoke.json
 """
 
 from __future__ import annotations
-
-import argparse
-import json
-import os
-import sys
-
-_SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-try:  # pragma: no cover - script-mode bootstrap
-    import repro  # noqa: F401
-except ImportError:  # pragma: no cover
-    sys.path.insert(0, _SRC)
 
 import pytest
 
@@ -56,7 +40,7 @@ from repro.workloads import WorkloadRunner, WorkloadSpec
 
 try:
     from conftest import run_once
-except ImportError:  # pragma: no cover - script mode does not need pytest glue
+except ImportError:  # pragma: no cover - imported via pins.py, where conftest is tests/'s
     run_once = None
 
 NUM_NODES = 8
@@ -89,17 +73,18 @@ FIFO_SPEC = WorkloadSpec(name="fifo-queue", read_fraction=0.5,
 FAST_CONTROLLER = {"min_accesses": 8, "check_interval": 4}
 
 
-def run_cell(scenario: str, runtime: str, spec: WorkloadSpec, controller=None):
+def run_cell(scenario: str, runtime: str, spec: WorkloadSpec, controller=None,
+             num_nodes=NUM_NODES, clients_per_node=CLIENTS_PER_NODE):
     # Every runtime on the same shared Ethernet: the comparison varies the
     # management policy, not the interconnect.
     options = None
     if runtime == "adaptive" and controller is not None:
         options = {"default_policy": dict(controller)}
     return WorkloadRunner(
-        scenario, workload=spec, runtime=runtime, num_nodes=NUM_NODES,
-        clients_per_node=CLIENTS_PER_NODE, seed=SEED,
+        scenario, workload=spec, runtime=runtime, num_nodes=num_nodes,
+        clients_per_node=clients_per_node, seed=SEED,
         network_type="ethernet", rts_options=options,
-        config=ClusterConfig(num_nodes=NUM_NODES, seed=SEED,
+        config=ClusterConfig(num_nodes=num_nodes, seed=SEED,
                              cost_model=COST_MODEL)).run()
 
 
@@ -301,60 +286,3 @@ def test_migration_completes_through_a_sequencer_election(benchmark):
           facts["policy"]]],
         title="Policy switch broadcast across a sequencer crash + election"))
 
-
-# ---------------------------------------------------------------------- #
-# Script mode: the CI determinism smoke report
-# ---------------------------------------------------------------------- #
-
-SMOKE_NODES = 4
-SMOKE_MIXED = MIXED_SPEC.with_overrides(ops_per_client=24)
-SMOKE_FIFO = FIFO_SPEC.with_overrides(ops_per_client=24)
-
-
-def smoke_reports():
-    """Reduced adaptive cells for the byte-diff determinism regression.
-
-    Small enough for CI to run twice, but covering adaptive migration on
-    both scenario shapes plus the mixed-policy scenario, so migration-point
-    nondeterminism anywhere shows up as a byte diff.
-    """
-    cells = []
-    for scenario, spec in (("counter-farm", SMOKE_MIXED),
-                           ("fifo-queue", SMOKE_FIFO),
-                           ("policy-mix", None)):
-        cells.append(WorkloadRunner(
-            scenario, workload=spec, runtime="adaptive",
-            num_nodes=SMOKE_NODES, clients_per_node=2, seed=SEED,
-            network_type="ethernet",
-            config=ClusterConfig(num_nodes=SMOKE_NODES, seed=SEED,
-                                 cost_model=COST_MODEL)).run())
-    return cells
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="Adaptive migration benchmark (script mode)")
-    parser.add_argument("--smoke", action="store_true",
-                        help="run the reduced cells and emit canonical JSON")
-    parser.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
-    args = parser.parse_args(argv)
-    if not args.smoke:
-        parser.error("script mode currently only supports --smoke")
-    reports = smoke_reports()
-    election = run_election_migration(writers_per_node=1, ops_per_writer=8)
-    payload = {
-        "seed": SEED,
-        "nodes": SMOKE_NODES,
-        "cells": [report.fingerprint() for report in reports],
-        "election_migration": election,
-    }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -19,25 +19,11 @@ cells measure the loop:
 * **scale-in** — a 4-group cluster merges down to 2 groups while a counter
   farm keeps writing; objects are evacuated through the retiring groups'
   total order with conservation intact.
-
-Run as a script with ``--smoke`` to emit a reduced canonical-JSON report
-for the CI determinism regression (two runs must be byte-identical)::
-
-    PYTHONPATH=src python benchmarks/bench_elasticity.py --smoke --out smoke.json
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import sys
-
-_SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-try:  # pragma: no cover - script-mode bootstrap
-    import repro  # noqa: F401
-except ImportError:  # pragma: no cover
-    sys.path.insert(0, _SRC)
+from functools import partial
 
 import pytest
 
@@ -51,7 +37,7 @@ from repro.workloads.spec import WorkloadSpec
 
 try:
     from conftest import run_once
-except ImportError:  # pragma: no cover - script mode does not need pytest glue
+except ImportError:  # pragma: no cover - imported via pins.py, where conftest is tests/'s
     run_once = None
 
 NUM_NODES = 5
@@ -219,15 +205,17 @@ def run_scale_in_cell(seed=SEED, num_nodes=NUM_NODES,
 
 
 def elasticity_cells(**kwargs):
+    """The three cells as zero-argument runners, sized by ``kwargs``."""
     return {
-        "rolling-restart": run_restart_cell(**kwargs),
-        "drain": run_drain_cell(
+        "rolling-restart": partial(run_restart_cell, **kwargs),
+        "drain": partial(
+            run_drain_cell,
             seed=kwargs.get("seed", SEED),
             num_nodes=kwargs.get("num_nodes", NUM_NODES),
             writers_per_node=kwargs.get("clients_per_node",
                                         CLIENTS_PER_NODE),
             ops_per_writer=kwargs.get("ops_per_client", OPS_PER_CLIENT)),
-        "scale-in": run_scale_in_cell(**kwargs),
+        "scale-in": partial(run_scale_in_cell, **kwargs),
     }
 
 
@@ -262,7 +250,7 @@ def _print_cells(title, cells):
 
 @pytest.mark.benchmark(group="elasticity")
 def test_elasticity_loop_conserves_every_write(benchmark):
-    cells = run_once(benchmark, elasticity_cells)
+    cells = run_once(benchmark, lambda: {name: run() for name, run in elasticity_cells().items()})
 
     restart = cells["rolling-restart"]
     # Every non-client node restarted, every restart produced a completed
@@ -295,35 +283,3 @@ def test_elasticity_loop_conserves_every_write(benchmark):
     benchmark.extra_info["cells"] = cells
     _print_cells(f"Elasticity loop on {NUM_NODES} nodes (seed {SEED})", cells)
 
-
-# ---------------------------------------------------------------------- #
-# Script mode: the CI determinism smoke report
-# ---------------------------------------------------------------------- #
-
-SMOKE_KWARGS = dict(num_nodes=5, clients_per_node=1, ops_per_client=40)
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="Elasticity benchmark (script mode)")
-    parser.add_argument("--smoke", action="store_true",
-                        help="run the reduced cells and emit canonical JSON")
-    parser.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
-    args = parser.parse_args(argv)
-    if not args.smoke:
-        parser.error("script mode currently only supports --smoke")
-    payload = {
-        "seed": SEED,
-        "nodes": SMOKE_KWARGS["num_nodes"],
-        "cells": elasticity_cells(**SMOKE_KWARGS),
-    }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -20,25 +20,11 @@ depth.  Four cells measure what the front door buys:
 * **scale** — >=10k concurrent sessions through 8 gateways, the
   many-cheap-sessions design point (sessions are state machines, not
   simulated processes).
-
-Run as a script with ``--smoke`` to emit a reduced canonical-JSON report
-for the CI determinism regression (two runs must be byte-identical)::
-
-    PYTHONPATH=src python benchmarks/bench_gateway.py --smoke --out smoke.json
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import sys
-
-_SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-try:  # pragma: no cover - script-mode bootstrap
-    import repro  # noqa: F401
-except ImportError:  # pragma: no cover
-    sys.path.insert(0, _SRC)
+from functools import partial
 
 import pytest
 
@@ -52,7 +38,7 @@ from repro.workloads import (
 
 try:
     from conftest import run_once
-except ImportError:  # pragma: no cover - script mode does not need pytest glue
+except ImportError:  # pragma: no cover - imported via pins.py, where conftest is tests/'s
     run_once = None
 
 NUM_NODES = 4
@@ -163,24 +149,16 @@ def run_scale_cell(sessions_per_gateway, num_nodes=8, seed=SEED):
 
 
 def gateway_cells(seed=SEED, num_nodes=NUM_NODES, burst_ops=60, scale_sessions=1280, scale_nodes=8):
+    """The seven cells as zero-argument runners, sized by the arguments."""
+    sized = dict(seed=seed, num_nodes=num_nodes)
     return {
-        "flash-unloaded": run_flash_crowd_cell("unloaded", seed=seed,
-                                               num_nodes=num_nodes,
-                                               burst_ops=burst_ops),
-        "flash-shed": run_flash_crowd_cell("shed", seed=seed,
-                                           num_nodes=num_nodes,
-                                           burst_ops=burst_ops),
-        "flash-unshed": run_flash_crowd_cell("unshed", seed=seed,
-                                             num_nodes=num_nodes,
-                                             burst_ops=burst_ops),
-        "quiet-alone": run_noisy_neighbour_cell(None, seed=seed,
-                                                num_nodes=num_nodes),
-        "noisy-capped": run_noisy_neighbour_cell("capped", seed=seed,
-                                                 num_nodes=num_nodes),
-        "noisy-uncapped": run_noisy_neighbour_cell("uncapped", seed=seed,
-                                                   num_nodes=num_nodes),
-        "scale": run_scale_cell(scale_sessions, num_nodes=scale_nodes,
-                                seed=seed),
+        "flash-unloaded": partial(run_flash_crowd_cell, "unloaded", burst_ops=burst_ops, **sized),
+        "flash-shed": partial(run_flash_crowd_cell, "shed", burst_ops=burst_ops, **sized),
+        "flash-unshed": partial(run_flash_crowd_cell, "unshed", burst_ops=burst_ops, **sized),
+        "quiet-alone": partial(run_noisy_neighbour_cell, None, **sized),
+        "noisy-capped": partial(run_noisy_neighbour_cell, "capped", **sized),
+        "noisy-uncapped": partial(run_noisy_neighbour_cell, "uncapped", **sized),
+        "scale": partial(run_scale_cell, scale_sessions, num_nodes=scale_nodes, seed=seed),
     }
 
 
@@ -226,7 +204,7 @@ def _print_cells(title, cells):
 
 @pytest.mark.benchmark(group="gateway")
 def test_gateway_sheds_gracefully_under_overload(benchmark):
-    cells = run_once(benchmark, gateway_cells)
+    cells = run_once(benchmark, lambda: {name: run() for name, run in gateway_cells().items()})
 
     unloaded = cells["flash-unloaded"]
     shed, unshed = cells["flash-shed"], cells["flash-unshed"]
@@ -260,36 +238,3 @@ def test_gateway_sheds_gracefully_under_overload(benchmark):
     benchmark.extra_info["cells"] = cells
     _print_cells(f"Gateway admission control on {NUM_NODES} nodes (seed {SEED})", cells)
 
-
-# ---------------------------------------------------------------------- #
-# Script mode: the CI determinism smoke report
-# ---------------------------------------------------------------------- #
-
-SMOKE_KWARGS = dict(num_nodes=4, burst_ops=40, scale_sessions=640,
-                    scale_nodes=4)
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="Gateway benchmark (script mode)")
-    parser.add_argument("--smoke", action="store_true",
-                        help="run the reduced cells and emit canonical JSON")
-    parser.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
-    args = parser.parse_args(argv)
-    if not args.smoke:
-        parser.error("script mode currently only supports --smoke")
-    payload = {
-        "seed": SEED,
-        "nodes": SMOKE_KWARGS["num_nodes"],
-        "cells": gateway_cells(**SMOKE_KWARGS),
-    }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -8,35 +8,13 @@ the event-queue constant factors dominate wall-clock time.  The paper's
 broadcast-vs-point-to-point tradeoff turns on exactly these cluster sizes,
 so CI must be able to afford them.
 
-Two outputs, deliberately separated:
-
-* the **fingerprint report** (``--smoke --out``) holds virtual-time metrics
-  only and must be byte-identical across runs — it is committed as
-  ``benchmarks/baselines/kernel_scaling.json`` and double-run in CI;
-* the **timings report** (``--timings``) holds per-cell wall-clock seconds
-  and feeds the wall-clock budget gate
-  (``scripts/check_bench_regression.py --budget``).  Wall-clock never goes
-  into the fingerprint file, where it would break the byte diff.
-
-Run as a script::
-
-    PYTHONPATH=src python benchmarks/bench_kernel_scaling.py \
-        --smoke --out smoke.json --timings timings.json
+Its reduced cells are pinned in ``benchmarks/pins.py``, which also holds
+each one to its wall-clock budget (``baselines/wallclock_budget.json``).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import sys
 import time
-
-_SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-try:  # pragma: no cover - script-mode bootstrap
-    import repro  # noqa: F401
-except ImportError:  # pragma: no cover
-    sys.path.insert(0, _SRC)
 
 import pytest
 
@@ -46,7 +24,7 @@ from repro.workloads import WorkloadRunner, WorkloadSpec
 
 try:
     from conftest import run_once
-except ImportError:  # pragma: no cover - script mode does not need pytest glue
+except ImportError:  # pragma: no cover - imported via pins.py, where conftest is tests/'s
     run_once = None
 
 SEED = 42
@@ -60,11 +38,6 @@ SPEC = WorkloadSpec(name="counter-farm-writes", num_keys=32,
                     read_fraction=0.0, ops_per_client=20,
                     think_time=0.0005)
 CLIENTS_PER_NODE = 2
-
-#: Reduced smoke matrix: one client per node, a few ops each — small enough
-#: for CI to run the whole sweep twice for the byte diff.
-SMOKE_OPS = 8
-SMOKE_CLIENTS_PER_NODE = 1
 
 
 def run_cell(num_nodes: int, clients_per_node: int, ops_per_client: int):
@@ -109,53 +82,3 @@ def test_kernel_scaling_sweep(benchmark):
         rows,
         title=f"Kernel scaling, broadcast write storm (seed {SEED})"))
 
-
-# ---------------------------------------------------------------------- #
-# Script mode: the CI determinism smoke report + wall-clock timings
-# ---------------------------------------------------------------------- #
-
-
-def smoke_cells():
-    """Run the reduced sweep; returns (fingerprint payload, timings payload)."""
-    fingerprints = {}
-    timings = {}
-    for nodes in NODE_COUNTS:
-        report, wall = run_cell(nodes, SMOKE_CLIENTS_PER_NODE, SMOKE_OPS)
-        fingerprints[str(nodes)] = report.fingerprint()
-        timings[f"kernel_scaling/{nodes}_nodes"] = round(wall, 3)
-    return fingerprints, timings
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="Kernel scaling benchmark (script mode)")
-    parser.add_argument("--smoke", action="store_true",
-                        help="run the reduced sweep and emit canonical JSON")
-    parser.add_argument("--out", default=None,
-                        help="write the fingerprint JSON here instead of stdout")
-    parser.add_argument("--timings", default=None,
-                        help="write per-cell wall-clock seconds (JSON) here; "
-                             "kept out of the byte-diffed fingerprint file")
-    args = parser.parse_args(argv)
-    if not args.smoke:
-        parser.error("script mode currently only supports --smoke")
-    fingerprints, timings = smoke_cells()
-    payload = {
-        "seed": SEED,
-        "clients_per_node": SMOKE_CLIENTS_PER_NODE,
-        "ops_per_client": SMOKE_OPS,
-        "cells": fingerprints,
-    }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    if args.timings:
-        with open(args.timings, "w") as fh:
-            fh.write(json.dumps(timings, indent=2, sort_keys=True) + "\n")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

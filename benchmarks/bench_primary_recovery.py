@@ -19,25 +19,11 @@ measures what a crash costs the clients:
 Both primary policies are measured: ``primary-update`` recovers from a
 surviving secondary copy, ``primary-invalidate`` (whose writes leave no
 valid secondary) from the committed record.
-
-Run as a script with ``--smoke`` to emit a reduced canonical-JSON report
-for the CI determinism regression (two runs must be byte-identical)::
-
-    PYTHONPATH=src python benchmarks/bench_primary_recovery.py --smoke --out smoke.json
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import sys
-
-_SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-try:  # pragma: no cover - script-mode bootstrap
-    import repro  # noqa: F401
-except ImportError:  # pragma: no cover
-    sys.path.insert(0, _SRC)
+from functools import partial
 
 import pytest
 
@@ -49,7 +35,7 @@ from repro.rts.object_model import ObjectSpec, operation
 
 try:
     from conftest import run_once
-except ImportError:  # pragma: no cover - script mode does not need pytest glue
+except ImportError:  # pragma: no cover - imported via pins.py, where conftest is tests/'s
     run_once = None
 
 NUM_NODES = 6
@@ -171,13 +157,15 @@ def run_recovery_cell(policy, crash=True, seed=SEED, num_nodes=NUM_NODES,
 
 
 def recovery_cells(**kwargs):
+    """The four cells as zero-argument runners, sized by ``kwargs``."""
     return {
-        "baseline-update": run_recovery_cell("primary-update", crash=False,
-                                             **kwargs),
-        "crash-update": run_recovery_cell("primary-update", **kwargs),
-        "baseline-invalidate": run_recovery_cell("primary-invalidate",
-                                                 crash=False, **kwargs),
-        "crash-invalidate": run_recovery_cell("primary-invalidate", **kwargs),
+        "baseline-update": partial(run_recovery_cell, "primary-update",
+                                   crash=False, **kwargs),
+        "crash-update": partial(run_recovery_cell, "primary-update", **kwargs),
+        "baseline-invalidate": partial(run_recovery_cell, "primary-invalidate",
+                                       crash=False, **kwargs),
+        "crash-invalidate": partial(run_recovery_cell, "primary-invalidate",
+                                    **kwargs),
     }
 
 
@@ -208,7 +196,7 @@ def _print_cells(title, cells):
 
 @pytest.mark.benchmark(group="primary-recovery")
 def test_recovery_window_is_bounded_with_exactly_once_writes(benchmark):
-    cells = run_once(benchmark, recovery_cells)
+    cells = run_once(benchmark, lambda: {name: run() for name, run in recovery_cells().items()})
 
     for name, facts in cells.items():
         # Every cell — crashed or not — applies every append exactly once,
@@ -243,35 +231,3 @@ def test_recovery_window_is_bounded_with_exactly_once_writes(benchmark):
         f"{(NUM_NODES - 2) * WRITERS_PER_NODE} open-loop writers "
         f"({NUM_NODES} nodes, seed {SEED})", cells)
 
-
-# ---------------------------------------------------------------------- #
-# Script mode: the CI determinism smoke report
-# ---------------------------------------------------------------------- #
-
-SMOKE_KWARGS = dict(num_nodes=5, writers_per_node=1, ops_per_writer=40)
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="Primary-failure recovery benchmark (script mode)")
-    parser.add_argument("--smoke", action="store_true",
-                        help="run the reduced cells and emit canonical JSON")
-    parser.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
-    args = parser.parse_args(argv)
-    if not args.smoke:
-        parser.error("script mode currently only supports --smoke")
-    payload = {
-        "seed": SEED,
-        "nodes": SMOKE_KWARGS["num_nodes"],
-        "cells": recovery_cells(**SMOKE_KWARGS),
-    }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

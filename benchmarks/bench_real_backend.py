@@ -11,30 +11,9 @@ Every real cell is oracle-checked before its number is reported: the
 converged state must match the deterministic stream replay (and the
 simulator's facts), so a throughput figure can never come from a diverged
 run.
-
-Run as a script with ``--smoke`` to emit a JSON report with a deterministic
-*schema* (fixed cells, fixed keys, deterministic convergence facts)::
-
-    PYTHONPATH=src python benchmarks/bench_real_backend.py --smoke --out real.json
-
-Unlike the simulator smokes, the wall-clock fields (``elapsed``,
-``ops_per_s``) legitimately vary between runs, so this report is **not**
-part of the CI byte-diff determinism gate; the ``real-backend`` CI job runs
-the convergence tests and this smoke once instead.
 """
 
 from __future__ import annotations
-
-import argparse
-import json
-import os
-import sys
-
-_SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-try:  # pragma: no cover - script-mode bootstrap
-    import repro  # noqa: F401
-except ImportError:  # pragma: no cover
-    sys.path.insert(0, _SRC)
 
 import pytest
 
@@ -44,10 +23,7 @@ from repro.net.runtime import RealTimings
 from repro.workloads.runner import WorkloadRunner
 from repro.workloads.scenarios import ScenarioRegistry
 
-try:
-    from conftest import run_once
-except ImportError:  # pragma: no cover - script mode does not need pytest glue
-    run_once = None
+from conftest import run_once
 
 NUM_NODES = 3
 NUM_SHARDS = 2
@@ -142,35 +118,3 @@ def test_real_backend_throughput_with_oracle_check(benchmark):
     benchmark.extra_info["cells"] = cells
     _print_cells(cells)
 
-
-# ---------------------------------------------------------------------- #
-# Script mode: the real-backend smoke report
-# ---------------------------------------------------------------------- #
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="Real-socket backend benchmark (script mode)")
-    parser.add_argument("--smoke", action="store_true",
-                        help="run the comparison cells and emit JSON")
-    parser.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
-    args = parser.parse_args(argv)
-    if not args.smoke:
-        parser.error("script mode currently only supports --smoke")
-    payload = {
-        "seed": SEED,
-        "nodes": NUM_NODES,
-        "shards": NUM_SHARDS,
-        "ops_per_client": OPS_PER_CLIENT,
-        "cells": comparison_cells(),
-    }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

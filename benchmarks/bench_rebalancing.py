@@ -25,25 +25,9 @@ the online drain-and-switch rebalancing that fixes it, in three cells:
 
 Deterministic under the fixed seed; the rebalanced cell is re-run and
 compared fingerprint-for-fingerprint (move points included).
-
-Run as a script with ``--smoke`` to emit a reduced canonical-JSON report for
-the CI determinism regression (two runs must be byte-identical)::
-
-    PYTHONPATH=src python benchmarks/bench_rebalancing.py --smoke --out smoke.json
 """
 
 from __future__ import annotations
-
-import argparse
-import json
-import os
-import sys
-
-_SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-try:  # pragma: no cover - script-mode bootstrap
-    import repro  # noqa: F401
-except ImportError:  # pragma: no cover
-    sys.path.insert(0, _SRC)
 
 import pytest
 
@@ -58,7 +42,7 @@ from repro.workloads import WorkloadRunner, WorkloadSpec
 
 try:
     from conftest import run_once
-except ImportError:  # pragma: no cover - script mode does not need pytest glue
+except ImportError:  # pragma: no cover - imported via pins.py, where conftest is tests/'s
     run_once = None
 
 NUM_NODES = 8
@@ -327,64 +311,3 @@ def test_live_group_add_preserves_per_client_fifo(benchmark):
           str(facts["per_client_fifo"]), str(facts["elections"])]],
         title="Live add_group() under an order-sensitive append workload"))
 
-
-# ---------------------------------------------------------------------- #
-# Script mode: the CI determinism smoke report
-# ---------------------------------------------------------------------- #
-
-SMOKE_NODES = 4
-SMOKE_SPEC = SKEW_SPEC.with_overrides(num_keys=32, ops_per_client=40)
-
-
-def smoke_reports():
-    """Reduced rebalancing cells for the byte-diff determinism regression.
-
-    Small enough for CI to run twice, but still exercising object moves,
-    the flow-control hold path, and live group growth — so nondeterminism
-    in any of them shows up as a byte diff.
-    """
-    static = run_cell(SMOKE_SPEC, HashPlacement(NUM_SHARDS, by="name"),
-                      num_nodes=SMOKE_NODES, clients_per_node=3)
-    rebalanced = run_cell(
-        SMOKE_SPEC, HashPlacement(NUM_SHARDS, by="name"),
-        rebalance={"interval": 0.004, "imbalance": 1.4, "min_writes": 32,
-                   "max_moves": 3},
-        num_nodes=SMOKE_NODES, clients_per_node=3)
-    flow = run_cell(
-        SMOKE_SPEC, HashPlacement(NUM_SHARDS, by="name"),
-        rebalance={"interval": 0.004, "imbalance": 1.4, "min_writes": 32,
-                   "max_moves": 3},
-        batching=dict(BACKPRESSURE_BATCHING), cost_model=SLOW_COST_MODEL,
-        num_nodes=SMOKE_NODES, clients_per_node=3)
-    return {"static": static, "rebalanced": rebalanced, "flow-control": flow}
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="Shard rebalancing benchmark (script mode)")
-    parser.add_argument("--smoke", action="store_true",
-                        help="run the reduced cells and emit canonical JSON")
-    parser.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
-    args = parser.parse_args(argv)
-    if not args.smoke:
-        parser.error("script mode currently only supports --smoke")
-    reports = smoke_reports()
-    growth = run_live_growth(writers_per_node=1, ops_per_writer=20,
-                             num_nodes=SMOKE_NODES, grow_to=3)
-    payload = {
-        "seed": SEED,
-        "nodes": SMOKE_NODES,
-        "cells": {name: report.fingerprint()
-                  for name, report in reports.items()},
-        "live_growth": growth,
-    }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

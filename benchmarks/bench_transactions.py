@@ -16,25 +16,11 @@ measure what that buys and what it costs:
 * **crash** — a participant-primary machine dies mid-traffic: committed
   transfers stay exactly-once, orphans resolve by presumed-abort
   recovery, and the cell reports the post-crash commit throughput.
-
-Run as a script with ``--smoke`` to emit a reduced canonical-JSON report
-for the CI determinism regression (two runs must be byte-identical)::
-
-    PYTHONPATH=src python benchmarks/bench_transactions.py --smoke --out smoke.json
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import sys
-
-_SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-try:  # pragma: no cover - script-mode bootstrap
-    import repro  # noqa: F401
-except ImportError:  # pragma: no cover
-    sys.path.insert(0, _SRC)
+from functools import partial
 
 import pytest
 
@@ -47,7 +33,7 @@ from repro.rts.object_model import ObjectSpec, operation
 
 try:
     from conftest import run_once
-except ImportError:  # pragma: no cover - script mode does not need pytest glue
+except ImportError:  # pragma: no cover - imported via pins.py, where conftest is tests/'s
     run_once = None
 
 NUM_NODES = 5
@@ -276,18 +262,13 @@ def run_crash_cell(seed=SEED, num_nodes=NUM_NODES, rounds=ROUNDS):
     return facts
 
 
-def transaction_cells(seed=SEED, num_nodes=NUM_NODES, rounds=ROUNDS):
+def transaction_cells(**kwargs):
+    """The four cells as zero-argument runners, sized by ``kwargs``."""
     return {
-        "same-shard": run_commit_cost_cell(True, seed=seed,
-                                           num_nodes=num_nodes,
-                                           rounds=rounds),
-        "cross-shard": run_commit_cost_cell(False, seed=seed,
-                                            num_nodes=num_nodes,
-                                            rounds=rounds),
-        "contention": run_contention_cell(seed=seed, num_nodes=num_nodes,
-                                          rounds=rounds),
-        "crash": run_crash_cell(seed=seed, num_nodes=num_nodes,
-                                rounds=rounds),
+        "same-shard": partial(run_commit_cost_cell, True, **kwargs),
+        "cross-shard": partial(run_commit_cost_cell, False, **kwargs),
+        "contention": partial(run_contention_cell, **kwargs),
+        "crash": partial(run_crash_cell, **kwargs),
     }
 
 
@@ -323,7 +304,7 @@ def _print_cells(title, cells):
 
 @pytest.mark.benchmark(group="transactions")
 def test_transaction_paths_commit_atomically(benchmark):
-    cells = run_once(benchmark, transaction_cells)
+    cells = run_once(benchmark, lambda: {name: run() for name, run in transaction_cells().items()})
 
     same, cross = cells["same-shard"], cells["cross-shard"]
     # Path classification: one shard -> every commit is the single-record
@@ -352,35 +333,3 @@ def test_transaction_paths_commit_atomically(benchmark):
     benchmark.extra_info["cells"] = cells
     _print_cells(f"Cross-object transactions on {NUM_NODES} nodes (seed {SEED})", cells)
 
-
-# ---------------------------------------------------------------------- #
-# Script mode: the CI determinism smoke report
-# ---------------------------------------------------------------------- #
-
-SMOKE_KWARGS = dict(num_nodes=5, rounds=12)
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="Transaction benchmark (script mode)")
-    parser.add_argument("--smoke", action="store_true",
-                        help="run the reduced cells and emit canonical JSON")
-    parser.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
-    args = parser.parse_args(argv)
-    if not args.smoke:
-        parser.error("script mode currently only supports --smoke")
-    payload = {
-        "seed": SEED,
-        "nodes": SMOKE_KWARGS["num_nodes"],
-        "cells": transaction_cells(**SMOKE_KWARGS),
-    }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

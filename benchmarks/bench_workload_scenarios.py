@@ -12,25 +12,9 @@ RTS, central-server baseline, Ivy-style DSM baseline, adaptive unified
 runtime).  The whole sweep is
 deterministic under a fixed seed: the benchmark re-runs one cell and asserts
 the two reports are identical.
-
-Run as a script with ``--smoke`` to emit a reduced, canonical-JSON report for
-the CI determinism regression (two runs must be byte-identical)::
-
-    PYTHONPATH=src python benchmarks/bench_workload_scenarios.py --smoke --out smoke.json
 """
 
 from __future__ import annotations
-
-import argparse
-import json
-import os
-import sys
-
-_SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-try:  # pragma: no cover - script-mode bootstrap
-    import repro  # noqa: F401
-except ImportError:  # pragma: no cover
-    sys.path.insert(0, _SRC)
 
 import pytest
 
@@ -41,7 +25,7 @@ from repro.workloads import RUNTIME_KINDS, WorkloadRunner, WorkloadSpec
 
 try:
     from conftest import run_once
-except ImportError:  # pragma: no cover - script mode does not need pytest glue
+except ImportError:  # pragma: no cover - imported via pins.py, where conftest is tests/'s
     run_once = None
 
 NUM_NODES = 8
@@ -70,10 +54,16 @@ SCENARIOS = {
 }
 
 
-def run_cell(scenario: str, runtime: str):
-    runner = WorkloadRunner(scenario, workload=SCENARIOS[scenario],
-                            runtime=runtime, num_nodes=NUM_NODES,
-                            clients_per_node=CLIENTS_PER_NODE, seed=SEED)
+def run_cell(scenario: str, runtime: str, num_nodes=NUM_NODES,
+             clients_per_node=CLIENTS_PER_NODE, ops_per_client=None,
+             **options):
+    spec = SCENARIOS[scenario]
+    if ops_per_client is not None:
+        spec = spec.with_overrides(ops_per_client=ops_per_client)
+    runner = WorkloadRunner(scenario, workload=spec, runtime=runtime,
+                            num_nodes=num_nodes,
+                            clients_per_node=clients_per_node, seed=SEED,
+                            **options)
     return runner.run()
 
 
@@ -124,67 +114,3 @@ def test_scenario_matrix_latency_and_throughput(benchmark):
         rows,
         title=f"Workload scenarios x runtimes ({NUM_NODES} nodes, seed {SEED})"))
 
-
-# ---------------------------------------------------------------------- #
-# Script mode: the CI determinism smoke report
-# ---------------------------------------------------------------------- #
-
-#: Per-client request count of the reduced smoke matrix.
-SMOKE_OPS = 12
-SMOKE_NODES = 4
-
-
-def smoke_reports():
-    """A reduced scenario x runtime matrix, plus sharded/batched cells.
-
-    Small enough for CI to run twice, but covering every runtime kind and
-    both new broadcast-RTS scaling knobs, so any non-determinism anywhere in
-    the simulation shows up as a byte diff between the two reports.
-    """
-    reports = []
-    for scenario, spec in SCENARIOS.items():
-        smoke_spec = spec.with_overrides(ops_per_client=SMOKE_OPS)
-        for runtime in RUNTIME_KINDS:
-            reports.append(WorkloadRunner(
-                scenario, workload=smoke_spec, runtime=runtime,
-                num_nodes=SMOKE_NODES, clients_per_node=CLIENTS_PER_NODE,
-                seed=SEED).run())
-    sharded_spec = SCENARIOS["counter-farm"].with_overrides(ops_per_client=SMOKE_OPS)
-    reports.append(WorkloadRunner(
-        "counter-farm", workload=sharded_spec, runtime="broadcast",
-        num_nodes=SMOKE_NODES, clients_per_node=2, seed=SEED,
-        num_shards=2).run())
-    batched_spec = SCENARIOS["fifo-queue"].with_overrides(ops_per_client=SMOKE_OPS)
-    reports.append(WorkloadRunner(
-        "fifo-queue", workload=batched_spec, runtime="broadcast",
-        num_nodes=SMOKE_NODES, clients_per_node=2, seed=SEED,
-        num_shards=2, batching={"max_batch": 8, "flush_delay": 0.0005}).run())
-    return reports
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="Workload scenario benchmark (script mode)")
-    parser.add_argument("--smoke", action="store_true",
-                        help="run the reduced matrix and emit canonical JSON")
-    parser.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
-    args = parser.parse_args(argv)
-    if not args.smoke:
-        parser.error("script mode currently only supports --smoke")
-    reports = smoke_reports()
-    payload = {
-        "seed": SEED,
-        "nodes": SMOKE_NODES,
-        "ops_per_client": SMOKE_OPS,
-        "cells": [report.fingerprint() for report in reports],
-    }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

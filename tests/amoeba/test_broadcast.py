@@ -385,7 +385,7 @@ class TestOneSequencedRecord:
         strict=True,
         reason="a send from the sequencer's own node is delivered inside strategy.send, "
         "yet _transmit arms a retry timer for it afterwards (ROADMAP, smaller threads); "
-        "the fix changes sim.events_per_op and baselines/transactions.json",
+        "the fix changes sim.events_per_op and baselines/transactions.jsonl",
     )
     def test_send_from_the_sequencer_node_leaves_no_retry_timer(self):
         with make_cluster(4) as cluster:
