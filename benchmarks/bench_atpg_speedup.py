@@ -13,7 +13,7 @@ import pytest
 
 from repro.apps.atpg import random_circuit
 from repro.apps.atpg.orca_atpg import run_atpg_program
-from repro.harness.figures import render_speedup_figure
+from repro.metrics.report import render_speedup_figure
 from repro.metrics.speedup import SpeedupCurve
 
 from conftest import SCALE, run_once

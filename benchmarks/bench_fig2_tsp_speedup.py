@@ -14,7 +14,7 @@ import pytest
 
 from repro.apps.tsp import random_instance
 from repro.apps.tsp.orca_tsp import run_tsp_program
-from repro.harness.figures import render_speedup_figure
+from repro.metrics.report import render_speedup_figure
 from repro.metrics.speedup import SpeedupCurve
 
 from conftest import SCALE, run_once

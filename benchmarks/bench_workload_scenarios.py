@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.harness.sweeps import workload_run_collection
 from repro.metrics.latency import format_latency_row
 from repro.metrics.report import format_table
 from repro.workloads import RUNTIME_KINDS, WorkloadRunner, WorkloadSpec
@@ -96,7 +95,6 @@ def test_scenario_matrix_latency_and_throughput(benchmark):
     assert (catalog["broadcast-rts"].percentile_row("read")["p50"]
             < catalog["central-server-rts"].percentile_row("read")["p50"])
 
-    collection = workload_run_collection(reports)
     rows = []
     for report in reports:
         p50, p95, p99, mean = format_latency_row(
@@ -106,7 +104,7 @@ def test_scenario_matrix_latency_and_throughput(benchmark):
                      str(report.total_ops), f"{report.throughput:.0f}",
                      p50, p95, p99, mean])
     benchmark.extra_info["cells"] = {f"{r.scenario}/{r.runtime}": r.fingerprint() for r in reports}
-    benchmark.extra_info["records"] = len(collection)
+    benchmark.extra_info["records"] = len(reports)
     print()
     print(format_table(
         ["scenario", "runtime", "ops", "ops/s", "p50 ms", "p95 ms", "p99 ms",

@@ -17,7 +17,7 @@ import sys
 
 from repro.apps.acp import random_acp_problem, solve_sequential_ac3
 from repro.apps.acp.orca_acp import run_acp_program
-from repro.harness.figures import render_speedup_figure
+from repro.metrics.report import render_speedup_figure
 from repro.metrics.speedup import SpeedupCurve
 
 

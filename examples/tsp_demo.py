@@ -17,7 +17,7 @@ import sys
 
 from repro.apps.tsp import random_instance, solve_sequential
 from repro.apps.tsp.orca_tsp import run_tsp_program
-from repro.harness.figures import render_speedup_figure
+from repro.metrics.report import render_speedup_figure
 from repro.metrics.speedup import SpeedupCurve
 
 

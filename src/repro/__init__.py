@@ -15,8 +15,8 @@ Tanenbaum, Bal and Kaashoek (HPDC 1993):
   chess (Oracol) and ATPG;
 * ``repro.baselines`` — comparison points (central-server objects, page-based
   DSM, explicit message passing);
-* ``repro.metrics`` / ``repro.harness`` — measurement and experiment
-  orchestration used by the benchmark suite.
+* ``repro.metrics`` — speedup curves and figures, latency summaries and
+  report tables used by the benchmark suite.
 
 Quickstart
 ----------

@@ -8,7 +8,7 @@ data-object runtime systems rely on:
 * :mod:`repro.amoeba.nic` — per-node network interfaces with interrupt and
   protocol-processing costs;
 * :mod:`repro.amoeba.node` / :mod:`repro.amoeba.kernel` — processor-pool
-  nodes running a per-node microkernel (threads, segments, ports);
+  nodes running a per-node microkernel (threads and timers);
 * :mod:`repro.amoeba.rpc` — transparent remote procedure call;
 * :mod:`repro.amoeba.broadcast` — the PB/BB totally-ordered reliable
   broadcast protocols built around a sequencer.

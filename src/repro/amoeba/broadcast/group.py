@@ -40,12 +40,9 @@ DeliveryHandler = Callable[[DeliveredMessage], None]
 
 
 class GroupClock(Protocol):
-    """The clock and trace sink a member reads (``node.sim``)."""
+    """The clock a member reads (``node.sim``)."""
 
     now: float
-    tracer: Any
-
-    def trace(self, category: str, message: str, **data: Any) -> None: ...
 
 
 class GroupTimers(Protocol):
@@ -393,13 +390,6 @@ class GroupMember:
                     if sent.on_delivered is not None:
                         sent.on_delivered(seqno)
             self.deliveries += 1
-            if sim.tracer.enabled:
-                sim.trace(
-                    "grp.deliver",
-                    f"node {node_id} delivers #{seqno}",
-                    origin=record.origin,
-                    seqno=seqno,
-                )
             if self.delivery_handler is not None:
                 self.delivery_handler(record)
 

@@ -25,7 +25,7 @@ class Cluster:
     Parameters
     ----------
     config:
-        The cluster configuration (node count, cost model, seed, tracing).
+        The cluster configuration (node count, cost model, seed).
     network_type:
         ``"ethernet"`` (shared medium with hardware broadcast — the paper's
         testbed) or ``"switched"`` (point-to-point only).
@@ -38,7 +38,6 @@ class Cluster:
         self.cost_model = self.config.cost_model
         self.sim = Simulator(
             seed=self.config.seed,
-            trace=self.config.trace,
             work_unit_time=self.cost_model.cpu.work_unit_time,
         )
         self.network = self._build_network(network_type)

@@ -2,33 +2,29 @@
 
 The Amoeba microkernel's four jobs (per the paper) are process/thread
 management, low-level memory management, I/O, and transparent communication.
-:class:`AmoebaKernel` provides the first two for its node — threads are
-simulation processes pinned to the node, segments come from the node's
-:class:`~repro.amoeba.segments.SegmentManager` — and hosts the timer facility
-used by the communication protocols.  RPC and group communication live in
-their own modules but register themselves with the kernel's node.
+:class:`AmoebaKernel` provides threads for its node — simulation processes
+pinned to the node — and hosts the timer facility used by the communication
+protocols.  RPC and group communication live in their own modules but
+register themselves with the kernel's node.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 
 from ..sim.events import Event
 from ..sim.process import SimProcess
-from .segments import SegmentManager
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .node import Node
 
 
 class AmoebaKernel:
-    """Per-node kernel services: threads, segments, timers, synchronization."""
+    """Per-node kernel services: threads and timers."""
 
-    def __init__(self, node: "Node", memory_bytes: int = 64 * 1024 * 1024) -> None:
+    def __init__(self, node: "Node") -> None:
         self.node = node
         self.sim = node.sim
-        self.segments = SegmentManager(memory_bytes)
-        self.threads: List[SimProcess] = []
         self._timers: Dict[int, Event] = {}
         self._timer_ids = 0
 
@@ -61,7 +57,6 @@ class AmoebaKernel:
             **kwargs,
         )
         proc.node = self.node
-        self.threads.append(proc)
         return proc
 
     # ------------------------------------------------------------------ #

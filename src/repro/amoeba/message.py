@@ -138,26 +138,6 @@ class Message:
     def is_broadcast(self) -> bool:
         return self.dst is BROADCAST
 
-    def reply_to(self, kind: str, payload: Any = None, size: int = 0, **headers: Any) -> "Message":
-        """Build a unicast message back to this message's sender.
-
-        A reply that echoes this message's payload object reuses this
-        message's (already computed or caller-supplied) size instead of
-        walking the payload a second time.
-        """
-        if size <= 0 and payload is not None and payload is self.payload:
-            size = self.size
-        merged = {"in_reply_to": self.msg_id}
-        merged.update(headers)
-        return Message(
-            src=self.dst if self.dst is not None else -1,
-            dst=self.src,
-            kind=kind,
-            payload=payload,
-            size=size,
-            headers=merged,
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         dst = "ALL" if self.is_broadcast else self.dst
         return f"<Message #{self.msg_id} {self.kind} {self.src}->{dst} {self.size}B>"

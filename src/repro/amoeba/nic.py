@@ -85,15 +85,6 @@ class NetworkInterface:
             return
         self.stats.messages_received += 1
         node.charge_overhead(node.cost_model.cpu.protocol_cost)
-        if node.sim.tracer.enabled:
-            # Guarded: the f-string below is per-delivery hot-path work.
-            node.sim.trace(
-                "net.deliver",
-                f"node {node.node_id} received {msg.kind}",
-                msg_id=msg.msg_id,
-                src=msg.src,
-                size=msg.size,
-            )
         node.stats.messages_received += 1
         handler = node._handlers.get(msg.kind)
         if handler is None:

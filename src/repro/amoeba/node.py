@@ -141,7 +141,6 @@ class Node:
         """Simulate a node crash: all subsequent traffic to the node is dropped."""
         self.alive = False
         self.nic.drop_partial_state()
-        self.sim.trace("node.crash", f"node {self.node_id} crashed")
         for callback in list(self._crash_listeners):
             callback()
 
@@ -154,7 +153,6 @@ class Node:
         before the member serves the cluster again.
         """
         self.alive = True
-        self.sim.trace("node.recover", f"node {self.node_id} recovered")
         for callback in list(self._recover_listeners):
             callback()
 

@@ -229,15 +229,11 @@ class ClusterConfig:
         Cost model shared by all nodes and the interconnect.
     seed:
         Master seed for all pseudo-random streams used by the simulation.
-    trace:
-        Whether to record a structured event trace (useful for debugging and
-        for the consistency checker; adds memory overhead).
     """
 
     num_nodes: int = 4
     cost_model: CostModel = field(default_factory=CostModel)
     seed: int = 42
-    trace: bool = False
 
     def __post_init__(self) -> None:
         if self.num_nodes < 1:

@@ -1,14 +1,12 @@
-"""Measurement utilities: speedup curves, run summaries, and report formatting."""
+"""Measurement utilities: speedup curves, speedup figures and report formatting."""
 
-from .collectors import RunRecord, RunCollection
-from .report import ascii_plot, format_table
+from .report import ascii_plot, format_table, render_speedup_figure
 from .speedup import SpeedupCurve, speedup_from_times
 
 __all__ = [
-    "RunRecord",
-    "RunCollection",
     "SpeedupCurve",
     "speedup_from_times",
     "format_table",
     "ascii_plot",
+    "render_speedup_figure",
 ]

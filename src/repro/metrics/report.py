@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+from .speedup import SpeedupCurve
+
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[str]],
                  title: Optional[str] = None) -> str:
@@ -65,3 +67,22 @@ def ascii_plot(series: Dict[str, Dict[float, float]], width: int = 60, height: i
                         for i, name in enumerate(series))
     lines.append(f"        [{y_label}]  {legend}")
     return "\n".join(lines)
+
+
+def render_speedup_figure(title: str, curve: SpeedupCurve,
+                          max_procs: Optional[int] = None) -> str:
+    """Render a Fig. 2 / Fig. 3 style chart: measured speedup vs perfect speedup."""
+    procs = curve.processor_counts
+    top = max_procs or max(procs)
+    measured = {float(p): curve.speedup(p) for p in procs}
+    perfect = {float(p): float(p) for p in procs}
+    chart = ascii_plot(
+        {"measured": measured, "perfect": perfect},
+        title=title, x_label="number of processors", y_label="speedup",
+        y_max=float(top),
+    )
+    table = format_table(
+        ["CPUs", "time (s)", "speedup", "efficiency"],
+        curve.as_rows(),
+    )
+    return f"{chart}\n\n{table}"

@@ -17,7 +17,6 @@ import functools
 import heapq
 import itertools
 import time
-from types import SimpleNamespace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..amoeba.broadcast.protocol import (KIND_DATA, KIND_REQUEST, KIND_RETRANSMIT,
@@ -53,8 +52,6 @@ class RealNode:
     and one loop callback: arming is a push, cancelling a dict pop."""
 
     alive = True
-    #: The groups record a trace only through an enabled tracer.
-    tracer = SimpleNamespace(enabled=False)
 
     def __init__(self, node_id: int, transport: UdpTransport) -> None:
         self.node_id = node_id
@@ -77,9 +74,9 @@ class RealNode:
         return time.monotonic()
 
     def _nothing(self, *args: Any, **kwargs: Any) -> None:
-        """Tracing, CPU charges and crash recovery: simulator notions."""
+        """CPU charges and crash recovery: simulator notions."""
 
-    trace = charge_overhead = on_recover = _nothing
+    charge_overhead = on_recover = _nothing
 
     def set_timer(self, delay: float, callback: Callable[..., Any], *args: Any) -> int:
         timer_id = next(self._timer_ids)

@@ -14,8 +14,7 @@ _EXPORTS = {
     ".kernel": ("Simulator",),
     ".process": ("SimProcess",),
     ".rng": ("RngRegistry",),
-    ".sync": ("Barrier", "SimCondition", "SimLock", "SimSemaphore"),
-    ".trace": ("TraceRecord", "Tracer"),
+    ".sync": ("SimSemaphore",),
 }
 __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
 
@@ -25,10 +24,5 @@ __all__ = [
     "Simulator",
     "SimProcess",
     "RngRegistry",
-    "SimLock",
-    "SimCondition",
     "SimSemaphore",
-    "Barrier",
-    "Tracer",
-    "TraceRecord",
 ]

@@ -10,14 +10,13 @@ from ..errors import DeadlockError, SimulationError
 from .events import Event, EventQueue
 from .process import SimProcess, _Carrier
 from .rng import RngRegistry
-from .trace import Tracer
 
 
 class Simulator:
     """A single-clock discrete-event simulator.
 
-    The simulator owns the virtual clock, the event queue, the random-stream
-    registry and the tracer.  Higher layers (the Amoeba substrate, the RTSes,
+    The simulator owns the virtual clock, the event queue and the
+    random-stream registry.  Higher layers (the Amoeba substrate, the RTSes,
     the Orca programming layer) all schedule work through one simulator
     instance per cluster.
 
@@ -32,13 +31,10 @@ class Simulator:
     def __init__(
         self,
         seed: int = 0,
-        trace: bool = False,
         work_unit_time: float = 2.0e-5,
-        max_trace_records: Optional[int] = None,
     ) -> None:
         self.now = 0.0
         self.rng = RngRegistry(seed)
-        self.tracer = Tracer(enabled=trace, max_records=max_trace_records)
         #: Default conversion factor used by :meth:`SimProcess.compute`.
         self.work_unit_time = work_unit_time
         self._queue = EventQueue()
@@ -299,11 +295,3 @@ class Simulator:
 
     def __exit__(self, *exc_info: Any) -> None:
         self.shutdown()
-
-    # ------------------------------------------------------------------ #
-    # Convenience
-    # ------------------------------------------------------------------ #
-
-    def trace(self, category: str, message: str, **data: Any) -> None:
-        """Record a trace entry at the current virtual time."""
-        self.tracer.record(self.now, category, message, **data)

@@ -309,7 +309,7 @@ class TxnParticipant:
     def _defer_future(self, node_id: int, txn_id: int, future_obj: int,
                       obj_ids: List[int], payload: Tuple[Any, ...],
                       origin: int, seqno: int) -> None:
-        """Barrier a record that outran this member's epoch.
+        """Hold back a record that outran this member's epoch.
 
         A barrier lock lands on *every* object of the record (members that
         never lagged interleave later deliveries after the record, so the

@@ -143,29 +143,3 @@ class TestMessage:
         a = Message(src=0, dst=1, kind="x")
         b = Message(src=0, dst=1, kind="x")
         assert a.msg_id != b.msg_id
-
-    def test_reply_to(self):
-        request = Message(src=2, dst=5, kind="req", payload="hi")
-        reply = request.reply_to("rep", payload="ok")
-        assert reply.dst == 2
-        assert reply.src == 5
-        assert reply.headers["in_reply_to"] == request.msg_id
-
-    def test_reply_echoing_payload_reuses_request_size(self):
-        # A caller-supplied size (e.g. a simulated bulk read) must carry over
-        # to a reply that echoes the same payload object, instead of being
-        # re-estimated from the (much smaller) Python value.
-        payload = ["chunk"]
-        request = Message(src=2, dst=5, kind="req", payload=payload, size=4096)
-        reply = request.reply_to("rep", payload=payload)
-        assert reply.size == 4096
-
-    def test_reply_with_new_payload_is_estimated_fresh(self):
-        request = Message(src=2, dst=5, kind="req", payload="hi", size=4096)
-        assert request.reply_to("rep", payload="okay").size == 4
-        # ... and an explicit size always wins.
-        assert request.reply_to("rep", payload="okay", size=9).size == 9
-
-    def test_reply_with_none_payload_does_not_inherit_size(self):
-        request = Message(src=2, dst=5, kind="req", payload=None, size=4096)
-        assert request.reply_to("ack").size == 1

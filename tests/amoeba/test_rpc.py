@@ -234,48 +234,3 @@ class TestKernelFacilities:
         cluster.node(0).crash()
         cluster.run()
         assert fired == []
-
-    def test_segments_allocation_and_mapping(self, cluster):
-        segs = cluster.node(0).kernel.segments
-        seg = segs.allocate(1024, owner_thread="t1")
-        segs.map(seg)
-        seg.write("k", 99)
-        assert seg.read("k") == 99
-        segs.unmap(seg)
-        with pytest.raises(Exception):
-            seg.read("k")
-        segs.free(seg)
-        assert segs.used_bytes == 0
-
-    def test_segment_capacity_enforced(self, cluster):
-        from repro.amoeba.segments import SegmentManager
-
-        mgr = SegmentManager(capacity_bytes=100)
-        mgr.allocate(60)
-        with pytest.raises(Exception):
-            mgr.allocate(60)
-
-    def test_double_free_rejected(self, cluster):
-        segs = cluster.node(0).kernel.segments
-        seg = segs.allocate(10)
-        segs.free(seg)
-        with pytest.raises(Exception):
-            segs.free(seg)
-
-
-class TestPorts:
-    def test_ports_are_unique(self):
-        from repro.amoeba.ports import new_port
-
-        a = new_port("svc")
-        b = new_port("svc")
-        assert a.private != b.private
-        assert a.public != b.public
-
-    def test_capability_rights(self):
-        from repro.amoeba.ports import Capability, new_port
-
-        cap = Capability(new_port("obj"), obj_number=1)
-        read_only = cap.restrict(Capability.RIGHT_READ)
-        assert read_only.allows(Capability.RIGHT_READ)
-        assert not read_only.allows(Capability.RIGHT_WRITE)

@@ -17,14 +17,6 @@ def sim():
 
 
 @pytest.fixture
-def traced_sim():
-    """A simulator with tracing enabled."""
-    simulator = Simulator(seed=1234, trace=True)
-    yield simulator
-    simulator.shutdown()
-
-
-@pytest.fixture
 def small_config():
     """A 4-node cluster configuration used by integration tests."""
     return ClusterConfig(num_nodes=4, seed=7)

@@ -434,14 +434,14 @@ class TestCarriers:
         class Request:
             pass
 
-        def handler(request, reply_to=None):
+        def handler(request, reply=None):
             sim.current_process.hold(1.0)
 
         requests = []
         for _ in range(50):
             request = Request()
             requests.append(weakref.ref(request))
-            sim.spawn(handler, request, reply_to=request)
+            sim.spawn(handler, request, reply=request)
         del request
         sim.run(until=5.0)
         gc.collect()

@@ -1,4 +1,4 @@
-"""Tests for the metrics and harness utilities."""
+"""Tests for the metrics utilities: speedup curves, figures and tables."""
 
 from __future__ import annotations
 
@@ -7,11 +7,7 @@ from hypothesis import given, strategies as st
 
 from repro.config import ClusterConfig
 from repro.errors import ReproError
-from repro.harness.experiment import ScalingExperiment
-from repro.harness.figures import render_speedup_figure
-from repro.harness.sweeps import ParameterSweep
-from repro.metrics.collectors import RunCollection, RunRecord
-from repro.metrics.report import ascii_plot, format_table
+from repro.metrics.report import ascii_plot, format_table, render_speedup_figure
 from repro.metrics.speedup import SpeedupCurve, speedup_from_times
 from repro.orca.builtin_objects import IntObject
 from repro.orca.program import OrcaProgram
@@ -82,30 +78,8 @@ class TestReportFormatting:
         assert "CPUs" in text
 
 
-class TestRunCollection:
-    def _records(self):
-        return RunCollection([
-            RunRecord("a", {"procs": 1, "variant": "x"}, 4.0),
-            RunRecord("a", {"procs": 2, "variant": "x"}, 2.0),
-            RunRecord("a", {"procs": 2, "variant": "y"}, 3.0),
-        ])
-
-    def test_filter(self):
-        runs = self._records()
-        assert len(runs.filter(variant="x")) == 2
-        assert len(runs.filter(variant="x", procs=2)) == 1
-
-    def test_times_by(self):
-        runs = self._records().filter(variant="x")
-        assert runs.times_by("procs") == {1: 4.0, 2: 2.0}
-
-    def test_column(self):
-        runs = self._records()
-        assert runs.column("procs") == [1, 2, 2]
-
-
-class TestScalingExperiment:
-    def test_experiment_runs_program_per_processor_count(self):
+class TestProgramSpeedup:
+    def test_program_speeds_up_with_processor_count(self):
         def main(proc):
             counter = proc.new_object(IntObject, 0)
             work_per_worker = 24_000 // proc.num_nodes  # fixed total work
@@ -120,21 +94,8 @@ class TestScalingExperiment:
         def run(procs):
             return OrcaProgram(main, ClusterConfig(num_nodes=procs, seed=3)).run()
 
-        experiment = ScalingExperiment("counter", run, [1, 2, 4])
-        outcome = experiment.execute()
-        assert outcome.curve.processor_counts == [1, 2, 4]
-        assert not outcome.consistent_values()  # value == worker count here
-        assert len(outcome.runs) == 3
-        assert outcome.curve.speedup(4) > 1.0
-
-
-class TestParameterSweep:
-    def test_cartesian_product_and_rows(self):
-        def measure(a, b):
-            return {"sum": a + b}
-
-        sweep = ParameterSweep("s", measure, {"a": [1, 2], "b": [10, 20]})
-        points = sweep.execute()
-        assert len(points) == 4
-        rows = ParameterSweep.to_rows(points, ["a", "b"], ["sum"])
-        assert ["1", "10", "11"] in rows
+        results = {procs: run(procs) for procs in (1, 2, 4)}
+        assert {procs: r.value for procs, r in results.items()} == {1: 1, 2: 2, 4: 4}
+        curve = SpeedupCurve({procs: r.elapsed for procs, r in results.items()}, base_procs=1)
+        assert curve.processor_counts == [1, 2, 4]
+        assert curve.speedup(4) > 1.0

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.harness.sweeps import workload_run_collection
 from repro.workloads import (
     RUNTIME_KINDS,
     WorkloadRunner,
@@ -147,15 +146,6 @@ class TestMatrixAndHarness:
             ("hot-spot", "broadcast-rts"), ("hot-spot", "central-server-rts"),
             ("kv-table", "broadcast-rts"), ("kv-table", "central-server-rts"),
         }
-
-    def test_workload_run_collection_adapts_reports(self):
-        reports = [small_runner().run()]
-        collection = workload_run_collection(reports)
-        assert len(collection) == 1
-        record = collection.records[0]
-        assert record.params["scenario"] == "counter-farm"
-        assert record.extra["throughput"] == reports[0].throughput
-        assert collection.filter(runtime="broadcast-rts").records
 
 
 class TestCrossRuntimeConsistency:
