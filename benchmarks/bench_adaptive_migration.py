@@ -163,6 +163,7 @@ def run_election_migration(seed=SEED, writers_per_node=2, ops_per_writer=12):
         "policy": rts.policy_of(handles["log"]),
         "new_sequencer": rts.group.sequencer_node_id,
         "crashed": crashed,
+        **cluster.counters(),
     }
     cluster.shutdown()
     return facts

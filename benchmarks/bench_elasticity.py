@@ -88,6 +88,7 @@ def run_restart_cell(seed=SEED, num_nodes=NUM_NODES,
         "rejoin_log": [list(entry)
                        for entry in elasticity.get("rejoin_log", [])],
         "policies": dict(sorted(report.final_policies().items())),
+        **report.counters(),
     }
 
 
@@ -176,6 +177,7 @@ def run_drain_cell(seed=SEED, num_nodes=NUM_NODES,
         "drain_window": (None if record is None or record.completed_at is None
                          else round(record.completed_at - record.started_at, 9)),
         "deduplicated_writes": rts.stats.deduplicated_writes,
+        **cluster.counters(),
     }
     cluster.shutdown()
     return facts
@@ -201,6 +203,7 @@ def run_scale_in_cell(seed=SEED, num_nodes=NUM_NODES,
         "active_shards": facts.get("active_shards"),
         "shard_moves": report.rts_summary.get("rebalancing", {}).get(
             "moves", 0),
+        **report.counters(),
     }
 
 

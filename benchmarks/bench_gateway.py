@@ -107,7 +107,7 @@ def run_flash_crowd_cell(mode, seed=SEED, num_nodes=NUM_NODES, burst_ops=60):
     accept_queue = None if mode == "unshed" else 2 if mode == "shed" else 64
     report = _run(workload, {"workers": 2, "accept_queue": accept_queue},
                   num_nodes=num_nodes, seed=seed)
-    return _tenant_facts(report, "crowd")
+    return {**_tenant_facts(report, "crowd"), **report.counters()}
 
 
 def run_noisy_neighbour_cell(noisy, seed=SEED, num_nodes=NUM_NODES):
@@ -128,7 +128,7 @@ def run_noisy_neighbour_cell(noisy, seed=SEED, num_nodes=NUM_NODES):
         client_model="open", arrival_rate=100.0, ops_per_client=60,
         tenants=tenants)
     report = _run(workload, {"workers": 2, "accept_queue": 64}, num_nodes=num_nodes, seed=seed)
-    facts = {"quiet": _tenant_facts(report, "quiet")}
+    facts = {"quiet": _tenant_facts(report, "quiet"), **report.counters()}
     if noisy is not None:
         facts["noisy"] = _tenant_facts(report, "noisy")
     return facts
@@ -145,6 +145,7 @@ def run_scale_cell(sessions_per_gateway, num_nodes=8, seed=SEED):
     facts = _tenant_facts(report, "fleet")
     facts["sessions"] = gateway["sessions"]
     facts["gateways"] = gateway["gateways"]
+    facts.update(report.counters())
     return facts
 
 

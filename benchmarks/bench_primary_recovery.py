@@ -151,6 +151,7 @@ def run_recovery_cell(policy, crash=True, seed=SEED, num_nodes=NUM_NODES,
         "post_window_throughput": round(len(in_window) / TPUT_WINDOW, 3),
         "deduplicated_writes": rts.stats.deduplicated_writes,
         "final_primary": rts.directory.primary_of(handles["log"].obj_id),
+        **cluster.counters(),
     }
     cluster.shutdown()
     return facts

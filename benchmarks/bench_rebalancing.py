@@ -190,6 +190,7 @@ def run_live_growth(seed=SEED, writers_per_node=2, ops_per_writer=40,
         "elections": sum(g.stats.elections for g in rts.router.groups),
         "deliveries_per_group": {g.group_id: g.stats.deliveries
                                  for g in rts.router.groups},
+        **cluster.counters(),
     }
     cluster.shutdown()
     return facts

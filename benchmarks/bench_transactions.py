@@ -144,6 +144,7 @@ def run_commit_cost_cell(same_shard, seed=SEED, num_nodes=NUM_NODES,
         "p95": _percentile(latencies, 0.95),
         "throughput": round(rts.stats.txn_commits / elapsed, 3),
         "conserved": conserved,
+        **cluster.counters(),
     }
     cluster.shutdown()
     return facts
@@ -187,6 +188,7 @@ def run_contention_cell(seed=SEED, num_nodes=NUM_NODES, rounds=ROUNDS):
         "conflict_retries": rts.stats.txn_retries,
         "deferred_writes": rts.stats.txn_deferred_writes,
         "conserved": conserved,
+        **cluster.counters(),
     }
     cluster.shutdown()
     return facts
@@ -257,6 +259,7 @@ def run_crash_cell(seed=SEED, num_nodes=NUM_NODES, rounds=ROUNDS):
         "post_window_throughput": (round(len(after) / window, 3)
                                    if window > 0 else None),
         "conserved": conserved,
+        **cluster.counters(),
     }
     cluster.shutdown()
     return facts

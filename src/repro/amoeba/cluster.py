@@ -143,6 +143,10 @@ class Cluster:
         """Sum of protocol-processing CPU time charged across all nodes."""
         return sum(node.stats.overhead_time for node in self.nodes)
 
+    def counters(self) -> Dict[str, int]:
+        """The run's exact totals: simulator events and bytes on the wire."""
+        return {"events": self.sim.events_processed, "wire_bytes": self.network.stats.wire_bytes}
+
     def network_summary(self) -> Dict[str, Any]:
         """A compact dictionary of traffic statistics for reports."""
         stats = self.network.stats

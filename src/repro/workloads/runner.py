@@ -94,6 +94,8 @@ class WorkloadReport:
     #: Broadcast-RTS scaling knobs this cell ran with (1 / None = classic).
     num_shards: int = 1
     batching: Optional[Dict[str, Any]] = None
+    #: Simulator events the run processed (``None`` on the real backend).
+    events: Optional[int] = None
 
     def percentile_row(self, kind: str = "overall") -> Dict[str, float]:
         """p50/p95/p99/mean (seconds) of one request-latency class."""
@@ -107,6 +109,10 @@ class WorkloadReport:
     def final_policies(self) -> Dict[str, str]:
         """Object name -> management policy at the end of the run."""
         return {name: row.get("policy", "?") for name, row in self.object_rows().items()}
+
+    def counters(self) -> Dict[str, Any]:
+        """The run's exact totals: simulator events and bytes on the wire."""
+        return {"events": self.events, "wire_bytes": self.network.get("wire_bytes")}
 
     def fingerprint(self) -> Dict[str, Any]:
         """A stable, rounded digest used by determinism checks and tests."""
@@ -161,6 +167,7 @@ class WorkloadReport:
             }
         return {
             **extras,
+            **self.counters(),
             "scenario": self.scenario,
             "runtime": self.runtime,
             "num_shards": self.num_shards,
@@ -395,6 +402,7 @@ class WorkloadRunner:
             scenario_facts=facts,
             num_shards=self.num_shards,
             batching=batching_facts,
+            events=sim.events_processed,
         )
 
 

@@ -35,6 +35,14 @@ def test_pin_file_lists_the_family_cells_in_order(family):
     assert list(pins.pinned(family)) == list(pins.FAMILIES[family])
 
 
+@pytest.mark.parametrize("family", list(pins.FAMILIES))
+def test_every_pin_carries_the_event_and_wire_byte_counters(family):
+    for text in pins.pinned(family).values():
+        fingerprint = json.loads(text)["fingerprint"]
+        assert type(fingerprint["events"]) is int and fingerprint["events"] > 0
+        assert type(fingerprint["wire_bytes"]) is int and fingerprint["wire_bytes"] > 0
+
+
 def test_every_budgeted_cell_is_a_registry_cell():
     budget = json.loads(pins.BUDGET.read_text())
     assert budget
