@@ -385,7 +385,9 @@ class TestOneSequencedRecord:
         strict=True,
         reason="a send from the sequencer's own node is delivered inside strategy.send, "
         "yet _transmit arms a retry timer for it afterwards (ROADMAP, smaller threads); "
-        "the fix changes sim.events_per_op and baselines/transactions.jsonl",
+        "the fix changes sim.events_per_op and the event count of 100 of the 171 pinned "
+        "cells, in every family but adaptive and rebalance; only transactions/cross-shard "
+        "moves beyond its event count (its throughput)",
     )
     def test_send_from_the_sequencer_node_leaves_no_retry_timer(self):
         with make_cluster(4) as cluster:

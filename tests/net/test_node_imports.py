@@ -43,12 +43,14 @@ NOT_IN_A_NODE = (
 #: package ``__init__`` modules re-exported eagerly, 6 965 when they first
 #: re-exported lazily, 6 942 before and 6 720 after the nine counter scenario
 #: kinds became one family, 6 691 once ``RealObject`` became a ``Replica`` and
-#: the unread built-in operations and error class went).  The cap is that
-#: plus 60 lines: ``net/runtime.py``, the broadcast group and the scenario
-#: definitions are in the closure, so protocol growth alone can cross it.
+#: the unread built-in operations and error class went, 6 647 once the
+#: simulator tracer, the real node's stand-in for it and the unused reply
+#: builder on ``Message`` went).  The cap is that plus 60 lines:
+#: ``net/runtime.py``, the broadcast group and the scenario definitions are
+#: in the closure, so protocol growth alone can cross it.
 #: The forbidden-module check above is the main guard; this one catches a
 #: closure that grows without loading any of those modules.
-MAX_CLOSURE_LINES = 6751
+MAX_CLOSURE_LINES = 6707
 
 _PROBE = """
 import json, sys
