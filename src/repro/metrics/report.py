@@ -35,7 +35,7 @@ def ascii_plot(series: Dict[str, Dict[float, float]], width: int = 60, height: i
     """
     markers = "*o+x#@"
     all_x = [x for points in series.values() for x in points]
-    all_y = [y for points in series.values() for y in points]
+    all_y = [y for points in series.values() for y in points.values()]
     if not all_x:
         return "(no data)"
     x_min, x_max = min(all_x), max(all_x)

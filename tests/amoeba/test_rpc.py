@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.amoeba.cluster import Cluster
@@ -234,3 +237,79 @@ class TestKernelFacilities:
         cluster.node(0).crash()
         cluster.run()
         assert fired == []
+
+    def test_spawn_thread_starts_after_one_context_switch(self, cluster):
+        started = []
+        node = cluster.node(1)
+
+        def body():
+            started.append(cluster.sim.now)
+
+        proc = node.kernel.spawn_thread(body, name="worker")
+        cluster.run()
+        assert proc.name.startswith("n1:worker")
+        assert started == [node.cost_model.cpu.context_switch_cost]
+
+    def test_a_finished_thread_lets_go_of_its_arguments(self, cluster):
+        class Request:
+            pass
+
+        def body(request):
+            cluster.sim.current_process.hold(0.5)
+
+        requests = []
+        for _ in range(5):
+            request = Request()
+            requests.append(weakref.ref(request))
+            cluster.node(0).kernel.spawn_thread(body, request)
+        del request
+        cluster.run()
+        gc.collect()
+        assert [ref() for ref in requests] == [None] * 5
+
+    def test_active_timers_counts_armed_timers(self, cluster):
+        kernel = cluster.node(0).kernel
+        kernel.set_timer(1.0, lambda: None)
+        timer = kernel.set_timer(2.0, lambda: None)
+        kernel.set_timer(3.0, lambda: None)
+        assert kernel.active_timers == 3
+        kernel.cancel_timer(timer)
+        assert kernel.active_timers == 2
+        cluster.run()
+        assert kernel.active_timers == 0
+
+
+def _echo_three_times(cluster):
+    cluster.rpc_for(1).register_service("echo", lambda req: req.payload)
+
+    def client():
+        proc = cluster.sim.current_process
+        for i in range(3):
+            cluster.rpc_for(0).call(proc, 1, "echo", payload=[i] * 100)
+
+    cluster.node(0).kernel.spawn_thread(client)
+    cluster.run()
+
+
+class TestClusterCounters:
+    def test_counters_start_at_zero(self, cluster):
+        assert cluster.counters() == {"events": 0, "wire_bytes": 0}
+
+    def test_counters_are_the_simulator_and_network_totals(self, cluster):
+        _echo_three_times(cluster)
+        counters = cluster.counters()
+        assert counters == {
+            "events": cluster.sim.events_processed,
+            "wire_bytes": cluster.network.stats.wire_bytes,
+        }
+        assert counters["events"] > 0
+        # Six messages each carry a list payload larger than its packet overhead.
+        assert counters["wire_bytes"] > 6 * 100
+
+    def test_counters_repeat_for_the_same_seed(self):
+        totals = []
+        for _ in range(2):
+            with Cluster(ClusterConfig(num_nodes=3, seed=11)) as cluster:
+                _echo_three_times(cluster)
+                totals.append(cluster.counters())
+        assert totals[0] == totals[1]

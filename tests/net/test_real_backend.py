@@ -71,6 +71,8 @@ class TestConvergenceMatrix:
             timings=CI_TIMINGS)
         assert report.num_clients == 6
         assert report.total_ops == 6 * 15
+        # Real sockets have no simulator, so there is no event count to report.
+        assert report.events is None
         assert report.rts_summary["stats"]["elections"] == 0
 
 

@@ -78,6 +78,32 @@ class TestReportFormatting:
         assert "CPUs" in text
 
 
+    def test_render_speedup_figure_tops_the_axis_at_max_procs(self):
+        curve = SpeedupCurve({1: 8.0, 2: 4.0, 4: 2.0}, base_procs=1)
+        assert render_speedup_figure("F", curve).splitlines()[1].startswith("   4.0 |")
+        assert render_speedup_figure("F", curve, max_procs=8).splitlines()[1].startswith("   8.0 |")
+
+    def test_render_speedup_figure_tabulates_every_processor_count(self):
+        curve = SpeedupCurve({1: 8.0, 2: 4.0, 4: 2.0}, base_procs=1)
+        table = render_speedup_figure("F", curve).split("\n\n", 1)[1]
+        assert table == format_table(["CPUs", "time (s)", "speedup", "efficiency"],
+                                     curve.as_rows())
+        assert len(table.splitlines()) == 2 + 3
+
+    def test_ascii_plot_single_x_value(self):
+        lines = ascii_plot({"s": {2: 1.0}}, width=10, height=4).splitlines()
+        assert len(lines) == 4 + 3
+        assert lines[0] == "   1.1 |*         "
+
+    def test_ascii_plot_tops_the_axis_at_the_largest_y(self):
+        lines = ascii_plot({"s": {1: 1.0, 2: 10.0}}, width=10, height=4).splitlines()
+        assert lines[0] == "  10.5 |         *"
+
+    def test_format_table_without_title_pads_to_widest_cell(self):
+        lines = format_table(["k", "v"], [["long-key", "1"]]).splitlines()
+        assert lines == ["k         v", "--------  -", "long-key  1"]
+
+
 class TestProgramSpeedup:
     def test_program_speeds_up_with_processor_count(self):
         def main(proc):

@@ -50,6 +50,26 @@ class TestRunnerBasics:
         assert report.num_clients == 3
 
 
+class TestCounters:
+    def test_fingerprint_carries_the_report_counters(self):
+        report = small_runner().run()
+        counters = report.counters()
+        assert counters == {"events": report.events,
+                            "wire_bytes": report.network["wire_bytes"]}
+        fingerprint = report.fingerprint()
+        assert {key: fingerprint[key] for key in counters} == counters
+        assert type(report.events) is int and report.events > 0
+
+    def test_counters_repeat_for_the_same_seed(self):
+        assert small_runner().run().counters() == small_runner().run().counters()
+
+    def test_more_operations_cost_more_events_and_bytes(self):
+        short = small_runner().run().counters()
+        longer = small_runner(workload=SMALL.with_overrides(ops_per_client=24)).run().counters()
+        assert longer["events"] > short["events"]
+        assert longer["wire_bytes"] > short["wire_bytes"]
+
+
 class TestLatencyCollection:
     def test_request_latency_has_read_write_and_overall(self):
         report = small_runner().run()
