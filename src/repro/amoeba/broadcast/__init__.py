@@ -12,9 +12,11 @@ The paper's runtime relies on a sequencer-based protocol pair:
   Accept), but every machine is interrupted twice.
 
 The implementation dynamically picks PB for messages of at most one packet
-and BB for longer ones, exactly as the paper describes, and recovers from
-lost packets via the sequencer's history buffer.  A crashed sequencer is
-replaced through an election among the surviving members.
+and BB for longer ones, exactly as the paper describes, sending either from
+one member method (``GroupMember._transmit`` in :mod:`.group`), and recovers
+from lost packets via the sequencer's history buffer.  A crashed sequencer is
+replaced through an election among the surviving members; :mod:`.election`
+runs it and is the one place the seat changes.
 """
 
 from .group import BroadcastGroup, GroupMember

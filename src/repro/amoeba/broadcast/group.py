@@ -1,27 +1,26 @@
-"""Broadcast group membership, send/deliver engine, and sequencer election.
+"""Broadcast group membership and the send/deliver engine.
 
-The group owns no socket and no clock: it reads its host and nodes only through
-the Protocols below.  A simulated ``Cluster`` hosts every member; a real node
-process (:mod:`repro.net.host`) hosts one."""
+A member sends by PB or BB from one place (``_transmit``); only
+:mod:`.election` changes the seat once the group is built.  The group owns no
+socket and no clock: it reads its host and nodes only through the Protocols
+below.  A simulated ``Cluster`` hosts every member; a real node process
+(:mod:`repro.net.host`) hosts one."""
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Protocol, Sequence
 
 from ...config import BroadcastParams
 from ...errors import BroadcastError
 from ..message import Message, estimate_size
-from .bb import BBStrategy
-from .pb import PBStrategy
+from .election import Election
 from .protocol import (
     CONTROL_MESSAGE_SIZE,
     KIND_ACCEPT,
     KIND_BB_DATA,
-    KIND_COORDINATOR,
     KIND_DATA,
-    KIND_ELECTION,
     KIND_REQUEST,
     KIND_RETRANSMIT,
     KIND_RETRANSMIT_REQ,
@@ -37,6 +36,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...config import CostModel
 
 DeliveryHandler = Callable[[DeliveredMessage], None]
+
+#: Unanswered sends of one broadcast, without a delivery in the meantime,
+#: after which its sender suspects the seat and calls an election.
+MAX_SEND_ATTEMPTS = 3
 
 
 class GroupClock(Protocol):
@@ -99,8 +102,6 @@ class GroupStats:
     #: its local delivered history — the cross-member recovery path.
     peer_retransmissions: int = 0
     elections: int = 0
-    data_bytes_sent: int = 0
-    control_bytes_sent: int = 0
 
     @property
     def deliveries(self) -> int:
@@ -141,9 +142,6 @@ class GroupMember:
         #: Gap-request attempts per missing seqno; after the first unanswered
         #: unicast to the sequencer, requests fall back to a group broadcast.
         self._gap_attempts: Dict[int, int] = {}
-        #: Election round bookkeeping: candidate -> (epoch, highest known seqno).
-        self._election_votes: Dict[int, Tuple[int, int]] = {}
-        self._election_timer: Optional[int] = None
         #: When this member last delivered a sequenced message: deliveries
         #: prove the sequencer is alive (merely backlogged), so send retries
         #: keep backing off instead of escalating to an election.
@@ -157,10 +155,9 @@ class GroupMember:
             (KIND_ACCEPT, self._on_accept),
             (KIND_SYNC, self._on_sync),
             (KIND_RETRANSMIT_REQ, self._on_retransmit_request),
-            (KIND_ELECTION, self._on_election_message),
-            (KIND_COORDINATOR, self._on_coordinator_message),
         ):
             node.register_handler(group.wire_kind(kind), handler)
+        self.election = Election(self)
         # A crash loses this member's volatile protocol state; the loss is
         # applied when the node comes back (wiping a dead member changes
         # nothing observable, and the election path still seeds the new
@@ -198,22 +195,39 @@ class GroupMember:
             self.group.stats.pb_sends += 1
         else:
             self.group.stats.bb_sends += 1
-        self.group.stats.data_bytes_sent += size
         self._transmit(record)
         return uid
 
     def _transmit(self, record: SendRecord) -> None:
-        strategy = self.group.strategy(record.method)
-        if not strategy.send(self, record):
-            # No network transmission to wait for (sequencer-local fast
-            # path): arm the retry immediately.
+        """(Re)send ``record``: PB ships it to the seat, BB broadcasts it."""
+        record.attempts += 1
+        group, node = self.group, self.node
+        if self.node_id == group.sequencer_node_id:
+            # The sender holds the seat: it orders its own message at once (an
+            # ordered data broadcast, PB or BB alike), so arm the retry now.
+            group.sequencer.handle_pb_request(self.node_id, record.uid, record.payload, record.size)
             self._arm_retry(record)
+            return
+        bb = record.method == "bb"
+        msg = node.make_message(
+            None if bb else group.sequencer_node_id,
+            group.wire_kind(KIND_BB_DATA if bb else KIND_REQUEST),
+            payload=record.payload,
+            size=record.size,
+            uid=record.uid,
+        )
+        node.send(msg, on_sent=lambda _msg: self._arm_retry(record))
+        if bb:
+            # The sender keeps its own copy; it is sequenced when the seat's
+            # Accept arrives (or at once, on a resend the Accept has outrun).
+            run = self.engine.offer_bb_data(self.node_id, record.uid, record.payload, record.size)
+            self._arrived(run)
 
     def _arm_retry(self, record: SendRecord) -> None:
         """(Re)arm the send-retry timer with linear backoff.
 
-        Called when the message has actually left the wire (via the send
-        strategies' ``on_sent``), not when it was queued — a bulk sender's
+        Called when the message has actually left the wire (via
+        ``_transmit``'s ``on_sent``), not when it was queued — a bulk sender's
         NIC backlog must not look like a dead sequencer.
         """
         if record.retry_timer is not None:
@@ -230,11 +244,11 @@ class GroupMember:
         progressing = (
             self.node.sim.now - self._last_delivery_time < self.group.params.election_timeout
         )
-        if record.attempts >= self.group.max_send_attempts and not progressing:
+        if record.attempts >= MAX_SEND_ATTEMPTS and not progressing:
             # No deliveries either: the sequencer is probably gone; try to
             # elect a new one and keep the record pending so it is resent
             # after the election.
-            self._start_election()
+            self.election.start()
             record.attempts = 0
             self._arm_retry(record)
             return
@@ -262,7 +276,7 @@ class GroupMember:
         if msg.src == group.sequencer_node_id or msg.payload.seqno < group.seat_start:
             self._on_retransmit(msg)
         else:
-            self._start_election()
+            self.election.start()
 
     def _on_retransmit(self, msg: Message) -> None:
         """A sequenced record, from the seat or a peer's history."""
@@ -423,7 +437,6 @@ class GroupMember:
         attempts = self._gap_attempts.get(seqno, 0) + 1
         self._gap_attempts[seqno] = attempts
         self.group.stats.retransmit_requests += 1
-        self.group.stats.control_bytes_sent += CONTROL_MESSAGE_SIZE
         sequencer_node = self.group.sequencer_node_id
         destination = None
         if prefer_sequencer and sequencer_node != self.node_id and attempts <= 1:
@@ -467,76 +480,8 @@ class GroupMember:
             self.group.retry_timeout, self._request_retransmit, seqno
         )
 
-    # ------------------------------------------------------------------ #
-    # Sequencer election
-    # ------------------------------------------------------------------ #
-
-    def _start_election(self) -> None:
-        if self._election_timer is not None:
-            return  # already participating in a round
-        self.group.stats.elections += 1
-        self._join_election()
-
-    def _on_election_message(self, msg: Message) -> None:
-        if self._election_timer is None:
-            self._join_election()  # announce ourselves as well
-        headers, votes = msg.headers, self._election_votes
-        vote = (headers["epoch"], headers["high"])
-        votes[headers["candidate"]] = max(votes.get(headers["candidate"], vote), vote)
-
-    def _join_election(self) -> None:
-        epoch, high = self.group.epoch, self.engine.highest_known_seqno
-        self._election_votes = {self.node_id: (epoch, high)}
-        self.node.send(
-            self.node.make_message(
-                None,
-                self.group.wire_kind(KIND_ELECTION),
-                size=CONTROL_MESSAGE_SIZE,
-                candidate=self.node_id,
-                high=high,
-                epoch=epoch,
-            )
-        )
-        self._election_timer = self.node.kernel.set_timer(
-            self.group.params.election_timeout, self._conclude_election
-        )
-
-    def _conclude_election(self) -> None:
-        self._election_timer = None
-        votes = dict(self._election_votes)
-        self._election_votes = {}
-        if not votes:
-            return
-        # Winner: a follower of the latest seat (a deposed seat's numbers do
-        # not count), then the highest known seqno, then the lowest node id.
-        winner = min(votes, key=lambda nid: (-votes[nid][0], -votes[nid][1], nid))
-        if winner != self.node_id:
-            return  # the winner announces itself; everyone else stays quiet
-        epoch, next_seq = votes[winner][0] + 1, votes[winner][1] + 1
-        self.group.install_sequencer(self.node_id, next_seq, epoch)
-        msg = self.node.make_message(
-            None,
-            self.group.wire_kind(KIND_COORDINATOR),
-            size=CONTROL_MESSAGE_SIZE,
-            sequencer=self.node_id,
-            next_seq=next_seq,
-            epoch=epoch,
-        )
-        self.node.send(msg)
-        self._resend_pending()
-
-    def _on_coordinator_message(self, msg: Message) -> None:
-        headers = msg.headers
-        if headers["epoch"] < self.group.epoch:
-            return  # announced by a seat since deposed
-        self.group.note_new_sequencer(headers["sequencer"], headers["next_seq"], headers["epoch"])
-        if self._election_timer is not None:
-            self.node.kernel.cancel_timer(self._election_timer)
-            self._election_timer = None
-            self._election_votes = {}
-        self._resend_pending()
-
-    def _resend_pending(self) -> None:
+    def resend_pending(self) -> None:
+        """Resend every undelivered broadcast (at a newly announced seat)."""
         for record in list(self._pending_sends.values()):
             if not record.delivered:
                 self._transmit(record)
@@ -570,10 +515,7 @@ class GroupMember:
             if record.retry_timer is not None:
                 self.node.kernel.cancel_timer(record.retry_timer)
         self._pending_sends.clear()
-        if self._election_timer is not None:
-            self.node.kernel.cancel_timer(self._election_timer)
-            self._election_timer = None
-        self._election_votes = {}
+        self.election.reset()
         self._delivered_history.clear()
         self.engine = OrderingEngine()
         self._last_delivery_time = self.node.sim.now
@@ -643,12 +585,10 @@ class BroadcastGroup:
         self.params = params or cluster.cost_model.broadcast
         self.members: Dict[int, GroupMember] = {}
         self.stats = GroupStats(self.members)
-        self._pb = PBStrategy()
-        self._bb = BBStrategy()
         for node in cluster.nodes:
             self.members[node.node_id] = GroupMember(self, node)
-        #: Elected sequencer (initially the configured seat, defaulting to
-        #: the lowest-numbered machine).
+        #: The seat (initially the configured node, defaulting to the
+        #: lowest-numbered machine); only :mod:`.election` changes it.
         initial = cluster.nodes[0].node_id if sequencer_node_id is None else sequencer_node_id
         self.sequencer_node_id = initial
         #: The first number the current seat hands out (see ``_on_data``),
@@ -659,7 +599,6 @@ class BroadcastGroup:
         #: Tunables for loss recovery (fractions of the election timeout).
         self.retry_timeout = self.params.election_timeout / 2.0
         self.gap_request_delay = self.params.election_timeout / 20.0
-        self.max_send_attempts = 3
 
     # ------------------------------------------------------------------ #
     # Lookup / configuration
@@ -681,90 +620,12 @@ class BroadcastGroup:
         """Install the application's in-order delivery callback for one member."""
         self.members[node_id].delivery_handler = handler
 
-    def strategy(self, method: str):
-        return self._pb if method == "pb" else self._bb
-
     def choose_method(self, size: int) -> str:
         """Pick PB for short messages, BB for long ones (the paper's rule)."""
         if self.params.method != "auto":
             return self.params.method
         packets = self.cluster.cost_model.network.packets_for(size)
         return "pb" if packets <= self.params.pb_max_packets else "bb"
-
-    # ------------------------------------------------------------------ #
-    # Sequencer management
-    # ------------------------------------------------------------------ #
-
-    def install_sequencer(self, node_id: int, next_seq: int, epoch: Optional[int] = None) -> None:
-        """Make ``node_id`` the sequencer, continuing numbering at ``next_seq``.
-
-        The new sequencer's history buffer is seeded from the hosting
-        member's local state (delivered plus buffered messages), so it can
-        keep serving retransmissions for messages ordered before the old
-        sequencer crashed.  The election winner is the member with the
-        highest known sequence number, i.e. the best-informed seed.  A
-        winner on another host is only recorded: its own host builds it.
-        """
-        old = self.sequencer
-        member = self.members.get(node_id)
-        self.sequencer_node_id = node_id
-        self.seat_start = next_seq
-        self.epoch = self.epoch + 1 if epoch is None else epoch
-        self.sequencer = None if member is None else Sequencer(self, member.node)
-        if old is not None:
-            # A dethroned sequencer that is still alive must stop serving its
-            # queue, or its stale broadcasts would collide with the seqnos
-            # the successor hands out.
-            old.retire()
-        if member is not None:
-            self.sequencer.adopt_history(member.recovery_entries())
-            self.sequencer.log.advance_to(next_seq)
-
-    def note_new_sequencer(self, node_id: int, next_seq: int, epoch: Optional[int] = None) -> None:
-        """Record the outcome of an election announced by another member."""
-        if node_id != self.sequencer_node_id:
-            return self.install_sequencer(node_id, next_seq, epoch)
-        self.epoch = self.epoch if epoch is None else epoch
-        if self.sequencer is not None:
-            self.sequencer.log.advance_to(next_seq)
-
-    def handoff_sequencer(self, node_id: int, trust_old: bool = True) -> int:
-        """Hand the sequencer seat to ``node_id`` without an election.
-
-        Two planned (non-crash) seat transfers need this: draining a node
-        out of the cluster, and a recovered node giving up a seat it held
-        when it crashed.  With ``trust_old`` the numbering simply continues
-        from the old seat (callers drain its queue first); without it the
-        old seat's state is treated as lost — the rejoin case — and the
-        successor renumbers after the highest sequence number any live,
-        synced member has evidence of, exactly as an election winner would.
-        The new seat announces itself so members resend their pending
-        broadcasts at it.  Returns the adopted ``next_seq``.
-        """
-        if node_id == self.sequencer_node_id:
-            return self.sequencer.log.next_seq
-        if trust_old:
-            next_seq = self.sequencer.log.next_seq
-        else:
-            highest = 0
-            for member in self.members.values():
-                if member.node.alive and member.synced:
-                    highest = max(highest, member.engine.highest_known_seqno)
-            next_seq = highest + 1
-        self.install_sequencer(node_id, next_seq)
-        node = self.members[node_id].node
-        self.stats.control_bytes_sent += CONTROL_MESSAGE_SIZE
-        node.send(
-            node.make_message(
-                None,
-                self.wire_kind(KIND_COORDINATOR),
-                size=CONTROL_MESSAGE_SIZE,
-                sequencer=node_id,
-                next_seq=next_seq,
-                epoch=self.epoch,
-            )
-        )
-        return next_seq
 
     # ------------------------------------------------------------------ #
     # Convenience

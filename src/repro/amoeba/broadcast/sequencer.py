@@ -30,6 +30,10 @@ from .protocol import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .group import BroadcastGroup, GroupNode
 
+#: Idle-time sync heartbeats sent after the last sequenced message (bounded
+#: so the simulation's event queue can drain).
+SYNC_REPEATS = 5
+
 
 class Sequencer:
     """Sequencer state machine, hosted on one node of the group."""
@@ -39,10 +43,8 @@ class Sequencer:
         self.node = node
         #: Numbering, retained history and the uid -> seqno table.
         self.log = SequencerLog(group.params.history_size)
-        self.requests_handled = 0
         self.retransmissions = 0
         self.duplicates_suppressed = 0
-        self.sync_broadcasts = 0
         #: FIFO of sequenced messages awaiting their ordered (re)broadcast:
         #: the sequencer is a queueing server with ``sequencing_cost`` service
         #: time per message, which is what gives a lone sequencer a hard
@@ -52,9 +54,6 @@ class Sequencer:
         self.max_queue_depth = 0
         self._sync_timer: Optional[int] = None
         self._sync_remaining = 0
-        #: Number of idle-time sync heartbeats sent after the last sequenced
-        #: message (bounded so the simulation's event queue can drain).
-        self.sync_repeats = 5
 
     # ------------------------------------------------------------------ #
     # Sequencing
@@ -69,7 +68,6 @@ class Sequencer:
         self._sequence(origin, uid, payload, size, accept=True)
 
     def _sequence(self, origin: int, uid: MessageId, payload: Any, size: int, accept: bool) -> None:
-        self.requests_handled += 1
         existing = self.log.seqno_of(uid)
         if existing is None:
             record = self._record(origin, uid, payload, size)
@@ -179,7 +177,7 @@ class Sequencer:
         """
         if not self.group.cluster.network.lossy:
             return
-        self._sync_remaining = self.sync_repeats
+        self._sync_remaining = SYNC_REPEATS
         if self._sync_timer is not None:
             self.node.kernel.cancel_timer(self._sync_timer)
         self._sync_timer = self.node.kernel.set_timer(self.group.retry_timeout, self._send_sync)
@@ -188,7 +186,6 @@ class Sequencer:
         self._sync_timer = None
         if self.log.highest_assigned <= 0 or self.group.sequencer is not self:
             return
-        self.sync_broadcasts += 1
         msg = self.node.make_message(
             None,
             self.group.wire_kind(KIND_SYNC),

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Protocol, Set, Tuple
 
+from ..amoeba.broadcast import election
 from ..amoeba.broadcast.protocol import CONTROL_MESSAGE_SIZE, DeliveredMessage
 from ..errors import RtsError
 from .policy import MECHANISM_BROADCAST, MECHANISM_PRIMARY
@@ -221,10 +222,10 @@ class Membership:
             if not donors:
                 # Sole survivor: re-found the order from scratch.  Whatever
                 # predated the crash is lost cluster-wide.
-                group.install_sequencer(recovered, 1)
+                election.install(group, recovered, 1, group.epoch + 1)
                 member.mark_synced()
                 return
-            group.handoff_sequencer(donors[0], trust_old=False)
+            election.handoff(group, donors[0], trust_old=False)
         key = (recovered, shard)
         self.awaiting_seed.add(key)
         self.rts.await_delivery(proc, member.begin_rejoin,
@@ -471,7 +472,7 @@ class Membership:
                         raise RtsError(
                             f"cannot drain node {node_id}: no full member "
                             f"left to take shard {shard}'s sequencer seat")
-                    group.handoff_sequencer(target, trust_old=True)
+                    election.handoff(group, target, trust_old=True)
                     record.sequencer_seats_moved += 1
             self._await_node_quiesced(proc, node_id)
             node.crash()

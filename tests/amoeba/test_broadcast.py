@@ -8,9 +8,11 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.amoeba.broadcast import election
 from repro.amoeba.broadcast.group import BroadcastGroup
 from repro.amoeba.broadcast.protocol import (
     KIND_BB_DATA,
+    KIND_COORDINATOR,
     KIND_DATA,
     KIND_RETRANSMIT,
     DeliveredMessage,
@@ -50,6 +52,12 @@ def crash_sequencer(cluster, group):
     crashed = group.sequencer_node_id
     cluster.node(crashed).crash()
     return crashed
+
+
+def coordinator(group, sequencer, next_seq, epoch):
+    """The announcement a seat on node ``sequencer`` broadcasts."""
+    return Message(src=sequencer, dst=None, kind=group.wire_kind(KIND_COORDINATOR),
+                   headers={"sequencer": sequencer, "next_seq": next_seq, "epoch": epoch})
 
 
 def rec(seqno, payload=None, origin=0):
@@ -383,8 +391,8 @@ class TestOneSequencedRecord:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="a send from the sequencer's own node is delivered inside strategy.send, "
-        "yet _transmit arms a retry timer for it afterwards (ROADMAP, smaller threads); "
+        reason="a send from the sequencer's own node is delivered inside _transmit's "
+        "seat-local branch, which still arms a retry timer for it (ROADMAP, smaller threads); "
         "the fix changes sim.events_per_op and the event count of 100 of the 171 pinned "
         "cells, in every family but adaptive and rebalance; only transactions/cross-shard "
         "moves beyond its event count (its throughput)",
@@ -438,13 +446,14 @@ class TestFailureInjection:
                                    nodes=[cluster.node(1)])
             group = BroadcastGroup(host, group_id=5, sequencer_node_id=0)
             assert list(group.members) == [1] and group.sequencer is None
-            group.install_sequencer(1, 7)
+            election.install(group, 1, 7, group.epoch + 1)
             seat = group.sequencer
             assert seat.node is cluster.node(1) and seat.log.next_seq == 7
-            group.note_new_sequencer(1, 9)
+            member = group.member(1)
+            member.election.on_coordinator(coordinator(group, 1, 9, group.epoch))
             assert group.sequencer is seat and seat.log.next_seq == 9
             # A remote winner is recorded, not built; the old seat retires.
-            group.note_new_sequencer(2, 11)
+            member.election.on_coordinator(coordinator(group, 2, 11, group.epoch))
             assert group.sequencer_node_id == 2 and group.sequencer is None
 
     def test_a_member_takes_the_seats_numbers_only_from_the_seat(self):
@@ -467,11 +476,9 @@ class TestFailureInjection:
             member._on_retransmit(carrying(2, 2, KIND_RETRANSMIT))  # a peer's history
             assert member.engine.next_expected == 3
             # A later seat's announcement wins over an older one's.
-            group.install_sequencer(2, 4)
+            election.install(group, 2, 4, group.epoch + 1)
             assert (group.epoch, group.seat_start) == (1, 4)
-            member._on_coordinator_message(
-                Message(src=0, dst=None, kind="grp.coordinator#g5",
-                        headers={"sequencer": 0, "next_seq": 4, "epoch": 0}))
+            member.election.on_coordinator(coordinator(group, 0, 4, 0))
             assert group.sequencer_node_id == 2
             # The old seat's numbers below the new seat's first one are history.
             member._on_data(carrying(0, 3))
@@ -755,6 +762,68 @@ class TestSequencerElection:
                 assert log[nid] == reference
             labels = [p[0] for _, p in reference]
             assert labels == ["pre"] * 5 + ["post"] * 5
+
+    @pytest.mark.parametrize("down_for", [0.25, 2.0], ids=["inside-the-round", "past-it"])
+    def test_a_round_dies_with_its_members_crash(self, down_for):
+        with make_cluster(4) as cluster:
+            group = cluster.broadcast_group
+            seat, timeout = group.sequencer, group.params.election_timeout
+            member = group.member(0)
+            node = cluster.node(0)
+            # Node 0 calls a round and every member joins it; node 0 holds
+            # the lowest id, so every member's round elects it.
+            member.election.start()
+            cluster.sim.schedule(timeout / 2, node.crash)
+            cluster.sim.schedule(timeout / 2 + down_for * timeout, node.recover)
+            cluster.run()
+            assert member.election.timer is None and member.election.votes == {}
+            # The winner's round died with it: no seat was installed.
+            assert (group.sequencer_node_id, group.epoch, group.seat_start) == (0, 0, 1)
+            assert group.sequencer is seat and group.stats.elections == 1
+            assert all(m.election.timer is None for m in group.members.values())
+
+    @pytest.mark.parametrize("trust_old", [True, False], ids=["drain", "rejoin"])
+    def test_a_handoff_numbers_on_from_the_old_seat_or_from_live_evidence(self, trust_old):
+        cost_model = CostModel().with_overrides(cpu={"sequencing_cost": 0.01})
+        with Cluster(ClusterConfig(num_nodes=4, seed=3, cost_model=cost_model)) as cluster:
+            log = collect_deliveries(cluster)
+            group = cluster.broadcast_group
+            seen = {}
+
+            def scenario():
+                proc = cluster.sim.current_process
+                for i in range(5):
+                    group.broadcast_from(1 + i % 3, payload=("before", i), size=10)
+                proc.hold(1.0)
+                if not trust_old:
+                    # The seat numbers one more broadcast and crashes with it
+                    # still in its service queue: no live member saw number 6.
+                    group.broadcast_from(1, payload=("lost", 0), size=10)
+                    proc.hold(0.005)
+                    cluster.node(0).crash()
+                seen["old_next_seq"] = group.sequencer.log.next_seq
+                election.handoff(group, 2, trust_old=trust_old)
+                seen["seat_start"] = group.seat_start
+                for i in range(5):
+                    group.broadcast_from(1 + i % 3, payload=("after", i), size=10)
+                proc.hold(4.0)
+
+            cluster.node(3).kernel.spawn_thread(scenario)
+            cluster.run(until=20.0)  # a numbering gap would retry forever
+            assert group.sequencer_node_id == 2 and group.epoch == 1
+            if trust_old:
+                # A drain continues the old seat's numbers.
+                assert seen == {"old_next_seq": 6, "seat_start": 6}
+            else:
+                # A rejoin numbers after the live, synced members' evidence.
+                assert seen == {"old_next_seq": 7, "seat_start": 6}
+            live = [nid for nid in log if cluster.node(nid).alive]
+            assert len(live) == (4 if trust_old else 3)
+            reference = log[live[0]]
+            assert [seqno for seqno, _ in reference] == list(range(1, len(reference) + 1))
+            assert len({payload for _, payload in reference}) == len(reference)
+            assert len(reference) == (10 if trust_old else 11)
+            assert all(log[nid] == reference for nid in live)
 
 
 class TestRejoinedMembersAndGapRecovery:

@@ -45,12 +45,14 @@ NOT_IN_A_NODE = (
 #: kinds became one family, 6 691 once ``RealObject`` became a ``Replica`` and
 #: the unread built-in operations and error class went, 6 647 once the
 #: simulator tracer, the real node's stand-in for it and the unused reply
-#: builder on ``Message`` went).  The cap is that plus 60 lines:
+#: builder on ``Message`` went, 6 572 once the PB and BB senders became one
+#: send path and the election moved to ``election.py``).  The cap is that plus
+#: 60 lines:
 #: ``net/runtime.py``, the broadcast group and the scenario definitions are
 #: in the closure, so protocol growth alone can cross it.
 #: The forbidden-module check above is the main guard; this one catches a
 #: closure that grows without loading any of those modules.
-MAX_CLOSURE_LINES = 6707
+MAX_CLOSURE_LINES = 6632
 
 _PROBE = """
 import json, sys
