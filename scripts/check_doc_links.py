@@ -9,6 +9,13 @@ ROADMAP.md, ...) for inline links and validates:
   dashes), for both ``other.md#section`` and same-file ``#section``
   links.
 
+In the present-tense docs (README.md, ``docs/``, ``.claude/skills/`` and
+``benchmarks/**/*.md``, not the history files or the reference shelf) it
+also fails on a backticked ``*.py`` path, one with a ``/`` in it, that
+resolves neither under the repository root nor under ``src/repro/`` (a
+``*`` in it matches like a shell glob).  Bare file names and directory
+paths are not checked.
+
 External links (``http(s)://``, ``mailto:``) are not fetched — this
 gate is about keeping the internal docs graph unbroken as files move,
 not about the outside world.
@@ -20,6 +27,7 @@ Usage::
 
 from __future__ import annotations
 
+import glob
 import os
 import re
 import sys
@@ -35,6 +43,16 @@ _HEADING = re.compile(r"^#{1,6}\s+(.*?)\s*#*\s*$")
 
 #: Fenced code blocks must not contribute links or headings.
 _FENCE = re.compile(r"^(```|~~~)")
+
+#: A backticked Python source path: ``sim/kernel.py``, ``tests/test_*.py``.
+_CODE_PATH = re.compile(r"`([^`\s]*/[^`\s]*\.py)`")
+
+#: Docs that describe the tree as it is now (relative to the root; a
+#: directory covers its Markdown files at any depth).
+PRESENT_TENSE = ("README.md", "docs/", ".claude/skills/", "benchmarks/")
+
+#: Where a code path in those docs may resolve.
+CODE_ROOTS = ("", os.path.join("src", "repro"))
 
 
 def _slugify(heading: str) -> str:
@@ -101,6 +119,23 @@ def check_file(path: str, root: str, anchor_cache):
     return problems
 
 
+def is_present_tense(path: str, root: str) -> bool:
+    rel = os.path.relpath(path, root).replace(os.sep, "/")
+    return any(rel == doc or (doc.endswith("/") and rel.startswith(doc)) for doc in PRESENT_TENSE)
+
+
+def check_code_paths(path: str, root: str):
+    """Backticked ``*.py`` paths in ``path`` that name no file of the tree."""
+    problems = []
+    for number, line in enumerate(_markdown_lines(path), start=1):
+        for match in _CODE_PATH.finditer(line):
+            target = match.group(1)
+            if not any(glob.glob(os.path.join(root, base, target)) for base in CODE_ROOTS):
+                where = f"{os.path.relpath(path, root)}:{number}"
+                problems.append(f"{where}: stale code path -> {target}")
+    return problems
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     root = os.path.abspath(args[0]) if args else os.getcwd()
@@ -110,12 +145,14 @@ def main(argv=None) -> int:
     for path in find_markdown_files(root):
         checked += 1
         problems.extend(check_file(path, root, anchor_cache))
+        if is_present_tense(path, root):
+            problems.extend(check_code_paths(path, root))
     if problems:
         print(f"BROKEN DOCS LINKS ({len(problems)}):")
         for problem in problems:
             print(f"  - {problem}")
         return 1
-    print(f"ok: {checked} Markdown files, all relative links resolve")
+    print(f"ok: {checked} Markdown files, all relative links and code paths resolve")
     return 0
 
 

@@ -17,7 +17,7 @@ per second).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Mapping
+from typing import Any, Mapping, Optional, Type, TypeVar
 
 from .errors import ConfigurationError
 
@@ -249,3 +249,26 @@ class ClusterConfig:
 
 
 DEFAULT_COST_MODEL = CostModel()
+
+
+P = TypeVar("P")
+
+
+def params_from(cls: Type[P], value: Any) -> Optional[P]:
+    """Coerce an optional feature's argument into its params ``cls``.
+
+    ``None`` or ``False`` leave the feature off, ``True`` selects the
+    defaults, a mapping gives field overrides, and a ``cls`` instance
+    passes through.
+    """
+    if value is None or value is False:
+        return None
+    if value is True:
+        return cls()
+    if isinstance(value, cls):
+        return value
+    if isinstance(value, Mapping):
+        return cls(**dict(value))
+    raise ConfigurationError(
+        f"cannot interpret {value!r} as {cls.__name__} "
+        f"(use None, True, a dict of fields, or {cls.__name__})")

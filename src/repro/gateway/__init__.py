@@ -33,7 +33,7 @@ attached as ``rts.gateway_tier``; runs without it carry no gateway block in
 """
 
 from .gateway import FairQueue, Gateway, TokenBucket
-from .params import GatewayParams, gateway_params
+from .params import GatewayParams
 from .session import ClientSession
 from .tier import GatewayTier
 
@@ -44,5 +44,4 @@ __all__ = [
     "GatewayParams",
     "GatewayTier",
     "TokenBucket",
-    "gateway_params",
 ]

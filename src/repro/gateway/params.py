@@ -1,9 +1,9 @@
-"""Gateway tuning knobs, with the same coercion idiom as batching params."""
+"""Gateway tuning knobs; :func:`repro.config.params_from` coerces an argument into them."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Optional
 
 from ..errors import ConfigurationError
 
@@ -45,23 +45,3 @@ class GatewayParams:
         if self.shed_depth is not None and self.shed_depth < 1:
             raise ConfigurationError(
                 f"shed_depth must be >= 1 (or None to disable), got {self.shed_depth}")
-
-
-def gateway_params(value: Any) -> Optional[GatewayParams]:
-    """Coerce a user-facing gateway argument into :class:`GatewayParams`.
-
-    ``None``/``False`` mean "no gateway tier" (the classic runner);
-    ``True`` selects the defaults; a dict gives field overrides; params
-    pass through.
-    """
-    if value is None or value is False:
-        return None
-    if value is True:
-        return GatewayParams()
-    if isinstance(value, GatewayParams):
-        return value
-    if isinstance(value, dict):
-        return GatewayParams(**value)
-    raise ConfigurationError(
-        f"gateway must be True, a dict of GatewayParams fields, or GatewayParams; "
-        f"got {value!r}")

@@ -26,19 +26,17 @@ order-insensitive ones both must agree on.
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import json
-import sys
 from collections import Counter
 from typing import Any, Dict, List, Optional, Tuple, Type
 
 from ..rts.base import ObjectHandle
 from ..rts.object_model import ObjectSpec, execute_operation
 from ..sim.rng import RngRegistry
-from ..workloads.scenarios import PrimaryChurn, ScenarioRegistry
+from ..workloads.scenarios import ScenarioRegistry
 from ..workloads.spec import client_schedule
-from .harness import RealCluster, RealClusterConfig
+from .harness import RealClusterConfig
 from .wire import jsonify
 
 # ---------------------------------------------------------------------- #
@@ -319,61 +317,3 @@ def check_convergence(result: Dict[str, Any], expected: Dict[str, Any],
                         for reply in nodes.values())
         facts["takeovers"] = takeovers
     return facts
-
-
-# ---------------------------------------------------------------------- #
-# CLI: one oracle-checked real run
-# ---------------------------------------------------------------------- #
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="run one workload on the real backend and check it "
-                    "against the simulator oracle")
-    parser.add_argument("--scenario", default="counter-farm")
-    parser.add_argument("--nodes", type=int, default=3)
-    parser.add_argument("--shards", type=int, default=2)
-    parser.add_argument("--clients-per-node", type=int, default=1)
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--kill", action="store_true",
-                        help="stage a primary-churn run that SIGKILLs the "
-                             "victim node mid-workload")
-    parser.add_argument("--skip-sim", action="store_true",
-                        help="check against the stream replay only")
-    args = parser.parse_args(argv)
-
-    kwargs: Dict[str, Any] = {}
-    scenario = args.scenario
-    if args.kill:
-        scenario = "primary-churn"
-        victims = PrimaryChurn.victims_for(args.nodes)
-        kwargs.update(victims=victims,
-                      kill_after=tuple(30 + 30 * i
-                                       for i in range(len(victims))))
-        spec = ScenarioRegistry.get(scenario).default_spec()
-        kwargs.update(workload=spec.with_overrides(ops_per_client=120))
-    config = RealClusterConfig(
-        scenario=scenario, num_nodes=args.nodes, num_shards=args.shards,
-        clients_per_node=args.clients_per_node, seed=args.seed, **kwargs)
-    expected = expected_issued_writes(config)
-    sim = None if args.skip_sim else record_sim_oracle(config)
-    with RealCluster(config) as cluster:
-        result = cluster.run_workload()
-    facts = check_convergence(result, expected, sim)
-    digest = {
-        "scenario": scenario,
-        "seed": args.seed,
-        "nodes": args.nodes,
-        "shards": args.shards,
-        "ops": result["reads"] + result["writes"],
-        "elapsed": result["elapsed"],
-        "converged": True,
-        "facts": facts,
-    }
-    json.dump(digest, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

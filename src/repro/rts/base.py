@@ -69,7 +69,6 @@ class RtsStats:
     objects_created: int = 0
     local_reads: int = 0
     remote_reads: int = 0
-    local_writes: int = 0
     broadcast_writes: int = 0
     #: Ordered broadcasts that carried a write batch (so
     #: ``broadcast_writes / batches_sent`` is the overall batching factor).
@@ -80,7 +79,6 @@ class RtsStats:
     rpc_writes: int = 0
     guard_retries: int = 0
     replicas_created: int = 0
-    replicas_dropped: int = 0
     invalidations_sent: int = 0
     updates_sent: int = 0
     #: Policy switches performed by the unified runtime (total and per

@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, Ty
 
 from ..amoeba.broadcast.protocol import DeliveredMessage
 from ..amoeba.message import estimate_size
+from ..config import params_from
 from ..errors import ConfigurationError, RtsError
 from .base import CallSite, ObjectHandle, RuntimeSystem
 from .batching import WriteBatcher
@@ -33,7 +34,7 @@ from .policy import (
 )
 from .primary import PrimaryCopy
 from .records import summarize
-from .sharding import ShardRouter, batching_params, rebalance_params
+from .sharding import BatchingParams, RebalanceParams, ShardRouter
 from .stats import AccessStats
 from .switch import KIND_SWITCH, MIGRATED, SwitchEngine, _PendingWrite
 from .takeover import Takeover
@@ -147,8 +148,8 @@ class HybridRts(RuntimeSystem):
         # -- broadcast mechanism ---------------------------------------- #
         self._num_shards = num_shards
         self._placement = placement
-        self.batching = batching_params(batching)
-        self.rebalance = rebalance_params(rebalance)
+        self.batching = params_from(BatchingParams, batching)
+        self.rebalance = params_from(RebalanceParams, rebalance)
         self.router: Optional[ShardRouter] = None
         #: Shard-0 group under the classic attribute name (set with the router).
         self.group: Optional["BroadcastGroup"] = None
@@ -182,8 +183,8 @@ class HybridRts(RuntimeSystem):
         self.placement = Placement(self)
         self.directory = self.primary.directory
         self.replication = self.primary.replication
-        #: Default protocol instance (what ``"primary"`` resolves to).
-        self.protocol = self.primary.protocols[protocol]
+        #: Default coherence protocol (what ``"primary"`` resolves to).
+        self.protocol = protocol
         self.recoveries = self.takeover.recoveries
         self.rejoins = self.membership.rejoins
         self.drains = self.membership.drains

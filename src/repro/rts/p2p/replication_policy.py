@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from ...config import ReplicationParams
-from ..stats import AccessStats, ReplicationDecider
+from ..stats import AccessStats
 
 
 @dataclass
@@ -26,35 +26,46 @@ class PolicyStats:
 
 
 class ReplicationPolicy:
-    """Per-(object, machine) replication decisions with hysteresis."""
+    """Per-(object, machine) access counters, and the hysteresis thresholds
+    that turn their read/write ratio into fetch and drop decisions."""
 
     def __init__(self, params: ReplicationParams) -> None:
         self.params = params
-        self.decider = ReplicationDecider(params)
+        self._access: Dict[Tuple[int, int], AccessStats] = {}
         self.stats = PolicyStats()
 
-    # -- accounting -------------------------------------------------------- #
-
     def access_stats(self, obj_id: int, node_id: int) -> AccessStats:
-        return self.decider.stats_for(obj_id, node_id)
-
-    # -- decisions ---------------------------------------------------------- #
+        key = (obj_id, node_id)
+        stats = self._access.get(key)
+        if stats is None:
+            stats = self._access[key] = AccessStats()
+        return stats
 
     def should_fetch_copy(self, obj_id: int, node_id: int, has_copy: bool) -> bool:
         """Should this machine (currently without a copy) fetch one?"""
-        if has_copy:
+        if has_copy or not self._crossed(obj_id, node_id, fetch=True):
             return False
-        decision = self.decider.should_replicate(obj_id, node_id)
-        if decision:
-            self.stats.copies_fetched += 1
-        return decision
+        self.stats.copies_fetched += 1
+        return True
 
-    def should_drop_copy(self, obj_id: int, node_id: int, has_copy: bool,
-                         is_primary: bool) -> bool:
+    def should_drop_copy(self, obj_id: int, node_id: int, has_copy: bool, is_primary: bool) -> bool:
         """Should this machine (currently holding a copy) discard it?"""
-        if not has_copy or is_primary:
+        if not has_copy or is_primary or not self._crossed(obj_id, node_id, fetch=False):
             return False
-        decision = self.decider.should_drop(obj_id, node_id)
-        if decision:
-            self.stats.copies_dropped += 1
-        return decision
+        self.stats.copies_dropped += 1
+        return True
+
+    def _crossed(self, obj_id: int, node_id: int, fetch: bool) -> bool:
+        """Has the pair's read/write ratio, over enough accesses, risen above
+        the replicate threshold (``fetch``) or fallen below the drop one?
+        A crossing decays the window, so newer accesses decide the next."""
+        stats = self.access_stats(obj_id, node_id)
+        if stats.accesses < self.params.min_accesses:
+            return False
+        if fetch:
+            crossed = stats.ratio > self.params.replicate_threshold
+        else:
+            crossed = stats.ratio < self.params.drop_threshold
+        if crossed:
+            stats.decay(self.params.decay)
+        return crossed

@@ -221,10 +221,10 @@ class Placement:
                     candidates: List[int]) -> Tuple[Optional[int], int]:
         """Of ``candidates``, the node with the most observed writes to
         ``obj_id`` (ties: the lowest id), and that count."""
-        decider = self.rts.replication.decider
+        access_stats = self.rts.replication.access_stats
 
         def writes(nid: int) -> int:
-            return decider.stats_for(obj_id, nid).total_writes
+            return access_stats(obj_id, nid).total_writes
 
         best = max(candidates, key=lambda nid: (writes(nid), -nid), default=None)
         return best, (writes(best) if best is not None else 0)

@@ -1,8 +1,15 @@
 """The primary-copy mechanism: one seat per object, coherent secondaries.
 
 Reads run on a valid local copy or by RPC at the primary seat; writes are
-serialised at the seat, which keeps its secondaries coherent by invalidation
-or two-phase update (:mod:`repro.rts.p2p`) and records every commit.
+serialised at the seat, which records every commit and keeps its
+secondaries coherent by the object's protocol.  Under **invalidation** the
+primary discards every secondary copy before it applies the write; a
+machine that needs the object again fetches a fresh copy (the trade-off the
+paper weighs in §3.2.2).  Under the **two-phase update** it ships the
+operation (code plus parameters, cheaper in bandwidth than the new state)
+to every secondary, which applies it, acknowledges and stays locked until
+the second phase unlocks it; reads of a locked copy wait.  The directory,
+the fan-out core and the replication policy are in :mod:`repro.rts.p2p`.
 """
 
 from __future__ import annotations
@@ -16,9 +23,7 @@ from ..errors import RpcPeerDeadError, RtsError
 from .object_model import RETRY
 from .p2p.directory import ObjectDirectory
 from .p2p.fanout import CURRENT, STALE, FanOuts, lookup_applied, record_applied
-from .p2p.invalidation import KIND_INVALIDATE, InvalidationProtocol
 from .p2p.replication_policy import ReplicationPolicy
-from .p2p.update import KIND_UNLOCK, KIND_UPDATE, TwoPhaseUpdateProtocol
 from .policy import FIXED_POLICIES, MECHANISM_PRIMARY
 from .switch import MIGRATED, PORT_MIGRATE
 
@@ -34,6 +39,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Point-to-point protocol message kinds (unchanged from the classic p2p RTS).
 KIND_ACK = "p2p.ack"
 KIND_DROP = "p2p.drop"
+KIND_INVALIDATE = "p2p.invalidate"
+KIND_UPDATE = "p2p.update"
+KIND_UNLOCK = "p2p.unlock"
 
 PORT_READ = "orca.obj.read"
 PORT_WRITE = "orca.obj.write"
@@ -73,8 +81,8 @@ class PrimaryRuntime(Protocol):
 
 
 class PrimaryCopy:
-    """The primary-copy path of one runtime and its exactly-once
-    bookkeeping.  The p2p coherence protocols run over it."""
+    """The primary-copy path of one runtime, both coherence protocols and
+    its exactly-once bookkeeping."""
 
     def __init__(self, rts: PrimaryRuntime) -> None:
         self.rts = rts
@@ -87,15 +95,11 @@ class PrimaryCopy:
         self.handle = rts.handle
         self.directory = ObjectDirectory()
         self.replication = ReplicationPolicy(self.cost_model.replication)
-        self.protocols = {
-            "invalidation": InvalidationProtocol(self),
-            "update": TwoPhaseUpdateProtocol(self),
-        }
         #: Coherence message kind -> its secondary-side handler.
         self.coherence = {
-            KIND_INVALIDATE: self.protocols["invalidation"].handle_invalidate,
-            KIND_UPDATE: self.protocols["update"].handle_update,
-            KIND_UNLOCK: self.protocols["update"].handle_unlock,
+            KIND_INVALIDATE: self._on_invalidate,
+            KIND_UPDATE: self._on_update,
+            KIND_UNLOCK: self._on_unlock,
         }
         self.fanouts = FanOuts()
         #: Cluster-unique write-invocation ids for the primary-copy path.
@@ -256,7 +260,6 @@ class PrimaryCopy:
             # Otherwise the primary moved while this write was parked across
             # the switch: route it to the new one.
             return _REROUTE
-        self.stats.local_writes += 1
         return self._commit(proc, obj_id, op, payload["args"],
                             payload["kwargs"], payload["wid"])
 
@@ -322,7 +325,7 @@ class PrimaryCopy:
 
     def _commit(self, proc: "SimProcess", obj_id: int, op, args, kwargs,
                 wid) -> Any:
-        """Dedup-checked protocol write at the primary, plus commit record.
+        """Dedup-checked coherent write at the primary, plus commit record.
 
         Runs on the primary node (client or RPC server thread).  A write id
         the primary's applied table covers (``lookup_applied``) is a client
@@ -344,10 +347,8 @@ class PrimaryCopy:
             self.stats.deduplicated_writes += 1
             return recorded
         replica.inflight += 1
-        protocol = FIXED_POLICIES[self.rts._policy_by_obj[obj_id]].protocol
         try:
-            result = self.protocols[protocol].primary_write(
-                proc, obj_id, op, args, kwargs, wid=wid)
+            result = self._fan_out(proc, obj_id, op, args, kwargs, wid)
         finally:
             replica.inflight -= 1
         if result is not RETRY:
@@ -360,6 +361,67 @@ class PrimaryCopy:
             # commit is the price of that durability.
             self.commit_record(obj_id, primary)
         return result
+
+    def _fan_out(self, proc: "SimProcess", obj_id: int, op, args, kwargs, wid) -> Any:
+        """Make the secondaries coherent under the object's protocol, then
+        apply the write to the locked primary copy.
+
+        Before the acknowledgement wait each live secondary gets an
+        invalidation, or an update that carries the operation and its write
+        id (a secondary promoted after a primary crash then recognises the
+        client's re-issue of an in-flight write).  After it, the update's
+        second phase unlocks the secondaries; the invalidated ones leave the
+        directory.  Reads the seat only now: ``_commit``'s transaction gate
+        may have suspended the writer.
+        """
+        primary = self.directory.primary_of(obj_id)
+        manager = self.managers[primary]
+        replica = manager.get(obj_id)
+        secondaries = self.live_secondaries(obj_id)
+        update = FIXED_POLICIES[self.rts._policy_by_obj[obj_id]].protocol == "update"
+        kind = KIND_UPDATE if update else KIND_INVALIDATE
+        replica.locked = True
+        try:
+            if secondaries:
+                txn_id = self.fanouts.new_transaction(len(secondaries), destinations=secondaries)
+                for nid in secondaries:
+                    # One dict per message: the send stamps its epoch and ack_to.
+                    payload = {"obj_id": obj_id, "txn_id": txn_id}
+                    if update:
+                        self.stats.updates_sent += 1
+                        payload.update(op_name=op.name, args=args, kwargs=kwargs or {}, wid=wid)
+                    else:
+                        self.stats.invalidations_sent += 1
+                    self.send_protocol_message(primary, nid, kind, payload)
+                if self.fanouts.wait(txn_id, proc.node.node_id, proc.wake):
+                    proc.suspend()
+                self.fanouts.forget(txn_id)
+                if update:
+                    for nid in secondaries:
+                        self.send_protocol_message(
+                            primary, nid, KIND_UNLOCK, {"obj_id": obj_id, "txn_id": txn_id}
+                        )
+                else:
+                    for nid in secondaries:
+                        self.directory.remove_copy(obj_id, nid)
+            result = manager.apply_write(obj_id, op, args, kwargs, local_origin=True)
+        finally:
+            replica.locked = False
+        return result
+
+    def live_secondaries(self, obj_id: int) -> list:
+        """Secondary copy holders that are still alive.
+
+        A crashed machine can never acknowledge, so fanning out to it would
+        deadlock the primary; its directory entry is pruned instead.
+        (Objects migrated from broadcast management inherit their copyset
+        from the whole cluster, which is how dead members can appear here.)
+        """
+        secondaries = self.directory.secondaries_of(obj_id)
+        live = [n for n in secondaries if self.cluster.node(n).alive]
+        for dead in set(secondaries) - set(live):
+            self.directory.remove_copy(obj_id, dead)
+        return live
 
     # -- dynamic replication --------------------------------------------- #
 
@@ -374,7 +436,6 @@ class PrimaryCopy:
                                                is_primary):
             manager.discard(handle.obj_id)
             self.directory.remove_copy(handle.obj_id, nid)
-            self.stats.replicas_dropped += 1
             primary = self.directory.primary_of(handle.obj_id)
             self.send_protocol_message(nid, primary, KIND_DROP,
                                        {"obj_id": handle.obj_id, "node": nid})
@@ -449,13 +510,7 @@ class PrimaryCopy:
         self.last_committed[obj_id] = (
             replica.instance.marshal_state(), replica.version, replica.applied)
 
-    # -- protocol plumbing used by the coherence strategies --------------- #
-
-    def await_acks(self, proc: "SimProcess", txn_id: int) -> None:
-        """Suspend the primary's writer until fan-out ``txn_id`` completes."""
-        if self.fanouts.wait(txn_id, proc.node.node_id, proc.wake):
-            proc.suspend()
-        self.fanouts.forget(txn_id)
+    # -- protocol messages -------------------------------------------------- #
 
     def send_ack(self, from_node: int, payload: Dict[str, Any]) -> None:
         """Acknowledge a coherence message to the primary that sent it."""
@@ -464,12 +519,12 @@ class PrimaryCopy:
 
     def send_protocol_message(self, src: int, dst: int, kind: str,
                               payload: Dict[str, Any]) -> None:
-        if kind in (KIND_UPDATE,):
+        if kind == KIND_UPDATE:
             size = 32 + estimate_size(payload.get("args", ())) + estimate_size(
                 payload.get("kwargs", {}))
         else:
             size = 32
-        if kind in (KIND_INVALIDATE, KIND_UPDATE, KIND_UNLOCK):
+        if kind in self.coherence:
             # Stamp coherence traffic with the regime it was issued under,
             # so a message that was in flight when a takeover (or switch)
             # superseded its regime is dropped identically at every member.
@@ -499,6 +554,39 @@ class PrimaryCopy:
         elif verdict == STALE and kind != KIND_UNLOCK:
             self.drop_stale(nid, payload)
 
+    def _on_invalidate(self, nid: int, payload: Dict[str, Any]) -> None:
+        """A secondary discards its copy and acknowledges."""
+        manager = self.managers[nid]
+        manager.invalidate(payload["obj_id"])
+        manager.discard(payload["obj_id"])
+        self.send_ack(nid, payload)
+
+    def _on_update(self, nid: int, payload: Dict[str, Any]) -> None:
+        """A secondary applies the shipped operation, acknowledges, stays locked."""
+        obj_id = payload["obj_id"]
+        manager = self.managers[nid]
+        if manager.has_valid_copy(obj_id):
+            op = self.handle(obj_id).spec_class.operation_def(payload["op_name"])
+            replica = manager.get(obj_id)
+            result = manager.apply_write_to(
+                replica, op, payload["args"], payload["kwargs"], local_origin=False
+            )
+            replica.locked = True
+            if result is not RETRY:
+                record_applied(replica.applied, payload.get("wid"), result)
+            cpu = self.cost_model.cpu
+            self.cluster.node(nid).charge_overhead(
+                cpu.operation_dispatch_cost + op.work_units * cpu.work_unit_time
+            )
+        self.send_ack(nid, payload)
+
+    def _on_unlock(self, nid: int, payload: Dict[str, Any]) -> None:
+        """The update's second phase at a secondary: readable again."""
+        replica = self.managers[nid].replicas.get(payload["obj_id"])
+        if replica is not None:
+            replica.locked = False
+            replica.notify_changed()
+
     def _on_drop(self, nid: int, payload: Dict[str, Any]) -> None:
         # A secondary informs the primary that it discarded its copy; the
         # directory may already reflect this (the secondary updates it
@@ -511,8 +599,9 @@ class PrimaryCopy:
         """React to a machine crash: release debts, prune state, recover.
 
         In order: (a) settle the fan-outs it owed acknowledgements to or
-        was collecting them for (:meth:`FanOuts.node_crashed`); (b) prune its copies from the directory and discard its
-        primary-managed replicas (their state died with the machine, and a
+        was collecting them for (:meth:`FanOuts.node_crashed`); (b) prune
+        its copies from the directory and discard its primary-managed
+        replicas (their state died with the machine, and a
         later :meth:`Node.recover` must never serve them) and with them
         the commits that died mid-flight there; (c) start a primary
         takeover for every object whose primary seat just died.

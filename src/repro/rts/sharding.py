@@ -174,36 +174,6 @@ class RebalanceParams:
         # Planner construction re-validates imbalance/min_writes/max_moves.
 
 
-def rebalance_params(value: Any) -> Optional[RebalanceParams]:
-    """Coerce ``value`` (None / bool / dict / params) into rebalance config."""
-    if value is None or value is False:
-        return None
-    if value is True:
-        return RebalanceParams()
-    if isinstance(value, RebalanceParams):
-        return value
-    if isinstance(value, Mapping):
-        return RebalanceParams(**dict(value))
-    raise ConfigurationError(
-        f"cannot interpret {value!r} as rebalancing configuration "
-        "(use None, True, a dict of fields, or RebalanceParams)")
-
-
-def batching_params(value: Any) -> Optional[BatchingParams]:
-    """Coerce ``value`` (None / bool / dict / params) into batching config."""
-    if value is None or value is False:
-        return None
-    if value is True:
-        return BatchingParams()
-    if isinstance(value, BatchingParams):
-        return value
-    if isinstance(value, Mapping):
-        return BatchingParams(**dict(value))
-    raise ConfigurationError(
-        f"cannot interpret {value!r} as batching configuration "
-        "(use None, True, a dict of fields, or BatchingParams)")
-
-
 class ShardingPolicy(ABC):
     """Maps objects to shard indices in ``[0, num_shards)``."""
 

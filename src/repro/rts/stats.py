@@ -1,4 +1,5 @@
-"""Access statistics driving the dynamic replication policy.
+"""Per-shard traffic counters, and the access statistics driving the
+dynamic replication policy.
 
 The point-to-point runtime decides *per machine and per object* whether to
 keep a local copy, based on the observed ratio of reads to writes.  The
@@ -9,10 +10,8 @@ being built and read-heavy afterwards).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Tuple
-
-from ..config import ReplicationParams
+from dataclasses import dataclass
+from typing import Any, Dict
 
 
 @dataclass
@@ -99,43 +98,3 @@ class AccessStats:
         """Shrink the window so newer accesses dominate older ones."""
         self.reads *= factor
         self.writes *= factor
-
-
-class ReplicationDecider:
-    """Applies the hysteresis thresholds of the dynamic replication policy."""
-
-    def __init__(self, params: ReplicationParams) -> None:
-        self.params = params
-        self._stats: Dict[Tuple[int, int], AccessStats] = {}
-        self.replicate_decisions = 0
-        self.drop_decisions = 0
-
-    def stats_for(self, obj_id: int, node_id: int) -> AccessStats:
-        key = (obj_id, node_id)
-        stats = self._stats.get(key)
-        if stats is None:
-            stats = AccessStats()
-            self._stats[key] = stats
-        return stats
-
-    def should_replicate(self, obj_id: int, node_id: int) -> bool:
-        """True if a machine *without* a copy should fetch one."""
-        stats = self.stats_for(obj_id, node_id)
-        if stats.accesses < self.params.min_accesses:
-            return False
-        decision = stats.ratio > self.params.replicate_threshold
-        if decision:
-            self.replicate_decisions += 1
-            stats.decay(self.params.decay)
-        return decision
-
-    def should_drop(self, obj_id: int, node_id: int) -> bool:
-        """True if a machine *with* a copy should discard it."""
-        stats = self.stats_for(obj_id, node_id)
-        if stats.accesses < self.params.min_accesses:
-            return False
-        decision = stats.ratio < self.params.drop_threshold
-        if decision:
-            self.drop_decisions += 1
-            stats.decay(self.params.decay)
-        return decision

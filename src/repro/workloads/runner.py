@@ -28,13 +28,13 @@ from typing import Any, Dict, List, Optional
 from ..amoeba.cluster import Cluster
 from ..baselines.central_server import CentralServerRts
 from ..baselines.ivy_dsm import IvyObjectRuntime
-from ..config import ClusterConfig
+from ..config import ClusterConfig, params_from
 from ..errors import ConfigurationError
 from ..metrics.latency import LatencyRecorder
 from ..rts.base import RuntimeSystem
 from ..rts.hybrid import HybridRts
 from ..rts.policy import DEFAULT_POLICY_FOR_KIND
-from ..rts.sharding import batching_params
+from ..rts.sharding import BatchingParams
 from .scenarios import Scenario, ScenarioRegistry
 from .spec import WorkloadSpec, client_schedule
 
@@ -223,12 +223,12 @@ class WorkloadRunner:
         if gateway is not None:
             # Deferred import: the classic runner path must not pull in the
             # gateway tier (and repro.gateway imports workload specs).
-            from ..gateway import gateway_params
+            from ..gateway import GatewayParams
 
             if backend != "sim":
                 raise ConfigurationError(
                     "the gateway tier is simulator-only; run backend='sim'")
-            self.gateway = gateway_params(gateway)
+            self.gateway = params_from(GatewayParams, gateway)
         else:
             self.gateway = None
         if backend == "real":
@@ -380,7 +380,7 @@ class WorkloadRunner:
 
         total_ops = counts["reads"] + counts["writes"]
         elapsed = max(window["end"] - window["start"], 1e-12)
-        batch_params = batching_params(self.batching)
+        batch_params = params_from(BatchingParams, self.batching)
         batching_facts = (None if batch_params is None else
                           {"max_batch": batch_params.max_batch,
                            "flush_delay": batch_params.flush_delay})

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.config import params_from
 from repro.errors import ConfigurationError
-from repro.gateway import FairQueue, GatewayParams, TokenBucket, gateway_params
+from repro.gateway import FairQueue, GatewayParams, TokenBucket
 from repro.gateway.gateway import TenantState, _QueueEntry
 from repro.workloads import Request, TenantSpec
 
@@ -75,13 +76,13 @@ class TestFairQueue:
 
 class TestParams:
     def test_coercions(self):
-        assert gateway_params(None) is None
-        assert gateway_params(False) is None
-        assert gateway_params(True) == GatewayParams()
-        assert gateway_params({"workers": 2, "shed_depth": 3}) == GatewayParams(
+        assert params_from(GatewayParams, None) is None
+        assert params_from(GatewayParams, False) is None
+        assert params_from(GatewayParams, True) == GatewayParams()
+        assert params_from(GatewayParams, {"workers": 2, "shed_depth": 3}) == GatewayParams(
             workers=2, shed_depth=3)
         params = GatewayParams(accept_queue=None)
-        assert gateway_params(params) is params
+        assert params_from(GatewayParams, params) is params
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -91,7 +92,7 @@ class TestParams:
         with pytest.raises(ConfigurationError):
             GatewayParams(shed_depth=0)
         with pytest.raises(ConfigurationError):
-            gateway_params("yes")
+            params_from(GatewayParams, "yes")
 
 
 class TestTenantSpec:

@@ -18,7 +18,7 @@ from repro.amoeba.cluster import Cluster
 from repro.config import ClusterConfig
 from repro.rts.hybrid import HybridRts
 from repro.rts.object_model import ObjectSpec, operation
-from repro.rts.p2p.update import KIND_UPDATE
+from repro.rts.primary import KIND_UPDATE
 
 NUM_NODES = 5
 #: Hosts the seats that die (for broadcast objects: shard 1's sequencer);

@@ -236,6 +236,77 @@ class TestRejoin:
         cluster.run()
         cluster.shutdown()
 
+    def test_lost_seed_is_re_requested_from_a_donor(self):
+        """The first seed to reach the rejoining member is lost: its rejoin
+        thread re-requests it after a retry timeout, a donor answers with
+        a fresh seed, and the member ends caught up."""
+        cluster, rts = make_rts(seed=7)
+        membership = rts.membership
+        calls = {"seeds": 0, "requests": 0, "answers": 0}
+        on_seed = membership._on_seed
+        request_seed = membership._request_seed
+        on_seed_request = membership._on_seed_request
+
+        def lossy_on_seed(node_id, payload):
+            calls["seeds"] += 1
+            if calls["seeds"] > 1:
+                on_seed(node_id, payload)
+
+        def counted_request(*args):
+            calls["requests"] += 1
+            request_seed(*args)
+
+        def counted_answer(*args):
+            calls["answers"] += 1
+            on_seed_request(*args)
+
+        membership._on_seed = lossy_on_seed
+        membership._request_seed = counted_request
+        membership._on_seed_request = counted_answer
+        handles = {}
+
+        def setup():
+            proc = cluster.sim.current_process
+            for i in range(4):
+                handles[i] = rts.create_object(proc, Counter, (0,),
+                                               name=f"c{i}")
+
+        def writer(lo, hi):
+            proc = cluster.sim.current_process
+            for k in range(lo, hi):
+                rts.invoke(proc, handles[k % 4], "add", (1,))
+                proc.hold(0.0004)
+
+        def churner():
+            proc = cluster.sim.current_process
+            proc.hold(0.002)
+            cluster.node(2).crash()
+            proc.hold(0.003)
+            cluster.node(2).recover()
+
+        cluster.node(0).kernel.spawn_thread(setup)
+        cluster.run()
+        start = cluster.sim.now
+        cluster.node(0).kernel.spawn_thread(writer, 0, 20)
+        cluster.node(1).kernel.spawn_thread(writer, 20, 40)
+        cluster.node(3).kernel.spawn_thread(churner)
+        # Bounded: a re-request nobody answers would retry forever.
+        cluster.run(until=start + 1.0)
+
+        assert calls["requests"] >= 1 and calls["answers"] >= 1
+        assert calls["seeds"] >= 3  # one per group, plus the re-sent one
+        assert rts.is_caught_up(2)
+        assert rts.stats.node_rejoins == 1
+        # The rejoined copies equal the lowest donor's, state and version.
+        for handle in handles.values():
+            mine = rts.managers[2].get(handle.obj_id)
+            donor = rts.managers[0].get(handle.obj_id)
+            assert mine.instance.value == donor.instance.value
+            assert mine.version == donor.version
+        assert sum(rts.managers[2].get(h.obj_id).instance.value
+                   for h in handles.values()) == 40
+        cluster.shutdown()
+
 
 class TestCatchupGuards:
     """Alive-but-not-caught-up nodes must not be targeted by the movers."""

@@ -533,7 +533,7 @@ class TestFixedPolicyConfigurations:
                             protocol="invalidation")
             assert rts.name == "p2p-rts"
             assert rts.default_policy.name == "primary-invalidate"
-            assert rts.protocol.name == "invalidation"
+            assert rts.protocol == "invalidation"
 
     def test_constructing_a_runtime_warns_nothing(self):
         from repro.baselines.central_server import CentralServerRts

@@ -9,7 +9,8 @@ from repro.config import ClusterConfig, ReplicationParams
 from repro.errors import RtsError, UnknownObjectError
 from repro.rts.manager import ObjectManager
 from repro.rts.object_model import RETRY, ObjectSpec, operation
-from repro.rts.stats import AccessStats, ReplicationDecider
+from repro.rts.p2p.replication_policy import ReplicationPolicy
+from repro.rts.stats import AccessStats
 
 
 class Register(ObjectSpec):
@@ -114,44 +115,44 @@ class TestAccessStats:
         assert stats.total_reads == 10
 
 
-class TestReplicationDecider:
+class TestReplicationPolicy:
     def test_replicates_read_mostly_objects(self):
-        decider = ReplicationDecider(ReplicationParams(min_accesses=4))
+        policy = ReplicationPolicy(ReplicationParams(min_accesses=4))
         for _ in range(10):
-            decider.stats_for(1, 0).note_read()
-        decider.stats_for(1, 0).note_write()
-        assert decider.should_replicate(1, 0)
+            policy.access_stats(1, 0).note_read()
+        policy.access_stats(1, 0).note_write()
+        assert policy.should_fetch_copy(1, 0, has_copy=False)
 
     def test_does_not_replicate_before_min_accesses(self):
-        decider = ReplicationDecider(ReplicationParams(min_accesses=20))
+        policy = ReplicationPolicy(ReplicationParams(min_accesses=20))
         for _ in range(10):
-            decider.stats_for(1, 0).note_read()
-        assert not decider.should_replicate(1, 0)
+            policy.access_stats(1, 0).note_read()
+        assert not policy.should_fetch_copy(1, 0, has_copy=False)
 
     def test_drops_write_heavy_objects(self):
-        decider = ReplicationDecider(ReplicationParams(min_accesses=4))
+        policy = ReplicationPolicy(ReplicationParams(min_accesses=4))
         for _ in range(10):
-            decider.stats_for(1, 0).note_write()
-        decider.stats_for(1, 0).note_read()
-        assert decider.should_drop(1, 0)
-        assert not decider.should_replicate(1, 0)
+            policy.access_stats(1, 0).note_write()
+        policy.access_stats(1, 0).note_read()
+        assert policy.should_drop_copy(1, 0, has_copy=True, is_primary=False)
+        assert not policy.should_fetch_copy(1, 0, has_copy=False)
 
     def test_hysteresis_band_keeps_status_quo(self):
         params = ReplicationParams(replicate_threshold=4.0, drop_threshold=1.0,
                                    min_accesses=4)
-        decider = ReplicationDecider(params)
+        policy = ReplicationPolicy(params)
         # Ratio of 2 sits between the thresholds: neither replicate nor drop.
         for _ in range(8):
-            decider.stats_for(1, 0).note_read()
+            policy.access_stats(1, 0).note_read()
         for _ in range(4):
-            decider.stats_for(1, 0).note_write()
-        assert not decider.should_replicate(1, 0)
-        assert not decider.should_drop(1, 0)
+            policy.access_stats(1, 0).note_write()
+        assert not policy.should_fetch_copy(1, 0, has_copy=False)
+        assert not policy.should_drop_copy(1, 0, has_copy=True, is_primary=False)
 
     def test_per_node_statistics_are_independent(self):
-        decider = ReplicationDecider(ReplicationParams(min_accesses=2))
+        policy = ReplicationPolicy(ReplicationParams(min_accesses=2))
         for _ in range(10):
-            decider.stats_for(1, 0).note_read()
-            decider.stats_for(1, 1).note_write()
-        assert decider.should_replicate(1, 0)
-        assert decider.should_drop(1, 1)
+            policy.access_stats(1, 0).note_read()
+            policy.access_stats(1, 1).note_write()
+        assert policy.should_fetch_copy(1, 0, has_copy=False)
+        assert policy.should_drop_copy(1, 1, has_copy=True, is_primary=False)

@@ -209,7 +209,7 @@ class TestUpdateProtocol:
             assert results[1] == 0  # read served from the local secondary copy
 
 
-class TestInvalidationProtocol:
+class TestInvalidation:
     def test_invalidation_discards_secondaries(self):
         cluster, rts = make_rts(4, protocol="invalidation", everywhere=True, dynamic=False)
         with cluster:

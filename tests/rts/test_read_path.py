@@ -63,7 +63,7 @@ class ReferenceRts(HybridRts):
         proc.advance(self.cost_model.cpu.operation_dispatch_cost)
         if op.work_units:
             proc.compute(op.work_units)
-        access = self.replication.decider.stats_for(obj_id, nid)
+        access = self.replication.access_stats(obj_id, nid)
         if op.is_write:
             self.stats.note_write(obj_id)
             access.note_write()

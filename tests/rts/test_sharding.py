@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.amoeba.cluster import Cluster
-from repro.config import ClusterConfig
+from repro.config import ClusterConfig, params_from
 from repro.errors import ConfigurationError
 from repro.rts.hybrid import HybridRts
 from repro.rts.object_model import ObjectSpec, operation
@@ -17,9 +17,7 @@ from repro.rts.sharding import (
     RebalanceParams,
     RebalancePlanner,
     ShardRouter,
-    batching_params,
     make_policy,
-    rebalance_params,
 )
 
 
@@ -78,14 +76,14 @@ class TestPolicies:
 
 class TestBatchingParams:
     def test_coercions(self):
-        assert batching_params(None) is None
-        assert batching_params(False) is None
-        assert batching_params(True) == BatchingParams()
-        params = batching_params({"max_batch": 3, "flush_delay": 0.1})
+        assert params_from(BatchingParams, None) is None
+        assert params_from(BatchingParams, False) is None
+        assert params_from(BatchingParams, True) == BatchingParams()
+        params = params_from(BatchingParams, {"max_batch": 3, "flush_delay": 0.1})
         assert params.max_batch == 3 and params.flush_delay == 0.1
-        assert batching_params(params) is params
+        assert params_from(BatchingParams, params) is params
         with pytest.raises(ConfigurationError):
-            batching_params("yes")
+            params_from(BatchingParams, "yes")
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -94,7 +92,7 @@ class TestBatchingParams:
             BatchingParams(flush_delay=-1.0)
 
     def test_backpressure_knob(self):
-        params = batching_params({"max_batch": 4, "backpressure_depth": 16})
+        params = params_from(BatchingParams, {"max_batch": 4, "backpressure_depth": 16})
         assert params.backpressure_depth == 16
         assert BatchingParams().backpressure_depth is None
         with pytest.raises(ConfigurationError):
@@ -103,14 +101,14 @@ class TestBatchingParams:
 
 class TestRebalanceParams:
     def test_coercions(self):
-        assert rebalance_params(None) is None
-        assert rebalance_params(False) is None
-        assert rebalance_params(True) == RebalanceParams()
-        params = rebalance_params({"interval": 0.01, "grow_to": 4})
+        assert params_from(RebalanceParams, None) is None
+        assert params_from(RebalanceParams, False) is None
+        assert params_from(RebalanceParams, True) == RebalanceParams()
+        params = params_from(RebalanceParams, {"interval": 0.01, "grow_to": 4})
         assert params.interval == 0.01 and params.grow_to == 4
-        assert rebalance_params(params) is params
+        assert params_from(RebalanceParams, params) is params
         with pytest.raises(ConfigurationError):
-            rebalance_params("often")
+            params_from(RebalanceParams, "often")
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

@@ -252,3 +252,56 @@ class TestReconfigurationRaces:
             assert_all_settled(rts)
         finally:
             cluster.shutdown()
+
+
+class TestRejoinUnderTransactions:
+    def test_recovered_member_reseeds_txn_state_and_converges(self):
+        """A member crashes and recovers while transfers run: its rejoin
+        carries the transaction layer's lock state through the seeds, and
+        it ends with copies equal to a donor's and the money conserved."""
+        seed = 5
+        cluster, rts, handles = build(seed)
+        ledger = []
+        hooks = {"on_node_recover": 0, "seed_state": 0, "install_seed": 0}
+        try:
+            # Clients only on surviving nodes: every outcome is observed.
+            for node in cluster.nodes[:VICTIM]:
+                node.kernel.spawn_thread(
+                    mover, cluster, rts, handles, node.node_id, 0, seed,
+                    ledger)
+
+            def count(layer, name):
+                hook = getattr(layer, name)
+
+                def counted(*args):
+                    hooks[name] += 1
+                    return hook(*args)
+
+                setattr(layer, name, counted)
+
+            def churner():
+                proc = cluster.sim.current_process
+                proc.hold(0.002)
+                # The movers' first transfers built the layer.
+                assert rts._txn_layer is not None
+                for name in hooks:
+                    count(rts._txn_layer, name)
+                cluster.node(VICTIM).crash()
+                proc.hold(0.003)
+                cluster.node(VICTIM).recover()
+
+            cluster.node(0).kernel.spawn_thread(churner)
+            cluster.run(until=cluster.sim.now + 2.0)
+
+            assert hooks["on_node_recover"] == 1
+            assert hooks["seed_state"] >= 1 and hooks["install_seed"] >= 1
+            assert rts.is_caught_up(VICTIM)
+            for handle in handles:
+                mine = rts.managers[VICTIM].get(handle.obj_id)
+                donor = rts.managers[0].get(handle.obj_id)
+                assert mine.instance.balance == donor.instance.balance
+                assert mine.version == donor.version
+            settle_and_check(cluster, rts, handles, ledger)
+            assert_all_settled(rts)
+        finally:
+            cluster.shutdown()
