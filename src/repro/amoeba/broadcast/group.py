@@ -146,11 +146,12 @@ class GroupMember:
         #: prove the sequencer is alive (merely backlogged), so send retries
         #: keep backing off instead of escalating to an election.
         self._last_delivery_time = node.sim.now
+        self._retransmit_kind = group.wire_kind(KIND_RETRANSMIT)
         # The node's handler table is the only dispatch on the way in.
         for kind, handler in (
             (KIND_REQUEST, self._on_request),
             (KIND_DATA, self._on_data),
-            (KIND_RETRANSMIT, self._on_retransmit),
+            (KIND_RETRANSMIT, self._on_data),
             (KIND_BB_DATA, self._on_bb_data),
             (KIND_ACCEPT, self._on_accept),
             (KIND_SYNC, self._on_sync),
@@ -269,25 +270,27 @@ class GroupMember:
         # else: stale request addressed to an old sequencer; drop it.
 
     def _on_data(self, msg: Message) -> None:
-        """Sequenced data from the seat.  A number the seat this member
-        follows hands out, sent by another node (a deposed seat, or a winner
+        """A sequenced record: data from the seat, or a retransmission from
+        the seat or a peer's history.  Data numbered by a seat this member
+        does not follow, sent by another node (a deposed seat, or a winner
         whose announcement was lost here), is dropped for an election."""
         group = self.group
-        if msg.src == group.sequencer_node_id or msg.payload.seqno < group.seat_start:
-            self._on_retransmit(msg)
-        else:
-            self.election.start()
-
-    def _on_retransmit(self, msg: Message) -> None:
-        """A sequenced record, from the seat or a peer's history."""
         record = msg.payload
+        if (msg.src != group.sequencer_node_id and record.seqno >= group.seat_start
+                and msg.kind != self._retransmit_kind):
+            self.election.start()
+            return
         if self._anchor_uid is not None and record.uid == self._anchor_uid:
             # The rejoin anchor came back sequenced: everything before it
             # is covered by the seed, so re-enter the order right here.
             self._anchor_uid = None
             self.synced = True
             self._deliver(self.engine.fast_forward(record.seqno))
-        self._arrived(self.engine.offer(record))
+        run = self.engine.offer(record)
+        if run:
+            self._deliver(run)
+        if self.engine.has_gap:
+            self._schedule_gap_requests()
 
     def _on_bb_data(self, msg: Message) -> None:
         uid = msg.headers["uid"]
@@ -378,24 +381,19 @@ class GroupMember:
     def _deliver(self, run: Sequence[DeliveredMessage]) -> None:
         """Hand an in-order run to the application, one record at a time."""
         history = self._delivered_history
-        history_size = self._history_size
-        gap_timers = self._gap_timers
-        gap_attempts = self._gap_attempts
-        node_id = self.node_id
-        sim = self.node.sim
         for record in run:
             seqno = record.seqno
             history[seqno] = record
-            if len(history) > history_size:
+            if len(history) > self._history_size:
                 history.popitem(last=False)
-            if gap_timers:
-                timer = gap_timers.pop(seqno, None)
+            if self._gap_timers:
+                timer = self._gap_timers.pop(seqno, None)
                 if timer is not None:
                     self.node.kernel.cancel_timer(timer)
-            if gap_attempts:
-                gap_attempts.pop(seqno, None)
-            self._last_delivery_time = sim.now
-            if record.origin == node_id:
+            if self._gap_attempts:
+                self._gap_attempts.pop(seqno, None)
+            self._last_delivery_time = self.node.sim.now
+            if record.origin == self.node_id:
                 sent = self._pending_sends.pop(record.uid, None)
                 if sent is not None:
                     sent.delivered = True
@@ -404,8 +402,9 @@ class GroupMember:
                     if sent.on_delivered is not None:
                         sent.on_delivered(seqno)
             self.deliveries += 1
-            if self.delivery_handler is not None:
-                self.delivery_handler(record)
+            handler = self.delivery_handler
+            if handler is not None:
+                handler(record)
 
     def probe_gap(self) -> None:
         """One-shot recovery probe for the next expected sequence number.

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from ..errors import NetworkError
-from .message import Message
 from .network import Packet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -25,17 +24,16 @@ class NicStats:
     """Receive-side statistics for one NIC."""
 
     interrupts: int = 0
-    packets_received: int = 0
     messages_received: int = 0
-    bytes_received: int = 0
     packets_discarded: int = 0
 
 
 class NetworkInterface:
     """Receive-side model of a node's network adapter.
 
-    Packets are reassembled and the receive-interrupt/protocol CPU cost is
-    charged before :meth:`deliver` calls the complete message's handler.
+    :meth:`receive_packet` takes a packet from the wire to the handler of
+    the message it completes, charging the receive-interrupt and protocol
+    CPU cost on the way.
     """
 
     def __init__(self, node: "Node") -> None:
@@ -51,20 +49,27 @@ class NetworkInterface:
         self.drop_filter: Optional[Callable[[Packet], bool]] = None
 
     def receive_packet(self, packet: Packet) -> None:
-        """Handle one packet arriving from the network (kernel context)."""
+        """Handle one packet arriving from the network (kernel context).
+
+        Per packet: a dead receiver or the ``drop_filter`` discards it, else
+        it interrupts the CPU and joins its message's reassembly.  Per
+        complete message: the protocol charge, then the handler.  Overhead
+        is a float sum per node, so the order is part of the model:
+        interrupt charge, protocol charge, then whatever the handler charges.
+        """
         node = self.node
+        if not node.alive or (self.drop_filter is not None and self.drop_filter(packet)):
+            self.stats.packets_discarded += 1
+            return
         stats = self.stats
-        if not node.alive:
-            stats.packets_discarded += 1
-            return
-        if self.drop_filter is not None and self.drop_filter(packet):
-            stats.packets_discarded += 1
-            return
-        # Every packet interrupts the receiving CPU.
         stats.interrupts += 1
-        stats.packets_received += 1
-        stats.bytes_received += packet.payload_bytes
-        node.charge_overhead(node.cost_model.cpu.interrupt_cost)
+        # Both charges are Node.charge_overhead's two additions, written out:
+        # the costs are validated non-negative, and adding 0.0 is what its
+        # guard skips, so the sums are the same.
+        cpu = node.cost_model.cpu
+        cost = cpu.interrupt_cost
+        node._overhead_pending += cost
+        node.stats.overhead_time += cost
         msg = packet.message
         if packet.count != 1:
             received = self._partial.get(msg.msg_id, 0) + 1
@@ -72,25 +77,16 @@ class NetworkInterface:
                 self._partial[msg.msg_id] = received
                 return
             self._partial.pop(msg.msg_id, None)
-        self.deliver(msg)
-
-    def deliver(self, msg: Message) -> None:
-        """Transport-seam entry: hand one complete message to its handler.
-
-        Overhead is a float sum per node, so the order is part of the model:
-        interrupt charge, this protocol charge, then whatever the handler charges.
-        """
-        node = self.node
-        if not node.alive:
-            return
-        self.stats.messages_received += 1
-        node.charge_overhead(node.cost_model.cpu.protocol_cost)
-        node.stats.messages_received += 1
-        handler = node._handlers.get(msg.kind)
-        if handler is None:
+        stats.messages_received += 1
+        cost = cpu.protocol_cost
+        node._overhead_pending += cost
+        node.stats.overhead_time += cost
+        try:
+            handler = node._handlers[msg.kind]
+        except KeyError:
             raise NetworkError(
                 f"node {node.node_id} received {msg.kind!r} but has no handler for it"
-            )
+            ) from None
         handler(msg)
 
     def drop_partial_state(self) -> None:

@@ -29,10 +29,8 @@ class NodeStats:
     """Per-node accounting."""
 
     messages_sent: int = 0
-    messages_received: int = 0
     bytes_sent: int = 0
     overhead_time: float = 0.0
-    overhead_absorbed: float = 0.0
 
 
 class Node:
@@ -118,7 +116,6 @@ class Node:
         pending = self._overhead_pending
         if pending:
             self._overhead_pending = 0.0
-            self.stats.overhead_absorbed += pending
         return pending
 
     @property

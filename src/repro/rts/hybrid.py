@@ -78,6 +78,12 @@ class _ShardMember:
             # thread and carries no state).
             rts.membership.seed_buffer.setdefault(self.key, []).append(record)
             return
+        if kind == "op":  # a plain write, applied in this one call
+            _, obj_id, op_name, args, kwargs, invocation_id, epoch = payload
+            rts._apply_one(self.node_id, self.manager, self.node, obj_id,
+                           op_name, args, kwargs, invocation_id, epoch,
+                           record.origin, record.seqno)
+            return
         try:
             apply = rts._deliver_kinds[kind]
         except (KeyError, TypeError):
@@ -192,10 +198,10 @@ class HybridRts(RuntimeSystem):
         self.shard_moves = self.placement.shard_moves
         self.relocations = self.placement.relocations
         self.removed_shards = self.placement.removed_shards
-        #: Payload kind -> what a member does on delivering it.  The
-        #: transaction layer's kinds join when the layer is built.
+        #: Payload kind -> what a member does on delivering it (``"op"``
+        #: goes straight to ``_apply_one``).  The transaction layer's kinds
+        #: join when the layer is built.
         self._deliver_kinds: Dict[str, Callable[..., None]] = {
-            "op": self._deliver_op,
             "batch": self._deliver_batch,
             "create": self._deliver_create,
             "rejoin": self.membership.apply_rejoin,
@@ -440,15 +446,21 @@ class HybridRts(RuntimeSystem):
                     if not shard_write_noted:
                         # The note carries the invocation's payload size so
                         # the router's byte window sees the same skew the
-                        # wire does (args dominate; kwargs are rare).
-                        self.router.note_write(
-                            obj_id, handle.name,
-                            nbytes=estimate_size(args) + estimate_size(kwargs))
+                        # wire does (args dominate; kwargs are rare).  One
+                        # estimate of each feeds the note and the wire size,
+                        # which count ``kwargs=None`` as 1 and 8 bytes (the
+                        # wire carries it as an empty dict).
+                        args_size = estimate_size(args)
+                        kwargs_size = estimate_size(kwargs)
+                        self.router.note_write(obj_id, handle.name,
+                                               nbytes=args_size + kwargs_size)
+                        wire_size = max(16, args_size + 16 + (
+                            8 if kwargs is None else kwargs_size))
                         shard_write_noted = True
                         if self.rebalance is not None:
                             self.placement.maybe_start_rebalancer()
                     result = self._broadcast_write(proc, node, handle, op,
-                                                   args, kwargs)
+                                                   args, kwargs, wire_size)
                 else:
                     result = self._broadcast_read(proc, site, obj_id, args,
                                                   kwargs)
@@ -534,8 +546,10 @@ class HybridRts(RuntimeSystem):
         return result
 
     def _broadcast_write(self, proc: "SimProcess", node: "Node",
-                         handle: ObjectHandle, op, args, kwargs) -> Any:
-        """Broadcast the write (directly or batched) and await local apply."""
+                         handle: ObjectHandle, op, args, kwargs,
+                         size: int) -> Any:
+        """Broadcast the write (directly or batched) of ``size`` wire bytes
+        and await local apply."""
         manager = self.managers[node.node_id]
         obj_id = handle.obj_id
         while True:
@@ -557,7 +571,6 @@ class HybridRts(RuntimeSystem):
                 self._await_replica(proc, node.node_id, obj_id)
                 continue
             invocation_id = next(self._invocation_ids)
-            size = max(16, estimate_size(args) + estimate_size(kwargs or {}) + 16)
             proc.absorb_overhead(node.drain_overhead())
             proc.flush()
             self.stats.broadcast_writes += 1
@@ -600,13 +613,6 @@ class HybridRts(RuntimeSystem):
         self._wake_replica_waiters(member.node_id, obj_id)
         if record.origin == member.node_id:
             self._resolve(invocation_id, None)
-
-    def _deliver_op(self, member: _ShardMember,
-                    record: DeliveredMessage) -> None:
-        _, obj_id, op_name, args, kwargs, invocation_id, epoch = record.payload
-        self._apply_one(member.node_id, member.manager, member.node, obj_id,
-                        op_name, args, kwargs, invocation_id, epoch,
-                        record.origin, record.seqno)
 
     def _deliver_batch(self, member: _ShardMember,
                        record: DeliveredMessage) -> None:
@@ -663,8 +669,7 @@ class HybridRts(RuntimeSystem):
                 f"node {node_id} received operation {op_name!r} for object "
                 f"{obj_id} before its create message"
             )
-        result = manager.apply_write_to(replica, site.op, args, kwargs,
-                                        local_origin=origin == node_id)
+        result = manager.apply_write_to(replica, site.op, args, kwargs)
         # Applying the update costs CPU on every machine that holds a
         # replica: this is the overhead that limits ACP's speedup.
         node.charge_overhead(site.apply_cost)

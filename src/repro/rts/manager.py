@@ -76,8 +76,6 @@ class ManagerStats:
     """Operation counts seen by one object manager."""
 
     local_reads: int = 0
-    local_writes_applied: int = 0
-    remote_updates_applied: int = 0
     invalidations: int = 0
     guard_retries: int = 0
 
@@ -149,36 +147,38 @@ class ObjectManager:
         self.stats.local_reads += 1
         return execute_operation(replica.instance, op, args, kwargs)
 
-    def apply_write(self, obj_id: int, op: OperationDef, args: Tuple[Any, ...],
-                    kwargs: Optional[Dict[str, Any]] = None,
-                    local_origin: bool = False) -> Any:
-        """Apply a write operation to the local replica (in protocol order)."""
-        return self.apply_write_to(self.get(obj_id), op, args, kwargs, local_origin)
-
     def apply_write_to(self, replica: Replica, op: OperationDef,
                        args: Tuple[Any, ...],
-                       kwargs: Optional[Dict[str, Any]] = None,
-                       local_origin: bool = False) -> Any:
-        """:meth:`apply_write` for a caller that already holds the replica.
+                       kwargs: Optional[Dict[str, Any]] = None) -> Any:
+        """Apply a write to a replica this machine holds, in protocol order:
+        every writer's one way in (broadcast apply, transaction commit and
+        replay, primary commit, update fan-out).
 
-        The replica is locked for the duration of the operation, the version
-        counter is bumped, and change waiters are notified.  Returns the
-        operation result or :data:`RETRY` when the guard rejected it.
+        The replica is locked while the operation runs.  A guard that
+        rejects leaves the state untouched and returns :data:`RETRY`;
+        otherwise the version is bumped, the change waiters (if any) are
+        notified, and the operation's result is returned.
         """
+        instance, guard = replica.instance, op.guard
         replica.locked = True
         try:
-            result = execute_operation(replica.instance, op, args, kwargs)
+            if kwargs:
+                if guard is not None and not guard(instance, *args, **kwargs):
+                    result = RETRY
+                else:
+                    result = op.func(instance, *args, **kwargs)
+            elif guard is not None and not guard(instance, *args):
+                result = RETRY
+            else:
+                result = op.func(instance, *args)
         finally:
             replica.locked = False
         if result is RETRY:
             self.stats.guard_retries += 1
             return RETRY
         replica.version += 1
-        if local_origin:
-            self.stats.local_writes_applied += 1
-        else:
-            self.stats.remote_updates_applied += 1
-        replica.notify_changed()
+        if replica._change_waiters:
+            replica.notify_changed()
         return result
 
     # ------------------------------------------------------------------ #

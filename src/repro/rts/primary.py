@@ -404,7 +404,7 @@ class PrimaryCopy:
                 else:
                     for nid in secondaries:
                         self.directory.remove_copy(obj_id, nid)
-            result = manager.apply_write(obj_id, op, args, kwargs, local_origin=True)
+            result = manager.apply_write_to(manager.get(obj_id), op, args, kwargs)
         finally:
             replica.locked = False
         return result
@@ -568,9 +568,7 @@ class PrimaryCopy:
         if manager.has_valid_copy(obj_id):
             op = self.handle(obj_id).spec_class.operation_def(payload["op_name"])
             replica = manager.get(obj_id)
-            result = manager.apply_write_to(
-                replica, op, payload["args"], payload["kwargs"], local_origin=False
-            )
+            result = manager.apply_write_to(replica, op, payload["args"], payload["kwargs"])
             replica.locked = True
             if result is not RETRY:
                 record_applied(replica.applied, payload.get("wid"), result)

@@ -71,16 +71,6 @@ class Event:
         """True if the event has neither fired nor been cancelled."""
         return not self.cancelled and not self.fired
 
-    def fire(self) -> None:
-        """Invoke the callback unless cancelled (the run loop inlines this)."""
-        if self.cancelled:
-            return
-        self.fired = True
-        if self.kwargs:
-            self.callback(*self.args, **self.kwargs)
-        else:
-            self.callback(*self.args)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else ("fired" if self.fired else "pending")
         return (

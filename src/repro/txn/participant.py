@@ -180,8 +180,7 @@ class TxnParticipant:
         history = rts.history
         for sub, (obj_id, replica, op, args, kwargs), charge in zip(
                 entries, steps, charges):
-            results[sub[0]] = manager.apply_write_to(
-                replica, op, args, kwargs, local_origin=origin == node_id)
+            results[sub[0]] = manager.apply_write_to(replica, op, args, kwargs)
             node.charge_overhead(charge)
             if history.enabled:
                 history.record_write(node_id, obj_id, op.name, args, seqno,
@@ -281,9 +280,8 @@ class TxnParticipant:
                 replica = manager.get(obj_id)
                 for index, op_name, args, kwargs in entry.stash:
                     site = rts._site(node_id, obj_id, op_name)
-                    result = manager.apply_write_to(
-                        replica, site.op, args, kwargs,
-                        local_origin=origin == node_id)
+                    result = manager.apply_write_to(replica, site.op, args,
+                                                    kwargs)
                     node.charge_overhead(site.apply_cost)
                     if history.enabled:
                         history.record_write(node_id, obj_id, op_name, args,

@@ -473,7 +473,7 @@ class TestFailureInjection:
             member._on_data(carrying(2, 1))
             assert member.engine.next_expected == 1 and group.stats.elections == 1
             member._on_data(carrying(0, 1))
-            member._on_retransmit(carrying(2, 2, KIND_RETRANSMIT))  # a peer's history
+            member._on_data(carrying(2, 2, KIND_RETRANSMIT))  # a peer's history
             assert member.engine.next_expected == 3
             # A later seat's announcement wins over an older one's.
             election.install(group, 2, 4, group.epoch + 1)

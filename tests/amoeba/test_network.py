@@ -224,6 +224,66 @@ class TestNodeOverhead:
                 cluster.run()
 
 
+class TestNicAccounting:
+    """The NIC's two charges, exactly: one interrupt per packet, then one
+    protocol charge per complete message, as one float sum per node."""
+
+    #: Costs whose sum depends on the order of its addends:
+    #: 0.1 + 0.1 + 0.1 + 0.7 == 1.0, but 0.7 first gives 0.9999999999999999.
+    INTERRUPT, PROTOCOL = 0.1, 0.7
+
+    def cluster(self):
+        cost_model = CostModel().with_overrides(
+            cpu={"interrupt_cost": self.INTERRUPT, "protocol_cost": self.PROTOCOL})
+        return Cluster(ClusterConfig(num_nodes=2, cost_model=cost_model, seed=5))
+
+    def test_three_packets_three_interrupts_then_one_protocol_charge(self):
+        with self.cluster() as cluster:
+            receiver = cluster.node(1)
+            seen = []
+            receiver.register_handler("t", lambda m: seen.append(
+                (receiver.nic.stats.interrupts, receiver.stats.overhead_time)))
+            cluster.node(0).send(cluster.node(0).make_message(1, "t", size=4000))
+            cluster.run()
+            expected = 0.0
+            for cost in (self.INTERRUPT, self.INTERRUPT, self.INTERRUPT, self.PROTOCOL):
+                expected += cost
+            assert cluster.network.stats.packets_sent == 3
+            assert seen == [(3, expected)]  # both charges land before the handler
+            assert receiver.stats.overhead_time == expected
+            assert receiver.pending_overhead == expected
+            assert receiver.nic.stats.messages_received == 1
+            assert receiver.nic.stats.packets_discarded == 0
+
+    def test_drop_filter_discards_and_charges_nothing(self):
+        with self.cluster() as cluster:
+            receiver = cluster.node(1)
+            received = []
+            receiver.register_handler("t", received.append)
+            receiver.nic.drop_filter = lambda packet: True
+            cluster.node(0).send(cluster.node(0).make_message(1, "t", size=4000))
+            cluster.run()
+            assert received == []
+            assert receiver.nic.stats.packets_discarded == 3
+            assert receiver.nic.stats.interrupts == 0
+            assert receiver.stats.overhead_time == 0.0
+            assert receiver.pending_overhead == 0.0
+
+    def test_crashed_receiver_discards_and_charges_nothing(self):
+        with self.cluster() as cluster:
+            receiver = cluster.node(1)
+            received = []
+            receiver.register_handler("t", received.append)
+            receiver.crash()
+            cluster.node(0).send(cluster.node(0).make_message(1, "t", size=10))
+            cluster.run()
+            assert received == []
+            assert receiver.nic.stats.packets_discarded == 1
+            assert receiver.nic.stats.interrupts == 0
+            assert receiver.stats.overhead_time == 0.0
+            assert receiver.pending_overhead == 0.0
+
+
 # ---------------------------------------------------------------------- #
 # The wire as a timeline, against the pipeline it replaced
 # ---------------------------------------------------------------------- #

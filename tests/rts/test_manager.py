@@ -59,15 +59,14 @@ class TestObjectManager:
 
     def test_apply_write_bumps_version(self, manager):
         manager.install(1, "reg", Register.create((0,)))
-        manager.apply_write(1, Register.operation_def("assign"), (7,), local_origin=True)
         replica = manager.get(1)
+        manager.apply_write_to(replica, Register.operation_def("assign"), (7,))
         assert replica.version == 1
         assert replica.instance.value == 7
-        assert manager.stats.local_writes_applied == 1
 
     def test_guard_failure_does_not_bump_version(self, manager):
         manager.install(1, "reg", Register.create((0,)))
-        result = manager.apply_write(1, Register.operation_def("consume"), ())
+        result = manager.apply_write_to(manager.get(1), Register.operation_def("consume"), ())
         assert result is RETRY
         assert manager.get(1).version == 0
         assert manager.stats.guard_retries == 1
@@ -76,8 +75,8 @@ class TestObjectManager:
         manager.install(1, "reg", Register.create((0,)))
         calls = []
         manager.get(1).on_next_change(lambda: calls.append(1))
-        manager.apply_write(1, Register.operation_def("assign"), (1,))
-        manager.apply_write(1, Register.operation_def("assign"), (2,))
+        manager.apply_write_to(manager.get(1), Register.operation_def("assign"), (1,))
+        manager.apply_write_to(manager.get(1), Register.operation_def("assign"), (2,))
         assert calls == [1]
 
     def test_invalidate_and_discard(self, manager):

@@ -78,7 +78,8 @@ class ReferenceRts(HybridRts):
                             obj_id, handle.name,
                             nbytes=estimate_size(args) + estimate_size(kwargs))
                         shard_write_noted = True
-                    result = self._broadcast_write(proc, node, handle, op, args, kwargs)
+                    size = max(16, estimate_size(args) + estimate_size(kwargs or {}) + 16)
+                    result = self._broadcast_write(proc, node, handle, op, args, kwargs, size)
                 else:
                     result = self._reference_read(proc, node, handle, op, args, kwargs)
             else:

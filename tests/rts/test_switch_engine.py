@@ -16,7 +16,7 @@ from repro.amoeba.broadcast.protocol import DeliveredMessage
 from repro.amoeba.cluster import Cluster
 from repro.config import ClusterConfig
 from repro.rts.hybrid import HybridRts
-from repro.rts.object_model import ObjectSpec, operation
+from repro.rts.object_model import RETRY, ObjectSpec, operation
 from repro.rts.p2p.fanout import (
     CURRENT,
     FUTURE,
@@ -48,6 +48,11 @@ class Register(ObjectSpec):
     @operation(write=True)
     def add(self, delta):
         self.value += delta
+        return self.value
+
+    @operation(write=True, guard=lambda self, delta: self.value >= delta)
+    def take(self, delta):
+        self.value -= delta
         return self.value
 
 
@@ -216,10 +221,11 @@ class TestAdmissionGate:
 
 
 def deliver(rts, node_id, shard, payload, origin=0):
-    """Hand one sequenced record to one member, as its group would."""
+    """Hand one sequenced record to one member, as its group would: through
+    the member's delivery handler."""
     record = DeliveredMessage(seqno=99, origin=origin, uid=None,
                               payload=payload, size=16)
-    rts._deliver_kinds[payload[0]](rts._shard_members[(node_id, shard)], record)
+    rts._shard_members[(node_id, shard)].on_deliver(record)
 
 
 class TestEpochClassification:
@@ -273,13 +279,15 @@ class TestEpochClassification:
 
 
 class _Initiator:
-    """Stands in for the process awaiting its own switch broadcast."""
+    """Stands in for the process awaiting its own broadcast."""
 
     def __init__(self):
         self.woken = 0
+        self.results = []
 
     def wake(self, result=None):
         self.woken += 1
+        self.results.append(result)
 
 
 class TestSupersededRecord:
@@ -311,6 +319,40 @@ class TestSupersededRecord:
             assert rts.switch.position(0, obj_id) == (2, 2)
             replica = rts.managers[0].get(obj_id)
             assert (replica.instance.value, replica.version) == (0, 0)
+
+
+class TestMemberApply:
+    """A plain ``"op"`` record goes from the member's delivery handler to the
+    manager's one replica apply."""
+
+    MEMBER = 1
+
+    def test_guard_rejected_op_leaves_the_replica_and_resolves_retry(self):
+        cluster, rts, handles = build()
+        with cluster:
+            obj_id = handles["b"].obj_id
+            shard, epoch = rts.shard_of(handles["b"]), rts.switch.objects[obj_id].epoch
+            replica = rts.managers[self.MEMBER].get(obj_id)
+            fired = []
+            replica.on_next_change(lambda: fired.append(replica.version))
+            origin = _Initiator()
+            rts._pending[7] = _PendingWrite(proc=origin)
+            retries = rts.managers[self.MEMBER].stats.guard_retries
+
+            deliver(rts, self.MEMBER, shard, ("op", obj_id, "take", (5,), {}, 7, epoch),
+                    origin=self.MEMBER)
+            assert (replica.instance.value, replica.version) == (0, 0)
+            assert fired == []
+            assert origin.results == [RETRY]
+            assert rts.managers[self.MEMBER].stats.guard_retries == retries + 1
+
+            # The waiter is still registered, and fires once on the next apply.
+            deliver(rts, self.MEMBER, shard, ("op", obj_id, "add", (5,), {}, 8, epoch))
+            assert (replica.instance.value, replica.version) == (5, 1)
+            assert fired == [1]
+            deliver(rts, self.MEMBER, shard, ("op", obj_id, "take", (2,), {}, 9, epoch))
+            assert (replica.instance.value, replica.version) == (3, 2)
+            assert fired == [1]
 
 
 class TestOneSwitchPath:

@@ -9,6 +9,7 @@ from hypothesis import example, given, strategies as st
 
 from repro.errors import SimulationError
 from repro.sim.events import Event, EventQueue
+from repro.sim.kernel import Simulator
 
 
 def make_event(queue: EventQueue, time: float) -> Event:
@@ -275,23 +276,28 @@ class TestEventQueueMatchesReference:
 
 
 class TestEvent:
+    """An event fires through ``Simulator.run``, the one loop that fires events."""
+
     def test_fire_invokes_callback(self):
         calls = []
-        event = Event(0.0, 0, lambda x: calls.append(x), args=(42,))
-        event.fire()
+        with Simulator() as sim:
+            event = sim.schedule(0.0, lambda x: calls.append(x), 42)
+            sim.run()
         assert calls == [42]
         assert event.fired
 
     def test_cancelled_event_does_not_fire(self):
         calls = []
-        event = Event(0.0, 0, lambda: calls.append(1))
-        event.cancel()
-        event.fire()
+        with Simulator() as sim:
+            event = sim.schedule(0.0, lambda: calls.append(1))
+            sim.cancel(event)
+            sim.run()
         assert calls == []
         assert not event.fired
 
     def test_pending_property(self):
-        event = Event(0.0, 0, lambda: None)
-        assert event.pending
-        event.fire()
+        with Simulator() as sim:
+            event = sim.schedule(0.0, lambda: None)
+            assert event.pending
+            sim.run()
         assert not event.pending

@@ -219,8 +219,7 @@ class TestReleasedQueue:
     def deliver(self, rts, shard, payload):
         record = DeliveredMessage(seqno=99, origin=0, uid=None, payload=payload,
                                   size=16)
-        rts._deliver_kinds[payload[0]](rts._shard_members[(self.MEMBER, shard)],
-                                       record)
+        rts._shard_members[(self.MEMBER, shard)].on_deliver(record)
 
     def test_queued_items_meet_the_new_lock_without_their_handler(
             self, monkeypatch):
