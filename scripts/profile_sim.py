@@ -200,9 +200,9 @@ def count_replayed_items(counter: list):
     """Have every ``TxnParticipant._replay`` add its queue's length to ``counter[0]``."""
     replay = TxnParticipant._replay
 
-    def counted(self, node_id, locks, obj_id, items):
+    def counted(self, member, locks, obj_id, items):
         counter[0] += len(items)
-        return replay(self, node_id, locks, obj_id, items)
+        return replay(self, member, locks, obj_id, items)
 
     TxnParticipant._replay = counted
 

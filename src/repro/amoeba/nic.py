@@ -24,7 +24,6 @@ class NicStats:
     """Receive-side statistics for one NIC."""
 
     interrupts: int = 0
-    messages_received: int = 0
     packets_discarded: int = 0
 
 
@@ -77,7 +76,6 @@ class NetworkInterface:
                 self._partial[msg.msg_id] = received
                 return
             self._partial.pop(msg.msg_id, None)
-        stats.messages_received += 1
         cost = cpu.protocol_cost
         node._overhead_pending += cost
         node.stats.overhead_time += cost

@@ -150,14 +150,3 @@ class OrcaProgram:
                 cluster.shutdown()
                 self.cluster, self.runtime = None, None
         return result
-
-    # ------------------------------------------------------------------ #
-
-    def run_on(self, num_nodes: int, *main_args: Any, **main_kwargs: Any) -> ProgramResult:
-        """Run the same program on a cluster of ``num_nodes`` processors."""
-        original = self.config
-        self.config = original.with_nodes(num_nodes)
-        try:
-            return self.run(*main_args, **main_kwargs)
-        finally:
-            self.config = original

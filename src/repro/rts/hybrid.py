@@ -2,10 +2,11 @@
 
 :class:`HybridRts` keeps construction and the lazy wiring, object creation
 and invocation, transactions' entry point, and the broadcast mechanism's
-read, write and delivery path.  Everything else runs in role objects under
-``repro.rts``, each behind a ``typing.Protocol`` naming what it reads and
-calls of the runtime: see the module map in ``docs/ARCHITECTURE.md``
-(section ``rts/``).
+read and write path (a member's delivery and ordered apply are
+:class:`~repro.rts.member.ShardMember`'s).  Everything else runs in role
+objects under ``repro.rts``, each behind a ``typing.Protocol`` naming what
+it reads and calls of the runtime: see the module map in
+``docs/ARCHITECTURE.md`` (section ``rts/``).
 """
 
 from __future__ import annotations
@@ -13,16 +14,15 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, Type
 
-from ..amoeba.broadcast.protocol import DeliveredMessage
 from ..amoeba.message import estimate_size
 from ..config import params_from
 from ..errors import ConfigurationError, RtsError
 from .base import CallSite, ObjectHandle, RuntimeSystem
 from .batching import WriteBatcher
 from .consistency import HistoryRecorder
+from .member import ShardMember
 from .membership import Membership
 from .object_model import RETRY, ObjectSpec
-from .p2p.fanout import FUTURE
 from .placement import Placement
 from .policy import (
     FIXED_POLICIES,
@@ -44,52 +44,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..amoeba.cluster import Cluster
     from ..amoeba.node import Node
     from ..sim.process import SimProcess
-
-
-class _ShardMember:
-    """One machine's end of one shard's total order: its bound
-    :meth:`on_deliver` is that group member's delivery handler, so a record
-    arrives with the machine's manager and node already resolved."""
-
-    __slots__ = ("rts", "node_id", "key", "node", "manager", "awaiting_seed")
-
-    def __init__(self, rts: "HybridRts", node: "Node", shard: int) -> None:
-        self.rts = rts
-        self.node_id = node.node_id
-        self.key = (node.node_id, shard)
-        self.node = node
-        self.manager = rts.managers[node.node_id]
-        #: The membership's set of (node, shard) rejoins awaiting their seed.
-        self.awaiting_seed = rts.membership.awaiting_seed
-
-    def on_deliver(self, record: DeliveredMessage) -> None:
-        """Runs at every member, in per-shard total order."""
-        rts = self.rts
-        payload = record.payload
-        kind = payload[0]
-        awaiting = self.awaiting_seed
-        if (awaiting and self.key in awaiting
-                and not (kind == "rejoin" and payload[1] == self.node_id)):
-            # This member re-entered the order at its rejoin anchor but the
-            # out-of-band seed (the state covering everything before the
-            # anchor) has not arrived yet; buffer post-anchor deliveries
-            # for ordered replay on top of the seeded state.  Only the
-            # member's own anchor passes through (it wakes the rejoin
-            # thread and carries no state).
-            rts.membership.seed_buffer.setdefault(self.key, []).append(record)
-            return
-        if kind == "op":  # a plain write, applied in this one call
-            _, obj_id, op_name, args, kwargs, invocation_id, epoch = payload
-            rts._apply_one(self.node_id, self.manager, self.node, obj_id,
-                           op_name, args, kwargs, invocation_id, epoch,
-                           record.origin, record.seqno)
-            return
-        try:
-            apply = rts._deliver_kinds[kind]
-        except (KeyError, TypeError):
-            raise RtsError(
-                f"unknown broadcast RTS payload kind {kind!r}") from None
-        apply(self, record)
 
 
 class HybridRts(RuntimeSystem):
@@ -161,7 +115,7 @@ class HybridRts(RuntimeSystem):
         self.group: Optional["BroadcastGroup"] = None
         self._batchers: Dict[Tuple[int, int], WriteBatcher] = {}
         #: (node_id, shard) -> that member's end of the shard's order.
-        self._shard_members: Dict[Tuple[int, int], _ShardMember] = {}
+        self._shard_members: Dict[Tuple[int, int], ShardMember] = {}
         self._invocation_ids = itertools.count(1)
         self._pending: Dict[int, _PendingWrite] = {}
         #: (node_id, obj_id) -> [SimProcess, ...] waiting for a local replica.
@@ -199,11 +153,11 @@ class HybridRts(RuntimeSystem):
         self.relocations = self.placement.relocations
         self.removed_shards = self.placement.removed_shards
         #: Payload kind -> what a member does on delivering it (``"op"``
-        #: goes straight to ``_apply_one``).  The transaction layer's kinds
-        #: join when the layer is built.
+        #: goes straight to ``ShardMember.apply``).  The transaction layer's
+        #: kinds join when the layer is built.
         self._deliver_kinds: Dict[str, Callable[..., None]] = {
-            "batch": self._deliver_batch,
-            "create": self._deliver_create,
+            "batch": ShardMember.deliver_batch,
+            "create": ShardMember.deliver_create,
             "rejoin": self.membership.apply_rejoin,
             KIND_SWITCH: self.switch.apply,
         }
@@ -249,7 +203,7 @@ class HybridRts(RuntimeSystem):
         """Install every member's delivery handler for one shard's group."""
         group = self.router.group_for(shard)
         for node in self.cluster.nodes:
-            member = _ShardMember(self, node, shard)
+            member = ShardMember(self, node, shard)
             self._shard_members[member.key] = member
             group.set_delivery_handler(node.node_id, member.on_deliver)
 
@@ -275,9 +229,6 @@ class HybridRts(RuntimeSystem):
     def policy_of(self, handle: ObjectHandle) -> str:
         """Name of the fixed policy currently managing ``handle``."""
         return self._policy_by_obj[handle.obj_id]
-
-    def is_adaptive(self, handle: ObjectHandle) -> bool:
-        return handle.obj_id in self._adaptive_by_obj
 
     def _mechanism_of(self, obj_id: int) -> str:
         return FIXED_POLICIES[self._policy_by_obj[obj_id]].mechanism
@@ -564,33 +515,21 @@ class HybridRts(RuntimeSystem):
             # retry to the destination order.
             epoch = self.switch.objects[obj_id].epoch
             shard = self.shard_of(handle)
-            group = self.router.group_for(shard)
             if self._mechanism_of(obj_id) != MECHANISM_BROADCAST:
                 return MIGRATED
             if not manager.has_valid_copy(obj_id):
                 self._await_replica(proc, node.node_id, obj_id)
                 continue
-            invocation_id = next(self._invocation_ids)
             proc.absorb_overhead(node.drain_overhead())
-            proc.flush()
             self.stats.broadcast_writes += 1
-            # The pending entry is registered only after the (possibly
-            # blocking) flush above: a policy switch may resolve pending
-            # writes of this object early, and that wake must never race a
-            # wait the process is parked in for some other reason.
-            pending = _PendingWrite(proc=proc, obj_id=obj_id,
-                                    origin=node.node_id, epoch=epoch)
-            self._pending[invocation_id] = pending
-            if self.batching is not None:
-                entry = (obj_id, op.name, args, kwargs or {}, invocation_id,
-                         epoch)
-                self._batcher(node, shard).enqueue(entry, size)
-            else:
-                payload = ("op", obj_id, op.name, args, kwargs or {},
-                           invocation_id, epoch)
-                group.member(node.node_id).broadcast(payload, size=size)
-            result = proc.suspend()
-            self._pending.pop(invocation_id, None)
+            # A switch of the object releases this pending write early.
+            send = (self._batcher(node, shard).enqueue
+                    if self.batching is not None
+                    else self.router.group_for(shard).member(node.node_id).broadcast)
+            result = self.await_delivery(
+                proc, send, ("op", obj_id, op.name, args, kwargs or {}, epoch), size,
+                _PendingWrite(proc=proc, obj_id=obj_id, origin=node.node_id,
+                              epoch=epoch))
             proc.absorb_overhead(node.drain_overhead())
             if result is MIGRATED:
                 return MIGRATED
@@ -599,85 +538,6 @@ class HybridRts(RuntimeSystem):
             # Guard rejected the operation everywhere; wait and retry.
             self.stats.guard_retries += 1
             self._wait_for_change(proc, node.node_id, obj_id)
-
-    # -- delivery (runs at every member, in per-shard total order) ------- #
-
-    def _deliver_create(self, member: _ShardMember,
-                        record: DeliveredMessage) -> None:
-        _, obj_id, spec_class, args, kwargs, invocation_id = record.payload
-        if not member.manager.has_valid_copy(obj_id):
-            instance = spec_class.create(args, kwargs)
-            member.manager.install(obj_id, self.handle(obj_id).name, instance)
-            self.stats.replicas_created += 1
-        member.node.charge_overhead(self.cost_model.cpu.operation_dispatch_cost)
-        self._wake_replica_waiters(member.node_id, obj_id)
-        if record.origin == member.node_id:
-            self._resolve(invocation_id, None)
-
-    def _deliver_batch(self, member: _ShardMember,
-                       record: DeliveredMessage) -> None:
-        node_id, manager, node = member.node_id, member.manager, member.node
-        origin, seqno = record.origin, record.seqno
-        for obj_id, op_name, args, kwargs, invocation_id, epoch in record.payload[1]:
-            self._apply_one(node_id, manager, node, obj_id, op_name, args,
-                            kwargs, invocation_id, epoch, origin, seqno)
-        if origin == node_id:
-            batcher = self._batchers.get(member.key)
-            if batcher is not None:
-                batcher.on_batch_delivered()
-
-    def _apply_one(self, node_id: int, manager, node, obj_id: int,
-                   op_name: str, args, kwargs, invocation_id: int, epoch: int,
-                   origin: int, seqno: int) -> None:
-        """Apply one delivered write (standalone or decoded from a batch)."""
-        if self._txn_layer is not None and self._txn_layer.defer_write(
-                node_id, obj_id,
-                (op_name, args, kwargs, invocation_id, epoch, origin, seqno)):
-            # A transaction holds this member's object (prepared or epoch
-            # barrier): the write replays FIFO when the lock releases —
-            # before any epoch check, because the lock's release position
-            # in the order is what decides the write's fate everywhere.
-            return
-        cursor = self.switch.cursors[node_id].get(obj_id)
-        if epoch != (cursor.delivered if cursor is not None else 0):
-            if self.switch.classify(node_id, obj_id, epoch) == FUTURE:
-                # A post-switch write outran this member's delivery of the
-                # switch itself — possible only across *groups* (a shard
-                # move's destination order is not synchronised with its
-                # source order) or when a new-epoch write is sequenced just
-                # ahead of its own switch.  It applies, in its own group's
-                # order, the moment the local switch lands; every member
-                # decides alike at the same position of that order, so the
-                # object's global write order stays identical everywhere.
-                self.switch.cursors[node_id][obj_id].future_writes.append(
-                    (op_name, args, kwargs, invocation_id, epoch, origin, seqno))
-                self.switch.arm_lag_probe(node_id, obj_id)
-            elif origin == node_id:
-                # The write was sequenced after a switch it predates.  Every
-                # member drops it at the same point in the total order; the
-                # origin re-issues it under the object's new policy or route.
-                self._resolve(invocation_id, MIGRATED)
-            return
-        site = (self._sites.get((node_id, obj_id, op_name))
-                or self._site(node_id, obj_id, op_name))
-        replica = manager.replicas.get(obj_id)
-        if replica is None or not replica.valid:
-            # Per-shard total order guarantees the create precedes every
-            # operation, so a missing replica is a protocol error worth
-            # failing on.
-            raise RtsError(
-                f"node {node_id} received operation {op_name!r} for object "
-                f"{obj_id} before its create message"
-            )
-        result = manager.apply_write_to(replica, site.op, args, kwargs)
-        # Applying the update costs CPU on every machine that holds a
-        # replica: this is the overhead that limits ACP's speedup.
-        node.charge_overhead(site.apply_cost)
-        if self.history.enabled and result is not RETRY:
-            self.history.record_write(node_id, obj_id, op_name, args, seqno,
-                                      replica.version)
-        if origin == node_id:
-            self._resolve(invocation_id, result)
 
     def _resolve(self, invocation_id: int, result: Any) -> None:
         pending = self._pending.get(invocation_id)

@@ -27,9 +27,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .base import ObjectHandle, RtsStats
     from .batching import WriteBatcher
     from .manager import ObjectManager
+    from .member import ShardMember
     from .p2p.directory import ObjectDirectory
     from .sharding import ShardRouter
-    from .switch import Member, SwitchEngine
+    from .switch import SwitchEngine
 
 #: Out-of-band rejoin traffic: a donor unicasts a recovered member the state
 #: covering everything ordered before its rejoin anchor, and the member can
@@ -56,7 +57,7 @@ class MembershipRuntime(Protocol):
     switch: "SwitchEngine"
     directory: "ObjectDirectory"
     placement: SeatChoice
-    _shard_members: Dict[Tuple[int, int], "Member"]
+    _shard_members: Dict[Tuple[int, int], "ShardMember"]
     _batchers: Dict[Tuple[int, int], "WriteBatcher"]
     _txn_layer: Optional[Any]
 
@@ -250,8 +251,7 @@ class Membership:
             if member.node.alive and member.synced and nid != rejoining
             and nid not in self.catching_up)
 
-    def apply_rejoin(self, member: "Member",
-                     delivered: DeliveredMessage) -> None:
+    def apply_rejoin(self, member: "ShardMember", delivered: DeliveredMessage) -> None:
         """One member's delivery of a recovered peer's rejoin anchor.
 
         At the rejoining member itself the anchor's arrival already

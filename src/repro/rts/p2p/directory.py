@@ -50,9 +50,6 @@ class ObjectDirectory:
     def primary_of(self, obj_id: int) -> int:
         return self.entry(obj_id).primary_node
 
-    def copyset_of(self, obj_id: int) -> Set[int]:
-        return set(self.entry(obj_id).copyset)
-
     def secondaries_of(self, obj_id: int) -> List[int]:
         entry = self.entry(obj_id)
         return sorted(entry.copyset - {entry.primary_node})

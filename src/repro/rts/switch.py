@@ -37,6 +37,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim.process import SimProcess
     from .base import ObjectHandle, RtsStats
     from .manager import ObjectManager
+    from .member import ShardMember
     from .p2p.directory import ObjectDirectory
     from .sharding import ShardRouter
 
@@ -51,15 +52,6 @@ PORT_MIGRATE = "orca.obj.migrate"
 
 #: Lifecycle phases besides :class:`Preparing`.
 STABLE, IN_FLIGHT = "stable", "in-flight"
-
-
-class Member(Protocol):
-    """One machine's end of one shard's order, as a delivery handler sees it."""
-
-    node_id: int
-    key: Tuple[int, int]
-    node: "Node"
-    manager: "ObjectManager"
 
 
 class SwitchedSeats(Protocol):
@@ -94,8 +86,6 @@ class SwitchRuntime(Protocol):
     def handle(self, obj_id: int) -> "ObjectHandle": ...
     def shard_of(self, handle: "ObjectHandle") -> int: ...
     def _mechanism_of(self, obj_id: int) -> str: ...
-    def _apply_one(self, node_id: int, manager: "ObjectManager", node: "Node",
-                   obj_id: int, *write: Any) -> None: ...
     def _resolve(self, invocation_id: int, result: Any) -> None: ...
     def _wake_replica_waiters(self, node_id: int, obj_id: int) -> None: ...
     def await_delivery(self, proc: "SimProcess", send: Callable[..., Any],
@@ -336,8 +326,7 @@ class SwitchEngine:
 
     # -- member side (every member, in the shard's total order) ------------ #
 
-    def apply(self, member: Member,
-              delivered: "DeliveredMessage") -> None:
+    def apply(self, member: "ShardMember", delivered: "DeliveredMessage") -> None:
         """One member's delivery of one switch record."""
         _, record, invocation_id = delivered.payload
         rts = self.rts
@@ -354,12 +343,11 @@ class SwitchEngine:
             self._install(node_id, record)
             # Writes of the new epoch that outran the record apply first, on
             # the state every pre-switch write has already reached ...
-            for entry in self.take_future_writes(node_id, obj_id):
-                if entry[4] > epoch:  # its own switch is still to come
-                    cursor.future_writes.append(entry)
+            for write in self.take_future_writes(node_id, obj_id):
+                if write[3] > epoch:  # its own switch is still to come
+                    cursor.future_writes.append(write)
                 else:
-                    rts._apply_one(node_id, member.manager, member.node,
-                                   obj_id, *entry)
+                    member.apply(obj_id, *write)
             # ... then the coherence traffic that raced ahead of it.
             deferred, cursor.deferred = cursor.deferred, []
             for kind, payload in deferred:
@@ -374,7 +362,7 @@ class SwitchEngine:
             if rts._txn_layer is not None:
                 # A transaction record that outran this member's epoch sits
                 # under a barrier lock; the switch it awaited just landed.
-                rts._txn_layer.on_switch_delivered(node_id, obj_id)
+                rts._txn_layer.on_switch_delivered(member, obj_id)
             # This member's own still-pending older writes can only be
             # sequenced behind the record: release them for re-issue now.
             for pending_id, pending in list(rts._pending.items()):

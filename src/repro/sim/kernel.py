@@ -247,15 +247,6 @@ class Simulator:
             error, self._error = self._error, None
             raise error
 
-    def run_until_complete(self, processes: List[SimProcess], **run_kwargs: Any) -> float:
-        """Run until every process in ``processes`` has terminated."""
-        final = self.run(**run_kwargs)
-        still_alive = [p for p in processes if p.alive]
-        if still_alive:
-            names = ", ".join(p.name for p in still_alive)
-            raise DeadlockError(f"simulation ended at t={final:.6f} with live processes: {names}")
-        return final
-
     def _check_deadlock(self) -> None:
         # A process pinned to a crashed machine died with it: it can stay
         # "blocked" forever without that being a deadlock (e.g. a client

@@ -186,6 +186,11 @@ class SimProcess:
         """Put the process on an idle carrier and make it current."""
         if self.state != "ready":
             return
+        if self.node is not None and not self.node.alive:
+            # The machine crashed between spawn and start: the thread died
+            # with it before running a line (the gate of ``_kernel_resume``).
+            self.state = "killed"
+            return
         idle = self.sim._idle
         carrier = idle.pop() if idle else _Carrier(self.sim)
         carrier.proc = self
@@ -380,10 +385,3 @@ class SimProcess:
                 f"joined process {other.name!r} failed: {other.exception}"
             ) from other.exception
         return other.result
-
-    def on_completion(self, callback: Callable[["SimProcess"], None]) -> None:
-        """Register ``callback`` to run (in kernel context) when this process ends."""
-        if not self.alive:
-            self.sim.schedule(0.0, callback, self)
-        else:
-            self._completion_waiters.append(callback)

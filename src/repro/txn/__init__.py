@@ -41,7 +41,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..amoeba.node import Node
     from ..config import CostModel
     from ..rts.base import CallSite, ObjectHandle, RtsStats
-    from ..rts.consistency import HistoryRecorder
     from ..rts.manager import ObjectManager
     from ..rts.p2p.directory import ObjectDirectory
     from ..rts.sharding import ShardRouter
@@ -79,7 +78,6 @@ class TxnRuntime(Protocol):
     cost_model: "CostModel"
     managers: Dict[int, "ObjectManager"]
     stats: "RtsStats"
-    history: "HistoryRecorder"
     switch: "SwitchEngine"
     router: Optional["ShardRouter"]
     directory: "ObjectDirectory"
@@ -93,8 +91,6 @@ class TxnRuntime(Protocol):
     def _mechanism_of(self, obj_id: int) -> str: ...
     def _site(self, node_id: int, obj_id: int, op_name: str) -> "CallSite": ...
     def _resolve(self, invocation_id: int, result: Any) -> None: ...
-    def _apply_one(self, node_id: int, manager: "ObjectManager", node: "Node",
-                   obj_id: int, *write: Any) -> None: ...
     def _wait_for_change(self, proc: "SimProcess", node_id: int, obj_id: int) -> None: ...
     def await_delivery(self, proc: "SimProcess", send: Callable[..., Any],
                        payload: Tuple[Any, ...], size: int,
@@ -116,8 +112,8 @@ class TransactionLayer:
         self._pinned: Dict[int, int] = {}
         self.participant = TxnParticipant(self)
         self._handlers = self.participant.handlers
-        # The two delivery-path hooks HybridRts calls per write and per
-        # switch: straight into the participant.
+        # The two delivery-path hooks a shard member calls per write and
+        # per switch: straight into the participant.
         self.defer_write = self.participant.defer_write
         self.on_switch_delivered = self.participant.on_switch_delivered
         self.coordinator = TxnCoordinator(self)
@@ -141,8 +137,7 @@ class TransactionLayer:
         runtime's ``_deliver_kinds``): the one way the order enters this
         package."""
         payload = record.payload
-        self._handlers[payload[0]](member.node_id, payload, record.origin,
-                                   record.seqno)
+        self._handlers[payload[0]](member, payload, record.origin, record.seqno)
 
     def seat_gate(self, proc, obj_id: int, wid) -> None:
         """Hold an ordinary primary write while a transaction pins the

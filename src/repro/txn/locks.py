@@ -29,7 +29,7 @@ from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
 from collections import deque
 
 #: Queue item replaying an ordinary (non-transactional) delivered write:
-#: ``("write", op_name, args, kwargs, invocation_id, epoch, origin, seqno)``.
+#: ``("write", op_name, args, kwargs, epoch, invocation_id, origin, seqno)``.
 ITEM_WRITE = "write"
 #: Queue item replaying a full txn record: ``("record", payload, origin,
 #: seqno)``.

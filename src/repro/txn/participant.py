@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..errors import RtsError
 from ..rts.object_model import RETRY, execute_operation
 from ..rts.p2p.fanout import FUTURE, STALE
 from ..rts.switch import MIGRATED
@@ -87,15 +86,13 @@ class TxnParticipant:
 
     def __init__(self, layer) -> None:
         self.layer = layer
-        rts = self.rts = layer.rts
-        #: node -> (its object manager, its Node, its own lock dict).
-        self._members = {
-            node.node_id: (rts.managers[node.node_id], node,
-                           layer.locks.members[node.node_id])
-            for node in rts.cluster.nodes}
+        self.rts = layer.rts
+        #: node -> its own lock dict.
+        self._locks = layer.locks.members
         self._tombstones = layer.locks.tombstones
-        #: Record kind -> handler ``(node_id, payload, origin, seqno)``:
-        #: how a record enters, fresh from the order or replayed.
+        #: Record kind -> handler ``(member, payload, origin, seqno)``: how
+        #: a record enters at the delivering ``ShardMember``, fresh from the
+        #: order or replayed.
         self.handlers = {
             KIND_ATOMIC: self._on_atomic,
             KIND_PREPARE: self._on_prepare,
@@ -105,36 +102,36 @@ class TxnParticipant:
 
     # -- entry points ---------------------------------------------------
 
-    def defer_write(self, node_id: int, obj_id: int,
-                    write: Tuple[Any, ...]) -> bool:
+    def defer_write(self, member, obj_id: int, write: Tuple[Any, ...]) -> bool:
         """Queue an ordinary delivered write behind a lock, if one exists.
 
-        Called from ``_apply_one`` *before* its epoch checks: once a lock
-        (prepared or barrier) exists on a member's object, everything
+        Called from ``ShardMember.apply`` *before* its epoch checks: once a
+        lock (prepared or barrier) exists on a member's object, everything
         delivered later for that object must replay after it, in FIFO
         order, regardless of its epoch stamp.
         """
-        entry = self._members[node_id][2].get(obj_id)
+        entry = self._locks[member.node_id].get(obj_id)
         if entry is None:
             return False
-        entry.queue.append((ITEM_WRITE,) + tuple(write))
+        entry.queue.append((ITEM_WRITE,) + write)
         self.rts.stats.txn_deferred_writes += 1
         return True
 
-    def on_switch_delivered(self, node_id: int, obj_id: int) -> None:
+    def on_switch_delivered(self, member, obj_id: int) -> None:
         """Replay an epoch barrier once the member delivered the switch."""
-        locks = self._members[node_id][2]
+        locks = self._locks[member.node_id]
         entry = locks.get(obj_id)
         if entry is not None and entry.mode == MODE_BARRIER:
-            self._release(node_id, locks, obj_id)
+            self._release(member, locks, obj_id)
 
     # -- atomic fast path ----------------------------------------------
 
-    def _on_atomic(self, node_id: int, payload: Tuple[Any, ...], origin: int,
+    def _on_atomic(self, member, payload: Tuple[Any, ...], origin: int,
                    seqno: int) -> None:
         _, txn_id, entries, invocation_id = payload
         rts = self.rts
-        manager, node, locks = self._members[node_id]
+        node_id = member.node_id
+        locks = self._locks[node_id]
         # Deferred behind any foreign lock: FIFO into the first locked
         # object's queue (lock state is order-determined, so every member
         # picks the same queue at the same position).
@@ -150,52 +147,47 @@ class TxnParticipant:
             if verdict == STALE:
                 # Sequenced after a switch it predates: dropped identically
                 # at every member; the origin re-groups and re-issues.
-                self._drop_own_barriers(node_id, locks, txn_id, entries)
+                self._drop_own_barriers(member, locks, txn_id, entries)
                 if origin == node_id:
                     rts._resolve(invocation_id, MIGRATED)
                 return
             if verdict == FUTURE and future_obj is None:
                 future_obj = obj_id
         if future_obj is not None:
-            self._defer_future(node_id, txn_id, future_obj,
+            self._defer_future(member, txn_id, future_obj,
                                [e[1] for e in entries], payload, origin, seqno)
             return
         # All-or-nothing: every guard votes first, the real replicas are
         # touched only when the whole group passes.
         steps = []
-        charges = []
+        sites = []
         for _index, obj_id, op_name, args, kwargs, _epoch in entries:
             site = rts._site(node_id, obj_id, op_name)
-            steps.append((obj_id, self._replica(node_id, manager, txn_id, obj_id),
-                          site.op, args, kwargs))
-            charges.append(site.apply_cost)
+            steps.append((obj_id, member.replica(obj_id), site.op, args, kwargs))
+            sites.append(site)
         failed = guard_vote(steps)
         if failed is not None:
-            node.charge_overhead(rts.cost_model.cpu.operation_dispatch_cost)
-            self._drop_own_barriers(node_id, locks, txn_id, entries)
+            member.node.charge_overhead(rts.cost_model.cpu.operation_dispatch_cost)
+            self._drop_own_barriers(member, locks, txn_id, entries)
             if origin == node_id:
                 rts._resolve(invocation_id, (VOTE_RETRY, failed))
             return
         results = {}
-        history = rts.history
-        for sub, (obj_id, replica, op, args, kwargs), charge in zip(
-                entries, steps, charges):
-            results[sub[0]] = manager.apply_write_to(replica, op, args, kwargs)
-            node.charge_overhead(charge)
-            if history.enabled:
-                history.record_write(node_id, obj_id, op.name, args, seqno,
-                                     replica.version)
+        for sub, (_obj_id, replica, _op, args, kwargs), site in zip(
+                entries, steps, sites):
+            results[sub[0]] = member.commit(replica, site, args, kwargs, seqno)
         # Own epoch barriers release only now: their queued work was
         # delivered after this record, so it replays after the applies.
-        self._drop_own_barriers(node_id, locks, txn_id, entries)
+        self._drop_own_barriers(member, locks, txn_id, entries)
         if origin == node_id:
             rts._resolve(invocation_id, (VOTE_READY, results))
 
     # -- 2PC prepare ----------------------------------------------------
 
-    def _on_prepare(self, node_id: int, payload: Tuple[Any, ...], origin: int,
+    def _on_prepare(self, member, payload: Tuple[Any, ...], origin: int,
                     seqno: int) -> None:
         _, txn_id, obj_id, epoch, sub_ops, invocation_id = payload
+        node_id = member.node_id
         marks = self._tombstones.get(txn_id)
         if marks is not None and (node_id, obj_id) in marks:
             # An outcome naming this object was sequenced ahead of this
@@ -203,7 +195,7 @@ class TxnParticipant:
             # the prepare in flight): it is void everywhere.
             return
         rts = self.rts
-        manager, node, locks = self._members[node_id]
+        locks = self._locks[node_id]
         entry = locks.get(obj_id)
         if entry is not None and not (entry.mode == MODE_BARRIER
                                       and entry.owner == txn_id):
@@ -211,20 +203,20 @@ class TxnParticipant:
             return
         verdict = rts.switch.classify(node_id, obj_id, epoch)
         if verdict == FUTURE:
-            self._defer_future(node_id, txn_id, obj_id, [obj_id], payload,
+            self._defer_future(member, txn_id, obj_id, [obj_id], payload,
                                origin, seqno)
             return
         if entry is not None:  # this record's own epoch barrier
-            self._release(node_id, locks, obj_id)
+            self._release(member, locks, obj_id)
         if verdict == STALE:
             if origin == node_id:
                 rts._resolve(invocation_id, MIGRATED)
             return
-        replica = self._replica(node_id, manager, txn_id, obj_id)
+        replica = member.replica(obj_id)
         ready = guard_vote([
             (obj_id, replica, rts._site(node_id, obj_id, op_name).op, args, kwargs)
             for _index, op_name, args, kwargs in sub_ops]) is None
-        node.charge_overhead(rts.cost_model.cpu.operation_dispatch_cost)
+        member.node.charge_overhead(rts.cost_model.cpu.operation_dispatch_cost)
         if ready:
             # Stash the sub-operations under the lock; they apply when the
             # outcome record releases it.  Conflicting work delivered in
@@ -237,11 +229,12 @@ class TxnParticipant:
 
     # -- 2PC decide / outcome -------------------------------------------
 
-    def _on_outcome(self, node_id: int, payload: Tuple[Any, ...], origin: int,
+    def _on_outcome(self, member, payload: Tuple[Any, ...], origin: int,
                     seqno: int) -> None:
         kind, txn_id, outcome, objs, invocation_id = payload
         rts = self.rts
-        manager, node, locks = self._members[node_id]
+        node_id = member.node_id
+        locks = self._locks[node_id]
         # No early dedup return: a transaction's outcome reaches each of
         # its shards in a separate record, and each must run the apply
         # loop for its own objects.  Duplicates *within* a shard (the
@@ -269,42 +262,28 @@ class TxnParticipant:
             outcome = desc.outcome
         if self.layer.keeps_tombstone(desc):
             self.layer.locks.mark_outcome(node_id, txn_id, objs, outcome)
-        node.charge_overhead(rts.cost_model.cpu.operation_dispatch_cost)
-        history = rts.history
+        member.node.charge_overhead(rts.cost_model.cpu.operation_dispatch_cost)
         for obj_id in objs:
             entry = locks.get(obj_id)
             if entry is None or entry.owner != txn_id:
                 continue  # voted retry here: nothing stashed, nothing held
             del locks[obj_id]
             if outcome == OUTCOME_COMMIT:
-                replica = manager.get(obj_id)
+                replica = member.manager.get(obj_id)
                 for index, op_name, args, kwargs in entry.stash:
-                    site = rts._site(node_id, obj_id, op_name)
-                    result = manager.apply_write_to(replica, site.op, args,
-                                                    kwargs)
-                    node.charge_overhead(site.apply_cost)
-                    if history.enabled:
-                        history.record_write(node_id, obj_id, op_name, args,
-                                             seqno, replica.version)
+                    result = member.commit(
+                        replica, rts._site(node_id, obj_id, op_name), args,
+                        kwargs, seqno)
                     if desc is not None:
                         desc.results[index] = result
             if entry.queue:
-                self._replay(node_id, locks, obj_id, entry.queue)
+                self._replay(member, locks, obj_id, entry.queue)
         if origin == node_id:
             rts._resolve(invocation_id, None)
 
     # -- deferral machinery ---------------------------------------------
 
-    def _replica(self, node_id: int, manager, txn_id: int, obj_id: int):
-        replica = manager.replicas.get(obj_id)
-        if replica is None or not replica.valid:
-            raise RtsError(
-                f"node {node_id} received a record of transaction {txn_id} "
-                f"for object {obj_id} before its create message"
-            )
-        return replica
-
-    def _defer_future(self, node_id: int, txn_id: int, future_obj: int,
+    def _defer_future(self, member, txn_id: int, future_obj: int,
                       obj_ids: List[int], payload: Tuple[Any, ...],
                       origin: int, seqno: int) -> None:
         """Hold back a record that outran this member's epoch.
@@ -316,30 +295,30 @@ class TxnParticipant:
         itself queues on the object whose switch it awaits.
         """
         rts = self.rts
-        locks = self._members[node_id][2]
+        node_id = member.node_id
+        locks = self._locks[node_id]
         for obj_id in obj_ids:
             if obj_id in locks:
                 continue  # already barriered by an earlier deferral
             entry = locks[obj_id] = LockEntry(txn_id, MODE_BARRIER)
             for write in rts.switch.take_future_writes(node_id, obj_id):
-                entry.queue.append((ITEM_WRITE,) + tuple(write))
+                entry.queue.append((ITEM_WRITE,) + write)
         locks[future_obj].queue.append((ITEM_RECORD, payload, origin, seqno))
         rts.switch.arm_lag_probe(node_id, future_obj)
 
-    def _drop_own_barriers(self, node_id: int, locks, txn_id: int,
-                           entries) -> None:
+    def _drop_own_barriers(self, member, locks, txn_id: int, entries) -> None:
         for sub in entries:
             entry = locks.get(sub[1])
             if (entry is not None and entry.owner == txn_id
                     and entry.mode == MODE_BARRIER):
-                self._release(node_id, locks, sub[1])
+                self._release(member, locks, sub[1])
 
-    def _release(self, node_id: int, locks, obj_id: int) -> None:
+    def _release(self, member, locks, obj_id: int) -> None:
         queue = locks.pop(obj_id).queue
         if queue:
-            self._replay(node_id, locks, obj_id, queue)
+            self._replay(member, locks, obj_id, queue)
 
-    def _replay(self, node_id: int, locks, obj_id: int,
+    def _replay(self, member, locks, obj_id: int,
                 items: List[Tuple[Any, ...]]) -> None:
         """Replay a released lock's FIFO queue in delivery order.
 
@@ -352,22 +331,20 @@ class TxnParticipant:
         "queue behind the lock now on this object" is handed over as it
         is, without the trip through its handler.
         """
-        rts = self.rts
-        manager, node, _ = self._members[node_id]
         for item in items:
             entry = locks.get(obj_id)
             if item[0] == ITEM_WRITE:
                 if entry is not None:
                     entry.queue.append(item)
-                    rts.stats.txn_deferred_writes += 1
+                    self.rts.stats.txn_deferred_writes += 1
                 else:
-                    rts._apply_one(node_id, manager, node, obj_id, *item[1:])
+                    member.apply(obj_id, *item[1:])
             elif entry is not None and self._queues_behind(
-                    node_id, obj_id, entry, item[1]):
+                    member.node_id, obj_id, entry, item[1]):
                 entry.queue.append(item)
             else:
                 _, payload, origin, seqno = item
-                self.handlers[payload[0]](node_id, payload, origin, seqno)
+                self.handlers[payload[0]](member, payload, origin, seqno)
 
     def _queues_behind(self, node_id: int, obj_id: int, entry: LockEntry,
                        payload: Tuple[Any, ...]) -> bool:

@@ -442,10 +442,3 @@ def client_schedule(spec: WorkloadSpec,
         else:
             think = phase.think_time
             yield request, "closed", rng.expovariate(1.0 / think) if think > 0.0 else 0.0
-
-
-def observed_mix(requests: Sequence[Request]) -> float:
-    """Fraction of reads in a generated request sequence (test helper)."""
-    if not requests:
-        return 0.0
-    return sum(1 for request in requests if not request.is_write) / len(requests)

@@ -40,14 +40,6 @@ class TestOrcaProgramBasics:
         with pytest.raises(Exception):
             OrcaProgram(lambda proc: None, rts="quantum")
 
-    def test_run_on_changes_node_count_temporarily(self):
-        def main(proc):
-            return proc.num_nodes
-
-        program = OrcaProgram(main, ClusterConfig(num_nodes=2, seed=1))
-        assert program.run_on(6).value == 6
-        assert program.run().value == 2
-
     def test_result_contains_network_and_rts_summaries(self):
         def main(proc):
             counter = proc.new_object(IntObject, 0)

@@ -441,7 +441,7 @@ class TestAdaptiveMigration:
             run_threads(cluster, [(n, client(n)) for n in range(4)])
             assert rts.policy_of(handles["hot"]) == "primary-invalidate"
             assert rts.policy_of(handles["cold"]) == "broadcast"
-            assert rts.is_adaptive(handles["hot"])
+            assert rts.object_summary()["hot"]["adaptive"] is True
             primary = rts.directory.primary_of(handles["hot"].obj_id)
             value = rts.managers[primary].get(handles["hot"].obj_id).instance.value
             assert value == 160

@@ -88,7 +88,7 @@ class TestCreationAndPlacement:
             obj_id = handles["reg"].obj_id
             for node in cluster.nodes:
                 assert rts.managers[node.node_id].has_valid_copy(obj_id)
-            assert rts.directory.copyset_of(obj_id) == {0, 1, 2, 3}
+            assert rts.directory.entry(obj_id).copyset == {0, 1, 2, 3}
 
 
 class TestReadsAndWrites:
@@ -225,7 +225,7 @@ class TestInvalidation:
             assert rts.managers[0].get(obj_id).instance.value == 12
             for node_id in (1, 2, 3):
                 assert not rts.managers[node_id].has_valid_copy(obj_id)
-            assert rts.directory.copyset_of(obj_id) == {0}
+            assert rts.directory.entry(obj_id).copyset == {0}
             assert rts.stats.invalidations_sent == 3
 
     def test_read_after_invalidation_fetches_from_primary(self):
@@ -275,7 +275,7 @@ class TestDynamicReplication:
             run_program(cluster, [(0, main), (2, reader)])
             obj_id = handles["reg"].obj_id
             assert rts.managers[2].has_valid_copy(obj_id)
-            assert 2 in rts.directory.copyset_of(obj_id)
+            assert 2 in rts.directory.entry(obj_id).copyset
             assert rts.replication.stats.copies_fetched >= 1
             # Once the copy exists, later reads are local.
             assert rts.stats.local_reads > 0
@@ -302,7 +302,7 @@ class TestDynamicReplication:
             run_program(cluster, [(0, main), (2, writer)])
             obj_id = handles["reg"].obj_id
             assert not rts.managers[2].has_valid_copy(obj_id)
-            assert 2 not in rts.directory.copyset_of(obj_id)
+            assert 2 not in rts.directory.entry(obj_id).copyset
             assert rts.replication.stats.copies_dropped >= 1
 
     def test_final_value_correct_despite_replication_churn(self):

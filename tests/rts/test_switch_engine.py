@@ -15,6 +15,8 @@ import pytest
 from repro.amoeba.broadcast.protocol import DeliveredMessage
 from repro.amoeba.cluster import Cluster
 from repro.config import ClusterConfig
+from repro.errors import RtsError
+from repro.rts.consistency import WriteRecord
 from repro.rts.hybrid import HybridRts
 from repro.rts.object_model import RETRY, ObjectSpec, operation
 from repro.rts.p2p.fanout import (
@@ -28,6 +30,7 @@ from repro.rts.p2p.fanout import (
 from repro.rts.switch import (
     IN_FLIGHT,
     KIND_SWITCH,
+    MIGRATED,
     STABLE,
     _PendingWrite,
 )
@@ -56,12 +59,12 @@ class Register(ObjectSpec):
         return self.value
 
 
-def build(seed=5):
+def build(seed=5, **options):
     """Four machines, two shards; ``b``/``b2`` broadcast-managed (one per
     shard), ``p``/``p2`` primary-update with their seats on node 0."""
     cluster = Cluster(ClusterConfig(num_nodes=NUM_NODES, seed=seed))
     rts = HybridRts(cluster, num_shards=2,
-                    placement={"b": 0, "b2": 1, "p": 0, "p2": 1})
+                    placement={"b": 0, "b2": 1, "p": 0, "p2": 1}, **options)
     handles = {}
 
     def setup():
@@ -230,7 +233,10 @@ def deliver(rts, node_id, shard, payload, origin=0):
 
 class TestEpochClassification:
     """One comparison decides a record's fate at a member, whatever carries
-    it: a plain write, an entry of a batch, or a transaction's prepare."""
+    it: a plain write, an entry of a batch, or a transaction's prepare, and
+    the one apply decides alike when the write comes back out of a parking
+    place: parked ``FUTURE`` and released by its switch, or queued behind a
+    prepared lock and released by the outcome."""
 
     MEMBER = 1
     DELIVERED = 2
@@ -247,17 +253,26 @@ class TestEpochClassification:
 
             cluster.node(0).kernel.spawn_thread(make_layer)
             cluster.run()
-            rts.switch.seed_position(self.MEMBER, obj_id, self.DELIVERED, 0)
+            write = ("op", obj_id, "add", (5,), {}, epoch, 7)
+            switch = SwitchRecord(obj_id, self.DELIVERED, "broadcast", -1)
+            prepare = ("txn-prepare", 41, obj_id, self.DELIVERED,
+                       ((0, "add", (0,), {}),), 7)
+            payloads = {
+                "op": [write],
+                "batch": [("batch", [write])],
+                "txn-prepare": [("txn-prepare", 41, obj_id, epoch,
+                                 ((0, "add", (5,), {}),), 7)],
+                # Every epoch is ahead of a member that delivered no switch.
+                "switch-released": [write, (KIND_SWITCH, switch, 8)],
+                "outcome-released": [prepare, write,
+                                     ("txn-outcome", 41, "abort", (obj_id,), 9)],
+            }[carrier]
+            if carrier != "switch-released":
+                rts.switch.seed_position(self.MEMBER, obj_id, self.DELIVERED, 0)
+            for payload in payloads:
+                deliver(rts, self.MEMBER, shard, payload)
             assert rts.switch.classify(self.MEMBER, obj_id, epoch) == (
                 (epoch > self.DELIVERED) - (epoch < self.DELIVERED))
-            write = (obj_id, "add", (5,), {}, 7, epoch)
-            payload = {
-                "op": ("op",) + write,
-                "batch": ("batch", [write]),
-                "txn-prepare": ("txn-prepare", 41, obj_id, epoch,
-                                ((0, "add", (5,), {}),), 7),
-            }[carrier]
-            deliver(rts, self.MEMBER, shard, payload)
             replica = rts.managers[self.MEMBER].get(obj_id)
             lock = rts._txn_layer.locks.get(self.MEMBER, obj_id)
             parked = rts.switch.take_future_writes(self.MEMBER, obj_id)
@@ -274,7 +289,8 @@ class TestEpochClassification:
     @pytest.mark.parametrize("epoch,verdict", [(1, STALE), (2, CURRENT),
                                                (3, FUTURE)])
     def test_same_verdict_whatever_carries_the_epoch(self, epoch, verdict):
-        for carrier in ("op", "batch", "txn-prepare"):
+        for carrier in ("op", "batch", "txn-prepare", "switch-released",
+                        "outcome-released"):
             assert self.effect_of(carrier, epoch) == verdict, carrier
 
 
@@ -339,7 +355,7 @@ class TestMemberApply:
             rts._pending[7] = _PendingWrite(proc=origin)
             retries = rts.managers[self.MEMBER].stats.guard_retries
 
-            deliver(rts, self.MEMBER, shard, ("op", obj_id, "take", (5,), {}, 7, epoch),
+            deliver(rts, self.MEMBER, shard, ("op", obj_id, "take", (5,), {}, epoch, 7),
                     origin=self.MEMBER)
             assert (replica.instance.value, replica.version) == (0, 0)
             assert fired == []
@@ -347,12 +363,66 @@ class TestMemberApply:
             assert rts.managers[self.MEMBER].stats.guard_retries == retries + 1
 
             # The waiter is still registered, and fires once on the next apply.
-            deliver(rts, self.MEMBER, shard, ("op", obj_id, "add", (5,), {}, 8, epoch))
+            deliver(rts, self.MEMBER, shard, ("op", obj_id, "add", (5,), {}, epoch, 8))
             assert (replica.instance.value, replica.version) == (5, 1)
             assert fired == [1]
-            deliver(rts, self.MEMBER, shard, ("op", obj_id, "take", (2,), {}, 9, epoch))
+            deliver(rts, self.MEMBER, shard, ("op", obj_id, "take", (2,), {}, epoch, 9))
             assert (replica.instance.value, replica.version) == (3, 2)
             assert fired == [1]
+
+    def test_every_apply_is_charged_but_only_a_write_that_ran_is_recorded(self):
+        """``commit`` charges the member's machine the operation's apply cost
+        whether or not the guard lets the write through, and records in the
+        history only a write that ran, at its order position and version."""
+        cluster, rts, handles = build(record_history=True)
+        with cluster:
+            obj_id = handles["b"].obj_id
+            shard, epoch = rts.shard_of(handles["b"]), rts.switch.objects[obj_id].epoch
+            stats = cluster.node(self.MEMBER).stats
+            take, add = (rts._site(self.MEMBER, obj_id, op).apply_cost for op in ("take", "add"))
+            charged = stats.overhead_time
+            recorded = rts.history.writes.get(self.MEMBER, {}).get(obj_id, [])
+            assert recorded == []
+
+            deliver(rts, self.MEMBER, shard, ("op", obj_id, "take", (5,), {}, epoch, 7))
+            deliver(rts, self.MEMBER, shard, ("op", obj_id, "add", (5,), {}, epoch, 8))
+            assert stats.overhead_time == charged + take + add
+            assert rts.history.writes[self.MEMBER][obj_id] == [WriteRecord(99, "add", (5,), 1)]
+
+    def test_a_stale_op_is_dropped_and_only_its_origin_learns_it_migrated(self):
+        """A write sequenced behind a switch it predates applies nowhere; the
+        member that issued it resolves it ``MIGRATED`` so it is re-issued, the
+        others drop it silently."""
+        cluster, rts, handles = build()
+        with cluster:
+            obj_id = handles["b"].obj_id
+            shard = rts.shard_of(handles["b"])
+            rts.switch.seed_position(self.MEMBER, obj_id, 2, 0)
+            replica = rts.managers[self.MEMBER].get(obj_id)
+            own, other = _Initiator(), _Initiator()
+            rts._pending[7] = _PendingWrite(proc=own)
+            rts._pending[8] = _PendingWrite(proc=other)
+
+            deliver(rts, self.MEMBER, shard, ("op", obj_id, "add", (5,), {}, 1, 8), origin=0)
+            deliver(rts, self.MEMBER, shard, ("op", obj_id, "add", (5,), {}, 1, 7),
+                    origin=self.MEMBER)
+            assert (replica.instance.value, replica.version) == (0, 0)
+            assert own.results == [MIGRATED]
+            assert other.woken == 0
+
+    def test_a_record_the_member_cannot_apply_is_a_protocol_error(self):
+        """Per-shard order puts an object's create before every record naming
+        it, and every kind on the wire has a handler: a write for a replica
+        the member does not hold, or an unknown kind, fails loudly."""
+        cluster, rts, handles = build()
+        with cluster:
+            obj_id = handles["b"].obj_id
+            shard, epoch = rts.shard_of(handles["b"]), rts.switch.objects[obj_id].epoch
+            rts.managers[self.MEMBER].invalidate(obj_id)
+            with pytest.raises(RtsError, match="before its create message"):
+                deliver(rts, self.MEMBER, shard, ("op", obj_id, "add", (1,), {}, epoch, 7))
+            with pytest.raises(RtsError, match="unknown broadcast RTS payload kind"):
+                deliver(rts, self.MEMBER, shard, ("no-such-kind", obj_id))
 
 
 class TestOneSwitchPath:

@@ -13,6 +13,8 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.amoeba.cluster import Cluster
+from repro.config import ClusterConfig
 from repro.errors import DeadlockError, ProcessError, SimulationError
 from repro.sim import Simulator
 
@@ -268,26 +270,6 @@ class TestProcesses:
             assert proc.state == "blocked"
         assert proc.state == "killed"
 
-    def test_run_until_complete_raises_for_live_processes(self, sim):
-        def stuck():
-            sim.current_process.suspend()
-
-        proc = sim.spawn(stuck, daemon=True)
-        with pytest.raises(DeadlockError):
-            sim.run_until_complete([proc])
-
-    def test_on_completion_callback(self, sim):
-        seen = []
-
-        def body():
-            sim.current_process.hold(1.0)
-            return 5
-
-        proc = sim.spawn(body)
-        proc.on_completion(lambda p: seen.append(p.result))
-        sim.run()
-        assert seen == [5]
-
     def test_a_process_nobody_waits_for_ends_without_an_event(self, sim):
         queued = []
 
@@ -309,7 +291,7 @@ class TestProcesses:
         sim.spawn(body)
         assert sim.run() == 1.5
 
-    def test_a_waiter_registered_before_the_end_is_called_at_the_local_time(self, sim):
+    def test_a_joiner_registered_before_the_end_resumes_at_the_local_time(self, sim):
         seen = []
 
         def body():
@@ -317,9 +299,27 @@ class TestProcesses:
             sim.current_process.advance(0.5)
             return "done"
 
-        sim.spawn(body).on_completion(lambda p: seen.append((sim.now, p.result)))
+        def joiner():
+            seen.append((sim.current_process.join(sim.spawn(body)), sim.now))
+
+        sim.spawn(joiner)
         sim.run()
-        assert seen == [(1.5, "done")]
+        assert seen == [("done", 1.5)]
+
+    def test_a_thread_whose_node_crashes_before_it_starts_never_runs(self):
+        """Spawned on a machine that crashes before the start event fires,
+        the thread dies with it: no line of its body runs, no carrier is
+        taken, and it ends ``killed``, as a blocked one does on resume."""
+        ran = []
+        before = threading.active_count()
+        with Cluster(ClusterConfig(num_nodes=2, seed=1)) as cluster:
+            node = cluster.node(1)
+            proc = node.kernel.spawn_thread(lambda: ran.append(node.alive))
+            node.crash()
+            cluster.run()
+            assert ran == []
+            assert proc.state == "killed"
+            assert threading.active_count() == before
 
     def test_determinism_across_runs(self):
         """The same program produces an identical event interleaving every run."""
@@ -360,7 +360,9 @@ class TestCarriers:
             raise ValueError("daemon failure")
 
         on_crashed_node = sim.spawn(blocked, daemon=True)
-        on_crashed_node.node = SimpleNamespace(alive=False)
+        on_crashed_node.node = node = SimpleNamespace(alive=True)
+        # Its machine crashes once the process is blocked on it.
+        sim.schedule(1.0, setattr, node, "alive", False)
         procs = {
             "blocked": sim.spawn(blocked, daemon=True),
             "finished": sim.spawn(finished),

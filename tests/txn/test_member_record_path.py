@@ -244,7 +244,7 @@ class TestReleasedQueue:
             self.deliver(rts, shard, prepare(102, 20))  # queue: behind 101
             self.deliver(rts, shard, prepare(103, 30))
             self.deliver(rts, shard, outcome(102, "abort"))
-            self.deliver(rts, shard, ("op", obj_id, "deposit", (1,), {}, 7, 0))
+            self.deliver(rts, shard, ("op", obj_id, "deposit", (1,), {}, 0, 7))
             held = locks.get(self.MEMBER, obj_id)
             assert (held.owner, len(held.queue)) == (101, 4)
             handlers = rts._txn_layer.participant.handlers
@@ -275,14 +275,14 @@ class TestSeedShapes:
         donor_locks, joiner_locks = table.members[0], table.members[2]
         entry = donor_locks[5] = LockEntry(41, MODE_PREPARED,
                                            ((0, "withdraw", (10,), {}),))
-        entry.queue.append(("write", "deposit", (1,), {}, 7, 0, 1, 99))
+        entry.queue.append(("write", "deposit", (1,), {}, 0, 7, 1, 99))
         donor_locks[6] = LockEntry(42, MODE_PREPARED)  # another shard's object
         table.mark_outcome(0, 40, (5, 6), "abort")
         table.mark_outcome(1, 40, (5,), "abort")
         seed = table.seed_state(0, {5})
         assert seed == {
             "entries": [(5, 41, MODE_PREPARED, ((0, "withdraw", (10,), {}),),
-                         (("write", "deposit", (1,), {}, 7, 0, 1, 99),))],
+                         (("write", "deposit", (1,), {}, 0, 7, 1, 99),))],
             "outcomes": [(40, 5, "abort")],
         }
         table.install_seed(2, seed)

@@ -16,7 +16,13 @@ from repro.workloads import (
     trace_arrivals,
     traced_request_stream,
 )
-from repro.workloads.spec import observed_mix
+
+
+def observed_mix(requests):
+    """Fraction of reads in a generated request sequence."""
+    if not requests:
+        return 0.0
+    return sum(1 for request in requests if not request.is_write) / len(requests)
 
 
 class TestValidation:
