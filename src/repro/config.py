@@ -16,7 +16,7 @@ per second).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Mapping, Optional, Type, TypeVar
 
 from .errors import ConfigurationError
@@ -258,7 +258,8 @@ def params_from(cls: Type[P], value: Any) -> Optional[P]:
     """Coerce an optional feature's argument into its params ``cls``.
 
     ``None`` or ``False`` leave the feature off, ``True`` selects the
-    defaults, a mapping gives field overrides, and a ``cls`` instance
+    defaults, a mapping gives field overrides (a key that names no field
+    of ``cls`` is a :class:`ConfigurationError`), and a ``cls`` instance
     passes through.
     """
     if value is None or value is False:
@@ -268,6 +269,12 @@ def params_from(cls: Type[P], value: Any) -> Optional[P]:
     if isinstance(value, cls):
         return value
     if isinstance(value, Mapping):
+        accepted = [f.name for f in fields(cls)]
+        unknown = [key for key in value if key not in accepted]
+        if unknown:
+            raise ConfigurationError(
+                f"unknown {cls.__name__} field(s) {unknown} "
+                f"(accepted: {accepted})")
         return cls(**dict(value))
     raise ConfigurationError(
         f"cannot interpret {value!r} as {cls.__name__} "

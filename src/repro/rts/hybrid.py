@@ -395,18 +395,8 @@ class HybridRts(RuntimeSystem):
                     # The router attributes it to the object's *current*
                     # shard, so the counters follow the object across moves.
                     if not shard_write_noted:
-                        # The note carries the invocation's payload size so
-                        # the router's byte window sees the same skew the
-                        # wire does (args dominate; kwargs are rare).  One
-                        # estimate of each feeds the note and the wire size,
-                        # which count ``kwargs=None`` as 1 and 8 bytes (the
-                        # wire carries it as an empty dict).
-                        args_size = estimate_size(args)
-                        kwargs_size = estimate_size(kwargs)
-                        self.router.note_write(obj_id, handle.name,
-                                               nbytes=args_size + kwargs_size)
-                        wire_size = max(16, args_size + 16 + (
-                            8 if kwargs is None else kwargs_size))
+                        self.router.note_write(obj_id, handle.name)
+                        wire_size = max(16, estimate_size(args) + 16 + estimate_size(kwargs or {}))
                         shard_write_noted = True
                         if self.rebalance is not None:
                             self.placement.maybe_start_rebalancer()

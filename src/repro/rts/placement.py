@@ -2,8 +2,9 @@
 
 Every decision here ends in one switch of :mod:`repro.rts.switch`: the
 adaptive controller's policy flips, ``migrate``, ``relocate_primary``,
-``move_shard`` and the shard-set changes (``add_shard``, ``remove_shard``)
-the background rebalancer makes on the router's load windows.
+``move_shard`` and the shard-set changes (``add_shard``, ``remove_shard``).
+The background rebalancer grows the shard set and moves objects on the
+router's load windows.
 """
 
 from __future__ import annotations
@@ -30,6 +31,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .sharding import RebalanceParams, ShardRouter
     from .stats import AccessStats
     from .switch import CatchingUp, SwitchEngine
+
+#: The rebalance controller exits after this many consecutive rounds with
+#: no new write anywhere, so a finished workload lets the simulation drain
+#: instead of ticking forever; the next write re-arms it.
+QUIET_ROUNDS = 2
+#: Per-object churn damping, in virtual seconds: an object the controller
+#: moved less than this long ago is skipped by the next plan rounds.
+MOVE_COOLDOWN = 0.02
 
 
 class SeatState(Protocol):
@@ -111,30 +120,8 @@ class Placement:
             return
         if rts.switch.in_flight(obj_id):
             return
-        node = rts._node_of(proc)
         target = controller.desired(window, rts._policy_by_obj[obj_id])
         if target is None:
-            # No policy move wanted; the controller's second lever is the
-            # object's *shard* — relocate it off an overloaded sequencer.
-            if rts._mechanism_of(obj_id) != MECHANISM_BROADCAST:
-                return
-            dest = controller.desired_shard(rts.router, obj_id)
-            if dest is None:
-                return
-            self._migration_pending.add(obj_id)
-
-            def shard_move_body() -> None:
-                mproc = rts.sim.current_process
-                try:
-                    if self.move_shard(mproc, handle, dest):
-                        # The window that justified the move is spent; the
-                        # next decision must re-earn itself on fresh load.
-                        rts.router.reset_window()
-                finally:
-                    self._migration_pending.discard(obj_id)
-
-            node.kernel.spawn_thread(shard_move_body,
-                                     name=f"rebalance:{handle.name}")
             return
         self._migration_pending.add(obj_id)
 
@@ -146,7 +133,7 @@ class Placement:
             finally:
                 self._migration_pending.discard(obj_id)
 
-        node.kernel.spawn_thread(migration_body, name=f"migrate:{handle.name}")
+        rts._node_of(proc).kernel.spawn_thread(migration_body, name=f"migrate:{handle.name}")
 
     # -- live migration between policies ----------------------------------- #
 
@@ -491,7 +478,7 @@ class Placement:
 
         Each round: optionally grow the group set toward ``grow_to``, ask
         the planner for moves off the hottest shard, execute them, and
-        reset the load window.  The loop exits after ``quiet_rounds``
+        reset the load window.  The loop exits after :data:`QUIET_ROUNDS`
         consecutive rounds without a single new write anywhere (so a
         drained workload lets the simulation terminate); fresh traffic
         re-arms it.
@@ -500,16 +487,11 @@ class Placement:
         proc = rts.sim.current_process
         host = rts._node_of(proc)
         params = rts.rebalance
-        planner = RebalancePlanner(rts.router, imbalance=params.imbalance,
-                                   min_writes=params.min_writes,
-                                   max_moves=params.max_moves,
-                                   queue_weight=params.queue_weight,
-                                   byte_weight=params.byte_weight,
-                                   exclude=self._in_move_cooldown)
+        planner = RebalancePlanner(rts.router, params, exclude=self._in_move_cooldown)
         try:
             quiet = 0
             last_total = self._total_shard_writes()
-            while quiet < params.quiet_rounds:
+            while quiet < QUIET_ROUNDS:
                 proc.hold(params.interval)
                 if not host.alive:
                     # A dead node cannot broadcast switches; bow out so the
@@ -528,15 +510,6 @@ class Placement:
                     # Never outgrow the machines: every group needs a
                     # sequencer seat on a live node.
                     self.add_shard()
-                elif (params.shrink_to is not None
-                        and rts.router.num_active_shards > params.shrink_to
-                        and not rts.membership.catching_up):
-                    idle = self._coolest_idle_shard(params)
-                    if idle is not None:
-                        # At most one merge per round: scale-in is the
-                        # expensive direction (a full drain-and-switch per
-                        # evacuated object) and the next window re-earns it.
-                        self.remove_shard(proc, idle)
                 moves = planner.plan()
                 for move in moves:
                     self.move_shard(proc, rts.handle(move.obj_id), move.dst)
@@ -552,33 +525,13 @@ class Placement:
         finally:
             self._rebalancer_active = False
 
-    def _coolest_idle_shard(self, params: "RebalanceParams") -> Optional[int]:
-        """The active shard to merge away, or ``None`` if none is idle.
-
-        Only a shard whose window load is at or below ``shrink_below``
-        qualifies: merging a busy group would stuff its traffic onto the
-        survivors and immediately re-trigger growth.
-        """
-        router = self.rts.router
-        active = router.active_shards()
-        if len(active) <= 1:
-            return None
-        loads = router.window_loads()
-        coolest = min(active, key=lambda s: (loads.get(s, 0), s))
-        if loads.get(coolest, 0) > params.shrink_below:
-            return None
-        return coolest
-
     def _in_move_cooldown(self, obj_id: int) -> bool:
         """Churn damping: an object the controller moved less than
-        ``rebalance.cooldown`` virtual seconds ago stays put, so
+        :data:`MOVE_COOLDOWN` virtual seconds ago stays put, so
         near-balanced load stops shuffling the same object between groups
         (each move costs a drain-and-switch in two total orders)."""
-        rts = self.rts
-        if rts.rebalance is None:
-            return False
         last = self._last_moved_at.get(obj_id)
-        return last is not None and rts.sim.now - last < rts.rebalance.cooldown
+        return last is not None and self.rts.sim.now - last < MOVE_COOLDOWN
 
     def _total_shard_writes(self) -> int:
         return sum(stats.writes for stats in self.rts.router.shard_stats.values())

@@ -27,13 +27,11 @@ object) into policy instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
+from ..config import params_from
 from ..errors import ConfigurationError
 from .stats import AccessStats
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .sharding import ShardRouter
 
 #: Mechanism labels: which invocation machinery manages an object right now.
 MECHANISM_BROADCAST = "broadcast"
@@ -141,18 +139,6 @@ class AdaptiveParams:
         Which primary-copy flavour write-heavy objects migrate to.
     initial:
         The fixed policy an adaptive object starts under.
-    rebalance_shards:
-        Let the controller also recommend *shard* moves: a broadcast-managed
-        object sitting on the hottest broadcast group is relocated to the
-        coolest one when the groups' recent write loads diverge by more than
-        ``shard_imbalance``.  Policy moves answer "how should this object be
-        managed"; shard moves answer "which total order should serialise it"
-        — the second lever of the same controller.
-    shard_imbalance:
-        Hot/cool window-write ratio that triggers a shard recommendation.
-    min_shard_writes:
-        Minimum cluster-wide writes in the router's load window before any
-        shard recommendation is made.
     """
 
     broadcast_ratio: float = 3.0
@@ -162,15 +148,8 @@ class AdaptiveParams:
     decay: float = 0.25
     primary_policy: str = "primary-invalidate"
     initial: str = "broadcast"
-    rebalance_shards: bool = False
-    shard_imbalance: float = 2.0
-    min_shard_writes: int = 32
 
     def __post_init__(self) -> None:
-        if self.shard_imbalance <= 1.0:
-            raise ConfigurationError("shard_imbalance must exceed 1.0")
-        if self.min_shard_writes < 1:
-            raise ConfigurationError("min_shard_writes must be >= 1")
         if self.primary_ratio > self.broadcast_ratio:
             raise ConfigurationError(
                 "primary_ratio must not exceed broadcast_ratio "
@@ -229,26 +208,6 @@ class AdaptivePolicy(ManagementPolicy):
             return params.primary_policy
         return None
 
-    def desired_shard(self, router: Optional["ShardRouter"],
-                      obj_id: int) -> Optional[int]:
-        """The broadcast group this object should move to, or ``None``.
-
-        Only meaningful for broadcast-managed objects (primary-copy writes
-        never touch a sequencer); the runtime guards that.  Delegates the
-        load reading to a :class:`~repro.rts.sharding.RebalancePlanner` over
-        the router's write window, so the controller's shard decisions and
-        the cluster-level rebalancer agree on what "hot" means.
-        """
-        if not self.params.rebalance_shards or router is None:
-            return None
-        from .sharding import RebalancePlanner  # deferred: avoid cycle
-
-        planner = RebalancePlanner(router,
-                                   imbalance=self.params.shard_imbalance,
-                                   min_writes=self.params.min_shard_writes,
-                                   max_moves=1)
-        return planner.suggest(obj_id)
-
 
 PolicyLike = Union[None, str, Mapping, AdaptiveParams, ManagementPolicy]
 
@@ -278,7 +237,7 @@ def management_policy(value: PolicyLike,
             f"unknown management policy {value!r} "
             f"(use one of {sorted(FIXED_POLICIES) + ['adaptive']})")
     if isinstance(value, Mapping):
-        return AdaptivePolicy(AdaptiveParams(**dict(value)))
+        return AdaptivePolicy(params_from(AdaptiveParams, value))
     raise ConfigurationError(
         f"cannot interpret {value!r} as a management policy "
         "(use a name, AdaptiveParams, a dict of its fields, or a policy)")

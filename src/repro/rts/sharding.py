@@ -11,8 +11,8 @@ Placement policies decide which shard an object lives on:
 
 * :class:`HashPlacement` — deterministic hash of the object id (uniform for
   the sequentially assigned ids) or of the object name;
-* :class:`ExplicitPlacement` — a name -> shard map with a fallback policy,
-  for pinning known-hot objects onto dedicated shards.
+* :class:`ExplicitPlacement` — a name -> shard map with hash placement for
+  every other object, for pinning known-hot objects onto dedicated shards.
 
 :class:`ShardRouter` owns the groups and per-shard counters;
 :class:`BatchingParams` configures the per-node write batching that rides on
@@ -99,12 +99,15 @@ class RebalanceParams:
         Virtual seconds between controller rounds.  Each round samples the
         router's load window, plans moves, executes them, and resets the
         window, so the window length *is* the interval.
-    imbalance / min_writes / max_moves:
-        Passed through to :class:`RebalancePlanner`.
-    quiet_rounds:
-        The controller exits after this many consecutive rounds with no new
-        write anywhere (so a finished workload lets the simulation drain
-        instead of ticking forever).
+    imbalance:
+        Hot/cool load-score ratio below which the placement counts as
+        balanced and the planner proposes no moves.
+    min_writes:
+        Minimum writes in the window before any decision is made (avoids
+        reacting to startup noise).
+    max_moves:
+        Cap on moves per round; rebalancing is cheap but not free (each move
+        costs one switch broadcast in two groups).
     grow_to:
         When set, the controller adds one broadcast group per active round
         (via the runtime's ``add_shard``) until the cluster runs this many,
@@ -112,66 +115,23 @@ class RebalanceParams:
         Growth is additionally capped at the number of live nodes: a shard
         beyond that has no machine left to give its sequencer seat a core of
         its own, so adding it cannot spread the ordering load further.
-    shrink_to:
-        The symmetric scale-in target: when set, the controller retires the
-        coolest active shard (via the runtime's ``remove_shard``) — one per
-        round — while more than this many are active *and* that shard's
-        window load has fallen to ``shrink_below`` writes or fewer, merging
-        idle total orders away so their sequencer seats stop costing
-        heartbeats and seat bookkeeping.
-    shrink_below:
-        Idleness threshold for ``shrink_to``: a shard is only merged away
-        when its window counted at most this many writes (default 8), so
-        scale-in never steals a group that still carries real traffic.
-    cooldown:
-        Per-object churn damping, in virtual seconds: an object the
-        controller moved less than this long ago is skipped by the next
-        plan rounds, so near-balanced load stops shuffling the same object
-        back and forth between two groups.
-    queue_weight:
-        Weight of the sequencers' instantaneous queue depths in the
-        planner's per-shard load scores (see :class:`RebalancePlanner`).
-    byte_weight:
-        Weight of write payload bytes in the planner's load scores; ``0``
-        (default) keeps the classic count-only heuristic (see
-        :class:`RebalancePlanner`).
     """
 
     interval: float = 0.005
     imbalance: float = 1.5
     min_writes: int = 32
     max_moves: int = 3
-    quiet_rounds: int = 2
     grow_to: Optional[int] = None
-    shrink_to: Optional[int] = None
-    shrink_below: int = 8
-    cooldown: float = 0.02
-    queue_weight: float = 1.0
-    byte_weight: float = 0.0
 
     def __post_init__(self) -> None:
         if self.interval <= 0.0:
             raise ConfigurationError("rebalance interval must be positive")
-        if self.quiet_rounds < 1:
-            raise ConfigurationError("quiet_rounds must be >= 1")
+        if self.imbalance <= 1.0:
+            raise ConfigurationError("imbalance threshold must exceed 1.0")
+        if self.min_writes < 1 or self.max_moves < 1:
+            raise ConfigurationError("min_writes and max_moves must be >= 1")
         if self.grow_to is not None and self.grow_to < 1:
             raise ConfigurationError("grow_to must be >= 1 shard")
-        if self.shrink_to is not None and self.shrink_to < 1:
-            raise ConfigurationError("shrink_to must be >= 1 shard")
-        if (self.grow_to is not None and self.shrink_to is not None
-                and self.shrink_to > self.grow_to):
-            raise ConfigurationError(
-                "shrink_to must not exceed grow_to (the controller would "
-                "oscillate between growing and merging the same group)")
-        if self.shrink_below < 0:
-            raise ConfigurationError("shrink_below must be non-negative")
-        if self.cooldown < 0.0:
-            raise ConfigurationError("cooldown must be non-negative")
-        if self.queue_weight < 0.0:
-            raise ConfigurationError("queue_weight must be non-negative")
-        if self.byte_weight < 0.0:
-            raise ConfigurationError("byte_weight must be non-negative")
-        # Planner construction re-validates imbalance/min_writes/max_moves.
 
 
 class ShardingPolicy(ABC):
@@ -208,10 +168,9 @@ class HashPlacement(ShardingPolicy):
 
 
 class ExplicitPlacement(ShardingPolicy):
-    """Pin named objects to chosen shards; everything else falls back."""
+    """Pin named objects to chosen shards; everything else is id-hashed."""
 
-    def __init__(self, num_shards: int, assignments: Mapping[str, int],
-                 fallback: Optional[ShardingPolicy] = None) -> None:
+    def __init__(self, num_shards: int, assignments: Mapping[str, int]) -> None:
         super().__init__(num_shards)
         for name, shard in assignments.items():
             if not 0 <= shard < num_shards:
@@ -219,10 +178,7 @@ class ExplicitPlacement(ShardingPolicy):
                     f"object {name!r} pinned to shard {shard}, but only "
                     f"{num_shards} shards exist")
         self.assignments = dict(assignments)
-        self.fallback = fallback or HashPlacement(num_shards)
-        if self.fallback.num_shards != num_shards:
-            raise ConfigurationError(
-                "fallback policy must use the same shard count")
+        self.fallback = HashPlacement(num_shards)
 
     def shard_of(self, obj_id: int, name: str) -> int:
         shard = self.assignments.get(name)
@@ -298,11 +254,6 @@ class ShardRouter:
             shard: 0 for shard in range(num_shards)
         }
         self._window_obj_writes: Dict[int, int] = {}
-        #: Byte-weighted load window: write payload bytes per shard / object.
-        self._window_shard_bytes: Dict[int, int] = {
-            shard: 0 for shard in range(num_shards)
-        }
-        self._window_obj_bytes: Dict[int, int] = {}
 
     # ------------------------------------------------------------------ #
     # Placement
@@ -361,10 +312,6 @@ class ShardRouter:
         if window:
             self._window_shard_writes[old] -= window
             self._window_shard_writes[new_shard] += window
-        nbytes = self._window_obj_bytes.get(obj_id, 0)
-        if nbytes:
-            self._window_shard_bytes[old] -= nbytes
-            self._window_shard_bytes[new_shard] += nbytes
         self.placement_epoch += 1
         return old
 
@@ -396,7 +343,6 @@ class ShardRouter:
         self.num_shards += 1
         self.shard_stats[shard] = ShardStats()
         self._window_shard_writes[shard] = 0
-        self._window_shard_bytes[shard] = 0
         if isinstance(self.policy, HashPlacement):
             self.policy = HashPlacement(self.num_shards, by=self.policy.by)
         self.placement_epoch += 1
@@ -443,31 +389,18 @@ class ShardRouter:
         self.shard_stats[shard].note_create()
         return shard
 
-    def note_write(self, obj_id: int, name: str, nbytes: int = 0) -> int:
-        """Count one write invocation against the object's *current* shard.
-
-        ``nbytes`` is the write's payload size; it feeds the byte-weighted
-        load window (``0`` keeps the windows count-only, which is what
-        callers that do not model payload sizes pass).
-        """
+    def note_write(self, obj_id: int, name: str) -> int:
+        """Count one write invocation against the object's *current* shard."""
         shard = self.assign(obj_id, name)
         self.shard_stats[shard].note_write()
         self._window_shard_writes[shard] += 1
         self._window_obj_writes[obj_id] = (
             self._window_obj_writes.get(obj_id, 0) + 1)
-        if nbytes:
-            self._window_shard_bytes[shard] += nbytes
-            self._window_obj_bytes[obj_id] = (
-                self._window_obj_bytes.get(obj_id, 0) + nbytes)
         return shard
 
     def window_loads(self) -> Dict[int, int]:
         """Writes per shard since the last window reset."""
         return dict(self._window_shard_writes)
-
-    def window_byte_loads(self) -> Dict[int, int]:
-        """Write payload bytes per shard since the last window reset."""
-        return dict(self._window_shard_bytes)
 
     def window_object_writes(self, shard: Optional[int] = None) -> Dict[int, int]:
         """Writes per object since the last reset (optionally one shard's)."""
@@ -477,22 +410,11 @@ class ShardRouter:
                 for obj_id, writes in self._window_obj_writes.items()
                 if self._assigned.get(obj_id) == shard}
 
-    def window_object_bytes(self, shard: Optional[int] = None) -> Dict[int, int]:
-        """Payload bytes per object since the last reset (optionally one shard's)."""
-        if shard is None:
-            return dict(self._window_obj_bytes)
-        return {obj_id: nbytes
-                for obj_id, nbytes in self._window_obj_bytes.items()
-                if self._assigned.get(obj_id) == shard}
-
     def reset_window(self) -> None:
         """Start a fresh load window (after a plan round or a move)."""
         for shard in self._window_shard_writes:
             self._window_shard_writes[shard] = 0
         self._window_obj_writes.clear()
-        for shard in self._window_shard_bytes:
-            self._window_shard_bytes[shard] = 0
-        self._window_obj_bytes.clear()
 
     # ------------------------------------------------------------------ #
     # Lookup / reporting
@@ -540,6 +462,11 @@ class RebalanceMove:
     dst: int
 
 
+#: Weight of one queued sequencer message in the planner's per-shard load
+#: score, against 1 per window write (see :class:`RebalancePlanner`).
+QUEUE_WEIGHT = 1.0
+
+
 class RebalancePlanner:
     """Turns the router's load window into object -> group moves.
 
@@ -550,140 +477,56 @@ class RebalancePlanner:
     object dominates (the monolith moves whole, in its own round, whenever
     doing so shrinks the hottest bin).
 
-    Parameters
-    ----------
-    imbalance:
-        Hot/cool load-score ratio below which the placement counts as
-        balanced and no moves are proposed.
-    min_writes:
-        Minimum writes in the window before any decision is made (avoids
-        reacting to startup noise).
-    max_moves:
-        Cap on moves per round; rebalancing is cheap but not free (each move
-        costs one switch broadcast in two groups).
-    queue_weight:
-        Cost awareness: each shard's load score is its window writes plus
-        ``queue_weight`` times the sequencer's *current* service-queue
-        depth.  A backlogged sequencer is hotter than its arrival count
-        alone suggests (every queued message is service time not yet paid),
-        so the planner drains the shard that is actually melting, not just
-        the one that received the most writes.  ``0`` restores the pure
-        write-count heuristic.
-    byte_weight:
-        Payload awareness: adds ``byte_weight`` times the window's write
-        payload *bytes* (per shard and per candidate object) to the load
-        scores.  Two shards with equal write counts can carry wildly
-        unequal byte traffic when value sizes are skewed (see
-        ``WorkloadSpec.value_sizes``); a positive weight makes the planner
-        move the object that is actually saturating the wire.  ``0``
-        (default) ignores payload sizes entirely.
-    exclude:
-        Optional ``obj_id -> bool`` predicate; candidates for which it
-        returns true are skipped.  The runtime's controller passes its
-        per-object move-cooldown here to damp churn.
+    Each shard's load score is its window writes plus :data:`QUEUE_WEIGHT`
+    times its sequencer's *current* service-queue depth: a backlogged
+    sequencer is hotter than its arrival count alone suggests (every queued
+    message is service time not yet paid), so the planner drains the shard
+    that is actually melting, not just the one that received the most
+    writes.  ``params`` supplies the ``imbalance``, ``min_writes`` and
+    ``max_moves`` thresholds (see :class:`RebalanceParams`); ``exclude`` is
+    an optional ``obj_id -> bool`` predicate whose hits are skipped (the
+    runtime's controller passes its per-object move cooldown to damp churn).
     """
 
-    def __init__(self, router: ShardRouter, imbalance: float = 1.5,
-                 min_writes: int = 32, max_moves: int = 3,
-                 queue_weight: float = 1.0, byte_weight: float = 0.0,
+    def __init__(self, router: ShardRouter, params: RebalanceParams,
                  exclude: Optional[Callable[[int], bool]] = None) -> None:
-        if imbalance <= 1.0:
-            raise ConfigurationError("imbalance threshold must exceed 1.0")
-        if min_writes < 1 or max_moves < 1:
-            raise ConfigurationError("min_writes and max_moves must be >= 1")
-        if queue_weight < 0.0:
-            raise ConfigurationError("queue_weight must be non-negative")
-        if byte_weight < 0.0:
-            raise ConfigurationError("byte_weight must be non-negative")
         self.router = router
-        self.imbalance = imbalance
-        self.min_writes = min_writes
-        self.max_moves = max_moves
-        self.queue_weight = queue_weight
-        self.byte_weight = byte_weight
+        self.params = params
         self.exclude = exclude
-
-    def _scores(self, loads: Dict[int, int]) -> Dict[int, float]:
-        """Per-shard load scores: writes + weighted queue depth + weighted bytes."""
-        scores = {shard: float(load) for shard, load in loads.items()}
-        if self.queue_weight:
-            depths = self.router.queue_depths()
-            for shard in scores:
-                scores[shard] += self.queue_weight * depths.get(shard, 0)
-        if self.byte_weight:
-            byte_loads = self.router.window_byte_loads()
-            for shard in scores:
-                scores[shard] += self.byte_weight * byte_loads.get(shard, 0)
-        return scores
-
-    def _object_weights(self, shard: int) -> Dict[int, float]:
-        """Per-object window weights on ``shard``, byte-weighted when enabled."""
-        weights = {obj_id: float(writes) for obj_id, writes
-                   in self.router.window_object_writes(shard=shard).items()}
-        if self.byte_weight:
-            for obj_id, nbytes in self.router.window_object_bytes(
-                    shard=shard).items():
-                weights[obj_id] = (weights.get(obj_id, 0.0)
-                                   + self.byte_weight * nbytes)
-        return weights
-
-    def _hot_and_cool(self) -> Optional[Any]:
-        loads = {shard: load
-                 for shard, load in self.router.window_loads().items()
-                 if shard not in self.router.retired}
-        if len(loads) < 2 or sum(loads.values()) < self.min_writes:
-            return None
-        scores = self._scores(loads)
-        hot = max(scores, key=lambda shard: (scores[shard], -shard))
-        cool = min(scores, key=lambda shard: (scores[shard], shard))
-        if scores[hot] < self.imbalance * max(1.0, scores[cool]):
-            return None
-        return scores, hot, cool
 
     def plan(self) -> List[RebalanceMove]:
         """Moves off the hottest shard that shrink the hot/cool gap.
 
         Candidates are taken hottest-object-first; an object is skipped when
-        moving it would overshoot the balance point (its window weight
-        exceeds what is left of the hot-cool deficit after earlier moves),
+        moving it would overshoot the balance point (its window writes
+        exceed what is left of the hot-cool deficit after earlier moves),
         or when the ``exclude`` predicate (the controller's move cooldown)
         rules it out.
         """
-        view = self._hot_and_cool()
-        if view is None:
+        router = self.router
+        loads = {shard: load for shard, load in router.window_loads().items()
+                 if shard not in router.retired}
+        if len(loads) < 2 or sum(loads.values()) < self.params.min_writes:
             return []
-        scores, hot, cool = view
+        depths = router.queue_depths()
+        scores = {shard: load + QUEUE_WEIGHT * depths.get(shard, 0)
+                  for shard, load in loads.items()}
+        hot = max(scores, key=lambda shard: (scores[shard], -shard))
+        cool = min(scores, key=lambda shard: (scores[shard], shard))
+        if scores[hot] < self.params.imbalance * max(1.0, scores[cool]):
+            return []
         deficit = scores[hot] - scores[cool]
-        candidates = sorted(
-            self._object_weights(hot).items(),
-            key=lambda item: (-item[1], item[0]))
+        candidates = sorted(router.window_object_writes(shard=hot).items(),
+                            key=lambda item: (-item[1], item[0]))
         moves: List[RebalanceMove] = []
-        moved = 0.0
-        for obj_id, weight in candidates:
-            if len(moves) >= self.max_moves or weight <= 0:
+        moved = 0
+        for obj_id, writes in candidates:
+            if len(moves) >= self.params.max_moves or writes <= 0:
                 break
             if self.exclude is not None and self.exclude(obj_id):
                 continue
-            if weight >= deficit - 2 * moved:
+            if writes >= deficit - 2 * moved:
                 continue  # would make the destination the new hot spot
             moves.append(RebalanceMove(obj_id=obj_id, src=hot, dst=cool))
-            moved += weight
+            moved += writes
         return moves
-
-    def suggest(self, obj_id: int) -> Optional[int]:
-        """A destination shard for one object, or ``None`` to stay put.
-
-        The per-object flavour the adaptive controller consults: the object
-        must sit on the hottest shard, the imbalance threshold must be met,
-        and moving the object must not overshoot the balance point.
-        """
-        view = self._hot_and_cool()
-        if view is None:
-            return None
-        scores, hot, cool = view
-        if self.router.assigned_shard(obj_id) != hot:
-            return None
-        weight = self._object_weights(hot).get(obj_id, 0.0)
-        if weight <= 0 or weight >= scores[hot] - scores[cool]:
-            return None
-        return cool

@@ -499,14 +499,7 @@ class KVTable(Scenario):
         handle = self.handles[0]
         key = f"k{request.key}"
         if request.is_write:
-            value: Any = request.seq
-            size = self.spec.value_size(request.key)
-            if size:
-                # Per-key payload weight: the stored value carries the bytes
-                # the spec models for this key, so byte-weighted rebalancing
-                # sees real payload-size skew on the wire.
-                value = f"{request.seq}:" + "v" * size
-            return rts.invoke(proc, handle, "store", (key, value))
+            return rts.invoke(proc, handle, "store", (key, request.seq))
         return rts.invoke(proc, handle, "lookup", (key,))
 
     def validate(self, rts, proc, totals):

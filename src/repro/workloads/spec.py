@@ -182,14 +182,6 @@ class WorkloadSpec:
         instead of being fixed up front.  The segment index is exposed as
         the request's ``phase``, which is what lets scenario kinds shift a
         hotspot from one segment to the next (see ``hotspot-shift``).
-    value_sizes:
-        Per-key write payload sizes, in bytes: key ``k`` writes a value of
-        ``value_sizes[k % len(value_sizes)]`` bytes.  This gives different
-        keys genuinely different write *weights* — the signal the
-        byte-weighted shard rebalancer feeds on (two shards with equal
-        write counts can carry very unequal byte traffic).  Empty
-        (default) keeps the classic fixed-size payloads, so existing
-        workloads are untouched.
     tenants:
         Gateway-tier tenant classes (:class:`TenantSpec`).  Only consumed
         by gateway-mode runs (see :mod:`repro.gateway`): each client node
@@ -212,7 +204,6 @@ class WorkloadSpec:
     arrival_rate: float = 200.0
     phases: Tuple[PhaseSpec, ...] = field(default_factory=tuple)
     arrival_trace: Tuple[Tuple[float, float], ...] = field(default_factory=tuple)
-    value_sizes: Tuple[int, ...] = field(default_factory=tuple)
     tenants: Tuple[TenantSpec, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
@@ -269,9 +260,6 @@ class WorkloadSpec:
                     raise ConfigurationError(
                         f"trace segment ({duration}, {rate}) must have "
                         "positive duration and rate")
-        for size in self.value_sizes:
-            if not isinstance(size, int) or size < 1:
-                raise ConfigurationError(f"value sizes must be positive integers, got {size!r}")
 
     # ------------------------------------------------------------------ #
 
@@ -299,12 +287,6 @@ class WorkloadSpec:
     @property
     def total_ops_per_client(self) -> int:
         return sum(phase.ops_per_client for phase in self.resolved_phases())
-
-    def value_size(self, key: int) -> int:
-        """Write payload size for ``key``, or 0 when sizes are not modelled."""
-        if not self.value_sizes:
-            return 0
-        return self.value_sizes[key % len(self.value_sizes)]
 
     def with_overrides(self, **changes) -> "WorkloadSpec":
         """A copy of this spec with the given fields replaced."""

@@ -397,17 +397,16 @@ class TestGrowCap:
         cluster.shutdown()
 
 
-class TestAutoshrink:
-    def test_controller_merges_idle_groups_away(self):
-        """With traffic pinned to two groups, shrink_to=2 merges the two
-        idle groups away, one per plan round."""
+class TestNoAutoshrink:
+    def test_controller_keeps_idle_groups(self):
+        """The controller never merges a group away on its own: with
+        traffic pinned to two of four groups, all four stay active and only
+        an explicit remove_shard would retire one."""
         cluster, rts = make_rts(num_nodes=4, num_shards=4, seed=29,
                                 placement={"hot0": 0, "hot1": 1},
                                 rebalance={"interval": 0.002,
                                            "imbalance": 1e9,
-                                           "min_writes": 10**9,
-                                           "shrink_to": 2,
-                                           "shrink_below": 4})
+                                           "min_writes": 10**9})
         handles = {}
 
         def setup():
@@ -428,9 +427,9 @@ class TestAutoshrink:
         for node in cluster.nodes:
             node.kernel.spawn_thread(client, node.node_id)
         cluster.run()
-        assert rts.router.num_active_shards == 2
-        assert rts.stats.shards_removed == 2
-        assert sorted(rts.removed_shards) == [2, 3]
+        assert rts.router.num_active_shards == 4
+        assert rts.stats.shards_removed == 0
+        assert rts.removed_shards == []
 
         def check():
             proc = cluster.sim.current_process

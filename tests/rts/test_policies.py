@@ -51,6 +51,18 @@ class TestFixedPolicies:
         with pytest.raises(ConfigurationError):
             management_policy(None)  # no default given
 
+    def test_an_unknown_adaptive_field_names_itself(self):
+        with pytest.raises(ConfigurationError) as info:
+            management_policy({"min_acesses": 3})
+        assert "'min_acesses'" in str(info.value)
+        assert "'min_accesses'" in str(info.value)
+
+    @pytest.mark.parametrize("removed", [
+        "rebalance_shards", "shard_imbalance", "min_shard_writes"])
+    def test_a_removed_shard_lever_option_is_refused_by_name(self, removed):
+        with pytest.raises(ConfigurationError, match=f"'{removed}'"):
+            management_policy({removed: True})
+
 
 class TestAdaptiveParamsValidation:
     def test_threshold_ordering_enforced(self):

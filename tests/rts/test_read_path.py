@@ -74,9 +74,7 @@ class ReferenceRts(HybridRts):
             if self._mechanism_of(obj_id) == MECHANISM_BROADCAST:
                 if op.is_write:
                     if not shard_write_noted:
-                        self.router.note_write(
-                            obj_id, handle.name,
-                            nbytes=estimate_size(args) + estimate_size(kwargs))
+                        self.router.note_write(obj_id, handle.name)
                         shard_write_noted = True
                     size = max(16, estimate_size(args) + estimate_size(kwargs or {}) + 16)
                     result = self._broadcast_write(proc, node, handle, op, args, kwargs, size)

@@ -114,14 +114,35 @@ class TestRebalanceParams:
         with pytest.raises(ConfigurationError):
             RebalanceParams(interval=0.0)
         with pytest.raises(ConfigurationError):
-            RebalanceParams(quiet_rounds=0)
-        with pytest.raises(ConfigurationError):
             RebalanceParams(grow_to=0)
         with pytest.raises(ConfigurationError):
-            RebalanceParams(byte_weight=-0.5)
+            RebalanceParams(imbalance=1.0)
+        with pytest.raises(ConfigurationError):
+            RebalanceParams(min_writes=0)
+        with pytest.raises(ConfigurationError):
+            RebalanceParams(max_moves=0)
 
-    def test_byte_weight_defaults_off(self):
-        assert RebalanceParams().byte_weight == 0.0
+    def test_an_unknown_field_names_itself_and_the_accepted_ones(self):
+        with pytest.raises(ConfigurationError) as info:
+            params_from(RebalanceParams, {"intervall": 1})
+        assert "'intervall'" in str(info.value)
+        assert "'interval'" in str(info.value)
+
+    def test_bad_thresholds_fail_when_the_runtime_is_built(self):
+        with Cluster(ClusterConfig(num_nodes=2, seed=1)) as cluster:
+            with pytest.raises(ConfigurationError):
+                HybridRts(cluster, rebalance={"imbalance": 1.0})
+
+    @pytest.mark.parametrize("removed", [
+        "queue_weight", "cooldown", "quiet_rounds", "byte_weight",
+        "shrink_to", "shrink_below"])
+    def test_a_removed_option_is_refused_by_name(self, removed):
+        """Fixed tuning values and deleted features are no options: a
+        caller still passing one fails when the runtime is built, and the
+        error names what it passed."""
+        with Cluster(ClusterConfig(num_nodes=2, seed=1)) as cluster:
+            with pytest.raises(ConfigurationError, match=f"'{removed}'"):
+                HybridRts(cluster, rebalance={removed: 1})
 
 
 class TestShardRouter:
@@ -179,24 +200,6 @@ class TestShardRouter:
             # Cumulative per-shard stats are untouched by the reset.
             assert router.shard_stats[0].writes == 6
 
-    def test_byte_window_tracks_and_follows_moves(self):
-        with Cluster(ClusterConfig(num_nodes=4, seed=1)) as cluster:
-            router = ShardRouter(cluster, num_shards=2)
-            for _ in range(3):
-                router.note_write(1, "a", nbytes=100)  # shard 0
-            router.note_write(2, "b", nbytes=40)       # shard 1
-            router.note_write(2, "b")                  # size-less write
-            assert router.window_byte_loads() == {0: 300, 1: 40}
-            assert router.window_object_bytes() == {1: 300, 2: 40}
-            # ... but the count window still sees every write.
-            assert router.window_loads() == {0: 3, 1: 2}
-            router.move(1, 1)
-            assert router.window_byte_loads() == {0: 0, 1: 340}
-            assert router.window_object_bytes(shard=1) == {1: 300, 2: 40}
-            router.reset_window()
-            assert router.window_byte_loads() == {0: 0, 1: 0}
-            assert router.window_object_bytes() == {}
-
     def test_add_shard_prefers_seatless_live_nodes(self):
         with Cluster(ClusterConfig(num_nodes=4, seed=1)) as cluster:
             router = ShardRouter(cluster, num_shards=2)  # seats 0, 1
@@ -225,13 +228,12 @@ class TestRebalancePlanner:
     def test_balanced_or_thin_windows_produce_no_moves(self):
         cluster, router = self.make_router()
         with cluster:
-            planner = RebalancePlanner(router, min_writes=8)
+            planner = RebalancePlanner(router, RebalanceParams(min_writes=8))
             assert planner.plan() == []  # no traffic at all
             for obj, name in ((1, "a"), (2, "b")):
                 for _ in range(10):
                     router.note_write(obj, name)
             assert planner.plan() == []  # balanced
-            assert planner.suggest(1) is None
 
     def test_plan_moves_hot_objects_without_overshooting(self):
         cluster, router = self.make_router()
@@ -246,13 +248,10 @@ class TestRebalancePlanner:
                 router.note_write(3, "mid")
             for _ in range(8):
                 router.note_write(2, "cool")
-            planner = RebalancePlanner(router, imbalance=1.5, min_writes=8)
+            planner = RebalancePlanner(
+                router, RebalanceParams(imbalance=1.5, min_writes=8))
             moves = planner.plan()
             assert moves == [RebalanceMove(obj_id=3, src=0, dst=1)]
-            # suggest() agrees per object.
-            assert planner.suggest(3) == 1
-            assert planner.suggest(1) is None  # monolith would overshoot
-            assert planner.suggest(2) is None  # not on the hot shard
 
     def test_monolith_moves_when_it_improves_the_hot_bin(self):
         cluster, router = self.make_router()
@@ -265,22 +264,11 @@ class TestRebalancePlanner:
             router.note_write(2, "cool")
             router._window_shard_writes[1] = 0
             router._window_obj_writes.pop(2, None)
-            planner = RebalancePlanner(router, imbalance=1.5, min_writes=8,
-                                       max_moves=1)
+            planner = RebalancePlanner(
+                router, RebalanceParams(imbalance=1.5, min_writes=8,
+                                        max_moves=1))
             moves = planner.plan()
             assert moves == [RebalanceMove(obj_id=1, src=0, dst=1)]
-
-    def test_planner_validation(self):
-        cluster, router = self.make_router()
-        with cluster:
-            with pytest.raises(ConfigurationError):
-                RebalancePlanner(router, imbalance=1.0)
-            with pytest.raises(ConfigurationError):
-                RebalancePlanner(router, min_writes=0)
-            with pytest.raises(ConfigurationError):
-                RebalancePlanner(router, queue_weight=-1.0)
-            with pytest.raises(ConfigurationError):
-                RebalancePlanner(router, byte_weight=-1.0)
 
     def test_queue_depth_makes_a_backlogged_shard_hot(self):
         """Cost awareness: equal window writes, but one sequencer is deep in
@@ -291,56 +279,14 @@ class TestRebalancePlanner:
                 router.note_write(1, "a")  # shard 0
             for _ in range(10):
                 router.note_write(2, "b")  # shard 1
+            planner = RebalancePlanner(
+                router, RebalanceParams(imbalance=1.5, min_writes=8))
+            # With empty queues the write counts are balanced...
+            router.queue_depths = lambda: {0: 0, 1: 0}
+            assert planner.plan() == []
+            # ... a backlog makes shard 0 hot (10+12 vs 10) and its object
+            # moves off.
             router.queue_depths = lambda: {0: 12, 1: 0}
-            # Pure write counts see a balanced placement...
-            blind = RebalancePlanner(router, imbalance=1.5, min_writes=8,
-                                     queue_weight=0.0)
-            assert blind.plan() == []
-            # ... queue-weighted scores see shard 0 melting (10+12 vs 10)
-            # and move its object off.
-            aware = RebalancePlanner(router, imbalance=1.5, min_writes=8,
-                                     queue_weight=1.0)
-            assert aware.plan() == [RebalanceMove(obj_id=1, src=0, dst=1)]
-
-    def test_byte_traffic_makes_a_shard_hot(self):
-        """Payload awareness: equal write counts, but one shard's writes
-        carry big values — the byte-weighted planner drains it."""
-        cluster, router = self.make_router()
-        with cluster:
-            for _ in range(5):
-                router.note_write(1, "fat", nbytes=600)   # shard 0
-            for _ in range(5):
-                router.note_write(3, "thin")              # shard 0
-            for _ in range(10):
-                router.note_write(2, "cool")              # shard 1
-            # Count-only scores see a balanced placement (10 vs 10)...
-            blind = RebalancePlanner(router, imbalance=1.5, min_writes=8,
-                                     queue_weight=0.0)
-            assert blind.plan() == []
-            # ... byte-weighted scores see shard 0 carrying 3000 B of
-            # payload (10 + 30 vs 10).  The fat object itself would
-            # overshoot (weight 35 >= deficit 30), so its thin co-resident
-            # moves off the byte-hot shard.
-            aware = RebalancePlanner(router, imbalance=1.5, min_writes=8,
-                                     queue_weight=0.0, byte_weight=0.01)
-            assert aware.plan() == [RebalanceMove(obj_id=3, src=0, dst=1)]
-            assert aware.suggest(3) == 1
-            assert aware.suggest(1) is None  # would overshoot
-
-    def test_byte_heavy_monolith_moves_when_it_improves_the_hot_bin(self):
-        cluster, router = self.make_router()
-        with cluster:
-            for _ in range(16):
-                router.note_write(1, "mono", nbytes=125)  # 2000 B on shard 0
-            for _ in range(2):
-                router.note_write(3, "small")
-            router.note_write(2, "cool")  # register, then silence shard 1
-            router._window_shard_writes[1] = 0
-            router._window_obj_writes.pop(2, None)
-            # Weight 16 + 20 = 36 < deficit 38: the monolith moves whole.
-            planner = RebalancePlanner(router, imbalance=1.5, min_writes=8,
-                                       max_moves=1, queue_weight=0.0,
-                                       byte_weight=0.01)
             assert planner.plan() == [RebalanceMove(obj_id=1, src=0, dst=1)]
 
     def test_exclude_predicate_damps_churn(self):
@@ -354,9 +300,10 @@ class TestRebalancePlanner:
                 router.note_write(3, "warm")  # shard 0
             for _ in range(2):
                 router.note_write(2, "cool")  # shard 1
-            planner = RebalancePlanner(router, imbalance=1.5, min_writes=8,
-                                       max_moves=1,
-                                       exclude=lambda obj_id: obj_id == 1)
+            planner = RebalancePlanner(
+                router, RebalanceParams(imbalance=1.5, min_writes=8,
+                                        max_moves=1),
+                exclude=lambda obj_id: obj_id == 1)
             assert planner.plan() == [RebalanceMove(obj_id=3, src=0, dst=1)]
 
 

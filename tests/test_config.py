@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import ast
+import dataclasses
+import inspect
+from pathlib import Path
+
 import pytest
 
 from repro.config import (
@@ -11,8 +16,14 @@ from repro.config import (
     CpuParams,
     NetworkParams,
     ReplicationParams,
+    params_from,
 )
 from repro.errors import ConfigurationError
+from repro.gateway.params import GatewayParams
+from repro.rts.sharding import BatchingParams, RebalanceParams
+from repro.workloads.spec import WorkloadSpec
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 class TestNetworkParams:
@@ -95,3 +106,47 @@ class TestClusterConfig:
     def test_invalid_node_count(self):
         with pytest.raises(ConfigurationError):
             ClusterConfig(num_nodes=0)
+
+
+@pytest.mark.parametrize("params_class,typo,field_name", [
+    (BatchingParams, "max_batches", "max_batch"),
+    (GatewayParams, "worker", "workers"),
+])
+def test_params_from_names_an_unknown_field(params_class, typo, field_name):
+    with pytest.raises(ConfigurationError) as info:
+        params_from(params_class, {typo: 2})
+    assert f"'{typo}'" in str(info.value)
+    assert f"'{field_name}'" in str(info.value)
+
+
+def _names_set_in(path: Path):
+    """Every keyword-argument name and string dict key in one source file."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.keyword) and node.arg is not None:
+            names.add(node.arg)
+        elif isinstance(node, ast.Dict):
+            names.update(key.value for key in node.keys
+                         if isinstance(key, ast.Constant)
+                         and isinstance(key.value, str))
+    return names
+
+
+@pytest.mark.parametrize("params_class", [
+    RebalanceParams, BatchingParams, GatewayParams, WorkloadSpec])
+def test_every_settable_field_has_a_setter_outside_its_module(params_class):
+    """An option that only the tests set is a constant in disguise: each
+    field must be passed by keyword or named as a dict key somewhere in the
+    library, the benchmarks or the examples, outside the module that
+    defines it."""
+    home = Path(inspect.getsourcefile(params_class)).resolve()
+    names = set()
+    for top in ("src", "benchmarks", "examples"):
+        for path in sorted((REPO / top).rglob("*.py")):
+            if path.resolve() != home:
+                names |= _names_set_in(path)
+    unset = [f.name for f in dataclasses.fields(params_class)
+             if f.name not in names]
+    assert unset == [], (
+        f"{params_class.__name__} fields set nowhere outside "
+        f"{home.name}: {unset}")

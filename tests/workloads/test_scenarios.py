@@ -126,7 +126,7 @@ class TestDefaultSpecs:
         assert key0 % 4 != key1 % 4
 
 
-class TestKVTablePayloadSizes:
+class TestKVTableWrites:
     class _RecordingRts:
         def __init__(self):
             self.calls = []
@@ -147,11 +147,3 @@ class TestKVTablePayloadSizes:
     def test_default_writes_the_sequence_number(self):
         op, args = self.perform_write(WorkloadSpec(), key=1)
         assert (op, args) == ("store", ("k1", 7))
-
-    def test_value_sizes_pad_the_stored_payload(self):
-        spec = WorkloadSpec(num_keys=4, value_sizes=(8, 512))
-        op, args = self.perform_write(spec, key=1)
-        assert op == "store"
-        assert args[0] == "k1"
-        assert args[1].startswith("7:")
-        assert len(args[1]) == len("7:") + 512

@@ -42,21 +42,6 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             WorkloadSpec(client_model="open", arrival_rate=0.0)
 
-    def test_rejects_non_positive_value_sizes(self):
-        with pytest.raises(ConfigurationError):
-            WorkloadSpec(value_sizes=(64, 0))
-        with pytest.raises(ConfigurationError):
-            WorkloadSpec(value_sizes=(2.5,))
-
-
-class TestValueSizes:
-    def test_default_models_no_payload_sizes(self):
-        assert WorkloadSpec().value_size(3) == 0
-
-    def test_sizes_cycle_over_the_key_space(self):
-        spec = WorkloadSpec(num_keys=5, value_sizes=(8, 512))
-        assert [spec.value_size(k) for k in range(5)] == [8, 512, 8, 512, 8]
-
 
 class TestKeySampler:
     def test_uniform_covers_key_space(self):
