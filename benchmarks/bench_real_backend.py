@@ -2,7 +2,7 @@
 
 Every other benchmark in this directory measures *virtual* time inside the
 deterministic simulator.  This one runs the same scenarios through
-:mod:`repro.net` — one OS process per node, asyncio UDP unicast on loopback,
+:mod:`repro.net` — one OS process per node, UDP unicast on loopback,
 the full ordering/primary/heartbeat protocol — and reports real wall-clock
 throughput next to the simulator's virtual-time numbers for the identical
 workload (same seed, same per-client request streams).

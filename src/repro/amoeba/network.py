@@ -94,7 +94,7 @@ class BaseNetwork:
     The simulated transport: delivery happens through virtual-time events,
     messages fragment into packets, and loss is injected deterministically
     from a named rng stream.  The real-process backend moves messages over
-    asyncio UDP sockets instead (:class:`repro.net.udp.UdpTransport`); what
+    UDP sockets instead (:class:`repro.net.udp.UdpTransport`); what
     a broadcast group reads of either is
     :class:`~repro.amoeba.broadcast.group.GroupTransport`.
     """

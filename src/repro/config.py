@@ -213,7 +213,9 @@ class CostModel:
             if isinstance(overrides, type(current)):
                 updated[section] = overrides
             else:
-                updated[section] = replace(current, **dict(overrides))
+                overrides = dict(overrides)
+                _check_fields(type(current), overrides)
+                updated[section] = replace(current, **overrides)
         return replace(self, **updated)
 
 
@@ -254,6 +256,15 @@ DEFAULT_COST_MODEL = CostModel()
 P = TypeVar("P")
 
 
+def _check_fields(cls: type, overrides: Mapping[str, Any]) -> None:
+    """Raise :class:`ConfigurationError` for a key that names no field of ``cls``."""
+    accepted = [f.name for f in fields(cls)]
+    unknown = [key for key in overrides if key not in accepted]
+    if unknown:
+        raise ConfigurationError(
+            f"unknown {cls.__name__} field(s) {unknown} (accepted: {accepted})")
+
+
 def params_from(cls: Type[P], value: Any) -> Optional[P]:
     """Coerce an optional feature's argument into its params ``cls``.
 
@@ -269,12 +280,7 @@ def params_from(cls: Type[P], value: Any) -> Optional[P]:
     if isinstance(value, cls):
         return value
     if isinstance(value, Mapping):
-        accepted = [f.name for f in fields(cls)]
-        unknown = [key for key in value if key not in accepted]
-        if unknown:
-            raise ConfigurationError(
-                f"unknown {cls.__name__} field(s) {unknown} "
-                f"(accepted: {accepted})")
+        _check_fields(cls, value)
         return cls(**dict(value))
     raise ConfigurationError(
         f"cannot interpret {value!r} as {cls.__name__} "

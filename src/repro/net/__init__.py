@@ -5,7 +5,7 @@ protocols inside one deterministic discrete-event simulator.  This package
 runs the *same* protocol shapes — sharded fixed-sequencer total-order
 broadcast, per-object management policies (replicated-broadcast and
 primary-copy with takeover), per-client FIFO with exactly-once delivery —
-across real OS processes talking asyncio UDP on the loopback interface, with
+across real OS processes talking UDP on the loopback interface, with
 the simulator kept as the deterministic *oracle*: a sim run of the identical
 workload pins down the request streams and the equivalent final state the
 real run must converge to.
@@ -14,7 +14,8 @@ Layout
 ------
 ``wire``          length-prefixed JSON framing of the existing
                   :class:`~repro.amoeba.message.Message` type
-``udp``           :class:`UdpTransport` — messages over asyncio UDP
+``udp``           :class:`UdpTransport` — messages over UDP, one frame-sized
+                  datagram read per readiness of the loop
 ``host``          :class:`RealNode` — hosts the simulator's broadcast
                   groups (one member per shard) over the transport
 ``runtime``       the per-process RTS layer above them (writes, the

@@ -738,7 +738,9 @@ class RealRuntime:
                 "primary": obj.primary,
                 "version": obj.version,
                 "state": jsonify(obj.instance.marshal_state()),
-                "applied_log": jsonify(obj.applied_log),
+                # JSON-native already: ``log_applied`` entries and a
+                # takeover's tail, decoded from the wire.
+                "applied_log": list(obj.applied_log),
             }
         groups = [group.stats for group in self.groups.values()]
         seats = [group.sequencer for group in self.groups.values()

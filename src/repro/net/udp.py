@@ -1,7 +1,9 @@
-"""Asyncio UDP transport — the real-socket counterpart of the simulated network.
+"""UDP transport — the real-socket counterpart of the simulated network.
 
-One :class:`UdpTransport` lives in each node process.  It binds a datagram
-socket on the loopback interface, learns the full ``node_id -> (host, port)``
+One :class:`UdpTransport` lives in each node process.  It binds a
+non-blocking datagram socket on the loopback interface and registers it with
+the node's event loop (``loop.add_reader``), which reads one frame-sized
+datagram per readiness call.  It learns the full ``node_id -> (host, port)``
 peer table from the harness, and then moves whole messages: unicast goes to
 one peer, broadcast (``dst is None``) fans out one datagram per peer,
 mirroring the simulator's hardware-broadcast semantics (the sender never
@@ -17,6 +19,7 @@ the simulated stack.
 from __future__ import annotations
 
 import asyncio
+import socket
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -42,21 +45,14 @@ class UdpStats:
     by_kind: Dict[str, int] = field(default_factory=dict)
 
 
-class _Protocol(asyncio.DatagramProtocol):
-    def __init__(self, transport: "UdpTransport") -> None:
-        self._owner = transport
-
-    def datagram_received(self, data: bytes, addr: Tuple[str, int]) -> None:
-        self._owner._on_datagram(data)
-
-    def error_received(self, exc: Exception) -> None:  # pragma: no cover
-        # ICMP port-unreachable for a dead peer; the failure detector above
-        # handles peer death, so transient socket errors are ignored.
-        pass
+#: Receive size: one byte past the largest frame ``decode_message`` accepts,
+#: so a longer datagram arrives truncated yet still too long for it, and
+#: counts as a decode error instead of passing as a shorter frame.
+_RECV_SIZE = MAX_FRAME + 5
 
 
 class UdpTransport:
-    """Transport over asyncio UDP unicast with configurable fan-out.
+    """Transport over UDP unicast with configurable fan-out.
 
     ``drop_tx`` / ``drop_rx`` are loss-injection hooks for tests: given the
     message (and, for tx, the destination node id), return True to silently
@@ -76,7 +72,8 @@ class UdpTransport:
         self._peers: Dict[int, Tuple[str, int]] = {}
         self._node_ids: List[int] = []
         self._dead: set = set()
-        self._sock: Optional[asyncio.DatagramTransport] = None
+        self._sock: Optional[socket.socket] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._port: Optional[int] = None
 
     # -- lifecycle -------------------------------------------------------- #
@@ -84,16 +81,23 @@ class UdpTransport:
     async def open(self, host: str = "127.0.0.1", port: int = 0) -> int:
         """Bind the datagram socket; returns the actual local port."""
         loop = asyncio.get_running_loop()
-        self._sock, _ = await loop.create_datagram_endpoint(
-            lambda: _Protocol(self), local_addr=(host, port)
-        )
-        self._port = self._sock.get_extra_info("sockname")[1]
+        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        try:
+            sock.setblocking(False)
+            sock.bind((host, port))
+            loop.add_reader(sock.fileno(), self._on_readable)
+        except BaseException:
+            sock.close()
+            raise
+        self._sock, self._loop = sock, loop
+        self._port = sock.getsockname()[1]
         return self._port
 
     def close(self) -> None:
         if self._sock is not None:
+            self._loop.remove_reader(self._sock.fileno())
             self._sock.close()
-            self._sock = None
+            self._sock = self._loop = None
 
     @property
     def port(self) -> int:
@@ -150,18 +154,33 @@ class UdpTransport:
         if self.drop_tx is not None and self.drop_tx(msg, dst):
             self.stats.send_drops += 1
             return
-        self._sock.sendto(frame, self._peers[dst])
+        try:
+            self._sock.sendto(frame, self._peers[dst])
+        except OSError:
+            # A full socket buffer or an ICMP error left by a dead peer: the
+            # datagram is lost, as UDP may lose any, and the protocols above
+            # recover it.
+            self.stats.send_drops += 1
+            return
         self.stats.datagrams_sent += 1
         self.stats.bytes_sent += len(frame)
 
     # -- receiving -------------------------------------------------------- #
 
+    def _on_readable(self) -> None:
+        # One datagram per readiness call, so the loop interleaves datagrams
+        # with timers and client-thread callbacks as it would any callback.
+        try:
+            data = self._sock.recv(_RECV_SIZE)
+        except OSError:
+            # Nothing to read after all, or an ICMP port-unreachable for a
+            # dead peer; the failure detector above handles peer death.
+            return
+        self._on_datagram(data)
+
     def _on_datagram(self, data: bytes) -> None:
         self.stats.datagrams_received += 1
         self.stats.bytes_received += len(data)
-        if len(data) > MAX_FRAME + 4:
-            self.stats.decode_errors += 1
-            return
         try:
             msg = decode_message(data)
         except (NetworkError, ValueError, KeyError, TypeError):

@@ -321,9 +321,10 @@ class ShardRouter:
         The new group's members join immediately (its wire-kind namespace is
         registered at construction) and the initial sequencer seat goes to
         the live machine currently hosting the fewest seats, so scale-out
-        keeps spreading the ordering work.  Hash placement policies grow to
-        include the new shard for objects created *afterwards*; existing
-        objects keep their recorded assignment until explicitly moved.
+        keeps spreading the ordering work.  Hash placement policies, and the
+        hash fallback of an explicit one, grow to include the new shard for
+        objects created *afterwards*; existing objects keep their recorded
+        assignment until explicitly moved.
         """
         shard = self.num_shards
         if sequencer_node_id is None:
@@ -345,6 +346,8 @@ class ShardRouter:
         self._window_shard_writes[shard] = 0
         if isinstance(self.policy, HashPlacement):
             self.policy = HashPlacement(self.num_shards, by=self.policy.by)
+        elif isinstance(self.policy, ExplicitPlacement):
+            self.policy = ExplicitPlacement(self.num_shards, self.policy.assignments)
         self.placement_epoch += 1
         return shard
 

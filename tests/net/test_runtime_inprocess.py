@@ -141,8 +141,21 @@ class InProcessCluster:
                 return
             if loop.time() > deadline:
                 raise AssertionError(
-                    f"replicas never converged to {state}: {states}")
+                    f"replicas never converged to {state}: {states}\n"
+                    + self.diagnosis())
             await asyncio.sleep(0.02)
+
+    def diagnosis(self) -> str:
+        """Each runtime's status and counters (elections, suppressed
+        duplicates, retransmissions, peers declared dead, socket drops),
+        so a convergence failure names its mechanism."""
+        lines = []
+        for node_id, runtime in self.runtimes.items():
+            collected = runtime.collect()
+            lines.append(f"node {node_id}: status={runtime.status()} "
+                         f"stats={collected['stats']} "
+                         f"transport={collected['transport']}")
+        return "\n".join(lines)
 
 
 def drop_first(kinds, count=1):
@@ -446,6 +459,30 @@ class TestTakeover:
                 for runtime in cluster.runtimes.values():
                     assert runtime.objects[1].primary == 0
                 assert dead is not None
+
+        asyncio.run(run())
+
+    def test_collect_is_json_native_after_a_takeover(self):
+        """``collect`` passes the applied log without normalising it: the
+        entries a write logs and the tail a takeover installs must already
+        survive a JSON round trip unchanged."""
+        async def run():
+            table = object_table("primary-update", primary=2)
+            async with InProcessCluster(3, table) as cluster:
+                for node_id in (0, 1):
+                    await cluster.runtimes[node_id].submit(
+                        1, "add", (1,), client=(node_id, 0), cseq=1)
+                await cluster.runtimes.pop(2).stop()
+                cluster.transports.pop(2).close()
+                assert await asyncio.wait_for(
+                    cluster.runtimes[1].submit(1, "add", (1,), client=(1, 0), cseq=2),
+                    timeout=15.0) == 3
+                await cluster.converged(3)
+                for runtime in cluster.runtimes.values():
+                    assert runtime.stats.takeovers == 1
+                    collected = runtime.collect()
+                    assert len(collected["objects"]["1"]["applied_log"]) == 3
+                    assert json.loads(json.dumps(collected)) == collected
 
         asyncio.run(run())
 

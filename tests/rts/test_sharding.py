@@ -212,6 +212,17 @@ class TestShardRouter:
             # Hash placement grew with the shard set.
             assert router.policy.num_shards == 3
 
+    def test_add_shard_grows_an_explicit_placements_hash_fallback(self):
+        with Cluster(ClusterConfig(num_nodes=3, seed=1)) as cluster:
+            router = ShardRouter(cluster, num_shards=2, placement={"hot": 1})
+            router.add_shard()
+            assert router.policy.num_shards == 3
+            shards = {router.assign(obj_id, f"obj{obj_id}")
+                      for obj_id in range(1, 31)}
+            assert shards == {0, 1, 2}
+            # The pin itself survives the growth.
+            assert router.assign(31, "hot") == 1
+
     def test_add_shard_rejects_dead_explicit_seat(self):
         with Cluster(ClusterConfig(num_nodes=2, seed=1)) as cluster:
             cluster.node(1).crash()

@@ -94,6 +94,18 @@ class TestCostModel:
         with pytest.raises(ConfigurationError):
             CostModel().with_overrides(gpu={"x": 1})
 
+    def test_with_overrides_names_an_unknown_field(self):
+        with pytest.raises(ConfigurationError) as info:
+            CostModel().with_overrides(network={"bandwith_bps": 1})
+        assert "'bandwith_bps'" in str(info.value)
+        assert "'bandwidth_bps'" in str(info.value)
+
+    def test_with_overrides_keeps_the_sections_other_fields(self):
+        model = CostModel().with_overrides(network={"latency": 1e-3})
+        updated = model.with_overrides(network={"bandwidth_bps": 1e8})
+        assert updated.network.latency == 1e-3
+        assert updated.network.bandwidth_bps == 1e8
+
 
 class TestClusterConfig:
     def test_with_nodes_and_seed(self):
