@@ -7,7 +7,7 @@ the deterministic object table by replaying the scenario's setup against a
 tables over the control plane, fans the workload out to the client nodes,
 optionally SIGKILLs victim nodes mid-run (the real-socket analogue of the
 simulator's staged crashes; each kill is keyed to acknowledged-operation
-progress, not to the clock), polls until every surviving node has quiesced —
+progress, not to the clock), waits until every surviving node has quiesced —
 clients finished, no pending writes, hold-back queues empty, every member
 caught up with the seat its shard follows — and finally collects each node's
 object states and applied logs for the oracle's convergence check.
@@ -37,6 +37,10 @@ from ..workloads.spec import WorkloadSpec
 from .control import NodeConnection
 from .rts_adapter import RecordingRts, spec_to_payload
 from .runtime import RealTimings
+
+#: Seconds between status rounds while the cluster has not yet quiesced
+#: (its clients are done by then, so only in-flight messages remain).
+SETTLE_POLL = 0.002
 
 
 @dataclass(frozen=True)
@@ -265,7 +269,10 @@ class RealCluster:
         return sorted(self._conns)
 
     def _settle(self) -> None:
-        """Poll until clients are done and every survivor has quiesced."""
+        """Wait until clients are done and every survivor has quiesced: block
+        until each client node's clients have ended or parked, then check at
+        once, re-polling every ``SETTLE_POLL`` seconds only while not yet
+        quiescent."""
         config = self.config
         deadline = time.monotonic() + config.settle_timeout
         pending_kills = list(config.victims)
@@ -275,41 +282,45 @@ class RealCluster:
                 raise NetworkError(
                     "real cluster failed to settle within "
                     f"{config.settle_timeout}s; last statuses: {last}")
-            time.sleep(0.05)
-            statuses = {}
-            for node_id in self._live_nodes():
-                try:
-                    statuses[node_id] = self._conns[node_id].request(
-                        {"cmd": "status"}, timeout=config.spawn_timeout)
-                except NetworkError:
-                    raise NetworkError(
-                        f"node {node_id} died unexpectedly:\n"
-                        + self._stderr_tail(node_id))
+            for node_id in config.client_nodes:
+                self._request(node_id, {
+                    "cmd": "wait_clients",
+                    "timeout": max(0.0, deadline - time.monotonic())},
+                    timeout=config.settle_timeout + config.spawn_timeout)
+            statuses = {node_id: self._request(node_id, {"cmd": "status"})
+                        for node_id in self._live_nodes()}
             last = statuses
             errors = [error
                       for status in statuses.values()
                       for error in status["clients"]["errors"]]
             if errors:
                 raise NetworkError("client failures:\n" + "\n".join(errors))
+            clients = [statuses[node_id]["clients"]
+                       for node_id in config.client_nodes]
+            if not all(pool["parked"] == pool["clients_running"]
+                       for pool in clients):
+                continue  # ``wait_clients`` timed out: the deadline decides
             if pending_kills:
                 # The next crash is due once every client still running is
                 # parked at its threshold (one that finished early counts as
                 # past it): kill, then let the clients go on.
-                clients = [statuses[node_id]["clients"]
-                           for node_id in config.client_nodes]
-                if all(pool["parked"] == pool["clients_running"]
-                       for pool in clients):
-                    self.kill_node(pending_kills.pop(0))
-                    for node_id in config.client_nodes:
-                        self._conns[node_id].request(
-                            {"cmd": "release"}, timeout=config.spawn_timeout)
-                continue
-            if any(status["clients"]["clients_running"]
-                   for node_id, status in statuses.items()
-                   if node_id in config.client_nodes):
+                self.kill_node(pending_kills.pop(0))
+                for node_id in config.client_nodes:
+                    self._request(node_id, {"cmd": "release"})
                 continue
             if self._quiesced(statuses):
                 return
+            time.sleep(SETTLE_POLL)
+
+    def _request(self, node_id: int, command: Dict[str, Any],
+                 timeout: Optional[float] = None) -> Dict[str, Any]:
+        """One control command to a node that must be alive."""
+        try:
+            return self._conns[node_id].request(
+                command, timeout=timeout or self.config.spawn_timeout)
+        except NetworkError:
+            raise NetworkError(f"node {node_id} died unexpectedly:\n"
+                               + self._stderr_tail(node_id)) from None
 
     def _quiesced(self, statuses: Dict[int, Dict[str, Any]]) -> bool:
         runtime = {node_id: status["runtime"]

@@ -16,6 +16,7 @@ import asyncio
 import functools
 import heapq
 import itertools
+import threading
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -49,7 +50,9 @@ _DECODERS = {KIND_DATA: _record, KIND_RETRANSMIT: _record, KIND_REQUEST: _uid}
 class RealNode:
     """One node process as its groups see it: node, clock, timers and host.
     The groups arm and cancel timers per message, so they share one heap
-    and one loop callback: arming is a push, cancelling a dict pop."""
+    and one loop callback: arming is a push, cancelling a dict pop.  ``lock``
+    guards all protocol state of the process; a timer armed off the loop's
+    thread earlier than the loop's next wake-up re-times it (:meth:`_rewake`)."""
 
     alive = True
 
@@ -61,12 +64,16 @@ class RealNode:
         self.sim = self.kernel = self
         #: Set by the runtime's ``start``: timers need a running loop.
         self.loop: Optional[asyncio.AbstractEventLoop] = None
+        self.lock = threading.Lock()
         self._handlers: Dict[str, Handler] = {}
         #: Live timers by id; ``_due`` holds (when, id), cancelled ones too
         #: until they come up.
         self._timers: Dict[int, Tuple[Callable[..., Any], tuple]] = {}
         self._due: List[Tuple[float, int]] = []
         self._wakeup: Optional[asyncio.TimerHandle] = None
+        #: When the loop runs ``_run_due`` next at the latest (``inf``: never;
+        #: at most now while it runs, so a timer armed meanwhile waits).
+        self._wake_when = float("inf")
         self._timer_ids = itertools.count(1)
 
     @property
@@ -83,8 +90,12 @@ class RealNode:
         when = time.monotonic() + delay  # the loop's clock
         self._timers[timer_id] = (callback, args)
         heapq.heappush(self._due, (when, timer_id))
-        if self._due[0][1] == timer_id:
-            self._wake_at(when)
+        if when < self._wake_when:
+            if asyncio._get_running_loop() is self.loop:
+                self._wake_at(when)
+            else:
+                self._wake_when = when
+                self.loop.call_soon_threadsafe(self._rewake)
         return timer_id
 
     def cancel_timer(self, timer_id: int) -> None:
@@ -94,24 +105,34 @@ class RealNode:
         if self._wakeup is not None:
             self._wakeup.cancel()
         self._wakeup = self.loop.call_at(when, self._run_due)
+        self._wake_when = when
+
+    def _rewake(self) -> None:
+        """On the loop: re-time its wake-up to a timer another thread armed."""
+        with self.lock:
+            if self._due:
+                self._wake_at(self._due[0][0])
 
     def _run_due(self) -> None:
-        self._wakeup = None
-        due, timers, now = self._due, self._timers, time.monotonic()
-        try:
-            while due and (due[0][0] <= now or due[0][1] not in timers):
-                timer = timers.pop(heapq.heappop(due)[1], None)
-                if timer is not None:
-                    timer[0](*timer[1])
-        finally:  # a callback that raises must not stop the others
-            if due:
-                self._wake_at(due[0][0])
+        with self.lock:
+            self._wakeup = None
+            due, timers, now = self._due, self._timers, time.monotonic()
+            try:
+                while due and (due[0][0] <= now or due[0][1] not in timers):
+                    timer = timers.pop(heapq.heappop(due)[1], None)
+                    if timer is not None:
+                        timer[0](*timer[1])
+            finally:  # a callback that raises must not stop the others
+                self._wake_when = float("inf")
+                if due:
+                    self._wake_at(due[0][0])
 
     def stop(self) -> None:
         """Disarm every timer the groups left armed."""
         if self._wakeup is not None:
             self._wakeup.cancel()
         self._wakeup = None
+        self._wake_when = float("inf")
         self._timers.clear()
         self._due.clear()
 
@@ -122,7 +143,8 @@ class RealNode:
         self._handlers[kind] = handler if decode is None else functools.partial(decode, handler)
 
     def dispatch(self, msg: Message) -> None:
-        self._handlers[msg.kind](msg)
+        with self.lock:
+            self._handlers[msg.kind](msg)
 
     make_message = make_message
 

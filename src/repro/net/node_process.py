@@ -12,9 +12,12 @@ harness commands one at a time:
     then launch one OS thread per client.  Each client replays exactly the
     request stream its simulated twin draws — same named rng stream, same
     draw order — so the write multiset is identical across backends.
-    Returns immediately; the harness polls ``status`` for completion.
+    Returns immediately; the harness waits with ``wait_clients``.
     ``park_at`` lists per-client acknowledged-operation counts at which every
     client parks (a staged crash is due) until the harness sends ``release``.
+``wait_clients``
+    Answers once every client thread has ended or parked at a kill
+    threshold, or after ``timeout`` seconds.
 ``status``
     Client progress plus the engine's quiescence counters.
 ``collect``
@@ -60,11 +63,13 @@ class _ClientPool:
         self.errors: List[str] = []
         self.reads = 0
         self.writes = 0
+        #: Client threads that have returned (or are about to).
+        self.ended = 0
         self.lock = threading.Lock()
         self.started_at: float = 0.0
         self.ended_at: float = 0.0
-        #: Staged crashes: the thresholds, how many clients are parked at
-        #: one right now, and how many thresholds the harness has released.
+        #: Staged crashes: the thresholds, how many clients are parked at the
+        #: next unreleased one, and how many the harness has released.
         self.park_at: Tuple[int, ...] = ()
         self.parked = 0
         self.released = 0
@@ -83,25 +88,33 @@ class _ClientPool:
         stage = self.park_at.index(done)
         with self.gate:
             self.parked += 1
+            self.gate.notify_all()
             while self.released <= stage:
                 self.gate.wait()
-            self.parked -= 1
 
     def release(self) -> None:
         with self.gate:
             self.released += 1
+            self.parked = 0  # every parked client waits at the stage released
             self.gate.notify_all()
+
+    def wait_idle(self, timeout: float) -> None:
+        """Block until every client has ended or parked, or ``timeout``."""
+        with self.gate:
+            self.gate.wait_for(lambda: self.running() == self.parked, timeout)
 
     def note_error(self, text: str) -> None:
         with self.lock:
             self.errors.append(text)
 
     def note_end(self) -> None:
-        with self.lock:
+        with self.gate:
+            self.ended += 1
             self.ended_at = max(self.ended_at, time.monotonic())
+            self.gate.notify_all()
 
     def running(self) -> int:
-        return sum(1 for thread in self.threads if thread.is_alive())
+        return len(self.threads) - self.ended
 
     def summary(self) -> Dict[str, Any]:
         with self.lock:
@@ -172,8 +185,7 @@ async def serve(node_id: int, host: str, control_port: int) -> None:
                     scenario = ScenarioRegistry.create(command["scenario"],
                                                        spec)
                     facade = RealRtsFacade(
-                        runtime, loop,
-                        op_timeout=float(command.get("op_timeout", 60.0)))
+                        runtime, op_timeout=float(command.get("op_timeout", 60.0)))
                     scenario.setup(facade, None)
                     pool.park_at = tuple(command.get("park_at", ()))
                     pool.started_at = time.monotonic()
@@ -188,6 +200,10 @@ async def serve(node_id: int, host: str, control_port: int) -> None:
                         thread.start()
                 elif name == "release":
                     pool.release()
+                elif name == "wait_clients":
+                    # A thread of the loop's executor blocks, not the loop.
+                    await loop.run_in_executor(
+                        None, pool.wait_idle, float(command["timeout"]))
                 elif name == "status":
                     reply["clients"] = pool.summary()
                     reply["runtime"] = (runtime.status()

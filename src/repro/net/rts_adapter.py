@@ -12,7 +12,8 @@ Three small adapters make them run unchanged across real processes:
 * :class:`RealRtsFacade` (node side) replays the same ``setup`` to *bind*
   handles by name against the locally installed replicas, then serves
   ``invoke`` from client OS threads: a read runs right there against the
-  local replica, a write is handed to the node's event loop once.
+  local replica, and a write is issued right there too, under the node's
+  lock, the client then waiting for it outside the lock.
 * :class:`ClientProc` stands in for the simulator's per-client process
   token: it identifies the client and numbers its writes (the ``cseq`` the
   exactly-once machinery and the convergence checker key on).
@@ -24,10 +25,8 @@ distributes initial state via creation arguments only.
 
 from __future__ import annotations
 
-import asyncio
 import itertools
 import threading
-from concurrent.futures import Future
 from dataclasses import asdict
 from typing import Any, Dict, List, Optional, Tuple, Type
 
@@ -123,18 +122,15 @@ class RealRtsFacade:
     """Node-side ``RuntimeSystem`` facade over a :class:`RealRuntime`.
 
     ``create_object`` binds handles by name against the installed replicas
-    (setup replay); ``invoke`` is thread-safe.  A read never leaves the
-    calling client thread; a write blocks it until the protocol has applied
-    the operation on this node.
+    (setup replay); ``invoke`` is thread-safe.  Neither a read nor a write
+    leaves the calling client thread; a write blocks it until the protocol
+    has applied the operation on this node.
     """
 
     name = "real-sockets"
 
-    def __init__(self, runtime: RealRuntime,
-                 loop: asyncio.AbstractEventLoop,
-                 op_timeout: float = 60.0) -> None:
+    def __init__(self, runtime: RealRuntime, op_timeout: float = 60.0) -> None:
         self.runtime = runtime
-        self.loop = loop
         self.op_timeout = op_timeout
         self._bind_lock = threading.Lock()
 
@@ -163,8 +159,7 @@ class RealRtsFacade:
         op = obj.spec_class.operation_def(op_name)
         if not op.is_write:
             return self.runtime.read(obj, op, tuple(args), kwargs)
-        future: Future = Future()
-        self.loop.call_soon_threadsafe(
-            self.runtime.start_write, obj, op_name, args, kwargs,
-            (proc.node_id, proc.client_id), proc.next_cseq(), future)
-        return future.result(self.op_timeout)
+        write = self.runtime.start_write(obj, op_name, args, kwargs,
+                                         (proc.node_id, proc.client_id),
+                                         proc.next_cseq())
+        return write.future.result(self.op_timeout)

@@ -28,26 +28,26 @@ The engine reuses the simulator's object model verbatim
 operation applied in the same order on both backends produces the same
 state.
 
-**Threads.**  Everything here runs on the node's event loop except
-:meth:`RealRuntime.read`, which client threads call directly: a read of a
-replicated object is local, so it takes the object's ``state_lock`` and
-touches nothing else.  Every path that mutates a replica on the loop takes
-the same lock around the mutation (never across an ``await``).  A write
-enters the loop once (:meth:`RealRuntime.start_write`, via
-``loop.call_soon_threadsafe`` from a client thread) and lives in one
-:class:`_PendingWrite` record until it is applied here.
+**Threads.**  The node's one lock (``RealNode.lock``) guards all of this
+state, and whoever holds it runs the protocol: the loop for a datagram, a
+due timer or a control command, a client thread for its own
+:meth:`~RealRuntime.read` and :meth:`~RealRuntime.start_write`.  A write is
+issued on its client's thread, as an Orca process makes its own broadcast,
+and lives in one :class:`_PendingWrite` record until it is applied here;
+the client waits on the record's future outside the lock.  Every deferred
+step is a node timer, never a callback handed to the loop.
 """
 
 from __future__ import annotations
 
 import asyncio
+import collections
 import functools
 import importlib
-import threading
 import time
 from concurrent.futures import Future
-from dataclasses import dataclass, field
-from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple, Type
+from dataclasses import asdict, dataclass, field
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple, Type
 
 from ..amoeba.broadcast.group import BroadcastGroup
 from ..amoeba.broadcast.protocol import DeliveredMessage, MessageId, OrderingEngine, SequencerLog
@@ -116,14 +116,7 @@ class RealTimings:
     submit_deadline: float = 30.0
 
     def as_payload(self) -> Dict[str, float]:
-        return {
-            "heartbeat_interval": self.heartbeat_interval,
-            "dead_after": self.dead_after,
-            "retry_interval": self.retry_interval,
-            "sync_interval": self.sync_interval,
-            "gap_delay": self.gap_delay,
-            "submit_deadline": self.submit_deadline,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -145,11 +138,14 @@ class RealObject(Replica):
     #: Hold-back of updates that arrive ahead of their version (the versions
     #: are the engine's sequence numbers: it expects version + 1).
     updates: OrderingEngine = field(default_factory=OrderingEngine)
-    #: Serialises primary-path writes (held across the ack wait, loop only).
-    lock: asyncio.Lock = field(default_factory=asyncio.Lock)
-    #: Guards ``instance`` between client-thread reads and loop-side applies.
-    state_lock: threading.Lock = field(default_factory=threading.Lock)
-    #: Reads served from this replica; counted under ``state_lock``.
+    #: On the primary, the writes to apply in arrival order, each with what
+    #: to tell when it is done; the head stays until its update is
+    #: acknowledged, so one update is in flight at a time.
+    writes: Deque[Tuple[Dict[str, Any], Callable[[Any], None]]] = field(
+        default_factory=collections.deque)
+    #: The timer re-sending the head's update to the peers that owe an ack.
+    resend: Optional[int] = None
+    #: Reads served from this replica.
     local_reads: int = 0
 
     @property
@@ -173,7 +169,7 @@ class _PendingWrite:
     """One write this node issued and has not yet seen applied.
 
     The record is the whole writer-side state of the write: the ordered body
-    or primary request to (re-)send, until when, the handle to cancel when it
+    or primary request to (re-)send, until when, the timer to cancel when it
     ends, and the thread-safe future its issuer waits on — a client thread
     directly, in-loop callers through ``asyncio.wrap_future``.  An ordered
     write's re-sends are its group member's.
@@ -181,8 +177,7 @@ class _PendingWrite:
 
     __slots__ = ("issue", "obj", "body", "size", "future", "key", "deadline", "handle")
 
-    def __init__(self, issue: Callable[["_PendingWrite"], None], obj: RealObject,
-                 future: Optional[Future]) -> None:
+    def __init__(self, issue: Callable[["_PendingWrite"], None], obj: RealObject) -> None:
         #: (Re-)issues the write: at the start, and after a guard ``RETRY``.
         self.issue = issue
         self.obj = obj
@@ -190,14 +185,19 @@ class _PendingWrite:
         #: request's decoded copy — and its encoded size, set by the issuer.
         self.body: Any = None
         self.size = 0
-        self.future = future if future is not None else Future()
-        #: Key in ``RealRuntime._pending``: the broadcast's uid counter (an
-        #: int: this node's uids differ only in it) or the primary write id.
+        self.future: Future = Future()
+        #: Key in ``RealRuntime._pending``: an ordered write's (shard, uid
+        #: counter) (each shard's member counts from 1), or the write id.
         self.key: Any = None
         self.deadline = 0.0
-        #: The primary re-send timer or local apply task, or the re-issue
-        #: timer after a guard ``RETRY``.
-        self.handle: Any = None
+        #: The node timer that re-sends a primary request, or re-issues the
+        #: write after a guard ``RETRY``; none while it applies on its primary.
+        self.handle: Optional[int] = None
+
+    @property
+    def ordered(self) -> bool:
+        """Is the write a broadcast (its key a (shard, counter) of ints)?"""
+        return self.key is not None and type(self.key[0]) is int
 
 
 @dataclass
@@ -232,9 +232,7 @@ class RealRuntime:
         #: shard -> its broadcast group (this process's member of it).
         self.groups: Dict[int, BroadcastGroup] = {}
         self._pending: Dict[Any, _PendingWrite] = {}
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._last_heard: Dict[int, float] = {}
-        self._tasks: List[asyncio.Task] = []
         self._running = False
         for kind in ("hb", "pwrite", "pupd", "pupdack", "pgap", "pack"):
             self.node.register_handler(f"net.{kind}", getattr(self, f"_handle_{kind}"))
@@ -253,7 +251,8 @@ class RealRuntime:
                                    sequencer_node_id=int(seat))
             group.retry_timeout = self.timings.retry_interval
             group.gap_request_delay = self.timings.gap_delay
-            group.set_delivery_handler(self.node_id, self._deliver)
+            group.set_delivery_handler(self.node_id,
+                                       functools.partial(self._deliver, int(shard)))
             self.groups[int(shard)] = group
 
     def install_objects(self, table: List[Dict[str, Any]]) -> None:
@@ -278,32 +277,24 @@ class RealRuntime:
             self.objects[obj.obj_id] = obj
 
     async def start(self) -> None:
-        self._loop = self.node.loop = asyncio.get_running_loop()
+        self.node.loop = asyncio.get_running_loop()
         self.transport.on_message = self.node.dispatch
-        now = time.monotonic()
-        for node_id in self.transport.node_ids:
-            if node_id != self.node_id:
-                self._last_heard[node_id] = now
-        self._running = True
-        self._tasks = [
-            asyncio.ensure_future(self._heartbeat_loop()),
-            asyncio.ensure_future(self._monitor_loop()),
-        ]
+        with self.node.lock:
+            now = time.monotonic()
+            for node_id in self.transport.node_ids:
+                if node_id != self.node_id:
+                    self._last_heard[node_id] = now
+            self._running = True
+            self._heartbeat()
+            self.node.set_timer(self.timings.heartbeat_interval, self._monitor)
 
     async def stop(self) -> None:
-        self._running = False
-        for task in self._tasks:
-            task.cancel()
-        for task in self._tasks:
-            try:
-                await task
-            except asyncio.CancelledError:
-                pass
-        self._tasks = []
-        for write in list(self._pending.values()):
-            self._finish(write, error=NetworkError(
-                f"node {self.node_id} stopped with write {write.key} pending"))
-        self.node.stop()
+        with self.node.lock:
+            self._running = False
+            for write in list(self._pending.values()):
+                self._finish(write, error=NetworkError(
+                    f"node {self.node_id} stopped with write {write.key} pending"))
+            self.node.stop()
 
     # ------------------------------------------------------------------ #
     # Public operation API
@@ -318,18 +309,19 @@ class RealRuntime:
     def read(self, obj: RealObject, op: OperationDef, args: Tuple[Any, ...],
              kwargs: Optional[Dict[str, Any]]) -> Any:
         """Serve a read from the local replica; callable from any thread."""
-        with obj.state_lock:
+        with self.node.lock:
             obj.local_reads += 1
             return execute_operation(obj.instance, op, args, kwargs)
 
     def start_write(self, obj: RealObject, op_name: str, args: Tuple[Any, ...],
                     kwargs: Optional[Dict[str, Any]], client: Tuple[int, int],
-                    cseq: int, future: Optional[Future] = None) -> _PendingWrite:
-        """Issue one write (loop only); its result arrives on the future.
+                    cseq: int) -> _PendingWrite:
+        """Issue one write from any thread; its result arrives on the
+        record's ``future``.
 
-        Client threads get here through ``loop.call_soon_threadsafe`` with
-        the future they then block on, so a failure to issue must land on
-        the future too.
+        A client thread issues its own write here and then blocks on the
+        future (outside the node lock), so a failure to issue lands on the
+        future too.
         """
         body = {
             "obj_id": obj.obj_id,
@@ -341,21 +333,22 @@ class RealRuntime:
         }
         if obj.policy == "broadcast":
             body["type"] = "op"
-            write = _PendingWrite(self._issue_ordered_op, obj, future)
+            write = _PendingWrite(self._issue_ordered_op, obj)
         else:
-            write = _PendingWrite(self._issue_primary, obj, future)
-        try:
-            # The body reaches wire form before any protocol state moves: an
-            # ordered body crosses its group as this text, a primary applies
-            # the decoded copy, so every replica applies the same value (not
-            # the caller's objects) — and a body the wire cannot carry fails
-            # this call instead of taking a seqno.
-            text = wire_text(body)
-            write.body = text if obj.policy == "broadcast" else from_wire(text)
-            write.size = len(text)
-            write.issue(write)
-        except Exception as exc:
-            self._finish(write, error=exc)
+            write = _PendingWrite(self._issue_primary, obj)
+        with self.node.lock:
+            try:
+                # The body reaches wire form before any protocol state moves:
+                # an ordered body crosses its group as this text, a primary
+                # applies the decoded copy, so every replica applies the same
+                # value (not the caller's objects) — and a body the wire
+                # cannot carry fails this call instead of taking a seqno.
+                text = wire_text(body)
+                write.body = text if obj.policy == "broadcast" else from_wire(text)
+                write.size = len(text)
+                write.issue(write)
+            except Exception as exc:
+                self._finish(write, error=exc)
         return write
 
     async def submit(self, obj_id: int, op_name: str, args: Tuple[Any, ...] = (),
@@ -368,8 +361,10 @@ class RealRuntime:
         op = obj.spec_class.operation_def(op_name)
         if not op.is_write:
             return self.read(obj, op, tuple(args), kwargs)
-        return await self._in_loop(
-            self.start_write(obj, op_name, args, kwargs, client, cseq))
+        write = self.start_write(obj, op_name, args, kwargs, client, cseq)
+        # Cancelling the await ends the write.
+        write.future.add_done_callback(functools.partial(self._abandoned, write))
+        return await asyncio.wrap_future(write.future)
 
     # ------------------------------------------------------------------ #
     # Pending writes: one record each
@@ -397,9 +392,9 @@ class RealRuntime:
             # beat (the record stays pending, its handle now this timer).
             self.stats.guard_retries += 1
             if write.handle is not None:
-                write.handle.cancel()
-            write.handle = self._loop.call_later(self.timings.gap_delay,
-                                                 write.issue, write)
+                self.node.cancel_timer(write.handle)
+            write.handle = self.node.set_timer(self.timings.gap_delay,
+                                               write.issue, write)
             return
         self._finish(write, result)
 
@@ -409,10 +404,11 @@ class RealRuntime:
         delivered, its broadcast's re-sends; wake its issuer."""
         self._pending.pop(write.key, None)
         if write.handle is not None:
-            write.handle.cancel()
-        if type(write.key) is int and (error is not None or write.future.done()):
-            member = self.groups[write.obj.shard].members[self.node_id]
-            member.cancel(MessageId(self.node_id, write.key))
+            self.node.cancel_timer(write.handle)
+        if write.ordered and (error is not None or write.future.done()):
+            shard, counter = write.key
+            self.groups[shard].members[self.node_id].cancel(
+                MessageId(self.node_id, counter))
         if write.future.done():
             return  # the issuer gave up waiting (an in-loop await cancelled)
         if error is not None:
@@ -420,14 +416,10 @@ class RealRuntime:
         else:
             write.future.set_result(result)
 
-    def _in_loop(self, write: _PendingWrite) -> Awaitable[Any]:
-        """The write as an awaitable; cancelling the await ends the write."""
-        write.future.add_done_callback(functools.partial(self._abandoned, write))
-        return asyncio.wrap_future(write.future)
-
     def _abandoned(self, write: _PendingWrite, future: Future) -> None:
         if future.cancelled():
-            self._finish(write)
+            with self.node.lock:
+                self._finish(write)
 
     def _send(self, dst: Optional[int], kind: str, payload: Any) -> None:
         # size=1: any positive size stops Message estimating the payload.
@@ -443,20 +435,21 @@ class RealRuntime:
         self._issue_ordered(write)
 
     def _issue_ordered(self, write: _PendingWrite) -> None:
-        member = self.groups[write.obj.shard].members[self.node_id]
+        shard = write.obj.shard
+        member = self.groups[shard].members[self.node_id]
         # A fresh uid per issue: the seat remembers the old one as sequenced.
         # Tracked under it first: a local seat applies (and may finish or
         # re-issue) the write inside ``broadcast``.
-        self._track(write, member.sent + 1)
+        self._track(write, (shard, member.sent + 1))
         member.broadcast(write.body, write.size)
 
-    def _deliver(self, record: DeliveredMessage) -> None:
-        """Apply one delivered record; complete the write it carries if
-        this node issued it."""
+    def _deliver(self, shard: int, record: DeliveredMessage) -> None:
+        """Apply one record ``shard`` delivered; complete the write it
+        carries if this node issued it."""
         body = from_wire(record.payload)
         result = self._ordered_kinds[body["type"]](body)
         if record.origin == self.node_id:
-            write = self._pending.get(record.uid.counter)
+            write = self._pending.get((shard, record.uid.counter))
             if write is not None:
                 self._complete(write, result)
 
@@ -465,9 +458,8 @@ class RealRuntime:
     def _apply_ordered_op(self, body: Dict[str, Any]) -> Any:
         obj = self.objects[int(body["obj_id"])]
         op = obj.spec_class.operation_def(body["op"])
-        with obj.state_lock:
-            result = execute_operation(obj.instance, op, tuple(body["args"]),
-                                       dict(body["kwargs"]))
+        result = execute_operation(obj.instance, op, tuple(body["args"]),
+                                   dict(body["kwargs"]))
         if result is RETRY:
             return RETRY_MARKER
         obj.log_applied(body)
@@ -489,81 +481,109 @@ class RealRuntime:
             return
         obj = write.obj
         if obj.primary == self.node_id:
-            # The apply coroutine owns the write from here: it re-sends the
-            # update itself until every live peer has acknowledged.
-            write.handle = asyncio.ensure_future(
-                self._primary_apply(obj, write.body))
-            write.handle.add_done_callback(
-                functools.partial(self._applied_locally, write))
+            # Applied here from now on: the update is re-sent until every
+            # live peer has acknowledged it, and nothing ends that early.
+            write.handle = None
+            self._enqueue_primary(obj, write.body,
+                                  functools.partial(self._applied_locally, write))
             return
         # The primary may change under us (takeover); it is re-read on every
         # attempt so re-sends chase the current one.
-        write.handle = self._loop.call_later(self.timings.retry_interval,
-                                             self._attempt_primary, write)
+        write.handle = self.node.set_timer(self.timings.retry_interval,
+                                           self._attempt_primary, write)
         self._send(obj.primary, "net.pwrite", write.body)
 
-    def _applied_locally(self, write: _PendingWrite, task: asyncio.Task) -> None:
-        if task.cancelled():
-            return  # _finish cancelled it: the write is already over
-        error = task.exception()
-        if error is not None:
-            self._finish(write, error=error)
+    def _applied_locally(self, write: _PendingWrite, outcome: Any) -> None:
+        if self._pending.get(write.key) is not write:
+            return  # ``stop()`` ended the write while it applied
+        if isinstance(outcome, Exception):
+            self._finish(write, error=outcome)
         else:
-            self._complete(write, task.result())
+            self._complete(write, outcome)
 
     def _handle_pwrite(self, msg: Message) -> None:
         payload = msg.payload
         obj = self.objects.get(int(payload["obj_id"]))
         if obj is None or obj.primary != self.node_id:
             return  # stale routing; the writer will retry elsewhere
-        asyncio.ensure_future(self._primary_apply_and_reply(obj, payload, msg.src))
+        self._enqueue_primary(obj, payload, functools.partial(
+            self._reply_pack, obj, payload, msg.src))
 
-    async def _primary_apply_and_reply(self, obj: RealObject, body: Dict[str, Any],
-                                       writer: int) -> None:
-        result = await self._primary_apply(obj, body)
-        if obj.primary != self.node_id:
-            return  # lost the seat while applying (cannot happen today)
+    def _reply_pack(self, obj: RealObject, body: Dict[str, Any], writer: int,
+                    outcome: Any) -> None:
+        if isinstance(outcome, Exception) or obj.primary != self.node_id:
+            return  # the writer re-sends until its deadline
         self._send(writer, "net.pack", {"client": body["client"],
-                                        "cseq": body["cseq"], "result": result})
+                                        "cseq": body["cseq"], "result": outcome})
 
-    async def _primary_apply(self, obj: RealObject, body: Dict[str, Any]) -> Any:
-        wid = write_id(body)
-        async with obj.lock:
-            duplicate, result = lookup_applied(obj.applied, wid)
+    def _enqueue_primary(self, obj: RealObject, body: Dict[str, Any],
+                         done: Callable[[Any], None]) -> None:
+        """Apply ``body`` on this primary after the writes queued before it;
+        ``done`` gets its result, or what it raised, once that is final."""
+        obj.writes.append((body, done))
+        if len(obj.writes) == 1:
+            self._primary_apply(obj)
+
+    def _primary_apply(self, obj: RealObject) -> None:
+        """Apply ``obj``'s queued primary writes in order until one has an
+        update to wait for; its acknowledgement applies the rest."""
+        while obj.writes:
+            body, done = obj.writes[0]
+            wid = write_id(body)
+            duplicate, outcome = lookup_applied(obj.applied, wid)
             if duplicate:
                 self.stats.deduplicated_writes += 1
-                return result
-            op = obj.spec_class.operation_def(body["op"])
-            with obj.state_lock:
-                result = execute_operation(obj.instance, op, tuple(body["args"]),
-                                           dict(body["kwargs"]))
-            if result is RETRY:
-                return RETRY_MARKER
-            result = jsonify(result)
-            record_applied(obj.applied, wid, result)
-            obj.log_applied(body)
-            peers = [node for node in self.transport.node_ids
-                     if node != self.node_id and self.transport.peer_alive(node)]
-            fanouts = self.fanouts
-            fan = fanouts.new_transaction(len(peers), destinations=peers)
-            version = obj.log.next_seq
-            update = obj.log.append(self.node_id, MessageId(self.node_id, version),
-                                    dict(body, version=version, result=result, fan=fan), 0)
-            obj.updates.offer(update)  # this copy is at ``version`` too
-            acked = asyncio.Event()
-            self._send(None, "net.pupd", update.payload)
-            try:
-                fanouts.wait(fan, self.node_id, acked.set)
-                while fanouts.owing(fan):
-                    try:
-                        await asyncio.wait_for(acked.wait(), self.timings.retry_interval)
-                    except asyncio.TimeoutError:
-                        for node in fanouts.owing(fan):
-                            self.stats.retransmissions += 1
-                            self._send(node, "net.pupd", update.payload)
-            finally:
-                fanouts.forget(fan)
-            return result
+            else:
+                try:
+                    op = obj.spec_class.operation_def(body["op"])
+                    outcome = execute_operation(obj.instance, op, tuple(body["args"]),
+                                                dict(body["kwargs"]))
+                    if outcome is RETRY:
+                        outcome = RETRY_MARKER
+                    else:
+                        outcome = jsonify(outcome)
+                        record_applied(obj.applied, wid, outcome)
+                        obj.log_applied(body)
+                        if self._fan_out(obj, body, outcome):
+                            return
+                except Exception as exc:
+                    outcome = exc
+            obj.writes.popleft()
+            done(outcome)
+
+    def _fan_out(self, obj: RealObject, body: Dict[str, Any], result: Any) -> bool:
+        """Send the applied head's update to every peer; True while a live
+        peer owes its acknowledgement (re-sent every ``retry_interval``)."""
+        peers = [node for node in self.transport.node_ids
+                 if node != self.node_id and self.transport.peer_alive(node)]
+        fanouts = self.fanouts
+        fan = fanouts.new_transaction(len(peers), destinations=peers)
+        version = obj.log.next_seq
+        update = obj.log.append(self.node_id, MessageId(self.node_id, version),
+                                dict(body, version=version, result=result, fan=fan), 0)
+        obj.updates.offer(update)  # this copy is at ``version`` too
+        self._send(None, "net.pupd", update.payload)
+        if not fanouts.wait(fan, self.node_id, functools.partial(
+                self._acknowledged, obj, fan, result)):
+            fanouts.forget(fan)
+            return False
+        obj.resend = self.node.set_timer(self.timings.retry_interval,
+                                         self._resend_update, obj, fan, update.payload)
+        return True
+
+    def _resend_update(self, obj: RealObject, fan: int, payload: Dict[str, Any]) -> None:
+        for node in self.fanouts.owing(fan):
+            self.stats.retransmissions += 1
+            self._send(node, "net.pupd", payload)
+        obj.resend = self.node.set_timer(self.timings.retry_interval,
+                                         self._resend_update, obj, fan, payload)
+
+    def _acknowledged(self, obj: RealObject, fan: int, result: Any) -> None:
+        """Every live peer has the head's update: answer it, apply the rest."""
+        self.node.cancel_timer(obj.resend)
+        self.fanouts.forget(fan)
+        obj.writes.popleft()[1](result)
+        self._primary_apply(obj)
 
     def _handle_pupd(self, msg: Message) -> None:
         payload = msg.payload
@@ -588,9 +608,8 @@ class RealRuntime:
         op = obj.spec_class.operation_def(payload["op"])
         # Deterministic operations on identical state yield the primary's
         # result; storing it locally keeps the applied table takeover-portable.
-        with obj.state_lock:
-            execute_operation(obj.instance, op, tuple(payload["args"]),
-                              dict(payload["kwargs"]))
+        execute_operation(obj.instance, op, tuple(payload["args"]),
+                          dict(payload["kwargs"]))
         record_applied(obj.applied, write_id(payload), payload["result"])
         obj.log_applied(payload)
         self._send(obj.primary, "net.pupdack", payload["fan"])
@@ -618,27 +637,25 @@ class RealRuntime:
     # Failure detection and takeover
     # ------------------------------------------------------------------ #
 
-    async def _heartbeat_loop(self) -> None:
-        while self._running:
-            self._send(None, "net.hb", None)
-            await asyncio.sleep(self.timings.heartbeat_interval)
+    def _heartbeat(self) -> None:
+        self.node.set_timer(self.timings.heartbeat_interval, self._heartbeat)
+        self._send(None, "net.hb", None)
 
     def _handle_hb(self, msg: Message) -> None:
         self._last_heard[msg.src] = time.monotonic()
 
-    async def _monitor_loop(self) -> None:
-        while self._running:
-            await asyncio.sleep(self.timings.heartbeat_interval)
-            # An ordered write's only deadline check; a primary write is
-            # checked where it is (re-)sent, and never once it is applying.
-            for write in [w for w in self._pending.values() if type(w.key) is int]:
-                self._expired(write)
-            now = time.monotonic()
-            for node_id, heard in list(self._last_heard.items()):
-                if not self.transport.peer_alive(node_id):
-                    continue
-                if now - heard > self.timings.dead_after:
-                    self._declare_dead(node_id)
+    def _monitor(self) -> None:
+        self.node.set_timer(self.timings.heartbeat_interval, self._monitor)
+        # An ordered write's only deadline check; a primary write is checked
+        # where it is (re-)sent, and never once it is applying.
+        for write in [w for w in self._pending.values() if w.ordered]:
+            self._expired(write)
+        now = time.monotonic()
+        for node_id, heard in list(self._last_heard.items()):
+            if not self.transport.peer_alive(node_id):
+                continue
+            if now - heard > self.timings.dead_after:
+                self._declare_dead(node_id)
 
     def _declare_dead(self, node_id: int) -> None:
         self.stats.peers_declared_dead += 1
@@ -665,7 +682,7 @@ class RealRuntime:
         ``SequencerLog`` keeps for ``net.pgap``)."""
         record = SwitchRecord(obj.obj_id, obj.epoch + 1, obj.policy, self.node_id,
                               obj.snapshot())
-        write = _PendingWrite(self._issue_ordered, obj, None)
+        write = _PendingWrite(self._issue_ordered, obj)
         write.future.add_done_callback(self._proposal_done)
         try:
             write.body = wire_text({"type": "switch", "record": record,
@@ -689,8 +706,7 @@ class RealRuntime:
             return
         tail = body["log"]
         obj.epoch, obj.primary = record.epoch, record.primary
-        with obj.state_lock:
-            obj.restore(record.snapshot, record.primary == self.node_id)
+        obj.restore(record.snapshot, record.primary == self.node_id)
         obj.applied_log[obj.version - len(tail):] = tail
         obj.log = SequencerLog(obj.log.history_size)
         obj.log.advance_to(obj.version + 1)
@@ -698,7 +714,7 @@ class RealRuntime:
         if not self.transport.peer_alive(obj.primary):
             # After this delivery: a local seat would deliver a proposal
             # made inside it ahead of the rest of the delivered run.
-            self._loop.call_soon(self._propose_takeovers)
+            self.node.set_timer(0.0, self._propose_takeovers)
 
     # ------------------------------------------------------------------ #
     # Introspection for the control plane
@@ -707,66 +723,56 @@ class RealRuntime:
     def status(self) -> Dict[str, Any]:
         """Quiescence-relevant counters, all JSON-native; ``seats`` holds the
         next seqno of each sequencer hosted here."""
-        shards, seats = {}, {}
-        for shard, group in self.groups.items():
-            engine = group.member(self.node_id).engine
-            shards[str(shard)] = {"next_expected": engine.next_expected,
-                                  "holdback": engine.buffered_count,
-                                  "sequencer": group.sequencer_node_id}
-            if group.sequencer is not None:
-                seats[str(shard)] = group.sequencer.log.next_seq
-        return {
-            "node_id": self.node_id,
-            "shards": shards,
-            "seats": seats,
-            "pending_ops": len(self._pending),
-            "primary_pending": len(self.fanouts),
-            "pending_updates": sum(obj.updates.buffered_count
-                                   for obj in self.objects.values()),
-            "dead": sorted(node for node in self.transport.node_ids
-                           if not self.transport.peer_alive(node)),
-        }
+        with self.node.lock:
+            shards, seats = {}, {}
+            for shard, group in self.groups.items():
+                engine = group.member(self.node_id).engine
+                shards[str(shard)] = {"next_expected": engine.next_expected,
+                                      "holdback": engine.buffered_count,
+                                      "sequencer": group.sequencer_node_id}
+                if group.sequencer is not None:
+                    seats[str(shard)] = group.sequencer.log.next_seq
+            return {
+                "node_id": self.node_id,
+                "shards": shards,
+                "seats": seats,
+                "pending_ops": len(self._pending),
+                "primary_pending": len(self.fanouts),
+                "pending_updates": sum(obj.updates.buffered_count
+                                       for obj in self.objects.values()),
+                "dead": sorted(node for node in self.transport.node_ids
+                               if not self.transport.peer_alive(node)),
+            }
 
     def collect(self) -> Dict[str, Any]:
         """Final state dump for the oracle's convergence check."""
-        objects = {}
-        for obj in sorted(self.objects.values(), key=lambda o: o.obj_id):
-            objects[str(obj.obj_id)] = {
-                "name": obj.name,
-                "policy": obj.policy,
-                "shard": obj.shard,
-                "primary": obj.primary,
-                "version": obj.version,
-                "state": jsonify(obj.instance.marshal_state()),
-                # JSON-native already: ``log_applied`` entries and a
-                # takeover's tail, decoded from the wire.
-                "applied_log": list(obj.applied_log),
-            }
-        groups = [group.stats for group in self.groups.values()]
-        seats = [group.sequencer for group in self.groups.values()
-                 if group.sequencer is not None]
-        return {
-            "node_id": self.node_id,
-            "objects": objects,
-            "transport": self.transport.summary(),
-            "stats": {
-                "ordered_writes": self.stats.ordered_writes,
-                "primary_writes": self.stats.primary_writes,
-                "local_reads": sum(obj.local_reads
-                                   for obj in self.objects.values()),
-                "guard_retries": self.stats.guard_retries,
-                "deduplicated_requests": sum(seat.duplicates_suppressed
-                                             for seat in seats),
-                "deduplicated_writes": self.stats.deduplicated_writes,
-                "gap_requests": self.stats.gap_requests + sum(
-                    stats.retransmit_requests for stats in groups),
-                "retransmissions": self.stats.retransmissions + sum(
-                    stats.peer_retransmissions for stats in groups) + sum(
-                    seat.retransmissions + seat.duplicates_suppressed
-                    for seat in seats),
-                "elections": sum(stats.elections for stats in groups),
-                "takeovers": self.stats.takeovers,
-                "takeover_failures": self.stats.takeover_failures,
-                "peers_declared_dead": self.stats.peers_declared_dead,
-            },
-        }
+        with self.node.lock:
+            objects = {}
+            for obj in sorted(self.objects.values(), key=lambda o: o.obj_id):
+                objects[str(obj.obj_id)] = {
+                    "name": obj.name,
+                    "policy": obj.policy,
+                    "shard": obj.shard,
+                    "primary": obj.primary,
+                    "version": obj.version,
+                    "state": jsonify(obj.instance.marshal_state()),
+                    # JSON-native already: ``log_applied`` entries and a
+                    # takeover's tail, decoded from the wire.
+                    "applied_log": list(obj.applied_log),
+                }
+            groups = [group.stats for group in self.groups.values()]
+            seats = [group.sequencer for group in self.groups.values()
+                     if group.sequencer is not None]
+            # This engine's counters, with its groups' and seats' shares.
+            stats = asdict(self.stats)
+            stats.update(
+                local_reads=sum(obj.local_reads for obj in self.objects.values()),
+                deduplicated_requests=sum(seat.duplicates_suppressed for seat in seats),
+                gap_requests=stats["gap_requests"] + sum(
+                    group.retransmit_requests for group in groups),
+                retransmissions=stats["retransmissions"] + sum(
+                    group.peer_retransmissions for group in groups) + sum(
+                    seat.retransmissions + seat.duplicates_suppressed for seat in seats),
+                elections=sum(group.elections for group in groups))
+            return {"node_id": self.node_id, "objects": objects,
+                    "transport": self.transport.summary(), "stats": stats}

@@ -11,12 +11,13 @@ loss opens.  Ordered writes travel as the simulator's own ``grp.*`` kinds.
 
 The second half runs the same cluster with its loop on a background thread
 and real client threads on :class:`~repro.net.rts_adapter.RealRtsFacade`, the
-way a node process does: reads stay on the client thread, writes cross to
-the loop once and live in one pending-write record.
+way a node process does: reads and writes both run on the client thread
+under the node's lock, and a write lives in one pending-write record.
 """
 
 from __future__ import annotations
 
+import ast
 import asyncio
 import dataclasses
 import functools
@@ -24,6 +25,7 @@ import json
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -84,6 +86,17 @@ def object_table(policy: str, primary: int = 0, spec=IntObject):
     }]
 
 
+def two_shard_table(policy: str):
+    """Object 1 ("cell") on shard 0 and object 2 ("other") on shard 1; as
+    primary-update objects, node 0 is the primary of one, node 1 of the other."""
+    return object_table(policy) + [dict(object_table(policy, primary=1)[0],
+                                        obj_id=2, name="other", shard=1)]
+
+
+#: The seats of :func:`two_shard_table`'s shards.
+TWO_SEATS = {0: 0, 1: 1}
+
+
 class InProcessCluster:
     """N transports + runtimes wired together inside the current loop."""
 
@@ -142,6 +155,25 @@ class InProcessCluster:
             if loop.time() > deadline:
                 raise AssertionError(
                     f"replicas never converged to {state}: {states}\n"
+                    + self.diagnosis())
+            await asyncio.sleep(0.02)
+
+    async def logs_agree(self, obj_id: int, length: int, timeout: float = 10.0) -> None:
+        """Wait until every replica of ``obj_id`` has applied ``length``
+        writes, all in one order, and holds one state."""
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + timeout
+        while True:
+            logs = [runtime.objects[obj_id].applied_log for runtime in self.runtimes.values()]
+            states = [runtime.objects[obj_id].instance.marshal_state()
+                      for runtime in self.runtimes.values()]
+            if (len(logs[0]) == length and all(log == logs[0] for log in logs)
+                    and all(state == states[0] for state in states)):
+                return
+            if loop.time() > deadline:
+                raise AssertionError(
+                    f"object {obj_id}'s replicas never agreed on {length} writes: "
+                    f"{[len(log) for log in logs]} applied, states {states}\n"
                     + self.diagnosis())
             await asyncio.sleep(0.02)
 
@@ -586,9 +618,13 @@ class TestWriteRecord:
                 record = writer.start_write(writer.objects[1], "add", (1,), None, (1, 0), 1)
                 assert list(writer._pending.values()) == [record]
                 [send] = member._pending_sends.values()
-                assert send.uid.counter == record.key and send.retry_timer in writer.node._timers
+                assert record.key == (0, send.uid.counter)
+                assert send.retry_timer in writer.node._timers
                 assert await asyncio.wrap_future(record.future) == 1
-                assert member._pending_sends == {} and writer.node._timers == {}
+                # Only the failure detector's own two timers are left armed.
+                assert member._pending_sends == {}
+                assert sorted(callback.__name__ for callback, _args
+                              in writer.node._timers.values()) == ["_heartbeat", "_monitor"]
                 assert writer._pending == {}
                 assert writer.status()["pending_ops"] == 0
 
@@ -660,7 +696,7 @@ class TestWriteRecord:
                 assert await asyncio.wrap_future(record.future) == 1
                 assert time.monotonic() - started >= FAST.retry_interval
                 assert cluster.transports[1].stats.by_kind["net.pwrite"] == 2
-                assert record.handle.cancelled() and writer._pending == {}
+                assert record.handle not in writer.node._timers and writer._pending == {}
                 await cluster.converged(1)
                 for runtime in cluster.runtimes.values():
                     assert runtime.objects[1].applied_log == [[1, 0, 1, "add"]]
@@ -708,6 +744,32 @@ class TestWriteRecord:
                     assert runtime.status()["primary_pending"] == 0
                     assert runtime.objects[1].applied_log == [
                         [2, 0, 1, "set"], [waiter_id, 0, 1, "await_true"]]
+
+        asyncio.run(run())
+
+
+class TestPendingAcrossShards:
+    """Each shard's member numbers its broadcasts from 1, so a node's pending
+    ordered writes are told apart by (shard, uid counter)."""
+
+    def test_concurrent_writes_on_two_shards_each_return_their_own_result(self):
+        async def run():
+            async with InProcessCluster(3, two_shard_table("broadcast"),
+                                        seats=TWO_SEATS) as cluster:
+                # Node 2 holds no seat: both writes are in flight together,
+                # each its shard member's first broadcast.
+                writer = cluster.runtimes[2]
+                results = await asyncio.wait_for(asyncio.gather(
+                    writer.submit(1, "assign", (111,), client=(2, 0), cseq=1),
+                    writer.submit(2, "assign", (222,), client=(2, 1), cseq=1)),
+                    timeout=5.0)
+                assert results == [111, 222]
+                assert writer._pending == {}
+                await cluster.logs_agree(1, 1)
+                await cluster.logs_agree(2, 1)
+                for runtime in cluster.runtimes.values():
+                    assert runtime.objects[1].instance.value == 111
+                    assert runtime.objects[2].instance.value == 222
 
         asyncio.run(run())
 
@@ -1004,12 +1066,15 @@ class ThreadedCluster:
     """An :class:`InProcessCluster` whose loop runs on a background thread,
     with one :class:`RealRtsFacade` per node for real client threads."""
 
-    def __init__(self, num_nodes: int, table, timings: RealTimings = FAST) -> None:
+    def __init__(self, num_nodes: int, table, timings: RealTimings = FAST,
+                 seats=None) -> None:
         self.loop = asyncio.new_event_loop()
         self.thread = threading.Thread(target=self.loop.run_forever, daemon=True)
-        self.cluster = InProcessCluster(num_nodes, table, timings=timings)
-        self.handle = ObjectHandle(obj_id=1, name="cell",
-                                   spec_class=resolve_spec(table[0]["spec"]))
+        self.cluster = InProcessCluster(num_nodes, table, seats=seats, timings=timings)
+        self.handles = [ObjectHandle(obj_id=row["obj_id"], name=row["name"],
+                                     spec_class=resolve_spec(row["spec"]))
+                        for row in table]
+        self.handle = self.handles[0]
 
     def call(self, coro, timeout: float = 20.0):
         return asyncio.run_coroutine_threadsafe(coro, self.loop).result(timeout)
@@ -1017,7 +1082,7 @@ class ThreadedCluster:
     def __enter__(self) -> "ThreadedCluster":
         self.thread.start()
         self.call(self.cluster.__aenter__())
-        self.facades = {node_id: RealRtsFacade(runtime, self.loop, op_timeout=20.0)
+        self.facades = {node_id: RealRtsFacade(runtime, op_timeout=20.0)
                         for node_id, runtime in self.cluster.runtimes.items()}
         return self
 
@@ -1055,7 +1120,7 @@ class ThreadedCluster:
 
 
 class TestClientThreads:
-    """Reads on the client thread, writes through the loop, both at once."""
+    """Reads and writes on the client threads, the loop's work beside them."""
 
     def test_reads_are_monotone_and_see_the_clients_own_writes(self):
         rounds = 150
@@ -1104,6 +1169,55 @@ class TestClientThreads:
         finally:
             sys.setswitchinterval(switch_interval)
 
+    @pytest.mark.parametrize("policy", ["broadcast", "primary-update"])
+    def test_writes_on_two_shards_return_each_clients_own_results(self, policy):
+        # Two clients per node, one writing shard 0 while the other writes
+        # shard 1, on a short switch interval: every result a client gets
+        # back must be its own write's.
+        rounds = 30
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadedCluster(3, two_shard_table(policy), seats=TWO_SEATS) as threaded:
+                def client(facade, proc):
+                    for n in range(rounds):
+                        handle = threaded.handles[(n + proc.client_id) % 2]
+                        mine = 10_000 * proc.node_id + 1_000 * proc.client_id + n
+                        got = facade.invoke(proc, handle, "assign", (mine,))
+                        assert got == mine, f"client {proc.node_id}.{proc.client_id} " \
+                                            f"wrote {mine} and got {got}"
+
+                threaded.run_clients(client)
+                for obj_id in (1, 2):
+                    threaded.call(threaded.cluster.logs_agree(obj_id, 3 * rounds))
+                for runtime in threaded.cluster.runtimes.values():
+                    status = runtime.status()
+                    assert status["pending_ops"] == 0 and status["primary_pending"] == 0
+        finally:
+            sys.setswitchinterval(switch_interval)
+
+    @pytest.mark.parametrize("policy", ["broadcast", "primary-update"])
+    def test_a_write_is_never_handed_to_the_loop(self, policy, monkeypatch):
+        with ThreadedCluster(3, two_shard_table(policy), seats=TWO_SEATS) as threaded:
+            wakes = [runtime.node._rewake for runtime in threaded.cluster.runtimes.values()]
+            handed = threaded.loop.call_soon_threadsafe
+
+            def only_a_wake(callback, *args, **kwargs):
+                # A client thread may re-time the loop's timer wake-up; any
+                # other callback would be a write crossing to the loop.
+                if callback not in wakes:
+                    raise AssertionError(f"handed to the loop: {callback!r}")
+                return handed(callback, *args, **kwargs)
+
+            monkeypatch.setattr(threaded.loop, "call_soon_threadsafe", only_a_wake)
+            for node_id, facade in threaded.facades.items():
+                proc = ClientProc(node_id, 0)
+                for handle in threaded.handles:
+                    assert facade.invoke(proc, handle, "add", (1,)) >= 1
+            monkeypatch.undo()  # the test thread hands coroutines over below
+            for obj_id in (1, 2):
+                threaded.call(threaded.cluster.logs_agree(obj_id, 3))
+
     def test_submit_deadline_raises_network_error_on_the_client_thread(self):
         impatient = RealTimings(heartbeat_interval=0.03, dead_after=5.0,
                                 retry_interval=0.03, sync_interval=0.03,
@@ -1146,3 +1260,22 @@ class TestClientThreads:
             sent = threaded.cluster.transports[1].stats
             assert sent.datagrams_sent > 0 and sent.datagrams_received > 0
         assert calls == []
+
+
+def test_only_the_timer_wake_hands_work_to_the_loop():
+    """No write, reply or deferred step of ``net/`` crosses threads through the
+    loop: its one ``call_soon_threadsafe`` is ``RealNode.set_timer``'s wake,
+    and the engine keeps no asyncio task, lock, event or timer of its own."""
+    net = Path(runtime_module.__file__).parent
+    handed = []
+    for path in sorted(net.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                handed += [(path.name, func.name) for node in ast.walk(func)
+                           if isinstance(node, ast.Attribute)
+                           and node.attr == "call_soon_threadsafe"]
+    assert handed == [("host.py", "set_timer")]
+    engine = {node.attr for node in ast.walk(ast.parse(Path(runtime_module.__file__).read_text()))
+              if isinstance(node, ast.Attribute)}
+    assert not engine & {"ensure_future", "create_task", "Lock", "Event", "wait_for",
+                         "sleep", "call_soon", "call_later", "call_at"}
