@@ -69,7 +69,7 @@ class Election:
         """Leave the round in progress, if any (a seat was announced, or the
         member's node crashed and the round died with it)."""
         if self.timer is not None:
-            self.member.node.kernel.cancel_timer(self.timer)
+            self.member.node.cancel_timer(self.timer)
             self.timer = None
         self.votes = {}
 
@@ -88,7 +88,7 @@ class Election:
                 epoch=epoch,
             )
         )
-        self.timer = node.kernel.set_timer(group.params.election_timeout, self._conclude)
+        self.timer = node.set_timer(group.params.election_timeout, self._conclude)
 
     def _conclude(self) -> None:
         votes, self.votes, self.timer = self.votes, {}, None

@@ -42,28 +42,16 @@ DeliveryHandler = Callable[[DeliveredMessage], None]
 MAX_SEND_ATTEMPTS = 3
 
 
-class GroupClock(Protocol):
-    """The clock a member reads (``node.sim``)."""
-
-    now: float
-
-
-class GroupTimers(Protocol):
-    """One-shot timers (``node.kernel``)."""
-
-    def set_timer(self, delay: float, callback: Callable[..., Any], *args: Any) -> int: ...
-    def cancel_timer(self, timer_id: int) -> None: ...
-
-
 class GroupNode(Protocol):
     """What a member and a sequencer read of the node hosting them."""
 
     node_id: int
     alive: bool
-    sim: GroupClock
-    kernel: GroupTimers
+    now: float
     cost_model: "CostModel"
 
+    def set_timer(self, delay: float, callback: Callable[..., Any], *args: Any) -> int: ...
+    def cancel_timer(self, timer_id: int) -> None: ...
     def register_handler(self, kind: str, handler: Callable[[Message], None]) -> None: ...
     def on_recover(self, callback: Callable[[], None]) -> None: ...
     def make_message(
@@ -145,7 +133,7 @@ class GroupMember:
         #: When this member last delivered a sequenced message: deliveries
         #: prove the sequencer is alive (merely backlogged), so send retries
         #: keep backing off instead of escalating to an election.
-        self._last_delivery_time = node.sim.now
+        self._last_delivery_time = node.now
         self._retransmit_kind = group.wire_kind(KIND_RETRANSMIT)
         # The node's handler table is the only dispatch on the way in.
         for kind, handler in (
@@ -232,9 +220,9 @@ class GroupMember:
         NIC backlog must not look like a dead sequencer.
         """
         if record.retry_timer is not None:
-            self.node.kernel.cancel_timer(record.retry_timer)
+            self.node.cancel_timer(record.retry_timer)
         backoff = min(record.attempts, 4)
-        record.retry_timer = self.node.kernel.set_timer(
+        record.retry_timer = self.node.set_timer(
             self.group.retry_timeout * max(1, backoff), self._on_retry_timeout, record.uid
         )
 
@@ -242,9 +230,7 @@ class GroupMember:
         record = self._pending_sends.get(uid)
         if record is None or record.delivered:
             return
-        progressing = (
-            self.node.sim.now - self._last_delivery_time < self.group.params.election_timeout
-        )
+        progressing = self.node.now - self._last_delivery_time < self.group.params.election_timeout
         if record.attempts >= MAX_SEND_ATTEMPTS and not progressing:
             # No deliveries either: the sequencer is probably gone; try to
             # elect a new one and keep the record pending so it is resent
@@ -389,16 +375,16 @@ class GroupMember:
             if self._gap_timers:
                 timer = self._gap_timers.pop(seqno, None)
                 if timer is not None:
-                    self.node.kernel.cancel_timer(timer)
+                    self.node.cancel_timer(timer)
             if self._gap_attempts:
                 self._gap_attempts.pop(seqno, None)
-            self._last_delivery_time = self.node.sim.now
+            self._last_delivery_time = self.node.now
             if record.origin == self.node_id:
                 sent = self._pending_sends.pop(record.uid, None)
                 if sent is not None:
                     sent.delivered = True
                     if sent.retry_timer is not None:
-                        self.node.kernel.cancel_timer(sent.retry_timer)
+                        self.node.cancel_timer(sent.retry_timer)
                     if sent.on_delivered is not None:
                         sent.on_delivered(seqno)
             self.deliveries += 1
@@ -460,7 +446,7 @@ class GroupMember:
         for seqno in self.engine.missing_seqnos():
             if seqno in self._gap_timers:
                 continue
-            self._gap_timers[seqno] = self.node.kernel.set_timer(
+            self._gap_timers[seqno] = self.node.set_timer(
                 self.group.gap_request_delay, self._request_retransmit, seqno
             )
 
@@ -475,7 +461,7 @@ class GroupMember:
         # member answers from its retained history.
         self._send_gap_request(seqno, prefer_sequencer=True)
         # Re-arm in case the retransmission is lost too.
-        self._gap_timers[seqno] = self.node.kernel.set_timer(
+        self._gap_timers[seqno] = self.node.set_timer(
             self.group.retry_timeout, self._request_retransmit, seqno
         )
 
@@ -489,7 +475,7 @@ class GroupMember:
         """Stop retrying broadcast ``uid``; it may still be delivered."""
         record = self._pending_sends.pop(uid, None)
         if record is not None and record.retry_timer is not None:
-            self.node.kernel.cancel_timer(record.retry_timer)
+            self.node.cancel_timer(record.retry_timer)
 
     # ------------------------------------------------------------------ #
     # Rejoin (crash -> recover catch-up)
@@ -507,17 +493,17 @@ class GroupMember:
         rejoin catch-up.
         """
         for timer in self._gap_timers.values():
-            self.node.kernel.cancel_timer(timer)
+            self.node.cancel_timer(timer)
         self._gap_timers.clear()
         self._gap_attempts.clear()
         for record in self._pending_sends.values():
             if record.retry_timer is not None:
-                self.node.kernel.cancel_timer(record.retry_timer)
+                self.node.cancel_timer(record.retry_timer)
         self._pending_sends.clear()
         self.election.reset()
         self._delivered_history.clear()
         self.engine = OrderingEngine()
-        self._last_delivery_time = self.node.sim.now
+        self._last_delivery_time = self.node.now
         self._anchor_uid = None
         self.synced = False
 

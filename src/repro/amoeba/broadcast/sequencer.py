@@ -111,7 +111,7 @@ class Sequencer:
         if depth > self.max_queue_depth:
             self.max_queue_depth = depth
         if self._service_timer is None:
-            self._service_timer = self.node.kernel.set_timer(
+            self._service_timer = self.node.set_timer(
                 self.node.cost_model.cpu.sequencing_cost, self._serve_next
             )
 
@@ -125,11 +125,11 @@ class Sequencer:
         retries against the new sequencer.
         """
         if self._service_timer is not None:
-            self.node.kernel.cancel_timer(self._service_timer)
+            self.node.cancel_timer(self._service_timer)
             self._service_timer = None
         self._service_queue.clear()
         if self._sync_timer is not None:
-            self.node.kernel.cancel_timer(self._sync_timer)
+            self.node.cancel_timer(self._sync_timer)
             self._sync_timer = None
 
     def _serve_next(self) -> None:
@@ -144,7 +144,7 @@ class Sequencer:
         # (e.g. a batcher flushing on delivery), which may have re-armed the
         # service timer already.
         if self._service_queue and self._service_timer is None:
-            self._service_timer = self.node.kernel.set_timer(
+            self._service_timer = self.node.set_timer(
                 self.node.cost_model.cpu.sequencing_cost, self._serve_next
             )
 
@@ -179,8 +179,8 @@ class Sequencer:
             return
         self._sync_remaining = SYNC_REPEATS
         if self._sync_timer is not None:
-            self.node.kernel.cancel_timer(self._sync_timer)
-        self._sync_timer = self.node.kernel.set_timer(self.group.retry_timeout, self._send_sync)
+            self.node.cancel_timer(self._sync_timer)
+        self._sync_timer = self.node.set_timer(self.group.retry_timeout, self._send_sync)
 
     def _send_sync(self) -> None:
         self._sync_timer = None
@@ -195,7 +195,7 @@ class Sequencer:
         self.node.send(msg)
         self._sync_remaining -= 1
         if self._sync_remaining > 0:
-            self._sync_timer = self.node.kernel.set_timer(self.group.retry_timeout, self._send_sync)
+            self._sync_timer = self.node.set_timer(self.group.retry_timeout, self._send_sync)
 
     # ------------------------------------------------------------------ #
     # Outgoing traffic

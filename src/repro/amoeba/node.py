@@ -70,6 +70,14 @@ class Node:
         from .kernel import AmoebaKernel  # local import by design
 
         self.kernel: "AmoebaKernel" = AmoebaKernel(self)
+        # Bound here: the broadcast group arms timers per message.
+        self.set_timer = self.kernel.set_timer
+        self.cancel_timer = self.kernel.cancel_timer
+
+    @property
+    def now(self) -> float:
+        """The simulator's clock, as a broadcast group reads it."""
+        return self.sim.now
 
     # ------------------------------------------------------------------ #
     # Message handling

@@ -15,9 +15,9 @@ Layout
 ``wire``          length-prefixed JSON framing of the existing
                   :class:`~repro.amoeba.message.Message` type
 ``udp``           :class:`UdpTransport` — messages over UDP, one frame-sized
-                  datagram read per readiness of the loop
-``host``          :class:`RealNode` — hosts the simulator's broadcast
-                  groups (one member per shard) over the transport
+                  datagram read per readiness of the node's loop
+``host``          :class:`RealNode` — the node's ``select`` loop, hosting the
+                  simulator's broadcast groups (one member per shard)
 ``runtime``       the per-process RTS layer above them (writes, the
                   primary path, heartbeats, takeover)
 ``rts_adapter``   a RuntimeSystem facade so the existing workload

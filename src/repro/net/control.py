@@ -3,7 +3,8 @@
 Node processes connect *out* to the harness's TCP listener (avoiding every
 port-race a listen-per-child design would invite), introduce themselves with
 a ``hello`` carrying their node id and the UDP data-plane port they bound,
-and then execute harness commands strictly one at a time.  Commands and
+and then execute harness commands strictly one at a time, read on the
+node's loop (:class:`~repro.net.node_process.NodeServer`).  Commands and
 replies are single JSON objects, one per line — small, human-debuggable, and
 reusing nothing of the data plane's framing on purpose (a control-plane bug
 should never masquerade as a protocol bug).
@@ -11,7 +12,6 @@ should never masquerade as a protocol bug).
 
 from __future__ import annotations
 
-import asyncio
 import json
 import socket
 from typing import Any, Dict, Optional
@@ -23,36 +23,8 @@ from ..errors import NetworkError
 MAX_LINE = 8 * 1024 * 1024
 
 
-def _encode(obj: Dict[str, Any]) -> bytes:
+def encode_line(obj: Dict[str, Any]) -> bytes:
     return json.dumps(obj, separators=(",", ":")).encode("utf-8") + b"\n"
-
-
-class AsyncControlChannel:
-    """Child side: an asyncio stream speaking one-JSON-object-per-line."""
-
-    def __init__(self, reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter) -> None:
-        self._reader = reader
-        self._writer = writer
-
-    async def send(self, obj: Dict[str, Any]) -> None:
-        self._writer.write(_encode(obj))
-        await self._writer.drain()
-
-    async def recv(self) -> Optional[Dict[str, Any]]:
-        """Next command, or ``None`` once the harness hangs up."""
-        try:
-            line = await self._reader.readline()
-        except ConnectionError:
-            return None
-        if not line:
-            return None
-        if len(line) > MAX_LINE:
-            raise NetworkError(f"oversized control line: {len(line)} bytes")
-        return json.loads(line.decode("utf-8"))
-
-    def close(self) -> None:
-        self._writer.close()
 
 
 class NodeConnection:
@@ -65,7 +37,7 @@ class NodeConnection:
         self.udp_port: Optional[int] = None
 
     def send(self, obj: Dict[str, Any]) -> None:
-        self._sock.sendall(_encode(obj))
+        self._sock.sendall(encode_line(obj))
 
     def recv(self, timeout: Optional[float] = None) -> Dict[str, Any]:
         self._sock.settimeout(timeout)

@@ -1,7 +1,8 @@
 """The per-process RTS layer of the real-socket backend.
 
-Each node process runs one :class:`RealRuntime` inside its asyncio event
-loop, above the simulator's own broadcast groups:
+Each node process runs one :class:`RealRuntime` on its
+:class:`~repro.net.host.RealNode`, above the simulator's own broadcast
+groups:
 
 * **sharded total order** — each shard is one
   :class:`~repro.amoeba.broadcast.group.BroadcastGroup` (PB only) hosted by
@@ -29,8 +30,8 @@ operation applied in the same order on both backends produces the same
 state.
 
 **Threads.**  The node's one lock (``RealNode.lock``) guards all of this
-state, and whoever holds it runs the protocol: the loop for a datagram, a
-due timer or a control command, a client thread for its own
+state, and whoever holds it runs the protocol: the node's loop for a
+datagram, a due timer or a control command, a client thread for its own
 :meth:`~RealRuntime.read` and :meth:`~RealRuntime.start_write`.  A write is
 issued on its client's thread, as an Orca process makes its own broadcast,
 and lives in one :class:`_PendingWrite` record until it is applied here;
@@ -40,11 +41,9 @@ step is a node timer, never a callback handed to the loop.
 
 from __future__ import annotations
 
-import asyncio
 import collections
 import functools
 import importlib
-import time
 from concurrent.futures import Future
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple, Type
@@ -60,7 +59,6 @@ from ..rts.object_model import (RETRY, ObjectSpec, OperationDef,
 from ..rts.p2p.fanout import (FUTURE, FanOuts, SwitchRecord, lookup_applied,
                               place_epoch, record_applied)
 from .host import RealNode
-from .udp import UdpTransport
 from .wire import from_wire, jsonify, wire_text
 
 #: Wire encoding of the :data:`~repro.rts.object_model.RETRY` sentinel.
@@ -170,9 +168,8 @@ class _PendingWrite:
 
     The record is the whole writer-side state of the write: the ordered body
     or primary request to (re-)send, until when, the timer to cancel when it
-    ends, and the thread-safe future its issuer waits on — a client thread
-    directly, in-loop callers through ``asyncio.wrap_future``.  An ordered
-    write's re-sends are its group member's.
+    ends, and the thread-safe future its issuer (a client thread) waits on.
+    An ordered write's re-sends are its group member's.
     """
 
     __slots__ = ("issue", "obj", "body", "size", "future", "key", "deadline", "handle")
@@ -216,10 +213,11 @@ class RealRuntimeStats:
 class RealRuntime:
     """Protocol engine for one node of the real-process backend."""
 
-    def __init__(self, node_id: int, transport: UdpTransport,
-                 timings: Optional[RealTimings] = None) -> None:
-        self.node_id = node_id
-        self.transport = transport
+    def __init__(self, node: RealNode, timings: Optional[RealTimings] = None) -> None:
+        #: The node the groups run on; its handler table is the process's.
+        self.node = node
+        self.node_id = node.node_id
+        self.transport = node.network
         self.timings = timings or RealTimings()
         self.stats = RealRuntimeStats()
         self.params = BroadcastParams(method="pb",
@@ -227,8 +225,6 @@ class RealRuntime:
         self.objects: Dict[int, RealObject] = {}
         #: Acknowledgement debts of the primary writes applying here.
         self.fanouts = FanOuts()
-        #: The node the groups run on; its handler table is the process's.
-        self.node = RealNode(node_id, transport)
         #: shard -> its broadcast group (this process's member of it).
         self.groups: Dict[int, BroadcastGroup] = {}
         self._pending: Dict[Any, _PendingWrite] = {}
@@ -276,11 +272,10 @@ class RealRuntime:
             )
             self.objects[obj.obj_id] = obj
 
-    async def start(self) -> None:
-        self.node.loop = asyncio.get_running_loop()
+    def start(self) -> None:
         self.transport.on_message = self.node.dispatch
         with self.node.lock:
-            now = time.monotonic()
+            now = self.node.now
             for node_id in self.transport.node_ids:
                 if node_id != self.node_id:
                     self._last_heard[node_id] = now
@@ -288,7 +283,7 @@ class RealRuntime:
             self._heartbeat()
             self.node.set_timer(self.timings.heartbeat_interval, self._monitor)
 
-    async def stop(self) -> None:
+    def stop(self) -> None:
         with self.node.lock:
             self._running = False
             for write in list(self._pending.values()):
@@ -351,21 +346,6 @@ class RealRuntime:
                 self._finish(write, error=exc)
         return write
 
-    async def submit(self, obj_id: int, op_name: str, args: Tuple[Any, ...] = (),
-                     kwargs: Optional[Dict[str, Any]] = None,
-                     client: Tuple[int, int] = (0, 0), cseq: int = 0) -> Any:
-        """Invoke one operation from inside the loop; returns its result."""
-        obj = self.objects.get(obj_id)
-        if obj is None:
-            raise UnknownObjectError(f"no object {obj_id} on node {self.node_id}")
-        op = obj.spec_class.operation_def(op_name)
-        if not op.is_write:
-            return self.read(obj, op, tuple(args), kwargs)
-        write = self.start_write(obj, op_name, args, kwargs, client, cseq)
-        # Cancelling the await ends the write.
-        write.future.add_done_callback(functools.partial(self._abandoned, write))
-        return await asyncio.wrap_future(write.future)
-
     # ------------------------------------------------------------------ #
     # Pending writes: one record each
     # ------------------------------------------------------------------ #
@@ -374,11 +354,11 @@ class RealRuntime:
         """(Re-)register ``write`` under ``key`` with a fresh deadline."""
         self._pending.pop(write.key, None)
         write.key = key
-        write.deadline = time.monotonic() + self.timings.submit_deadline
+        write.deadline = self.node.now + self.timings.submit_deadline
         self._pending[key] = write
 
     def _expired(self, write: _PendingWrite) -> bool:
-        if time.monotonic() <= write.deadline:
+        if self.node.now <= write.deadline:
             return False
         self._finish(write, error=NetworkError(
             f"write {write.key} on {write.obj.name!r} did not complete "
@@ -405,21 +385,14 @@ class RealRuntime:
         self._pending.pop(write.key, None)
         if write.handle is not None:
             self.node.cancel_timer(write.handle)
-        if write.ordered and (error is not None or write.future.done()):
+        if write.ordered and error is not None:
             shard, counter = write.key
             self.groups[shard].members[self.node_id].cancel(
                 MessageId(self.node_id, counter))
-        if write.future.done():
-            return  # the issuer gave up waiting (an in-loop await cancelled)
         if error is not None:
             write.future.set_exception(error)
         else:
             write.future.set_result(result)
-
-    def _abandoned(self, write: _PendingWrite, future: Future) -> None:
-        if future.cancelled():
-            with self.node.lock:
-                self._finish(write)
 
     def _send(self, dst: Optional[int], kind: str, payload: Any) -> None:
         # size=1: any positive size stops Message estimating the payload.
@@ -642,7 +615,7 @@ class RealRuntime:
         self._send(None, "net.hb", None)
 
     def _handle_hb(self, msg: Message) -> None:
-        self._last_heard[msg.src] = time.monotonic()
+        self._last_heard[msg.src] = self.node.now
 
     def _monitor(self) -> None:
         self.node.set_timer(self.timings.heartbeat_interval, self._monitor)
@@ -650,7 +623,7 @@ class RealRuntime:
         # where it is (re-)sent, and never once it is applying.
         for write in [w for w in self._pending.values() if w.ordered]:
             self._expired(write)
-        now = time.monotonic()
+        now = self.node.now
         for node_id, heard in list(self._last_heard.items()):
             if not self.transport.peer_alive(node_id):
                 continue

@@ -1,13 +1,13 @@
 """UDP transport — the real-socket counterpart of the simulated network.
 
 One :class:`UdpTransport` lives in each node process.  It binds a
-non-blocking datagram socket on the loopback interface and registers it with
-the node's event loop (``loop.add_reader``), which reads one frame-sized
-datagram per readiness call.  It learns the full ``node_id -> (host, port)``
-peer table from the harness, and then moves whole messages: unicast goes to
-one peer, broadcast (``dst is None``) fans out one datagram per peer,
-mirroring the simulator's hardware-broadcast semantics (the sender never
-hears its own broadcast).
+non-blocking datagram socket on the loopback interface, which the node's loop
+watches (:meth:`~repro.net.host.RealNode.watch`), reading one frame-sized
+datagram per readiness (:meth:`UdpTransport.on_readable`).  It learns the
+full ``node_id -> (host, port)`` peer table from the harness, and then moves
+whole messages: unicast goes to one peer, broadcast (``dst is None``) fans
+out one datagram per peer, mirroring the simulator's hardware-broadcast
+semantics (the sender never hears its own broadcast).
 
 UDP gives us the same failure model the simulator injects deterministically:
 datagrams may be dropped (kernel buffers, the test-only ``drop_filter``
@@ -18,7 +18,6 @@ the simulated stack.
 
 from __future__ import annotations
 
-import asyncio
 import socket
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
@@ -72,38 +71,32 @@ class UdpTransport:
         self._peers: Dict[int, Tuple[str, int]] = {}
         self._node_ids: List[int] = []
         self._dead: set = set()
-        self._sock: Optional[socket.socket] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._port: Optional[int] = None
+        self.sock: Optional[socket.socket] = None
 
     # -- lifecycle -------------------------------------------------------- #
 
-    async def open(self, host: str = "127.0.0.1", port: int = 0) -> int:
-        """Bind the datagram socket; returns the actual local port."""
-        loop = asyncio.get_running_loop()
+    def open(self, host: str = "127.0.0.1", port: int = 0) -> int:
+        """Bind the datagram socket (``sock``); returns the actual local port."""
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         try:
             sock.setblocking(False)
             sock.bind((host, port))
-            loop.add_reader(sock.fileno(), self._on_readable)
         except BaseException:
             sock.close()
             raise
-        self._sock, self._loop = sock, loop
-        self._port = sock.getsockname()[1]
-        return self._port
+        self.sock = sock
+        return self.port
 
     def close(self) -> None:
-        if self._sock is not None:
-            self._loop.remove_reader(self._sock.fileno())
-            self._sock.close()
-            self._sock = self._loop = None
+        if self.sock is not None:
+            self.sock.close()
+            self.sock = None
 
     @property
     def port(self) -> int:
-        if self._port is None:
+        if self.sock is None:
             raise NetworkError("transport is not open")
-        return self._port
+        return self.sock.getsockname()[1]
 
     # -- peer table ------------------------------------------------------- #
 
@@ -131,7 +124,7 @@ class UdpTransport:
     # -- sending ---------------------------------------------------------- #
 
     def send(self, msg: Message, on_sent: Optional[Callable[[Message], None]] = None) -> None:
-        if self._sock is None:
+        if self.sock is None:
             raise NetworkError("transport is not open")
         self.stats.messages_sent += 1
         self.stats.by_kind[msg.kind] = self.stats.by_kind.get(msg.kind, 0) + 1
@@ -155,7 +148,7 @@ class UdpTransport:
             self.stats.send_drops += 1
             return
         try:
-            self._sock.sendto(frame, self._peers[dst])
+            self.sock.sendto(frame, self._peers[dst])
         except OSError:
             # A full socket buffer or an ICMP error left by a dead peer: the
             # datagram is lost, as UDP may lose any, and the protocols above
@@ -167,11 +160,11 @@ class UdpTransport:
 
     # -- receiving -------------------------------------------------------- #
 
-    def _on_readable(self) -> None:
-        # One datagram per readiness call, so the loop interleaves datagrams
-        # with timers and client-thread callbacks as it would any callback.
+    def on_readable(self) -> None:
+        """Read one datagram: the loop interleaves datagrams with timers
+        and the control plane, a pass each."""
         try:
-            data = self._sock.recv(_RECV_SIZE)
+            data = self.sock.recv(_RECV_SIZE)
         except OSError:
             # Nothing to read after all, or an ICMP port-unreachable for a
             # dead peer; the failure detector above handles peer death.

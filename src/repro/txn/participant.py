@@ -188,8 +188,7 @@ class TxnParticipant:
                     seqno: int) -> None:
         _, txn_id, obj_id, epoch, sub_ops, invocation_id = payload
         node_id = member.node_id
-        marks = self._tombstones.get(txn_id)
-        if marks is not None and (node_id, obj_id) in marks:
+        if self._decided(node_id, txn_id, obj_id):
             # An outcome naming this object was sequenced ahead of this
             # prepare in the same shard order (the coordinator died with
             # the prepare in flight): it is void everywhere.
@@ -245,11 +244,15 @@ class TxnParticipant:
         # may be queued inside) or its own epoch barrier (its own prepare
         # definitely is): queue it behind them, in the same FIFO.  A lock
         # this transaction holds prepared is the one this outcome is here
-        # to release — never defer behind that.
+        # to release — never defer behind that.  Nor behind any lock on an
+        # object this transaction's tombstone already marks here: its
+        # prepare there was applied or is void, so nothing of it can be
+        # queued inside, and the lock may wait on this very transaction.
         for obj_id in objs:
             entry = locks.get(obj_id)
-            if entry is not None and (entry.owner != txn_id
-                                      or entry.mode == MODE_BARRIER):
+            if (entry is not None
+                    and (entry.owner != txn_id or entry.mode == MODE_BARRIER)
+                    and not self._decided(node_id, txn_id, obj_id)):
                 entry.queue.append((ITEM_RECORD, payload, origin, seqno))
                 return
         desc = self.layer.descs.get(txn_id)
@@ -354,10 +357,13 @@ class TxnParticipant:
         kind, txn_id = payload[0], payload[1]
         own_barrier = entry.owner == txn_id and entry.mode == MODE_BARRIER
         if kind == KIND_PREPARE:
-            marks = self._tombstones.get(txn_id)
-            return not own_barrier and (marks is None
-                                        or (node_id, obj_id) not in marks)
+            return not own_barrier and not self._decided(node_id, txn_id, obj_id)
         if kind == KIND_ATOMIC:
             return payload[2][0][1] == obj_id and not own_barrier
-        return payload[3][0] == obj_id and (entry.owner != txn_id
-                                            or own_barrier)
+        return (payload[3][0] == obj_id and (entry.owner != txn_id or own_barrier)
+                and not self._decided(node_id, txn_id, obj_id))
+
+    def _decided(self, node_id: int, txn_id: int, obj_id: int) -> bool:
+        """Has an outcome of ``txn_id`` already run for ``obj_id`` here?"""
+        marks = self._tombstones.get(txn_id)
+        return marks is not None and (node_id, obj_id) in marks

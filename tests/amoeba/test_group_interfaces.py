@@ -1,8 +1,8 @@
 """The broadcast group reaches its host and nodes only through its Protocols.
 
 ``amoeba/broadcast/group.py`` declares what ``GroupMember``, ``Sequencer``,
-``Election`` and ``BroadcastGroup`` read of a node (``GroupNode``, with its
-clock and timers) and of their host (``GroupHost``, with its transport).  The
+``Election`` and ``BroadcastGroup`` read of a node (``GroupNode``: its clock
+``now`` and its timers are the node's own members) and of their host (``GroupHost``, with its transport).  The
 attributes the package reads on those objects are exactly the members of
 those Protocols, so a simulated cluster and a real node process can both
 host it and the simulator's global view of the cluster cannot creep back
@@ -23,10 +23,9 @@ PACKAGE = Path(__file__).resolve().parents[2] / "src" / "repro" / "amoeba" / "br
 
 def role(expr: ast.AST) -> Optional[str]:
     """The Protocol an expression is typed by, from its name alone:
-    ``node`` / ``x.node``, ``sim`` / ``node.sim``, ``node.kernel``,
-    ``cluster`` / ``x.cluster``, ``cluster.network``."""
+    ``node`` / ``x.node``, ``cluster`` / ``x.cluster``, ``cluster.network``."""
     if isinstance(expr, ast.Name):
-        return {"node": "GroupNode", "sim": "GroupClock", "cluster": "GroupHost"}.get(expr.id)
+        return {"node": "GroupNode", "cluster": "GroupHost"}.get(expr.id)
     if not isinstance(expr, ast.Attribute):
         return None
     if expr.attr == "node":
@@ -34,8 +33,6 @@ def role(expr: ast.AST) -> Optional[str]:
     if expr.attr == "cluster":
         return "GroupHost"
     owner = role(expr.value)
-    if owner == "GroupNode":
-        return {"sim": "GroupClock", "kernel": "GroupTimers"}.get(expr.attr)
     if owner == "GroupHost" and expr.attr == "network":
         return "GroupTransport"
     return None
@@ -55,8 +52,7 @@ def declared_protocols():
 
 def test_the_package_reads_its_host_and_nodes_exactly_through_the_protocols():
     declared = declared_protocols()
-    assert set(declared) == {"GroupClock", "GroupTimers", "GroupNode", "GroupTransport",
-                             "GroupHost"}
+    assert set(declared) == {"GroupNode", "GroupTransport", "GroupHost"}
     used = {name: set() for name in declared}
     for path in PACKAGE.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):

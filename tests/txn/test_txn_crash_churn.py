@@ -305,3 +305,27 @@ class TestRejoinUnderTransactions:
             assert_all_settled(rts)
         finally:
             cluster.shutdown()
+
+
+class TestDuplicateDecide:
+    def test_a_recovery_decide_behind_a_later_lock_does_not_wedge(self):
+        """Seed 11, node 4 crashed after event 120: the dead coordinator's
+        commit decide and a recovery pass's abort decide for txn 10 are both
+        sequenced.  The first releases obj 2, and txn 13's prepare takes it;
+        the duplicate must not queue behind that lock, or the recovery
+        daemon, txn 13's coordinator and txn 10's lock on obj 3 wait on one
+        another and the run deadlocks."""
+        cluster, rts, handles = build(11)
+        try:
+            for node in cluster.nodes:
+                for client_id in range(2):
+                    node.kernel.spawn_thread(
+                        mover, cluster, rts, handles, node.node_id,
+                        client_id, 11, [])
+            cluster.sim.run(max_events=120)
+            cluster.node(VICTIM).crash()
+            cluster.run()
+            settle_and_check(cluster, rts, handles)
+            assert_all_settled(rts)
+        finally:
+            cluster.shutdown()
