@@ -23,10 +23,11 @@ Layout
 ``rts_adapter``   a RuntimeSystem facade so the existing workload
                   :class:`~repro.workloads.scenarios.Scenario` classes run
                   unchanged against the real backend
-``node_process``  the ``python -m repro.net.node_process`` child entry point
+``node_process``  ``python -m repro.net.node_process``, the launcher: it
+                  imports the node code once and forks every node
 ``control``       JSON-lines control plane between harness and nodes
-``harness``       :class:`RealCluster` — spawns node processes, drives
-                  workloads, kills nodes, collects state
+``harness``       :class:`RealCluster` — launches and reaps the node
+                  processes, drives workloads, kills nodes, collects state
 ``runner``        :func:`run_real_workload` producing the same
                   :class:`~repro.workloads.runner.WorkloadReport` the sim
                   backend produces

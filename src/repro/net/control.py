@@ -2,12 +2,13 @@
 
 Node processes connect *out* to the harness's TCP listener (avoiding every
 port-race a listen-per-child design would invite), introduce themselves with
-a ``hello`` carrying their node id and the UDP data-plane port they bound,
-and then execute harness commands strictly one at a time, read on the
-node's loop (:class:`~repro.net.node_process.NodeServer`).  Commands and
-replies are single JSON objects, one per line — small, human-debuggable, and
-reusing nothing of the data plane's framing on purpose (a control-plane bug
-should never masquerade as a protocol bug).
+a ``hello`` carrying their node id, the UDP data-plane port they bound and
+their pid (the harness is their parent and reaps them), and then execute
+harness commands strictly one at a time, read on the node's loop
+(:class:`~repro.net.node_process.NodeServer`).  Commands and replies are
+single JSON objects, one per line — small, human-debuggable, and reusing
+nothing of the data plane's framing on purpose (a control-plane bug should
+never masquerade as a protocol bug).
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ class NodeConnection:
         self._rfile = sock.makefile("rb")
         self.node_id: Optional[int] = None
         self.udp_port: Optional[int] = None
+        self.pid: Optional[int] = None
 
     def send(self, obj: Dict[str, Any]) -> None:
         self._sock.sendall(encode_line(obj))
@@ -66,6 +68,7 @@ class NodeConnection:
             raise NetworkError(f"unexpected first control line: {hello!r}")
         self.node_id = int(hello["node_id"])
         self.udp_port = int(hello["udp_port"])
+        self.pid = int(hello["pid"])
 
     def close(self) -> None:
         try:

@@ -2,15 +2,22 @@
 
 :class:`RealCluster` owns the whole life cycle of one real run: it computes
 the deterministic object table by replaying the scenario's setup against a
-:class:`~repro.net.rts_adapter.RecordingRts`, spawns one
-``repro.net.node_process`` child per node, distributes the peer/seat/object
-tables over the control plane, fans the workload out to the client nodes,
+:class:`~repro.net.rts_adapter.RecordingRts`, spawns one launcher
+(``python -m repro.net.node_process``) that imports the node code once, forks
+one node per machine and exits, distributes the peer/seat/object tables over
+the control plane, fans the workload out to the client nodes,
 optionally SIGKILLs victim nodes mid-run (the real-socket analogue of the
 simulator's staged crashes; each kill is keyed to acknowledged-operation
 progress, not to the clock), waits until every surviving node has quiesced —
 clients finished, no pending writes, hold-back queues empty, every member
 caught up with the seat its shard follows — and finally collects each node's
 object states and applied logs for the oracle's convergence check.
+
+The nodes stay children of the harness's own process: :meth:`RealCluster.start`
+makes it their subreaper (``prctl(PR_SET_CHILD_SUBREAPER)``), so they pass
+to it when the launcher exits.  It kills a node with ``os.kill`` and reaps it
+at once, and :meth:`RealCluster.shutdown` reaps the rest, so a reader of its
+direct children (``benchmarks/perf/worker.py``) counts the nodes.
 
 Placement mirrors the simulator: object ids count from 1, id-hash placement
 assigns shards, sequencer seats go round-robin over the non-victim machines,
@@ -132,6 +139,10 @@ class RealClusterConfig:
         return rows
 
 
+#: ``prctl`` option that makes the caller adopt its orphaned descendants.
+_PR_SET_CHILD_SUBREAPER = 36
+
+
 def _python_path_env() -> Dict[str, str]:
     """Child environment whose ``PYTHONPATH`` can import this very package."""
     import repro
@@ -145,14 +156,36 @@ def _python_path_env() -> Dict[str, str]:
     return env
 
 
+def _adopt_orphans() -> None:
+    """Make this process the subreaper of its descendants (Linux).
+
+    The launcher forks the nodes and exits; as subreaper this process becomes
+    their parent, so it can reap them and a reader of its direct children
+    (the benchmark's CPU and memory counts) sees the nodes.  ``ctypes`` is
+    imported here, not at module import, as ``sim/process.py`` reaches
+    ``mallopt``: it belongs to the harness and never to a node.
+    """
+    try:
+        import ctypes
+
+        prctl = ctypes.CDLL(None).prctl
+    except (ImportError, OSError, AttributeError):
+        prctl = None
+    if prctl is None or prctl(_PR_SET_CHILD_SUBREAPER, 1, 0, 0, 0) != 0:
+        raise ConfigurationError(
+            "the real backend needs prctl(PR_SET_CHILD_SUBREAPER), a Linux call: "
+            "its launcher exits after forking the nodes, which must pass to this process")
+
+
 class RealCluster:
-    """Spawn, drive, optionally wound, settle and harvest one real cluster."""
+    """Launch, drive, optionally wound, settle and harvest one real cluster."""
 
     def __init__(self, config: RealClusterConfig) -> None:
         self.config = config
         self.object_table = config.build_object_table()
         self.seats = config.seats()
-        self._children: Dict[int, subprocess.Popen] = {}
+        #: The launcher, whose pid is also the nodes' process group.
+        self._launcher: Optional[subprocess.Popen] = None
         self._conns: Dict[int, NodeConnection] = {}
         self._stderr_dir: Optional[str] = None
         self._killed: List[int] = []
@@ -168,25 +201,23 @@ class RealCluster:
         self.shutdown()
 
     def start(self) -> None:
-        """Spawn every node process and distribute the cluster tables."""
+        """Launch every node process and distribute the cluster tables."""
         config = self.config
+        _adopt_orphans()
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.bind((config.host, 0))
         listener.listen(config.num_nodes)
         control_port = listener.getsockname()[1]
         self._stderr_dir = tempfile.mkdtemp(prefix="repro-net-")
-        env = _python_path_env()
         try:
-            for node_id in range(config.num_nodes):
-                stderr = open(os.path.join(self._stderr_dir,
-                                           f"node{node_id}.stderr"), "wb")
-                with stderr:
-                    self._children[node_id] = subprocess.Popen(
-                        [sys.executable, "-m", "repro.net.node_process",
-                         "--node-id", str(node_id),
-                         "--control-port", str(control_port),
-                         "--host", config.host],
-                        stdout=subprocess.DEVNULL, stderr=stderr, env=env)
+            with open(os.path.join(self._stderr_dir, "launcher.stderr"), "wb") as stderr:
+                self._launcher = subprocess.Popen(
+                    [sys.executable, "-m", "repro.net.node_process",
+                     "--nodes", str(config.num_nodes),
+                     "--control-port", str(control_port),
+                     "--stderr-dir", self._stderr_dir,
+                     "--host", config.host],
+                    stdout=subprocess.DEVNULL, stderr=stderr, env=_python_path_env())
             deadline = time.monotonic() + config.spawn_timeout
             listener.settimeout(config.spawn_timeout)
             while len(self._conns) < config.num_nodes:
@@ -202,6 +233,13 @@ class RealCluster:
                 self._conns[conn.node_id] = conn
         finally:
             listener.close()
+        # Once the launcher is gone, its nodes are this process's children.
+        try:
+            returncode = self._launcher.wait(timeout=config.spawn_timeout)
+        except subprocess.TimeoutExpired:
+            raise NetworkError(self._spawn_failure("launcher did not exit")) from None
+        if returncode != 0:
+            raise NetworkError(self._spawn_failure(f"launcher exit {returncode}"))
         peers = {node_id: [config.host, conn.udp_port]
                  for node_id, conn in self._conns.items()}
         for conn in self._conns.values():
@@ -216,16 +254,19 @@ class RealCluster:
         self._started = True
 
     def _spawn_failure(self, why: str) -> str:
-        lines = [f"real cluster failed to start ({why})"]
-        for node_id, child in self._children.items():
-            lines.append(f"  node {node_id}: returncode={child.poll()}")
-            lines.append(self._stderr_tail(node_id))
+        lines = [f"real cluster failed to start ({why})",
+                 f"  launcher: returncode={self._launcher.poll()}",
+                 self._stderr_tail("launcher")]
+        for node_id in range(self.config.num_nodes):
+            lines.append(f"  node {node_id}: "
+                         + ("said hello" if node_id in self._conns else "no hello"))
+            lines.append(self._stderr_tail(f"node{node_id}"))
         return "\n".join(lines)
 
-    def _stderr_tail(self, node_id: int, limit: int = 2000) -> str:
+    def _stderr_tail(self, name: str, limit: int = 2000) -> str:
         if self._stderr_dir is None:
             return ""
-        path = os.path.join(self._stderr_dir, f"node{node_id}.stderr")
+        path = os.path.join(self._stderr_dir, f"{name}.stderr")
         try:
             with open(path, "rb") as handle:
                 data = handle.read()
@@ -255,15 +296,17 @@ class RealCluster:
         return self._collect()
 
     def kill_node(self, node_id: int) -> None:
-        """SIGKILL one node process mid-run (no farewell on any plane)."""
-        child = self._children.get(node_id)
-        if child is None or child.poll() is not None:
-            return
-        child.kill()
-        self._killed.append(node_id)
+        """SIGKILL one node process mid-run (no farewell on any plane) and
+        reap it."""
+        import signal
+
         conn = self._conns.pop(node_id, None)
-        if conn is not None:
-            conn.close()
+        if conn is None:
+            return
+        os.kill(conn.pid, signal.SIGKILL)
+        os.waitpid(conn.pid, 0)
+        self._killed.append(node_id)
+        conn.close()
 
     def _live_nodes(self) -> List[int]:
         return sorted(self._conns)
@@ -320,7 +363,7 @@ class RealCluster:
                 command, timeout=timeout or self.config.spawn_timeout)
         except NetworkError:
             raise NetworkError(f"node {node_id} died unexpectedly:\n"
-                               + self._stderr_tail(node_id)) from None
+                               + self._stderr_tail(f"node{node_id}")) from None
 
     def _quiesced(self, statuses: Dict[int, Dict[str, Any]]) -> bool:
         runtime = {node_id: status["runtime"]
@@ -377,6 +420,8 @@ class RealCluster:
     # -- teardown --------------------------------------------------------- #
 
     def shutdown(self) -> None:
+        """Stop every node, wait for the launcher, then reap every node of
+        its process group (also one that never said hello)."""
         for node_id in list(self._conns):
             conn = self._conns.pop(node_id)
             try:
@@ -384,17 +429,39 @@ class RealCluster:
             except Exception:
                 pass
             conn.close()
-        for child in self._children.values():
-            if child.poll() is None:
-                try:
-                    child.wait(timeout=5.0)
-                except subprocess.TimeoutExpired:
-                    child.kill()
-                    child.wait(timeout=5.0)
-        self._children.clear()
+        if self._launcher is not None:
+            try:
+                self._launcher.wait(timeout=5.0)
+            except subprocess.TimeoutExpired:
+                self._launcher.kill()
+                self._launcher.wait(timeout=5.0)
+            _reap_group(self._launcher.pid, timeout=5.0)
+            self._launcher = None
         if self._stderr_dir is not None:
             import shutil
 
             shutil.rmtree(self._stderr_dir, ignore_errors=True)
             self._stderr_dir = None
         self._started = False
+
+
+def _reap_group(group: int, timeout: float) -> None:
+    """Reap every child in process group ``group``; SIGKILL the group first
+    if some are still running after ``timeout`` seconds."""
+    import signal
+
+    deadline = time.monotonic() + timeout
+    while True:
+        try:
+            pid, _status = os.waitpid(-group, os.WNOHANG)
+        except ChildProcessError:
+            return  # none left
+        if pid:
+            continue
+        if time.monotonic() > deadline:
+            try:
+                os.killpg(group, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            deadline = float("inf")
+        time.sleep(0.001)

@@ -1,9 +1,12 @@
-"""One node of the real-process backend (``python -m repro.net.node_process``).
+"""The nodes of the real-process backend (``python -m repro.net.node_process``).
 
-The child binds a UDP data-plane socket on an ephemeral port, connects out
-to the harness's TCP control listener, announces itself, and then runs the
-node's loop (:meth:`~repro.net.host.RealNode.run`) on its main thread.  The
-loop serves datagrams, timers and the harness's commands, one at a time:
+Run once per cluster, as its launcher: it imports the node code once, forks
+one child per node and exits, so the harness (their subreaper) becomes the
+nodes' parent.  Each child sends its stderr to ``node<id>.stderr``, binds a
+UDP data-plane socket on an ephemeral port, connects out to the harness's
+TCP control listener, announces itself, and then runs the node's loop
+(:meth:`~repro.net.host.RealNode.run`) on its main thread.  The loop serves
+datagrams, timers and the harness's commands, one at a time:
 
 ``start``
     Install the peer table, shard seats, object table and protocol timers,
@@ -39,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import socket
 import threading
 import time
@@ -164,7 +168,8 @@ class NodeServer:
         self.pool = _ClientPool(self._client_changed)
         #: The timer that ends a ``wait_clients`` still unanswered.
         self._wait: Optional[int] = None
-        self._reply({"hello": True, "node_id": node_id, "udp_port": udp_port})
+        self._reply({"hello": True, "node_id": node_id, "udp_port": udp_port,
+                     "pid": os.getpid()})
 
     def serve(self) -> None:
         """Run the node's loop on this thread until ``shutdown`` or until
@@ -269,15 +274,40 @@ class NodeServer:
         self._reply({"ok": True})
 
 
+def _run_node(node_id: int, args: argparse.Namespace) -> None:
+    """In a forked child: node ``node_id``, its stderr in ``node<id>.stderr``.
+    It exits here and never returns to the launcher's loop."""
+    code = 1
+    try:
+        with open(os.path.join(args.stderr_dir, f"node{node_id}.stderr"), "wb") as log:
+            os.dup2(log.fileno(), 2)
+        # The main thread runs the loop: it lives as long as the process.
+        NodeServer(node_id, args.host, args.control_port).serve()
+        code = 0
+    except Exception:
+        traceback.print_exc()
+    finally:
+        os._exit(code)
+
+
 def main(argv: List[str] = None) -> None:
+    """Import the node code once, fork every node of the cluster, exit."""
     parser = argparse.ArgumentParser(
-        description="one node of the real-process execution backend")
-    parser.add_argument("--node-id", type=int, required=True)
+        description="launch the nodes of one real-process cluster")
+    parser.add_argument("--nodes", type=int, required=True)
     parser.add_argument("--control-port", type=int, required=True)
+    parser.add_argument("--stderr-dir", required=True)
     parser.add_argument("--host", default="127.0.0.1")
     args = parser.parse_args(argv)
-    # The main thread runs the loop: it lives as long as the process.
-    NodeServer(args.node_id, args.host, args.control_port).serve()
+    # The nodes share this process group, so the harness can reap them all,
+    # also one that never said hello.  No thread runs here: forking is safe.
+    os.setpgid(0, 0)
+    for node_id in range(args.nodes):
+        if os.fork() == 0:
+            _run_node(node_id, args)
+    # Skip finalisation (~30 ms on one pinned CPU): the harness waits for this
+    # exit before it starts the nodes.
+    os._exit(0)
 
 
 if __name__ == "__main__":

@@ -3,11 +3,13 @@
 ``python -m repro.net.node_process`` runs the protocol core (the amoeba
 message and broadcast modules, the object model, the primary-copy fan-out
 table), the ``net`` driver and the scenario definitions — nothing of the
-simulator, and no asyncio: the node runs its own loop.  Every node compiles
-its whole import closure at start-up when no bytecode cache is written, one
-node after another on a pinned CPU, so the closure is boot time.  The
-package ``__init__`` modules re-export lazily to keep it this small; an
-eager re-export would drag the simulator back in.
+simulator, no asyncio (the node runs its own loop) and no ctypes (the
+subreaper call belongs to the harness).  The cluster's launcher imports
+this closure once and forks every node from it, so the closure is boot time
+once per cluster: with no bytecode cache written, the launcher compiles all
+of it before the first node exists.  The package ``__init__`` modules
+re-export lazily to keep it this small; an eager re-export would drag the
+simulator back in.
 """
 
 from __future__ import annotations
@@ -21,10 +23,11 @@ import pytest
 
 import repro
 
-#: Simulator drivers, real-backend harness modules and the event-loop
-#: library a node never runs.
+#: Simulator drivers, real-backend harness modules, the event-loop library
+#: and the foreign-function library a node never runs.
 NOT_IN_A_NODE = (
     "asyncio",
+    "ctypes",
     "repro.sim.kernel",
     "repro.sim.process",
     "repro.amoeba.cluster",
@@ -52,29 +55,30 @@ NOT_IN_A_NODE = (
 #: send path and the election moved to ``election.py``, 6 589 once the
 #: coherence protocols folded into ``PrimaryCopy`` and ``config.py`` grew,
 #: 6 588 once a member's receive path went straight from ``_on_data`` to the
-#: one replica apply, 6 630 once a client thread issued its own write, and
-#: 6 633 once the node ran its own loop instead of asyncio's).  The cap was
+#: one replica apply, 6 630 once a client thread issued its own write, 6 633
+#: once the node ran its own loop instead of asyncio's, and 6 667 once
+#: ``node_process`` became the launcher that forks every node).  The cap was
 #: the closure plus 60 lines at 6 572 and stayed at 6 632 while the closure
 #: grew to 6 630; it now stands that same 2 lines over the closure:
 #: ``net/runtime.py``, the broadcast group and the scenario definitions are
 #: in the closure, so protocol growth alone can cross it.
 #: The forbidden-module check above is the main guard; this one catches a
 #: closure that grows without loading any of those modules.
-MAX_CLOSURE_LINES = 6635
+MAX_CLOSURE_LINES = 6669
 
 _PROBE = """
 import json, sys
 import repro.net.node_process
 loaded = {name: getattr(module, "__file__", None) for name, module in sys.modules.items()
-          if name.partition(".")[0] in ("repro", "asyncio")}
+          if name.partition(".")[0] in ("repro", "asyncio", "ctypes")}
 print(json.dumps(loaded))
 """
 
 
 @pytest.fixture(scope="module")
 def loaded():
-    """``{module: source file}`` of the ``repro`` and ``asyncio`` modules a
-    fresh interpreter holds after importing the node entry point."""
+    """``{module: source file}`` of the ``repro``, ``asyncio`` and ``ctypes``
+    modules a fresh interpreter holds after importing the node entry point."""
     src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     env = dict(os.environ, PYTHONPATH=src_dir)
     out = subprocess.run([sys.executable, "-c", _PROBE], check=True,

@@ -1,17 +1,23 @@
 """Multi-process convergence tests: the tentpole's acceptance matrix.
 
-Each test spawns one OS process per node (``repro.net.node_process``), runs
-a scenario over real UDP sockets on loopback, waits for quiescence, and
-checks the converged state against the deterministic stream replay — and,
-where marked, against a full simulator run of the identical workload.  The
-kill test SIGKILLs the primary-hosting victims mid-workload and requires
-the takeover protocol to finish the run with exactly-once semantics intact.
+Each test launches one OS process per node (``repro.net.node_process``
+imports the node code once and forks them), runs a scenario over real UDP
+sockets on loopback, waits for quiescence, and checks the converged state
+against the deterministic stream replay — and, where marked, against a full
+simulator run of the identical workload.  The kill test SIGKILLs the
+primary-hosting victims mid-workload and requires the takeover protocol to
+finish the run with exactly-once semantics intact.
 """
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import pytest
 
+from repro.errors import ConfigurationError
+from repro.net.harness import RealCluster, RealClusterConfig
 from repro.net.runner import run_real_workload
 from repro.net.runtime import RealTimings
 from repro.workloads.scenarios import PrimaryChurn, ScenarioRegistry
@@ -95,3 +101,41 @@ class TestPrimaryTakeover:
         # Two survivors, 120 writes-or-reads each, none lost or duplicated.
         assert report.total_ops == 2 * 120
         assert facts["counter_total"] == report.writes
+
+
+def parent_of(pid: int) -> int:
+    stat = Path("/proc", str(pid), "stat").read_text()
+    return int(stat.rsplit(")", 1)[1].split()[1])
+
+
+class TestNodeOwnership:
+    """The launcher exits; the harness's process owns and reaps the nodes."""
+
+    def test_nodes_are_children_of_the_harness_and_reaped(self):
+        cluster = RealCluster(RealClusterConfig(num_nodes=3, timings=CI_TIMINGS))
+        pids = {}
+        try:
+            cluster.start()
+            pids = {node_id: conn.pid for node_id, conn in cluster._conns.items()}
+            assert sorted(pids) == [0, 1, 2]
+            assert {parent_of(pid) for pid in pids.values()} == {os.getpid()}
+            cluster.kill_node(2)
+            # Reaped by ``kill_node`` itself: no zombie waits for shutdown.
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pids[2], os.WNOHANG)
+        finally:
+            cluster.shutdown()
+        assert [pid for pid in pids.values() if Path("/proc", str(pid)).exists()] == []
+
+    def test_start_refuses_without_a_subreaper(self, monkeypatch):
+        import ctypes
+
+        # A libc without ``prctl``: no fallback launch path, a clear error.
+        monkeypatch.setattr(ctypes, "CDLL", lambda *args, **kwargs: object())
+        cluster = RealCluster(RealClusterConfig(num_nodes=2, timings=CI_TIMINGS))
+        try:
+            with pytest.raises(ConfigurationError, match="PR_SET_CHILD_SUBREAPER"):
+                cluster.start()
+            assert cluster._launcher is None
+        finally:
+            cluster.shutdown()
