@@ -19,13 +19,16 @@ Layout
 ``host``          :class:`RealNode` — the node's ``select`` loop, hosting the
                   simulator's broadcast groups (one member per shard)
 ``runtime``       the per-process RTS layer above them (writes, the
-                  primary path, heartbeats, takeover)
+                  primary path, heartbeats, takeover) and ``boot_node``,
+                  the one way a node comes up
 ``rts_adapter``   a RuntimeSystem facade so the existing workload
                   :class:`~repro.workloads.scenarios.Scenario` classes run
                   unchanged against the real backend
 ``node_process``  ``python -m repro.net.node_process``, the launcher: it
-                  imports the node code once and forks every node
-``control``       JSON-lines control plane between harness and nodes
+                  imports the node code once, reads the run's plan on its
+                  stdin, binds every node's socket and forks every node
+``control``       the plan the nodes are forked holding, then the
+                  JSON-lines control plane between harness and nodes
 ``harness``       :class:`RealCluster` — launches and reaps the node
                   processes, drives workloads, kills nodes, collects state
 ``runner``        :func:`run_real_workload` producing the same

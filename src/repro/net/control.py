@@ -1,11 +1,13 @@
-"""The JSON-lines control plane between the harness and node processes.
+"""What the harness hands the node processes: a plan once, then commands.
 
-Node processes connect *out* to the harness's TCP listener (avoiding every
-port-race a listen-per-child design would invite), introduce themselves with
-a ``hello`` carrying their node id, the UDP data-plane port they bound and
-their pid (the harness is their parent and reaps them), and then execute
-harness commands strictly one at a time, read on the node's loop
-(:class:`~repro.net.node_process.NodeServer`).  Commands and replies are
+The :class:`ClusterPlan` is everything the nodes start from.  The harness
+pickles it onto the launcher's stdin, the one place a plan is ever
+unpickled, and the launcher forks every node already holding it.  The nodes
+then connect *out* to the harness's TCP listener (avoiding every port-race a
+listen-per-child design would invite), introduce themselves with a ``hello``
+carrying their node id and pid (the harness is their parent and reaps them),
+and then execute harness commands strictly one at a time, read on the node's
+loop (:class:`~repro.net.node_process.NodeServer`).  Commands and replies are
 single JSON objects, one per line — small, human-debuggable, and reusing
 nothing of the data plane's framing on purpose (a control-plane bug should
 never masquerade as a protocol bug).
@@ -15,13 +17,42 @@ from __future__ import annotations
 
 import json
 import socket
-from typing import Any, Dict, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import NetworkError
+from ..workloads.spec import WorkloadSpec
+from .runtime import RealTimings
 
 #: Ceiling on one control line; a status or collect reply for the workloads
 #: the backend runs is a few KiB, so anything near this is a framing bug.
 MAX_LINE = 8 * 1024 * 1024
+
+
+@dataclass(frozen=True)
+class ClusterPlan:
+    """Everything the nodes of one cluster start from."""
+
+    nodes: int
+    host: str
+    #: The harness's TCP listener the nodes connect out to.
+    control_port: int
+    #: Where each node writes ``node<id>.stderr``.
+    stderr_dir: str
+    timings: RealTimings
+    #: Shard -> sequencer-seat node.
+    seats: Dict[int, int]
+    #: One row per object, its spec class included (the harness's
+    #: :meth:`~repro.net.harness.RealClusterConfig.build_object_table`).
+    objects: List[Dict[str, Any]]
+    #: The client run: each client node runs ``clients_per_node`` clients of
+    #: ``scenario`` under ``spec`` and ``seed``.
+    scenario: str
+    spec: WorkloadSpec
+    seed: int
+    clients_per_node: int
+    op_timeout: float
+    park_at: Tuple[int, ...]
 
 
 def encode_line(obj: Dict[str, Any]) -> bytes:
@@ -35,7 +66,6 @@ class NodeConnection:
         self._sock = sock
         self._rfile = sock.makefile("rb")
         self.node_id: Optional[int] = None
-        self.udp_port: Optional[int] = None
         self.pid: Optional[int] = None
 
     def send(self, obj: Dict[str, Any]) -> None:
@@ -67,7 +97,6 @@ class NodeConnection:
         if not hello.get("hello"):
             raise NetworkError(f"unexpected first control line: {hello!r}")
         self.node_id = int(hello["node_id"])
-        self.udp_port = int(hello["udp_port"])
         self.pid = int(hello["pid"])
 
     def close(self) -> None:

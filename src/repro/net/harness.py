@@ -3,15 +3,18 @@
 :class:`RealCluster` owns the whole life cycle of one real run: it computes
 the deterministic object table by replaying the scenario's setup against a
 :class:`~repro.net.rts_adapter.RecordingRts`, spawns one launcher
-(``python -m repro.net.node_process``) that imports the node code once, forks
-one node per machine and exits, distributes the peer/seat/object tables over
-the control plane, fans the workload out to the client nodes,
-optionally SIGKILLs victim nodes mid-run (the real-socket analogue of the
-simulator's staged crashes; each kill is keyed to acknowledged-operation
-progress, not to the clock), waits until every surviving node has quiesced —
-clients finished, no pending writes, hold-back queues empty, every member
-caught up with the seat its shard follows — and finally collects each node's
-object states and applied logs for the oracle's convergence check.
+(``python -m repro.net.node_process``) and hands it the run's
+:class:`~repro.net.control.ClusterPlan` (seats, object table, timings
+and client run) on its stdin, collects each node's ``hello`` — the launcher
+forks every node already booted from the plan, then exits — starts the
+clients on the client nodes, optionally SIGKILLs victim nodes mid-run (the
+real-socket analogue of the simulator's staged crashes; each kill is keyed
+to acknowledged-operation progress, not to the clock), waits until every
+surviving node has quiesced — clients finished, no pending writes, hold-back
+queues empty, every member caught up with the seat its shard follows — and
+finally collects each node's object states and applied logs for the
+oracle's convergence check.  The plan is unpickled only from that pipe,
+never from a socket; commands and replies stay JSON lines.
 
 The nodes stay children of the harness's own process: :meth:`RealCluster.start`
 makes it their subreaper (``prctl(PR_SET_CHILD_SUBREAPER)``), so they pass
@@ -41,13 +44,17 @@ from ..errors import ConfigurationError, NetworkError
 from ..rts.sharding import HashPlacement
 from ..workloads.scenarios import ScenarioRegistry
 from ..workloads.spec import WorkloadSpec
-from .control import NodeConnection
-from .rts_adapter import RecordingRts, spec_to_payload
+from .control import ClusterPlan, NodeConnection
+from .rts_adapter import RecordingRts
 from .runtime import RealTimings
 
 #: Seconds between status rounds while the cluster has not yet quiesced
 #: (its clients are done by then, so only in-flight messages remain).
 SETTLE_POLL = 0.002
+
+#: Seconds between looks at the launcher while waiting for the nodes' hellos,
+#: so a launcher that dies fails :meth:`RealCluster.start` at once.
+HELLO_POLL = 0.05
 
 
 @dataclass(frozen=True)
@@ -201,33 +208,47 @@ class RealCluster:
         self.shutdown()
 
     def start(self) -> None:
-        """Launch every node process and distribute the cluster tables."""
+        """Launch every node process, booted from the run's plan."""
+        # Imported here, as ``signal`` and ``ctypes`` are, so that a process
+        # which imports the harness but runs no real cluster never loads it.
+        import pickle
+
         config = self.config
         _adopt_orphans()
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.bind((config.host, 0))
         listener.listen(config.num_nodes)
-        control_port = listener.getsockname()[1]
         self._stderr_dir = tempfile.mkdtemp(prefix="repro-net-")
+        plan = ClusterPlan(
+            nodes=config.num_nodes, host=config.host,
+            control_port=listener.getsockname()[1], stderr_dir=self._stderr_dir,
+            timings=config.timings, seats=self.seats, objects=self.object_table,
+            scenario=config.scenario, spec=config.spec, seed=config.seed,
+            clients_per_node=config.clients_per_node, op_timeout=config.op_timeout,
+            park_at=config.kill_after)
         try:
             with open(os.path.join(self._stderr_dir, "launcher.stderr"), "wb") as stderr:
                 self._launcher = subprocess.Popen(
-                    [sys.executable, "-m", "repro.net.node_process",
-                     "--nodes", str(config.num_nodes),
-                     "--control-port", str(control_port),
-                     "--stderr-dir", self._stderr_dir,
-                     "--host", config.host],
-                    stdout=subprocess.DEVNULL, stderr=stderr, env=_python_path_env())
+                    [sys.executable, "-m", "repro.net.node_process"],
+                    stdin=subprocess.PIPE, stdout=subprocess.DEVNULL, stderr=stderr,
+                    env=_python_path_env())
+            try:
+                with self._launcher.stdin as plan_pipe:
+                    pickle.dump(plan, plan_pipe)
+            except BrokenPipeError:
+                pass  # the launcher died before reading it: the poll below says so
             deadline = time.monotonic() + config.spawn_timeout
-            listener.settimeout(config.spawn_timeout)
+            listener.settimeout(HELLO_POLL)
             while len(self._conns) < config.num_nodes:
+                returncode = self._launcher.poll()
+                if returncode:
+                    raise NetworkError(self._spawn_failure(f"launcher exit {returncode}"))
                 if time.monotonic() > deadline:
                     raise NetworkError(self._spawn_failure("hello timeout"))
                 try:
                     conn_sock, _addr = listener.accept()
                 except socket.timeout:
-                    raise NetworkError(
-                        self._spawn_failure("hello timeout")) from None
+                    continue
                 conn = NodeConnection(conn_sock)
                 conn.read_hello(config.spawn_timeout)
                 self._conns[conn.node_id] = conn
@@ -240,17 +261,6 @@ class RealCluster:
             raise NetworkError(self._spawn_failure("launcher did not exit")) from None
         if returncode != 0:
             raise NetworkError(self._spawn_failure(f"launcher exit {returncode}"))
-        peers = {node_id: [config.host, conn.udp_port]
-                 for node_id, conn in self._conns.items()}
-        for conn in self._conns.values():
-            conn.request({
-                "cmd": "start",
-                "peers": peers,
-                "seats": {str(shard): seat
-                          for shard, seat in self.seats.items()},
-                "objects": self.object_table,
-                "timings": config.timings.as_payload(),
-            }, timeout=config.spawn_timeout)
         self._started = True
 
     def _spawn_failure(self, why: str) -> str:
@@ -280,18 +290,9 @@ class RealCluster:
         """Drive the configured workload to a settled, collected state."""
         if not self._started:
             self.start()
-        config = self.config
-        spec_payload = spec_to_payload(config.spec)
-        for node_id in config.client_nodes:
-            self._conns[node_id].request({
-                "cmd": "run_clients",
-                "scenario": config.scenario,
-                "spec": spec_payload,
-                "seed": config.seed,
-                "clients": list(range(config.clients_per_node)),
-                "op_timeout": config.op_timeout,
-                "park_at": list(config.kill_after),
-            }, timeout=config.spawn_timeout)
+        for node_id in self.config.client_nodes:
+            self._conns[node_id].request({"cmd": "run_clients"},
+                                         timeout=self.config.spawn_timeout)
         self._settle()
         return self._collect()
 

@@ -1,24 +1,29 @@
 """The nodes of the real-process backend (``python -m repro.net.node_process``).
 
-Run once per cluster, as its launcher: it imports the node code once, forks
-one child per node and exits, so the harness (their subreaper) becomes the
-nodes' parent.  Each child sends its stderr to ``node<id>.stderr``, binds a
-UDP data-plane socket on an ephemeral port, connects out to the harness's
-TCP control listener, announces itself, and then runs the node's loop
+Run once per cluster, as its launcher: it reads the cluster's
+:class:`~repro.net.control.ClusterPlan` (pickled on its stdin by the harness
+that spawned it), binds every node's UDP data-plane socket, so the peer table
+is known before any node exists, then forks one child per node and exits, so
+the harness (their subreaper) becomes the nodes' parent.  Each child closes
+the other nodes' sockets, sends its stderr to ``node<id>.stderr``, boots
+through :func:`~repro.net.runtime.boot_node` (peer table, seats, object
+table, timers: the runtime is started), connects out to the harness's TCP
+control listener, announces itself, and then runs the node's loop
 (:meth:`~repro.net.host.RealNode.run`) on its main thread.  The loop serves
 datagrams, timers and the harness's commands, one at a time:
 
-``start``
-    Install the peer table, shard seats, object table and protocol timers,
-    then start the runtime (heartbeats, failure monitor).
 ``run_clients``
-    Replay the scenario's setup against the local replicas (handle binding),
-    then launch one OS thread per client.  Each client replays exactly the
-    request stream its simulated twin draws — same named rng stream, same
-    draw order — so the write multiset is identical across backends.
+    Replay the plan's scenario setup against the local replicas (handle
+    binding), then launch the plan's clients, one OS thread each.  Each
+    client replays exactly the request stream its simulated twin draws — same
+    named rng stream, same draw order — so the write multiset is identical
+    across backends.
     Returns immediately; the harness waits with ``wait_clients``.
-    ``park_at`` lists per-client acknowledged-operation counts at which every
-    client parks (a staged crash is due) until the harness sends ``release``.
+    The plan's ``park_at`` lists per-client acknowledged-operation counts at
+    which every client parks (a staged crash is due) until the harness sends
+    ``release``.
+``release``
+    Let the clients parked at the current kill threshold go on.
 ``wait_clients``
     Answers once every client thread has ended or parked at a kill
     threshold (each wakes the loop to check), or at a node timer after
@@ -40,10 +45,11 @@ converged state, not timing.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
+import pickle
 import socket
+import sys
 import threading
 import time
 import traceback
@@ -53,10 +59,9 @@ from ..errors import NetworkError
 from ..sim.rng import RngRegistry
 from ..workloads.scenarios import Scenario, ScenarioRegistry
 from ..workloads.spec import WorkloadSpec, client_schedule
-from .control import MAX_LINE, encode_line
-from .host import RealNode
-from .rts_adapter import ClientProc, RealRtsFacade, spec_from_payload
-from .runtime import RealRuntime, RealTimings
+from .control import MAX_LINE, ClusterPlan, encode_line
+from .rts_adapter import ClientProc, RealRtsFacade
+from .runtime import RealRuntime, boot_node
 from .udp import UdpTransport
 
 #: Ceiling on one closed-loop think-time sleep, so a long exponential draw
@@ -153,23 +158,20 @@ def _client_loop(facade: RealRtsFacade, scenario: Scenario,
 
 
 class NodeServer:
-    """One node process: its transport, its loop, the harness's commands."""
+    """One booted node process: its loop and the harness's commands."""
 
-    def __init__(self, node_id: int, host: str, control_port: int) -> None:
-        self.transport = UdpTransport(node_id)
-        udp_port = self.transport.open(host)
-        self.node = RealNode(node_id, self.transport)
-        self.node.watch(self.transport.sock, self.transport.on_readable)
-        self.control = socket.create_connection((host, control_port))
+    def __init__(self, plan: ClusterPlan, runtime: RealRuntime) -> None:
+        self.plan = plan
+        self.runtime = runtime
+        self.node = runtime.node
+        self.control = socket.create_connection((plan.host, plan.control_port))
         self.node.watch(self.control, self._on_control)
         #: The start of a command line not yet received whole.
         self._partial = b""
-        self.runtime: Optional[RealRuntime] = None  # set by "start"
         self.pool = _ClientPool(self._client_changed)
         #: The timer that ends a ``wait_clients`` still unanswered.
         self._wait: Optional[int] = None
-        self._reply({"hello": True, "node_id": node_id, "udp_port": udp_port,
-                     "pid": os.getpid()})
+        self._reply({"hello": True, "node_id": self.node.node_id, "pid": os.getpid()})
 
     def serve(self) -> None:
         """Run the node's loop on this thread until ``shutdown`` or until
@@ -177,9 +179,8 @@ class NodeServer:
         try:
             self.node.run()
         finally:
-            if self.runtime is not None:
-                self.runtime.stop()
-            self.transport.close()
+            self.runtime.stop()
+            self.runtime.transport.close()
             self.control.close()
 
     def _reply(self, obj: Dict[str, Any]) -> None:
@@ -210,32 +211,8 @@ class NodeServer:
         try:
             reply = {"ok": True}
             name = command["cmd"]
-            if name == "start":
-                self.transport.set_peers({
-                    int(peer): (addr[0], int(addr[1]))
-                    for peer, addr in command["peers"].items()})
-                self.runtime = RealRuntime(node, RealTimings(**command.get("timings", {})))
-                self.runtime.set_seats(command["seats"])
-                self.runtime.install_objects(command["objects"])
-                self.runtime.start()
-            elif name == "run_clients":
-                spec = spec_from_payload(command["spec"])
-                scenario = ScenarioRegistry.create(command["scenario"],
-                                                   spec)
-                facade = RealRtsFacade(
-                    self.runtime, op_timeout=float(command.get("op_timeout", 60.0)))
-                scenario.setup(facade, None)
-                pool.park_at = tuple(command.get("park_at", ()))
-                pool.started_at = time.monotonic()
-                for client_id in command["clients"]:
-                    proc = ClientProc(node.node_id, int(client_id))
-                    thread = threading.Thread(
-                        target=_client_loop,
-                        args=(facade, scenario, spec, proc, pool,
-                              int(command["seed"])),
-                        name=f"client{client_id}", daemon=True)
-                    pool.threads.append(thread)
-                    thread.start()
+            if name == "run_clients":
+                self._run_clients()
             elif name == "release":
                 pool.release()
             elif name == "wait_clients":
@@ -245,8 +222,7 @@ class NodeServer:
                 return None
             elif name == "status":
                 reply["clients"] = pool.summary()
-                reply["runtime"] = (self.runtime.status()
-                                    if self.runtime is not None else None)
+                reply["runtime"] = self.runtime.status()
             elif name == "collect":
                 reply["clients"] = pool.summary()
                 reply.update(self.runtime.collect())
@@ -257,6 +233,21 @@ class NodeServer:
         except Exception as exc:
             reply = {"ok": False, "error": repr(exc), "traceback": traceback.format_exc()}
         return reply
+
+    def _run_clients(self) -> None:
+        plan, pool = self.plan, self.pool
+        scenario = ScenarioRegistry.create(plan.scenario, plan.spec)
+        facade = RealRtsFacade(self.runtime, op_timeout=plan.op_timeout)
+        scenario.setup(facade, None)
+        pool.park_at = plan.park_at
+        pool.started_at = time.monotonic()
+        for client_id in range(plan.clients_per_node):
+            proc = ClientProc(self.node.node_id, client_id)
+            thread = threading.Thread(
+                target=_client_loop, args=(facade, scenario, plan.spec, proc, pool, plan.seed),
+                name=f"client{client_id}", daemon=True)
+            pool.threads.append(thread)
+            thread.start()
 
     def _client_changed(self) -> None:
         """On a client thread: have the loop look at the pool again."""
@@ -274,15 +265,19 @@ class NodeServer:
         self._reply({"ok": True})
 
 
-def _run_node(node_id: int, args: argparse.Namespace) -> None:
-    """In a forked child: node ``node_id``, its stderr in ``node<id>.stderr``.
-    It exits here and never returns to the launcher's loop."""
+def _run_node(plan: ClusterPlan, transport: UdpTransport,
+              peers: Dict[int, Tuple[str, int]]) -> None:
+    """In a forked child: boot node ``transport.node_id``, its stderr in
+    ``node<id>.stderr``.  It exits here and never returns to the launcher's
+    loop."""
     code = 1
     try:
-        with open(os.path.join(args.stderr_dir, f"node{node_id}.stderr"), "wb") as log:
+        path = os.path.join(plan.stderr_dir, f"node{transport.node_id}.stderr")
+        with open(path, "wb") as log:
             os.dup2(log.fileno(), 2)
+        runtime = boot_node(transport, peers, plan.timings, plan.seats, plan.objects)
         # The main thread runs the loop: it lives as long as the process.
-        NodeServer(node_id, args.host, args.control_port).serve()
+        NodeServer(plan, runtime).serve()
         code = 0
     except Exception:
         traceback.print_exc()
@@ -290,23 +285,23 @@ def _run_node(node_id: int, args: argparse.Namespace) -> None:
         os._exit(code)
 
 
-def main(argv: List[str] = None) -> None:
-    """Import the node code once, fork every node of the cluster, exit."""
-    parser = argparse.ArgumentParser(
-        description="launch the nodes of one real-process cluster")
-    parser.add_argument("--nodes", type=int, required=True)
-    parser.add_argument("--control-port", type=int, required=True)
-    parser.add_argument("--stderr-dir", required=True)
-    parser.add_argument("--host", default="127.0.0.1")
-    args = parser.parse_args(argv)
+def main() -> None:
+    """Read the plan, bind every node's socket, fork every node, exit."""
+    plan: ClusterPlan = pickle.load(sys.stdin.buffer)
     # The nodes share this process group, so the harness can reap them all,
     # also one that never said hello.  No thread runs here: forking is safe.
     os.setpgid(0, 0)
-    for node_id in range(args.nodes):
+    transports = [UdpTransport(node_id) for node_id in range(plan.nodes)]
+    peers = {transport.node_id: (plan.host, transport.open(plan.host))
+             for transport in transports}
+    for transport in transports:
         if os.fork() == 0:
-            _run_node(node_id, args)
+            for other in transports:
+                if other is not transport:
+                    other.close()
+            _run_node(plan, transport, peers)
     # Skip finalisation (~30 ms on one pinned CPU): the harness waits for this
-    # exit before it starts the nodes.
+    # exit before it starts the clients.
     os._exit(0)
 
 

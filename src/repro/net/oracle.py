@@ -26,17 +26,15 @@ order-insensitive ones both must agree on.
 
 from __future__ import annotations
 
-import itertools
 import json
 from collections import Counter
-from typing import Any, Dict, List, Optional, Tuple, Type
+from typing import Any, Dict, Optional, Tuple
 
-from ..rts.base import ObjectHandle
-from ..rts.object_model import ObjectSpec, execute_operation
 from ..sim.rng import RngRegistry
 from ..workloads.scenarios import ScenarioRegistry
 from ..workloads.spec import client_schedule
 from .harness import RealClusterConfig
+from .rts_adapter import ClientProc, RecordingRts
 from .wire import jsonify
 
 # ---------------------------------------------------------------------- #
@@ -82,59 +80,10 @@ def record_sim_oracle(config: RealClusterConfig,
 # ---------------------------------------------------------------------- #
 
 
-class _ProbeRts:
-    """In-memory RuntimeSystem stand-in: applies operations immediately.
-
-    Shared instances give scenario ``perform`` implementations working
-    return values; every write operation is also recorded against the
-    issuing client in issue order — the ground truth the exactly-once and
-    FIFO checks compare applied logs against.
-    """
-
-    def __init__(self) -> None:
-        self.instances: Dict[int, ObjectSpec] = {}
-        self.names: Dict[int, str] = {}
-        self.client_writes: Dict[Tuple[int, int], List[Tuple[str, str]]] = {}
-        self.put_values: List[Any] = []
-        self._ids = itertools.count(1)
-
-    def create_object(self, proc: Any, spec_class: Type[ObjectSpec],
-                      args: Tuple[Any, ...] = (),
-                      kwargs: Optional[Dict[str, Any]] = None,
-                      name: Optional[str] = None,
-                      policy: Any = None) -> ObjectHandle:
-        obj_id = next(self._ids)
-        if name is None:
-            name = f"{spec_class.__name__}#{obj_id}"
-        self.instances[obj_id] = spec_class.create(tuple(args),
-                                                   dict(kwargs or {}))
-        self.names[obj_id] = name
-        return ObjectHandle(obj_id=obj_id, name=name, spec_class=spec_class)
-
-    def invoke(self, proc: Any, handle: ObjectHandle, op_name: str,
-               args: Tuple[Any, ...] = (),
-               kwargs: Optional[Dict[str, Any]] = None) -> Any:
-        op = handle.spec_class.operation_def(op_name)
-        if op.is_write:
-            client = (proc.node_id, proc.client_id)
-            self.client_writes.setdefault(client, []).append(
-                (handle.name, op_name))
-            if op_name == "put":
-                self.put_values.append(args[0])
-        return execute_operation(self.instances[handle.obj_id], op,
-                                 tuple(args), kwargs)
-
-
-class _ProbeProc:
-    def __init__(self, node_id: int, client_id: int) -> None:
-        self.node_id = node_id
-        self.client_id = client_id
-
-
 def expected_issued_writes(config: RealClusterConfig) -> Dict[str, Any]:
     """Replay every client's stream; return the backend-independent truth."""
     scenario = ScenarioRegistry.create(config.scenario, config.spec)
-    probe = _ProbeRts()
+    probe = RecordingRts()
     scenario.setup(probe, None)
     spec = config.spec
     reads = writes = 0
@@ -142,7 +91,7 @@ def expected_issued_writes(config: RealClusterConfig) -> Dict[str, Any]:
     for node_id in config.client_nodes:
         for client_id in range(config.clients_per_node):
             rng = registry.stream(f"workload.client.{node_id}.{client_id}")
-            proc = _ProbeProc(node_id, client_id)
+            proc = ClientProc(node_id, client_id)
             for request, _pacing, _value in client_schedule(spec, rng):
                 scenario.perform(probe, proc, request)
                 writes += request.is_write
@@ -156,8 +105,8 @@ def expected_issued_writes(config: RealClusterConfig) -> Dict[str, Any]:
         "per_client_writes": probe.client_writes,
         "per_object_writes": dict(per_object),
         "put_values": Counter(probe.put_values),
-        "final_states": {probe.names[obj_id]: jsonify(inst.marshal_state())
-                         for obj_id, inst in probe.instances.items()},
+        "final_states": {row["name"]: jsonify(probe.instances[row["obj_id"]].marshal_state())
+                         for row in probe.rows},
     }
 
 

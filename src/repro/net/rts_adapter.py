@@ -6,9 +6,10 @@ Three small adapters make them run unchanged across real processes:
 
 * :class:`RecordingRts` (harness side) replays ``scenario.setup`` once to
   *record* the deterministic object table — names, spec classes, creation
-  arguments, policies — that the harness distributes to every node before
-  the run.  Object ids are assigned sequentially from 1, exactly as the
-  simulator's runtimes do, so id-hash shard placement matches.
+  arguments, policies — that every node is forked holding.  Object ids are
+  assigned sequentially from 1, exactly as the simulator's runtimes do, so
+  id-hash shard placement matches.  The oracle replays the clients' request
+  streams against the same stand-in's in-memory objects.
 * :class:`RealRtsFacade` (node side) replays the same ``setup`` to *bind*
   handles by name against the locally installed replicas, then serves
   ``invoke`` from client OS threads: a read runs right there against the
@@ -27,14 +28,12 @@ from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import asdict
 from typing import Any, Dict, List, Optional, Tuple, Type
 
 from ..errors import ConfigurationError
 from ..rts.base import ObjectHandle
-from ..rts.object_model import ObjectSpec
-from ..workloads.spec import PhaseSpec, WorkloadSpec
-from .runtime import RealRuntime, spec_path
+from ..rts.object_model import ObjectSpec, execute_operation
+from .runtime import RealRuntime
 
 #: Simulator management policies -> the real backend's protocol families.
 POLICY_MAP = {
@@ -55,28 +54,23 @@ def map_policy(policy: Any) -> str:
         ) from None
 
 
-def spec_to_payload(spec: WorkloadSpec) -> Dict[str, Any]:
-    """Serialise a WorkloadSpec for the control plane (JSON-native)."""
-    payload = asdict(spec)
-    payload["phases"] = [asdict(phase) for phase in spec.phases]
-    payload["arrival_trace"] = [list(seg) for seg in spec.arrival_trace]
-    return payload
-
-
-def spec_from_payload(payload: Dict[str, Any]) -> WorkloadSpec:
-    fields = dict(payload)
-    fields["phases"] = tuple(
-        PhaseSpec(**phase) for phase in fields.get("phases", ()))
-    fields["arrival_trace"] = tuple(
-        (float(d), float(r)) for d, r in fields.get("arrival_trace", ()))
-    return WorkloadSpec(**fields)
-
-
 class RecordingRts:
-    """Harness-side stub: records ``setup``'s creations into an object table."""
+    """Harness-side runtime stand-in: objects live in memory, operations
+    apply at once.
+
+    ``setup``'s creations are recorded as ``rows`` of the object table;
+    ``setup`` runs with no process, and an invocation from no process is
+    refused.  A client's invocations (``perform`` with a :class:`ClientProc`)
+    run against the in-memory ``instances``, each write also recorded against
+    its client in issue order (``client_writes``), the ground truth the
+    oracle's exactly-once and FIFO checks compare applied logs against.
+    """
 
     def __init__(self) -> None:
         self.rows: List[Dict[str, Any]] = []
+        self.instances: Dict[int, ObjectSpec] = {}
+        self.client_writes: Dict[Tuple[int, int], List[Tuple[str, str]]] = {}
+        self.put_values: List[Any] = []
         self._ids = itertools.count(1)
 
     def create_object(self, proc: Any, spec_class: Type[ObjectSpec],
@@ -87,23 +81,33 @@ class RecordingRts:
         obj_id = next(self._ids)
         if name is None:
             name = f"{spec_class.__name__}#{obj_id}"
+        kwargs = dict(kwargs or {})
         self.rows.append({
             "obj_id": obj_id,
             "name": name,
-            "spec": spec_path(spec_class),
+            "spec": spec_class,
             "args": list(args),
-            "kwargs": dict(kwargs or {}),
+            "kwargs": kwargs,
             "policy": map_policy(policy),
         })
+        self.instances[obj_id] = spec_class.create(tuple(args), dict(kwargs))
         return ObjectHandle(obj_id=obj_id, name=name, spec_class=spec_class)
 
-    def invoke(self, proc: Any, handle: ObjectHandle, op_name: str,
+    def invoke(self, proc: Optional[ClientProc], handle: ObjectHandle, op_name: str,
                args: Tuple[Any, ...] = (),
                kwargs: Optional[Dict[str, Any]] = None) -> Any:
-        raise ConfigurationError(
-            f"scenario setup invokes {op_name!r} on {handle.name!r}; the "
-            "real backend only supports scenarios whose initial state comes "
-            "from object creation arguments")
+        if proc is None:
+            raise ConfigurationError(
+                f"scenario setup invokes {op_name!r} on {handle.name!r}; the "
+                "real backend only supports scenarios whose initial state comes "
+                "from object creation arguments")
+        op = handle.spec_class.operation_def(op_name)
+        if op.is_write:
+            self.client_writes.setdefault((proc.node_id, proc.client_id), []).append(
+                (handle.name, op_name))
+            if op_name == "put":
+                self.put_values.append(args[0])
+        return execute_operation(self.instances[handle.obj_id], op, tuple(args), kwargs)
 
 
 class ClientProc:

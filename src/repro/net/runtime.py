@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import collections
 import functools
-import importlib
 from concurrent.futures import Future
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple, Type
@@ -59,6 +58,7 @@ from ..rts.object_model import (RETRY, ObjectSpec, OperationDef,
 from ..rts.p2p.fanout import (FUTURE, FanOuts, SwitchRecord, lookup_applied,
                               place_epoch, record_applied)
 from .host import RealNode
+from .udp import UdpTransport
 from .wire import from_wire, jsonify, wire_text
 
 #: Wire encoding of the :data:`~repro.rts.object_model.RETRY` sentinel.
@@ -67,22 +67,6 @@ RETRY_MARKER = {"__retry__": True}
 #: Real-backend management policies (the harness maps the richer simulator
 #: policy names onto these two protocol families).
 REAL_POLICIES = ("broadcast", "primary-update")
-
-
-def resolve_spec(path: str) -> Type[ObjectSpec]:
-    """Import an ``ObjectSpec`` subclass from a ``module:Class`` path."""
-    module_name, _, class_name = path.partition(":")
-    if not class_name:
-        raise RtsError(f"spec path {path!r} is not 'module:Class'")
-    spec_class = getattr(importlib.import_module(module_name), class_name)
-    if not (isinstance(spec_class, type) and issubclass(spec_class, ObjectSpec)):
-        raise RtsError(f"{path!r} does not name an ObjectSpec subclass")
-    return spec_class
-
-
-def spec_path(spec_class: Type[ObjectSpec]) -> str:
-    """The ``module:Class`` path under which a spec class is importable."""
-    return f"{spec_class.__module__}:{spec_class.__qualname__}"
 
 
 def write_id(body: Dict[str, Any]) -> Tuple[str, int]:
@@ -99,7 +83,7 @@ class RealTimings:
     detector is deliberately generous so a briefly descheduled process is
     not declared dead under load.  The broadcast groups read ``dead_after``
     (election timeout), ``retry_interval`` (retries and tail syncs) and
-    ``gap_delay`` (:meth:`RealRuntime.set_seats`).  ``sync_interval`` stays
+    ``gap_delay`` (:class:`RealRuntime`).  ``sync_interval`` stays
     for the callers that pass it (always equal to ``retry_interval``) and is
     read nowhere: a group's tail syncs run at ``retry_interval``.
     """
@@ -112,9 +96,6 @@ class RealTimings:
     #: Hard ceiling on one write submission; hitting it means the protocol
     #: is wedged and the test should fail loudly instead of hanging.
     submit_deadline: float = 30.0
-
-    def as_payload(self) -> Dict[str, float]:
-        return asdict(self)
 
 
 @dataclass
@@ -213,20 +194,21 @@ class RealRuntimeStats:
 class RealRuntime:
     """Protocol engine for one node of the real-process backend."""
 
-    def __init__(self, node: RealNode, timings: Optional[RealTimings] = None) -> None:
+    def __init__(self, node: RealNode, timings: RealTimings, seats: Dict[int, int],
+                 objects: List[Dict[str, Any]]) -> None:
+        """Join one broadcast group per shard, seated as ``seats`` (shard ->
+        node, identical cluster-wide) says, and create a replica of every row
+        of the harness's object table ``objects``."""
         #: The node the groups run on; its handler table is the process's.
         self.node = node
         self.node_id = node.node_id
         self.transport = node.network
-        self.timings = timings or RealTimings()
+        self.timings = timings
         self.stats = RealRuntimeStats()
         self.params = BroadcastParams(method="pb",
-                                      election_timeout=self.timings.dead_after)
-        self.objects: Dict[int, RealObject] = {}
+                                      election_timeout=timings.dead_after)
         #: Acknowledgement debts of the primary writes applying here.
         self.fanouts = FanOuts()
-        #: shard -> its broadcast group (this process's member of it).
-        self.groups: Dict[int, BroadcastGroup] = {}
         self._pending: Dict[Any, _PendingWrite] = {}
         self._last_heard: Dict[int, float] = {}
         self._running = False
@@ -234,43 +216,28 @@ class RealRuntime:
             self.node.register_handler(f"net.{kind}", getattr(self, f"_handle_{kind}"))
         #: An ordered body's ``type`` -> what applies it.
         self._ordered_kinds = {"op": self._apply_ordered_op, "switch": self._install_switch}
-
-    # ------------------------------------------------------------------ #
-    # Setup
-    # ------------------------------------------------------------------ #
-
-    def set_seats(self, seats: Dict[int, int]) -> None:
-        """Join one broadcast group per shard, seated as the shard -> node
-        table (identical cluster-wide) says."""
+        #: shard -> its broadcast group (this process's member of it).
+        self.groups: Dict[int, BroadcastGroup] = {}
         for shard, seat in seats.items():
-            group = BroadcastGroup(self.node, self.params, group_id=int(shard),
-                                   sequencer_node_id=int(seat))
-            group.retry_timeout = self.timings.retry_interval
-            group.gap_request_delay = self.timings.gap_delay
-            group.set_delivery_handler(self.node_id,
-                                       functools.partial(self._deliver, int(shard)))
-            self.groups[int(shard)] = group
+            group = BroadcastGroup(node, self.params, group_id=shard, sequencer_node_id=seat)
+            group.retry_timeout = timings.retry_interval
+            group.gap_request_delay = timings.gap_delay
+            group.set_delivery_handler(self.node_id, functools.partial(self._deliver, shard))
+            self.groups[shard] = group
+        self.objects: Dict[int, RealObject] = {}
+        for row in objects:
+            if row["policy"] not in REAL_POLICIES:
+                raise RtsError(f"real backend cannot manage policy {row['policy']!r}")
+            spec_class = row["spec"]
+            self.objects[row["obj_id"]] = RealObject(
+                obj_id=row["obj_id"], name=row["name"], spec_class=spec_class,
+                instance=spec_class.create(tuple(row["args"]), dict(row["kwargs"])),
+                policy=row["policy"], shard=row["shard"], primary=row["primary"],
+                log=SequencerLog(self.params.history_size))
 
-    def install_objects(self, table: List[Dict[str, Any]]) -> None:
-        """Create local replicas from the harness's object table."""
-        for row in table:
-            policy = row["policy"]
-            if policy not in REAL_POLICIES:
-                raise RtsError(f"real backend cannot manage policy {policy!r}")
-            spec_class = resolve_spec(row["spec"])
-            instance = spec_class.create(tuple(row.get("args", ())),
-                                         dict(row.get("kwargs", {})))
-            obj = RealObject(
-                obj_id=int(row["obj_id"]),
-                name=row["name"],
-                spec_class=spec_class,
-                instance=instance,
-                policy=policy,
-                shard=int(row["shard"]),
-                primary=int(row["primary"]),
-                log=SequencerLog(self.params.history_size),
-            )
-            self.objects[obj.obj_id] = obj
+    # ------------------------------------------------------------------ #
+    # Lifecycle
+    # ------------------------------------------------------------------ #
 
     def start(self) -> None:
         self.transport.on_message = self.node.dispatch
@@ -749,3 +716,19 @@ class RealRuntime:
                 elections=sum(group.elections for group in groups))
             return {"node_id": self.node_id, "objects": objects,
                     "transport": self.transport.summary(), "stats": stats}
+
+
+def boot_node(transport: UdpTransport, peers: Dict[int, Tuple[str, int]],
+              timings: RealTimings, seats: Dict[int, int],
+              objects: List[Dict[str, Any]]) -> RealRuntime:
+    """Bring one node up on its bound ``transport``: the cluster's peer table,
+    the node and its loop's watch on the socket, the runtime with its seats
+    and replicas, started.  A forked node process and the in-process test
+    cluster both boot through here; the caller then runs ``runtime.node``'s
+    loop."""
+    transport.set_peers(peers)
+    node = RealNode(transport.node_id, transport)
+    node.watch(transport.sock, transport.on_readable)
+    runtime = RealRuntime(node, timings, seats, objects)
+    runtime.start()
+    return runtime

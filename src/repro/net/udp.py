@@ -4,7 +4,8 @@ One :class:`UdpTransport` lives in each node process.  It binds a
 non-blocking datagram socket on the loopback interface, which the node's loop
 watches (:meth:`~repro.net.host.RealNode.watch`), reading one frame-sized
 datagram per readiness (:meth:`UdpTransport.on_readable`).  It learns the
-full ``node_id -> (host, port)`` peer table from the harness, and then moves
+full ``node_id -> (host, port)`` peer table at boot (the launcher binds every
+node's socket before it forks them), and then moves
 whole messages: unicast goes to one peer, broadcast (``dst is None``) fans
 out one datagram per peer, mirroring the simulator's hardware-broadcast
 semantics (the sender never hears its own broadcast).
@@ -102,7 +103,7 @@ class UdpTransport:
 
     def set_peers(self, peers: Dict[int, Tuple[str, int]]) -> None:
         """Install the cluster's ``node_id -> (host, port)`` table."""
-        self._peers = {int(node_id): (host, int(p)) for node_id, (host, p) in peers.items()}
+        self._peers = dict(peers)
         self._node_ids = sorted(self._peers)
 
     @property

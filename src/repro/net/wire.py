@@ -4,8 +4,7 @@ One frame is a 4-byte big-endian payload length followed by a UTF-8 JSON
 array of the :class:`~repro.amoeba.message.Message` fields ``src, dst, kind,
 payload, headers, msg_id`` (no field names to encode and parse).  On the UDP
 data plane one datagram carries exactly one frame (the prefix doubles as a
-truncation check); on TCP streams frames are concatenated and
-:class:`StreamDecoder` re-splits them.
+truncation check).
 
 JSON cannot tell tuples from lists or int keys from string keys: a decoded
 payload is in the normal form :func:`jsonify` describes (lists, string keys).
@@ -25,7 +24,7 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import Any, Iterator, List
+from typing import Any
 
 from ..amoeba.message import Message
 from ..errors import NetworkError
@@ -121,29 +120,3 @@ def decode_message(frame: bytes) -> Message:
     src, dst, kind, payload, headers, msg_id = fields
     return Message(src=src, dst=dst, kind=kind, payload=payload, size=len(frame),
                    headers=headers, msg_id=msg_id)
-
-
-class StreamDecoder:
-    """Incremental frame splitter for TCP byte streams."""
-
-    def __init__(self) -> None:
-        self._buffer = bytearray()
-
-    def feed(self, data: bytes) -> List[Message]:
-        """Add bytes; return every message completed by them (in order)."""
-        self._buffer.extend(data)
-        return list(self._drain())
-
-    def _drain(self) -> Iterator[Message]:
-        while True:
-            if len(self._buffer) < _PREFIX.size:
-                return
-            (length,) = _PREFIX.unpack_from(self._buffer)
-            if length > MAX_FRAME:
-                raise NetworkError(f"oversized frame announced: {length}")
-            end = _PREFIX.size + length
-            if len(self._buffer) < end:
-                return
-            frame = bytes(self._buffer[:end])
-            del self._buffer[:end]
-            yield decode_message(frame)

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Protocol, Set, Tupl
 from ..amoeba.message import estimate_size
 from ..errors import ConfigurationError, RtsError
 from .p2p.fanout import LEG_ARRIVE, LEG_DRAIN, SwitchRecord
-from .policy import MECHANISM_BROADCAST, MECHANISM_PRIMARY, AdaptivePolicy, management_policy
+from .policy import DECAY, MECHANISM_BROADCAST, MECHANISM_PRIMARY, AdaptivePolicy, management_policy
 from .records import MigrationRecord, ShardMoveRecord
 from .sharding import RebalancePlanner
 
@@ -129,7 +129,7 @@ class Placement:
             mproc = rts.sim.current_process
             try:
                 if self.migrate(mproc, handle, target):
-                    window.decay(controller.params.decay)
+                    window.decay(DECAY)
             finally:
                 self._migration_pending.discard(obj_id)
 

@@ -115,60 +115,47 @@ DEFAULT_POLICY_FOR_KIND = {
 }
 
 
+#: Read/write ratio at or above which an adaptive object should be broadcast
+#: replicated (reads dominate: local reads everywhere pay off).
+BROADCAST_RATIO = 3.0
+#: Ratio at or below which it should move to a primary copy (writes dominate:
+#: interrupting every machine per write does not); the gap up to
+#: ``BROADCAST_RATIO`` is the controller's hysteresis.
+PRIMARY_RATIO = 1.0
+#: Window shrink factor applied after a migration, so the decision that
+#: triggered it must re-earn itself before the object moves again.
+DECAY = 0.25
+#: The primary-copy flavour write-heavy adaptive objects migrate to.
+PRIMARY_POLICY = "primary-invalidate"
+
+
 @dataclass(frozen=True)
 class AdaptiveParams:
     """Thresholds of the statistics-driven migration controller.
 
     Attributes
     ----------
-    broadcast_ratio:
-        Read/write ratio at or above which an object should be broadcast
-        replicated (reads dominate: local reads everywhere pay off).
-    primary_ratio:
-        Ratio at or below which an object should move to a primary copy
-        (writes dominate: interrupting every machine per write does not).
     min_accesses:
         Accesses (in the decayed window) an object must accumulate before
         the controller makes any decision.
     check_interval:
         Evaluate the controller every this-many accesses to the object.
-    decay:
-        Window shrink factor applied after a migration, so the decision that
-        triggered it must re-earn itself before the object moves again.
-    primary_policy:
-        Which primary-copy flavour write-heavy objects migrate to.
     initial:
         The fixed policy an adaptive object starts under.
     """
 
-    broadcast_ratio: float = 3.0
-    primary_ratio: float = 1.0
     min_accesses: int = 24
     check_interval: int = 8
-    decay: float = 0.25
-    primary_policy: str = "primary-invalidate"
     initial: str = "broadcast"
 
     def __post_init__(self) -> None:
-        if self.primary_ratio > self.broadcast_ratio:
-            raise ConfigurationError(
-                "primary_ratio must not exceed broadcast_ratio "
-                f"(got {self.primary_ratio} > {self.broadcast_ratio})")
         if self.min_accesses < 1 or self.check_interval < 1:
             raise ConfigurationError(
                 "min_accesses and check_interval must be >= 1")
-        if not 0.0 <= self.decay <= 1.0:
-            raise ConfigurationError("decay must be in [0, 1]")
-        for field_name in ("primary_policy", "initial"):
-            value = getattr(self, field_name)
-            if value not in FIXED_POLICIES:
-                raise ConfigurationError(
-                    f"{field_name} must be one of {sorted(FIXED_POLICIES)}, "
-                    f"got {value!r}")
-        if FIXED_POLICIES[self.primary_policy].mechanism != MECHANISM_PRIMARY:
+        if self.initial not in FIXED_POLICIES:
             raise ConfigurationError(
-                f"primary_policy must be a primary-copy policy, "
-                f"got {self.primary_policy!r}")
+                f"initial must be one of {sorted(FIXED_POLICIES)}, got {self.initial!r}"
+            )
 
 
 class AdaptivePolicy(ManagementPolicy):
@@ -197,15 +184,13 @@ class AdaptivePolicy(ManagementPolicy):
         between the two thresholds keeps objects whose mix sits in between
         wherever they already are.
         """
-        params = self.params
-        if stats.accesses < params.min_accesses:
+        if stats.accesses < self.params.min_accesses:
             return None
         ratio = stats.ratio
-        if ratio >= params.broadcast_ratio and current != "broadcast":
+        if ratio >= BROADCAST_RATIO and current != "broadcast":
             return "broadcast"
-        if (ratio <= params.primary_ratio
-                and current != params.primary_policy):
-            return params.primary_policy
+        if ratio <= PRIMARY_RATIO and current != PRIMARY_POLICY:
+            return PRIMARY_POLICY
         return None
 
 

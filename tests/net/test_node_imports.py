@@ -5,23 +5,27 @@ message and broadcast modules, the object model, the primary-copy fan-out
 table), the ``net`` driver and the scenario definitions — nothing of the
 simulator, no asyncio (the node runs its own loop) and no ctypes (the
 subreaper call belongs to the harness).  The cluster's launcher imports
-this closure once and forks every node from it, so the closure is boot time
-once per cluster: with no bytecode cache written, the launcher compiles all
-of it before the first node exists.  The package ``__init__`` modules
-re-export lazily to keep it this small; an eager re-export would drag the
-simulator back in.
+this closure once, unpickles the run's plan (the probe below unpickles one
+too, so what a plan imports counts) and forks every node from it, so the
+closure is boot time once per cluster: with no bytecode cache written, the
+launcher compiles all of it before the first node exists.  The package
+``__init__`` modules re-export lazily to keep it this small; an eager
+re-export would drag the simulator back in.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import pickle
 import subprocess
 import sys
 
 import pytest
 
 import repro
+from repro.net.control import ClusterPlan
+from repro.net.harness import RealClusterConfig
 
 #: Simulator drivers, real-backend harness modules, the event-loop library
 #: and the foreign-function library a node never runs.
@@ -56,33 +60,48 @@ NOT_IN_A_NODE = (
 #: coherence protocols folded into ``PrimaryCopy`` and ``config.py`` grew,
 #: 6 588 once a member's receive path went straight from ``_on_data`` to the
 #: one replica apply, 6 630 once a client thread issued its own write, 6 633
-#: once the node ran its own loop instead of asyncio's, and 6 667 once
-#: ``node_process`` became the launcher that forks every node).  The cap was
-#: the closure plus 60 lines at 6 572 and stayed at 6 632 while the closure
-#: grew to 6 630; it now stands that same 2 lines over the closure:
+#: once the node ran its own loop instead of asyncio's, 6 667 once
+#: ``node_process`` became the launcher that forks every node, and 6 655 once
+#: each node was forked holding its plan, the probe unpickling one as the
+#: launcher does).  The cap was the closure plus 60 lines at 6 572 and stayed
+#: at 6 632 while the closure grew to 6 630; it now stands 2 lines over the
+#: closure:
 #: ``net/runtime.py``, the broadcast group and the scenario definitions are
 #: in the closure, so protocol growth alone can cross it.
 #: The forbidden-module check above is the main guard; this one catches a
 #: closure that grows without loading any of those modules.
-MAX_CLOSURE_LINES = 6669
+MAX_CLOSURE_LINES = 6657
 
 _PROBE = """
-import json, sys
+import json, pickle, sys
 import repro.net.node_process
+pickle.load(sys.stdin.buffer)
 loaded = {name: getattr(module, "__file__", None) for name, module in sys.modules.items()
           if name.partition(".")[0] in ("repro", "asyncio", "ctypes")}
 print(json.dumps(loaded))
 """
 
 
+def a_plan() -> bytes:
+    """A counter-farm cluster's plan, pickled as the harness pickles it."""
+    config = RealClusterConfig()
+    return pickle.dumps(ClusterPlan(
+        nodes=config.num_nodes, host=config.host, control_port=0, stderr_dir="",
+        timings=config.timings, seats=config.seats(), objects=config.build_object_table(),
+        scenario=config.scenario, spec=config.spec, seed=config.seed,
+        clients_per_node=config.clients_per_node, op_timeout=config.op_timeout,
+        park_at=config.kill_after))
+
+
 @pytest.fixture(scope="module")
 def loaded():
     """``{module: source file}`` of the ``repro``, ``asyncio`` and ``ctypes``
-    modules a fresh interpreter holds after importing the node entry point."""
+    modules a fresh interpreter holds after importing the node entry point
+    and unpickling a plan, as the launcher does."""
     src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     env = dict(os.environ, PYTHONPATH=src_dir)
-    out = subprocess.run([sys.executable, "-c", _PROBE], check=True,
-                         capture_output=True, text=True, env=env)
+    out = subprocess.run([sys.executable, "-c", _PROBE], check=True, input=a_plan(),
+                         capture_output=True, env=env)
     return json.loads(out.stdout)
 
 

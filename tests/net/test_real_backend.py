@@ -12,11 +12,13 @@ finish the run with exactly-once semantics intact.
 from __future__ import annotations
 
 import os
+import time
 from pathlib import Path
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, NetworkError
+from repro.net import harness
 from repro.net.harness import RealCluster, RealClusterConfig
 from repro.net.runner import run_real_workload
 from repro.net.runtime import RealTimings
@@ -35,13 +37,15 @@ def small_spec(scenario: str, ops: int = 30):
 
 
 class TestConvergenceMatrix:
-    """Three scenario kinds x two seeds, checked against the stream replay
-    (itself cross-checked against the simulator in ``test_sim_oracle``)."""
+    """Three scenario kinds x two seeds, and a tenant kind (its spec carries
+    ``TenantSpec`` rows), checked against the stream replay (itself
+    cross-checked against the simulator in ``test_sim_oracle``)."""
 
     @pytest.mark.parametrize("scenario,seed", [
         ("counter-farm", 1), ("counter-farm", 2),
         ("fifo-queue", 7), ("fifo-queue", 8),
         ("hotspot-shift", 3), ("hotspot-shift", 4),
+        ("multi-tenant-noisy-neighbour", 5),
     ])
     def test_converges(self, scenario, seed):
         report = run_real_workload(
@@ -108,8 +112,54 @@ def parent_of(pid: int) -> int:
     return int(stat.rsplit(")", 1)[1].split()[1])
 
 
+def socket_inodes(pid: int) -> set:
+    """The inodes of the sockets process ``pid`` holds open."""
+    fd_dir = Path("/proc", str(pid), "fd")
+    links = [os.readlink(fd_dir / fd) for fd in os.listdir(fd_dir)]
+    return {link[len("socket:["):-1] for link in links if link.startswith("socket:[")}
+
+
+def udp_inodes(pid: int) -> set:
+    """The inodes of every UDP socket in process ``pid``'s network namespace."""
+    inodes = set()
+    for table in ("udp", "udp6"):
+        path = Path("/proc", str(pid), "net", table)
+        if path.exists():  # no ``udp6`` where IPv6 is off
+            inodes |= {row.split()[9] for row in path.read_text().splitlines()[1:]}
+    return inodes
+
+
 class TestNodeOwnership:
     """The launcher exits; the harness's process owns and reaps the nodes."""
+
+    def test_each_node_holds_exactly_its_own_udp_socket(self):
+        # The launcher binds every node's socket before it forks; each child
+        # must close the others' sockets, or a node would hold them all.
+        cluster = RealCluster(RealClusterConfig(num_nodes=3, timings=CI_TIMINGS))
+        try:
+            cluster.start()
+            held = {node_id: socket_inodes(conn.pid) & udp_inodes(conn.pid)
+                    for node_id, conn in cluster._conns.items()}
+        finally:
+            cluster.shutdown()
+        assert [len(inodes) for _node, inodes in sorted(held.items())] == [1, 1, 1]
+        assert len(set.union(*held.values())) == 3
+
+    def test_a_dead_launcher_fails_start_at_once(self, monkeypatch):
+        # A launcher that cannot import the package exits non-zero before any
+        # node exists; ``start`` says so without waiting out spawn_timeout.
+        monkeypatch.setattr(harness, "_python_path_env",
+                            lambda: dict(os.environ, PYTHONPATH=os.devnull))
+        cluster = RealCluster(RealClusterConfig(num_nodes=2, timings=CI_TIMINGS,
+                                                spawn_timeout=30.0))
+        began = time.monotonic()
+        try:
+            with pytest.raises(NetworkError, match="launcher exit 1") as failure:
+                cluster.start()
+            assert time.monotonic() - began < 3.0
+            assert "ModuleNotFoundError" in str(failure.value)
+        finally:
+            cluster.shutdown()
 
     def test_nodes_are_children_of_the_harness_and_reaped(self):
         cluster = RealCluster(RealClusterConfig(num_nodes=3, timings=CI_TIMINGS))

@@ -41,7 +41,7 @@ from repro.errors import NetworkError
 from repro.net import runtime as runtime_module
 from repro.net.host import RealNode
 from repro.net.rts_adapter import ClientProc, RealRtsFacade
-from repro.net.runtime import RealRuntime, RealTimings, resolve_spec
+from repro.net.runtime import RealRuntime, RealTimings, boot_node
 from repro.net.udp import UdpTransport
 from repro.net.wire import ENVELOPE, MAX_FRAME, wire_text
 from repro.orca.builtin_objects import BoolObject, IntObject
@@ -79,7 +79,7 @@ def object_table(policy: str, primary: int = 0, spec=IntObject):
     return [{
         "obj_id": 1,
         "name": "cell",
-        "spec": f"{spec.__module__}:{spec.__name__}",
+        "spec": spec,
         "args": [0],
         "kwargs": {},
         "policy": policy,
@@ -135,8 +135,8 @@ def end_loop(node: RealNode, thread: threading.Thread) -> None:
 
 class InProcessCluster:
     """N nodes wired together in this process: a transport, a runtime and
-    a loop thread each, and one :class:`RealRtsFacade` per node for real
-    client threads."""
+    a loop thread each, every node booted by ``boot_node`` as a forked node
+    is, and one :class:`RealRtsFacade` per node for real client threads."""
 
     def __init__(self, num_nodes: int, table, seats=None,
                  timings: RealTimings = FAST) -> None:
@@ -148,7 +148,7 @@ class InProcessCluster:
         self.runtimes = {}
         self._loops = {}
         self.handles = [ObjectHandle(obj_id=row["obj_id"], name=row["name"],
-                                     spec_class=resolve_spec(row["spec"]))
+                                     spec_class=row["spec"])
                         for row in table]
         self.handle = self.handles[0]
 
@@ -159,15 +159,9 @@ class InProcessCluster:
             peers[node_id] = ("127.0.0.1", transport.open())
             self.transports[node_id] = transport
         for node_id, transport in self.transports.items():
-            transport.set_peers(peers)
-            node = RealNode(node_id, transport)
-            node.watch(transport.sock, transport.on_readable)
-            runtime = RealRuntime(node, self.timings)
-            runtime.set_seats(self.seats)
-            runtime.install_objects(self.table)
-            runtime.start()
+            runtime = boot_node(transport, peers, self.timings, self.seats, self.table)
             self.runtimes[node_id] = runtime
-            self._loops[node_id] = start_loop(node)
+            self._loops[node_id] = start_loop(runtime.node)
         self.facades = {node_id: RealRtsFacade(runtime, op_timeout=20.0)
                         for node_id, runtime in self.runtimes.items()}
         return self
@@ -848,9 +842,7 @@ def member_on_a_wire(policy="broadcast"):
     loop running."""
     wire = RecordingWire([0, 1])
     node = RealNode(1, wire)
-    member = RealRuntime(node, QUIET)
-    member.set_seats({0: 0})
-    member.install_objects(object_table(policy, primary=0))
+    member = RealRuntime(node, QUIET, {0: 0}, object_table(policy, primary=0))
     member.start()
     loop = start_loop(node)
     try:

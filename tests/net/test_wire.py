@@ -7,8 +7,7 @@ from hypothesis import given, strategies as st
 
 from repro.amoeba.message import Message
 from repro.errors import NetworkError
-from repro.net.wire import (MAX_FRAME, StreamDecoder, decode_message,
-                            encode_message, jsonify)
+from repro.net.wire import MAX_FRAME, decode_message, encode_message, jsonify
 
 
 def make_message(**overrides):
@@ -104,20 +103,3 @@ class TestCodecNormalForm:
         # still land every payload in the jsonify normal form.
         decoded = decode_message(encode_message(make_message(payload=payload)))
         assert decoded.payload == jsonify(payload)
-
-
-class TestStreamDecoder:
-    def test_reassembles_across_arbitrary_chunks(self):
-        messages = [make_message(payload={"n": n}) for n in range(5)]
-        stream = b"".join(encode_message(msg) for msg in messages)
-        decoder = StreamDecoder()
-        out = []
-        for i in range(0, len(stream), 3):
-            out.extend(decoder.feed(stream[i:i + 3]))
-        assert [msg.payload["n"] for msg in out] == [0, 1, 2, 3, 4]
-
-    def test_multiple_messages_in_one_chunk(self):
-        stream = encode_message(make_message(payload={"n": 1}))
-        stream += encode_message(make_message(payload={"n": 2}))
-        out = StreamDecoder().feed(stream)
-        assert [msg.payload["n"] for msg in out] == [1, 2]

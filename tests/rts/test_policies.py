@@ -36,12 +36,12 @@ class TestFixedPolicies:
 
     def test_coercion_of_adaptive_forms(self):
         assert isinstance(management_policy("adaptive"), AdaptivePolicy)
-        params = AdaptiveParams(broadcast_ratio=5.0)
+        params = AdaptiveParams(min_accesses=5)
         from_params = management_policy(params)
         assert isinstance(from_params, AdaptivePolicy)
-        assert from_params.params.broadcast_ratio == 5.0
-        from_mapping = management_policy({"primary_ratio": 0.5})
-        assert from_mapping.params.primary_ratio == 0.5
+        assert from_params.params.min_accesses == 5
+        from_mapping = management_policy({"check_interval": 2})
+        assert from_mapping.params.check_interval == 2
 
     def test_rejects_unknown_spellings(self):
         with pytest.raises(ConfigurationError):
@@ -58,28 +58,19 @@ class TestFixedPolicies:
         assert "'min_accesses'" in str(info.value)
 
     @pytest.mark.parametrize("removed", [
-        "rebalance_shards", "shard_imbalance", "min_shard_writes"])
+        "rebalance_shards", "shard_imbalance", "min_shard_writes",
+        "broadcast_ratio", "primary_ratio", "decay", "primary_policy"])
     def test_a_removed_shard_lever_option_is_refused_by_name(self, removed):
         with pytest.raises(ConfigurationError, match=f"'{removed}'"):
             management_policy({removed: True})
 
 
 class TestAdaptiveParamsValidation:
-    def test_threshold_ordering_enforced(self):
-        with pytest.raises(ConfigurationError):
-            AdaptiveParams(broadcast_ratio=1.0, primary_ratio=2.0)
-
-    def test_primary_policy_must_be_primary(self):
-        with pytest.raises(ConfigurationError):
-            AdaptiveParams(primary_policy="broadcast")
-        with pytest.raises(ConfigurationError):
-            AdaptiveParams(primary_policy="bogus")
-
     def test_counter_bounds(self):
         with pytest.raises(ConfigurationError):
             AdaptiveParams(min_accesses=0)
         with pytest.raises(ConfigurationError):
-            AdaptiveParams(decay=1.5)
+            AdaptiveParams(check_interval=0)
 
 
 class TestAdaptiveDecisions:
@@ -109,7 +100,7 @@ class TestAdaptiveDecisions:
                 == "broadcast")
 
     def test_hysteresis_gap_keeps_object_in_place(self):
-        controller = self.make(broadcast_ratio=3.0, primary_ratio=1.0)
+        controller = self.make()
         between = self.window(20, 10)  # ratio 2.0: inside the gap
         assert controller.desired(between, "broadcast") is None
         assert controller.desired(between, "primary-invalidate") is None
@@ -119,11 +110,6 @@ class TestAdaptiveDecisions:
         assert controller.desired(self.window(30, 1), "broadcast") is None
         assert (controller.desired(self.window(0, 30), "primary-invalidate")
                 is None)
-
-    def test_primary_flavour_is_configurable(self):
-        controller = self.make(primary_policy="primary-update")
-        assert (controller.desired(self.window(0, 30), "broadcast")
-                == "primary-update")
 
     def test_due_follows_check_interval(self):
         controller = AdaptivePolicy(AdaptiveParams(check_interval=4))

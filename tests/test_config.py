@@ -20,6 +20,7 @@ from repro.config import (
 )
 from repro.errors import ConfigurationError
 from repro.gateway.params import GatewayParams
+from repro.rts.policy import AdaptiveParams
 from repro.rts.sharding import BatchingParams, RebalanceParams
 from repro.workloads.spec import WorkloadSpec
 
@@ -145,7 +146,7 @@ def _names_set_in(path: Path):
 
 
 @pytest.mark.parametrize("params_class", [
-    RebalanceParams, BatchingParams, GatewayParams, WorkloadSpec])
+    RebalanceParams, BatchingParams, GatewayParams, WorkloadSpec, AdaptiveParams])
 def test_every_settable_field_has_a_setter_outside_its_module(params_class):
     """An option that only the tests set is a constant in disguise: each
     field must be passed by keyword or named as a dict key somewhere in the
