@@ -23,12 +23,15 @@ Layout
                   the one way a node comes up
 ``rts_adapter``   a RuntimeSystem facade so the existing workload
                   :class:`~repro.workloads.scenarios.Scenario` classes run
-                  unchanged against the real backend
-``node_process``  ``python -m repro.net.node_process``, the launcher: it
-                  imports the node code once, reads the run's plan on its
-                  stdin, binds every node's socket and forks every node
-``control``       the plan the nodes are forked holding, then the
-                  JSON-lines control plane between harness and nodes
+                  unchanged against the real backend; a client waits for
+                  its write on a lock the write's callback releases
+``node_process``  ``python -S -m repro.net.node_process``, the launcher:
+                  without ``site``, it imports the node code once, reads
+                  the run's plan on its stdin, binds every node's socket
+                  and forks every node
+``control``       the plan the nodes are forked holding (each client's
+                  stream seed among it), then the JSON-lines control plane
+                  between harness and nodes
 ``harness``       :class:`RealCluster` — launches and reaps the node
                   processes, drives workloads, kills nodes, collects state
 ``runner``        :func:`run_real_workload` producing the same

@@ -1,8 +1,11 @@
 """What the harness hands the node processes: a plan once, then commands.
 
-The :class:`ClusterPlan` is everything the nodes start from.  The harness
-pickles it onto the launcher's stdin, the one place a plan is ever
-unpickled, and the launcher forks every node already holding it.  The nodes
+The :class:`ClusterPlan` is everything the nodes start from, the seed of
+every client's request stream included (the harness derives them, so a
+node needs neither the simulator's rng registry nor ``hashlib``).  The
+harness pickles it onto the launcher's stdin, the one place a plan is ever
+unpickled, and the launcher (``python -S``) forks every node already
+holding it.  The nodes
 then connect *out* to the harness's TCP listener (avoiding every port-race a
 listen-per-child design would invite), introduce themselves with a ``hello``
 carrying their node id and pid (the harness is their parent and reaps them),
@@ -45,12 +48,13 @@ class ClusterPlan:
     #: One row per object, its spec class included (the harness's
     #: :meth:`~repro.net.harness.RealClusterConfig.build_object_table`).
     objects: List[Dict[str, Any]]
-    #: The client run: each client node runs ``clients_per_node`` clients of
-    #: ``scenario`` under ``spec`` and ``seed``.
+    #: The client run: client node -> one request-stream seed per client,
+    #: each client running ``scenario`` under ``spec`` from
+    #: ``random.Random(seed)`` (the harness derives the seeds, so no node
+    #: loads the simulator's rng registry or ``hashlib``).
     scenario: str
     spec: WorkloadSpec
-    seed: int
-    clients_per_node: int
+    client_seeds: Dict[int, List[int]]
     op_timeout: float
     park_at: Tuple[int, ...]
 

@@ -3,7 +3,7 @@
 :class:`RealCluster` owns the whole life cycle of one real run: it computes
 the deterministic object table by replaying the scenario's setup against a
 :class:`~repro.net.rts_adapter.RecordingRts`, spawns one launcher
-(``python -m repro.net.node_process``) and hands it the run's
+(``python -S -m repro.net.node_process``) and hands it the run's
 :class:`~repro.net.control.ClusterPlan` (seats, object table, timings
 and client run) on its stdin, collects each node's ``hello`` — the launcher
 forks every node already booted from the plan, then exits — starts the
@@ -42,8 +42,9 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError, NetworkError
 from ..rts.sharding import HashPlacement
+from ..sim.rng import derive_seed
 from ..workloads.scenarios import ScenarioRegistry
-from ..workloads.spec import WorkloadSpec
+from ..workloads.spec import WorkloadSpec, client_stream
 from .control import ClusterPlan, NodeConnection
 from .rts_adapter import RecordingRts
 from .runtime import RealTimings
@@ -120,6 +121,21 @@ class RealClusterConfig:
         hosts = self.survivor_nodes
         return {shard: hosts[shard % len(hosts)]
                 for shard in range(self.num_shards)}
+
+    def plan(self, control_port: int, stderr_dir: str,
+             objects: List[Dict[str, Any]]) -> ClusterPlan:
+        """The plan the launcher forks every node holding.  Each client's
+        seed is that of the stream :func:`~repro.workloads.spec.client_stream`
+        names, which the simulator's twin of the client draws from."""
+        client_seeds = {node_id: [derive_seed(self.seed, client_stream(node_id, client_id))
+                                  for client_id in range(self.clients_per_node)]
+                        for node_id in self.client_nodes}
+        return ClusterPlan(
+            nodes=self.num_nodes, host=self.host, control_port=control_port,
+            stderr_dir=stderr_dir, timings=self.timings, seats=self.seats(),
+            objects=objects, scenario=self.scenario, spec=self.spec,
+            client_seeds=client_seeds, op_timeout=self.op_timeout,
+            park_at=self.kill_after)
 
     def build_object_table(self) -> List[Dict[str, Any]]:
         """Replay setup against the recording stub; place and seat objects."""
@@ -219,17 +235,14 @@ class RealCluster:
         listener.bind((config.host, 0))
         listener.listen(config.num_nodes)
         self._stderr_dir = tempfile.mkdtemp(prefix="repro-net-")
-        plan = ClusterPlan(
-            nodes=config.num_nodes, host=config.host,
-            control_port=listener.getsockname()[1], stderr_dir=self._stderr_dir,
-            timings=config.timings, seats=self.seats, objects=self.object_table,
-            scenario=config.scenario, spec=config.spec, seed=config.seed,
-            clients_per_node=config.clients_per_node, op_timeout=config.op_timeout,
-            park_at=config.kill_after)
+        plan = config.plan(listener.getsockname()[1], self._stderr_dir, self.object_table)
         try:
             with open(os.path.join(self._stderr_dir, "launcher.stderr"), "wb") as stderr:
+                # ``-S``: no ``site``, so no start-up hook of site-packages
+                # runs in the launcher or lives in a node's image; the node
+                # code is the standard library plus ``repro``, on PYTHONPATH.
                 self._launcher = subprocess.Popen(
-                    [sys.executable, "-m", "repro.net.node_process"],
+                    [sys.executable, "-S", "-m", "repro.net.node_process"],
                     stdin=subprocess.PIPE, stdout=subprocess.DEVNULL, stderr=stderr,
                     env=_python_path_env())
             try:

@@ -1,6 +1,9 @@
-"""The nodes of the real-process backend (``python -m repro.net.node_process``).
+"""The nodes of the real-process backend (``python -S -m repro.net.node_process``).
 
-Run once per cluster, as its launcher: it reads the cluster's
+Run once per cluster, as its launcher, without ``site`` (``-S``: the node
+code is the standard library plus ``repro``, which the harness puts on
+``PYTHONPATH``, so no start-up hook of site-packages runs in a node's
+image): it reads the cluster's
 :class:`~repro.net.control.ClusterPlan` (pickled on its stdin by the harness
 that spawned it), binds every node's UDP data-plane socket, so the peer table
 is known before any node exists, then forks one child per node and exits, so
@@ -15,9 +18,9 @@ datagrams, timers and the harness's commands, one at a time:
 ``run_clients``
     Replay the plan's scenario setup against the local replicas (handle
     binding), then launch the plan's clients, one OS thread each.  Each
-    client replays exactly the request stream its simulated twin draws — same
-    named rng stream, same draw order — so the write multiset is identical
-    across backends.
+    client draws from ``random.Random`` seeded with its plan seed, the seed
+    of the named stream its simulated twin draws from, in the same draw
+    order, so the write multiset is identical across backends.
     Returns immediately; the harness waits with ``wait_clients``.
     The plan's ``park_at`` lists per-client acknowledged-operation counts at
     which every client parks (a staged crash is due) until the harness sends
@@ -48,6 +51,7 @@ from __future__ import annotations
 import json
 import os
 import pickle
+import random
 import socket
 import sys
 import threading
@@ -56,7 +60,6 @@ import traceback
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import NetworkError
-from ..sim.rng import RngRegistry
 from ..workloads.scenarios import Scenario, ScenarioRegistry
 from ..workloads.spec import WorkloadSpec, client_schedule
 from .control import MAX_LINE, ClusterPlan, encode_line
@@ -138,9 +141,7 @@ class _ClientPool:
 def _client_loop(facade: RealRtsFacade, scenario: Scenario,
                  spec: WorkloadSpec, proc: ClientProc,
                  pool: _ClientPool, seed: int) -> None:
-    rng = RngRegistry(seed).stream(
-        f"workload.client.{proc.node_id}.{proc.client_id}")
-    schedule = client_schedule(spec, rng)
+    schedule = client_schedule(spec, random.Random(seed))
     error = None
     try:
         for done, (request, pacing, value) in enumerate(schedule, 1):
@@ -164,7 +165,10 @@ class NodeServer:
         self.plan = plan
         self.runtime = runtime
         self.node = runtime.node
-        self.control = socket.create_connection((plan.host, plan.control_port))
+        # A plain connect to the numeric address: ``create_connection`` would
+        # resolve it through ``getaddrinfo``, which loads the IDNA codec.
+        self.control = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        self.control.connect((plan.host, plan.control_port))
         self.node.watch(self.control, self._on_control)
         #: The start of a command line not yet received whole.
         self._partial = b""
@@ -241,10 +245,10 @@ class NodeServer:
         scenario.setup(facade, None)
         pool.park_at = plan.park_at
         pool.started_at = time.monotonic()
-        for client_id in range(plan.clients_per_node):
+        for client_id, seed in enumerate(plan.client_seeds[self.node.node_id]):
             proc = ClientProc(self.node.node_id, client_id)
             thread = threading.Thread(
-                target=_client_loop, args=(facade, scenario, plan.spec, proc, pool, plan.seed),
+                target=_client_loop, args=(facade, scenario, plan.spec, proc, pool, seed),
                 name=f"client{client_id}", daemon=True)
             pool.threads.append(thread)
             thread.start()

@@ -32,7 +32,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from ..sim.rng import RngRegistry
 from ..workloads.scenarios import ScenarioRegistry
-from ..workloads.spec import client_schedule
+from ..workloads.spec import client_schedule, client_stream
 from .harness import RealClusterConfig
 from .rts_adapter import ClientProc, RecordingRts
 from .wire import jsonify
@@ -90,7 +90,7 @@ def expected_issued_writes(config: RealClusterConfig) -> Dict[str, Any]:
     registry = RngRegistry(config.seed)
     for node_id in config.client_nodes:
         for client_id in range(config.clients_per_node):
-            rng = registry.stream(f"workload.client.{node_id}.{client_id}")
+            rng = registry.stream(client_stream(node_id, client_id))
             proc = ClientProc(node_id, client_id)
             for request, _pacing, _value in client_schedule(spec, rng):
                 scenario.perform(probe, proc, request)

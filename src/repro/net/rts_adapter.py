@@ -14,7 +14,8 @@ Three small adapters make them run unchanged across real processes:
   handles by name against the locally installed replicas, then serves
   ``invoke`` from client OS threads: a read runs right there against the
   local replica, and a write is issued right there too, under the node's
-  lock, the client then waiting for it outside the lock.
+  lock, the client then waiting for it outside the lock on a
+  :class:`_Latch` that the write's completion callback releases.
 * :class:`ClientProc` stands in for the simulator's per-client process
   token: it identifies the client and numbers its writes (the ``cseq`` the
   exactly-once machinery and the convergence checker key on).
@@ -30,7 +31,7 @@ import itertools
 import threading
 from typing import Any, Dict, List, Optional, Tuple, Type
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, NetworkError
 from ..rts.base import ObjectHandle
 from ..rts.object_model import ObjectSpec, execute_operation
 from .runtime import RealRuntime
@@ -122,6 +123,24 @@ class ClientProc:
         return next(self._cseq)
 
 
+class _Latch:
+    """One write's wait: a lock taken before the write is issued, released
+    by its completion callback (under the node lock) once the outcome is
+    stored."""
+
+    __slots__ = ("lock", "result", "error")
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.lock.acquire()
+        self.result: Any = None
+        self.error: Optional[BaseException] = None
+
+    def __call__(self, result: Any, error: Optional[BaseException]) -> None:
+        self.result, self.error = result, error
+        self.lock.release()
+
+
 class RealRtsFacade:
     """Node-side ``RuntimeSystem`` facade over a :class:`RealRuntime`.
 
@@ -163,7 +182,13 @@ class RealRtsFacade:
         op = obj.spec_class.operation_def(op_name)
         if not op.is_write:
             return self.runtime.read(obj, op, tuple(args), kwargs)
+        latch = _Latch()
         write = self.runtime.start_write(obj, op_name, args, kwargs,
                                          (proc.node_id, proc.client_id),
-                                         proc.next_cseq())
-        return write.future.result(self.op_timeout)
+                                         proc.next_cseq(), latch)
+        if not latch.lock.acquire(timeout=self.op_timeout):
+            raise NetworkError(f"write {write.key} on {obj.name!r} still pending "
+                               f"after {self.op_timeout}s")
+        if latch.error is not None:
+            raise latch.error
+        return latch.result

@@ -34,16 +34,16 @@ state, and whoever holds it runs the protocol: the node's loop for a
 datagram, a due timer or a control command, a client thread for its own
 :meth:`~RealRuntime.read` and :meth:`~RealRuntime.start_write`.  A write is
 issued on its client's thread, as an Orca process makes its own broadcast,
-and lives in one :class:`_PendingWrite` record until it is applied here;
-the client waits on the record's future outside the lock.  Every deferred
-step is a node timer, never a callback handed to the loop.
+and lives in one :class:`_PendingWrite` record until it is applied here,
+when the record's completion callback runs, still under the lock; the
+client waits for that callback outside the lock.  Every deferred step is a
+node timer, never a callback handed to the loop.
 """
 
 from __future__ import annotations
 
 import collections
 import functools
-from concurrent.futures import Future
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple, Type
 
@@ -63,6 +63,10 @@ from .wire import from_wire, jsonify, wire_text
 
 #: Wire encoding of the :data:`~repro.rts.object_model.RETRY` sentinel.
 RETRY_MARKER = {"__retry__": True}
+
+#: What a write's issuer is told, once, when the write ends:
+#: ``done(result, None)`` or ``done(None, error)``.
+WriteDone = Callable[[Any, Optional[BaseException]], None]
 
 #: Real-backend management policies (the harness maps the richer simulator
 #: policy names onto these two protocol families).
@@ -149,21 +153,23 @@ class _PendingWrite:
 
     The record is the whole writer-side state of the write: the ordered body
     or primary request to (re-)send, until when, the timer to cancel when it
-    ends, and the thread-safe future its issuer (a client thread) waits on.
-    An ordered write's re-sends are its group member's.
+    ends, and the callback that tells its issuer how it ended.  An ordered
+    write's re-sends are its group member's.
     """
 
-    __slots__ = ("issue", "obj", "body", "size", "future", "key", "deadline", "handle")
+    __slots__ = ("issue", "obj", "done", "body", "size", "key", "deadline", "handle")
 
-    def __init__(self, issue: Callable[["_PendingWrite"], None], obj: RealObject) -> None:
+    def __init__(self, issue: Callable[["_PendingWrite"], None], obj: RealObject,
+                 done: WriteDone) -> None:
         #: (Re-)issues the write: at the start, and after a guard ``RETRY``.
         self.issue = issue
         self.obj = obj
+        #: Called once, under the node lock, when the write ends.
+        self.done = done
         #: The body in wire form — an ordered body's JSON text, a primary
         #: request's decoded copy — and its encoded size, set by the issuer.
         self.body: Any = None
         self.size = 0
-        self.future: Future = Future()
         #: Key in ``RealRuntime._pending``: an ordered write's (shard, uid
         #: counter) (each shard's member counts from 1), or the write id.
         self.key: Any = None
@@ -277,13 +283,13 @@ class RealRuntime:
 
     def start_write(self, obj: RealObject, op_name: str, args: Tuple[Any, ...],
                     kwargs: Optional[Dict[str, Any]], client: Tuple[int, int],
-                    cseq: int) -> _PendingWrite:
-        """Issue one write from any thread; its result arrives on the
-        record's ``future``.
+                    cseq: int, done: WriteDone) -> _PendingWrite:
+        """Issue one write from any thread; ``done(result, error)`` runs
+        once, under the node lock, when it ends.
 
-        A client thread issues its own write here and then blocks on the
-        future (outside the node lock), so a failure to issue lands on the
-        future too.
+        A client thread issues its own write here and then waits for
+        ``done`` (outside the node lock); a failure to issue calls ``done``
+        too, before this returns.
         """
         body = {
             "obj_id": obj.obj_id,
@@ -295,9 +301,9 @@ class RealRuntime:
         }
         if obj.policy == "broadcast":
             body["type"] = "op"
-            write = _PendingWrite(self._issue_ordered_op, obj)
+            write = _PendingWrite(self._issue_ordered_op, obj, done)
         else:
-            write = _PendingWrite(self._issue_primary, obj)
+            write = _PendingWrite(self._issue_primary, obj, done)
         with self.node.lock:
             try:
                 # The body reaches wire form before any protocol state moves:
@@ -356,10 +362,7 @@ class RealRuntime:
             shard, counter = write.key
             self.groups[shard].members[self.node_id].cancel(
                 MessageId(self.node_id, counter))
-        if error is not None:
-            write.future.set_exception(error)
-        else:
-            write.future.set_result(result)
+        write.done(result, error)
 
     def _send(self, dst: Optional[int], kind: str, payload: Any) -> None:
         # size=1: any positive size stops Message estimating the payload.
@@ -622,8 +625,7 @@ class RealRuntime:
         ``SequencerLog`` keeps for ``net.pgap``)."""
         record = SwitchRecord(obj.obj_id, obj.epoch + 1, obj.policy, self.node_id,
                               obj.snapshot())
-        write = _PendingWrite(self._issue_ordered, obj)
-        write.future.add_done_callback(self._proposal_done)
+        write = _PendingWrite(self._issue_ordered, obj, self._proposal_done)
         try:
             write.body = wire_text({"type": "switch", "record": record,
                                     "log": obj.applied_log[-obj.log.history_size:]})
@@ -632,8 +634,8 @@ class RealRuntime:
         except Exception as exc:
             self._finish(write, error=exc)
 
-    def _proposal_done(self, future: Future) -> None:
-        if future.exception() is not None and self._running:
+    def _proposal_done(self, result: Any, error: Optional[BaseException]) -> None:
+        if error is not None and self._running:
             self.stats.takeover_failures += 1  # ``stop()`` ends one quietly
 
     def _install_switch(self, body: Dict[str, Any]) -> None:

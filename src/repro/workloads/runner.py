@@ -36,7 +36,7 @@ from ..rts.hybrid import HybridRts
 from ..rts.policy import DEFAULT_POLICY_FOR_KIND
 from ..rts.sharding import BatchingParams
 from .scenarios import Scenario, ScenarioRegistry
-from .spec import WorkloadSpec, client_schedule
+from .spec import WorkloadSpec, client_schedule, client_stream
 
 #: Every runtime kind the runner can sweep.  ``broadcast``/``p2p`` are the
 #: fixed-policy configurations of the unified runtime; ``adaptive`` lets
@@ -300,7 +300,7 @@ class WorkloadRunner:
 
         def client_body(node_id: int, client_id: int) -> None:
             proc = sim.current_process
-            rng = sim.rng.stream(f"workload.client.{node_id}.{client_id}")
+            rng = sim.rng.stream(client_stream(node_id, client_id))
             # Trace offsets count from the client's start.  The pacing is
             # per request's phase, so one client can switch between
             # closed-loop think/issue and open-loop Poisson arrivals

@@ -405,6 +405,16 @@ def traced_request_stream(spec: WorkloadSpec,
         seq += 1
 
 
+def client_stream(node_id: int, client_id: int) -> str:
+    """The name of client ``client_id`` on node ``node_id``'s rng stream.
+
+    A client's requests come from the stream of this name under the run's
+    seed wherever it runs: the simulator's client body, the oracle's replay
+    and the real backend's plan (which carries the derived seed), so a
+    client draws the same requests on every backend."""
+    return f"workload.client.{node_id}.{client_id}"
+
+
 def client_schedule(spec: WorkloadSpec,
                     rng: random.Random) -> Iterator[Tuple[Request, str, float]]:
     """One client's requests with their pacing draws, in the one order every

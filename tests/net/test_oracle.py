@@ -9,14 +9,18 @@ write, reordered client writes, diverged replicas — and require
 from __future__ import annotations
 
 import copy
+import itertools
+import pickle
+import random
 
 import pytest
 
 from repro.net.harness import RealClusterConfig
 from repro.net.oracle import (check_convergence, expected_issued_writes,
                               record_sim_oracle)
+from repro.sim import Simulator
 from repro.workloads.scenarios import PrimaryChurn, ScenarioRegistry
-from repro.workloads.spec import PhaseSpec, WorkloadSpec
+from repro.workloads.spec import PhaseSpec, WorkloadSpec, client_schedule, client_stream
 
 
 def config(**overrides):
@@ -87,6 +91,29 @@ class TestStreamReplay:
         assert PrimaryChurn.victims_for(4) == (3, 2)
         assert PrimaryChurn.victims_for(3) == (2,)
         assert PrimaryChurn.victims_for(2) == ()
+
+    @pytest.mark.parametrize("scenario", ["counter-farm", "multi-tenant-noisy-neighbour"])
+    def test_a_plan_seed_draws_its_simulated_twins_requests(self, scenario):
+        """A node builds ``random.Random(seed)`` from its plan's seed; the
+        simulator draws from its registry's stream of the same name.  The
+        first 100 draws of every client agree, pacing draws included."""
+        spec = ScenarioRegistry.get(scenario).default_spec().with_overrides(
+            ops_per_client=100)
+        cfg = config(scenario=scenario, workload=spec, clients_per_node=2, seed=21)
+        plan = pickle.loads(pickle.dumps(cfg.plan(0, "", [])))
+        sim = Simulator(seed=cfg.seed)
+        try:
+            assert sorted(plan.client_seeds) == cfg.client_nodes
+            for node_id, seeds in plan.client_seeds.items():
+                assert len(seeds) == 2
+                for client_id, seed in enumerate(seeds):
+                    twin = sim.rng.stream(client_stream(node_id, client_id))
+                    drawn = list(itertools.islice(
+                        client_schedule(spec, random.Random(seed)), 100))
+                    assert len(drawn) == 100
+                    assert drawn == list(itertools.islice(client_schedule(spec, twin), 100))
+        finally:
+            sim.shutdown()
 
     def test_a_hybrid_client_replays_its_simulated_twin(self):
         """Pacing is per phase: an open-loop spec's closed phase draws no

@@ -177,6 +177,27 @@ class TestNodeOwnership:
             cluster.shutdown()
         assert [pid for pid in pids.values() if Path("/proc", str(pid)).exists()] == []
 
+    def test_a_booted_node_maps_no_openssl_and_no_unicode_database(self):
+        # A node's image is the protocol: no OpenSSL hash bindings (the
+        # harness derives the clients' stream seeds), and no IDNA codec's
+        # ``unicodedata`` (the control socket connects to a numeric address
+        # without a resolver), also once a run has gone through every command.
+        cluster = RealCluster(RealClusterConfig(
+            workload=small_spec("counter-farm"), timings=CI_TIMINGS))
+        try:
+            cluster.run_workload()
+            maps = {node_id: Path("/proc", str(conn.pid), "maps").read_text()
+                    for node_id, conn in cluster._conns.items()}
+        finally:
+            cluster.shutdown()
+        assert sorted(maps) == [0, 1, 2]
+        for node_id, text in maps.items():
+            mapped = {line.split()[-1] for line in text.splitlines() if "/" in line}
+            found = sorted(path for path in mapped
+                           if any(name in os.path.basename(path) for name in
+                                  ("_hashlib", "libcrypto", "libssl", "unicodedata")))
+            assert found == [], f"node {node_id} maps {found}"
+
     def test_start_refuses_without_a_subreaper(self, monkeypatch):
         import ctypes
 

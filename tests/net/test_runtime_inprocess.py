@@ -14,7 +14,7 @@ own, as a node process runs it on its main thread.  The test thread, and the
 client threads on :class:`~repro.net.rts_adapter.RealRtsFacade`, issue
 writes the way a node process's clients do: reads and writes both run on the
 calling thread under the node's lock, and a write lives in one pending-write
-record whose future the caller waits on.
+record whose completion callback the caller waits for.
 """
 
 from __future__ import annotations
@@ -99,9 +99,34 @@ def two_shard_table(policy: str):
 TWO_SEATS = {0: 0, 1: 1}
 
 
+class Outcome:
+    """A write's completion callback that a test thread can wait on."""
+
+    def __init__(self) -> None:
+        self.calls = []
+        self._called = threading.Event()
+
+    def __call__(self, result, error) -> None:
+        self.calls.append((result, error))
+        self._called.set()
+
+    def ended(self) -> bool:
+        return self._called.is_set()
+
+    def result(self, timeout: float):
+        """The write's result; its error raised; fails past ``timeout``."""
+        assert self._called.wait(timeout), f"write still pending after {timeout}s"
+        [(result, error)] = self.calls
+        if error is not None:
+            raise error
+        return result
+
+
 def issue(runtime, obj_id, op_name, args=(), client=(0, 0), cseq=0):
-    """Issue one write on ``runtime`` from this thread; its pending record."""
-    return runtime.start_write(runtime.objects[obj_id], op_name, args, None, client, cseq)
+    """Issue one write on ``runtime`` from this thread; its pending record,
+    whose ``done`` is an :class:`Outcome`."""
+    return runtime.start_write(runtime.objects[obj_id], op_name, args, None, client, cseq,
+                               Outcome())
 
 
 def submit(runtime, obj_id, op_name, args=(), client=(0, 0), cseq=0, timeout=20.0):
@@ -110,7 +135,7 @@ def submit(runtime, obj_id, op_name, args=(), client=(0, 0), cseq=0, timeout=20.
     op = obj.spec_class.operation_def(op_name)
     if not op.is_write:
         return runtime.read(obj, op, tuple(args), None)
-    return issue(runtime, obj_id, op_name, args, client, cseq).future.result(timeout)
+    return issue(runtime, obj_id, op_name, args, client, cseq).done.result(timeout)
 
 
 def until(condition, timeout: float = 10.0, what: str = "the condition") -> None:
@@ -515,6 +540,33 @@ class TestTakeover:
                 assert runtime.objects[1].primary == 0
             assert dead is not None
 
+    def test_a_takeovers_callback_runs_exactly_once(self, monkeypatch):
+        """Every proposal's completion callback runs once: when its switch
+        is applied here, or when ``stop()`` ends it."""
+        proposals, calls = [], []
+        takeover, proposal_done = RealRuntime._takeover, RealRuntime._proposal_done
+
+        def counted_takeover(runtime, obj):
+            proposals.append(runtime.node_id)
+            return takeover(runtime, obj)
+
+        def counted_done(runtime, result, error):
+            calls.append(runtime.node_id)
+            return proposal_done(runtime, result, error)
+
+        monkeypatch.setattr(RealRuntime, "_takeover", counted_takeover)
+        monkeypatch.setattr(RealRuntime, "_proposal_done", counted_done)
+        table = object_table("primary-update", primary=2)
+        with InProcessCluster(3, table) as cluster:
+            submit(cluster.runtimes[1], 1, "add", (1,), client=(1, 0), cseq=1)
+            cluster.silence(2)
+            assert submit(cluster.runtimes[1], 1, "add", (1,), client=(1, 0), cseq=2,
+                          timeout=15.0) == 2
+            cluster.converged(2)
+            assert proposals == [0] and calls == [0]
+            assert cluster.runtimes[0].stats.takeover_failures == 0
+        assert calls == [0]  # ``stop()`` found no proposal left to end
+
     def test_collect_is_json_native_after_a_takeover(self):
         """``collect`` passes the applied log without normalising it: the
         entries a write logs and the tail a takeover installs must already
@@ -609,7 +661,7 @@ class TestWriteRecord:
                 [send] = member._pending_sends.values()
                 assert record.key == (0, send.uid.counter)
                 assert send.retry_timer in writer.node._timers
-            assert record.future.result(20.0) == 1
+            assert record.done.result(20.0) == 1
             with writer.node.lock:
                 # Only the failure detector's own two timers are left armed.
                 assert member._pending_sends == {}
@@ -633,9 +685,9 @@ class TestWriteRecord:
                     assert len(waiter._pending) == 1
             assert len(uids) >= 2
             assert waiter.stats.ordered_writes >= waiter.stats.guard_retries
-            assert not blocked.future.done()
+            assert not blocked.done.ended()
             submit(cluster.runtimes[2], 1, "set", (True,), client=(2, 0), cseq=1)
-            assert blocked.future.result(10.0) is True
+            assert blocked.done.result(10.0) is True
             assert waiter._pending == {}
             # A guard RETRY leaves no trace in the applied log.
             assert waiter.objects[1].applied_log == [[2, 0, 1, "set"],
@@ -650,7 +702,7 @@ class TestWriteRecord:
             writer.stop()
             assert writer._pending == {} and writer.node._timers == {}
             with pytest.raises(NetworkError):
-                record.future.result(0)
+                record.done.result(0)
 
     def test_dropped_primary_request_resent_and_applied_once(self):
         table = object_table("primary-update", primary=0)
@@ -661,7 +713,7 @@ class TestWriteRecord:
             with cluster.runtimes[0].node.lock:  # the primary applies nothing meanwhile
                 record = issue(writer, 1, "add", (1,), client=(1, 0), cseq=1)
                 assert list(writer._pending) == [("1.0", 1)]
-            assert record.future.result(20.0) == 1
+            assert record.done.result(20.0) == 1
             assert time.monotonic() - started >= FAST.retry_interval
             assert cluster.transports[1].stats.by_kind["net.pwrite"] == 2
             with writer.node.lock:
@@ -699,10 +751,10 @@ class TestWriteRecord:
                     assert list(waiter._pending) == [(f"{waiter_id}.0", 1)]
             # Counted per issue, so once per guard RETRY already seen.
             assert waiter.stats.primary_writes >= waiter.stats.guard_retries
-            assert not blocked.future.done()
+            assert not blocked.done.ended()
             assert waiter.objects[1].version == 0
             submit(cluster.runtimes[2], 1, "set", (True,), client=(2, 0), cseq=1)
-            assert blocked.future.result(10.0) is True
+            assert blocked.done.result(10.0) is True
             assert waiter._pending == {}
             for runtime in cluster.runtimes.values():
                 assert runtime.status()["primary_pending"] == 0
@@ -721,7 +773,7 @@ class TestPendingAcrossShards:
             writer = cluster.runtimes[2]
             writes = [issue(writer, 1, "assign", (111,), client=(2, 0), cseq=1),
                       issue(writer, 2, "assign", (222,), client=(2, 1), cseq=1)]
-            assert [write.future.result(5.0) for write in writes] == [111, 222]
+            assert [write.done.result(5.0) for write in writes] == [111, 222]
             assert writer._pending == {}
             cluster.logs_agree(1, 1)
             cluster.logs_agree(2, 1)
@@ -1100,6 +1152,29 @@ class TestClientThreads:
                 cluster.facades[1].invoke(proc, cluster.handle, "add", (1,))
             assert cluster.runtimes[1].status()["pending_ops"] == 0
             assert cluster.transports[1].stats.send_drops >= 2
+
+    def test_a_body_json_cannot_carry_fails_invoke_at_once(self):
+        with InProcessCluster(3, object_table("broadcast")) as cluster:
+            facade, runtime = cluster.facades[1], cluster.runtimes[1]
+            started = time.monotonic()
+            with pytest.raises(NetworkError, match="not wire-encodable"):
+                facade.invoke(ClientProc(1, 0), cluster.handle, "assign", ({1, 2},))
+            assert time.monotonic() - started < 1.0  # op_timeout is 20 s
+            assert runtime.status()["pending_ops"] == 0
+
+    def test_a_write_pending_past_op_timeout_raises_with_its_key(self):
+        with InProcessCluster(3, object_table("broadcast")) as cluster:
+            # The seat never hears node 1, and the submit deadline (20 s)
+            # is far off: the client's own wait ends first.
+            cluster.transports[1].drop_tx = lambda msg, dst: msg.kind == "grp.request"
+            facade = RealRtsFacade(cluster.runtimes[1], op_timeout=0.2)
+            started = time.monotonic()
+            with pytest.raises(NetworkError,
+                               match=r"write \(0, 1\) on 'cell' still pending after 0.2s"):
+                facade.invoke(ClientProc(1, 0), cluster.handle, "add", (1,))
+            assert time.monotonic() - started >= 0.2
+            with cluster.runtimes[1].node.lock:
+                assert list(cluster.runtimes[1]._pending) == [(0, 1)]
 
     def test_submit_and_invoke_observe_the_same_result(self):
         with InProcessCluster(3, object_table("broadcast")) as cluster:
