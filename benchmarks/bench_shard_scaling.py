@@ -27,7 +27,10 @@ from repro.metrics.latency import format_latency_row
 from repro.metrics.report import format_table
 from repro.workloads import WorkloadRunner, WorkloadSpec
 
-from conftest import run_once
+try:
+    from conftest import run_once
+except ImportError:  # pragma: no cover - imported via pins.py, where conftest is tests/'s
+    run_once = None
 
 NUM_NODES = 8
 SEED = 42

@@ -28,6 +28,7 @@ import bench_gateway as gateway
 import bench_kernel_scaling as kernel
 import bench_primary_recovery as recovery
 import bench_rebalancing as rebalance
+import bench_shard_scaling as sharding
 import bench_transactions as transactions
 import bench_workload_scenarios as workloads
 from repro.rts.sharding import HashPlacement
@@ -114,6 +115,21 @@ def _rebalance_cells():
     }
 
 
+def _sharding_cells():
+    """The counter farm at each shard count and at 4 shards with group-commit,
+    and the fifo queue in each batching mode, all at full size."""
+    cells = {
+        f"shards={shards}": partial(_fingerprint, sharding.run_shard_cell, shards)
+        for shards in sharding.SHARD_COUNTS
+    }
+    cells["shards=4/group-commit"] = partial(
+        _fingerprint, sharding.run_shard_cell, 4, sharding.BATCHING_MODES["group-commit"]
+    )
+    for mode in sharding.BATCHING_MODES:
+        cells[f"fifo/{mode}"] = partial(_fingerprint, sharding.run_fifo_cell, mode)
+    return cells
+
+
 def _kernel_cells():
     """The broadcast write storm at 8, 16 and 64 nodes, one client each."""
     return {
@@ -149,6 +165,7 @@ def _run_scenario(kind, **options):
 #: family -> {cell: zero-argument runner returning the cell's fingerprint}.
 FAMILIES = {
     "workloads": _workload_cells(),
+    "sharding": _sharding_cells(),
     "adaptive": _adaptive_cells(),
     "rebalance": _rebalance_cells(),
     "recovery": recovery.recovery_cells(num_nodes=5, writers_per_node=1, ops_per_writer=40),

@@ -16,6 +16,10 @@ resolves neither under the repository root nor under ``src/repro/`` (a
 ``*`` in it matches like a shell glob).  Bare file names and directory
 paths are not checked.
 
+In ``src/**/*.py`` it checks every ``docs/<file>.md#<anchor>`` pointer a
+docstring or comment makes into the docs: the file must exist and the
+anchor must be one of its headings.
+
 External links (``http(s)://``, ``mailto:``) are not fetched — this
 gate is about keeping the internal docs graph unbroken as files move,
 not about the outside world.
@@ -46,6 +50,9 @@ _FENCE = re.compile(r"^(```|~~~)")
 
 #: A backticked Python source path: ``sim/kernel.py``, ``tests/test_*.py``.
 _CODE_PATH = re.compile(r"`([^`\s]*/[^`\s]*\.py)`")
+
+#: A pointer from source code into the docs: ``docs/ARCHITECTURE.md#the-switch``.
+_SOURCE_DOC_LINK = re.compile(r"(docs/[\w./-]+\.md)(?:#([\w-]+))?")
 
 #: Docs that describe the tree as it is now (relative to the root; a
 #: directory covers its Markdown files at any depth).
@@ -92,6 +99,18 @@ def anchors_of(path: str):
     return slugs
 
 
+def link_problem(where: str, shown: str, resolved: str, fragment: str, anchor_cache):
+    """What is wrong with one link to ``resolved``, or ``None`` if it resolves."""
+    if not os.path.exists(resolved):
+        return f"{where}: broken link -> {shown}"
+    if fragment and resolved.endswith(".md"):
+        if resolved not in anchor_cache:
+            anchor_cache[resolved] = anchors_of(resolved)
+        if fragment.lower() not in anchor_cache[resolved]:
+            return f"{where}: missing anchor -> {shown}#{fragment}"
+    return None
+
+
 def check_file(path: str, root: str, anchor_cache):
     problems = []
     for number, line in enumerate(_markdown_lines(path), start=1):
@@ -106,16 +125,10 @@ def check_file(path: str, root: str, anchor_cache):
             else:
                 resolved = path  # same-file anchor
             where = f"{os.path.relpath(path, root)}:{number}"
-            if not os.path.exists(resolved):
-                problems.append(f"{where}: broken link -> {target}")
-                continue
-            if fragment and resolved.endswith(".md"):
-                if resolved not in anchor_cache:
-                    anchor_cache[resolved] = anchors_of(resolved)
-                if fragment.lower() not in anchor_cache[resolved]:
-                    problems.append(
-                        f"{where}: missing anchor -> "
-                        f"{target or os.path.basename(path)}#{fragment}")
+            shown = target or os.path.basename(path)
+            problem = link_problem(where, shown, resolved, fragment, anchor_cache)
+            if problem:
+                problems.append(problem)
     return problems
 
 
@@ -136,6 +149,22 @@ def check_code_paths(path: str, root: str):
     return problems
 
 
+def check_source_doc_links(root: str, anchor_cache):
+    """``docs/<file>.md#<anchor>`` pointers in ``src/**/*.py`` that resolve nowhere."""
+    problems = []
+    for path in sorted(glob.glob(os.path.join(root, "src", "**", "*.py"), recursive=True)):
+        with open(path, encoding="utf-8") as fh:
+            for number, line in enumerate(fh, start=1):
+                for match in _SOURCE_DOC_LINK.finditer(line):
+                    target, fragment = match.groups()
+                    where = f"{os.path.relpath(path, root)}:{number}"
+                    resolved = os.path.join(root, target)
+                    problem = link_problem(where, target, resolved, fragment, anchor_cache)
+                    if problem:
+                        problems.append(problem)
+    return problems
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     root = os.path.abspath(args[0]) if args else os.getcwd()
@@ -147,12 +176,16 @@ def main(argv=None) -> int:
         problems.extend(check_file(path, root, anchor_cache))
         if is_present_tense(path, root):
             problems.extend(check_code_paths(path, root))
+    problems.extend(check_source_doc_links(root, anchor_cache))
     if problems:
         print(f"BROKEN DOCS LINKS ({len(problems)}):")
         for problem in problems:
             print(f"  - {problem}")
         return 1
-    print(f"ok: {checked} Markdown files, all relative links and code paths resolve")
+    print(
+        f"ok: {checked} Markdown files, all relative links, code paths and "
+        "source pointers into the docs resolve"
+    )
     return 0
 
 

@@ -43,11 +43,6 @@ class BoundObject:
         return self._handle.name
 
     @property
-    def runtime(self) -> RuntimeSystem:
-        """The runtime system managing this object."""
-        return self._rts
-
-    @property
     def policy(self) -> str:
         """Name of the management policy currently governing this object."""
         return self._rts.policy_of(self._handle)

@@ -6,7 +6,7 @@ read and write path (a member's delivery and ordered apply are
 :class:`~repro.rts.member.ShardMember`'s).  Everything else runs in role
 objects under ``repro.rts``, each behind a ``typing.Protocol`` naming what
 it reads and calls of the runtime: see the module map in
-``docs/ARCHITECTURE.md`` (section ``rts/``).
+``docs/ARCHITECTURE.md#rts-shared-objects-under-per-object-policies``.
 """
 
 from __future__ import annotations

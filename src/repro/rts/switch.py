@@ -12,7 +12,7 @@ member's cursor until it lands, and no write is applied on both sides of it —
 with every replica passing through the switch state, that is why sequential
 consistency holds across a switch.  A record in flight across a sequencer
 crash is retried through the election like any other broadcast.
-``docs/ARCHITECTURE.md`` ("The switch") tabulates the four uses.
+``docs/ARCHITECTURE.md#the-switch`` tabulates its uses.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ pushes alone.  A property test pins it against a ten-line reference heap.
 One structure, not one per traffic class: a now bucket and a timer wheel in
 front of this heap each beat it on their own kind of push, but choosing among
 three structures on every push, pop and peek cost more than the heap
-operations saved (docs/ARCHITECTURE.md has the replay numbers).
+operations saved (docs/ARCHITECTURE.md#sim-the-simulation-kernel).
 
 Cancelled events are dropped lazily when they surface; when they outnumber
 the live ones the queue compacts the heap in one pass so a cancel-heavy

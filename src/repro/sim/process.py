@@ -54,11 +54,11 @@ def _bound_malloc_arenas() -> None:
     Every thread that allocates otherwise gets an arena of its own, and memory
     freed on one thread never returns to another's: with events firing on
     whichever carrier holds control that cost 14.6 % more resident memory
-    (docs/ARCHITECTURE.md).  Arenas exist so threads can allocate in parallel;
-    at most one of ours ever runs, so one arena loses nothing.  Skipped
-    silently where libc has no ``mallopt``.  ``ctypes`` is imported here, not
-    at module import: the real backend's node processes import this package
-    and never start a carrier.
+    (docs/ARCHITECTURE.md#carriers-and-the-host).  Arenas exist so threads
+    can allocate in parallel; at most one of ours ever runs, so one arena
+    loses nothing.  Skipped silently where libc has no ``mallopt``.
+    ``ctypes`` is imported here, not at module import: the real backend's
+    node processes import this package and never start a carrier.
     """
     global _arenas_bounded
     if _arenas_bounded:
@@ -84,7 +84,7 @@ def _never_preempt_on_wake() -> None:
     anything to do), and makes it one.  Unprivileged; a carrier started under
     any other policy keeps it; skipped silently where the call is missing or
     refused, as ``mallopt`` is.  A thread or subprocess started from inside a
-    process body inherits the policy (docs/ARCHITECTURE.md).
+    process body inherits the policy (docs/ARCHITECTURE.md#carriers-and-the-host).
     """
     try:
         if os.sched_getscheduler(0) == os.SCHED_OTHER:

@@ -27,10 +27,6 @@ class RngRegistry:
         self._master_seed = master_seed
         self._streams: Dict[str, random.Random] = {}
 
-    @property
-    def master_seed(self) -> int:
-        return self._master_seed
-
     def stream(self, name: str) -> random.Random:
         """Return the stream registered under ``name``, creating it on first use."""
         rng = self._streams.get(name)

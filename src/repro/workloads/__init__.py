@@ -35,7 +35,6 @@ _EXPORTS = {
         "WorkloadRunner",
         "build_runtime",
         "run_scenario_matrix",
-        "run_shard_sweep",
     ),
     ".scenarios": ("PollableQueue", "Scenario", "ScenarioRegistry", "scenario"),
     ".spec": (
@@ -58,7 +57,6 @@ __all__ = [
     "WorkloadRunner",
     "build_runtime",
     "run_scenario_matrix",
-    "run_shard_sweep",
     "Scenario",
     "ScenarioRegistry",
     "scenario",

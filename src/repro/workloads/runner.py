@@ -417,22 +417,3 @@ def run_scenario_matrix(scenarios: List[str], runtimes: List[str],
                                     runtime=runtime_kind, **runner_kwargs)
             reports.append(runner.run())
     return reports
-
-
-def run_shard_sweep(scenario: str, shard_counts: List[int],
-                    workload: Optional[WorkloadSpec] = None,
-                    batching: Optional[Any] = None,
-                    **runner_kwargs: Any) -> List[WorkloadReport]:
-    """Sweep the broadcast RTS over shard counts for one scenario.
-
-    Every cell runs the identical workload; only the number of broadcast
-    groups (and thus sequencers) changes, which is what isolates the
-    single-sequencer ceiling in the resulting throughput curve.
-    """
-    reports = []
-    for num_shards in shard_counts:
-        runner = WorkloadRunner(scenario, workload=workload,
-                                runtime="broadcast", num_shards=num_shards,
-                                batching=batching, **runner_kwargs)
-        reports.append(runner.run())
-    return reports

@@ -1,4 +1,4 @@
-"""The docs gate: stale backticked code paths fail it."""
+"""The docs gate: stale backticked code paths and dangling source pointers fail it."""
 
 from __future__ import annotations
 
@@ -32,4 +32,25 @@ def test_stale_code_path_fails_and_good_one_passes(tmp_path, capsys):
     assert "invalidation.py" not in out
 
     (tmp_path / "README.md").write_text("The write path is in `rts/primary.py`.\n")
+    assert checker.main([str(tmp_path)]) == 0
+
+
+def test_source_pointer_to_a_missing_anchor_fails(tmp_path, capsys):
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "ARCHITECTURE.md").write_text("# Architecture\n\n## The switch\n")
+    (tmp_path / "src" / "repro" / "rts").mkdir(parents=True)
+    module = tmp_path / "src" / "repro" / "rts" / "switch.py"
+    module.write_text(
+        '"""See docs/ARCHITECTURE.md#the-switch and\n'
+        'docs/ARCHITECTURE.md#the-replay-numbers."""\n')
+    checker = load_checker()
+
+    assert checker.main([str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert (
+        "src/repro/rts/switch.py:2: missing anchor -> docs/ARCHITECTURE.md#the-replay-numbers"
+        in out)
+    assert "#the-switch" not in out
+
+    module.write_text('"""See docs/ARCHITECTURE.md#the-switch."""\n')
     assert checker.main([str(tmp_path)]) == 0

@@ -1,6 +1,6 @@
 """Every virtual-time cell reproduces its pin in ``benchmarks/baselines/``.
 
-The registry is ``benchmarks/pins.py``: nine families of seeded simulator
+The registry is ``benchmarks/pins.py``: ten families of seeded simulator
 runs, each pinned one JSON line per cell in ``<family>.jsonl``.  A change
 that moves simulated behaviour fails here naming the ``family/cell`` it
 moved.  Regenerate the pins (only for an intended change of behaviour)
